@@ -618,15 +618,31 @@ def fn_bracket(K, L):
 # potentials and structural residuals
 
 
-def _semispray_residual(S: VectorField, points) -> float:
-    n = S.n
+def sup_abs(values) -> float:
+    """sup |v| over the values (0.0 if there are none); NaN if any value is NaN.
+
+    A hand-written ``max(worst, abs(v))`` loop drops a NaN that is not the
+    first value, because ``max(0.0, nan) == 0.0``.
+    """
     worst = 0.0
+    for v in values:
+        a = abs(v)
+        if a != a:
+            return a
+        if a > worst:
+            worst = a
+    return worst
+
+
+def semispray_residual(S: VectorField, points) -> float:
+    """sup |J S - C|, i.e. how far the base components are from y."""
+    n = S.n
+    devs = []
     for p in points:
         z = p.coords()
         sz = S(z)
-        for i in range(n):
-            worst = max(worst, abs(sz[i] - z[n + i]))
-    return worst
+        devs.extend(sz[i] - z[n + i] for i in range(n))
+    return sup_abs(devs)
 
 
 def potential(K, S: VectorField, points=None, tol: float = PRECHECK_TOL):
@@ -639,7 +655,7 @@ def potential(K, S: VectorField, points=None, tol: float = PRECHECK_TOL):
     if degree < 1:
         raise DegreeOutOfRange("potential needs degree >= 1")
     if points is not None:
-        if _semispray_residual(S, points) > tol:
+        if semispray_residual(S, points) > tol:
             raise NotSemispray("J(S) != C beyond tolerance on the supplied points")
         r = semibasic_residual(K, points)
         if r > tol:

@@ -18,8 +18,8 @@ from .calculus import (
     VectorField, VectorForm, complete_lift_function, d_K, d_function,
     exterior_derivative, field_apply, fn_bracket, frame_vector,
     homogeneity_residual, identity_form, insert_one_form, insert_vector,
-    liouville_field, semibasic_residual, tensor_one_form_field,
-    vertical_endomorphism, vertical_lift_function,
+    liouville_field, semibasic_residual, semispray_residual, sup_abs,
+    tensor_one_form_field, vertical_endomorphism, vertical_lift_function,
 )
 from .core import BaseFunction, ScalarField
 from .errors import (
@@ -84,55 +84,31 @@ def _as_form(h) -> VectorForm:
 def vertical_residual(V: VectorField, points) -> float:
     """sup of the horizontal components of V."""
     n = V.n
-    return max(max(abs(c) for c in V(p.coords())[:n]) for p in points)
-
-
-def semispray_residual(S: VectorField, points) -> float:
-    """sup |J S - C|, i.e. how far the base components are from y."""
-    n = S.n
-    worst = 0.0
-    for p in points:
-        z = p.coords()
-        s = S(z)
-        worst = max(worst, max(abs(s[i] - z[n + i]) for i in range(n)))
-    return worst
+    return sup_abs(c for p in points for c in V(p.coords())[:n])
 
 
 def form_matrix_residual(A: VectorForm, B: VectorForm, points) -> float:
     """sup over points and frame of the matrix difference of two 1-forms."""
-    n2 = 2 * A.n
-    worst = 0.0
+    devs = []
     for p in points:
         ma, mb = A.matrix(p.coords()), B.matrix(p.coords())
-        worst = max(worst, max(abs(ma[a][b] - mb[a][b])
-                               for a in range(n2) for b in range(n2)))
-    return worst
+        devs.extend(x - y for ra, rb in zip(ma, mb) for x, y in zip(ra, rb))
+    return sup_abs(devs)
 
 
 def vector_form2_residual(K: VectorForm, points) -> float:
     """sup |K(e_a, e_b)| over points and frame pairs, for a vector 2-form."""
     n2 = 2 * K.n
-    worst = 0.0
-    for p in points:
-        z = p.coords()
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                worst = max(worst, max(abs(v) for v in
-                                       K(z, frame_vector(n2, a), frame_vector(n2, b))))
-    return worst
+    return sup_abs(v for p in points for a in range(n2) for b in range(a + 1, n2)
+                   for v in K(p.coords(), frame_vector(n2, a), frame_vector(n2, b)))
 
 
 def vector_form1_residual(K: VectorForm, points) -> float:
-    n2 = 2 * K.n
-    worst = 0.0
-    for p in points:
-        m = K.matrix(p.coords())
-        worst = max(worst, max(abs(m[a][b]) for a in range(n2) for b in range(n2)))
-    return worst
+    return sup_abs(x for p in points for row in K.matrix(p.coords()) for x in row)
 
 
 def vector_field_residual(X: VectorField, points) -> float:
-    return max(max(abs(c) for c in X(p.coords())) for p in points)
+    return sup_abs(c for p in points for c in X(p.coords()))
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +300,12 @@ def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField,
     sV = semispray_from_vertical(F, V, pre_tol)
     sU = semispray_from_vertical(F, U, pre_tol)
     C = liouville_field(F.n)
-    worst = 0.0
+    devs = []
     for p in F.grid:
         z = p.coords()
         lc = lam(z)
-        dev = [a - b - lc * c for a, b, c in zip(sV(z), sU(z), C(z))]
-        worst = max(worst, max(abs(d) for d in dev))
-    return lam, worst
+        devs.extend(a - b - lc * c for a, b, c in zip(sV(z), sU(z), C(z)))
+    return lam, sup_abs(devs)
 
 
 def vincze_residual(F: FinslerStructure, V: VectorField,
@@ -344,15 +319,15 @@ def vincze_residual(F: FinslerStructure, V: VectorField,
     dj_ve = d_K(J, VE)
     om = F.omega
     n2 = 2 * F.n
-    worst = 0.0
+    devs = []
     for p in points:
         z = p.coords()
         vz = V(z)
         m = om.matrix_at(z)
         for b in range(n2):
             i_v_om = sum(vz[a] * m[a][b] for a in range(n2))
-            worst = max(worst, abs(i_v_om - dj_ve(z, frame_vector(n2, b))))
-    return worst
+            devs.append(i_v_om - dj_ve(z, frame_vector(n2, b)))
+    return sup_abs(devs)
 
 
 def conservative_lift(F: FinslerStructure, V: VectorField,
@@ -383,12 +358,7 @@ def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> floa
     J = vertical_endomorphism(F.n)
     djg = d_K(J, g)
     n2 = 2 * F.n
-    worst = 0.0
-    for p in points:
-        z = p.coords()
-        for a in range(n2):
-            worst = max(worst, abs(djg(z, frame_vector(n2, a))))
-    return worst
+    return sup_abs(djg(p.coords(), frame_vector(n2, a)) for p in points for a in range(n2))
 
 
 def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
@@ -401,7 +371,7 @@ def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
     form = _as_form(h)
     n2 = 2 * F.n
     rng = range(n2)
-    worst = 0.0
+    devs = []
     for p in points:
         z = p.coords()
         h_real = form.matrix(z)
@@ -433,8 +403,8 @@ def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
                     ih_d = sum(h_real[d][a] * d_omega(d, b, c) for d in rng) \
                         + sum(h_real[d][b] * d_omega(a, d, c) for d in rng) \
                         + sum(h_real[d][c] * d_omega(a, b, d) for d in rng)
-                    worst = max(worst, abs(ih_d - d_ih))
-    return worst
+                    devs.append(ih_d - d_ih)
+    return sup_abs(devs)
 
 
 def dh_omega_form(F: FinslerStructure, h):

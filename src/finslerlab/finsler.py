@@ -54,15 +54,18 @@ def metric_matrix(E: ScalarField, n: int, z):
 def omega_matrix(E: ScalarField, n: int, z):
     """Closed-form matrix of omega = d(d_J E): [[A, -g^T], [g, 0]].
 
-    A_ij = E_{x^i y^j} - E_{x^j y^i} is the skew part of the mixed Hessian.
+    A_ij = E_{x^i y^j} - E_{x^j y^i} is the skew part of the mixed Hessian, so
+    its diagonal is exactly zero and only the pairs i < j are differentiated.
     """
     g = metric_matrix(E, n, z)
-    mixed = [[_second_derivative(E, z, i, n + j) for j in range(n)] for i in range(n)]
     n2 = 2 * n
     m = [[0.0] * n2 for _ in range(n2)]
     for i in range(n):
+        for j in range(i + 1, n):
+            a = _second_derivative(E, z, i, n + j) - _second_derivative(E, z, j, n + i)
+            m[i][j] = a
+            m[j][i] = -a
         for j in range(n):
-            m[i][j] = mixed[i][j] - mixed[j][i]
             m[i][n + j] = -g[j][i]
             m[n + i][j] = g[i][j]
     return m

@@ -8,6 +8,12 @@ confusion bug).  The tag order is the nesting order: when two jets meet, the
 one with the larger tag is the outer wrapper and treats the other as a
 constant coefficient.
 
+Tangents are sparse by structure: a lift leaves a coordinate whose direction
+component is an exact float zero untagged, so arithmetic on it never carries
+an identically-zero derivative coefficient.  ``tangent()`` of an untagged
+value is ``0.0``, and the tag-ordered operators treat it as a constant, so
+the result is the same as wrapping it with a zero coefficient.
+
 Only operations needed by smooth energy functions on the slit bundle are
 implemented: field arithmetic, constant powers, sqrt, exp, log, sin, cos.
 """
@@ -151,8 +157,15 @@ def realpart(x) -> float:
 
 
 def lift(coords, direction, tag):
-    """Wrap each coordinate as value + epsilon_tag * direction component."""
-    return [Jet(tag, c, d) for c, d in zip(coords, direction)]
+    """Wrap each coordinate as value + epsilon_tag * direction component.
+
+    A coordinate whose component is an exact float zero is returned as is
+    (untagged): the lift does not move it, and ``tangent()`` of an untagged
+    value is ``0.0``.  A jet-valued component is always lifted, whatever its
+    value, because it carries derivatives of an enclosing lift.
+    """
+    return [c if type(d) is not Jet and d == 0.0 else Jet(tag, c, d)
+            for c, d in zip(coords, direction)]
 
 
 def primal(x, tag):

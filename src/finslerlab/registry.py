@@ -24,6 +24,14 @@ BASE_FUNCTIONS = {
 }
 
 
+class _UnknownId(BadConfig):
+    """Raised by a builder for an id it does not recognise at all."""
+
+    def __init__(self, kind: str, oid: str):
+        super().__init__(f"unknown {kind} id {oid!r}")
+        self.oid = oid
+
+
 def base_function(fid: str, n: int) -> BaseFunction:
     try:
         return BASE_FUNCTIONS[fid](n)
@@ -39,7 +47,10 @@ def build_field(F: FinslerStructure, fid: str) -> VectorField:
     if fid == "S0":
         return canonical_spray(F)
     if fid.startswith("vlift:"):
-        i = int(fid.split(":", 1)[1])
+        try:
+            i = int(fid.split(":", 1)[1])
+        except ValueError:
+            raise BadConfig(f"vlift index is not an integer in {fid!r}") from None
         if not 1 <= i <= n:
             raise BadConfig(f"vlift index out of range in {fid!r}")
         comps = [BaseFunction(lambda x, j=j: 1.0 if j == i - 1 else 0.0, n)
@@ -54,7 +65,7 @@ def build_field(F: FinslerStructure, fid: str) -> VectorField:
         return VectorField(
             lambda z: [0.0] * n + [0.5 * jets.sqrt(F.E(z)) * z[n + i] for i in range(n)],
             n, fid)
-    raise BadConfig(f"unknown field id {fid!r}")
+    raise _UnknownId("field", fid)
 
 
 def build_form(F: FinslerStructure, fid: str):
@@ -70,7 +81,7 @@ def build_form(F: FinslerStructure, fid: str):
     if fid.startswith("fvJ:"):
         f_v = vertical_lift_function(base_function(fid.split(":", 1)[1], n))
         return vertical_endomorphism(n).scale(f_v)
-    raise BadConfig(f"unknown form id {fid!r}")
+    raise _UnknownId("form", fid)
 
 
 def build_connection(F: FinslerStructure, cid: str):
@@ -81,17 +92,21 @@ def build_connection(F: FinslerStructure, cid: str):
         return h
     if cid.startswith("l:"):
         return l_ehresmann_connection(F, build_form(F, cid.split(":", 1)[1]))
-    raise BadConfig(f"unknown connection id {cid!r}")
+    raise _UnknownId("connection", cid)
 
 
 def build_object(F: FinslerStructure, oid: str):
-    """Resolve an id of any kind; returns (kind, object)."""
+    """Resolve an id of any kind; returns (kind, object).
+
+    An id that one kind does not recognise is tried as the next kind; any
+    other error, such as a bad index or an unknown id nested inside a
+    recognised prefix, is raised as is.
+    """
     for kind, builder in (("field", build_field), ("form", build_form),
                           ("connection", build_connection)):
         try:
             return kind, builder(F, oid)
-        except BadConfig:
-            continue
-        except ValueError:
-            continue
+        except _UnknownId as e:
+            if e.oid != oid:
+                raise
     raise BadConfig(f"id {oid!r} matches no field, form, or connection")

@@ -6,8 +6,9 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.calculus import (
-    VectorField, d_K, field_apply, fn_bracket, frame_vector,
-    liouville_field, potential, vertical_endomorphism, vertical_lift_vector,
+    VectorField, VectorForm, d_K, field_apply, fn_bracket, frame_vector,
+    liouville_field, potential, semispray_residual, sup_abs,
+    vertical_endomorphism, vertical_lift_vector,
 )
 from finslerlab.core import BaseFunction, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
@@ -25,7 +26,7 @@ from finslerlab.connections import (
     sharp_of_dLE, tension, theta_operator, torsion_free_residual,
     v_from_homogeneous, v_from_torsion_free, vector_field_residual,
     vector_form1_residual, vector_form2_residual, vertical_lift_test,
-    vincze_residual, wagner_connection, weak_torsion,
+    vertical_residual, vincze_residual, wagner_connection, weak_torsion,
 )
 
 from helpers import maxabs
@@ -539,3 +540,32 @@ def test_dh_omega_driver_matches_generic_form():
     # driver reports the same magnitude as the generic composition
     driver = dh_omega_residual(F, hL, points=[p])
     assert abs(worst - driver) < 1e-8
+
+
+# -- NaN-safe residuals ------------------------------------------------------------
+
+
+def test_sup_abs():
+    assert sup_abs([]) == 0.0
+    assert sup_abs([-3.0, 2.0, 0.5]) == 3.0
+    assert math.isnan(sup_abs([0.0, math.nan, 5.0]))
+
+
+def test_residual_helpers_propagate_nan_past_the_first_point():
+    # max(0.0, nan) == 0.0, so a hand-written sup loop would read 0.0 here
+    second = list(GRID)[1].coords()
+
+    def nan_at_second(z):
+        return math.nan if [jets.realpart(c) for c in z] == second else 0.0
+
+    X = VectorField(lambda z: [nan_at_second(z)] * N2, N)
+    S = VectorField(lambda z: [c + nan_at_second(z) for c in z[N:]] * 2, N)
+    K1 = VectorForm(1, lambda z, v: [nan_at_second(z)] * N2, N)
+    K2 = VectorForm(2, lambda z, u, v: [nan_at_second(z)] * N2, N)
+    g = ScalarField(lambda z: z[N] * (1.0 + nan_at_second(z)), N)
+    zero = VectorForm(1, lambda z, v: [0.0] * N2, N)
+    for r in (vector_field_residual(X, GRID), vertical_residual(X, GRID),
+              semispray_residual(S, GRID), vector_form1_residual(K1, GRID),
+              form_matrix_residual(K1, zero, GRID), vector_form2_residual(K2, GRID),
+              vertical_lift_test(EUC, g, GRID)):
+        assert math.isnan(r)

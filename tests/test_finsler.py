@@ -1,6 +1,8 @@
 """Finsler layer: validation, omega, sharp, sprays, Berwald, conformal change."""
 
+import cProfile
 import math
+import pstats
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from finslerlab.errors import (
 from finslerlab.finsler import (
     berwald_connection, canonical_spray, conformal_change,
     conservative_connection_residual, conservative_form_residual,
-    finsler_fixture, fixture_ids, fundamental_form, gradient,
+    finsler_fixture, fixture_ids, fundamental_form, gradient, omega_matrix,
     projector_residual, sharp, validate_finsler,
 )
 
@@ -105,6 +107,34 @@ def test_omega_matrix_block_structure():
             assert np.allclose(m[:N, N:], -g.T, atol=1e-12)
             assert np.allclose(m[N:, N:], 0.0, atol=1e-12)
             assert np.allclose(m, -m.T, atol=1e-10)
+            skew = m[:N, :N]
+            assert (np.diag(skew) == 0.0).all()
+            assert (skew == -skew.T).all()
+
+
+def _jet_constructions(fn):
+    # counted from the profile, so the jet kernel itself carries no counter
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    return sum(stat[1] for (path, _, name), stat in pstats.Stats(prof).stats.items()
+               if name == "__init__" and path.endswith("jets.py"))
+
+
+@pytest.mark.parametrize("n, what, budget", [
+    (2, "omega", 120),
+    (2, "berwald", 1200),
+    (3, "berwald", 4000),
+])
+def test_jet_construction_budget(n, what, budget):
+    # lifts along frame vectors must not wrap the coordinates they leave fixed;
+    # a dense lift builds 280, 3396 and 13008 jets here
+    F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
+    z = [0.1, -0.2, 0.3][:n] + [0.7, 0.4, -0.5][:n]
+    if what == "omega":
+        count = _jet_constructions(lambda: omega_matrix(F.E, n, z))
+    else:
+        count = _jet_constructions(lambda: berwald_connection(F)._compute_matrix(z))
+    assert count <= budget
 
 
 # -- sharp and gradient ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Jet arithmetic: exactness, nesting safety, oracle agreement."""
 
 import math
+from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finslerlab import jets
 from finslerlab.jets import Jet, fresh_tag, jvp, lift, nth_directional, realpart
@@ -188,3 +189,51 @@ def test_product_and_quotient_rules_random(a, b, c):
 def test_exp_second_derivative_random(a):
     d = nth_directional(lambda z: jets.exp(z[0]), [a], [[1.0], [1.0]])
     assert abs(d - math.exp(a)) < 1e-10 * math.exp(abs(a))
+
+
+# -- structural-zero lifts ------------------------------------------------------
+
+
+def dense_lift(coords, direction, tag):
+    # reference: wrap every coordinate, even along an exact-zero component
+    return [Jet(tag, c, d) for c, d in zip(coords, direction)]
+
+
+def test_lift_leaves_exact_zero_components_untagged():
+    tag = fresh_tag()
+    outer = Jet(fresh_tag(), 0.0, 1.0)
+    coords = [0.3, -0.7, 1.1, 2.4]
+    zj = lift(coords, [0.0, 2.0, outer, -0.0], tag)
+    assert zj[0] is coords[0]
+    assert zj[3] is coords[3]
+    assert type(zj[1]) is Jet and zj[1].tag == tag and zj[1].dot == 2.0
+    # a jet-valued component is lifted even when its value is zero
+    assert type(zj[2]) is Jet and zj[2].tag == tag and zj[2].dot is outer
+    assert jets.tangent(zj[0], tag) == 0.0
+
+
+def test_lift_along_zero_direction_leaves_a_float_point():
+    zj = lift(Z0, [0.0] * 4, fresh_tag())
+    assert all(type(c) is float for c in zj)
+    assert nth_directional(poly, Z0, [[0.0] * 4]) == 0.0
+
+
+_DIR_COMPONENT = st.one_of(st.just(0.0), st.just(1.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["euclidean", "riemannian-exp", "randers-0.3"]),
+       st.sampled_from([2, 3]),
+       st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.lists(st.floats(0.3, 1.5), min_size=3, max_size=3),
+       st.lists(st.lists(_DIR_COMPONENT, min_size=6, max_size=6), min_size=1, max_size=3))
+def test_sparse_lift_matches_dense_reference_bitwise(fid, n, xs, ys, dirs):
+    from finslerlab.finsler import fixture_energy
+
+    E = fixture_energy(fid, n).fn
+    z = xs[:n] + ys[:n]
+    dirs = [d[:2 * n] for d in dirs]
+    sparse = nth_directional(E, z, dirs)
+    with mock.patch.object(jets, "lift", dense_lift):
+        dense = nth_directional(E, z, dirs)
+    assert sparse == dense

@@ -226,3 +226,16 @@ def test_cli_eval_unknown_object(capsys):
     assert main(["eval", "--fixture", "euclidean", "--object", "nope",
                  "--point", "0,0,1,2"]) == 2
     assert "matches no" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oid, message", [
+    ("vlift:5", "vlift index out of range in 'vlift:5'"),
+    ("vlift:x", "vlift index is not an integer in 'vlift:x'"),
+    ("jv:nope", "unknown field id 'nope'"),
+])
+def test_cli_eval_reports_the_specific_error(oid, message, capsys):
+    assert main(["eval", "--fixture", "euclidean", "--object", oid,
+                 "--point", "0,0,1,2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "matches no" not in err
