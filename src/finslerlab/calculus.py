@@ -668,16 +668,11 @@ def homogeneity_residual(K, r: float, points, C: VectorField | None = None) -> f
     if isinstance(K, VectorField):
         C = C or liouville_field(K.n)
         dev = lie_bracket(C, K) - K.scale(r - 1.0)
-        return max(max(abs(c) for c in dev(p.coords())) for p in points)
+        return sup_abs(c for p in points for c in dev(p.coords()))
     if isinstance(K, VectorForm) and K.degree == 1:
         C = C or liouville_field(K.n)
         dev = fn_bracket(C, K) - K.scale(r - 1.0)
-        n2 = 2 * K.n
-        worst = 0.0
-        for p in points:
-            m = dev.matrix(p.coords())
-            worst = max(worst, max(abs(x) for row in m for x in row))
-        return worst
+        return sup_abs(x for p in points for row in dev.matrix(p.coords()) for x in row)
     raise TypeError("homogeneity defined for vector fields and vector 1-forms")
 
 
@@ -691,32 +686,26 @@ def semibasic_residual(K, points) -> float:
     if isinstance(K, VectorForm):
         n = K.n
         n2 = 2 * n
-        worst = 0.0
+        devs = []
         fr = frame(n2)
         for p in points:
             z = p.coords()
             if K.degree == 1:
                 m = K.matrix(z)
                 # J o K = 0: every column must be vertical (first n rows zero)
-                for b in range(n2):
-                    for i in range(n):
-                        worst = max(worst, abs(m[i][b]))
+                devs.extend(m[i][b] for b in range(n2) for i in range(n))
                 # K kills verticals: columns n..2n-1 vanish entirely
-                for i in range(n):
-                    for a in range(n2):
-                        worst = max(worst, abs(m[a][n + i]))
+                devs.extend(m[a][n + i] for i in range(n) for a in range(n2))
             else:
+                # vertical insertion vanishes
                 for i in range(n):
                     for b in range(n2):
-                        val = K.fn(z, fr[n + i], fr[b])
-                        # vertical insertion vanishes
-                        worst = max(worst, max(abs(v) for v in val))
+                        devs.extend(K.fn(z, fr[n + i], fr[b]))
                 # J o K = 0: output of K is vertical on every frame pair
                 for a in range(n2):
                     for b in range(a + 1, n2):
-                        val = K.fn(z, fr[a], fr[b])
-                        worst = max(worst, max(abs(v) for v in val[:n]))
-        return worst
+                        devs.extend(K.fn(z, fr[a], fr[b])[:n])
+        return sup_abs(devs)
     if isinstance(K, DifferentialForm):
         if K.degree < 1:
             raise DegreeOutOfRange("semibasic test needs degree >= 1")
@@ -724,10 +713,6 @@ def semibasic_residual(K, points) -> float:
         ijk = insert_one_form(J, K)
         n2 = 2 * K.n
         fr = frame(n2)
-        worst = 0.0
-        for p in points:
-            z = p.coords()
-            for args in itertools.combinations(fr, K.degree):
-                worst = max(worst, abs(ijk.fn(z, *args)))
-        return worst
+        return sup_abs(ijk.fn(p.coords(), *args) for p in points
+                       for args in itertools.combinations(fr, K.degree))
     raise TypeError("semibasic test defined for forms and vector forms")

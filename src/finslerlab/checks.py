@@ -19,7 +19,7 @@ from . import jets
 from .calculus import (
     DifferentialForm, VectorField, d_K, field_apply, fn_bracket,
     frame_vector, homogeneity_residual, insert_one_form, insert_vector,
-    lie_derivative, liouville_field, potential, vertical_endomorphism,
+    lie_derivative, liouville_field, potential, sup_abs, vertical_endomorphism,
     vertical_lift_function, vertical_lift_vector, zero_vector_form,
 )
 from .core import BaseFunction, sample_slit_points
@@ -151,22 +151,12 @@ def _e_dy1(F) -> VectorField:
 
 
 def _sup_form1(form, points, n2):
-    worst = 0.0
-    for p in points:
-        z = p.coords()
-        for a in range(n2):
-            worst = max(worst, abs(form(z, frame_vector(n2, a))))
-    return worst
+    return sup_abs(form(p.coords(), frame_vector(n2, a)) for p in points for a in range(n2))
 
 
 def _sup_form2(form, points, n2):
-    worst = 0.0
-    for p in points:
-        z = p.coords()
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                worst = max(worst, abs(form(z, frame_vector(n2, a), frame_vector(n2, b))))
-    return worst
+    return sup_abs(form(p.coords(), frame_vector(n2, a), frame_vector(n2, b))
+                   for p in points for a in range(n2) for b in range(a + 1, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +166,7 @@ def _sup_form2(form, points, n2):
 def _chk01_axioms(F, ctx):
     C = liouville_field(F.n)
     CE = field_apply(C, F.E)
-    worst = 0.0
+    devs = []
     for p in ctx.grid:
         z = p.coords()
         e = F.E(z)
@@ -185,8 +175,8 @@ def _chk01_axioms(F, ctx):
         det = abs(np.linalg.det(np.array(F.metric_at(z), dtype=float)))
         if det <= 1e-10:
             raise NondegeneracyFailure("metric tensor degenerate", point=p, value=det)
-        worst = max(worst, abs(CE(z) - 2.0 * e))
-    return Outcome(worst)
+        devs.append(CE(z) - 2.0 * e)
+    return Outcome(sup_abs(devs))
 
 
 def _chk02_omega_relations(F, ctx):
@@ -195,19 +185,19 @@ def _chk02_omega_relations(F, ctx):
     C = liouville_field(F.n)
     om = fundamental_form(F).two_form
     djE = d_K(J, F.E)
-    worst = _sup_form2(insert_one_form(J, om), ctx.grid, n2)
     i_c_om = insert_vector(C, om)
     diff1 = DifferentialForm(1, lambda z, v: i_c_om(z, v) - djE(z, v), F.n)
-    worst = max(worst, _sup_form1(diff1, ctx.grid, n2))
     lie = lie_derivative(C, om)
     diff2 = DifferentialForm(2, lambda z, u, v: lie(z, u, v) - om(z, u, v), F.n)
-    return Outcome(max(worst, _sup_form2(diff2, ctx.grid, n2)))
+    return Outcome(sup_abs([_sup_form2(insert_one_form(J, om), ctx.grid, n2),
+                            _sup_form1(diff1, ctx.grid, n2),
+                            _sup_form2(diff2, ctx.grid, n2)]))
 
 
 def _chk03_sharp_round_trip(F, ctx):
     n2 = 2 * F.n
     om = fundamental_form(F)
-    worst = 0.0
+    devs = []
     betas = random_one_forms(F.n, 3, ctx.seed + 103) \
         + random_one_forms(F.n, 2, ctx.seed + 203, semibasic=True)
     for beta in betas:
@@ -218,40 +208,38 @@ def _chk03_sharp_round_trip(F, ctx):
             m = om.matrix_at(z)
             for b in range(n2):
                 ins = sum(xz[a] * m[a][b] for a in range(n2))
-                worst = max(worst, abs(ins - beta(z, frame_vector(n2, b))))
-    return Outcome(worst)
+                devs.append(ins - beta(z, frame_vector(n2, b)))
+    return Outcome(sup_abs(devs))
 
 
 def _chk04_potential_lemma(F, ctx):
     s0 = canonical_spray(F)
-    worst = 0.0
+    devs = []
     for beta in random_one_forms(F.n, 5, ctx.seed + 104, semibasic=True):
         x = sharp(F, beta)
         xE = field_apply(x, F.E)
         for p in ctx.grid:
             z = p.coords()
-            worst = max(worst, abs(xE(z) - beta(z, s0(z))))
-    return Outcome(worst)
+            devs.append(xE(z) - beta(z, s0(z)))
+    return Outcome(sup_abs(devs))
 
 
 def _chk05_berwald(F, ctx):
     h0 = berwald(F)
     pts = list(ctx.grid)
-    n2 = 2 * F.n
-    worst = vector_form2_residual(weak_torsion(F, h0), pts)
-    worst = max(worst, vector_form1_residual(tension(F, h0), pts))
-    worst = max(worst, conservative_connection_residual(F, h0.form, pts))
-    return Outcome(worst)
+    return Outcome(sup_abs([vector_form2_residual(weak_torsion(F, h0), pts),
+                            vector_form1_residual(tension(F, h0), pts),
+                            conservative_connection_residual(F, h0.form, pts)]))
 
 
 def _chk06_conservative_form(F, ctx):
     hbar, _ = wagner_connection(F, base_function("x1", F.n))
     L = hbar.form - berwald_connection(F)
-    worst = conservative_form_residual(F, L, ctx.grid)
+    residuals = [conservative_form_residual(F, L, ctx.grid)]
     hL = l_ehresmann_connection(F, L)
     translated = berwald_connection(F) + L
-    worst = max(worst, form_matrix_residual(hL.form, translated, ctx.grid))
-    return Outcome(worst)
+    residuals.append(form_matrix_residual(hL.form, translated, ctx.grid))
+    return Outcome(sup_abs(residuals))
 
 
 def _chk07_biconditional(F, ctx):
@@ -267,7 +255,7 @@ def _chk07_biconditional(F, ctx):
         ("corollary", J.scale(f_v / (2.0 * F.E))),
     ]
     s0 = canonical_spray(F)
-    worst, notes = 0.0, []
+    residuals, notes = [], []
     tol = TOL_THEOREM
     for name, L in fixtures:
         hL = l_ehresmann_connection(F, L)
@@ -276,25 +264,25 @@ def _chk07_biconditional(F, ctx):
         b = vertical_lift_test(F, field_apply(pot, F.E), ctx.grid)
         small_a, small_b = a < tol, b < tol
         if small_a != small_b:
-            worst = max(worst, max(a, b))
+            residuals += (a, b)
             notes.append(f"{name}: sides disagree (dhE={a:.2e}, dJ(L°E)={b:.2e})")
         elif small_a:
-            worst = max(worst, max(a, b))
-        else:
-            if min(a, b) < NONCONSERVATIVE_MARGIN:
-                worst = max(worst, max(a, b))
-                notes.append(f"{name}: ambiguous nonconservative sides")
-    return Outcome(worst, "; ".join(notes) if notes else None)
+            residuals += (a, b)
+        elif not (a >= NONCONSERVATIVE_MARGIN and b >= NONCONSERVATIVE_MARGIN):
+            # also taken when a side is NaN, so that the NaN reaches the record
+            residuals += (a, b)
+            notes.append(f"{name}: ambiguous nonconservative sides")
+    return Outcome(sup_abs(residuals), "; ".join(notes) if notes else None)
 
 
 def _chk08_wagner(F, ctx):
     hbar, L_W = wagner_connection(F, base_function("x1", F.n))
-    worst = conservative_connection_residual(F, hbar.form, ctx.grid)
+    residuals = [conservative_connection_residual(F, hbar.form, ctx.grid)]
     hL = l_ehresmann_connection(F, L_W)
-    worst = max(worst, form_matrix_residual(hbar.form, hL.form, ctx.grid))
+    residuals.append(form_matrix_residual(hbar.form, hL.form, ctx.grid))
     pot = potential(L_W, canonical_spray(F), points=ctx.grid)
-    worst = max(worst, vector_field_residual(pot, ctx.grid))
-    return Outcome(worst)
+    residuals.append(vector_field_residual(pot, ctx.grid))
+    return Outcome(sup_abs(residuals))
 
 
 def _chk09_conformal(F, ctx):
@@ -302,8 +290,8 @@ def _chk09_conformal(F, ctx):
     F2 = conformal_change(F, f)
     hbar, _ = wagner_connection(F, f)
     L = hbar.form - berwald_connection(F)
-    worst = conservative_form_residual(F, L, ctx.grid)
-    worst = max(worst, conservative_form_residual(F2, L, ctx.grid))
+    residuals = [conservative_form_residual(F, L, ctx.grid),
+                 conservative_form_residual(F2, L, ctx.grid)]
     # the scaling identity d_L E~ = phi d_L E behind the invariance
     dle = d_K(L, F.E)
     dle2 = d_K(L, F2.E)
@@ -314,20 +302,19 @@ def _chk09_conformal(F, ctx):
         s = jets.exp(phi(z))
         for a in range(n2):
             ea = frame_vector(n2, a)
-            worst = max(worst, abs(dle2(z, ea) - s * dle(z, ea)))
+            residuals.append(dle2(z, ea) - s * dle(z, ea))
     # conservative L-Ehresmann connections stay conservative after the change
     hL2 = l_ehresmann_connection(F2, L)
-    worst = max(worst, conservative_connection_residual(F2, hL2.form, ctx.grid))
-    return Outcome(worst)
+    residuals.append(conservative_connection_residual(F2, hL2.form, ctx.grid))
+    return Outcome(sup_abs(residuals))
 
 
 def _chk10_conservative_lift(F, ctx):
     n = F.n
-    worst, notes = 0.0, []
     xv = vertical_lift_vector(
         [BaseFunction(lambda x, j=j: 1.0 if j == 0 else 0.0, n) for j in range(n)], n)
     U = conservative_lift(F, xv)
-    worst = max(worst, vincze_residual(F, U, ctx.grid))
+    residuals = [vincze_residual(F, U, ctx.grid)]
 
     def w_field(z):
         e = F.E(z)
@@ -335,14 +322,14 @@ def _chk10_conservative_lift(F, ctx):
         return [0.0] * n + [c * z[n + i] for i in range(n)]
 
     U2 = conservative_lift(F, VectorField(w_field, n, "w/(2E).C"))
-    worst = max(worst, vincze_residual(F, U2, ctx.grid))
+    residuals.append(vincze_residual(F, U2, ctx.grid))
 
     try:
         conservative_lift(F, _e_dy1(F))
         return Outcome(float("inf"), "expected HypothesisFailure was not raised for E-dy1")
     except HypothesisFailure as e:
-        notes.append(f"HypothesisFailure (expected) for E-dy1: residual {e.residual:.3e}")
-    return Outcome(worst, "; ".join(notes))
+        note = f"HypothesisFailure (expected) for E-dy1: residual {e.residual:.3e}"
+    return Outcome(sup_abs(residuals), note)
 
 
 def _chk11_theta_commutator(F, ctx):
@@ -351,12 +338,12 @@ def _chk11_theta_commutator(F, ctx):
     C = liouville_field(n)
     f_v = vertical_lift_function(base_function("x1", n))
     _, L_W = wagner_connection(F, base_function("x1", n))
-    worst = 0.0
+    residuals = []
     for L in (L_W, J.scale(f_v), fn_bracket(J, _e_dy1(F))):
         lhs = fn_bracket(C, theta_operator(F, L))
         rhs = theta_operator(F, fn_bracket(C, L))
-        worst = max(worst, form_matrix_residual(lhs, rhs, ctx.grid))
-    return Outcome(worst)
+        residuals.append(form_matrix_residual(lhs, rhs, ctx.grid))
+    return Outcome(sup_abs(residuals))
 
 
 def _chk12_vertical_correspondence(F, ctx):
@@ -364,13 +351,13 @@ def _chk12_vertical_correspondence(F, ctx):
     J = vertical_endomorphism(n)
     xv = vertical_lift_vector(
         [BaseFunction(lambda x, j=j: 1.0 if j == 0 else 0.0, n) for j in range(n)], n)
-    worst = 0.0
+    residuals = []
     for L in (zero_vector_form(n), fn_bracket(J, _e_dy1(F))):
         V = v_from_torsion_free(F, L)
-        worst = max(worst, vertical_residual(V, ctx.grid))
-        worst = max(worst, form_matrix_residual(fn_bracket(J, V), L, ctx.grid))
-        worst = max(worst, form_matrix_residual(fn_bracket(J, V + xv), L, ctx.grid))
-    return Outcome(worst)
+        residuals += (vertical_residual(V, ctx.grid),
+                      form_matrix_residual(fn_bracket(J, V), L, ctx.grid),
+                      form_matrix_residual(fn_bracket(J, V + xv), L, ctx.grid))
+    return Outcome(sup_abs(residuals))
 
 
 def _chk13_homogeneous_reconstruction(F, ctx):
@@ -379,16 +366,13 @@ def _chk13_homogeneous_reconstruction(F, ctx):
     V0 = _e_dy1(F)
     L = fn_bracket(J, V0)
     V = v_from_homogeneous(F, L, r=1.0)
-    worst = form_matrix_residual(fn_bracket(J, V), L, ctx.grid)
-    dev = V - V0
-    worst = max(worst, vector_field_residual(dev, ctx.grid))
-    notes = []
+    residual = sup_abs([form_matrix_residual(fn_bracket(J, V), L, ctx.grid),
+                        vector_field_residual(V - V0, ctx.grid)])
     try:
         v_from_homogeneous(F, L, r=-1.0)
         return Outcome(float("inf"), "expected DegenerateDegree was not raised")
     except DegenerateDegree:
-        notes.append("DegenerateDegree (expected) for r=-1")
-    return Outcome(worst, "; ".join(notes))
+        return Outcome(residual, "DegenerateDegree (expected) for r=-1")
 
 
 def _chk14_homogeneity_lemma(F, ctx):
@@ -396,21 +380,21 @@ def _chk14_homogeneity_lemma(F, ctx):
     J = vertical_endomorphism(n)
     half_y1_C = VectorField(
         lambda z: [0.0] * n + [0.5 * z[n] * z[n + i] for i in range(n)], n, "half-y1-C")
-    worst = 0.0
+    residuals = []
     for V in (_e_dy1(F), half_y1_C):
         hL = l_ehresmann_connection(F, fn_bracket(J, V))
-        worst = max(worst, vector_form1_residual(tension(F, hL), ctx.grid))
+        residuals.append(vector_form1_residual(tension(F, hL), ctx.grid))
         sV = semispray_from_vertical(F, V)
-        worst = max(worst, homogeneity_residual(sV, 2.0, ctx.grid))
-    return Outcome(worst)
+        residuals.append(homogeneity_residual(sV, 2.0, ctx.grid))
+    return Outcome(sup_abs(residuals))
 
 
 def _chk15_dh_omega(F, ctx):
     J = vertical_endomorphism(F.n)
-    worst = dh_omega_residual(F, berwald(F), ctx.grid)
+    residuals = [dh_omega_residual(F, berwald(F), ctx.grid)]
     hL = l_ehresmann_connection(F, fn_bracket(J, _e_dy1(F)))
-    worst = max(worst, dh_omega_residual(F, hL, ctx.grid))
-    return Outcome(worst)
+    residuals.append(dh_omega_residual(F, hL, ctx.grid))
+    return Outcome(sup_abs(residuals))
 
 
 def _chk16_spray_family(F, ctx):
@@ -420,19 +404,19 @@ def _chk16_spray_family(F, ctx):
     sV = semispray_from_vertical(F, V0)
     h1 = connection_from_semispray(F, sV)
     h2 = l_ehresmann_connection(F, fn_bracket(J, V0))
-    worst = form_matrix_residual(h1.form, h2.form, ctx.grid)
+    residuals = [form_matrix_residual(h1.form, h2.form, ctx.grid)]
     # projective factor on a verified related pair: V = sqrt(E) C / 2, U = 0
     V = VectorField(
         lambda z: [0.0] * n + [0.5 * jets.sqrt(F.E(z)) * z[n + i] for i in range(n)],
         n, "half-sqrtE-C")
     U = VectorField(lambda z: [0.0] * (2 * n), n, "0")
     lam, residual = projective_factor(F, V, U)
-    worst = max(worst, residual)
+    residuals.append(residual)
     C = liouville_field(n)
     for p in ctx.grid:
         z = p.coords()
-        worst = max(worst, abs(jets.directional(lam.fn, z, C(z)) - lam(z)))
-    return Outcome(worst)
+        residuals.append(jets.directional(lam.fn, z, C(z)) - lam(z))
+    return Outcome(sup_abs(residuals))
 
 
 CHECKS = (

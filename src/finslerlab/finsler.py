@@ -1,9 +1,24 @@
 """Finsler energies: validation, fundamental form, sharp operator, sprays.
 
-A validated structure caches its canonical objects (fundamental form matrix,
-canonical spray, Berwald connection) and is immutable afterwards; the caches
-are keyed by float coordinates only, so jet-valued evaluations never leak
-lift-tagged values into shared state.
+A validated structure caches its canonical spray and Berwald connection, and
+keeps one point memo for the sharp solve.  The memo maps a point to what
+omega gives there: at a float point the matrix and its condition number, at
+a jet point the pivoted factorization of the jet system.  Its key is the
+point's canonical form (``_point_key``): every float, a negative zero as its
+own token, and the lift tags up to an order-preserving renaming.  The memo
+holds one base point (the real parts of the coordinates) at a time and is
+emptied when a call arrives at another one, so it keeps only the lifts of
+the point being worked on: the sharp fields bracketed with J there (S0,
+(d_L E)#, grad f^v) are lifted along the same frame vectors and share its
+entries.
+
+A hit is exact.  Jet arithmetic compares tags only by their order, and every
+tag that ``omega_matrix`` makes internally is stripped before it returns; so
+a stored factorization renamed to the caller's tags is, bit for bit, what a
+fresh solve at the caller's point would compute.  Replaying it on beta
+performs the elimination's operations in their original order.  An energy
+that holds jets of its own puts tags into omega that no point carries; a
+hit that would have to rename one solves afresh instead.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from . import jets
 from .calculus import (
     VectorField, VectorForm, d_K, d_function, exterior_derivative, field_apply,
     fn_bracket, frame_vector, identity_form, liouville_field,
-    semibasic_residual, vertical_endomorphism,
+    semibasic_residual, sup_abs, vertical_endomorphism,
 )
 from .core import BaseFunction, ScalarField, SampleGrid, sample_slit_points
 from .errors import (
@@ -100,16 +115,23 @@ class FundamentalForm:
 # linear solves over jet scalars
 
 
-def _solve_jet_system(rows, rhs, z):
-    """Gaussian elimination with pivoting on the real part, for jet entries."""
+def _factor_jet_system(rows, rhs, z):
+    """Gaussian elimination with pivoting on the real part, for jet entries.
+
+    Returns the solution for ``rhs`` and the factorization (pivot rows,
+    multipliers, eliminated rows), with which ``_solve_factored`` repeats the
+    same operations, in the same order, on another right-hand side.  Only the
+    upper triangle of the eliminated rows is read.
+    """
     m = [list(r) for r in rows]
     b = list(rhs)
     size = len(b)
-    piv_max, piv_min = 0.0, math.inf
+    piv_max = 0.0
+    pivots, mults = [], []
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda r: abs(jets.realpart(m[r][col])))
         pv = abs(jets.realpart(m[pivot_row][col]))
-        piv_max, piv_min = max(piv_max, pv), min(piv_min, pv)
+        piv_max = max(piv_max, pv)
         if pv == 0.0 or piv_max / pv > COND_LIMIT:
             raise NondegeneracyFailure(
                 "fundamental form numerically singular during jet solve",
@@ -117,19 +139,90 @@ def _solve_jet_system(rows, rhs, z):
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             b[col], b[pivot_row] = b[pivot_row], b[col]
+        pivots.append(pivot_row)
         inv = 1.0 / m[col][col]
+        fs = []
         for r in range(col + 1, size):
             f = m[r][col] * inv
+            fs.append(f)
             b[r] = b[r] - f * b[col]
             for c in range(col + 1, size):
                 m[r][c] = m[r][c] - f * m[col][c]
+        mults.append(fs)
+    return _back_substitute(m, b), (pivots, mults, m)
+
+
+def _solve_factored(factorization, rhs):
+    pivots, mults, rows = factorization
+    b = list(rhs)
+    for col, pivot_row in enumerate(pivots):
+        if pivot_row != col:
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+        for r, f in enumerate(mults[col], col + 1):
+            b[r] = b[r] - f * b[col]
+    return _back_substitute(rows, b)
+
+
+def _back_substitute(rows, b):
+    size = len(b)
     x = [0.0] * size
     for r in range(size - 1, -1, -1):
+        row = rows[r]
         acc = b[r]
         for c in range(r + 1, size):
-            acc = acc - m[r][c] * x[c]
-        x[r] = acc / m[r][r]
+            acc = acc - row[c] * x[c]
+        x[r] = acc / row[r]
     return x
+
+
+def _retag_factorization(factorization, tag_map):
+    pivots, mults, rows = factorization
+    return (pivots, [[jets.retag(f, tag_map) for f in fs] for fs in mults],
+            [[0.0] * r + [jets.retag(u, tag_map) for u in row[r:]]
+             for r, row in enumerate(rows)])
+
+
+_NEG_ZERO = "-0.0"
+
+
+def _point_key(z):
+    """One pass over a point: ``(key, base, tags)``, or None if it has no key.
+
+    ``tags`` lists the point's lift tags in order of first appearance and
+    ``base`` holds the real parts of the coordinates.  The key lists every
+    float of the point (a negative zero as its own token) and a mark for each
+    jet node giving the position of its tag in ``tags``, then the order of
+    those tags.  Two points get the same key exactly when an order-preserving
+    renaming of tags maps one onto the other.  A coordinate or jet part that
+    is neither a float nor a Jet leaves the point without a key.
+    """
+    Jet, copysign = jets.Jet, math.copysign
+    flat, base, tags, marks = [], [], [], {}
+    push = flat.append
+    for c in z:
+        if type(c) is float:
+            push(c if c or copysign(1.0, c) > 0.0 else _NEG_ZERO)
+            base.append(c)
+            continue
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            if type(x) is Jet:
+                mark = marks.get(x.tag)
+                if mark is None:
+                    mark = marks[x.tag] = f"tag{len(tags)}"
+                    tags.append(x.tag)
+                push(mark)
+                stack += (x.dot, x.val)
+            elif type(x) is float:
+                push(x if x or copysign(1.0, x) > 0.0 else _NEG_ZERO)
+            else:
+                return None
+        while type(c) is Jet:
+            c = c.val
+        base.append(c)
+    push(tuple(sorted(range(len(tags)), key=tags.__getitem__)) if len(tags) > 1 else ())
+    return tuple(flat), tuple(base), tags
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +239,8 @@ class FinslerStructure:
         self.grid = grid
         self.name = name or E.name or "finsler"
         self.omega = FundamentalForm(E, n)
-        self._float_cache = {}
+        self._memo_base = None
+        self._memo = {}
         self._spray = None
         self._berwald = None
         if validate:
@@ -173,17 +267,32 @@ class FinslerStructure:
                 raise NondegeneracyFailure("fundamental tensor degenerate",
                                            point=p, value=det)
 
-    # -- cached pointwise data ------------------------------------------------
+    # -- the point memo -------------------------------------------------------
 
-    def _omega_float(self, z):
-        key = tuple(z)
-        hit = self._float_cache.get(key)
-        if hit is None:
-            m = np.array(omega_matrix(self.E, self.n, z), dtype=float)
-            cond = float(np.linalg.cond(m))
-            hit = (m, cond)
-            self._float_cache[key] = hit
-        return hit
+    def _lookup(self, point):
+        """The memo entry ``(tags, value)`` of a keyed point, or None."""
+        if point is None:
+            return None
+        key, base, _ = point
+        if base != self._memo_base:
+            self._memo = {}
+            self._memo_base = base
+        return self._memo.get(key)
+
+    def _store(self, point, value):
+        if point is not None:
+            self._memo[point[0]] = (point[2], value)
+        return value
+
+    def _float_omega(self, z):
+        m = np.array(omega_matrix(self.E, self.n, z), dtype=float)
+        return m, float(np.linalg.cond(m))
+
+    def _jet_solve(self, beta_values, z):
+        m = omega_matrix(self.E, self.n, z)
+        n2 = 2 * self.n
+        rows = [[m[a][b] for a in range(n2)] for b in range(n2)]  # transpose
+        return _factor_jet_system(rows, beta_values, z)
 
     def omega_matrix_at(self, z):
         return self.omega.matrix_at(z)
@@ -195,19 +304,33 @@ class FinslerStructure:
 
     def sharp_at(self, beta_values, z):
         """Solve sum_a X^a omega_ab = beta_b at one (possibly jet-valued) point."""
+        point = _point_key(z)
         if all(type(c) is not jets.Jet for c in z) \
                 and all(type(c) is not jets.Jet for c in beta_values):
-            m, cond = self._omega_float(z)
+            hit = self._lookup(point)
+            m, cond = hit[1] if hit else self._store(point, self._float_omega(z))
             if cond > COND_LIMIT:
                 raise NondegeneracyFailure(
                     f"fundamental form ill-conditioned (cond={cond:.3e})",
                     point=list(z), value=cond)
             sol = np.linalg.solve(m.T, np.array(beta_values, dtype=float))
             return [float(v) + 0.0 for v in sol]  # +0.0 normalises -0.0
-        m = self.omega.matrix_at(z)
-        n2 = 2 * self.n
-        rows = [[m[a][b] for a in range(n2)] for b in range(n2)]  # transpose
-        return _solve_jet_system(rows, list(beta_values), z)
+        if point is None or not point[2]:
+            # no key, or a jet beta at a float point, whose key holds the float entry
+            return self._jet_solve(beta_values, z)[0]
+        hit = self._lookup(point)
+        if hit is None:
+            x, factorization = self._jet_solve(beta_values, z)
+            self._store(point, factorization)
+            return x
+        tags, factorization = hit
+        if tags != point[2]:
+            try:
+                factorization = _retag_factorization(
+                    factorization, dict(zip(tags, point[2])))
+            except KeyError:  # E holds jets of its own: their tags are not renamed
+                return self._jet_solve(beta_values, z)[0]
+        return _solve_factored(factorization, beta_values)
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,
@@ -272,14 +395,13 @@ def conformal_change(F: FinslerStructure, f: BaseFunction) -> FinslerStructure:
 def _d_form_E_residual(F: FinslerStructure, K: VectorForm, points) -> float:
     """sup over points and frame of |dE(K e_a)|."""
     n2 = 2 * F.n
-    worst = 0.0
+    devs = []
     for p in points:
         z = p.coords()
         m = K.matrix(z)
         for b in range(n2):
-            col = [m[a][b] for a in range(n2)]
-            worst = max(worst, abs(jets.directional(F.E.fn, z, col)))
-    return worst
+            devs.append(jets.directional(F.E.fn, z, [m[a][b] for a in range(n2)]))
+    return sup_abs(devs)
 
 
 def conservative_form_residual(F: FinslerStructure, L: VectorForm,
@@ -298,21 +420,19 @@ def projector_residual(F: FinslerStructure, h: VectorForm, points=None) -> float
     n, n2 = F.n, 2 * F.n
     J = vertical_endomorphism(F.n)
     jm = J.matrix([0.0] * n2)
-    worst = 0.0
+    devs = []
     for p in points:
         z = p.coords()
         m = h.matrix(z)
         for b in range(n2):
             col = [m[a][b] for a in range(n2)]
             hcol = [sum(m[a][c] * col[c] for c in range(n2)) for a in range(n2)]
-            worst = max(worst, max(abs(hcol[a] - col[a]) for a in range(n2)))
+            devs.extend(hcol[a] - col[a] for a in range(n2))
             jh = [sum(jm[a][c] * col[c] for c in range(n2)) for a in range(n2)]
-            jcol = [jm[a][b] for a in range(n2)]
-            worst = max(worst, max(abs(jh[a] - jcol[a]) for a in range(n2)))
-        for i in range(n):
-            hj = [m[a][n + i] for a in range(n2)]
-            worst = max(worst, max(abs(v) for v in hj))
-    return worst
+            devs.extend(jh[a] - jm[a][b] for a in range(n2))
+        # h o J = 0: h kills the vertical frame vectors
+        devs.extend(m[a][n + i] for i in range(n) for a in range(n2))
+    return sup_abs(devs)
 
 
 def conservative_connection_residual(F: FinslerStructure, h: VectorForm,

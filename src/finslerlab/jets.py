@@ -8,6 +8,14 @@ confusion bug).  The tag order is the nesting order: when two jets meet, the
 one with the larger tag is the outer wrapper and treats the other as a
 constant coefficient.
 
+Tags act only through their order: arithmetic compares two tags with ``==``
+and ``>``, never by value, and a jet's value and coefficient carry only tags
+smaller than its own.  ``nth_directional`` and ``jvp`` strip the tags they
+create before they return, so no internal tag escapes into a result.  Hence
+renaming the tags of a computation's inputs by an order-preserving map
+(``retag``) renames those of its outputs and changes nothing else; the sharp
+solve's point memo relies on this.
+
 Tangents are sparse by structure: a lift leaves a coordinate whose direction
 component is an exact float zero untagged, so arithmetic on it never carries
 an identically-zero derivative coefficient.  ``tangent()`` of an untagged
@@ -153,6 +161,18 @@ def realpart(x) -> float:
     """Strip all jet layers, returning the underlying float value."""
     while type(x) is Jet:
         x = x.val
+    return x
+
+
+def retag(x, tag_map):
+    """``x`` with every lift tag ``t`` renamed to ``tag_map[t]``.
+
+    The map must preserve the order of the tags it renames; then the result
+    is what the same computation gives on the renamed inputs.  A tag missing
+    from the map raises ``KeyError``.
+    """
+    if type(x) is Jet:
+        return Jet(tag_map[x.tag], retag(x.val, tag_map), retag(x.dot, tag_map))
     return x
 
 

@@ -569,3 +569,25 @@ def test_residual_helpers_propagate_nan_past_the_first_point():
               form_matrix_residual(K1, zero, GRID), vector_form2_residual(K2, GRID),
               vertical_lift_test(EUC, g, GRID)):
         assert math.isnan(r)
+
+
+def test_sup_loops_propagate_nan_past_the_first_point():
+    from finslerlab.calculus import DifferentialForm, homogeneity_residual, semibasic_residual
+    from finslerlab.checks import _sup_form1, _sup_form2
+    from finslerlab.finsler import _d_form_E_residual, projector_residual
+    second = list(GRID)[1].coords()
+
+    def nan_at_second(z):
+        return math.nan if [jets.realpart(c) for c in z] == second else 0.0
+
+    X = VectorField(lambda z: [nan_at_second(z)] * N2, N)
+    K1 = VectorForm(1, lambda z, v: [nan_at_second(z)] * N2, N)
+    K2 = VectorForm(2, lambda z, u, v: [nan_at_second(z)] * N2, N)
+    a1 = DifferentialForm(1, lambda z, v: nan_at_second(z), N)
+    a2 = DifferentialForm(2, lambda z, u, v: nan_at_second(z), N)
+    for r in (_sup_form1(a1, GRID, N2), _sup_form2(a2, GRID, N2),
+              projector_residual(EUC, K1, GRID), _d_form_E_residual(EUC, K1, GRID),
+              homogeneity_residual(X, 2.0, GRID), homogeneity_residual(K1, 1.0, GRID),
+              semibasic_residual(K1, GRID), semibasic_residual(K2, GRID),
+              semibasic_residual(a1, GRID)):
+        assert math.isnan(r)

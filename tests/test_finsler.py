@@ -3,11 +3,12 @@
 import cProfile
 import math
 import pstats
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from finslerlab import jets
+from finslerlab import finsler, jets
 from finslerlab.calculus import (
     DifferentialForm, VectorField, coordinate_one_form, d_function,
     exterior_derivative, fn_bracket, frame_vector, insert_one_form,
@@ -124,16 +125,28 @@ def _jet_constructions(fn):
     (2, "omega", 120),
     (2, "berwald", 1200),
     (3, "berwald", 4000),
+    (3, "dh_omega", 110000),
 ])
 def test_jet_construction_budget(n, what, budget):
     # lifts along frame vectors must not wrap the coordinates they leave fixed;
-    # a dense lift builds 280, 3396 and 13008 jets here
+    # a dense lift builds 280, 3396 and 13008 jets in the first three cases.
+    # d_h omega for h0 and then h_L builds 147451 jets when every jet sharp
+    # solve rebuilds omega, and 89536 with the point memo.
+    from finslerlab.connections import berwald, dh_omega_residual, l_ehresmann_connection
+    from finslerlab.registry import build_field
     F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
     z = [0.1, -0.2, 0.3][:n] + [0.7, 0.4, -0.5][:n]
     if what == "omega":
         count = _jet_constructions(lambda: omega_matrix(F.E, n, z))
-    else:
+    elif what == "berwald":
         count = _jet_constructions(lambda: berwald_connection(F)._compute_matrix(z))
+    else:
+        h0 = berwald(F)
+        hL = l_ehresmann_connection(
+            F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
+        p = point(*z)
+        count = _jet_constructions(
+            lambda: (dh_omega_residual(F, h0, [p]), dh_omega_residual(F, hL, [p])))
     assert count <= budget
 
 
@@ -174,8 +187,114 @@ def test_sharp_condition_failure():
     tiny = ScalarField(lambda z: 0.5 * (z[2] * z[2] + 1e-14 * z[3] * z[3]), N)
     F = FinslerStructure(tiny, N, GRID, validate=False)
     dx1 = coordinate_one_form(N, 0)
-    with pytest.raises(NondegeneracyFailure):
-        sharp(F, dx1)(P0.coords())
+    for _ in range(2):  # a repeated call at the point fails as the first did
+        with pytest.raises(NondegeneracyFailure):
+            sharp(F, dx1)(P0.coords())
+    beta = [1.0, 0.0, 0.0, 0.0]
+    for _ in range(2):
+        z = jets.lift(P0.coords(), frame_vector(N2, 0), jets.fresh_tag())
+        with pytest.raises(NondegeneracyFailure):
+            F.sharp_at(beta, z)
+
+
+# -- the point memo of the sharp solve ------------------------------------------------
+
+
+def _jet_point(z, depth):
+    """A point lifted ``depth`` times with fresh tags; returns (point, tags)."""
+    n2 = len(z)
+    directions = [frame_vector(n2, 0), frame_vector(n2, n2 - 1),
+                  [0.5 if a % 2 else 0.0 for a in range(n2)]]
+    tags = []
+    for d in directions[:depth]:
+        tags.append(jets.fresh_tag())
+        z = jets.lift(z, d, tags[-1])
+    return z, tags
+
+
+def _jet_beta(z):
+    n2 = len(z)
+    return [z[b] * (b + 1.0) - z[(b + 1) % n2] * z[b] for b in range(n2)]
+
+
+def _identical(a, b):
+    """Equal values, zero signs and tags, jet node by jet node."""
+    if type(a) is jets.Jet or type(b) is jets.Jet:
+        return type(a) is type(b) and a.tag == b.tag \
+            and _identical(a.val, b.val) and _identical(a.dot, b.dot)
+    return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _tags_of(x):
+    if type(x) is jets.Jet:
+        return {x.tag} | _tags_of(x.val) | _tags_of(x.dot)
+    return set()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sharp_memo_hit_is_exact(n, depth):
+    grid = sample_slit_points(n, 2, seed=3)
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+    for fid in fixture_ids():
+        F = finsler_fixture(fid, grid, n=n)
+        first, _ = _jet_point(z0, depth)
+        F.sharp_at(_jet_beta(first), first)
+        again, tags = _jet_point(z0, depth)
+        with mock.patch.object(finsler, "omega_matrix",
+                               side_effect=AssertionError("memo missed")):
+            hit = F.sharp_at(_jet_beta(again), again)
+        fresh = finsler_fixture(fid, grid, n=n).sharp_at(_jet_beta(again), again)
+        assert all(_identical(a, b) for a, b in zip(hit, fresh))
+        assert set().union(*map(_tags_of, hit)) <= set(tags)
+        assert any(type(c) is jets.Jet for c in hit)
+
+
+def test_sharp_memo_with_an_energy_that_holds_jets():
+    # a Randers drift carried as a jet, to differentiate in it: its tag is on
+    # no point, so a hit must solve afresh rather than rename it
+    from finslerlab.finsler import FinslerStructure
+    drift = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
+    E = ScalarField(
+        lambda z: 0.5 * (jets.sqrt(z[2] * z[2] + z[3] * z[3]) + drift * z[2]) ** 2, N)
+    F = FinslerStructure(E, N, GRID, validate=False)
+    first, _ = _jet_point(P0.coords(), 1)
+    F.sharp_at(_jet_beta(first), first)
+    again, _ = _jet_point(P0.coords(), 1)
+    hit = F.sharp_at(_jet_beta(again), again)
+    fresh = FinslerStructure(E, N, GRID, validate=False).sharp_at(_jet_beta(again), again)
+    assert all(_identical(a, b) for a, b in zip(hit, fresh))
+    assert drift.tag in set().union(*map(_tags_of, hit))
+
+
+def test_sharp_memo_keeps_one_base_point():
+    F = finsler_fixture("randers-0.3", GRID)
+    beta = [1.0, -0.5, 0.25, 2.0]
+    z1, z2 = list(GRID)[0].coords(), list(GRID)[1].coords()
+    F.sharp_at(beta, z1)
+    for depth in (1, 2):
+        z, _ = _jet_point(z1, depth)
+        F.sharp_at(_jet_beta(z), z)
+    assert len(F._memo) == 3
+    z, _ = _jet_point(z2, 1)
+    F.sharp_at(_jet_beta(z), z)
+    assert F._memo_base == tuple(z2)
+    assert len(F._memo) == 1
+
+
+def test_sharp_memo_key_separates_zero_signs_and_tag_order():
+    key = finsler._point_key
+    t1, t2 = jets.fresh_tag(), jets.fresh_tag()
+    z = [0.5, 0.0, 1.0, 2.0]
+    assert key(z)[0] != key([0.5, -0.0, 1.0, 2.0])[0]
+    assert key(z)[1] == key([0.5, -0.0, 1.0, 2.0])[1]
+    a = [jets.Jet(t1, 0.5, 1.0), jets.Jet(t2, 0.0, 1.0), 1.0, 2.0]
+    b = [jets.Jet(t2, 0.5, 1.0), jets.Jet(t1, 0.0, 1.0), 1.0, 2.0]
+    assert key(a)[0] != key(b)[0]
+    s1, s2 = jets.fresh_tag(), jets.fresh_tag()
+    assert key(a)[0] == key([jets.Jet(s1, 0.5, 1.0), jets.Jet(s2, 0.0, 1.0), 1.0, 2.0])[0]
+    assert key(a)[1] == tuple(z)
+    assert key([np.float64(0.5), 0.0, 1.0, 2.0]) is None
 
 
 def test_gradient_examples():

@@ -1,6 +1,8 @@
 """Check registry, config parsing, report determinism, and the CLI surface."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -239,3 +241,29 @@ def test_cli_eval_reports_the_specific_error(oid, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "matches no" not in err
+
+
+@pytest.mark.parametrize("check, helper", [
+    ("CHK-05", "vector_form1_residual"),     # the second of three combined residuals
+    ("CHK-07", "vertical_lift_test"),        # one side of each biconditional
+])
+def test_nan_from_a_later_helper_fails_the_cell(check, helper, monkeypatch):
+    import finslerlab.checks as checks
+    monkeypatch.setattr(checks, helper, lambda *args, **kw: math.nan)
+    results, code = run_checks(RunConfig(fixtures=["euclidean"], samples=4, checks=[check]))
+    rec = results[0].record()
+    assert rec["pass"] is False and math.isnan(rec["max_residual"])
+    assert code == 1
+
+
+def test_golden_report_digest(capsys):
+    """The full report of `finslerlab check --seed 7 --samples 4`, pinned byte for byte.
+
+    A speed-up must leave every report unchanged.  The digest depends on the
+    float results of the installed numpy and its LAPACK (the float sharp path
+    calls ``np.linalg.solve`` and ``np.linalg.cond``); on a different build,
+    recompute it with the parent commit before comparing.
+    """
+    main(["check", "--seed", "7", "--samples", "4"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "0fd4d37e96a8b9f68567a27b7a34841c500b1c71f4e6f8724c17fd28ffd03dff"
