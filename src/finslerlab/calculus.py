@@ -21,6 +21,7 @@ Degree and sign conventions:
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import jets
 from .core import BaseFunction, ScalarField
@@ -39,11 +40,22 @@ def frame(n2: int):
     return [frame_vector(n2, a) for a in range(n2)]
 
 
-def _is_float_point(z) -> bool:
-    for c in z:
-        if type(c) is jets.Jet:
-            return False
-    return True
+NEG_ZERO = "-0.0"
+
+
+def float_key(z):
+    """Memo key of a point whose coordinates are all floats, else None.
+
+    A negative zero is its own token: ``tuple(z)`` would give -0.0 and 0.0
+    the same key, and a function may tell them apart.
+    """
+    key = tuple(z)
+    for c in key:
+        if type(c) is not float:
+            return None
+    if 0.0 in key:
+        key = tuple(c if c or math.copysign(1.0, c) > 0.0 else NEG_ZERO for c in key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +75,11 @@ class VectorField:
 
     def __call__(self, z):
         memo = self._memo
-        if memo is None or not _is_float_point(z):
+        if memo is None:
             return self.fn(z)
-        key = tuple(z)
+        key = float_key(z)
+        if key is None:
+            return self.fn(z)
         hit = memo.get(key)
         if hit is None:
             hit = self.fn(z)
@@ -271,8 +285,7 @@ class VectorForm:
 
     __slots__ = ("degree", "fn", "n", "name", "_matrix_fn", "_matrix_memo")
 
-    def __init__(self, degree: int, fn, n: int, name: str = "", matrix_fn=None,
-                 memo_matrix: bool = False):
+    def __init__(self, degree: int, fn, n: int, name: str = "", matrix_fn=None):
         if degree not in (1, 2):
             raise DegreeOutOfRange(f"vector form degree must be 1 or 2, got {degree}")
         self.degree = degree
@@ -280,7 +293,7 @@ class VectorForm:
         self.n = n
         self.name = name
         self._matrix_fn = matrix_fn
-        self._matrix_memo = {} if memo_matrix else None
+        self._matrix_memo = None
 
     def __call__(self, z, *vectors):
         if len(vectors) != self.degree:
@@ -296,15 +309,18 @@ class VectorForm:
         if self.degree != 1:
             raise DegreeOutOfRange("matrix only defined for vector 1-forms")
         memo = self._matrix_memo
-        if memo is not None and _is_float_point(z):
-            key = tuple(z)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            m = self._compute_matrix(z)
-            memo[key] = m
-            return m
-        return self._compute_matrix(z)
+        key = None if memo is None else float_key(z)
+        if key is None:
+            return self._compute_matrix(z)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = self._compute_matrix(z)
+        return hit
+
+    def memoize_matrix(self):
+        """Keep the matrix of every float point it is asked for (degree 1)."""
+        if self._matrix_memo is None:
+            self._matrix_memo = {}
 
     def _compute_matrix(self, z):
         if self._matrix_fn is not None:
@@ -512,26 +528,14 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
         return [a - b - c for a, b, c in zip(d_kx_Y, d_y_KX, kdxy)]
 
     def matrix_fn(z):
-        # shared lifted evaluations across all columns
         if const is not None:
-            lifted = {}
+            # one vector pass: slot b lifts along e_b, slot n2 + b along K e_b
+            dirs = [jets.Vec(frame_vector(n2, c) + const[c]) for c in range(n2)]
+            jac = [jets.slots(d, 2 * n2) for d in jets.directional(Y.fn, z, dirs)]
             cols = []
             for b in range(n2):
-                e_b = frame_vector(n2, b)
-                lifted[b] = jets.directional(Y.fn, z, e_b)
-            for b in range(n2):
-                kx = const_col(b)
-                if all(v == 0.0 for v in kx):
-                    d_kx_Y = [0.0] * n2
-                else:
-                    # KX is a frame combination; reuse frame lifts when it is a frame vector
-                    hot = [i for i, v in enumerate(kx) if v != 0.0]
-                    if len(hot) == 1 and kx[hot[0]] == 1.0:
-                        d_kx_Y = lifted[hot[0]]
-                    else:
-                        d_kx_Y = jets.directional(Y.fn, z, kx)
-                kdxy = _matvec(const, lifted[b])
-                cols.append([a - c for a, c in zip(d_kx_Y, kdxy)])
+                kdxy = _matvec(const, [jac[a][b] for a in range(n2)])
+                cols.append([jac[a][n2 + b] - c for a, c in enumerate(kdxy)])
             return [[cols[b][a] for b in range(n2)] for a in range(n2)]
         yz = Y(z)
         kmat = K.matrix(z)
@@ -545,9 +549,6 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
             kdxy = _matvec(kmat, frame_lifts[b])
             cols.append([p - q - r for p, q, r in zip(kcol_lifts[b], d_y_KX, kdxy)])
         return [[cols[b][a] for b in range(n2)] for a in range(n2)]
-
-    def const_col(b):
-        return [const[a][b] for a in range(n2)]
 
     return VectorForm(1, column, K.n, name=f"[{K.name},{Y.name}]", matrix_fn=matrix_fn)
 

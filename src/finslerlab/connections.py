@@ -65,7 +65,7 @@ class ConnectionDiagnostics:
 
 def _wrap_connection(F: FinslerStructure, form: VectorForm, provenance: str,
                      validate: bool = True, tol: float = PRE_TOL) -> EhresmannConnection:
-    form._matrix_memo = {}
+    form.memoize_matrix()
     if validate:
         r = projector_residual(F, form, F.grid)
         if r > tol:
@@ -364,34 +364,36 @@ def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> floa
 def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
     """sup over points and frame triples of d_h omega = i_h(d omega) - d(i_h omega).
 
-    Shares the per-point lifted evaluations across all triples: for each frame
-    direction the connection matrix and the omega matrix are lifted once.
+    Shares the per-point lifted evaluations across all triples: one vector
+    lift along the frame gives the derivatives of the connection matrix and
+    of the omega matrix in every direction.  omega at the lifted point comes
+    through the structure's point memo, so connections evaluated in turn at
+    one point share it.
     """
     points = points if points is not None else F.grid
     form = _as_form(h)
     n2 = 2 * F.n
     rng = range(n2)
+    frame = jets.vec_frame(n2)
     devs = []
     for p in points:
         z = p.coords()
         h_real = form.matrix(z)
-        d_ihom = {}   # direction a -> matrix of D_a[(i_h om)(e_b, e_c)]
-        d_om = {}     # direction a -> matrix of D_a[om(e_b, e_c)]
-        for a in rng:
-            tag = jets.fresh_tag()
-            za = jets.lift(z, frame_vector(n2, a), tag)
-            m = form.matrix(za)
-            w = F.omega.matrix_at(za)
-            dm = [[0.0] * n2 for _ in rng]
-            dw = [[0.0] * n2 for _ in rng]
-            for b in rng:
-                for c in rng:
-                    val = sum(m[d][b] * w[d][c] for d in rng) \
-                        + sum(m[d][c] * w[b][d] for d in rng)
-                    dm[b][c] = jets.tangent(val, tag)
-                    dw[b][c] = jets.tangent(w[b][c], tag)
-            d_ihom[a] = dm
-            d_om[a] = dw
+        tag = jets.fresh_tag()
+        za = jets.lift(z, frame, tag)
+        m = form.matrix(za)
+        w = F.jet_omega_matrix_at(za)
+        # d_ihom[a][b][c] = D_a[(i_h om)(e_b, e_c)], d_om[a][b][c] = D_a[om(e_b, e_c)]
+        d_ihom = [[[0.0] * n2 for _ in rng] for _ in rng]
+        d_om = [[[0.0] * n2 for _ in rng] for _ in rng]
+        for b in rng:
+            for c in rng:
+                val = sum(m[d][b] * w[d][c] for d in rng) \
+                    + sum(m[d][c] * w[b][d] for d in rng)
+                for a, v in enumerate(jets.slots(jets.tangent(val, tag), n2)):
+                    d_ihom[a][b][c] = v
+                for a, v in enumerate(jets.slots(jets.tangent(w[b][c], tag), n2)):
+                    d_om[a][b][c] = v
 
         def d_omega(a, b, c):
             return d_om[a][b][c] - d_om[b][a][c] + d_om[c][a][b]

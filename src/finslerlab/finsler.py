@@ -3,22 +3,25 @@
 A validated structure caches its canonical spray and Berwald connection, and
 keeps one point memo for the sharp solve.  The memo maps a point to what
 omega gives there: at a float point the matrix and its condition number, at
-a jet point the pivoted factorization of the jet system.  Its key is the
-point's canonical form (``_point_key``): every float, a negative zero as its
-own token, and the lift tags up to an order-preserving renaming.  The memo
-holds one base point (the real parts of the coordinates) at a time and is
-emptied when a call arrives at another one, so it keeps only the lifts of
-the point being worked on: the sharp fields bracketed with J there (S0,
-(d_L E)#, grad f^v) are lifted along the same frame vectors and share its
-entries.
+a jet point omega's jet matrix and, once a solve needs it, the pivoted
+factorization of the jet system.  Its key is the point's canonical form
+(``_point_key``): every float, a negative zero as its own token, and the
+lift tags up to an order-preserving renaming.  Jet entries are kept for one
+base point (the real parts of the coordinates) at a time and dropped when a
+call arrives at another one, so they are the lifts of the point being worked
+on: the sharp fields bracketed with J there (S0, (d_L E)#, grad f^v) are
+lifted along the same frames and share them, and so does ``d_h omega``,
+which reads omega at the lifted point.  Float entries are kept across base
+points, because the checks revisit every grid point.
 
 A hit is exact.  Jet arithmetic compares tags only by their order, and every
 tag that ``omega_matrix`` makes internally is stripped before it returns; so
-a stored factorization renamed to the caller's tags is, bit for bit, what a
-fresh solve at the caller's point would compute.  Replaying it on beta
-performs the elimination's operations in their original order.  An energy
-that holds jets of its own puts tags into omega that no point carries; a
-hit that would have to rename one solves afresh instead.
+a stored matrix or factorization renamed to the caller's tags is, bit for
+bit, what a fresh computation at the caller's point would give.  Replaying a
+factorization on beta performs the elimination's operations in their
+original order.  An energy that holds jets of its own puts tags into omega
+that no point carries; a hit that would have to rename one computes afresh
+instead.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 
 from . import jets
 from .calculus import (
-    VectorField, VectorForm, d_K, d_function, exterior_derivative, field_apply,
-    fn_bracket, frame_vector, identity_form, liouville_field,
+    NEG_ZERO, VectorField, VectorForm, d_K, d_function, exterior_derivative,
+    field_apply, float_key, fn_bracket, identity_form, liouville_field,
     semibasic_residual, sup_abs, vertical_endomorphism,
 )
 from .core import BaseFunction, ScalarField, SampleGrid, sample_slit_points
@@ -49,40 +52,44 @@ CONNECTION_TOL = 1e-8
 # fundamental form assembly
 
 
-def _second_derivative(E, z, a, b):
-    n2 = len(z)
-    ea, eb = frame_vector(n2, a), frame_vector(n2, b)
-    return jets.nth_directional(E.fn, z, [ea, eb])
+def _hessian_rows(E: ScalarField, n: int, z, k: int):
+    """h[a][j] = D_{e_{n+j}} D_{e_{2n-k+a}} E for the last k frame directions.
+
+    One nested vector pass: the inner lift (the larger tag) moves the last k
+    coordinates and the outer one the fiber, so each entry is what
+    ``nth_directional(E.fn, z, [e_{2n-k+a}, e_{n+j}])`` computes.
+    """
+    inner = [0.0] * (2 * n - k) + jets.vec_frame(k)
+    outer = [0.0] * n + jets.vec_frame(n)
+    h = jets.nth_directional(E.fn, z, [inner, outer])
+    return [jets.slots(row, n) for row in jets.slots(h, k)]
 
 
 def metric_matrix(E: ScalarField, n: int, z):
     """g_ij = d2 E / dy^i dy^j (the fundamental tensor)."""
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = _second_derivative(E, z, n + i, n + j)
-            g[i][j] = v
-            g[j][i] = v
-    return g
+    h = _hessian_rows(E, n, z, n)
+    return [[h[i][j] if i <= j else h[j][i] for j in range(n)] for i in range(n)]
 
 
 def omega_matrix(E: ScalarField, n: int, z):
     """Closed-form matrix of omega = d(d_J E): [[A, -g^T], [g, 0]].
 
     A_ij = E_{x^i y^j} - E_{x^j y^i} is the skew part of the mixed Hessian, so
-    its diagonal is exactly zero and only the pairs i < j are differentiated.
+    its diagonal is exactly zero and only the pairs i < j are formed.  Both
+    blocks come from one nested pass over the rows of the Hessian of E.
     """
-    g = metric_matrix(E, n, z)
+    h = _hessian_rows(E, n, z, 2 * n)
     n2 = 2 * n
     m = [[0.0] * n2 for _ in range(n2)]
     for i in range(n):
         for j in range(i + 1, n):
-            a = _second_derivative(E, z, i, n + j) - _second_derivative(E, z, j, n + i)
+            a = h[i][j] - h[j][i]
             m[i][j] = a
             m[j][i] = -a
         for j in range(n):
-            m[i][n + j] = -g[j][i]
-            m[n + i][j] = g[i][j]
+            g = h[n + i][j] if i <= j else h[n + j][i]
+            m[i][n + j] = -g
+            m[n + j][i] = g
     return m
 
 
@@ -115,41 +122,39 @@ class FundamentalForm:
 # linear solves over jet scalars
 
 
-def _factor_jet_system(rows, rhs, z):
-    """Gaussian elimination with pivoting on the real part, for jet entries.
+def _factor_jet_system(m, z):
+    """Gaussian elimination of omega^T with pivoting on the real part, for jet entries.
 
-    Returns the solution for ``rhs`` and the factorization (pivot rows,
-    multipliers, eliminated rows), with which ``_solve_factored`` repeats the
-    same operations, in the same order, on another right-hand side.  Only the
-    upper triangle of the eliminated rows is read.
+    ``m`` is omega's matrix; the system solved is sum_a X^a m[a][b] = beta_b.
+    Returns the factorization (pivot rows, multipliers, eliminated rows), with
+    which ``_solve_factored`` performs the elimination's operations on a
+    right-hand side in their original order.  Only the upper triangle of the
+    eliminated rows is read.
     """
-    m = [list(r) for r in rows]
-    b = list(rhs)
-    size = len(b)
+    size = len(m)
+    rows = [[m[a][b] for a in range(size)] for b in range(size)]  # transpose
     piv_max = 0.0
     pivots, mults = [], []
     for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(jets.realpart(m[r][col])))
-        pv = abs(jets.realpart(m[pivot_row][col]))
+        pivot_row = max(range(col, size), key=lambda r: abs(jets.realpart(rows[r][col])))
+        pv = abs(jets.realpart(rows[pivot_row][col]))
         piv_max = max(piv_max, pv)
         if pv == 0.0 or piv_max / pv > COND_LIMIT:
             raise NondegeneracyFailure(
                 "fundamental form numerically singular during jet solve",
                 point=[jets.realpart(c) for c in z], value=pv)
         if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
         pivots.append(pivot_row)
-        inv = 1.0 / m[col][col]
+        inv = 1.0 / rows[col][col]
         fs = []
         for r in range(col + 1, size):
-            f = m[r][col] * inv
+            f = rows[r][col] * inv
             fs.append(f)
-            b[r] = b[r] - f * b[col]
             for c in range(col + 1, size):
-                m[r][c] = m[r][c] - f * m[col][c]
+                rows[r][c] = rows[r][c] - f * rows[col][c]
         mults.append(fs)
-    return _back_substitute(m, b), (pivots, mults, m)
+    return pivots, mults, rows
 
 
 def _solve_factored(factorization, rhs):
@@ -182,7 +187,7 @@ def _retag_factorization(factorization, tag_map):
              for r, row in enumerate(rows)])
 
 
-_NEG_ZERO = "-0.0"
+_VEC = "vec"
 
 
 def _point_key(z):
@@ -190,18 +195,23 @@ def _point_key(z):
 
     ``tags`` lists the point's lift tags in order of first appearance and
     ``base`` holds the real parts of the coordinates.  The key lists every
-    float of the point (a negative zero as its own token) and a mark for each
-    jet node giving the position of its tag in ``tags``, then the order of
-    those tags.  Two points get the same key exactly when an order-preserving
-    renaming of tags maps one onto the other.  A coordinate or jet part that
-    is neither a float nor a Jet leaves the point without a key.
+    float of the point (a negative zero as its own token, as in
+    ``calculus.float_key``), a mark for each jet node giving the position of
+    its tag in ``tags`` and one for each Vec giving its number of slots, then
+    the order of those tags.  Two points get the same key exactly when an
+    order-preserving renaming of tags maps one onto the other.  A coordinate
+    or jet part that is neither a float, a Jet nor a Vec leaves the point
+    without a key.
     """
-    Jet, copysign = jets.Jet, math.copysign
+    key = float_key(z)
+    if key is not None:
+        return key + ((),), tuple(z), []
+    Jet, Vec, copysign = jets.Jet, jets.Vec, math.copysign
     flat, base, tags, marks = [], [], [], {}
     push = flat.append
     for c in z:
         if type(c) is float:
-            push(c if c or copysign(1.0, c) > 0.0 else _NEG_ZERO)
+            push(c if c or copysign(1.0, c) > 0.0 else NEG_ZERO)
             base.append(c)
             continue
         stack = [c]
@@ -215,7 +225,11 @@ def _point_key(z):
                 push(mark)
                 stack += (x.dot, x.val)
             elif type(x) is float:
-                push(x if x or copysign(1.0, x) > 0.0 else _NEG_ZERO)
+                push(x if x or copysign(1.0, x) > 0.0 else NEG_ZERO)
+            elif type(x) is Vec:
+                push(_VEC)
+                push(len(x.s))
+                stack += x.s
             else:
                 return None
         while type(c) is Jet:
@@ -241,6 +255,7 @@ class FinslerStructure:
         self.omega = FundamentalForm(E, n)
         self._memo_base = None
         self._memo = {}
+        self._floats = {}
         self._spray = None
         self._berwald = None
         if validate:
@@ -273,29 +288,55 @@ class FinslerStructure:
         """The memo entry ``(tags, value)`` of a keyed point, or None."""
         if point is None:
             return None
-        key, base, _ = point
+        key, base, tags = point
         if base != self._memo_base:
             self._memo = {}
             self._memo_base = base
-        return self._memo.get(key)
+        return self._memo.get(key) if tags else self._floats.get(key)
 
     def _store(self, point, value):
         if point is not None:
-            self._memo[point[0]] = (point[2], value)
+            key, _, tags = point
+            self._memo[key] = entry = (tags, value)
+            if not tags:
+                self._floats[key] = entry
         return value
 
     def _float_omega(self, z):
         m = np.array(omega_matrix(self.E, self.n, z), dtype=float)
         return m, float(np.linalg.cond(m))
 
-    def _jet_solve(self, beta_values, z):
-        m = omega_matrix(self.E, self.n, z)
-        n2 = 2 * self.n
-        rows = [[m[a][b] for a in range(n2)] for b in range(n2)]  # transpose
-        return _factor_jet_system(rows, beta_values, z)
+    def _jet_entry(self, point, z):
+        """The memo entry of a keyed jet point and the renaming of its tags to z's.
+
+        The entry is ``[omega's matrix, its factorization or None]`` in the
+        tags it was stored with; the renaming is None when those are z's.
+        """
+        hit = self._lookup(point)
+        if hit is None:
+            return self._store(point, [omega_matrix(self.E, self.n, z), None]), None
+        tags, entry = hit
+        return entry, (None if tags == point[2] else dict(zip(tags, point[2])))
 
     def omega_matrix_at(self, z):
         return self.omega.matrix_at(z)
+
+    def jet_omega_matrix_at(self, z):
+        """omega's matrix at a jet point, shared through the point memo.
+
+        A hit is renamed to z's tags, so it is what ``omega_matrix_at``
+        computes.  The result is shared: do not modify it.
+        """
+        point = _point_key(z)
+        if point is None or not point[2]:
+            return self.omega_matrix_at(z)
+        entry, tag_map = self._jet_entry(point, z)
+        if tag_map is None:
+            return entry[0]
+        try:
+            return [[jets.retag(x, tag_map) for x in row] for row in entry[0]]
+        except KeyError:  # E holds jets of its own: their tags are not renamed
+            return self.omega_matrix_at(z)
 
     def metric_at(self, z):
         return self.omega.metric_at(z)
@@ -317,20 +358,21 @@ class FinslerStructure:
             return [float(v) + 0.0 for v in sol]  # +0.0 normalises -0.0
         if point is None or not point[2]:
             # no key, or a jet beta at a float point, whose key holds the float entry
-            return self._jet_solve(beta_values, z)[0]
-        hit = self._lookup(point)
-        if hit is None:
-            x, factorization = self._jet_solve(beta_values, z)
-            self._store(point, factorization)
-            return x
-        tags, factorization = hit
-        if tags != point[2]:
+            return self._fresh_jet_solve(beta_values, z)
+        entry, tag_map = self._jet_entry(point, z)
+        if entry[1] is None:
+            entry[1] = _factor_jet_system(entry[0], z)
+        factorization = entry[1]
+        if tag_map is not None:
             try:
-                factorization = _retag_factorization(
-                    factorization, dict(zip(tags, point[2])))
+                factorization = _retag_factorization(factorization, tag_map)
             except KeyError:  # E holds jets of its own: their tags are not renamed
-                return self._jet_solve(beta_values, z)[0]
+                return self._fresh_jet_solve(beta_values, z)
         return _solve_factored(factorization, beta_values)
+
+    def _fresh_jet_solve(self, beta_values, z):
+        m = omega_matrix(self.E, self.n, z)
+        return _solve_factored(_factor_jet_system(m, z), beta_values)
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,
@@ -349,9 +391,10 @@ def sharp(F: FinslerStructure, beta) -> VectorField:
     """The unique X with i_X omega = beta, as a vector field."""
     n2 = 2 * F.n
 
+    frame = jets.vec_frame(n2)
+
     def ev(z):
-        beta_values = [beta.fn(z, frame_vector(n2, b)) for b in range(n2)]
-        return F.sharp_at(beta_values, z)
+        return F.sharp_at(jets.slots(beta.fn(z, frame), n2), z)
 
     return VectorField(ev, F.n, name=f"sharp({beta.name})", memo=True)
 
@@ -375,7 +418,7 @@ def berwald_connection(F: FinslerStructure) -> VectorForm:
         s0 = canonical_spray(F)
         h0 = (identity_form(F.n) + fn_bracket(J, s0)).scale(0.5)
         h0.name = "h0"
-        h0._matrix_memo = {}
+        h0.memoize_matrix()
         F._berwald = h0
     return F._berwald
 

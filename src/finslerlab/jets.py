@@ -22,6 +22,27 @@ an identically-zero derivative coefficient.  ``tangent()`` of an untagged
 value is ``0.0``, and the tag-ordered operators treat it as a constant, so
 the result is the same as wrapping it with a zero coefficient.
 
+Vector mode: a ``Vec`` is a tangent with one slot per lifted direction.
+Lifting along ``vec_frame(k)``, whose component ``a`` is the a-th unit Vec,
+moves all k frame directions under one tag in a single pass, and every
+evaluator that is linear in its direction then returns all k values at once
+(``slots`` unpacks them).  Four rules keep a vector pass exact:
+
+1. A Jet's ``dot`` is a Vec exactly when its tag is a vector lift's tag.  A
+   Vec is never a Jet's ``val``.
+2. Jet operators return ``NotImplemented`` for a Vec operand, so the Vec
+   computes the result slot by slot; a scalar operand (a float or a Jet)
+   broadcasts across the slots.
+3. An exact float-zero slot is structural: it is carried without arithmetic.
+   This is the slot analogue of the untagged coordinate in ``lift``.
+4. ``tangent``, ``primal`` and ``retag`` (and the sharp memo's point key)
+   map over slots.
+
+Each slot then performs the float operations of the scalar pass along its
+direction in the same order, operands swapped at most across a commutative
+operation, so a vector pass gives the scalar passes' values; only the signs
+of zeros can differ.
+
 Only operations needed by smooth energy functions on the slit bundle are
 implemented: field arithmetic, constant powers, sqrt, exp, log, sin, cos.
 """
@@ -63,6 +84,8 @@ class Jet:
                 return Jet(t, self.val + o.val, self.dot + o.dot)
             if t > self.tag:
                 return Jet(t, self + o.val, o.dot)
+        elif type(o) is Vec:
+            return NotImplemented
         return Jet(self.tag, self.val + o, self.dot)
 
     __radd__ = __add__
@@ -77,6 +100,8 @@ class Jet:
                 return Jet(t, self.val - o.val, self.dot - o.dot)
             if t > self.tag:
                 return Jet(t, self - o.val, -o.dot)
+        elif type(o) is Vec:
+            return NotImplemented
         return Jet(self.tag, self.val - o, self.dot)
 
     def __rsub__(self, o):
@@ -87,9 +112,14 @@ class Jet:
         if type(o) is Jet:
             t = o.tag
             if t == self.tag:
-                return Jet(t, self.val * o.val, self.val * o.dot + self.dot * o.val)
+                sd, od = self.dot, o.dot
+                if type(sd) is Vec and type(od) is Vec:
+                    return Jet(t, self.val * o.val, sd.mul_add(o.val, self.val, od))
+                return Jet(t, self.val * o.val, self.val * od + sd * o.val)
             if t > self.tag:
                 return Jet(t, self * o.val, self * o.dot)
+        elif type(o) is Vec:
+            return NotImplemented
         return Jet(self.tag, self.val * o, self.dot * o)
 
     __rmul__ = __mul__
@@ -103,6 +133,8 @@ class Jet:
             if t > self.tag:
                 q = self / o.val
                 return Jet(t, q, -q * o.dot / o.val)
+        elif type(o) is Vec:
+            return NotImplemented
         return Jet(self.tag, self.val / o, self.dot / o)
 
     def __rtruediv__(self, o):
@@ -135,6 +167,84 @@ class Jet:
 
     def cos(self):
         return Jet(self.tag, cos(self.val), -sin(self.val) * self.dot)
+
+
+class Vec:
+    """A tangent with one slot per direction of a vector lift.
+
+    Vecs add and subtract slot by slot; any other operand is a scalar (a
+    float or a Jet) and broadcasts across the slots.  An exact-zero slot is
+    structural: it is carried as it is, never used in arithmetic.  Vecs are
+    never mutated, so one may be shared.
+    """
+
+    __slots__ = ("s",)
+
+    def __init__(self, s):
+        self.s = s
+
+    def __repr__(self):
+        return f"Vec({self.s!r})"
+
+    def __add__(self, o):
+        if type(o) is Vec:
+            return Vec([b if not a else a if not b else a + b for a, b in zip(self.s, o.s)])
+        if not o:
+            return self
+        return Vec([o if not a else a + o for a in self.s])
+
+    def __radd__(self, o):
+        if not o:
+            return self
+        return Vec([o if not a else o + a for a in self.s])
+
+    def __neg__(self):
+        return Vec([a if not a else -a for a in self.s])
+
+    def __sub__(self, o):
+        if type(o) is Vec:
+            return Vec([a if not b else -b if not a else a - b for a, b in zip(self.s, o.s)])
+        if not o:
+            return self
+        return Vec([-o if not a else a - o for a in self.s])
+
+    def __rsub__(self, o):
+        if not o:
+            return -self
+        return Vec([o if not a else o - a for a in self.s])
+
+    def __mul__(self, o):
+        if type(o) is Vec:
+            return NotImplemented
+        return Vec([a if not a else a * o for a in self.s])
+
+    def __rmul__(self, o):
+        return Vec([a if not a else o * a for a in self.s])
+
+    def __truediv__(self, o):
+        if type(o) is Vec:
+            return NotImplemented
+        return Vec([a if not a else a / o for a in self.s])
+
+    def mul_add(self, x, y, w):
+        """``y * w + self * x`` for scalars x, y and a Vec w, in one pass over the slots.
+
+        The product rule of a Jet whose dots are Vecs: each slot does what
+        ``y * w + self * x`` does, with the structural zeros of both Vecs.
+        """
+        return Vec([(a if not a else a * x) if not b else y * b if not a else y * b + a * x
+                    for a, b in zip(self.s, w.s)])
+
+
+def vec_frame(k: int):
+    """The identity frame of a vector lift: component ``a`` is the a-th unit Vec."""
+    return [Vec([1.0 if b == a else 0.0 for b in range(k)]) for a in range(k)]
+
+
+def slots(x, k: int):
+    """The k slot values of ``x``: a Vec's own slot list (do not modify it),
+    or a scalar in every slot."""
+    return x.s if type(x) is Vec else [x] * k
 
 
 def sqrt(x):
@@ -173,32 +283,44 @@ def retag(x, tag_map):
     """
     if type(x) is Jet:
         return Jet(tag_map[x.tag], retag(x.val, tag_map), retag(x.dot, tag_map))
+    if type(x) is Vec:
+        return Vec([retag(a, tag_map) for a in x.s])
     return x
 
 
 def lift(coords, direction, tag):
     """Wrap each coordinate as value + epsilon_tag * direction component.
 
-    A coordinate whose component is an exact float zero is returned as is
-    (untagged): the lift does not move it, and ``tangent()`` of an untagged
-    value is ``0.0``.  A jet-valued component is always lifted, whatever its
-    value, because it carries derivatives of an enclosing lift.
+    A coordinate whose component is an exact float zero, or a Vec of exact
+    zeros, is returned as is (untagged): the lift does not move it, and
+    ``tangent()`` of an untagged value is ``0.0``.  A jet-valued component is
+    always lifted, whatever its value, because it carries derivatives of an
+    enclosing lift.  The direction of a vector lift holds Vecs and exact
+    zeros.
     """
-    return [c if type(d) is not Jet and d == 0.0 else Jet(tag, c, d)
-            for c, d in zip(coords, direction)]
+    return [Jet(tag, c, d) if type(d) is Jet or (any(d.s) if type(d) is Vec else d != 0.0)
+            else c for c, d in zip(coords, direction)]
 
 
 def primal(x, tag):
-    """Value part of ``x`` with respect to the lift ``tag``."""
-    if type(x) is Jet and x.tag == tag:
-        return x.val
+    """Value part of ``x`` with respect to the lift ``tag`` (slot by slot for a Vec)."""
+    if type(x) is Jet:
+        return x.val if x.tag == tag else x
+    if type(x) is Vec:
+        return Vec([primal(a, tag) for a in x.s])
     return x
 
 
 def tangent(x, tag):
-    """Derivative part of ``x`` with respect to the lift ``tag`` (0.0 if constant)."""
-    if type(x) is Jet and x.tag == tag:
-        return x.dot
+    """Derivative part of ``x`` with respect to the lift ``tag`` (0.0 if constant).
+
+    A Vec maps slot by slot; after a vector lift it is the Vec of the
+    derivatives along the lifted directions.
+    """
+    if type(x) is Jet:
+        return x.dot if x.tag == tag else 0.0
+    if type(x) is Vec:
+        return Vec([tangent(a, tag) for a in x.s])
     return 0.0
 
 

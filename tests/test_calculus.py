@@ -5,7 +5,7 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.calculus import (
-    DifferentialForm, VectorField, complete_lift_function, constant_vector_field,
+    DifferentialForm, VectorField, VectorForm, complete_lift_function, constant_vector_field,
     coordinate_one_form, d_K, d_function, exterior_derivative, field_apply,
     fn_bracket, frame, frame_vector, function_form, homogeneity_residual,
     identity_form, insert_one_form, insert_vector, lie_bracket, lie_derivative,
@@ -267,6 +267,38 @@ def test_bracket_matrix_matches_columns():
             for b in range(N2):
                 col = br(z, frame_vector(N2, b))
                 assert maxabs([m[a][b] - col[a] for a in range(N2)]) < 1e-11
+
+
+def test_constant_bracket_vector_pass_matches_columns_exactly():
+    # one vector lift along the frame and the columns of K gives, entry for
+    # entry, the per-column scalar lifts; so does a column along the vector frame
+    for K, Y in ((J, S0_EUC), (J, randvector(8)), (identity_form(N), randvector(9))):
+        br = fn_bracket(K, Y)
+        for p in list(GRID)[:3]:
+            z = p.coords()
+            cols = [br(z, frame_vector(N2, b)) for b in range(N2)]
+            assert br.matrix(z) == [[cols[b][a] for b in range(N2)] for a in range(N2)]
+            framed = br(z, jets.vec_frame(N2))
+            assert [jets.slots(c, N2) for c in framed] == \
+                [[cols[b][a] for b in range(N2)] for a in range(N2)]
+
+
+def test_float_memo_keys_tell_zero_signs_apart():
+    import math
+
+    def sign_field(z):
+        return [math.copysign(1.0, z[0]), 0.0, 0.0, 0.0]
+
+    X = VectorField(sign_field, N, memo=True)
+    assert X([0.0, 1.0, 1.0, 1.0])[0] == 1.0
+    assert X([-0.0, 1.0, 1.0, 1.0])[0] == -1.0
+    K = VectorForm(1, lambda z, v: [x * math.copysign(1.0, z[0]) for x in v], N)
+    K.memoize_matrix()
+    m = K.matrix([0.0, 1.0, 1.0, 1.0])
+    assert K.matrix([0.0, 1.0, 1.0, 1.0]) is m
+    assert K.matrix([-0.0, 1.0, 1.0, 1.0])[0][0] == -1.0
+    zj = jets.lift([0.0, 1.0, 1.0, 1.0], frame_vector(N2, 1), jets.fresh_tag())
+    assert K.matrix(zj) is not m and X(zj)[0] == 1.0
 
 
 def graded_defect(K, L, f, sign, pts):

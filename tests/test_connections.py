@@ -29,6 +29,8 @@ from finslerlab.connections import (
     vertical_residual, vincze_residual, wagner_connection, weak_torsion,
 )
 
+from finslerlab.registry import build_field
+
 from helpers import maxabs
 
 N, N2 = 2, 4
@@ -540,6 +542,59 @@ def test_dh_omega_driver_matches_generic_form():
     # driver reports the same magnitude as the generic composition
     driver = dh_omega_residual(F, hL, points=[p])
     assert abs(worst - driver) < 1e-8
+
+
+def _dh_omega_per_direction(F, form, z):
+    """d_h omega's residual with one scalar lift of the point per frame vector,
+    and the derivatives of h's and omega's matrices along each of them."""
+    n2 = 2 * F.n
+    rng = range(n2)
+    h_real = form.matrix(z)
+    d_m, d_om, d_ihom = [], [], []
+    for a in rng:
+        tag = jets.fresh_tag()
+        za = jets.lift(z, frame_vector(n2, a), tag)
+        m, w = form.matrix(za), F.omega_matrix_at(za)
+        d_m.append([[jets.tangent(m[b][c], tag) for c in rng] for b in rng])
+        d_om.append([[jets.tangent(w[b][c], tag) for c in rng] for b in rng])
+        d_ihom.append([[jets.tangent(sum(m[d][b] * w[d][c] for d in rng)
+                                     + sum(m[d][c] * w[b][d] for d in rng), tag)
+                        for c in rng] for b in rng])
+
+    def d_omega(a, b, c):
+        return d_om[a][b][c] - d_om[b][a][c] + d_om[c][a][b]
+
+    devs = []
+    for a in rng:
+        for b in range(a + 1, n2):
+            for c in range(b + 1, n2):
+                d_ih = d_ihom[a][b][c] - d_ihom[b][a][c] + d_ihom[c][a][b]
+                ih_d = sum(h_real[d][a] * d_omega(d, b, c) for d in rng) \
+                    + sum(h_real[d][b] * d_omega(a, d, c) for d in rng) \
+                    + sum(h_real[d][c] * d_omega(a, b, d) for d in rng)
+                devs.append(ih_d - d_ih)
+    return sup_abs(devs), d_m, d_om
+
+
+@pytest.mark.parametrize("fid, n", [("euclidean", 2), ("riemannian-exp", 2),
+                                    ("randers-0.3", 2), ("randers-0.3", 3)])
+def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
+    F = finsler_fixture(fid, sample_slit_points(n, 4, seed=1), n=n)
+    hL = l_ehresmann_connection(
+        F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
+    p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
+    z = p.coords()
+    n2 = 2 * n
+    for h in (berwald(F), hL):
+        residual, d_m, d_om = _dh_omega_per_direction(F, h.form, z)
+        assert dh_omega_residual(F, h, [p]) == residual
+        tag = jets.fresh_tag()
+        za = jets.lift(z, jets.vec_frame(n2), tag)
+        for mat, per_direction in ((h.form.matrix(za), d_m), (F.jet_omega_matrix_at(za), d_om)):
+            for b in range(n2):
+                for c in range(n2):
+                    assert jets.slots(jets.tangent(mat[b][c], tag), n2) == \
+                        [per_direction[a][b][c] for a in range(n2)]
 
 
 # -- NaN-safe residuals ------------------------------------------------------------

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finslerlab import finsler, jets
 from finslerlab.calculus import (
@@ -21,8 +22,8 @@ from finslerlab.errors import (
 from finslerlab.finsler import (
     berwald_connection, canonical_spray, conformal_change,
     conservative_connection_residual, conservative_form_residual,
-    finsler_fixture, fixture_ids, fundamental_form, gradient, omega_matrix,
-    projector_residual, sharp, validate_finsler,
+    finsler_fixture, fixture_energy, fixture_ids, fundamental_form, gradient,
+    omega_matrix, projector_residual, sharp, validate_finsler,
 )
 
 from helpers import maxabs
@@ -114,7 +115,11 @@ def test_omega_matrix_block_structure():
 
 
 def _jet_constructions(fn):
-    # counted from the profile, so the jet kernel itself carries no counter
+    """Jets and Vecs built by ``fn``, counted together.
+
+    Counted from the profile, so the jet kernel itself carries no counter:
+    every ``__init__`` in jets.py is a Jet's or a Vec's.
+    """
     prof = cProfile.Profile()
     prof.runcall(fn)
     return sum(stat[1] for (path, _, name), stat in pstats.Stats(prof).stats.items()
@@ -122,16 +127,17 @@ def _jet_constructions(fn):
 
 
 @pytest.mark.parametrize("n, what, budget", [
-    (2, "omega", 120),
-    (2, "berwald", 1200),
-    (3, "berwald", 4000),
-    (3, "dh_omega", 110000),
+    (2, "omega", 100),
+    (2, "berwald", 600),
+    (3, "berwald", 1200),
+    (3, "dh_omega", 33000),
 ])
 def test_jet_construction_budget(n, what, budget):
-    # lifts along frame vectors must not wrap the coordinates they leave fixed;
-    # a dense lift builds 280, 3396 and 13008 jets in the first three cases.
-    # d_h omega for h0 and then h_L builds 147451 jets when every jet sharp
-    # solve rebuilds omega, and 89536 with the point memo.
+    # Jets and Vecs together.  Per-direction scalar passes (one nested pass
+    # per Hessian entry of E, 2n lifts of S0 and of the point in d_h omega)
+    # build 92, 946, 3099 and 89536 jets; vector passes 86, 527, 1035 and
+    # 28930 objects.  A dense lift builds 280, 3396 and 13008 jets in the
+    # first three cases, and d_h omega without the point memo 147451.
     from finslerlab.connections import berwald, dh_omega_residual, l_ehresmann_connection
     from finslerlab.registry import build_field
     F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
@@ -148,6 +154,143 @@ def test_jet_construction_budget(n, what, budget):
         count = _jet_constructions(
             lambda: (dh_omega_residual(F, h0, [p]), dh_omega_residual(F, hL, [p])))
     assert count <= budget
+
+
+def test_float_point_berwald_matrix_lifts_the_spray_once():
+    # one vector lift of S0 gives its whole Jacobian; per-direction lifts take 2n
+    for n in (2, 3):
+        F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
+        s0 = canonical_spray(F)
+        calls = []
+        ev = s0.fn
+        s0.fn = lambda z: calls.append(z) or ev(z)
+        z = [0.1, -0.2, 0.3][:n] + [0.7, 0.4, -0.5][:n]
+        berwald_connection(F).matrix(z)
+        assert len(calls) == 1
+
+
+# -- vector lifts against per-direction lifts -------------------------------------------
+
+
+def _omega_reference(E, n, z):
+    """omega's matrix with one nested scalar pass per Hessian entry of E."""
+    n2 = 2 * n
+
+    def d2(a, b):
+        return jets.nth_directional(E.fn, z, [frame_vector(n2, a), frame_vector(n2, b)])
+
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = d2(n + i, n + j)
+    m = [[0.0] * n2 for _ in range(n2)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = d2(i, n + j) - d2(j, n + i)
+            m[i][j] = a
+            m[j][i] = -a
+        for j in range(n):
+            m[i][n + j] = -g[j][i]
+            m[n + i][j] = g[i][j]
+    return m
+
+
+def _berwald_reference(F, z):
+    """h0's matrix from one scalar lift of S0 per frame vector."""
+    n, n2 = F.n, 2 * F.n
+    J = vertical_endomorphism(n).coeffs
+    s0 = canonical_spray(F)
+    lifted = [jets.directional(s0.fn, z, frame_vector(n2, b)) for b in range(n2)]
+    cols = []
+    for b in range(n2):
+        d_kx = lifted[n + b] if b < n else [0.0] * n2   # J e_b = e_{n+b} or 0
+        kdxy = [sum(row[c] * lifted[b][c] for c in range(n2)) for row in J]
+        cols.append([p - q for p, q in zip(d_kx, kdxy)])
+    return [[0.5 * ((1.0 if a == b else 0.0) + cols[b][a]) for b in range(n2)]
+            for a in range(n2)]
+
+
+def _lifted(z, dirs):
+    """``z`` lifted along each direction in turn, with its tags (largest first)."""
+    tags = []
+    for d in dirs:
+        tags.insert(0, jets.fresh_tag())
+        z = jets.lift(z, d, tags[0])
+    return z, tags
+
+
+def _coeffs(x, tags, slot=None):
+    """The floats of ``x``: its parts along each tag, largest tag first.
+
+    ``slot = (tag, a, k)`` takes slot a of the k-slot tangent along that tag.
+    """
+    if not tags:
+        assert type(x) is float
+        return [x]
+    t, rest = tags[0], tags[1:]
+    d = jets.tangent(x, t)
+    if slot is not None and t == slot[0]:
+        d = jets.slots(d, slot[2])[slot[1]]
+    return _coeffs(jets.primal(x, t), rest, slot) + _coeffs(d, rest, slot)
+
+
+def _assert_slots_match(evaluate, z, dirs, pos):
+    """``evaluate`` at z lifted along ``dirs`` with a vector frame in place of
+    ``dirs[pos]`` equals, slot a by slot a, its value with the frame vector e_a
+    there (``==`` on floats)."""
+    n2 = len(z)
+    zv, tags_v = _lifted(z, dirs[:pos] + [jets.vec_frame(n2)] + dirs[pos + 1:])
+    vec_value = evaluate(zv)
+    for a in range(n2):
+        za, tags_a = _lifted(z, dirs[:pos] + [frame_vector(n2, a)] + dirs[pos + 1:])
+        scalar_value = evaluate(za)
+        slot = (tags_v[len(dirs) - 1 - pos], a, n2)
+        for u, v in zip(vec_value, scalar_value):
+            for x, y in zip(u, v) if isinstance(u, list) else [(u, v)]:
+                assert _coeffs(x, tags_v, slot) == _coeffs(y, tags_a)
+
+
+_FIBER = st.lists(st.floats(0.3, 1.5), min_size=3, max_size=3)
+_BASE = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+_DIRECTION = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(-2.0, 2.0)),
+                      min_size=6, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["euclidean", "riemannian-exp", "randers-0.3"]),
+       st.sampled_from([2, 3]), _BASE, _FIBER,
+       st.lists(_DIRECTION, min_size=1, max_size=3), st.integers(0, 2))
+def test_omega_matrix_vector_lift_matches_scalar_lifts(fid, n, xs, ys, dirs, pos):
+    E = fixture_energy(fid, n)
+    z = xs[:n] + ys[:n]
+    dirs = [d[:2 * n] for d in dirs]
+    # the vector Hessian against one nested scalar pass per entry ...
+    zs, tags = _lifted(z, dirs)
+    for u, v in zip(omega_matrix(E, n, zs), _omega_reference(E, n, zs)):
+        assert all(_coeffs(x, tags) == _coeffs(y, tags) for x, y in zip(u, v))
+    # ... and a vector lift of the point against per-direction lifts
+    _assert_slots_match(lambda w: omega_matrix(E, n, w), z, dirs, pos % len(dirs))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+def test_berwald_and_sharp_vector_lifts_match_scalar_lifts(fid, n):
+    grid = sample_slit_points(n, 2, seed=3)
+    z = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+    F = finsler_fixture(fid, grid, n=n)
+    assert berwald_connection(F).matrix(z) == _berwald_reference(F, z)
+    h0 = berwald_connection(finsler_fixture(fid, grid, n=n))
+    _assert_slots_match(h0.matrix, z, [None], 0)
+    # sharp's vector beta row against one scalar evaluation of beta per frame vector
+    n2 = 2 * n
+    beta = d_function(F.E).scale(-1.0)
+    x = sharp(F, beta)
+    for depth in (0, 1, 2):
+        zs, tags = _lifted(z, [frame_vector(n2, 0), [0.5] * n2][:depth])
+        ref = F.sharp_at([beta.fn(zs, frame_vector(n2, b)) for b in range(n2)], zs)
+        assert all(_coeffs(u, tags) == _coeffs(v, tags) for u, v in zip(x(zs), ref))
+    if n == 2:
+        _assert_slots_match(x, z, [[0.5, 0.0, 1.0, -0.5], None], 1)
 
 
 # -- sharp and gradient ------------------------------------------------------------
@@ -200,11 +343,16 @@ def test_sharp_condition_failure():
 # -- the point memo of the sharp solve ------------------------------------------------
 
 
-def _jet_point(z, depth):
-    """A point lifted ``depth`` times with fresh tags; returns (point, tags)."""
+def _jet_point(z, depth, vec=None):
+    """A point lifted ``depth`` times with fresh tags; returns (point, tags).
+
+    With ``vec = i`` the i-th lift is along the vector frame.
+    """
     n2 = len(z)
     directions = [frame_vector(n2, 0), frame_vector(n2, n2 - 1),
                   [0.5 if a % 2 else 0.0 for a in range(n2)]]
+    if vec is not None:
+        directions[vec] = jets.vec_frame(n2)
     tags = []
     for d in directions[:depth]:
         tags.append(jets.fresh_tag())
@@ -218,16 +366,21 @@ def _jet_beta(z):
 
 
 def _identical(a, b):
-    """Equal values, zero signs and tags, jet node by jet node."""
+    """Equal values, zero signs and tags, jet node by jet node and slot by slot."""
     if type(a) is jets.Jet or type(b) is jets.Jet:
         return type(a) is type(b) and a.tag == b.tag \
             and _identical(a.val, b.val) and _identical(a.dot, b.dot)
+    if type(a) is jets.Vec or type(b) is jets.Vec:
+        return type(a) is type(b) and len(a.s) == len(b.s) \
+            and all(_identical(x, y) for x, y in zip(a.s, b.s))
     return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def _tags_of(x):
     if type(x) is jets.Jet:
         return {x.tag} | _tags_of(x.val) | _tags_of(x.dot)
+    if type(x) is jets.Vec:
+        return set().union(*map(_tags_of, x.s))
     return set()
 
 
@@ -237,17 +390,18 @@ def test_sharp_memo_hit_is_exact(n, depth):
     grid = sample_slit_points(n, 2, seed=3)
     z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
     for fid in fixture_ids():
-        F = finsler_fixture(fid, grid, n=n)
-        first, _ = _jet_point(z0, depth)
-        F.sharp_at(_jet_beta(first), first)
-        again, tags = _jet_point(z0, depth)
-        with mock.patch.object(finsler, "omega_matrix",
-                               side_effect=AssertionError("memo missed")):
-            hit = F.sharp_at(_jet_beta(again), again)
-        fresh = finsler_fixture(fid, grid, n=n).sharp_at(_jet_beta(again), again)
-        assert all(_identical(a, b) for a, b in zip(hit, fresh))
-        assert set().union(*map(_tags_of, hit)) <= set(tags)
-        assert any(type(c) is jets.Jet for c in hit)
+        for vec in (None, (depth - 1) // 2):   # scalar lifts, then one along the vector frame
+            F = finsler_fixture(fid, grid, n=n)
+            first, _ = _jet_point(z0, depth, vec)
+            F.sharp_at(_jet_beta(first), first)
+            again, tags = _jet_point(z0, depth, vec)
+            with mock.patch.object(finsler, "omega_matrix",
+                                   side_effect=AssertionError("memo missed")):
+                hit = F.sharp_at(_jet_beta(again), again)
+            fresh = finsler_fixture(fid, grid, n=n).sharp_at(_jet_beta(again), again)
+            assert all(_identical(a, b) for a, b in zip(hit, fresh))
+            assert set().union(*map(_tags_of, hit)) <= set(tags)
+            assert any(type(c) is jets.Jet for c in hit)
 
 
 def test_sharp_memo_with_an_energy_that_holds_jets():
@@ -282,6 +436,54 @@ def test_sharp_memo_keeps_one_base_point():
     assert len(F._memo) == 1
 
 
+def test_sharp_memo_keeps_float_entries_across_base_points():
+    F = finsler_fixture("randers-0.3", GRID)
+    beta = [1.0, -0.5, 0.25, 2.0]
+    z1, z2 = list(GRID)[0].coords(), list(GRID)[1].coords()
+    first = F.sharp_at(beta, z1)
+    z, _ = _jet_point(z2, 1)
+    F.sharp_at(_jet_beta(z), z)
+    with mock.patch.object(finsler, "omega_matrix",
+                           side_effect=AssertionError("float entry dropped")):
+        assert F.sharp_at(beta, z1) == first
+    assert F._memo_base == tuple(z1)
+
+
+def test_jet_omega_matrix_is_shared_and_renamed():
+    # d_h omega reads omega at its lifted point through the memo: a second
+    # connection at the point gets the first one's matrix, renamed to its tags
+    for n in (2, 3):
+        z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+        F = finsler_fixture("randers-0.3", sample_slit_points(n, 2, seed=3), n=n)
+        first, _ = _jet_point(z0, 1, vec=0)
+        assert F.jet_omega_matrix_at(first) is F.jet_omega_matrix_at(first)
+        again, tags = _jet_point(z0, 1, vec=0)
+        with mock.patch.object(finsler, "omega_matrix",
+                               side_effect=AssertionError("memo missed")):
+            hit = F.jet_omega_matrix_at(again)
+        fresh = F.omega_matrix_at(again)
+        assert all(_identical(a, b) for u, v in zip(hit, fresh) for a, b in zip(u, v))
+        assert set().union(*(_tags_of(a) for row in hit for a in row)) == set(tags)
+
+
+def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
+    from finslerlab.connections import berwald, dh_omega_residual, l_ehresmann_connection
+    from finslerlab.registry import build_field
+    F = finsler_fixture("randers-0.3", sample_slit_points(2, 4, seed=1))
+    hL = l_ehresmann_connection(F, fn_bracket(vertical_endomorphism(N), build_field(F, "E-dy1")))
+    built = []
+    omega = finsler.omega_matrix
+
+    def counting(E, n, z):
+        built.append(len(finsler._point_key(z)[2]))
+        return omega(E, n, z)
+
+    dh_omega_residual(F, berwald(F), [P0])
+    with mock.patch.object(finsler, "omega_matrix", counting):
+        dh_omega_residual(F, hL, [P0])
+    assert 1 not in built   # omega at the point lifted along the frame comes from the memo
+
+
 def test_sharp_memo_key_separates_zero_signs_and_tag_order():
     key = finsler._point_key
     t1, t2 = jets.fresh_tag(), jets.fresh_tag()
@@ -295,6 +497,13 @@ def test_sharp_memo_key_separates_zero_signs_and_tag_order():
     assert key(a)[0] == key([jets.Jet(s1, 0.5, 1.0), jets.Jet(s2, 0.0, 1.0), 1.0, 2.0])[0]
     assert key(a)[1] == tuple(z)
     assert key([np.float64(0.5), 0.0, 1.0, 2.0]) is None
+    # Vec dots: a renamed tag keeps the key; slot values, signs and counts do not
+    v = [jets.Jet(t1, 0.5, jets.Vec([1.0, 0.0])), jets.Jet(t1, 0.0, jets.Vec([0.0, 1.0])),
+         1.0, 2.0]
+    assert key(v)[0] == key([jets.retag(c, {t1: s1}) for c in v])[0]
+    assert key(v)[1] == tuple(z) and key(v)[2] == [t1]
+    for other in (jets.Vec([1.0, -0.0]), jets.Vec([1.0, 0.5]), jets.Vec([1.0, 0.0, 0.0])):
+        assert key([jets.Jet(t1, 0.5, other)] + v[1:])[0] != key(v)[0]
 
 
 def test_gradient_examples():

@@ -237,3 +237,109 @@ def test_sparse_lift_matches_dense_reference_bitwise(fid, n, xs, ys, dirs):
     with mock.patch.object(jets, "lift", dense_lift):
         dense = nth_directional(E, z, dirs)
     assert sparse == dense
+
+
+# -- vector-mode tangents -------------------------------------------------------
+
+Vec = jets.Vec
+
+
+def test_vec_broadcasts_a_scalar_across_its_slots():
+    t = fresh_tag()
+    v = Vec([1.5, -2.0, 4.0])
+    assert (v * 2.0).s == [3.0, -4.0, 8.0]
+    assert (2.0 * v).s == [3.0, -4.0, 8.0]
+    assert (v / 2.0).s == [0.75, -1.0, 2.0]
+    assert (v + 1.0).s == [2.5, -1.0, 5.0]
+    assert (1.0 - v).s == [-0.5, 3.0, -3.0]
+    assert (v + Vec([0.5, 0.0, 1.0])).s == [2.0, -2.0, 5.0]
+    assert (v - Vec([0.5, 1.0, 0.0])).s == [1.0, -3.0, 4.0]
+    j = Jet(t, 3.0, 1.0)
+    scaled = v * j
+    assert [(c.tag, c.val, c.dot) for c in scaled.s] == \
+        [(t, 4.5, 1.5), (t, -6.0, -2.0), (t, 12.0, 4.0)]
+
+
+def test_vec_structural_zero_slots_take_no_arithmetic():
+    inf, nan = math.inf, math.nan
+    v = Vec([0.0, 2.0])
+    assert (v * inf).s == [0.0, inf]
+    assert (nan * v).s[0] == 0.0
+    assert (v / 0.5).s == [0.0, 4.0]
+    assert (v + Vec([3.0, 0.0])).s == [3.0, 2.0]
+    assert (Vec([0.0, 0.0]) - Vec([0.0, 5.0])).s == [0.0, -5.0]
+    neg = (-v).s
+    assert neg == [0.0, -2.0] and math.copysign(1.0, neg[0]) == 1.0
+    assert (v + 0.0) is v and (v - 0.0) is v and (0.0 + v) is v
+    # a jet slot is never structural
+    j = Jet(fresh_tag(), 0.0, 0.0)
+    assert (Vec([j]) * 2.0).s[0] is not j
+
+
+def test_jet_and_vec_products_give_a_vec_either_way():
+    t = fresh_tag()
+    j = Jet(t, 2.0, 3.0)
+    v = Vec([1.0, 0.0])
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(j, op)(v) is NotImplemented
+    for prod in (j * v, v * j):
+        assert type(prod) is Vec
+        assert type(prod.s[0]) is Jet and (prod.s[0].val, prod.s[0].dot) == (2.0, 3.0)
+        assert prod.s[1] == 0.0
+
+
+def test_tangent_primal_and_retag_map_over_slots():
+    t1, t2 = fresh_tag(), fresh_tag()
+    v = Vec([Jet(t1, 1.0, 2.0), 0.0, Jet(t1, 3.0, Vec([4.0, 5.0]))])
+    assert jets.tangent(v, t1).s[:2] == [2.0, 0.0]
+    assert jets.tangent(v, t1).s[2].s == [4.0, 5.0]
+    assert jets.primal(v, t1).s == [1.0, 0.0, 3.0]
+    r = jets.retag(v, {t1: t2})
+    assert type(r) is Vec and [c.tag for c in (r.s[0], r.s[2])] == [t2, t2]
+    assert r.s[2].dot.s == [4.0, 5.0]
+    x = Jet(t2, 1.0, Vec([0.5, 0.0]))
+    assert jets.tangent(x, t2).s == [0.5, 0.0]
+    assert jets.tangent(x, t1) == 0.0 and jets.primal(x, t2) == 1.0
+
+
+def test_vec_frame_lift():
+    frame = jets.vec_frame(3)
+    assert [f.s for f in frame] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    tag = fresh_tag()
+    zj = lift([0.5, 1.5, 2.5], [frame[0], 0.0, Vec([0.0, -0.0, 0.0])], tag)
+    assert type(zj[0]) is Jet and zj[0].dot is frame[0]
+    # an exact zero and a Vec of exact zeros leave their coordinates untagged
+    assert zj[1] == 1.5 and zj[2] == 2.5
+    value, grad = jvp(poly, Z0, jets.vec_frame(4))
+    assert value == poly(Z0)
+    assert grad.s == [nth_directional(poly, Z0, [e]) for e in (E1, E2, E3, E4)]
+
+
+def _vec_levels_match(fn, z, dirs, res):
+    """``res`` (an evaluation with some directions ``"vec"``) slot by slot
+    against the scalar evaluations along each frame vector; ``==`` on floats."""
+    k = len(z)
+    for i, d in enumerate(dirs):
+        if d == "vec":
+            for a, sub in enumerate(jets.slots(res, k)):
+                e_a = [1.0 if b == a else 0.0 for b in range(k)]
+                _vec_levels_match(fn, z, dirs[:i] + [e_a] + dirs[i + 1:], sub)
+            return
+    assert res == nth_directional(fn, z, dirs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["euclidean", "riemannian-exp", "randers-0.3"]),
+       st.sampled_from([2, 3]),
+       st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.lists(st.floats(0.3, 1.5), min_size=3, max_size=3),
+       st.lists(st.one_of(st.just("vec"), st.lists(_DIR_COMPONENT, min_size=6, max_size=6)),
+                min_size=1, max_size=3))
+def test_vec_frame_matches_scalar_frame_evaluations(fid, n, xs, ys, dirs):
+    from finslerlab.finsler import fixture_energy
+
+    E = fixture_energy(fid, n).fn
+    z = xs[:n] + ys[:n]
+    dirs = [d if d == "vec" else d[:2 * n] for d in dirs]
+    vec_dirs = [jets.vec_frame(2 * n) if d == "vec" else d for d in dirs]
+    _vec_levels_match(E, z, dirs, nth_directional(E, z, vec_dirs))
