@@ -58,6 +58,127 @@ def float_key(z):
     return key
 
 
+_VEC = "vec"
+
+
+def point_key(z):
+    """One pass over a point: ``(key, base, tags)``, or None if it has no key.
+
+    ``tags`` lists the point's lift tags in order of first appearance and
+    ``base`` holds the real parts of the coordinates.  The key lists every
+    float of the point (a negative zero as its own token, as in
+    ``float_key``), a mark for each jet node giving the position of its tag
+    in ``tags`` and one for each Vec giving its number of slots, then the
+    order of those tags.  Two points get the same key exactly when an
+    order-preserving renaming of tags maps one onto the other.  A coordinate
+    or jet part that is neither a float, a Jet nor a Vec leaves the point
+    without a key.
+    """
+    key = float_key(z)
+    if key is not None:
+        return key + ((),), tuple(z), []
+    Jet, Vec, copysign = jets.Jet, jets.Vec, math.copysign
+    flat, base, tags, marks = [], [], [], {}
+    push = flat.append
+    for c in z:
+        if type(c) is float:
+            push(c if c or copysign(1.0, c) > 0.0 else NEG_ZERO)
+            base.append(c)
+            continue
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            if type(x) is Jet:
+                mark = marks.get(x.tag)
+                if mark is None:
+                    mark = marks[x.tag] = f"tag{len(tags)}"
+                    tags.append(x.tag)
+                push(mark)
+                stack += (x.dot, x.val)
+            elif type(x) is float:
+                push(x if x or copysign(1.0, x) > 0.0 else NEG_ZERO)
+            elif type(x) is Vec:
+                push(_VEC)
+                push(len(x.s))
+                stack += x.s
+            else:
+                return None
+        while type(c) is Jet:
+            c = c.val
+        base.append(c)
+    push(tuple(sorted(range(len(tags)), key=tags.__getitem__)) if len(tags) > 1 else ())
+    return tuple(flat), tuple(base), tags
+
+
+class PointMemo:
+    """Values computed at points, keyed by ``point_key``.
+
+    Float entries are kept for the memo's life.  Jet entries are kept for one
+    base point (the real parts of the coordinates) and dropped when a keyed
+    point, float or jet, arrives at another one.  An entry is stored with the tags of the
+    point that computed it; a point that differs from it by an
+    order-preserving renaming of tags hits it, and renaming the stored value
+    to that point's tags gives, bit for bit, what the computation gives
+    there, because jet arithmetic compares tags only by their order and
+    strips the tags it makes.  A value that holds a tag no point carries (a
+    function that holds jets of its own) cannot be renamed: ``jets.retag``
+    raises ``KeyError`` and the value is computed afresh.
+    """
+
+    __slots__ = ("base", "jets", "floats")
+
+    def __init__(self):
+        self.base = None
+        self.jets = {}
+        self.floats = {}
+
+    def entry(self, point, compute):
+        """``(value, renaming)`` at a ``point_key`` result.
+
+        ``value`` is the stored value, or ``compute()`` stored on a miss;
+        ``renaming`` maps the tags it is stored with to the point's, and is
+        None when they are the same.  A point without a key (None) is not
+        stored.
+        """
+        if point is None:
+            return compute(), None
+        key, base, tags = point
+        if base != self.base:
+            self.jets = {}
+            self.base = base
+        if not tags:
+            value = self.floats.get(key)
+            if value is None:
+                value = self.floats[key] = compute()
+            return value, None
+        hit = self.jets.get(key)
+        if hit is None:
+            value = compute()
+            self.jets[key] = (tags, value)
+            return value, None
+        stored, value = hit
+        return value, (None if stored == tags else dict(zip(stored, tags)))
+
+    def get(self, z, compute, rename):
+        """``compute(z)`` through the memo; a hit stored with other tags is
+        returned as ``rename(value, renaming)``.  The result is shared: do not
+        modify it."""
+        value, renaming = self.entry(point_key(z), lambda: compute(z))
+        if renaming is None:
+            return value
+        try:
+            return rename(value, renaming)
+        except KeyError:  # the value holds a tag the point does not carry
+            return compute(z)
+
+
+def retag_array(x, tag_map):
+    """``jets.retag`` over nested lists (a matrix or a frame array)."""
+    if type(x) is list:
+        return [retag_array(v, tag_map) for v in x]
+    return jets.retag(x, tag_map)
+
+
 # ---------------------------------------------------------------------------
 # vector fields
 
@@ -305,28 +426,33 @@ class VectorForm:
         return f"VectorForm(k={self.degree}, {self.name or 'anonymous'})"
 
     def matrix(self, z):
-        """Columns matrix M[a][b] = component a of K(e_b) (degree 1 only)."""
-        if self.degree != 1:
-            raise DegreeOutOfRange("matrix only defined for vector 1-forms")
+        """The form's frame array at z.
+
+        Degree 1: the matrix M[a][b] = component a of K(e_b), whose columns
+        are the images of the frame.  Degree 2: the array T[a][b] = K(e_a,
+        e_b), a list of 2n vectors of 2n components.  From the form's matrix
+        function, else from ``fn`` on the frame (degree 2: on every ordered
+        frame pair).  Shared with the memo once ``memoize_matrix`` is on: do
+        not modify it.
+        """
         memo = self._matrix_memo
-        key = None if memo is None else float_key(z)
-        if key is None:
+        if memo is None:
             return self._compute_matrix(z)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = self._compute_matrix(z)
-        return hit
+        return memo.get(z, self._compute_matrix, retag_array)
 
     def memoize_matrix(self):
-        """Keep the matrix of every float point it is asked for (degree 1)."""
+        """Keep the frame arrays computed at points in a ``PointMemo``."""
         if self._matrix_memo is None:
-            self._matrix_memo = {}
+            self._matrix_memo = PointMemo()
 
     def _compute_matrix(self, z):
         if self._matrix_fn is not None:
             return self._matrix_fn(z)
         n2 = 2 * self.n
-        cols = [self.fn(z, frame_vector(n2, b)) for b in range(n2)]
+        fr = frame(n2)
+        if self.degree == 2:
+            return [[self.fn(z, u, v) for v in fr] for u in fr]
+        cols = [self.fn(z, v) for v in fr]
         return [[cols[b][a] for b in range(n2)] for a in range(n2)]
 
     def apply(self, z, vec):
@@ -557,41 +683,93 @@ def _flatten(m):
     return [x for row in m for x in row]
 
 
+def _combine(coeffs, vectors):
+    """sum_c coeffs[c] * vectors[c], skipping the exact-zero coefficients.
+
+    A unit coefficient contributes ``vectors[c]`` itself, so along a frame
+    vector the result is that vector, bit for bit, and with no nonzero
+    coefficient it is the zero vector.  The result may be one of the inputs.
+    """
+    out = None
+    for x, vec in zip(coeffs, vectors):
+        if isinstance(x, (int, float)):
+            if x == 0:
+                continue
+            if x != 1:
+                vec = [x * v for v in vec]
+        else:
+            vec = [x * v for v in vec]
+        out = vec if out is None else [o + v for o, v in zip(out, vec)]
+    return [0.0] * len(vectors[0]) if out is None else out
+
+
+def _lifted_columns(m, tag, n2):
+    """The columns of a matrix at a point lifted along the vector frame with
+    ``tag``: ``cols[b]`` is M e_b at the point and ``d[b][c]`` is D_c(M e_b),
+    the derivative along e_c."""
+    rng = range(n2)
+    cols = [[jets.primal(m[a][b], tag) for a in rng] for b in rng]
+    d = []
+    for b in rng:
+        t = [jets.slots(jets.tangent(m[a][b], tag), n2) for a in rng]
+        d.append([[t[a][c] for a in rng] for c in rng])
+    return cols, d
+
+
 def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
-    """Standard FN bracket of two vector 1-forms, on constant arguments.
+    """Frolicher-Nijenhuis bracket of two vector 1-forms, a vector 2-form.
 
     [K,L](X,Y) = [KX,LY] + [LX,KY] - K([LX,Y] + [X,LY]) - L([KX,Y] + [X,KY]);
-    the (KL + LK)[X,Y] term vanishes for constant X, Y.
+    the (KL + LK)[X,Y] term vanishes for constant X, Y, and then
+    [U, V] = D_U V - D_V U.  With D_c the derivative along e_c and D_v =
+    sum_c v^c D_c, the frame pair (e_a, e_b) gives
+
+        T[a][b] = (D_{K e_a} L e_b - D_{L e_b} K e_a)
+                  + (D_{L e_a} K e_b - D_{K e_b} L e_a)
+                  - K(D_a L e_b - D_b L e_a) - L(D_a K e_b - D_b K e_a).
+
+    One lift of the point along the vector frame gives K and L there (the
+    primal parts of their matrices) and every D_c(K e_b) and D_c(L e_b)
+    (slot c of the tangents); each D_v and each application of K or L is
+    then a contraction over components (``_combine``).  Only a < b is
+    formed: T[b][a] = -T[a][b] and T[a][a] = 0, as the formula gives them.
+
+    Exactness: a contraction along a frame vector or zero is, bit for bit,
+    the scalar lift along it, because a vector lift's slot repeats the
+    scalar pass.  So when every column of K is a frame vector or zero and K
+    is constant (as for J), every entry is what the pairwise scalar lifts
+    give, up to the signs of zeros.  Other K round differently.  ``fn``
+    contracts the array the same way, so on frame vectors it returns its
+    entries.
     """
+    n2 = 2 * K.n
+    rng = range(n2)
+    frame_vec = jets.vec_frame(n2)
 
-    def kcol(z, v):
-        return K.fn(z, v)
-
-    def lcol(z, v):
-        return L.fn(z, v)
+    def matrix_fn(z):
+        tag = jets.fresh_tag()
+        za = jets.lift(z, frame_vec, tag)
+        kc, dk = _lifted_columns(K.matrix(za), tag, n2)
+        lc, dl = _lifted_columns(L.matrix(za), tag, n2)
+        arr = [[[0.0] * n2 for _ in rng] for _ in rng]
+        for a in rng:
+            for b in range(a + 1, n2):
+                p = _combine(kc[a], dl[b])
+                q = _combine(lc[b], dk[a])
+                r = _combine(lc[a], dk[b])
+                s = _combine(kc[b], dl[a])
+                k_term = _combine([x - y for x, y in zip(dl[b][a], dl[a][b])], kc)
+                l_term = _combine([x - y for x, y in zip(dk[b][a], dk[a][b])], lc)
+                v = [(p_ - q_) + (r_ - s_) - t_ - u_
+                     for p_, q_, r_, s_, t_, u_ in zip(p, q, r, s, k_term, l_term)]
+                arr[a][b] = v
+                arr[b][a] = [-x for x in v]
+        return arr
 
     def ev(z, X, Y):
-        kX, kY = kcol(z, X), kcol(z, Y)
-        lX, lY = lcol(z, X), lcol(z, Y)
-        # [KX, LY] and [LX, KY] with constant-extended coefficient fields
-        d_kX_LY = jets.directional(lambda w: lcol(w, Y), z, kX)
-        d_lY_KX = jets.directional(lambda w: kcol(w, X), z, lY)
-        d_lX_KY = jets.directional(lambda w: kcol(w, Y), z, lX)
-        d_kY_LX = jets.directional(lambda w: lcol(w, X), z, kY)
-        # [LX, Y] = -D_Y(LX), [X, LY] = D_X(LY) for constant X, Y
-        d_Y_LX = jets.directional(lambda w: lcol(w, X), z, Y)
-        d_X_LY = jets.directional(lambda w: lcol(w, Y), z, X)
-        d_Y_KX = jets.directional(lambda w: kcol(w, X), z, Y)
-        d_X_KY = jets.directional(lambda w: kcol(w, Y), z, X)
-        k_arg = [a - b for a, b in zip(d_X_LY, d_Y_LX)]
-        l_arg = [a - b for a, b in zip(d_X_KY, d_Y_KX)]
-        k_term = K.fn(z, k_arg)
-        l_term = L.fn(z, l_arg)
-        return [(p - q) + (r - s) - t - u
-                for p, q, r, s, t, u in
-                zip(d_kX_LY, d_lY_KX, d_lX_KY, d_kY_LX, k_term, l_term)]
+        return list(_combine(X, [_combine(Y, row) for row in matrix_fn(z)]))
 
-    return VectorForm(2, ev, K.n, name=f"[{K.name},{L.name}]")
+    return VectorForm(2, ev, K.n, name=f"[{K.name},{L.name}]", matrix_fn=matrix_fn)
 
 
 def fn_bracket(K, L):
@@ -688,11 +866,9 @@ def semibasic_residual(K, points) -> float:
         n = K.n
         n2 = 2 * n
         devs = []
-        fr = frame(n2)
         for p in points:
-            z = p.coords()
+            m = K.matrix(p.coords())
             if K.degree == 1:
-                m = K.matrix(z)
                 # J o K = 0: every column must be vertical (first n rows zero)
                 devs.extend(m[i][b] for b in range(n2) for i in range(n))
                 # K kills verticals: columns n..2n-1 vanish entirely
@@ -701,11 +877,11 @@ def semibasic_residual(K, points) -> float:
                 # vertical insertion vanishes
                 for i in range(n):
                     for b in range(n2):
-                        devs.extend(K.fn(z, fr[n + i], fr[b]))
+                        devs.extend(m[n + i][b])
                 # J o K = 0: output of K is vertical on every frame pair
                 for a in range(n2):
                     for b in range(a + 1, n2):
-                        devs.extend(K.fn(z, fr[a], fr[b])[:n])
+                        devs.extend(m[a][b][:n])
         return sup_abs(devs)
     if isinstance(K, DifferentialForm):
         if K.degree < 1:

@@ -23,14 +23,12 @@ from .calculus import (
     vertical_lift_function, vertical_lift_vector, zero_vector_form,
 )
 from .core import BaseFunction, sample_slit_points
-from .errors import (
-    DegenerateDegree, FinslerLabError, HypothesisFailure, NondegeneracyFailure,
-    PositivityFailure,
-)
+from .errors import DegenerateDegree, FinslerLabError, HypothesisFailure
 from .finsler import (
     berwald_connection, canonical_spray, conformal_change,
     conservative_connection_residual, conservative_form_residual,
-    finsler_fixture, fixture_ids, fundamental_form, sharp,
+    energy_axioms_residual, finsler_fixture, fixture_ids, fundamental_form,
+    sharp,
 )
 from .connections import (
     berwald, connection_from_semispray, conservative_lift,
@@ -164,19 +162,7 @@ def _sup_form2(form, points, n2):
 
 
 def _chk01_axioms(F, ctx):
-    C = liouville_field(F.n)
-    CE = field_apply(C, F.E)
-    devs = []
-    for p in ctx.grid:
-        z = p.coords()
-        e = F.E(z)
-        if not e > 0.0:
-            raise PositivityFailure("energy not positive", point=p, value=e)
-        det = abs(np.linalg.det(np.array(F.metric_at(z), dtype=float)))
-        if det <= 1e-10:
-            raise NondegeneracyFailure("metric tensor degenerate", point=p, value=det)
-        devs.append(CE(z) - 2.0 * e)
-    return Outcome(sup_abs(devs))
+    return Outcome(energy_axioms_residual(F, ctx.grid))
 
 
 def _chk02_omega_relations(F, ctx):

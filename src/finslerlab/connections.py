@@ -97,10 +97,16 @@ def form_matrix_residual(A: VectorForm, B: VectorForm, points) -> float:
 
 
 def vector_form2_residual(K: VectorForm, points) -> float:
-    """sup |K(e_a, e_b)| over points and frame pairs, for a vector 2-form."""
+    """sup |K(e_a, e_b)| over points and frame pairs a < b, for a vector 2-form.
+
+    Reads the form's frame array once per point.
+    """
     n2 = 2 * K.n
-    return sup_abs(v for p in points for a in range(n2) for b in range(a + 1, n2)
-                   for v in K(p.coords(), frame_vector(n2, a), frame_vector(n2, b)))
+    devs = []
+    for p in points:
+        t = K.matrix(p.coords())
+        devs.extend(v for a in range(n2) for b in range(a + 1, n2) for v in t[a][b])
+    return sup_abs(devs)
 
 
 def vector_form1_residual(K: VectorForm, points) -> float:

@@ -1,18 +1,18 @@
 """Finsler energies: validation, fundamental form, sharp operator, sprays.
 
 A validated structure caches its canonical spray and Berwald connection, and
-keeps one point memo for the sharp solve.  The memo maps a point to what
-omega gives there: at a float point the matrix and its condition number, at
-a jet point omega's jet matrix and, once a solve needs it, the pivoted
-factorization of the jet system.  Its key is the point's canonical form
-(``_point_key``): every float, a negative zero as its own token, and the
-lift tags up to an order-preserving renaming.  Jet entries are kept for one
-base point (the real parts of the coordinates) at a time and dropped when a
-call arrives at another one, so they are the lifts of the point being worked
-on: the sharp fields bracketed with J there (S0, (d_L E)#, grad f^v) are
-lifted along the same frames and share them, and so does ``d_h omega``,
-which reads omega at the lifted point.  Float entries are kept across base
-points, because the checks revisit every grid point.
+keeps one point memo (``calculus.PointMemo``) for the sharp solve.  The memo
+maps a point to what omega gives there: at a float point the matrix and its
+condition number, at a jet point omega's jet matrix and, once a solve needs
+it, the pivoted factorization of the jet system.  Its key is the point's
+canonical form (``calculus.point_key``): every float, a negative zero as its
+own token, and the lift tags up to an order-preserving renaming.  Jet entries
+are kept for one base point (the real parts of the coordinates) at a time
+and dropped when a call arrives at another one, so they are the lifts of the
+point being worked on: the sharp fields bracketed with J there (S0,
+(d_L E)#, grad f^v) are lifted along the same frames and share them, and so
+does ``d_h omega``, which reads omega at the lifted point.  Float entries are
+kept across base points, because the checks revisit every grid point.
 
 A hit is exact.  Jet arithmetic compares tags only by their order, and every
 tag that ``omega_matrix`` makes internally is stripped before it returns; so
@@ -26,15 +26,13 @@ instead.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import jets
 from .calculus import (
-    NEG_ZERO, VectorField, VectorForm, d_K, d_function, exterior_derivative,
-    field_apply, float_key, fn_bracket, identity_form, liouville_field,
-    semibasic_residual, sup_abs, vertical_endomorphism,
+    PointMemo, VectorField, VectorForm, d_K, d_function, exterior_derivative,
+    field_apply, fn_bracket, identity_form, liouville_field, point_key,
+    retag_array, semibasic_residual, sup_abs, vertical_endomorphism,
 )
 from .core import BaseFunction, ScalarField, SampleGrid, sample_slit_points
 from .errors import (
@@ -187,60 +185,35 @@ def _retag_factorization(factorization, tag_map):
              for r, row in enumerate(rows)])
 
 
-_VEC = "vec"
-
-
-def _point_key(z):
-    """One pass over a point: ``(key, base, tags)``, or None if it has no key.
-
-    ``tags`` lists the point's lift tags in order of first appearance and
-    ``base`` holds the real parts of the coordinates.  The key lists every
-    float of the point (a negative zero as its own token, as in
-    ``calculus.float_key``), a mark for each jet node giving the position of
-    its tag in ``tags`` and one for each Vec giving its number of slots, then
-    the order of those tags.  Two points get the same key exactly when an
-    order-preserving renaming of tags maps one onto the other.  A coordinate
-    or jet part that is neither a float, a Jet nor a Vec leaves the point
-    without a key.
-    """
-    key = float_key(z)
-    if key is not None:
-        return key + ((),), tuple(z), []
-    Jet, Vec, copysign = jets.Jet, jets.Vec, math.copysign
-    flat, base, tags, marks = [], [], [], {}
-    push = flat.append
-    for c in z:
-        if type(c) is float:
-            push(c if c or copysign(1.0, c) > 0.0 else NEG_ZERO)
-            base.append(c)
-            continue
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            if type(x) is Jet:
-                mark = marks.get(x.tag)
-                if mark is None:
-                    mark = marks[x.tag] = f"tag{len(tags)}"
-                    tags.append(x.tag)
-                push(mark)
-                stack += (x.dot, x.val)
-            elif type(x) is float:
-                push(x if x or copysign(1.0, x) > 0.0 else NEG_ZERO)
-            elif type(x) is Vec:
-                push(_VEC)
-                push(len(x.s))
-                stack += x.s
-            else:
-                return None
-        while type(c) is Jet:
-            c = c.val
-        base.append(c)
-    push(tuple(sorted(range(len(tags)), key=tags.__getitem__)) if len(tags) > 1 else ())
-    return tuple(flat), tuple(base), tags
-
-
 # ---------------------------------------------------------------------------
 # the validated structure
+
+
+def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
+    """sup |CE - 2E| over the grid, where each point must satisfy the energy axioms.
+
+    Raises at the first point that fails one: ``PositivityFailure`` if
+    E <= 0, ``HomogeneityFailure`` if |CE - 2E| > tol * max(1, |E|) and
+    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.
+    """
+    CE = field_apply(liouville_field(F.n), F.E)
+    devs = []
+    for p in grid:
+        z = p.coords()
+        e = F.E(z)
+        if not e > 0.0:
+            raise PositivityFailure("energy not positive on the slit bundle",
+                                    point=p, value=e)
+        dev = CE(z) - 2.0 * e
+        if abs(dev) > tol * max(1.0, abs(e)):
+            raise HomogeneityFailure("energy not 2-homogeneous: CE != 2E",
+                                     point=p, value=dev)
+        det = abs(np.linalg.det(np.array(F.metric_at(z), dtype=float)))
+        if det <= DET_FLOOR:
+            raise NondegeneracyFailure("fundamental tensor degenerate",
+                                       point=p, value=det)
+        devs.append(dev)
+    return sup_abs(devs)
 
 
 class FinslerStructure:
@@ -253,9 +226,7 @@ class FinslerStructure:
         self.grid = grid
         self.name = name or E.name or "finsler"
         self.omega = FundamentalForm(E, n)
-        self._memo_base = None
-        self._memo = {}
-        self._floats = {}
+        self._memo = PointMemo()
         self._spray = None
         self._berwald = None
         if validate:
@@ -265,42 +236,9 @@ class FinslerStructure:
         return f"FinslerStructure({self.name}, n={self.n})"
 
     def _validate(self, tol: float):
-        C = liouville_field(self.n)
-        CE = field_apply(C, self.E)
-        for p in self.grid:
-            z = p.coords()
-            e = self.E(z)
-            if not e > 0.0:
-                raise PositivityFailure("energy not positive on the slit bundle",
-                                        point=p, value=e)
-            dev = CE(z) - 2.0 * e
-            if abs(dev) > tol * max(1.0, abs(e)):
-                raise HomogeneityFailure("energy not 2-homogeneous: CE != 2E",
-                                         point=p, value=dev)
-            det = abs(np.linalg.det(np.array(self.metric_at(z), dtype=float)))
-            if det <= DET_FLOOR:
-                raise NondegeneracyFailure("fundamental tensor degenerate",
-                                           point=p, value=det)
+        energy_axioms_residual(self, self.grid, tol)
 
     # -- the point memo -------------------------------------------------------
-
-    def _lookup(self, point):
-        """The memo entry ``(tags, value)`` of a keyed point, or None."""
-        if point is None:
-            return None
-        key, base, tags = point
-        if base != self._memo_base:
-            self._memo = {}
-            self._memo_base = base
-        return self._memo.get(key) if tags else self._floats.get(key)
-
-    def _store(self, point, value):
-        if point is not None:
-            key, _, tags = point
-            self._memo[key] = entry = (tags, value)
-            if not tags:
-                self._floats[key] = entry
-        return value
 
     def _float_omega(self, z):
         m = np.array(omega_matrix(self.E, self.n, z), dtype=float)
@@ -312,11 +250,7 @@ class FinslerStructure:
         The entry is ``[omega's matrix, its factorization or None]`` in the
         tags it was stored with; the renaming is None when those are z's.
         """
-        hit = self._lookup(point)
-        if hit is None:
-            return self._store(point, [omega_matrix(self.E, self.n, z), None]), None
-        tags, entry = hit
-        return entry, (None if tags == point[2] else dict(zip(tags, point[2])))
+        return self._memo.entry(point, lambda: [omega_matrix(self.E, self.n, z), None])
 
     def omega_matrix_at(self, z):
         return self.omega.matrix_at(z)
@@ -327,14 +261,14 @@ class FinslerStructure:
         A hit is renamed to z's tags, so it is what ``omega_matrix_at``
         computes.  The result is shared: do not modify it.
         """
-        point = _point_key(z)
+        point = point_key(z)
         if point is None or not point[2]:
             return self.omega_matrix_at(z)
         entry, tag_map = self._jet_entry(point, z)
         if tag_map is None:
             return entry[0]
         try:
-            return [[jets.retag(x, tag_map) for x in row] for row in entry[0]]
+            return retag_array(entry[0], tag_map)
         except KeyError:  # E holds jets of its own: their tags are not renamed
             return self.omega_matrix_at(z)
 
@@ -345,11 +279,10 @@ class FinslerStructure:
 
     def sharp_at(self, beta_values, z):
         """Solve sum_a X^a omega_ab = beta_b at one (possibly jet-valued) point."""
-        point = _point_key(z)
+        point = point_key(z)
         if all(type(c) is not jets.Jet for c in z) \
                 and all(type(c) is not jets.Jet for c in beta_values):
-            hit = self._lookup(point)
-            m, cond = hit[1] if hit else self._store(point, self._float_omega(z))
+            m, cond = self._memo.entry(point, lambda: self._float_omega(z))[0]
             if cond > COND_LIMIT:
                 raise NondegeneracyFailure(
                     f"fundamental form ill-conditioned (cond={cond:.3e})",

@@ -433,3 +433,35 @@ def test_tensor_one_form_field():
     assert t(z, frame_vector(N2, 1)) == [0.0, 0.0, 0.0, 0.0]
     m = t.matrix(z)
     assert m[2][0] == 1.0 and m[3][0] == 2.0 and m[2][1] == 0.0
+
+
+def _semibasic_per_pair(K, points):
+    """semibasic_residual of a vector 2-form with one ``fn`` call per frame pair."""
+    fr = frame(N2)
+    devs = []
+    for p in points:
+        z = p.coords()
+        for i in range(N):
+            for b in range(N2):
+                devs.extend(K(z, fr[N + i], fr[b]))
+        for a in range(N2):
+            for b in range(a + 1, N2):
+                devs.extend(K(z, fr[a], fr[b])[:N])
+    return max(abs(v) for v in devs)
+
+
+def test_vector_two_form_matrix_and_semibasic_residual():
+    # without a matrix function the frame array is fn on every ordered frame
+    # pair; the semibasic residual reads it once per point
+    def ev(z, u, v):
+        w = u[0] * v[2] - u[2] * v[0]
+        return [z[2] * w, 0.0, u[0] * v[1] - u[1] * v[0], z[3] * w]
+
+    K = VectorForm(2, ev, N)
+    fr = frame(N2)
+    for p in list(GRID)[:3]:
+        z = p.coords()
+        assert K.matrix(z) == [[ev(z, u, v) for v in fr] for u in fr]
+    for form in (K, fn_bracket(J, J.scale(ScalarField(lambda z: z[2] * z[0], N)))):
+        assert semibasic_residual(form, GRID) == _semibasic_per_pair(form, GRID)
+    assert semibasic_residual(K, GRID) > 0.1

@@ -646,3 +646,111 @@ def test_sup_loops_propagate_nan_past_the_first_point():
               semibasic_residual(K1, GRID), semibasic_residual(K2, GRID),
               semibasic_residual(a1, GRID)):
         assert math.isnan(r)
+
+
+# -- the (1,1) bracket against the pairwise formula --------------------------------------
+
+
+def pairwise_bracket_1_1(K, L, z, X, Y):
+    """[K, L](X, Y) by eight scalar directional passes per frame pair.
+
+    [K,L](X,Y) = [KX,LY] + [LX,KY] - K([LX,Y] + [X,LY]) - L([KX,Y] + [X,KY])
+    for constant X, Y: the reference for the bracket's vector-lift path.
+    """
+
+    def kcol(z, v):
+        return K.fn(z, v)
+
+    def lcol(z, v):
+        return L.fn(z, v)
+
+    kX, kY = kcol(z, X), kcol(z, Y)
+    lX, lY = lcol(z, X), lcol(z, Y)
+    # [KX, LY] and [LX, KY] with constant-extended coefficient fields
+    d_kX_LY = jets.directional(lambda w: lcol(w, Y), z, kX)
+    d_lY_KX = jets.directional(lambda w: kcol(w, X), z, lY)
+    d_lX_KY = jets.directional(lambda w: kcol(w, Y), z, lX)
+    d_kY_LX = jets.directional(lambda w: lcol(w, X), z, kY)
+    # [LX, Y] = -D_Y(LX), [X, LY] = D_X(LY) for constant X, Y
+    d_Y_LX = jets.directional(lambda w: lcol(w, X), z, Y)
+    d_X_LY = jets.directional(lambda w: lcol(w, Y), z, X)
+    d_Y_KX = jets.directional(lambda w: kcol(w, X), z, Y)
+    d_X_KY = jets.directional(lambda w: kcol(w, Y), z, X)
+    k_arg = [a - b for a, b in zip(d_X_LY, d_Y_LX)]
+    l_arg = [a - b for a, b in zip(d_X_KY, d_Y_KX)]
+    k_term = K.fn(z, k_arg)
+    l_term = L.fn(z, l_arg)
+    return [(p - q) + (r - s) - t - u
+            for p, q, r, s, t, u in
+            zip(d_kX_LY, d_lY_KX, d_lX_KY, d_kY_LX, k_term, l_term)]
+
+
+def _parts(x, tag, k):
+    """x at the point and the slots of its tangent along a vector lift, with
+    every zero made +0.0 (the two paths may differ in the signs of zeros)."""
+    return [v + 0.0 for v in [jets.primal(x, tag)] + list(jets.slots(jets.tangent(x, tag), k))]
+
+
+def _bracket_pairs(F):
+    """(J, L) for the weak torsions of h0 and of h_L with L = [J, E-dy1], for
+    [J, [J, E-dy1]], and for two brackets that do not vanish: [J, f J] and
+    [J, f h0] with a polynomial f."""
+    n = F.n
+    Jn = vertical_endomorphism(n)
+    L = fn_bracket(Jn, build_field(F, "E-dy1"))
+    f = ScalarField(lambda z: z[n] * z[0] + z[2 * n - 1] * z[1] * z[n], n)
+    h0 = berwald(F).form
+    return [(Jn, h0), (Jn, l_ehresmann_connection(F, L).form), (Jn, L),
+            (Jn, Jn.scale(f)), (Jn, h0.scale(f))]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+def test_bracket_1_1_matches_pairwise_formula(fid, n):
+    # entry for entry as the pairwise scalar passes give it, up to zero signs,
+    # at float points (every ordered pair) and at a point lifted along the
+    # vector frame (every tangent slot, pairs a < b)
+    n2 = 2 * n
+    F = finsler_fixture(fid, sample_slit_points(n, 4, seed=1), n=n)
+    fr = [frame_vector(n2, a) for a in range(n2)]
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+    for K, L in _bracket_pairs(F):
+        br = fn_bracket(K, L)
+        for z in (z0, list(F.grid)[0].coords()):
+            t = br.matrix(z)
+            for a in range(n2):
+                for b in range(n2):
+                    ref = pairwise_bracket_1_1(K, L, z, fr[a], fr[b])
+                    assert [x + 0.0 for x in t[a][b]] == [x + 0.0 for x in ref]
+            assert br(z, fr[0], fr[n]) == t[0][n] and br(z, fr[n], fr[0]) == t[n][0]
+        tag = jets.fresh_tag()
+        za = jets.lift(z0, jets.vec_frame(n2), tag)
+        t = br.matrix(za)
+        for a in range(n2):
+            for b in range(a + 1, n2):
+                ref = pairwise_bracket_1_1(K, L, za, fr[a], fr[b])
+                assert [_parts(x, tag, n2) for x in t[a][b]] == \
+                    [_parts(x, tag, n2) for x in ref]
+
+
+def test_bracket_1_1_of_nonconstant_forms_matches_pairwise_formula():
+    # columns of K that are not frame vectors: the contractions round
+    # differently from the scalar passes, within a few ulps
+    for n in (2, 3):
+        n2 = 2 * n
+        F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
+        Jn = vertical_endomorphism(n)
+        f = ScalarField(lambda z: z[n] * z[0] + z[2 * n - 1] * z[1] * z[n], n)
+        h0 = berwald(F).form
+        fr = [frame_vector(n2, a) for a in range(n2)]
+        z = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+        for K, L in ((h0.scale(f), Jn), (Jn.scale(f), h0), (h0, h0.scale(f))):
+            t = fn_bracket(K, L).matrix(z)
+            devs, size = [], 0.0
+            for a in range(n2):
+                for b in range(n2):
+                    ref = pairwise_bracket_1_1(K, L, z, fr[a], fr[b])
+                    devs += [x - y for x, y in zip(t[a][b], ref)]
+                    size = max(size, maxabs(ref))
+            assert maxabs(devs) < 1e-12
+            assert size > 0.1

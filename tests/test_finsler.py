@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finslerlab import finsler, jets
+from finslerlab import calculus, finsler, jets
 from finslerlab.calculus import (
     DifferentialForm, VectorField, coordinate_one_form, d_function,
     exterior_derivative, fn_bracket, frame_vector, insert_one_form,
@@ -131,14 +131,21 @@ def _jet_constructions(fn):
     (2, "berwald", 600),
     (3, "berwald", 1200),
     (3, "dh_omega", 33000),
+    (3, "torsion", 13000),
 ])
 def test_jet_construction_budget(n, what, budget):
     # Jets and Vecs together.  Per-direction scalar passes (one nested pass
     # per Hessian entry of E, 2n lifts of S0 and of the point in d_h omega)
     # build 92, 946, 3099 and 89536 jets; vector passes 86, 527, 1035 and
-    # 28930 objects.  A dense lift builds 280, 3396 and 13008 jets in the
-    # first three cases, and d_h omega without the point memo 147451.
-    from finslerlab.connections import berwald, dh_omega_residual, l_ehresmann_connection
+    # 28930 objects, and d_h omega 25154 once the two connections share h0's
+    # lifted matrix.  A dense lift builds 280, 3396 and 13008 jets in the
+    # first three cases, and d_h omega without the point memo 147451.  The
+    # weak torsion [J, h0] at one point: 49125 with eight scalar passes per
+    # frame pair, 11448 from one vector lift of the point.
+    from finslerlab.connections import (
+        berwald, dh_omega_residual, l_ehresmann_connection, vector_form2_residual,
+        weak_torsion,
+    )
     from finslerlab.registry import build_field
     F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
     z = [0.1, -0.2, 0.3][:n] + [0.7, 0.4, -0.5][:n]
@@ -146,6 +153,9 @@ def test_jet_construction_budget(n, what, budget):
         count = _jet_constructions(lambda: omega_matrix(F.E, n, z))
     elif what == "berwald":
         count = _jet_constructions(lambda: berwald_connection(F)._compute_matrix(z))
+    elif what == "torsion":
+        torsion = weak_torsion(F, berwald(F))
+        count = _jet_constructions(lambda: vector_form2_residual(torsion, [point(*z)]))
     else:
         h0 = berwald(F)
         hL = l_ehresmann_connection(
@@ -429,11 +439,11 @@ def test_sharp_memo_keeps_one_base_point():
     for depth in (1, 2):
         z, _ = _jet_point(z1, depth)
         F.sharp_at(_jet_beta(z), z)
-    assert len(F._memo) == 3
+    assert len(F._memo.jets) == 2 and len(F._memo.floats) == 1
     z, _ = _jet_point(z2, 1)
     F.sharp_at(_jet_beta(z), z)
-    assert F._memo_base == tuple(z2)
-    assert len(F._memo) == 1
+    assert F._memo.base == tuple(z2)
+    assert len(F._memo.jets) == 1
 
 
 def test_sharp_memo_keeps_float_entries_across_base_points():
@@ -446,7 +456,7 @@ def test_sharp_memo_keeps_float_entries_across_base_points():
     with mock.patch.object(finsler, "omega_matrix",
                            side_effect=AssertionError("float entry dropped")):
         assert F.sharp_at(beta, z1) == first
-    assert F._memo_base == tuple(z1)
+    assert F._memo.base == tuple(z1)
 
 
 def test_jet_omega_matrix_is_shared_and_renamed():
@@ -475,7 +485,7 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
     omega = finsler.omega_matrix
 
     def counting(E, n, z):
-        built.append(len(finsler._point_key(z)[2]))
+        built.append(len(calculus.point_key(z)[2]))
         return omega(E, n, z)
 
     dh_omega_residual(F, berwald(F), [P0])
@@ -484,8 +494,58 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
     assert 1 not in built   # omega at the point lifted along the frame comes from the memo
 
 
+def test_matrix_memo_hit_is_renamed_and_exact():
+    # a vector form's matrix at a jet point comes from its point memo when the
+    # point differs from a stored one by a renaming of tags, renamed to its tags
+    from finslerlab.calculus import VectorForm
+    for n in (2, 3):
+        z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+        grid = sample_slit_points(n, 2, seed=3)
+        for depth in (1, 2):
+            h0 = berwald_connection(finsler_fixture("randers-0.3", grid, n=n))
+            first, _ = _jet_point(z0, depth, vec=0)
+            assert h0.matrix(first) is h0.matrix(first)
+            again, tags = _jet_point(z0, depth, vec=0)
+            with mock.patch.object(VectorForm, "_compute_matrix",
+                                   side_effect=AssertionError("memo missed")):
+                hit = h0.matrix(again)
+            fresh = berwald_connection(finsler_fixture("randers-0.3", grid, n=n)).matrix(again)
+            assert all(_identical(a, b) for u, v in zip(hit, fresh) for a, b in zip(u, v))
+            assert set().union(*(_tags_of(a) for row in hit for a in row)) == set(tags)
+
+
+def test_dh_omega_and_weak_torsion_build_the_lifted_berwald_matrix_once():
+    # d_h omega for h0 and for h_L (through h_L's sum matrix) and [J, h0] each
+    # lift the point along the vector frame with a tag of their own
+    from finslerlab.calculus import VectorForm
+    from finslerlab.connections import (
+        berwald, dh_omega_residual, l_ehresmann_connection, vector_form2_residual,
+        weak_torsion,
+    )
+    from finslerlab.registry import build_field
+    for n in (2, 3):
+        F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
+        h0 = berwald(F)
+        hL = l_ehresmann_connection(
+            F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
+        p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
+        built = []
+        compute = VectorForm._compute_matrix
+
+        def counting(self, z):
+            if self is h0.form and calculus.point_key(z)[2]:
+                built.append(z)
+            return compute(self, z)
+
+        with mock.patch.object(VectorForm, "_compute_matrix", counting):
+            dh_omega_residual(F, h0, [p])
+            dh_omega_residual(F, hL, [p])
+            vector_form2_residual(weak_torsion(F, h0), [p])
+        assert len(built) == 1
+
+
 def test_sharp_memo_key_separates_zero_signs_and_tag_order():
-    key = finsler._point_key
+    key = calculus.point_key
     t1, t2 = jets.fresh_tag(), jets.fresh_tag()
     z = [0.5, 0.0, 1.0, 2.0]
     assert key(z)[0] != key([0.5, -0.0, 1.0, 2.0])[0]
