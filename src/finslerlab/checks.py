@@ -376,10 +376,15 @@ def _chk14_homogeneity_lemma(F, ctx):
 
 
 def _chk15_dh_omega(F, ctx):
+    # point by point, so h_L reuses the lifted matrices h0 left in the jet memos
+    # (those entries live for one base point)
     J = vertical_endomorphism(F.n)
-    residuals = [dh_omega_residual(F, berwald(F), ctx.grid)]
+    h0 = berwald(F)
     hL = l_ehresmann_connection(F, fn_bracket(J, _e_dy1(F)))
-    residuals.append(dh_omega_residual(F, hL, ctx.grid))
+    residuals = []
+    for p in ctx.grid:
+        residuals.append(dh_omega_residual(F, h0, [p]))
+        residuals.append(dh_omega_residual(F, hL, [p]))
     return Outcome(sup_abs(residuals))
 
 

@@ -1,27 +1,24 @@
 """Finsler energies: validation, fundamental form, sharp operator, sprays.
 
 A validated structure caches its canonical spray and Berwald connection, and
-keeps one point memo (``calculus.PointMemo``) for the sharp solve.  The memo
-maps a point to what omega gives there: at a float point the matrix and its
-condition number, at a jet point omega's jet matrix and, once a solve needs
-it, the pivoted factorization of the jet system.  Its key is the point's
-canonical form (``calculus.point_key``): every float, a negative zero as its
-own token, and the lift tags up to an order-preserving renaming.  Jet entries
-are kept for one base point (the real parts of the coordinates) at a time
-and dropped when a call arrives at another one, so they are the lifts of the
-point being worked on: the sharp fields bracketed with J there (S0,
-(d_L E)#, grad f^v) are lifted along the same frames and share them, and so
-does ``d_h omega``, which reads omega at the lifted point.  Float entries are
-kept across base points, because the checks revisit every grid point.
+keeps one point memo (``calculus.PointMemo``) of omega.  At a float point it
+holds omega's matrix and its condition number, for the float sharp solve; at
+a jet point it holds omega's jet matrix, which the jet sharp solve and
+``d_h omega`` both read.  Its key is the point's canonical form
+(``calculus.point_key``): every float, a negative zero as its own token, and
+the lift tags up to an order-preserving renaming.  Jet entries are kept for
+one base point (the real parts of the coordinates) at a time and dropped
+when a call arrives at another one, so they are the lifts of the point being
+worked on: the sharp fields bracketed with J there (S0, (d_L E)#, grad f^v)
+are lifted along the same frames and share them.  Float entries are kept
+across base points, because the checks revisit every grid point.
 
 A hit is exact.  Jet arithmetic compares tags only by their order, and every
 tag that ``omega_matrix`` makes internally is stripped before it returns; so
-a stored matrix or factorization renamed to the caller's tags is, bit for
-bit, what a fresh computation at the caller's point would give.  Replaying a
-factorization on beta performs the elimination's operations in their
-original order.  An energy that holds jets of its own puts tags into omega
-that no point carries; a hit that would have to rename one computes afresh
-instead.
+a stored matrix renamed to the caller's tags is, bit for bit, what a fresh
+computation at the caller's point would give, and so is the sharp solve that
+reads it.  An energy that holds jets of its own puts tags into omega that no
+point carries; a hit that would have to rename one computes afresh instead.
 """
 
 from __future__ import annotations
@@ -117,72 +114,68 @@ class FundamentalForm:
 
 
 # ---------------------------------------------------------------------------
-# linear solves over jet scalars
+# the sharp solve over jet scalars
 
 
-def _factor_jet_system(m, z):
-    """Gaussian elimination of omega^T with pivoting on the real part, for jet entries.
+def _sharp_block_solve(m, beta, n, z):
+    """Solve sum_a X^a m[a][b] = beta_b through omega's metric block.
 
-    ``m`` is omega's matrix; the system solved is sum_a X^a m[a][b] = beta_b.
-    Returns the factorization (pivot rows, multipliers, eliminated rows), with
-    which ``_solve_factored`` performs the elimination's operations on a
-    right-hand side in their original order.  Only the upper triangle of the
-    eliminated rows is read.
+    ``m`` is omega's matrix [[A, -g], [g, 0]], so the 2n equations split into
+    two n x n solves with the metric g, split X = (X^h, X^v) and
+    beta = (beta^h, beta^v) alike:
+
+        g X^h = -beta^v,
+        g X^v = beta^h - A^T X^h,   (A^T X^h)_j = sum_i m[i][j] X^h_i.
+
+    g is eliminated once, pivoting on the real part: validation bounds only
+    |det g|, so g may be indefinite and its diagonal may vanish.  Both
+    right-hand sides go through the same recorded operations.  Exact float
+    zeros of A, such as its diagonal, are skipped.  A pivot that is zero, or
+    smaller than the largest pivot so far by more than COND_LIMIT, raises
+    ``NondegeneracyFailure``; as det omega = det(g)^2, this guards omega too.
     """
-    size = len(m)
-    rows = [[m[a][b] for a in range(size)] for b in range(size)]  # transpose
+    rows = [[m[n + i][j] for i in range(n)] for j in range(n)]  # g^T, by row j
+    steps = []  # (pivot row, multipliers) of each column
     piv_max = 0.0
-    pivots, mults = [], []
-    for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(jets.realpart(rows[r][col])))
-        pv = abs(jets.realpart(rows[pivot_row][col]))
+    for col in range(n):
+        p = max(range(col, n), key=lambda r: abs(jets.realpart(rows[r][col])))
+        pv = abs(jets.realpart(rows[p][col]))
         piv_max = max(piv_max, pv)
         if pv == 0.0 or piv_max / pv > COND_LIMIT:
             raise NondegeneracyFailure(
-                "fundamental form numerically singular during jet solve",
+                "fundamental tensor numerically singular during jet sharp solve",
                 point=[jets.realpart(c) for c in z], value=pv)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivots.append(pivot_row)
+        rows[col], rows[p] = rows[p], rows[col]
         inv = 1.0 / rows[col][col]
-        fs = []
-        for r in range(col + 1, size):
-            f = rows[r][col] * inv
-            fs.append(f)
-            for c in range(col + 1, size):
+        fs = [rows[r][col] * inv for r in range(col + 1, n)]
+        for r, f in enumerate(fs, col + 1):
+            for c in range(col + 1, n):
                 rows[r][c] = rows[r][c] - f * rows[col][c]
-        mults.append(fs)
-    return pivots, mults, rows
+        steps.append((p, fs))
 
+    def solve(b):
+        for col, (p, fs) in enumerate(steps):
+            b[col], b[p] = b[p], b[col]
+            for r, f in enumerate(fs, col + 1):
+                b[r] = b[r] - f * b[col]
+        x = [0.0] * n
+        for r in range(n - 1, -1, -1):
+            acc = b[r]
+            for c in range(r + 1, n):
+                acc = acc - rows[r][c] * x[c]
+            x[r] = acc / rows[r][r]
+        return x
 
-def _solve_factored(factorization, rhs):
-    pivots, mults, rows = factorization
-    b = list(rhs)
-    for col, pivot_row in enumerate(pivots):
-        if pivot_row != col:
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        for r, f in enumerate(mults[col], col + 1):
-            b[r] = b[r] - f * b[col]
-    return _back_substitute(rows, b)
-
-
-def _back_substitute(rows, b):
-    size = len(b)
-    x = [0.0] * size
-    for r in range(size - 1, -1, -1):
-        row = rows[r]
-        acc = b[r]
-        for c in range(r + 1, size):
-            acc = acc - row[c] * x[c]
-        x[r] = acc / row[r]
-    return x
-
-
-def _retag_factorization(factorization, tag_map):
-    pivots, mults, rows = factorization
-    return (pivots, [[jets.retag(f, tag_map) for f in fs] for fs in mults],
-            [[0.0] * r + [jets.retag(u, tag_map) for u in row[r:]]
-             for r, row in enumerate(rows)])
+    xh = solve([-v for v in beta[n:]])
+    rhs = []
+    for j in range(n):
+        acc = beta[j]
+        for i in range(n):
+            a = m[i][j]
+            if type(a) is not float or a != 0.0:
+                acc = acc - a * xh[i]
+        rhs.append(acc)
+    return xh + solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +237,27 @@ class FinslerStructure:
         m = np.array(omega_matrix(self.E, self.n, z), dtype=float)
         return m, float(np.linalg.cond(m))
 
-    def _jet_entry(self, point, z):
-        """The memo entry of a keyed jet point and the renaming of its tags to z's.
-
-        The entry is ``[omega's matrix, its factorization or None]`` in the
-        tags it was stored with; the renaming is None when those are z's.
-        """
-        return self._memo.entry(point, lambda: [omega_matrix(self.E, self.n, z), None])
-
     def omega_matrix_at(self, z):
         return self.omega.matrix_at(z)
 
     def jet_omega_matrix_at(self, z):
         """omega's matrix at a jet point, shared through the point memo.
 
-        A hit is renamed to z's tags, so it is what ``omega_matrix_at``
-        computes.  The result is shared: do not modify it.
+        The jet sharp solve and ``d_h omega`` both read omega here, so the
+        sharp fields bracketed with J at one point and d_h omega there build
+        it once per lifted point.  A hit is renamed to z's tags, so it is what
+        ``omega_matrix_at`` computes; a point without a key or without tags
+        (whose key holds the float entry) is computed afresh.  The result is
+        shared: do not modify it.
         """
         point = point_key(z)
         if point is None or not point[2]:
             return self.omega_matrix_at(z)
-        entry, tag_map = self._jet_entry(point, z)
+        m, tag_map = self._memo.entry(point, lambda: self.omega_matrix_at(z))
         if tag_map is None:
-            return entry[0]
+            return m
         try:
-            return retag_array(entry[0], tag_map)
+            return retag_array(m, tag_map)
         except KeyError:  # E holds jets of its own: their tags are not renamed
             return self.omega_matrix_at(z)
 
@@ -279,33 +268,16 @@ class FinslerStructure:
 
     def sharp_at(self, beta_values, z):
         """Solve sum_a X^a omega_ab = beta_b at one (possibly jet-valued) point."""
-        point = point_key(z)
         if all(type(c) is not jets.Jet for c in z) \
                 and all(type(c) is not jets.Jet for c in beta_values):
-            m, cond = self._memo.entry(point, lambda: self._float_omega(z))[0]
+            m, cond = self._memo.entry(point_key(z), lambda: self._float_omega(z))[0]
             if cond > COND_LIMIT:
                 raise NondegeneracyFailure(
                     f"fundamental form ill-conditioned (cond={cond:.3e})",
                     point=list(z), value=cond)
             sol = np.linalg.solve(m.T, np.array(beta_values, dtype=float))
             return [float(v) + 0.0 for v in sol]  # +0.0 normalises -0.0
-        if point is None or not point[2]:
-            # no key, or a jet beta at a float point, whose key holds the float entry
-            return self._fresh_jet_solve(beta_values, z)
-        entry, tag_map = self._jet_entry(point, z)
-        if entry[1] is None:
-            entry[1] = _factor_jet_system(entry[0], z)
-        factorization = entry[1]
-        if tag_map is not None:
-            try:
-                factorization = _retag_factorization(factorization, tag_map)
-            except KeyError:  # E holds jets of its own: their tags are not renamed
-                return self._fresh_jet_solve(beta_values, z)
-        return _solve_factored(factorization, beta_values)
-
-    def _fresh_jet_solve(self, beta_values, z):
-        m = omega_matrix(self.E, self.n, z)
-        return _solve_factored(_factor_jet_system(m, z), beta_values)
+        return _sharp_block_solve(self.jet_omega_matrix_at(z), beta_values, self.n, z)
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,

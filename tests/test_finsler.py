@@ -350,6 +350,77 @@ def test_sharp_condition_failure():
             F.sharp_at(beta, z)
 
 
+def _sharp_full_elimination(m, beta):
+    """sum_a X^a m[a][b] = beta_b by Gaussian elimination of the whole 2n x 2n
+    omega^T, pivoting on the real part: the jet sharp solve before it went
+    through omega's metric block, kept as the reference."""
+    size = len(m)
+    rows = [[m[a][b] for a in range(size)] for b in range(size)]
+    b = list(beta)
+    for col in range(size):
+        p = max(range(col, size), key=lambda r: abs(jets.realpart(rows[r][col])))
+        assert jets.realpart(rows[p][col]) != 0.0
+        rows[col], rows[p] = rows[p], rows[col]
+        b[col], b[p] = b[p], b[col]
+        inv = 1.0 / rows[col][col]
+        for r in range(col + 1, size):
+            f = rows[r][col] * inv
+            for c in range(col + 1, size):
+                rows[r][c] = rows[r][c] - f * rows[col][c]
+            b[r] = b[r] - f * b[col]
+    x = [0.0] * size
+    for r in range(size - 1, -1, -1):
+        acc = b[r]
+        for c in range(r + 1, size):
+            acc = acc - rows[r][c] * x[c]
+        x[r] = acc / rows[r][r]
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+def test_sharp_block_solve_matches_full_elimination(fid, n):
+    # a conformal change makes omega's skew block A nonzero, so the A^T X^h term counts
+    n2 = 2 * n
+    grid = sample_slit_points(n, 2, seed=3)
+    f = BaseFunction(lambda x: 0.3 * x[0] * x[1] - 0.2 * x[n - 1], n, "f")
+    F = conformal_change(finsler_fixture(fid, grid, n=n), f)
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+    zs, tags = _lifted(z0, [jets.vec_frame(n2), [0.5, -0.25, 1.0, 0.75, -0.5, 0.25][:n2]])
+    m = omega_matrix(F.E, n, zs)
+    assert all(jets.realpart(m[i][j]) != 0.0 for i in range(n) for j in range(n) if i != j)
+    beta = _jet_beta(zs)
+    got = F.sharp_at(beta, zs)
+    ref = _sharp_full_elimination(m, beta)
+    for u, v in zip(got, ref):
+        for a in range(n2):
+            slot = (tags[1], a, n2)
+            for x, y in zip(_coeffs(u, tags, slot), _coeffs(v, tags, slot)):
+                assert abs(x - y) <= 1e-12 * abs(y)
+
+
+def test_sharp_with_an_indefinite_metric_pivots():
+    # E = y1 y2 has g = [[0, 1], [1, 0]]: the metric block must be pivoted
+    from finslerlab.finsler import FinslerStructure
+    F = FinslerStructure(ScalarField(lambda z: z[2] * z[3], N), N, GRID, validate=False)
+    zs, tags = _lifted(P0.coords(), [frame_vector(N2, 0), [0.5, -0.25, 1.0, 0.75]])
+    m = omega_matrix(F.E, N, zs)
+    assert jets.realpart(m[N][0]) == 0.0
+    beta = _jet_beta(zs)
+    x = F.sharp_at(beta, zs)
+    for b in range(N2):
+        r = sum(x[a] * m[a][b] for a in range(N2)) - beta[b]
+        assert all(abs(c) <= 1e-12 for c in _coeffs(r, tags))
+
+
+def test_sharp_with_a_degenerate_metric_fails_at_a_jet_point():
+    from finslerlab.finsler import FinslerStructure
+    F = FinslerStructure(ScalarField(lambda z: 0.5 * z[2] * z[2], N), N, GRID, validate=False)
+    z = jets.lift(P0.coords(), frame_vector(N2, 0), jets.fresh_tag())
+    with pytest.raises(NondegeneracyFailure):
+        F.sharp_at(_jet_beta(z), z)
+
+
 # -- the point memo of the sharp solve ------------------------------------------------
 
 

@@ -266,4 +266,4 @@ def test_golden_report_digest(capsys):
     """
     main(["check", "--seed", "7", "--samples", "4"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "0fd4d37e96a8b9f68567a27b7a34841c500b1c71f4e6f8724c17fd28ffd03dff"
+    assert digest == "07a5cf9030425f6c0d8e2d97c8cb72bec33b29032991d175c14e21006c5e8f42"
