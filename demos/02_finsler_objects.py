@@ -46,7 +46,7 @@ print("h0 column 1:", [row[0] for row in h0.matrix(z)])
 # J kills the horizontal image again: J o h0 = J, h0 o J = 0.
 J = vertical_endomorphism(2)
 col = [row[0] for row in h0.matrix(z)]
-print("J(h0 dx1)  =", J.apply(z, col))
+print("J(h0 dx1)  =", J(z, col))
 
 # The Randers fixture is genuinely non-Riemannian: its metric tensor varies
 # with the fiber direction.

@@ -1,10 +1,11 @@
 """Vector fields, differential forms, vector-valued forms, and their calculus.
 
-Everything is stored as a pure evaluator over flat bundle coordinates.  Forms
-and vector forms are pointwise multilinear, so they are always evaluated on
-constant coordinate vectors; derivative-based operators (exterior derivative,
-Lie and Frolicher-Nijenhuis brackets) extend the arguments as constant fields,
-which the tensoriality of each formula makes legitimate.
+Everything is stored as a pure evaluator over flat bundle coordinates; a
+vector form as the evaluator of its frame array.  Forms and vector forms are
+pointwise multilinear, so they are always evaluated on constant coordinate
+vectors; derivative-based operators (exterior derivative, Lie and
+Frolicher-Nijenhuis brackets) extend the arguments as constant fields, which
+the tensoriality of each formula makes legitimate.
 
 Degree and sign conventions:
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from . import jets
 from .core import BaseFunction, ScalarField
@@ -41,23 +43,6 @@ def frame(n2: int):
 
 
 NEG_ZERO = "-0.0"
-
-
-def float_key(z):
-    """Memo key of a point whose coordinates are all floats, else None.
-
-    A negative zero is its own token: ``tuple(z)`` would give -0.0 and 0.0
-    the same key, and a function may tell them apart.
-    """
-    key = tuple(z)
-    for c in key:
-        if type(c) is not float:
-            return None
-    if 0.0 in key:
-        key = tuple(c if c or math.copysign(1.0, c) > 0.0 else NEG_ZERO for c in key)
-    return key
-
-
 _VEC = "vec"
 
 
@@ -66,16 +51,21 @@ def point_key(z):
 
     ``tags`` lists the point's lift tags in order of first appearance and
     ``base`` holds the real parts of the coordinates.  The key lists every
-    float of the point (a negative zero as its own token, as in
-    ``float_key``), a mark for each jet node giving the position of its tag
-    in ``tags`` and one for each Vec giving its number of slots, then the
-    order of those tags.  Two points get the same key exactly when an
-    order-preserving renaming of tags maps one onto the other.  A coordinate
-    or jet part that is neither a float, a Jet nor a Vec leaves the point
-    without a key.
+    float of the point (a negative zero as its own token: ``tuple(z)`` would
+    give -0.0 and 0.0 the same key, and a function may tell them apart), a
+    mark for each jet node giving the position of its tag in ``tags`` and one
+    for each Vec giving its number of slots, then the order of those tags.
+    Two points get the same key exactly when an order-preserving renaming of
+    tags maps one onto the other.  A coordinate or jet part that is neither a
+    float, a Jet nor a Vec leaves the point without a key.
     """
-    key = float_key(z)
-    if key is not None:
+    key = tuple(z)
+    for c in key:
+        if type(c) is not float:
+            break
+    else:
+        if 0.0 in key:
+            key = tuple(c if c or math.copysign(1.0, c) > 0.0 else NEG_ZERO for c in key)
         return key + ((),), tuple(z), []
     Jet, Vec, copysign = jets.Jet, jets.Vec, math.copysign
     flat, base, tags, marks = [], [], [], {}
@@ -192,20 +182,13 @@ class VectorField:
         self.fn = fn
         self.n = n
         self.name = name
-        self._memo = {} if memo else None
+        self._memo = PointMemo() if memo else None
 
     def __call__(self, z):
         memo = self._memo
         if memo is None:
             return self.fn(z)
-        key = float_key(z)
-        if key is None:
-            return self.fn(z)
-        hit = memo.get(key)
-        if hit is None:
-            hit = self.fn(z)
-            memo[key] = hit
-        return hit
+        return memo.get(z, self.fn, retag_array)
 
     def __repr__(self):
         return f"VectorField({self.name or 'anonymous'}, n={self.n})"
@@ -402,15 +385,22 @@ def exterior_derivative(alpha: DifferentialForm) -> DifferentialForm:
 
 
 class VectorForm:
-    """Vector-valued skew k-form, k in {1, 2}; k = 0 is just VectorField."""
+    """Vector-valued skew k-form, k in {1, 2}; k = 0 is just VectorField.
 
-    __slots__ = ("degree", "fn", "n", "name", "_matrix_fn", "_matrix_memo")
+    A vector form is its frame array at each point, given by its matrix
+    function: at degree 1 the matrix M[a][b] = component a of K(e_b), whose
+    columns are the images of the frame; at degree 2 the array T[a][b] =
+    K(e_a, e_b), a list of 2n vectors of 2n components.  ``K(z, *vectors)``
+    contracts the array with the vectors (``_combine``): degree 1 over the
+    columns, degree 2 over the rows and then over the entries of each row.
+    """
 
-    def __init__(self, degree: int, fn, n: int, name: str = "", matrix_fn=None):
+    __slots__ = ("degree", "n", "name", "_matrix_fn", "_matrix_memo")
+
+    def __init__(self, degree: int, matrix_fn, n: int, name: str = ""):
         if degree not in (1, 2):
             raise DegreeOutOfRange(f"vector form degree must be 1 or 2, got {degree}")
         self.degree = degree
-        self.fn = fn
         self.n = n
         self.name = name
         self._matrix_fn = matrix_fn
@@ -420,20 +410,19 @@ class VectorForm:
         if len(vectors) != self.degree:
             raise DegreeOutOfRange(
                 f"vector {self.degree}-form called with {len(vectors)} vectors")
-        return self.fn(z, *vectors)
+        m = self.matrix(z)
+        if self.degree == 1:
+            return list(_combine(vectors[0], list(zip(*m))))
+        u, v = vectors
+        return list(_combine(u, [_combine(v, row) for row in m]))
 
     def __repr__(self):
         return f"VectorForm(k={self.degree}, {self.name or 'anonymous'})"
 
     def matrix(self, z):
-        """The form's frame array at z.
+        """The form's frame array at z (see the class docstring).
 
-        Degree 1: the matrix M[a][b] = component a of K(e_b), whose columns
-        are the images of the frame.  Degree 2: the array T[a][b] = K(e_a,
-        e_b), a list of 2n vectors of 2n components.  From the form's matrix
-        function, else from ``fn`` on the frame (degree 2: on every ordered
-        frame pair).  Shared with the memo once ``memoize_matrix`` is on: do
-        not modify it.
+        Shared with the memo once ``memoize_matrix`` is on: do not modify it.
         """
         memo = self._matrix_memo
         if memo is None:
@@ -446,80 +435,55 @@ class VectorForm:
             self._matrix_memo = PointMemo()
 
     def _compute_matrix(self, z):
-        if self._matrix_fn is not None:
-            return self._matrix_fn(z)
-        n2 = 2 * self.n
-        fr = frame(n2)
-        if self.degree == 2:
-            return [[self.fn(z, u, v) for v in fr] for u in fr]
-        cols = [self.fn(z, v) for v in fr]
-        return [[cols[b][a] for b in range(n2)] for a in range(n2)]
-
-    def apply(self, z, vec):
-        """K(z) applied to one constant vector (degree 1)."""
-        return self.fn(z, vec)
+        return self._matrix_fn(z)
 
     def __add__(self, other):
         if other.degree != self.degree:
             raise DegreeOutOfRange("cannot add vector forms of different degree")
-        mfn = None
-        if self.degree == 1:
-            def mfn(z):
-                a, b = self.matrix(z), other.matrix(z)
-                return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        return VectorForm(self.degree,
-                          lambda z, *v: [x + y for x, y in zip(self.fn(z, *v), other.fn(z, *v))],
-                          self.n, matrix_fn=mfn)
+        return VectorForm(
+            self.degree, lambda z: _map_arrays(operator.add, self.matrix(z), other.matrix(z)),
+            self.n)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, c):
         if isinstance(c, ScalarField):
-            mfn = None
-            if self.degree == 1:
-                def mfn(z):
-                    s = c(z)
-                    return [[s * x for x in row] for row in self.matrix(z)]
-            return VectorForm(self.degree,
-                              lambda z, *v: [c(z) * x for x in self.fn(z, *v)],
-                              self.n, matrix_fn=mfn)
-        mfn = None
-        if self.degree == 1:
             def mfn(z):
-                return [[c * x for x in row] for row in self.matrix(z)]
-        return VectorForm(self.degree, lambda z, *v: [c * x for x in self.fn(z, *v)],
-                          self.n, matrix_fn=mfn)
+                s = c(z)
+                return _map_arrays(lambda x: s * x, self.matrix(z))
+            return VectorForm(self.degree, mfn, self.n)
+        return VectorForm(self.degree, lambda z: _map_arrays(lambda x: c * x, self.matrix(z)),
+                          self.n)
 
 
-def _matvec(m, v):
-    return [sum(row[b] * v[b] for b in range(len(v))) for row in m]
+def _map_arrays(f, *arrays):
+    """``f`` entry by entry over arrays of one shape: matrices, or the frame
+    arrays of vector 2-forms."""
+    if type(arrays[0][0][0]) is list:
+        return [_map_arrays(f, *rows) for rows in zip(*arrays)]
+    return [[f(*xs) for xs in zip(*rows)] for rows in zip(*arrays)]
 
 
-class ConstantVectorForm(VectorForm):
+def constant_vector_form(coeffs, n: int, name: str = "") -> VectorForm:
     """Vector 1-form with constant coefficients in the coordinate frame."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, n: int, name: str = ""):
-        self.coeffs = [list(row) for row in coeffs]
-        super().__init__(1, lambda z, v: _matvec(self.coeffs, v), n, name,
-                         matrix_fn=lambda z: [list(row) for row in self.coeffs])
+    m = [list(row) for row in coeffs]
+    return VectorForm(1, lambda z: [list(row) for row in m], n, name)
 
 
-def identity_form(n: int) -> ConstantVectorForm:
+def identity_form(n: int) -> VectorForm:
     n2 = 2 * n
     m = [[1.0 if a == b else 0.0 for b in range(n2)] for a in range(n2)]
-    return ConstantVectorForm(m, n, "Id")
+    return constant_vector_form(m, n, "Id")
 
 
-def vertical_endomorphism(n: int) -> ConstantVectorForm:
+def vertical_endomorphism(n: int) -> VectorForm:
     """J: d/dx^i -> d/dy^i, d/dy^i -> 0."""
     n2 = 2 * n
     m = [[0.0] * n2 for _ in range(n2)]
     for i in range(n):
         m[n + i][i] = 1.0
-    return ConstantVectorForm(m, n, "J")
+    return constant_vector_form(m, n, "J")
 
 
 def tensor_one_form_field(alpha: DifferentialForm, X: VectorField) -> VectorForm:
@@ -527,21 +491,21 @@ def tensor_one_form_field(alpha: DifferentialForm, X: VectorField) -> VectorForm
     if alpha.degree != 1:
         raise DegreeOutOfRange("tensor product needs a 1-form")
 
-    def ev(z, v):
-        c = alpha.fn(z, v)
-        return [c * a for a in X(z)]
-
     def mfn(z):
         xz = X(z)
         n2 = 2 * X.n
         row = [alpha.fn(z, frame_vector(n2, b)) for b in range(n2)]
         return [[row[b] * xa for b in range(n2)] for xa in xz]
 
-    return VectorForm(1, ev, X.n, name=f"{alpha.name}(x){X.name}", matrix_fn=mfn)
+    return VectorForm(1, mfn, X.n, name=f"{alpha.name}(x){X.name}")
 
 
 def zero_vector_form(n: int, degree: int = 1) -> VectorForm:
-    return VectorForm(degree, lambda z, *v: [0.0] * (2 * n), n, "0")
+    n2 = 2 * n
+    if degree == 1:
+        return VectorForm(1, lambda z: [[0.0] * n2 for _ in range(n2)], n, "0")
+    return VectorForm(degree, lambda z: [[[0.0] * n2 for _ in range(n2)] for _ in range(n2)],
+                      n, "0")
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +525,15 @@ def insert_vector(Y: VectorField, K):
                                 name=f"i_{Y.name}{K.name}")
     if isinstance(K, VectorForm):
         if K.degree == 1:
-            return VectorField(lambda z: K.fn(z, Y(z)), K.n, name=f"{K.name}({Y.name})")
-        return VectorForm(1, lambda z, v: K.fn(z, Y(z), v), K.n,
-                          name=f"i_{Y.name}{K.name}")
+            return VectorField(lambda z: K(z, Y(z)), K.n, name=f"{K.name}({Y.name})")
+
+        def mfn(z):
+            # column b is K(Y, e_b), the contraction of Y with the frame array's column b
+            t, yz = K.matrix(z), Y(z)
+            cols = [_combine(yz, [row[b] for row in t]) for b in range(len(t))]
+            return [[col[a] for col in cols] for a in range(len(t))]
+
+        return VectorForm(1, mfn, K.n, name=f"i_{Y.name}{K.name}")
     raise TypeError(f"cannot insert a vector field into {type(K).__name__}")
 
 
@@ -578,7 +548,7 @@ def insert_one_form(K: VectorForm, alpha: DifferentialForm) -> DifferentialForm:
         total = 0.0
         for i in range(len(vectors)):
             replaced = list(vectors)
-            replaced[i] = K.fn(z, vectors[i])
+            replaced[i] = K(z, vectors[i])
             total = total + alpha.fn(z, *replaced)
         return total
 
@@ -590,11 +560,11 @@ def d_K(K: VectorForm, target) -> DifferentialForm:
     if isinstance(target, ScalarField):
         if K.degree == 1:
             def ev(z, v):
-                return jets.directional(target.fn, z, K.fn(z, v))
+                return jets.directional(target.fn, z, K(z, v))
             return DifferentialForm(1, ev, K.n, name=f"d_{K.name}{target.name}")
 
         def ev2(z, u, v):
-            return jets.directional(target.fn, z, K.fn(z, u, v))
+            return jets.directional(target.fn, z, K(z, u, v))
         return DifferentialForm(2, ev2, K.n, name=f"d_{K.name}{target.name}")
     if isinstance(target, DifferentialForm):
         if target.degree == 0:
@@ -631,56 +601,37 @@ def lie_derivative(Y: VectorField, alpha: DifferentialForm) -> DifferentialForm:
 
 
 def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
-    """[K, Y] X = [KX, Y] - K [X, Y], tensorial in X."""
-    n2 = 2 * K.n
-    const = getattr(K, "coeffs", None)
+    """[K, Y] = DY.K - D_Y K - K.DY, a vector 1-form.
 
-    def column(z, X):
-        if const is not None:
-            kx = _matvec(const, X)
-            if any(v != 0.0 for v in kx):
-                d_kx_Y = jets.directional(Y.fn, z, kx)
-            else:
-                d_kx_Y = [0.0] * n2
-            d_x_Y = jets.directional(Y.fn, z, X)
-            kdxy = _matvec(const, d_x_Y)
-            return [a - b for a, b in zip(d_kx_Y, kdxy)]
-        yz = Y(z)
-        kxz = K.fn(z, X)
-        d_kx_Y = jets.directional(Y.fn, z, kxz)
-        d_y_KX = jets.directional(lambda w: K.fn(w, X), z, yz)
-        d_x_Y = jets.directional(Y.fn, z, X)
-        kdxy = K.fn(z, d_x_Y)
-        return [a - b - c for a, b, c in zip(d_kx_Y, d_y_KX, kdxy)]
+    For constant X, [K, Y] X = [KX, Y] - K [X, Y] = D_{KX} Y - D_Y(KX) - K D_X Y,
+    with DY the Jacobian of Y (column c is D_c Y, the derivative along e_c)
+    and D_Y K the derivative of K's matrix along Y.  One lift of the point
+    along the vector frame gives Y there and DY; one lift along Y(z) gives K
+    there and D_Y K, a structural zero (0.0) when K is constant.  The
+    products are contractions whose coefficients are K's entries
+    (``_combine``): column b of DY.K is DY (K e_b), and row a of K.DY is the
+    rows of DY weighted by row a of K.  An exact-zero entry of K is skipped
+    and a unit entry takes a column or row of DY as it is, so for K = J (and
+    Id) every entry is what the scalar passes of the column formula give,
+    up to the sign of a zero: a vector lift's slot repeats the scalar pass.
+    """
+    n2 = 2 * K.n
+    rng = range(n2)
+    frame_vec = jets.vec_frame(n2)
 
     def matrix_fn(z):
-        if const is not None:
-            # one vector pass: slot b lifts along e_b, slot n2 + b along K e_b
-            dirs = [jets.Vec(frame_vector(n2, c) + const[c]) for c in range(n2)]
-            jac = [jets.slots(d, 2 * n2) for d in jets.directional(Y.fn, z, dirs)]
-            cols = []
-            for b in range(n2):
-                kdxy = _matvec(const, [jac[a][b] for a in range(n2)])
-                cols.append([jac[a][n2 + b] - c for a, c in enumerate(kdxy)])
-            return [[cols[b][a] for b in range(n2)] for a in range(n2)]
-        yz = Y(z)
-        kmat = K.matrix(z)
-        kmat_shift = jets.directional(lambda w: _flatten(K.matrix(w)), z, yz)
-        frame_lifts = [jets.directional(Y.fn, z, frame_vector(n2, b)) for b in range(n2)]
-        kcol_lifts = [jets.directional(Y.fn, z, [kmat[a][b] for a in range(n2)])
-                      for b in range(n2)]
-        cols = []
-        for b in range(n2):
-            d_y_KX = [kmat_shift[a * n2 + b] for a in range(n2)]
-            kdxy = _matvec(kmat, frame_lifts[b])
-            cols.append([p - q - r for p, q, r in zip(kcol_lifts[b], d_y_KX, kdxy)])
-        return [[cols[b][a] for b in range(n2)] for a in range(n2)]
+        yz, dy = jets.jvp(Y.fn, z, frame_vec)
+        dy_rows = [jets.slots(d, n2) for d in dy]
+        dy_cols = list(zip(*dy_rows))
+        tag = jets.fresh_tag()
+        lifted = K.matrix(jets.lift(z, yz, tag))
+        k = [[jets.primal(x, tag) for x in row] for row in lifted]
+        d_y_k = [[jets.tangent(x, tag) for x in row] for row in lifted]
+        dy_k = [_combine([row[b] for row in k], dy_cols) for b in rng]
+        k_dy = [_combine(row, dy_rows) for row in k]
+        return [[dy_k[b][a] - d_y_k[a][b] - k_dy[a][b] for b in rng] for a in rng]
 
-    return VectorForm(1, column, K.n, name=f"[{K.name},{Y.name}]", matrix_fn=matrix_fn)
-
-
-def _flatten(m):
-    return [x for row in m for x in row]
+    return VectorForm(1, matrix_fn, K.n, name=f"[{K.name},{Y.name}]")
 
 
 def _combine(coeffs, vectors):
@@ -738,9 +689,8 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
     the scalar lift along it, because a vector lift's slot repeats the
     scalar pass.  So when every column of K is a frame vector or zero and K
     is constant (as for J), every entry is what the pairwise scalar lifts
-    give, up to the signs of zeros.  Other K round differently.  ``fn``
-    contracts the array the same way, so on frame vectors it returns its
-    entries.
+    give, up to the signs of zeros.  Other K round differently.  Applied to
+    frame vectors, the form returns the array's entries.
     """
     n2 = 2 * K.n
     rng = range(n2)
@@ -766,10 +716,7 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
                 arr[b][a] = [-x for x in v]
         return arr
 
-    def ev(z, X, Y):
-        return list(_combine(X, [_combine(Y, row) for row in matrix_fn(z)]))
-
-    return VectorForm(2, ev, K.n, name=f"[{K.name},{L.name}]", matrix_fn=matrix_fn)
+    return VectorForm(2, matrix_fn, K.n, name=f"[{K.name},{L.name}]")
 
 
 def fn_bracket(K, L):

@@ -136,7 +136,7 @@ def associated_semispray(F: FinslerStructure, h) -> VectorField:
     """S = h(S0); the same field for any semispray seed since h kills verticals."""
     form = _as_form(h)
     s0 = canonical_spray(F)
-    out = VectorField(lambda z: form.fn(z, s0(z)), F.n, name="h(S0)", memo=True)
+    out = VectorField(lambda z: form(z, s0(z)), F.n, name="h(S0)", memo=True)
     return out
 
 

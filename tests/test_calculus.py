@@ -71,7 +71,7 @@ def test_vertical_lift_vector():
     xv = vertical_lift_vector([BaseFunction(lambda x: 1.0, N), BaseFunction(lambda x: 0.0, N)], N)
     for p in GRID:
         assert xv(p.coords()) == [0.0, 0.0, 1.0, 0.0]
-    assert J.apply(P0.coords(), xv(P0.coords())) == [0.0, 0.0, 0.0, 0.0]
+    assert J(P0.coords(), xv(P0.coords())) == [0.0, 0.0, 0.0, 0.0]
     # [J, X^v] = 0 for base-constant X
     br = fn_bracket(J, xv)
     for p in GRID:
@@ -87,13 +87,13 @@ def test_liouville():
 
 def test_vertical_endomorphism():
     z = P0.coords()
-    assert J.apply(z, [1.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 1.0, 0.0]
-    assert J.apply(z, [0.0, 0.0, 1.0, 0.0]) == [0.0, 0.0, 0.0, 0.0]
-    assert J.apply(z, S0_EUC(z)) == C(z)  # J(S) = C for a semispray
-    assert J.apply(z, C(z)) == [0.0] * 4
+    assert J(z, [1.0, 0.0, 0.0, 0.0]) == [0.0, 0.0, 1.0, 0.0]
+    assert J(z, [0.0, 0.0, 1.0, 0.0]) == [0.0, 0.0, 0.0, 0.0]
+    assert J(z, S0_EUC(z)) == C(z)  # J(S) = C for a semispray
+    assert J(z, C(z)) == [0.0] * 4
     # J o J = 0
     for a in range(N2):
-        assert J.apply(z, J.apply(z, frame_vector(N2, a))) == [0.0] * 4
+        assert J(z, J(z, frame_vector(N2, a))) == [0.0] * 4
 
 
 # -- Lie bracket ---------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_fn_bracket_1_1_hand_value():
 
 
 def test_bracket_matrix_matches_columns():
-    # the shared-lift matrix path must agree with naive column evaluation
+    # the form applied to a frame vector is the matrix's column
     for K, Y in ((J, S0_EUC), (J, randvector(8)), (fn_bracket(J, S0_EUC), C)):
         br = fn_bracket(K, Y)
         for p in list(GRID)[:3]:
@@ -270,8 +270,8 @@ def test_bracket_matrix_matches_columns():
 
 
 def test_constant_bracket_vector_pass_matches_columns_exactly():
-    # one vector lift along the frame and the columns of K gives, entry for
-    # entry, the per-column scalar lifts; so does a column along the vector frame
+    # the form applied to each frame vector gives the matrix's columns exactly,
+    # and applied to the vector frame gives them slot by slot
     for K, Y in ((J, S0_EUC), (J, randvector(8)), (identity_form(N), randvector(9))):
         br = fn_bracket(K, Y)
         for p in list(GRID)[:3]:
@@ -292,7 +292,8 @@ def test_float_memo_keys_tell_zero_signs_apart():
     X = VectorField(sign_field, N, memo=True)
     assert X([0.0, 1.0, 1.0, 1.0])[0] == 1.0
     assert X([-0.0, 1.0, 1.0, 1.0])[0] == -1.0
-    K = VectorForm(1, lambda z, v: [x * math.copysign(1.0, z[0]) for x in v], N)
+    K = VectorForm(1, lambda z: [[math.copysign(1.0, z[0]) if a == b else 0.0 for b in range(N2)]
+                                 for a in range(N2)], N)
     K.memoize_matrix()
     m = K.matrix([0.0, 1.0, 1.0, 1.0])
     assert K.matrix([0.0, 1.0, 1.0, 1.0]) is m
@@ -346,7 +347,7 @@ def test_ee2_insertion_identity():
     alpha = d_function(randfield(23))
     br = fn_bracket(K, Y)
     lhs = insert_one_form(br, alpha)
-    ky = VectorField(lambda z: K.fn(z, Y(z)), N)
+    ky = VectorField(lambda z: K(z, Y(z)), N)
     rhs1 = insert_vector(Y, d_K(K, alpha))
     rhs2 = d_K(K, insert_vector(Y, alpha))
     rhs3 = lie_derivative(ky, alpha)
@@ -363,7 +364,7 @@ def test_new1_insertion_commutation():
     gamma = DifferentialForm(2, lambda z, u, v: (z[0] + z[2] * z[2]) * (u[0] * v[3] - u[3] * v[0])
                              + z[3] * (u[1] * v[2] - u[2] * v[1]), N)
     Y = randvector(10)
-    ky = VectorField(lambda z: J.fn(z, Y(z)), N)
+    ky = VectorField(lambda z: J(z, Y(z)), N)
     lhs = insert_vector(Y, insert_one_form(J, gamma))
     rhs_a = insert_one_form(J, insert_vector(Y, gamma))
     rhs_b = insert_vector(ky, gamma)
@@ -451,17 +452,17 @@ def _semibasic_per_pair(K, points):
 
 
 def test_vector_two_form_matrix_and_semibasic_residual():
-    # without a matrix function the frame array is fn on every ordered frame
-    # pair; the semibasic residual reads it once per point
+    # the form applied to a frame pair is its array's entry; the semibasic
+    # residual reads the array once per point
     def ev(z, u, v):
         w = u[0] * v[2] - u[2] * v[0]
         return [z[2] * w, 0.0, u[0] * v[1] - u[1] * v[0], z[3] * w]
 
-    K = VectorForm(2, ev, N)
     fr = frame(N2)
+    K = VectorForm(2, lambda z: [[ev(z, u, v) for v in fr] for u in fr], N)
     for p in list(GRID)[:3]:
         z = p.coords()
-        assert K.matrix(z) == [[ev(z, u, v) for v in fr] for u in fr]
+        assert [[K(z, u, v) for v in fr] for u in fr] == [[ev(z, u, v) for v in fr] for u in fr]
     for form in (K, fn_bracket(J, J.scale(ScalarField(lambda z: z[2] * z[0], N)))):
         assert semibasic_residual(form, GRID) == _semibasic_per_pair(form, GRID)
     assert semibasic_residual(K, GRID) > 0.1

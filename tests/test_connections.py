@@ -1,14 +1,15 @@
 """Connection constructions and the residual predicates of the theorem layer."""
 
 import math
+from unittest import mock
 
 import pytest
 
-from finslerlab import jets
+from finslerlab import calculus, jets
 from finslerlab.calculus import (
     VectorField, VectorForm, d_K, field_apply, fn_bracket, frame_vector,
-    liouville_field, potential, semispray_residual, sup_abs,
-    vertical_endomorphism, vertical_lift_vector,
+    identity_form, liouville_field, potential, semispray_residual, sup_abs,
+    vertical_endomorphism, vertical_lift_function, vertical_lift_vector,
 )
 from finslerlab.core import BaseFunction, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
@@ -17,7 +18,7 @@ from finslerlab.errors import (
 )
 from finslerlab.finsler import (
     berwald_connection, canonical_spray, finsler_fixture, fundamental_form,
-    conservative_connection_residual, conservative_form_residual,
+    conservative_connection_residual, conservative_form_residual, gradient,
 )
 from finslerlab.connections import (
     associated_semispray, berwald, connection_from_semispray, conservative_lift,
@@ -29,7 +30,7 @@ from finslerlab.connections import (
     vertical_residual, vincze_residual, wagner_connection, weak_torsion,
 )
 
-from finslerlab.registry import build_field
+from finslerlab.registry import base_function, build_field
 
 from helpers import maxabs
 
@@ -615,10 +616,11 @@ def test_residual_helpers_propagate_nan_past_the_first_point():
 
     X = VectorField(lambda z: [nan_at_second(z)] * N2, N)
     S = VectorField(lambda z: [c + nan_at_second(z) for c in z[N:]] * 2, N)
-    K1 = VectorForm(1, lambda z, v: [nan_at_second(z)] * N2, N)
-    K2 = VectorForm(2, lambda z, u, v: [nan_at_second(z)] * N2, N)
+    K1 = VectorForm(1, lambda z: [[nan_at_second(z)] * N2 for _ in range(N2)], N)
+    K2 = VectorForm(2, lambda z: [[[nan_at_second(z)] * N2 for _ in range(N2)]
+                              for _ in range(N2)], N)
     g = ScalarField(lambda z: z[N] * (1.0 + nan_at_second(z)), N)
-    zero = VectorForm(1, lambda z, v: [0.0] * N2, N)
+    zero = VectorForm(1, lambda z: [[0.0] * N2 for _ in range(N2)], N)
     for r in (vector_field_residual(X, GRID), vertical_residual(X, GRID),
               semispray_residual(S, GRID), vector_form1_residual(K1, GRID),
               form_matrix_residual(K1, zero, GRID), vector_form2_residual(K2, GRID),
@@ -636,8 +638,9 @@ def test_sup_loops_propagate_nan_past_the_first_point():
         return math.nan if [jets.realpart(c) for c in z] == second else 0.0
 
     X = VectorField(lambda z: [nan_at_second(z)] * N2, N)
-    K1 = VectorForm(1, lambda z, v: [nan_at_second(z)] * N2, N)
-    K2 = VectorForm(2, lambda z, u, v: [nan_at_second(z)] * N2, N)
+    K1 = VectorForm(1, lambda z: [[nan_at_second(z)] * N2 for _ in range(N2)], N)
+    K2 = VectorForm(2, lambda z: [[[nan_at_second(z)] * N2 for _ in range(N2)]
+                              for _ in range(N2)], N)
     a1 = DifferentialForm(1, lambda z, v: nan_at_second(z), N)
     a2 = DifferentialForm(2, lambda z, u, v: nan_at_second(z), N)
     for r in (_sup_form1(a1, GRID, N2), _sup_form2(a2, GRID, N2),
@@ -659,10 +662,10 @@ def pairwise_bracket_1_1(K, L, z, X, Y):
     """
 
     def kcol(z, v):
-        return K.fn(z, v)
+        return K(z, v)
 
     def lcol(z, v):
-        return L.fn(z, v)
+        return L(z, v)
 
     kX, kY = kcol(z, X), kcol(z, Y)
     lX, lY = lcol(z, X), lcol(z, Y)
@@ -678,8 +681,8 @@ def pairwise_bracket_1_1(K, L, z, X, Y):
     d_X_KY = jets.directional(lambda w: kcol(w, Y), z, X)
     k_arg = [a - b for a, b in zip(d_X_LY, d_Y_LX)]
     l_arg = [a - b for a, b in zip(d_X_KY, d_Y_KX)]
-    k_term = K.fn(z, k_arg)
-    l_term = L.fn(z, l_arg)
+    k_term = K(z, k_arg)
+    l_term = L(z, l_arg)
     return [(p - q) + (r - s) - t - u
             for p, q, r, s, t, u in
             zip(d_kX_LY, d_lY_KX, d_lX_KY, d_kY_LX, k_term, l_term)]
@@ -754,3 +757,93 @@ def test_bracket_1_1_of_nonconstant_forms_matches_pairwise_formula():
                     size = max(size, maxabs(ref))
             assert maxabs(devs) < 1e-12
             assert size > 0.1
+
+
+# -- the (1,0) bracket against the column formula ----------------------------------------
+
+
+def column_bracket_1_0(K, Y, z, X):
+    """[K, Y] X = [KX, Y] - K [X, Y] by scalar directional passes, for constant X.
+
+    [KX, Y] = D_{KX} Y - D_Y(KX) and [X, Y] = D_X Y: the reference for the
+    bracket's path from one vector lift of Y.
+    """
+    d_kx_y = jets.directional(Y.fn, z, K(z, X))
+    d_y_kx = jets.directional(lambda w: K(w, X), z, Y(z))
+    k_dxy = K(z, jets.directional(Y.fn, z, X))
+    return [a - b - c for a, b, c in zip(d_kx_y, d_y_kx, k_dxy)]
+
+
+def _bracket_fields(F):
+    """S0, E-dy1 and grad f^v with f = x1 x2."""
+    f_v = vertical_lift_function(base_function("x1x2", F.n))
+    return [canonical_spray(F), build_field(F, "E-dy1"), gradient(F, f_v)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+def test_bracket_1_0_matches_column_formula(fid, n):
+    # for K = J and K = Id, entry for entry as the column formula's scalar
+    # passes give it, up to zero signs, at float points (every column) and at
+    # a point lifted along the vector frame (every tangent slot)
+    n2 = 2 * n
+    F = finsler_fixture(fid, sample_slit_points(n, 4, seed=1), n=n)
+    fr = [frame_vector(n2, a) for a in range(n2)]
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+    for K in (vertical_endomorphism(n), identity_form(n)):
+        for Y in _bracket_fields(F):
+            br = fn_bracket(K, Y)
+            for z in (z0, list(F.grid)[0].coords()):
+                m = br.matrix(z)
+                for b in range(n2):
+                    ref = column_bracket_1_0(K, Y, z, fr[b])
+                    assert [m[a][b] + 0.0 for a in range(n2)] == [x + 0.0 for x in ref]
+            tag = jets.fresh_tag()
+            za = jets.lift(z0, jets.vec_frame(n2), tag)
+            m = br.matrix(za)
+            for b in range(n2):
+                ref = column_bracket_1_0(K, Y, za, fr[b])
+                assert [_parts(m[a][b], tag, n2) for a in range(n2)] == \
+                    [_parts(x, tag, n2) for x in ref]
+
+
+def test_bracket_1_0_of_nonconstant_forms_matches_column_formula():
+    # K = h0 and K = f J: the contractions round differently from the scalar
+    # passes, within a few ulps.  Some of these brackets vanish ([h0, C], as
+    # h0 is homogeneous), so only each K's largest entry must be sizeable.
+    for fid in ("riemannian-exp", "randers-0.3"):
+        for n in (2, 3):
+            n2 = 2 * n
+            F = finsler_fixture(fid, sample_slit_points(n, 4, seed=1), n=n)
+            f = ScalarField(lambda z: z[n] * z[0] + z[2 * n - 1] * z[1] * z[n], n)
+            fr = [frame_vector(n2, a) for a in range(n2)]
+            z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+            for K in (berwald(F).form, vertical_endomorphism(n).scale(f)):
+                devs, size = [], 0.0
+                for Y in _bracket_fields(F) + [liouville_field(n)]:
+                    for z in (z0, list(F.grid)[0].coords()):
+                        m = fn_bracket(K, Y).matrix(z)
+                        for b in range(n2):
+                            ref = column_bracket_1_0(K, Y, z, fr[b])
+                            devs += [m[a][b] - ref[a] for a in range(n2)]
+                            size = max(size, maxabs(ref))
+                assert maxabs(devs) < 1e-12
+                assert size > 0.1
+
+
+def test_sum_of_vector_two_forms_builds_each_array_once():
+    # (t + t).matrix adds the two summands' frame arrays entry by entry: two
+    # arrays, each reading the lifted columns of J and of h0 once
+    t = weak_torsion(RAN, berwald(RAN))
+    z = P0.coords()
+    lifted = []
+    lifted_columns = calculus._lifted_columns
+
+    def counting(m, tag, n2):
+        lifted.append(tag)
+        return lifted_columns(m, tag, n2)
+
+    with mock.patch.object(calculus, "_lifted_columns", counting):
+        s = (t + t).matrix(z)
+    assert len(lifted) == 4
+    assert s == [[[x + x for x in v] for v in row] for row in t.matrix(z)]

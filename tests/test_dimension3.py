@@ -35,7 +35,7 @@ def test_canonical_objects_in_3d():
     C = liouville_field(N)
     z = P0.coords()
     s0 = canonical_spray(F)
-    assert maxabs([a - b for a, b in zip(J.apply(z, s0(z)), C(z))]) < 1e-10
+    assert maxabs([a - b for a, b in zip(J(z, s0(z)), C(z))]) < 1e-10
     # first fiber slot carries the only geodesic coefficient: -y1^2 e^{0}
     assert abs(s0(z)[N] + 1.0) < 1e-10
     br = fn_bracket(J, C)

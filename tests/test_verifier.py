@@ -266,4 +266,4 @@ def test_golden_report_digest(capsys):
     """
     main(["check", "--seed", "7", "--samples", "4"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "07a5cf9030425f6c0d8e2d97c8cb72bec33b29032991d175c14e21006c5e8f42"
+    assert digest == "602d10cbbbbfd68e2ea9fe74c9836faa74a8fb22b49a543dce6cdd1dc2bb1f59"
