@@ -56,8 +56,10 @@ def point_key(z):
     mark for each jet node giving the position of its tag in ``tags`` and one
     for each Vec giving its number of slots, then the order of those tags.
     Two points get the same key exactly when an order-preserving renaming of
-    tags maps one onto the other.  A coordinate or jet part that is neither a
-    float, a Jet nor a Vec leaves the point without a key.
+    tags maps one onto the other.  A ``jets.Batch``, as a coordinate or a jet
+    part of a batch point, enters the key (and ``base``) as the bytes of its
+    array, which tell -0.0 from 0.0 at every point too.  A coordinate or jet
+    part of any other type leaves the point without a key.
     """
     key = tuple(z)
     for c in key:
@@ -91,11 +93,13 @@ def point_key(z):
                 push(_VEC)
                 push(len(x.s))
                 stack += x.s
+            elif type(x) is jets.Batch:
+                push(x.tobytes())
             else:
                 return None
         while type(c) is Jet:
             c = c.val
-        base.append(c)
+        base.append(c.tobytes() if type(c) is jets.Batch else c)
     push(tuple(sorted(range(len(tags)), key=tags.__getitem__)) if len(tags) > 1 else ())
     return tuple(flat), tuple(base), tags
 
@@ -105,8 +109,9 @@ class PointMemo:
 
     Float entries are kept for the memo's life.  Jet entries are kept for one
     base point (the real parts of the coordinates) and dropped when a keyed
-    point, float or jet, arrives at another one.  An entry is stored with the tags of the
-    point that computed it; a point that differs from it by an
+    point, float or jet, arrives at another one; every lift of a batch point
+    has the batch's base, so they live while the batch is evaluated.  An
+    entry is stored with the tags of the point that computed it; a point that differs from it by an
     order-preserving renaming of tags hits it, and renaming the stored value
     to that point's tags gives, bit for bit, what the computation gives
     there, because jet arithmetic compares tags only by their order and
@@ -748,11 +753,14 @@ def sup_abs(values) -> float:
     """sup |v| over the values (0.0 if there are none); NaN if any value is NaN.
 
     A hand-written ``max(worst, abs(v))`` loop drops a NaN that is not the
-    first value, because ``max(0.0, nan) == 0.0``.
+    first value, because ``max(0.0, nan) == 0.0``.  A value may be a
+    ``jets.Batch``: its values over a batch of points count one by one.
     """
     worst = 0.0
     for v in values:
         a = abs(v)
+        if type(a) is jets.Batch:
+            a = float(a.max())  # NaN if any point is NaN
         if a != a:
             return a
         if a > worst:

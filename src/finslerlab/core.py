@@ -50,6 +50,36 @@ class TangentPoint:
         return list(self.base) + list(self.fiber)
 
 
+class PointBatch:
+    """A batch of slit-bundle points, evaluated as one point.
+
+    Its 2n coordinates are ``jets.Batch`` arrays over the points, in order,
+    so an evaluator called once at ``coords()`` computes its values at every
+    point of the batch (see the batch rules in ``jets``).  Built from a
+    ``SampleGrid`` or any sequence of TangentPoints of one dimension;
+    ``points[i]`` is the point of slot i.
+    """
+
+    __slots__ = ("points", "_coords")
+
+    def __init__(self, points):
+        self.points = tuple(points)
+        self._coords = [jets.batch(c) for c in zip(*(p.coords() for p in self.points))]
+        for c in self._coords:
+            c.flags.writeable = False  # shared by every coords() list
+
+    @property
+    def n(self) -> int:
+        return self.points[0].n
+
+    def __len__(self):
+        return len(self.points)
+
+    def coords(self) -> list:
+        """Flat coordinate list (x^1..x^n, y^1..y^n), each a Batch over the points."""
+        return list(self._coords)
+
+
 def point(*coords) -> TangentPoint:
     """Build a TangentPoint from 2n flat coordinates."""
     if len(coords) % 2:

@@ -2,8 +2,9 @@
 
 A validated structure caches its canonical spray and Berwald connection, and
 keeps one point memo (``calculus.PointMemo``) of omega.  At a float point it
-holds omega's matrix and its condition number, for the float sharp solve; at
-a jet point it holds omega's jet matrix, which the jet sharp solve and
+holds omega's matrix and its condition number, for the float sharp solve (at
+a batch point, ``core.PointBatch``, their stacks over its points); at a jet
+point it holds omega's jet matrix, which the jet sharp solve and
 ``d_h omega`` both read.  Its key is the point's canonical form
 (``calculus.point_key``): every float, a negative zero as its own token, and
 the lift tags up to an order-preserving renaming.  Jet entries are kept for
@@ -31,7 +32,7 @@ from .calculus import (
     field_apply, fn_bracket, identity_form, liouville_field, point_key,
     retag_array, semibasic_residual, sup_abs, vertical_endomorphism,
 )
-from .core import BaseFunction, ScalarField, SampleGrid, sample_slit_points
+from .core import BaseFunction, PointBatch, ScalarField, SampleGrid, sample_slit_points
 from .errors import (
     HomogeneityFailure, NondegeneracyFailure, NotConnection, NotSemibasic,
     PositivityFailure,
@@ -133,19 +134,38 @@ def _sharp_block_solve(m, beta, n, z):
     zeros of A, such as its diagonal, are skipped.  A pivot that is zero, or
     smaller than the largest pivot so far by more than COND_LIMIT, raises
     ``NondegeneracyFailure``; as det omega = det(g)^2, this guards omega too.
+
+    At a batch point each point takes the pivot row it would take alone
+    (``_batch_pivot``), and the rows are exchanged point by point with
+    ``jets.where`` where the points' choices differ.
     """
     rows = [[m[n + i][j] for i in range(n)] for j in range(n)]  # g^T, by row j
     steps = []  # (pivot row, multipliers) of each column
     piv_max = 0.0
     for col in range(n):
-        p = max(range(col, n), key=lambda r: abs(jets.realpart(rows[r][col])))
-        pv = abs(jets.realpart(rows[p][col]))
-        piv_max = max(piv_max, pv)
-        if pv == 0.0 or piv_max / pv > COND_LIMIT:
-            raise NondegeneracyFailure(
-                "fundamental tensor numerically singular during jet sharp solve",
-                point=[jets.realpart(c) for c in z], value=pv)
-        rows[col], rows[p] = rows[p], rows[col]
+        keys = [abs(jets.realpart(rows[r][col])) for r in range(col, n)]
+        if jets.Batch in map(type, keys):
+            p, pv = _batch_pivot(keys, col)
+            piv_max = np.where(pv > piv_max, pv, piv_max)  # max(piv_max, pv) per point
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bad = (pv == 0.0) | (piv_max / pv > COND_LIMIT)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NondegeneracyFailure(
+                    "fundamental tensor numerically singular during jet sharp solve",
+                    point=_real_point(z, i), value=float(pv[i]))
+        else:
+            p = col + max(range(n - col), key=keys.__getitem__)
+            pv = keys[p - col]
+            piv_max = max(piv_max, pv)
+            if pv == 0.0 or piv_max / pv > COND_LIMIT:
+                raise NondegeneracyFailure(
+                    "fundamental tensor numerically singular during jet sharp solve",
+                    point=_real_point(z), value=pv)
+        if type(p) is int:
+            rows[col], rows[p] = rows[p], rows[col]
+        else:
+            _exchange(rows, col, p, _where_rows)
         inv = 1.0 / rows[col][col]
         fs = [rows[r][col] * inv for r in range(col + 1, n)]
         for r, f in enumerate(fs, col + 1):
@@ -155,7 +175,10 @@ def _sharp_block_solve(m, beta, n, z):
 
     def solve(b):
         for col, (p, fs) in enumerate(steps):
-            b[col], b[p] = b[p], b[col]
+            if type(p) is int:
+                b[col], b[p] = b[p], b[col]
+            else:
+                _exchange(b, col, p, jets.where)
             for r, f in enumerate(fs, col + 1):
                 b[r] = b[r] - f * b[col]
         x = [0.0] * n
@@ -178,6 +201,54 @@ def _sharp_block_solve(m, beta, n, z):
     return xh + solve(rhs)
 
 
+def _batch_pivot(keys, col):
+    """``(row, key)`` of the first largest of ``keys[r - col]`` at each point of a batch.
+
+    Each point picks the row ``max`` would pick from its own keys: a later
+    row replaces the pick only when its key is larger, so a NaN key is never
+    picked over an earlier row.  The row is an int array over the points, or
+    an int when every point picks the same row.
+    """
+    p, best = col, keys[0]
+    for r, k in enumerate(keys[1:], col + 1):
+        larger = k > best
+        p = np.where(larger, r, p)
+        best = np.where(larger, k, best)
+    if type(p) is not int and (p == p[0]).all():
+        p = int(p[0])
+    return p, best.view(jets.Batch)
+
+
+def _exchange(items, col, p, select):
+    """Exchange ``items[col]`` and ``items[p]`` in place, where the int array
+    ``p`` names the row of each point of a batch."""
+    top = items[col]
+    for r in range(col + 1, len(items)):
+        at = p == r
+        if at.any():
+            items[col] = select(at, items[r], items[col])
+            items[r] = select(at, top, items[r])
+
+
+def _where_rows(mask, a, b):
+    return [jets.where(mask, x, y) for x, y in zip(a, b)]
+
+
+def _real_point(z, i=None):
+    """The real parts of z's coordinates; those of point ``i`` of a batch."""
+    real = [jets.realpart(c) for c in z]
+    return real if i is None else [float(c[i]) if type(c) is jets.Batch else c for c in real]
+
+
+def _stacked(m, size):
+    """A matrix of floats and batches as one float array of shape (size, rows, columns)."""
+    out = np.empty((size, len(m), len(m[0])))
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            out[:, i, j] = x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the validated structure
 
@@ -187,11 +258,15 @@ def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
 
     Raises at the first point that fails one: ``PositivityFailure`` if
     E <= 0, ``HomogeneityFailure`` if |CE - 2E| > tol * max(1, |E|) and
-    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.
+    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.  A ``PointBatch`` is
+    checked at once and raises what its points, taken in order, would raise.
     """
     CE = field_apply(liouville_field(F.n), F.E)
     devs = []
     for p in grid:
+        if isinstance(p, PointBatch):
+            devs.append(_batch_energy_axioms(F, CE, p, tol))
+            continue
         z = p.coords()
         e = F.E(z)
         if not e > 0.0:
@@ -207,6 +282,28 @@ def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
                                        point=p, value=det)
         devs.append(dev)
     return sup_abs(devs)
+
+
+def _batch_energy_axioms(F, CE, batch, tol):
+    """CE - 2E over a batch; raises the per-point loop's error at its first failing point."""
+    z = batch.coords()
+    size = len(batch)
+    e = np.broadcast_to(F.E(z), size)
+    dev = np.broadcast_to(CE(z) - 2.0 * e, size)
+    det = np.abs(np.linalg.det(_stacked(F.metric_at(z), size)))
+    with np.errstate(invalid="ignore"):
+        axioms = (
+            (~(e > 0.0), PositivityFailure, "energy not positive on the slit bundle", e),
+            (np.abs(dev) > tol * np.maximum(1.0, np.abs(e)), HomogeneityFailure,
+             "energy not 2-homogeneous: CE != 2E", dev),
+            (det <= DET_FLOOR, NondegeneracyFailure, "fundamental tensor degenerate", det),
+        )
+    failed = np.array([ax[0] for ax in axioms])  # failed[k][i]: axiom k fails at point i
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        _, error, message, value = axioms[int(np.argmax(failed[:, i]))]
+        raise error(message, point=batch.points[i], value=float(value[i]))
+    return jets.batch(dev)
 
 
 class FinslerStructure:
@@ -268,8 +365,12 @@ class FinslerStructure:
 
     def sharp_at(self, beta_values, z):
         """Solve sum_a X^a omega_ab = beta_b at one (possibly jet-valued) point."""
-        if all(type(c) is not jets.Jet for c in z) \
-                and all(type(c) is not jets.Jet for c in beta_values):
+        kinds = set(map(type, z))
+        if jets.Jet not in kinds and all(type(c) is not jets.Jet for c in beta_values):
+            if jets.Batch in kinds:
+                size = jets.batch_size(z)
+                m, cond = self._memo.entry(point_key(z), lambda: self._batch_omega(z, size))[0]
+                return _batch_solve(m, cond, beta_values, z, size)
             m, cond = self._memo.entry(point_key(z), lambda: self._float_omega(z))[0]
             if cond > COND_LIMIT:
                 raise NondegeneracyFailure(
@@ -278,6 +379,29 @@ class FinslerStructure:
             sol = np.linalg.solve(m.T, np.array(beta_values, dtype=float))
             return [float(v) + 0.0 for v in sol]  # +0.0 normalises -0.0
         return _sharp_block_solve(self.jet_omega_matrix_at(z), beta_values, self.n, z)
+
+    def _batch_omega(self, z, size):
+        m = _stacked(omega_matrix(self.E, self.n, z), size)
+        return m, np.linalg.cond(m)
+
+
+def _batch_solve(m, cond, beta, z, size):
+    """The float sharp solve at a batch point: one stacked LAPACK solve.
+
+    ``m`` and ``cond`` stack omega's matrices and condition numbers over the
+    points.  Each point's matrix goes through the routine that the per-point
+    path calls, so each solution is the per-point one; an ill-conditioned
+    omega raises at the first such point.
+    """
+    bad = np.flatnonzero(cond > COND_LIMIT)
+    if bad.size:
+        i = int(bad[0])
+        raise NondegeneracyFailure(
+            f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
+            point=_real_point(z, i), value=float(cond[i]))
+    b = _stacked([[v] for v in beta], size)  # one column per point
+    sol = np.linalg.solve(np.swapaxes(m, 1, 2), b)[:, :, 0] + 0.0  # +0.0 normalises -0.0
+    return [jets.batch(x) for x in sol.T]
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,

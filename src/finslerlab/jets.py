@@ -43,6 +43,29 @@ direction in the same order, operands swapped at most across a commutative
 operation, so a vector pass gives the scalar passes' values; only the signs
 of zeros can differ.
 
+Batches: a ``Batch`` holds the values of one quantity at a batch of points,
+a 1-d float array, and stands wherever a float may: as a coordinate, a jet
+part or a Vec slot.  One jet operation on batches then does the work of every
+point of the batch in one numpy call.  Three rules keep a batch pass equal to
+the per-point passes, value for value:
+
+1. A batch is never a structural zero.  It is truthy whatever its values, so
+   ``lift`` tags a coordinate whose direction is a batch and a Vec slot that
+   is a batch takes part in arithmetic; where a point's own pass would skip
+   an exact zero, the batch multiplies or adds it, which changes at most the
+   sign of a zero.
+2. ``exp``, ``log``, ``sin``, ``cos`` and constant powers apply libm per
+   element, as the float pass does; numpy's vectorised versions round
+   differently.  ``sqrt`` and field arithmetic are correctly rounded either
+   way.
+3. ``Jet`` and ``Vec`` set ``__array_ufunc__ = None``, so numpy's operators
+   return ``NotImplemented`` for them and a batch on the left of a Jet or a
+   Vec defers to their reflected operator.
+
+Control flow that reads a value must not read a batch as one bool: ``where``
+selects over jets slot by slot, and the callers that branch on a value (the
+pivot of the sharp solve, the energy axioms, ``sup_abs``) do so per point.
+
 Only operations needed by smooth energy functions on the slit bundle are
 implemented: field arithmetic, constant powers, sqrt, exp, log, sin, cos.
 """
@@ -51,6 +74,8 @@ from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 _TAGS = itertools.count(1)
 
@@ -64,6 +89,7 @@ class Jet:
     """value + epsilon * dot, for one particular lift tag."""
 
     __slots__ = ("tag", "val", "dot")
+    __array_ufunc__ = None
 
     def __init__(self, tag, val, dot):
         self.tag = tag
@@ -179,6 +205,7 @@ class Vec:
     """
 
     __slots__ = ("s",)
+    __array_ufunc__ = None
 
     def __init__(self, s):
         self.s = s
@@ -247,24 +274,89 @@ def slots(x, k: int):
     return x.s if type(x) is Vec else [x] * k
 
 
+class Batch(np.ndarray):
+    """The float values of one quantity at a batch of points (a 1-d array).
+
+    Never a structural zero: truthy whatever its values (a 0-d result reads
+    its value).  Constant powers apply libm per element.
+    """
+
+    def __bool__(self):
+        return True if self.ndim else bool(self.item())
+
+    def __pow__(self, p):
+        return _per_element(lambda v: v ** p, self)
+
+
+def batch(values) -> Batch:
+    """The values (a sequence of floats or an array) as a Batch."""
+    return np.asarray(values, dtype=float).view(Batch)
+
+
+def batch_size(z):
+    """The number of points of a batch point ``z``, or None if no coordinate is a Batch."""
+    for c in z:
+        if type(c) is Batch:
+            return len(c)
+    return None
+
+
+def _per_element(f, x):
+    return batch([f(v) for v in x.tolist()])
+
+
 def sqrt(x):
-    return x.sqrt() if type(x) is Jet else math.sqrt(x)
+    t = type(x)
+    if t is Jet:
+        return x.sqrt()
+    return np.sqrt(x) if t is Batch else math.sqrt(x)
 
 
 def exp(x):
-    return x.exp() if type(x) is Jet else math.exp(x)
+    t = type(x)
+    if t is Jet:
+        return x.exp()
+    return _per_element(math.exp, x) if t is Batch else math.exp(x)
 
 
 def log(x):
-    return x.log() if type(x) is Jet else math.log(x)
+    t = type(x)
+    if t is Jet:
+        return x.log()
+    return _per_element(math.log, x) if t is Batch else math.log(x)
 
 
 def sin(x):
-    return x.sin() if type(x) is Jet else math.sin(x)
+    t = type(x)
+    if t is Jet:
+        return x.sin()
+    return _per_element(math.sin, x) if t is Batch else math.sin(x)
 
 
 def cos(x):
-    return x.cos() if type(x) is Jet else math.cos(x)
+    t = type(x)
+    if t is Jet:
+        return x.cos()
+    return _per_element(math.cos, x) if t is Batch else math.cos(x)
+
+
+def where(mask, a, b):
+    """``a`` at the points of a batch where ``mask`` holds, ``b`` elsewhere.
+
+    Selects over jets (the larger tag outside, as arithmetic nests them) and
+    Vecs part by part; equal floats, exact zeros included, stay floats.
+    """
+    ta, tb = type(a), type(b)
+    if ta is Jet or tb is Jet:
+        t = a.tag if tb is not Jet or (ta is Jet and a.tag > b.tag) else b.tag
+        return Jet(t, where(mask, primal(a, t), primal(b, t)),
+                   where(mask, tangent(a, t), tangent(b, t)))
+    if ta is Vec or tb is Vec:
+        k = len(a.s if ta is Vec else b.s)
+        return Vec([where(mask, x, y) for x, y in zip(slots(a, k), slots(b, k))])
+    if ta is float and tb is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
+        return a
+    return np.where(mask, a, b).view(Batch)
 
 
 def realpart(x) -> float:

@@ -1,0 +1,271 @@
+"""Batched evaluation: a PointBatch gives what its points give one at a time.
+
+``finslerlab check`` evaluates every cell at one batch point whose
+coordinates are arrays over the grid.  These tests pin the batch rules of
+``jets`` and show, runner by runner and for the branches that read values
+(the pivot of the jet sharp solve, the energy axioms, ``sup_abs``), that the
+batch reproduces the per-point evaluation exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from finslerlab import jets
+from finslerlab.calculus import point_key, sup_abs
+from finslerlab.checks import CHECKS, CheckContext, Outcome
+from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
+from finslerlab.errors import (
+    FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
+)
+from finslerlab.finsler import (
+    FinslerStructure, _batch_pivot, _sharp_block_solve, energy_axioms_residual, finsler_fixture,
+    fixture_ids, omega_matrix,
+)
+
+
+def at(x, i):
+    """Slot i of a batch value; a float is the same at every point."""
+    return x[i] if type(x) is jets.Batch else x
+
+
+# -- the batch rules ------------------------------------------------------------
+
+
+def test_batch_is_never_a_structural_zero():
+    zeros = jets.batch([0.0, 0.0])
+    assert zeros and not (not zeros)
+    assert jets.lift([1.0], [zeros], jets.fresh_tag())[0].__class__ is jets.Jet
+    assert bool(jets.batch([0.0, 1.0]).max()) is True
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "sin", "cos"])
+def test_transcendentals_apply_libm_per_element(name):
+    values = np.random.default_rng(3).uniform(0.01, 3.0, 200).tolist()
+    got = getattr(jets, name)(jets.batch(values))
+    assert type(got) is jets.Batch
+    assert got.tolist() == [getattr(math, name)(v) for v in values]
+
+
+def test_powers_and_sqrt_match_floats():
+    values = np.random.default_rng(4).uniform(0.01, 3.0, 200).tolist()
+    assert (jets.batch(values) ** 1.5).tolist() == [v ** 1.5 for v in values]
+    assert jets.sqrt(jets.batch(values)).tolist() == [math.sqrt(v) for v in values]
+
+
+def test_jet_and_vec_take_precedence_over_numpy_operators():
+    b = jets.batch([1.0, 2.0])
+    j = jets.Jet(jets.fresh_tag(), 3.0, 1.0)
+    for out in (b + j, b - j, b * j, b / j):
+        assert type(out) is jets.Jet and type(out.val) is jets.Batch
+    v = jets.Vec([1.0, 0.0])
+    assert type(b * v) is jets.Vec and (b * v).s[1] == 0.0
+
+
+def test_where_selects_slot_by_slot_over_jets():
+    outer, inner = jets.fresh_tag(), jets.fresh_tag()
+    a = jets.Jet(inner, jets.batch([1.0, 2.0]), jets.Vec([1.0, 0.0]))
+    b = jets.Jet(outer, 5.0, 7.0)
+    mask = np.array([True, False])
+    w = jets.where(mask, a, b)
+    assert w.tag == inner
+    assert at(w.val.val, 0) == 1.0 and at(w.val.val, 1) == 5.0
+    assert at(w.val.dot, 0) == 0.0 and at(w.val.dot, 1) == 7.0
+    assert at(w.dot.s[0], 0) == 1.0 and at(w.dot.s[0], 1) == 0.0
+    assert w.dot.s[1] == 0.0 and type(w.dot.s[1]) is float  # both structural zeros
+
+
+# -- every runner, per point and batched ------------------------------------------
+
+
+def _run_cells(fid, grid, points):
+    F = finsler_fixture(fid, points)
+    out = []
+    for spec in sorted(CHECKS, key=lambda c: c.id):
+        ctx = CheckContext(grid=points, seed=grid.seed, tol=spec.tolerance)
+        try:
+            outcome = spec.runner(F, ctx)
+        except FinslerLabError as e:
+            outcome = Outcome(float("inf"), f"{type(e).__name__}: {e}")
+        out.append((spec.id, float(outcome.max_residual), outcome.note))
+    return out
+
+
+@pytest.mark.parametrize("fid", fixture_ids())
+def test_every_runner_agrees_per_point_and_batched(fid):
+    grid = sample_slit_points(2, 4, 7)
+    per_point = _run_cells(fid, grid, grid)
+    batched = _run_cells(fid, grid, (PointBatch(grid),))
+    assert batched == per_point
+
+
+# -- the jet sharp solve's pivot --------------------------------------------------
+
+
+def test_pivot_picks_what_max_picks_at_each_point():
+    keys = [jets.batch([1.0, 2.0, math.nan, 3.0, 2.0]),
+            jets.batch([1.0, 1.0, 5.0, math.nan, 3.0]),
+            3.0]
+    p, pv = _batch_pivot(keys, 1)
+    for i in range(5):
+        ki = [at(k, i) for k in keys]
+        row = max(range(3), key=ki.__getitem__)
+        assert p[i] == 1 + row
+        assert pv[i] == ki[row] or (math.isnan(pv[i]) and math.isnan(ki[row]))
+
+
+def _omega_like(z):
+    """[[A, -g], [g, 0]] at n = 2, with an indefinite g whose larger first-column
+    entry changes row from point to point."""
+    g11 = z[0] * z[2]
+    g12 = 0.3 + z[1] * z[3]
+    g22 = 2.0 + z[0] * z[3]
+    a = z[1] * z[2]
+    return [[0.0, a, -g11, -g12], [-a, 0.0, -g12, -g22],
+            [g11, g12, 0.0, 0.0], [g12, g22, 0.0, 0.0]]
+
+
+def _beta(z):
+    return [z[0] + z[3], z[1] * z[2], z[2] - 0.5, z[3] * z[0]]
+
+
+def _solve_lifted(z):
+    tag = jets.fresh_tag()
+    za = jets.lift(z, jets.vec_frame(4), tag)
+    return tag, _sharp_block_solve(_omega_like(za), _beta(za), 2, za)
+
+
+def test_sharp_block_solve_batched_with_differing_pivots():
+    pts = list(sample_slit_points(2, 12, 5))
+    choices = {int(abs(0.3 + p.base[1] * p.fiber[1]) > abs(p.base[0] * p.fiber[0]))
+               for p in pts}
+    assert choices == {0, 1}
+    tag, x = _solve_lifted(PointBatch(pts).coords())
+    for i, p in enumerate(pts):
+        tag_i, xi = _solve_lifted(p.coords())
+        for xk, xik in zip(x, xi):
+            assert at(jets.primal(xk, tag), i) == jets.primal(xik, tag_i)
+            slots = jets.slots(jets.tangent(xk, tag), 4)
+            slots_i = jets.slots(jets.tangent(xik, tag_i), 4)
+            assert [at(s, i) for s in slots] == slots_i
+
+
+def test_sharp_block_solve_batched_singular_point_raises_like_per_point():
+    # at the second point g11 = x1 y1 = 0 and g12 = 0.3 + x2 y2 = 0: a zero pivot
+    pts = [point(0.5, 0.2, 1.0, 0.4), point(0.0, -0.6, 1.0, 0.5), point(0.3, 0.1, 0.2, 1.0)]
+    with pytest.raises(NondegeneracyFailure) as per_point:
+        for p in pts:
+            _solve_lifted(p.coords())
+    with pytest.raises(NondegeneracyFailure) as batched:
+        _solve_lifted(PointBatch(pts).coords())
+    assert str(batched.value) == str(per_point.value)
+    assert batched.value.point == per_point.value.point
+    assert batched.value.value == per_point.value.value
+
+
+# -- sup_abs over batches -----------------------------------------------------------
+
+
+def test_sup_abs_reduces_batches_and_keeps_a_nan():
+    assert sup_abs([jets.batch([1.0, -3.0]), 2.0]) == 3.0
+    assert math.isnan(sup_abs([0.0, jets.batch([1e-16, math.nan, 0.0]), 5.0]))
+    assert math.isnan(sup_abs([jets.batch([math.nan])]))
+
+
+def test_nan_in_one_batch_slot_fails_its_cell():
+    grid = sample_slit_points(2, 4, 7)
+    F = finsler_fixture("euclidean", (PointBatch(grid),))
+    pts = list(grid)
+    pts[2] = point(*pts[2].base, pts[2].fiber[0], math.nan)
+    spec = next(c for c in CHECKS if c.id == "CHK-02")
+    outcome = spec.runner(F, CheckContext(grid=(PointBatch(pts),), seed=7, tol=spec.tolerance))
+    assert math.isnan(outcome.max_residual)
+    assert not outcome.max_residual < spec.tolerance
+
+
+# -- energy axioms on a batch ---------------------------------------------------------
+
+
+def _energy(z):
+    # positive iff x1 > 0; 2-homogeneous iff x2 y1 = 0; det g = x1^2
+    return 0.5 * z[0] * (z[2] * z[2] + z[3] * z[3]) + 0.1 * z[1] * z[2]
+
+
+GOOD = point(0.5, 0.0, 1.0, 1.0)
+NOT_HOMOGENEOUS = point(0.5, 0.3, 1.0, 0.5)
+NOT_POSITIVE = point(-0.5, 0.0, 1.0, 1.0)
+DEGENERATE = point(1e-6, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("pts, error", [
+    ([GOOD, NOT_HOMOGENEOUS, NOT_POSITIVE], HomogeneityFailure),
+    ([GOOD, NOT_POSITIVE, NOT_HOMOGENEOUS], PositivityFailure),
+    ([GOOD, GOOD, DEGENERATE, NOT_POSITIVE], NondegeneracyFailure),
+    ([NOT_HOMOGENEOUS, GOOD], HomogeneityFailure),
+])
+def test_batched_validation_raises_the_per_point_error(pts, error):
+    E = ScalarField(_energy, 2, "test-energy")
+    with pytest.raises(error) as per_point:
+        FinslerStructure(E, 2, pts)
+    with pytest.raises(error) as batched:
+        FinslerStructure(E, 2, (PointBatch(pts),))
+    assert type(batched.value) is type(per_point.value)
+    assert str(batched.value) == str(per_point.value)
+    assert batched.value.point == per_point.value.point
+    assert batched.value.value == per_point.value.value
+
+
+def test_batched_validation_residual_matches_per_point():
+    E = ScalarField(_energy, 2, "test-energy")
+    pts = [GOOD, point(0.7, 0.0, -0.4, 1.5), point(0.2, 0.0, 2.0, 0.1)]
+    F = FinslerStructure(E, 2, pts)
+    assert energy_axioms_residual(F, (PointBatch(pts),)) == energy_axioms_residual(F, pts)
+
+
+# -- the batch memo key ------------------------------------------------------------------
+
+
+def _same(a, b):
+    """``a`` and ``b`` equal part by part: tags, zero signs and batch slots."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if type(a) is jets.Jet:
+        return a.tag == b.tag and _same(a.val, b.val) and _same(a.dot, b.dot)
+    if type(a) is jets.Vec:
+        return _same(a.s, b.s)
+    if type(a) is jets.Batch:
+        return a.tobytes() == b.tobytes()
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_batch_points_and_their_lifts_are_keyed_by_their_bytes():
+    pts = list(sample_slit_points(2, 5, 3))
+    z = PointBatch(pts).coords()
+    key, base, tags = point_key(z)
+    assert tags == [] and point_key(PointBatch(pts).coords())[0] == key
+    flipped = pts[:]
+    flipped[1] = point(*pts[1].base, pts[1].fiber[0], -0.0)
+    zeroed = pts[:]
+    zeroed[1] = point(*pts[1].base, pts[1].fiber[0], 0.0)
+    assert point_key(PointBatch(flipped).coords())[0] != point_key(PointBatch(zeroed).coords())[0]
+    frame = jets.vec_frame(4)
+    k1 = point_key(jets.lift(z, frame, jets.fresh_tag()))
+    k2 = point_key(jets.lift(z, frame, jets.fresh_tag()))
+    assert k1[0] == k2[0] and k1[1] == base and len(k1[2]) == 1 and k1[2] != k2[2]
+
+
+@pytest.mark.parametrize("fid", fixture_ids())
+def test_a_renamed_hit_at_a_lifted_batch_point_is_a_fresh_computation(fid, monkeypatch):
+    grid = sample_slit_points(2, 6, 9)
+    F = finsler_fixture(fid, (PointBatch(grid),))
+    z = PointBatch(grid).coords()
+    frame = jets.vec_frame(4)
+    F.jet_omega_matrix_at(jets.lift(z, frame, jets.fresh_tag()))
+    za = jets.lift(z, frame, jets.fresh_tag())
+    with monkeypatch.context() as m:
+        m.setattr(F.omega, "matrix_at", lambda z: pytest.fail("the memo missed"))
+        hit = F.jet_omega_matrix_at(za)
+    assert _same(hit, omega_matrix(F.E, 2, za))

@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from finslerlab import calculus
+from finslerlab import calculus, checks, finsler
 from finslerlab.cli import main
 
 
@@ -42,6 +42,18 @@ MUTANTS = [
      " - k_dy[a][b]", "", [f"CHK-{i:02d}" for i in range(5, 12)]),
     ("contract rows instead of columns in K(z, v)", calculus.VectorForm, "__call__",
      "list(zip(*m))", "m", ["CHK-02", "CHK-06", "CHK-07", "CHK-08"]),
+    # omega^T = -omega, so this flips the sign of every float sharp
+    ("solve the stacked float system without the transpose", finsler, "_batch_solve",
+     "np.swapaxes(m, 1, 2)", "m", ["CHK-03", "CHK-06", "CHK-08", "CHK-14"]),
+    ("a symmetric omega: +g in its upper right block", finsler, "omega_matrix",
+     "m[i][n + j] = -g", "m[i][n + j] = g", ["CHK-04", "CHK-15"]),
+    ("S0 = +(dE)#", checks, "canonical_spray",
+     "scale(-1.0)", "scale(1.0)", ["CHK-04"]),
+    ("a horizontal Liouville field", finsler, "liouville_field",
+     "[0.0] * n + list(z[n:])", "list(z[n:]) + [0.0] * n", ["CHK-01"]),
+    ("the metric from the mixed x-y Hessian", finsler, "_hessian_rows",
+     "outer = [0.0] * n + jets.vec_frame(n)", "outer = jets.vec_frame(n) + [0.0] * n",
+     ["CHK-01"]),
 ]
 
 
@@ -55,3 +67,31 @@ def test_mutant_fails_every_targeted_check(name, owner, attr, old, new, checks,
     failing = {r["check"] for r in records if r["pass"] is not True}
     assert code != 0
     assert failing == set(checks), f"{name}: {sorted(set(checks) - failing)} still pass"
+
+
+def run_under(monkeypatch, capsys, owner, attr, old, new, checks_run):
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), old, new))
+    main(["check", "--seed", "7", "--samples", "4", "--only", ",".join(checks_run)])
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_chk04_is_blind_to_a_global_sign_of_sharp(monkeypatch, capsys):
+    """(b#)E = b(S0) with S0 = -(dE)# holds for any skew map in place of
+    omega's inverse, so a sign (or scale) error common to every sharp cancels
+    between its sides; CHK-03 is the check that catches it."""
+    records = run_under(monkeypatch, capsys, finsler, "_batch_solve",
+                        "np.swapaxes(m, 1, 2)", "m", ["CHK-03", "CHK-04"])
+    assert {r["check"] for r in records if r["pass"] is not True} == {"CHK-03"}
+
+
+def test_chk13_failing_reconstruction_is_not_noted_as_expected(monkeypatch, capsys):
+    records = run_under(monkeypatch, capsys, calculus.VectorForm, "__call__",
+                        "list(zip(*m))", "m", ["CHK-13"])
+    failing = [r for r in records if r["pass"] is not True]
+    assert failing
+    for r in failing:
+        assert r["error"].startswith("reconstruction residual failed")
+        assert r["max_residual"] >= r["tolerance"]
+    for r in records:
+        if r["pass"] is True:
+            assert r["error"] == "DegenerateDegree (expected) for r=-1"

@@ -267,3 +267,10 @@ def test_golden_report_digest(capsys):
     main(["check", "--seed", "7", "--samples", "4"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "602d10cbbbbfd68e2ea9fe74c9836faa74a8fb22b49a543dce6cdd1dc2bb1f59"
+
+
+def test_golden_default_report_digest(capsys):
+    """The default `finslerlab check --seed 42` (32 samples, 48 cells), pinned byte for byte."""
+    main(["check", "--seed", "42"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "1eb8be15a57003e4ccf72b4449fd49e8e2ceef4f2a315dca13538b655cecb954"
