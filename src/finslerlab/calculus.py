@@ -127,16 +127,17 @@ class PointMemo:
         self.jets = {}
         self.floats = {}
 
-    def entry(self, point, compute):
-        """``(value, renaming)`` at a ``point_key`` result.
+    def get(self, z, compute, rename):
+        """``compute(z)`` through the memo.
 
-        ``value`` is the stored value, or ``compute()`` stored on a miss;
-        ``renaming`` maps the tags it is stored with to the point's, and is
-        None when they are the same.  A point without a key (None) is not
-        stored.
+        A miss stores the value, unless ``compute`` raises or z has no key; a
+        hit stored with other tags is returned as ``rename(value, renaming)``,
+        where ``renaming`` maps the stored tags to z's.  The result is shared:
+        do not modify it.
         """
+        point = point_key(z)
         if point is None:
-            return compute(), None
+            return compute(z)
         key, base, tags = point
         if base != self.base:
             self.jets = {}
@@ -144,25 +145,18 @@ class PointMemo:
         if not tags:
             value = self.floats.get(key)
             if value is None:
-                value = self.floats[key] = compute()
-            return value, None
+                value = self.floats[key] = compute(z)
+            return value
         hit = self.jets.get(key)
         if hit is None:
-            value = compute()
+            value = compute(z)
             self.jets[key] = (tags, value)
-            return value, None
+            return value
         stored, value = hit
-        return value, (None if stored == tags else dict(zip(stored, tags)))
-
-    def get(self, z, compute, rename):
-        """``compute(z)`` through the memo; a hit stored with other tags is
-        returned as ``rename(value, renaming)``.  The result is shared: do not
-        modify it."""
-        value, renaming = self.entry(point_key(z), lambda: compute(z))
-        if renaming is None:
+        if stored == tags:
             return value
         try:
-            return rename(value, renaming)
+            return rename(value, dict(zip(stored, tags)))
         except KeyError:  # the value holds a tag the point does not carry
             return compute(z)
 
@@ -217,22 +211,9 @@ class VectorField:
         return VectorField(lambda z: [c * a for a in self(z)], self.n)
 
 
-def vector_field_from_components(components, n: int, name: str = "") -> VectorField:
-    comps = list(components)
-
-    def ev(z):
-        return [c(z) for c in comps]
-
-    return VectorField(ev, n, name)
-
-
 def constant_vector_field(vec, n: int, name: str = "") -> VectorField:
     vals = [float(v) for v in vec]
     return VectorField(lambda z: list(vals), n, name)
-
-
-def zero_vector_field(n: int) -> VectorField:
-    return VectorField(lambda z: [0.0] * (2 * n), n, "0")
 
 
 def field_apply(X: VectorField, f: ScalarField) -> ScalarField:
@@ -337,10 +318,6 @@ class DifferentialForm:
         if isinstance(c, ScalarField):
             return DifferentialForm(self.degree, lambda z, *v: c(z) * self.fn(z, *v), self.n)
         return DifferentialForm(self.degree, lambda z, *v: c * self.fn(z, *v), self.n)
-
-
-def zero_form(degree: int, n: int) -> DifferentialForm:
-    return DifferentialForm(degree, lambda z, *v: 0.0, n, "0")
 
 
 def function_form(f: ScalarField) -> DifferentialForm:

@@ -388,7 +388,7 @@ def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
         tag = jets.fresh_tag()
         za = jets.lift(z, frame, tag)
         m = form.matrix(za)
-        w = F.jet_omega_matrix_at(za)
+        w = F.shared_omega_matrix_at(za)
         # d_ihom[a][b][c] = D_a[(i_h om)(e_b, e_c)], d_om[a][b][c] = D_a[om(e_b, e_c)]
         d_ihom = [[[0.0] * n2 for _ in rng] for _ in rng]
         d_om = [[[0.0] * n2 for _ in rng] for _ in rng]

@@ -1,18 +1,19 @@
 """Finsler energies: validation, fundamental form, sharp operator, sprays.
 
 A validated structure caches its canonical spray and Berwald connection, and
-keeps one point memo (``calculus.PointMemo``) of omega.  At a float point it
-holds omega's matrix and its condition number, for the float sharp solve (at
-a batch point, ``core.PointBatch``, their stacks over its points); at a jet
-point it holds omega's jet matrix, which the jet sharp solve and
-``d_h omega`` both read.  Its key is the point's canonical form
+keeps one point memo (``calculus.PointMemo``) of omega's matrix, as
+``omega_matrix`` returns it, at every point: a float point, a batch point
+(``core.PointBatch``) and a jet point alike.  The sharp solve and
+``d_h omega`` both read it.  A miss at a float or batch point also checks
+cond(omega) at each of its points against COND_LIMIT; a raise stores
+nothing.  The memo's key is the point's canonical form
 (``calculus.point_key``): every float, a negative zero as its own token, and
 the lift tags up to an order-preserving renaming.  Jet entries are kept for
 one base point (the real parts of the coordinates) at a time and dropped
 when a call arrives at another one, so they are the lifts of the point being
 worked on: the sharp fields bracketed with J there (S0, (d_L E)#, grad f^v)
-are lifted along the same frames and share them.  Float entries are kept
-across base points, because the checks revisit every grid point.
+are lifted along the same frames and share them.  Float and batch entries
+are kept across base points, because the checks revisit every grid point.
 
 A hit is exact.  Jet arithmetic compares tags only by their order, and every
 tag that ``omega_matrix`` makes internally is stripped before it returns; so
@@ -29,8 +30,8 @@ import numpy as np
 from . import jets
 from .calculus import (
     PointMemo, VectorField, VectorForm, d_K, d_function, exterior_derivative,
-    field_apply, fn_bracket, identity_form, liouville_field, point_key,
-    retag_array, semibasic_residual, sup_abs, vertical_endomorphism,
+    field_apply, fn_bracket, identity_form, liouville_field, retag_array,
+    semibasic_residual, sup_abs, vertical_endomorphism,
 )
 from .core import BaseFunction, PointBatch, ScalarField, SampleGrid, sample_slit_points
 from .errors import (
@@ -115,7 +116,7 @@ class FundamentalForm:
 
 
 # ---------------------------------------------------------------------------
-# the sharp solve over jet scalars
+# the sharp solve
 
 
 def _sharp_block_solve(m, beta, n, z):
@@ -131,37 +132,35 @@ def _sharp_block_solve(m, beta, n, z):
     g is eliminated once, pivoting on the real part: validation bounds only
     |det g|, so g may be indefinite and its diagonal may vanish.  Both
     right-hand sides go through the same recorded operations.  Exact float
-    zeros of A, such as its diagonal, are skipped.  A pivot that is zero, or
-    smaller than the largest pivot so far by more than COND_LIMIT, raises
-    ``NondegeneracyFailure``; as det omega = det(g)^2, this guards omega too.
+    zeros of A, such as its diagonal, are skipped.  A zero pivot raises
+    ``NondegeneracyFailure`` before its division, and so does, after the
+    elimination, a smallest pivot smaller than the largest by more than
+    COND_LIMIT; as det omega = det(g)^2, this guards omega too.  Pivot sizes
+    are not a condition estimate, so the float and batch entries of the
+    structure's memo check cond(omega) as well.
 
     At a batch point each point takes the pivot row it would take alone
-    (``_batch_pivot``), and the rows are exchanged point by point with
-    ``jets.where`` where the points' choices differ.
+    (``_batch_pivot``), the rows are exchanged point by point with
+    ``jets.where`` where the points' choices differ, and each point's pivots
+    are guarded on their own.  A float or batch component of the result has
+    its negative zeros made positive; a jet component is returned as computed.
     """
     rows = [[m[n + i][j] for i in range(n)] for j in range(n)]  # g^T, by row j
     steps = []  # (pivot row, multipliers) of each column
-    piv_max = 0.0
+    pivots = []  # |pivot| of each column
     for col in range(n):
         keys = [abs(jets.realpart(rows[r][col])) for r in range(col, n)]
         if jets.Batch in map(type, keys):
             p, pv = _batch_pivot(keys, col)
-            piv_max = np.where(pv > piv_max, pv, piv_max)  # max(piv_max, pv) per point
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bad = (pv == 0.0) | (piv_max / pv > COND_LIMIT)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise NondegeneracyFailure(
-                    "fundamental tensor numerically singular during jet sharp solve",
-                    point=_real_point(z, i), value=float(pv[i]))
+            zero = pv == 0.0
+            if zero.any():
+                raise _singular(z, int(np.argmax(zero)), 0.0)
         else:
             p = col + max(range(n - col), key=keys.__getitem__)
             pv = keys[p - col]
-            piv_max = max(piv_max, pv)
-            if pv == 0.0 or piv_max / pv > COND_LIMIT:
-                raise NondegeneracyFailure(
-                    "fundamental tensor numerically singular during jet sharp solve",
-                    point=_real_point(z), value=pv)
+            if pv == 0.0:
+                raise _singular(z, None, 0.0)
+        pivots.append(pv)
         if type(p) is int:
             rows[col], rows[p] = rows[p], rows[col]
         else:
@@ -172,6 +171,15 @@ def _sharp_block_solve(m, beta, n, z):
             for c in range(col + 1, n):
                 rows[r][c] = rows[r][c] - f * rows[col][c]
         steps.append((p, fs))
+    if jets.Batch in map(type, pivots):
+        pivots = np.array(np.broadcast_arrays(*pivots))  # (column, point)
+        smallest = pivots.min(axis=0)
+        bad = pivots.max(axis=0) > COND_LIMIT * smallest
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _singular(z, i, smallest[i])
+    elif max(pivots) > COND_LIMIT * min(pivots):
+        raise _singular(z, None, min(pivots))
 
     def solve(b):
         for col, (p, fs) in enumerate(steps):
@@ -198,7 +206,13 @@ def _sharp_block_solve(m, beta, n, z):
             if type(a) is not float or a != 0.0:
                 acc = acc - a * xh[i]
         rhs.append(acc)
-    return xh + solve(rhs)
+    return [v if type(v) is jets.Jet else v + 0.0 for v in xh + solve(rhs)]  # +0.0 normalises -0.0
+
+
+def _singular(z, i, pivot):
+    """The failure of a pivot at z, or at point ``i`` of a batch point z."""
+    return NondegeneracyFailure("fundamental tensor numerically singular during sharp solve",
+                                point=_real_point(z, i), value=float(pivot))
 
 
 def _batch_pivot(keys, col):
@@ -241,11 +255,12 @@ def _real_point(z, i=None):
 
 
 def _stacked(m, size):
-    """A matrix of floats and batches as one float array of shape (size, rows, columns)."""
+    """The real parts of a matrix of floats, batches and jets as one float array
+    of shape (size, rows, columns)."""
     out = np.empty((size, len(m), len(m[0])))
     for i, row in enumerate(m):
         for j, x in enumerate(row):
-            out[:, i, j] = x
+            out[:, i, j] = jets.realpart(x)
     return out
 
 
@@ -256,38 +271,18 @@ def _stacked(m, size):
 def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
     """sup |CE - 2E| over the grid, where each point must satisfy the energy axioms.
 
-    Raises at the first point that fails one: ``PositivityFailure`` if
-    E <= 0, ``HomogeneityFailure`` if |CE - 2E| > tol * max(1, |E|) and
-    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.  A ``PointBatch`` is
-    checked at once and raises what its points, taken in order, would raise.
+    The grid's points (TangentPoints and the points of each ``PointBatch``,
+    in order) are checked as one ``PointBatch``.  The first point that fails
+    an axiom raises: ``PositivityFailure`` if E <= 0, else
+    ``HomogeneityFailure`` if |CE - 2E| > tol * max(1, |E|), else
+    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.  An empty grid gives 0.0.
     """
+    points = [q for p in grid for q in (p.points if isinstance(p, PointBatch) else (p,))]
+    if not points:
+        return 0.0
+    z = PointBatch(points).coords()
+    size = len(points)
     CE = field_apply(liouville_field(F.n), F.E)
-    devs = []
-    for p in grid:
-        if isinstance(p, PointBatch):
-            devs.append(_batch_energy_axioms(F, CE, p, tol))
-            continue
-        z = p.coords()
-        e = F.E(z)
-        if not e > 0.0:
-            raise PositivityFailure("energy not positive on the slit bundle",
-                                    point=p, value=e)
-        dev = CE(z) - 2.0 * e
-        if abs(dev) > tol * max(1.0, abs(e)):
-            raise HomogeneityFailure("energy not 2-homogeneous: CE != 2E",
-                                     point=p, value=dev)
-        det = abs(np.linalg.det(np.array(F.metric_at(z), dtype=float)))
-        if det <= DET_FLOOR:
-            raise NondegeneracyFailure("fundamental tensor degenerate",
-                                       point=p, value=det)
-        devs.append(dev)
-    return sup_abs(devs)
-
-
-def _batch_energy_axioms(F, CE, batch, tol):
-    """CE - 2E over a batch; raises the per-point loop's error at its first failing point."""
-    z = batch.coords()
-    size = len(batch)
     e = np.broadcast_to(F.E(z), size)
     dev = np.broadcast_to(CE(z) - 2.0 * e, size)
     det = np.abs(np.linalg.det(_stacked(F.metric_at(z), size)))
@@ -302,8 +297,8 @@ def _batch_energy_axioms(F, CE, batch, tol):
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         _, error, message, value = axioms[int(np.argmax(failed[:, i]))]
-        raise error(message, point=batch.points[i], value=float(value[i]))
-    return jets.batch(dev)
+        raise error(message, point=points[i], value=float(value[i]))
+    return sup_abs([jets.batch(dev)])
 
 
 class FinslerStructure:
@@ -330,33 +325,32 @@ class FinslerStructure:
 
     # -- the point memo -------------------------------------------------------
 
-    def _float_omega(self, z):
-        m = np.array(omega_matrix(self.E, self.n, z), dtype=float)
-        return m, float(np.linalg.cond(m))
-
     def omega_matrix_at(self, z):
         return self.omega.matrix_at(z)
 
-    def jet_omega_matrix_at(self, z):
-        """omega's matrix at a jet point, shared through the point memo.
+    def shared_omega_matrix_at(self, z):
+        """omega's matrix at a float, batch or jet point, shared through the point memo.
 
-        The jet sharp solve and ``d_h omega`` both read omega here, so the
-        sharp fields bracketed with J at one point and d_h omega there build
-        it once per lifted point.  A hit is renamed to z's tags, so it is what
-        ``omega_matrix_at`` computes; a point without a key or without tags
-        (whose key holds the float entry) is computed afresh.  The result is
-        shared: do not modify it.
+        The sharp solve and ``d_h omega`` both read omega here, so the sharp
+        fields bracketed with J at one point and d_h omega there build it once
+        per point.  A hit is renamed to z's tags, so it is what
+        ``omega_matrix_at`` computes.  The result is shared: do not modify it.
         """
-        point = point_key(z)
-        if point is None or not point[2]:
-            return self.omega_matrix_at(z)
-        m, tag_map = self._memo.entry(point, lambda: self.omega_matrix_at(z))
-        if tag_map is None:
-            return m
-        try:
-            return retag_array(m, tag_map)
-        except KeyError:  # E holds jets of its own: their tags are not renamed
-            return self.omega_matrix_at(z)
+        return self._memo.get(z, self._omega_entry, retag_array)
+
+    def _omega_entry(self, z):
+        """omega's matrix at z; at a float or batch point, raises
+        ``NondegeneracyFailure`` at the first point where cond(omega) > COND_LIMIT."""
+        m = self.omega_matrix_at(z)
+        if jets.Jet not in map(type, z):
+            cond = np.linalg.cond(_stacked(m, jets.batch_size(z) or 1))
+            bad = np.flatnonzero(cond > COND_LIMIT)
+            if bad.size:
+                i = int(bad[0])
+                raise NondegeneracyFailure(
+                    f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
+                    point=_real_point(z, i), value=float(cond[i]))
+        return m
 
     def metric_at(self, z):
         return self.omega.metric_at(z)
@@ -364,44 +358,8 @@ class FinslerStructure:
     # -- sharp and friends ------------------------------------------------------
 
     def sharp_at(self, beta_values, z):
-        """Solve sum_a X^a omega_ab = beta_b at one (possibly jet-valued) point."""
-        kinds = set(map(type, z))
-        if jets.Jet not in kinds and all(type(c) is not jets.Jet for c in beta_values):
-            if jets.Batch in kinds:
-                size = jets.batch_size(z)
-                m, cond = self._memo.entry(point_key(z), lambda: self._batch_omega(z, size))[0]
-                return _batch_solve(m, cond, beta_values, z, size)
-            m, cond = self._memo.entry(point_key(z), lambda: self._float_omega(z))[0]
-            if cond > COND_LIMIT:
-                raise NondegeneracyFailure(
-                    f"fundamental form ill-conditioned (cond={cond:.3e})",
-                    point=list(z), value=cond)
-            sol = np.linalg.solve(m.T, np.array(beta_values, dtype=float))
-            return [float(v) + 0.0 for v in sol]  # +0.0 normalises -0.0
-        return _sharp_block_solve(self.jet_omega_matrix_at(z), beta_values, self.n, z)
-
-    def _batch_omega(self, z, size):
-        m = _stacked(omega_matrix(self.E, self.n, z), size)
-        return m, np.linalg.cond(m)
-
-
-def _batch_solve(m, cond, beta, z, size):
-    """The float sharp solve at a batch point: one stacked LAPACK solve.
-
-    ``m`` and ``cond`` stack omega's matrices and condition numbers over the
-    points.  Each point's matrix goes through the routine that the per-point
-    path calls, so each solution is the per-point one; an ill-conditioned
-    omega raises at the first such point.
-    """
-    bad = np.flatnonzero(cond > COND_LIMIT)
-    if bad.size:
-        i = int(bad[0])
-        raise NondegeneracyFailure(
-            f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
-            point=_real_point(z, i), value=float(cond[i]))
-    b = _stacked([[v] for v in beta], size)  # one column per point
-    sol = np.linalg.solve(np.swapaxes(m, 1, 2), b)[:, :, 0] + 0.0  # +0.0 normalises -0.0
-    return [jets.batch(x) for x in sol.T]
+        """Solve sum_a X^a omega_ab = beta_b at a float, batch or jet point."""
+        return _sharp_block_solve(self.shared_omega_matrix_at(z), beta_values, self.n, z)
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,

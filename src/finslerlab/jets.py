@@ -13,8 +13,8 @@ and ``>``, never by value, and a jet's value and coefficient carry only tags
 smaller than its own.  ``nth_directional`` and ``jvp`` strip the tags they
 create before they return, so no internal tag escapes into a result.  Hence
 renaming the tags of a computation's inputs by an order-preserving map
-(``retag``) renames those of its outputs and changes nothing else; the sharp
-solve's point memo relies on this.
+(``retag``) renames those of its outputs and changes nothing else; the point
+memos (``calculus.PointMemo``) rely on this.
 
 Tangents are sparse by structure: a lift leaves a coordinate whose direction
 component is an exact float zero untagged, so arithmetic on it never carries
@@ -35,8 +35,8 @@ evaluator that is linear in its direction then returns all k values at once
    broadcasts across the slots.
 3. An exact float-zero slot is structural: it is carried without arithmetic.
    This is the slot analogue of the untagged coordinate in ``lift``.
-4. ``tangent``, ``primal`` and ``retag`` (and the sharp memo's point key)
-   map over slots.
+4. ``tangent``, ``primal`` and ``retag`` (and ``calculus.point_key``, the
+   key of every point memo) map over slots.
 
 Each slot then performs the float operations of the scalar pass along its
 direction in the same order, operands swapped at most across a commutative

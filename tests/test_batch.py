@@ -3,7 +3,7 @@
 ``finslerlab check`` evaluates every cell at one batch point whose
 coordinates are arrays over the grid.  These tests pin the batch rules of
 ``jets`` and show, runner by runner and for the branches that read values
-(the pivot of the jet sharp solve, the energy axioms, ``sup_abs``), that the
+(the pivot of the sharp solve, the energy axioms, ``sup_abs``), that the
 batch reproduces the per-point evaluation exactly.
 """
 
@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from finslerlab import jets
-from finslerlab.calculus import point_key, sup_abs
+from finslerlab.calculus import field_apply, liouville_field, point_key, sup_abs
 from finslerlab.checks import CHECKS, CheckContext, Outcome
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
     FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
 )
 from finslerlab.finsler import (
-    FinslerStructure, _batch_pivot, _sharp_block_solve, energy_axioms_residual, finsler_fixture,
-    fixture_ids, omega_matrix,
+    DET_FLOOR, VALIDATION_TOL, FinslerStructure, _batch_pivot, _sharp_block_solve,
+    energy_axioms_residual, finsler_fixture, fixture_ids, omega_matrix,
 )
 
 
@@ -100,7 +100,7 @@ def test_every_runner_agrees_per_point_and_batched(fid):
     assert batched == per_point
 
 
-# -- the jet sharp solve's pivot --------------------------------------------------
+# -- the sharp solve's pivot --------------------------------------------------
 
 
 def test_pivot_picks_what_max_picks_at_each_point():
@@ -198,6 +198,31 @@ NOT_POSITIVE = point(-0.5, 0.0, 1.0, 1.0)
 DEGENERATE = point(1e-6, 0.0, 1.0, 1.0)
 
 
+def per_point_energy_axioms(F, points, tol=VALIDATION_TOL):
+    """The energy axioms checked one point at a time: the reference that
+    ``energy_axioms_residual`` is compared against."""
+    CE = field_apply(liouville_field(F.n), F.E)
+    devs = []
+    for p in points:
+        z = p.coords()
+        e = F.E(z)
+        if not e > 0.0:
+            raise PositivityFailure("energy not positive on the slit bundle", point=p, value=e)
+        dev = CE(z) - 2.0 * e
+        if abs(dev) > tol * max(1.0, abs(e)):
+            raise HomogeneityFailure("energy not 2-homogeneous: CE != 2E", point=p, value=dev)
+        det = abs(np.linalg.det(np.array(F.metric_at(z), dtype=float)))
+        if det <= DET_FLOOR:
+            raise NondegeneracyFailure("fundamental tensor degenerate", point=p, value=det)
+        devs.append(dev)
+    return sup_abs(devs)
+
+
+def grids(pts):
+    """``pts`` as a list of points, as one batch and as a point followed by a batch."""
+    return [pts, (PointBatch(pts),), [pts[0], PointBatch(pts[1:])]]
+
+
 @pytest.mark.parametrize("pts, error", [
     ([GOOD, NOT_HOMOGENEOUS, NOT_POSITIVE], HomogeneityFailure),
     ([GOOD, NOT_POSITIVE, NOT_HOMOGENEOUS], PositivityFailure),
@@ -205,22 +230,30 @@ DEGENERATE = point(1e-6, 0.0, 1.0, 1.0)
     ([NOT_HOMOGENEOUS, GOOD], HomogeneityFailure),
 ])
 def test_batched_validation_raises_the_per_point_error(pts, error):
-    E = ScalarField(_energy, 2, "test-energy")
+    F = FinslerStructure(ScalarField(_energy, 2, "test-energy"), 2, pts, validate=False)
     with pytest.raises(error) as per_point:
-        FinslerStructure(E, 2, pts)
-    with pytest.raises(error) as batched:
-        FinslerStructure(E, 2, (PointBatch(pts),))
-    assert type(batched.value) is type(per_point.value)
-    assert str(batched.value) == str(per_point.value)
-    assert batched.value.point == per_point.value.point
-    assert batched.value.value == per_point.value.value
+        per_point_energy_axioms(F, pts)
+    for grid in grids(pts):
+        with pytest.raises(error) as batched:
+            energy_axioms_residual(F, grid)
+        assert type(batched.value) is type(per_point.value)
+        assert str(batched.value) == str(per_point.value)
+        assert batched.value.point == per_point.value.point
+        assert batched.value.value == per_point.value.value
 
 
 def test_batched_validation_residual_matches_per_point():
     E = ScalarField(_energy, 2, "test-energy")
     pts = [GOOD, point(0.7, 0.0, -0.4, 1.5), point(0.2, 0.0, 2.0, 0.1)]
     F = FinslerStructure(E, 2, pts)
-    assert energy_axioms_residual(F, (PointBatch(pts),)) == energy_axioms_residual(F, pts)
+    for grid in grids(pts):
+        assert energy_axioms_residual(F, grid) == per_point_energy_axioms(F, pts)
+    pts = list(sample_slit_points(2, 32, 42))
+    for fid in fixture_ids():
+        F = finsler_fixture(fid, pts)
+        for grid in grids(pts):
+            assert energy_axioms_residual(F, grid) == per_point_energy_axioms(F, pts)
+    assert energy_axioms_residual(F, []) == 0.0
 
 
 # -- the batch memo key ------------------------------------------------------------------
@@ -263,9 +296,9 @@ def test_a_renamed_hit_at_a_lifted_batch_point_is_a_fresh_computation(fid, monke
     F = finsler_fixture(fid, (PointBatch(grid),))
     z = PointBatch(grid).coords()
     frame = jets.vec_frame(4)
-    F.jet_omega_matrix_at(jets.lift(z, frame, jets.fresh_tag()))
+    F.shared_omega_matrix_at(jets.lift(z, frame, jets.fresh_tag()))
     za = jets.lift(z, frame, jets.fresh_tag())
     with monkeypatch.context() as m:
         m.setattr(F.omega, "matrix_at", lambda z: pytest.fail("the memo missed"))
-        hit = F.jet_omega_matrix_at(za)
+        hit = F.shared_omega_matrix_at(za)
     assert _same(hit, omega_matrix(F.E, 2, za))

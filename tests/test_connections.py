@@ -591,7 +591,7 @@ def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
         assert dh_omega_residual(F, h, [p]) == residual
         tag = jets.fresh_tag()
         za = jets.lift(z, jets.vec_frame(n2), tag)
-        for mat, per_direction in ((h.form.matrix(za), d_m), (F.jet_omega_matrix_at(za), d_om)):
+        for mat, per_direction in ((h.form.matrix(za), d_m), (F.shared_omega_matrix_at(za), d_om)):
             for b in range(n2):
                 for c in range(n2):
                     assert jets.slots(jets.tangent(mat[b][c], tag), n2) == \

@@ -15,7 +15,7 @@ from finslerlab.calculus import (
     exterior_derivative, fn_bracket, frame_vector, insert_one_form,
     insert_vector, lie_derivative, liouville_field, vertical_endomorphism,
 )
-from finslerlab.core import BaseFunction, ScalarField, point, sample_slit_points
+from finslerlab.core import BaseFunction, PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
     HomogeneityFailure, NondegeneracyFailure, NotConnection, PositivityFailure,
 )
@@ -317,6 +317,13 @@ def test_sharp_hand_values():
     assert close(sharp(EUC, zero)(P0.coords()), [0.0] * 4)
 
 
+def test_float_and_batch_sharp_values_have_no_negative_zero():
+    # unnormalised, the block solve gives sharp(dx1) = [-0.0, 0.0, 1.0, 0.0] at every point
+    x = sharp(EUC, coordinate_one_form(N, 0))
+    for z in (P0.coords(), PointBatch([P0, *GRID]).coords()):
+        assert (np.copysign(1.0, np.asarray(x(z), dtype=float)) == 1.0).all()
+
+
 def test_sharp_round_trip():
     rng = np.random.default_rng(17)
     for F in ALL:
@@ -348,12 +355,41 @@ def test_sharp_condition_failure():
         z = jets.lift(P0.coords(), frame_vector(N2, 0), jets.fresh_tag())
         with pytest.raises(NondegeneracyFailure):
             F.sharp_at(beta, z)
+    # g = diag(1, x1^2): cond(omega) is about 1e14 at the batch's second point alone
+    F = FinslerStructure(
+        ScalarField(lambda z: 0.5 * (z[2] * z[2] + z[0] * z[0] * z[3] * z[3]), N),
+        N, GRID, validate=False)
+    good, bad = point(0.5, 0.1, 1.0, 1.0), point(1e-7, 0.1, 1.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(NondegeneracyFailure, match=r"ill-conditioned \(cond=") as err:
+            F.sharp_at(beta, PointBatch([good, bad, good]).coords())
+        assert err.value.point == list(bad.coords()) and err.value.value > 1e12
+
+
+def test_sharp_pivot_guard_compares_every_pivot():
+    # g = [[s, 1e-14], [1e-14, 1]] with s = x1: at x1 = 1e-14 the small pivot comes first and
+    # the large one after it, so cond(g) is about 1e14 while no pivot is small against an earlier one
+    from finslerlab.finsler import FinslerStructure, _sharp_block_solve
+    E = ScalarField(
+        lambda z: 0.5 * (z[0] * z[2] * z[2] + 2e-14 * z[2] * z[3] + z[3] * z[3]), N)
+    F = FinslerStructure(E, N, GRID, validate=False)
+    good, bad = point(0.5, 0.0, 1.0, 1.0), point(1e-14, 0.0, 1.0, 1.0)
+    z = jets.lift(bad.coords(), jets.vec_frame(N2), jets.fresh_tag())
+    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
+        F.sharp_at(_jet_beta(z), z)
+    assert err.value.point == list(bad.coords()) and err.value.value == 1e-14
+    z = PointBatch([good, bad]).coords()
+    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
+        _sharp_block_solve(omega_matrix(E, N, z), _jet_beta(z), N, z)
+    assert err.value.point == list(bad.coords()) and err.value.value == 1e-14
+    z = good.coords()
+    _sharp_block_solve(omega_matrix(E, N, z), _jet_beta(z), N, z)
 
 
 def _sharp_full_elimination(m, beta):
     """sum_a X^a m[a][b] = beta_b by Gaussian elimination of the whole 2n x 2n
-    omega^T, pivoting on the real part: the jet sharp solve before it went
-    through omega's metric block, kept as the reference."""
+    omega^T, pivoting on the real part: the reference for the solve through
+    omega's metric block."""
     size = len(m)
     rows = [[m[a][b] for a in range(size)] for b in range(size)]
     b = list(beta)
@@ -397,6 +433,15 @@ def test_sharp_block_solve_matches_full_elimination(fid, n):
             slot = (tags[1], a, n2)
             for x, y in zip(_coeffs(u, tags, slot), _coeffs(v, tags, slot)):
                 assert abs(x - y) <= 1e-12 * abs(y)
+    # a float point, and a batch point of it and the grid, point by point
+    pts = [point(*z0), *grid]
+    zb = PointBatch(pts).coords()
+    batched = F.sharp_at(_jet_beta(zb), zb)
+    for i, p in enumerate(pts):
+        z = p.coords()
+        ref = _sharp_full_elimination(omega_matrix(F.E, n, z), _jet_beta(z))
+        for x, xb, y in zip(F.sharp_at(_jet_beta(z), z), batched, ref):
+            assert abs(x - y) <= 1e-12 * abs(y) and abs(xb[i] - y) <= 1e-12 * abs(y)
 
 
 def test_sharp_with_an_indefinite_metric_pivots():
@@ -500,6 +545,8 @@ def test_sharp_memo_with_an_energy_that_holds_jets():
     fresh = FinslerStructure(E, N, GRID, validate=False).sharp_at(_jet_beta(again), again)
     assert all(_identical(a, b) for a, b in zip(hit, fresh))
     assert drift.tag in set().union(*map(_tags_of, hit))
+    # at a float point omega holds the drift's jets too; cond reads their real parts
+    assert drift.tag in set().union(*map(_tags_of, F.sharp_at(_jet_beta(P0.coords()), P0.coords())))
 
 
 def test_sharp_memo_keeps_one_base_point():
@@ -537,11 +584,11 @@ def test_jet_omega_matrix_is_shared_and_renamed():
         z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
         F = finsler_fixture("randers-0.3", sample_slit_points(n, 2, seed=3), n=n)
         first, _ = _jet_point(z0, 1, vec=0)
-        assert F.jet_omega_matrix_at(first) is F.jet_omega_matrix_at(first)
+        assert F.shared_omega_matrix_at(first) is F.shared_omega_matrix_at(first)
         again, tags = _jet_point(z0, 1, vec=0)
         with mock.patch.object(finsler, "omega_matrix",
                                side_effect=AssertionError("memo missed")):
-            hit = F.jet_omega_matrix_at(again)
+            hit = F.shared_omega_matrix_at(again)
         fresh = F.omega_matrix_at(again)
         assert all(_identical(a, b) for u, v in zip(hit, fresh) for a, b in zip(u, v))
         assert set().union(*(_tags_of(a) for row in hit for a in row)) == set(tags)

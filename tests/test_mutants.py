@@ -32,6 +32,8 @@ def mutant(func, old, new):
     return namespace[func.__name__]
 
 
+NEGATED_SHARP = ("xh + solve(rhs)", "[-v for v in xh + solve(rhs)]")
+
 # (name, owner, attribute, old, new, targeted checks)
 MUTANTS = [
     ("drop D_Y K", calculus, "_bracket_1_0",
@@ -42,11 +44,13 @@ MUTANTS = [
      " - k_dy[a][b]", "", [f"CHK-{i:02d}" for i in range(5, 12)]),
     ("contract rows instead of columns in K(z, v)", calculus.VectorForm, "__call__",
      "list(zip(*m))", "m", ["CHK-02", "CHK-06", "CHK-07", "CHK-08"]),
-    # omega^T = -omega, so this flips the sign of every float sharp
-    ("solve the stacked float system without the transpose", finsler, "_batch_solve",
-     "np.swapaxes(m, 1, 2)", "m", ["CHK-03", "CHK-06", "CHK-08", "CHK-14"]),
+    # what solving with omega in place of omega^T gives, as omega^T = -omega
+    ("negate the result of the sharp solve", finsler, "_sharp_block_solve",
+     *NEGATED_SHARP, ["CHK-03"] + [f"CHK-{i:02d}" for i in range(5, 17)]),
+    # the block solve never reads the upper right block, so sharp is unchanged and
+    # only the checks that read omega itself see it
     ("a symmetric omega: +g in its upper right block", finsler, "omega_matrix",
-     "m[i][n + j] = -g", "m[i][n + j] = g", ["CHK-04", "CHK-15"]),
+     "m[i][n + j] = -g", "m[i][n + j] = g", ["CHK-03", "CHK-15"]),
     ("S0 = +(dE)#", checks, "canonical_spray",
      "scale(-1.0)", "scale(1.0)", ["CHK-04"]),
     ("a horizontal Liouville field", finsler, "liouville_field",
@@ -69,6 +73,11 @@ def test_mutant_fails_every_targeted_check(name, owner, attr, old, new, checks,
     assert failing == set(checks), f"{name}: {sorted(set(checks) - failing)} still pass"
 
 
+def test_every_check_is_targeted_by_a_mutant():
+    targeted = set().union(*(m[-1] for m in MUTANTS))
+    assert set(checks.CHECK_IDS) <= targeted, sorted(set(checks.CHECK_IDS) - targeted)
+
+
 def run_under(monkeypatch, capsys, owner, attr, old, new, checks_run):
     monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), old, new))
     main(["check", "--seed", "7", "--samples", "4", "--only", ",".join(checks_run)])
@@ -79,8 +88,8 @@ def test_chk04_is_blind_to_a_global_sign_of_sharp(monkeypatch, capsys):
     """(b#)E = b(S0) with S0 = -(dE)# holds for any skew map in place of
     omega's inverse, so a sign (or scale) error common to every sharp cancels
     between its sides; CHK-03 is the check that catches it."""
-    records = run_under(monkeypatch, capsys, finsler, "_batch_solve",
-                        "np.swapaxes(m, 1, 2)", "m", ["CHK-03", "CHK-04"])
+    records = run_under(monkeypatch, capsys, finsler, "_sharp_block_solve",
+                        *NEGATED_SHARP, ["CHK-03", "CHK-04"])
     assert {r["check"] for r in records if r["pass"] is not True} == {"CHK-03"}
 
 
