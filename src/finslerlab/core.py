@@ -53,9 +53,12 @@ class TangentPoint:
 class PointBatch:
     """A batch of slit-bundle points, evaluated as one point.
 
-    Its 2n coordinates are ``jets.Batch`` arrays over the points, in order,
-    so an evaluator called once at ``coords()`` computes its values at every
-    point of the batch (see the batch rules in ``jets``).  Built from a
+    Its 2n coordinates are batches over the points, in order: plain 1-d
+    float arrays (``jets.Batch`` names the type).  An evaluator called once
+    at ``coords()`` computes its values at every point of the batch, provided
+    it keeps the batch rules in ``jets``: it never reads a batch's own
+    truthiness, and it raises to constant powers with ``jets.power``, not
+    ``**``.  Built from a
     ``SampleGrid`` or any sequence of TangentPoints of one dimension;
     ``points[i]`` is the point of slot i.
     """

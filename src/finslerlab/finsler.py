@@ -230,7 +230,7 @@ def _batch_pivot(keys, col):
         best = np.where(larger, k, best)
     if type(p) is not int and (p == p[0]).all():
         p = int(p[0])
-    return p, best.view(jets.Batch)
+    return p, best
 
 
 def _exchange(items, col, p, select):

@@ -43,21 +43,26 @@ direction in the same order, operands swapped at most across a commutative
 operation, so a vector pass gives the scalar passes' values; only the signs
 of zeros can differ.
 
-Batches: a ``Batch`` holds the values of one quantity at a batch of points,
-a 1-d float array, and stands wherever a float may: as a coordinate, a jet
-part or a Vec slot.  One jet operation on batches then does the work of every
-point of the batch in one numpy call.  Three rules keep a batch pass equal to
-the per-point passes, value for value:
+Batches: a batch holds the values of one quantity at a batch of points, a
+plain 1-d float ``np.ndarray`` (``Batch`` is that type, named for the
+concept), and stands wherever a float may: as a coordinate, a jet part or a
+Vec slot.  One jet operation on batches then does the work of every point of
+the batch in one numpy call.  Three rules keep a batch pass equal to the
+per-point passes, value for value:
 
-1. A batch is never a structural zero.  It is truthy whatever its values, so
-   ``lift`` tags a coordinate whose direction is a batch and a Vec slot that
-   is a batch takes part in arithmetic; where a point's own pass would skip
-   an exact zero, the batch multiplies or adds it, which changes at most the
-   sign of a zero.
-2. ``exp``, ``log``, ``sin``, ``cos`` and constant powers apply libm per
-   element, as the float pass does; numpy's vectorised versions round
-   differently.  ``sqrt`` and field arithmetic are correctly rounded either
-   way.
+1. A batch is never a structural zero.  A structural zero is a value that is
+   not an array and is falsy; ``lift`` and the Vec operators test exactly
+   that (an array's own truthiness would raise, or read the value of a
+   one-point batch).  So ``lift`` tags a coordinate whose direction is a
+   batch, and a Vec slot that is a batch takes part in arithmetic; where a
+   point's own pass would skip an exact zero, the batch multiplies or adds
+   it, which changes at most the sign of a zero.
+2. ``exp``, ``log``, ``sin``, ``cos`` and ``power`` apply libm per element,
+   as the float pass does; numpy's vectorised versions round differently.
+   Batch-exact code calls them, not ``np.exp`` and the rest, and raises to a
+   constant power with ``power`` (or ``**`` on a Jet, which calls it), never
+   with ``**`` on a bare array, which is numpy's own power.  ``sqrt`` and
+   field arithmetic are correctly rounded either way.
 3. ``Jet`` and ``Vec`` set ``__array_ufunc__ = None``, so numpy's operators
    return ``NotImplemented`` for them and a batch on the left of a Jet or a
    Vec defers to their reflected operator.
@@ -78,6 +83,9 @@ import math
 import numpy as np
 
 _TAGS = itertools.count(1)
+
+Batch = np.ndarray
+"""The float values of one quantity at a batch of points: a plain 1-d array."""
 
 
 def fresh_tag() -> int:
@@ -172,8 +180,7 @@ class Jet:
             raise TypeError("jet powers must have constant numeric exponents")
         if p == 2:
             return self * self
-        v = self.val ** p
-        return Jet(self.tag, v, p * self.val ** (p - 1) * self.dot)
+        return Jet(self.tag, power(self.val, p), p * power(self.val, p - 1) * self.dot)
 
     # -- smooth primitives ---------------------------------------------------
 
@@ -199,9 +206,9 @@ class Vec:
     """A tangent with one slot per direction of a vector lift.
 
     Vecs add and subtract slot by slot; any other operand is a scalar (a
-    float or a Jet) and broadcasts across the slots.  An exact-zero slot is
-    structural: it is carried as it is, never used in arithmetic.  Vecs are
-    never mutated, so one may be shared.
+    float, a batch or a Jet) and broadcasts across the slots.  An exact-zero
+    slot is structural: it is carried as it is, never used in arithmetic; a
+    batch slot never is.  Vecs are never mutated, so one may be shared.
     """
 
     __slots__ = ("s",)
@@ -215,43 +222,47 @@ class Vec:
 
     def __add__(self, o):
         if type(o) is Vec:
-            return Vec([b if not a else a if not b else a + b for a, b in zip(self.s, o.s)])
-        if not o:
+            return Vec([b if type(a) is not Batch and not a else
+                        a if type(b) is not Batch and not b else a + b
+                        for a, b in zip(self.s, o.s)])
+        if type(o) is not Batch and not o:
             return self
-        return Vec([o if not a else a + o for a in self.s])
+        return Vec([o if type(a) is not Batch and not a else a + o for a in self.s])
 
     def __radd__(self, o):
-        if not o:
+        if type(o) is not Batch and not o:
             return self
-        return Vec([o if not a else o + a for a in self.s])
+        return Vec([o if type(a) is not Batch and not a else o + a for a in self.s])
 
     def __neg__(self):
-        return Vec([a if not a else -a for a in self.s])
+        return Vec([a if type(a) is not Batch and not a else -a for a in self.s])
 
     def __sub__(self, o):
         if type(o) is Vec:
-            return Vec([a if not b else -b if not a else a - b for a, b in zip(self.s, o.s)])
-        if not o:
+            return Vec([a if type(b) is not Batch and not b else
+                        -b if type(a) is not Batch and not a else a - b
+                        for a, b in zip(self.s, o.s)])
+        if type(o) is not Batch and not o:
             return self
-        return Vec([-o if not a else a - o for a in self.s])
+        return Vec([-o if type(a) is not Batch and not a else a - o for a in self.s])
 
     def __rsub__(self, o):
-        if not o:
+        if type(o) is not Batch and not o:
             return -self
-        return Vec([o if not a else o - a for a in self.s])
+        return Vec([o if type(a) is not Batch and not a else o - a for a in self.s])
 
     def __mul__(self, o):
         if type(o) is Vec:
             return NotImplemented
-        return Vec([a if not a else a * o for a in self.s])
+        return Vec([a if type(a) is not Batch and not a else a * o for a in self.s])
 
     def __rmul__(self, o):
-        return Vec([a if not a else o * a for a in self.s])
+        return Vec([a if type(a) is not Batch and not a else o * a for a in self.s])
 
     def __truediv__(self, o):
         if type(o) is Vec:
             return NotImplemented
-        return Vec([a if not a else a / o for a in self.s])
+        return Vec([a if type(a) is not Batch and not a else a / o for a in self.s])
 
     def mul_add(self, x, y, w):
         """``y * w + self * x`` for scalars x, y and a Vec w, in one pass over the slots.
@@ -259,7 +270,9 @@ class Vec:
         The product rule of a Jet whose dots are Vecs: each slot does what
         ``y * w + self * x`` does, with the structural zeros of both Vecs.
         """
-        return Vec([(a if not a else a * x) if not b else y * b if not a else y * b + a * x
+        return Vec([(a if type(a) is not Batch and not a else a * x)
+                    if type(b) is not Batch and not b else
+                    y * b if type(a) is not Batch and not a else y * b + a * x
                     for a, b in zip(self.s, w.s)])
 
 
@@ -274,23 +287,9 @@ def slots(x, k: int):
     return x.s if type(x) is Vec else [x] * k
 
 
-class Batch(np.ndarray):
-    """The float values of one quantity at a batch of points (a 1-d array).
-
-    Never a structural zero: truthy whatever its values (a 0-d result reads
-    its value).  Constant powers apply libm per element.
-    """
-
-    def __bool__(self):
-        return True if self.ndim else bool(self.item())
-
-    def __pow__(self, p):
-        return _per_element(lambda v: v ** p, self)
-
-
 def batch(values) -> Batch:
-    """The values (a sequence of floats or an array) as a Batch."""
-    return np.asarray(values, dtype=float).view(Batch)
+    """The values (a sequence of floats or an array) as a batch, a 1-d float array."""
+    return np.asarray(values, dtype=float)
 
 
 def batch_size(z):
@@ -303,6 +302,11 @@ def batch_size(z):
 
 def _per_element(f, x):
     return batch([f(v) for v in x.tolist()])
+
+
+def power(x, p):
+    """``x ** p`` for a constant p; a batch applies libm per element."""
+    return _per_element(lambda v: v ** p, x) if type(x) is Batch else x ** p
 
 
 def sqrt(x):
@@ -356,7 +360,7 @@ def where(mask, a, b):
         return Vec([where(mask, x, y) for x, y in zip(slots(a, k), slots(b, k))])
     if ta is float and tb is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
         return a
-    return np.where(mask, a, b).view(Batch)
+    return np.where(mask, a, b)
 
 
 def realpart(x) -> float:
@@ -383,15 +387,25 @@ def retag(x, tag_map):
 def lift(coords, direction, tag):
     """Wrap each coordinate as value + epsilon_tag * direction component.
 
-    A coordinate whose component is an exact float zero, or a Vec of exact
-    zeros, is returned as is (untagged): the lift does not move it, and
-    ``tangent()`` of an untagged value is ``0.0``.  A jet-valued component is
-    always lifted, whatever its value, because it carries derivatives of an
-    enclosing lift.  The direction of a vector lift holds Vecs and exact
-    zeros.
+    A coordinate whose component is a structural zero (an exact float zero),
+    or a Vec of structural zeros, is returned as is (untagged): the lift does
+    not move it, and ``tangent()`` of an untagged value is ``0.0``.  A jet- or
+    batch-valued component is always lifted, whatever its value: a jet carries
+    derivatives of an enclosing lift, and a batch is never a structural zero.
+    The direction of a vector lift holds Vecs and exact zeros.
     """
-    return [Jet(tag, c, d) if type(d) is Jet or (any(d.s) if type(d) is Vec else d != 0.0)
-            else c for c, d in zip(coords, direction)]
+    out = []
+    for c, d in zip(coords, direction):
+        if type(d) is Vec:
+            for a in d.s:
+                if type(a) is Batch or a:
+                    out.append(Jet(tag, c, d))
+                    break
+            else:
+                out.append(c)
+        else:
+            out.append(c if type(d) is not Batch and not d else Jet(tag, c, d))
+    return out
 
 
 def primal(x, tag):

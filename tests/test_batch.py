@@ -7,7 +7,9 @@ coordinates are arrays over the grid.  These tests pin the batch rules of
 batch reproduces the per-point evaluation exactly.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +35,46 @@ def at(x, i):
 # -- the batch rules ------------------------------------------------------------
 
 
+def _carried(x, values):
+    """x is a batch holding ``values``, signs of zeros included: a zero batch
+    went through the arithmetic rather than being skipped as structural."""
+    return (type(x) is jets.Batch and x.tolist() == values
+            and np.signbit(x).tolist() == [math.copysign(1.0, v) < 0.0 for v in values])
+
+
 def test_batch_is_never_a_structural_zero():
-    zeros = jets.batch([0.0, 0.0])
-    assert zeros and not (not zeros)
-    assert jets.lift([1.0], [zeros], jets.fresh_tag())[0].__class__ is jets.Jet
-    assert bool(jets.batch([0.0, 1.0]).max()) is True
+    # A structural zero would come back as the other operand (a float) or as
+    # the zero batch itself.  With one point, an array's own truthiness reads
+    # its value, so only the explicit test keeps a one-point zero a value.
+    Vec = jets.Vec
+    for size in (2, 1):
+        zero = jets.batch([0.0] * size)
+        two, minus_two, neg_zero = [2.0] * size, [-2.0] * size, [-0.0] * size
+        # a zero batch slot
+        assert _carried((Vec([zero]) + Vec([2.0])).s[0], two)
+        assert _carried((Vec([2.0]) + Vec([zero])).s[0], two)
+        assert _carried((Vec([zero]) + 2.0).s[0], two)
+        assert _carried((2.0 + Vec([zero])).s[0], two)
+        assert _carried((Vec([zero]) - Vec([2.0])).s[0], minus_two)
+        assert _carried((Vec([2.0]) - Vec([zero])).s[0], two)
+        assert _carried((Vec([zero]) - 2.0).s[0], minus_two)
+        assert _carried((2.0 - Vec([zero])).s[0], two)
+        assert _carried((-Vec([zero])).s[0], neg_zero)
+        assert _carried((Vec([zero]) * -1.0).s[0], neg_zero)
+        assert _carried((-1.0 * Vec([zero])).s[0], neg_zero)
+        assert _carried((Vec([zero]) / -1.0).s[0], neg_zero)
+        assert _carried(Vec([zero]).mul_add(3.0, 1.0, Vec([2.0])).s[0], two)
+        assert _carried(Vec([2.0]).mul_add(-1.0, 0.0, Vec([zero])).s[0], minus_two)
+        # a zero batch operand
+        assert _carried((Vec([2.0]) + zero).s[0], two)
+        assert _carried((zero + Vec([2.0])).s[0], two)
+        assert _carried((Vec([2.0]) - zero).s[0], two)
+        assert _carried((zero - Vec([2.0])).s[0], minus_two)
+        # a zero batch direction
+        tag = jets.fresh_tag()
+        lifted = jets.lift([1.0, 1.0, 1.0], [zero, Vec([0.0, zero]), Vec([0.0, 0.0])], tag)
+        assert [type(c) for c in lifted] == [jets.Jet, jets.Jet, float]
+        assert lifted[0].dot is zero
 
 
 @pytest.mark.parametrize("name", ["exp", "log", "sin", "cos"])
@@ -50,8 +87,26 @@ def test_transcendentals_apply_libm_per_element(name):
 
 def test_powers_and_sqrt_match_floats():
     values = np.random.default_rng(4).uniform(0.01, 3.0, 200).tolist()
-    assert (jets.batch(values) ** 1.5).tolist() == [v ** 1.5 for v in values]
+    for p in (1.5, 3, -1, 0.5):
+        assert jets.power(jets.batch(values), p).tolist() == [v ** p for v in values]
+        j = jets.Jet(jets.fresh_tag(), jets.batch(values), 1.0) ** p
+        assert j.val.tolist() == [v ** p for v in values]
+        assert j.dot.tolist() == [p * v ** (p - 1) * 1.0 for v in values]
     assert jets.sqrt(jets.batch(values)).tolist() == [math.sqrt(v) for v in values]
+
+
+def test_library_raises_to_powers_only_in_jets():
+    # ``**`` on a bare batch is numpy's power, which rounds differently from
+    # libm; the library's energies and fields go through jets.power instead.
+    package = Path(jets.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_jet_and_vec_take_precedence_over_numpy_operators():
@@ -94,10 +149,11 @@ def _run_cells(fid, grid, points):
 
 @pytest.mark.parametrize("fid", fixture_ids())
 def test_every_runner_agrees_per_point_and_batched(fid):
-    grid = sample_slit_points(2, 4, 7)
-    per_point = _run_cells(fid, grid, grid)
-    batched = _run_cells(fid, grid, (PointBatch(grid),))
-    assert batched == per_point
+    for samples in (4, 1):  # one point: an array's own truthiness reads its value
+        grid = sample_slit_points(2, samples, 7)
+        per_point = _run_cells(fid, grid, grid)
+        batched = _run_cells(fid, grid, (PointBatch(grid),))
+        assert batched == per_point
 
 
 # -- the sharp solve's pivot --------------------------------------------------
