@@ -372,9 +372,11 @@ def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
 
     Shares the per-point lifted evaluations across all triples: one vector
     lift along the frame gives the derivatives of the connection matrix and
-    of the omega matrix in every direction.  omega at the lifted point comes
-    through the structure's point memo, so connections evaluated in turn at
-    one point share it.
+    of the omega matrix in every direction, and the connection matrix at the
+    point itself is the primal of the lifted one, so h is evaluated once per
+    point.  omega at the lifted point comes through the structure's point
+    memo, so connections evaluated in turn at one point share it.  Of
+    d(i_h omega) only the entries the triples a < b < c read are formed.
     """
     points = points if points is not None else F.grid
     form = _as_form(h)
@@ -383,23 +385,24 @@ def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
     frame = jets.vec_frame(n2)
     devs = []
     for p in points:
-        z = p.coords()
-        h_real = form.matrix(z)
         tag = jets.fresh_tag()
-        za = jets.lift(z, frame, tag)
+        za = jets.lift(p.coords(), frame, tag)
         m = form.matrix(za)
+        h_real = [[jets.primal(x, tag) for x in row] for row in m]
         w = F.shared_omega_matrix_at(za)
-        # d_ihom[a][b][c] = D_a[(i_h om)(e_b, e_c)], d_om[a][b][c] = D_a[om(e_b, e_c)]
+        # d_ihom[a][b][c] = D_a[(i_h om)(e_b, e_c)] for b < c, the entries read;
+        # d_om[a][b][c] = D_a[om(e_b, e_c)], read in every order
         d_ihom = [[[0.0] * n2 for _ in rng] for _ in rng]
         d_om = [[[0.0] * n2 for _ in rng] for _ in rng]
         for b in rng:
             for c in rng:
+                for a, v in enumerate(jets.slots(jets.tangent(w[b][c], tag), n2)):
+                    d_om[a][b][c] = v
+            for c in range(b + 1, n2):
                 val = sum(m[d][b] * w[d][c] for d in rng) \
                     + sum(m[d][c] * w[b][d] for d in rng)
                 for a, v in enumerate(jets.slots(jets.tangent(val, tag), n2)):
                     d_ihom[a][b][c] = v
-                for a, v in enumerate(jets.slots(jets.tangent(w[b][c], tag), n2)):
-                    d_om[a][b][c] = v
 
         def d_omega(a, b, c):
             return d_om[a][b][c] - d_om[b][a][c] + d_om[c][a][b]

@@ -1,23 +1,23 @@
 """Finsler energies: validation, fundamental form, sharp operator, sprays.
 
 A validated structure caches its canonical spray and Berwald connection, and
-keeps one point memo (``calculus.PointMemo``) of omega's matrix, as
-``omega_matrix`` returns it, at every point: a float point, a batch point
-(``core.PointBatch``) and a jet point alike.  The sharp solve and
-``d_h omega`` both read it.  A miss at a float or batch point also checks
-cond(omega) at each of its points against COND_LIMIT; a raise stores
-nothing.  The memo's key is the point's canonical form
-(``calculus.point_key``): every float, a negative zero as its own token, and
-the lift tags up to an order-preserving renaming.  Jet entries are kept for
-one base point (the real parts of the coordinates) at a time and dropped
-when a call arrives at another one, so they are the lifts of the point being
-worked on: the sharp fields bracketed with J there (S0, (d_L E)#, grad f^v)
-are lifted along the same frames and share them.  Float and batch entries
+keeps one point memo (``calculus.PointMemo``) of omega's matrix and dE, as
+``omega_and_dE`` returns them from one pass of E, at every point: a float
+point, a batch point (``core.PointBatch``) and a jet point alike.  The sharp
+solve and ``d_h omega`` read omega there, and the canonical spray both.  A
+miss at a float or batch point also checks cond(omega) at each of its points
+against COND_LIMIT; a raise stores nothing.  The memo's key is the point's
+canonical form (``calculus.point_key``): every float, a negative zero as its
+own token, and the lift tags up to an order-preserving renaming.  Jet
+entries are kept for one base point (the real parts of the coordinates) at a
+time and dropped when a call arrives at another one, so they are the lifts
+of the point being worked on: the sharp fields bracketed with J there (S0,
+(d_L E)#, grad f^v) are lifted along the same frames and share them.  Float and batch entries
 are kept across base points, because the checks revisit every grid point.
 
 A hit is exact.  Jet arithmetic compares tags only by their order, and every
-tag that ``omega_matrix`` makes internally is stripped before it returns; so
-a stored matrix renamed to the caller's tags is, bit for bit, what a fresh
+tag that ``omega_and_dE`` makes internally is stripped before it returns; so
+a stored entry renamed to the caller's tags is, bit for bit, what a fresh
 computation at the caller's point would give, and so is the sharp solve that
 reads it.  An energy that holds jets of its own puts tags into omega that no
 point carries; a hit that would have to rename one computes afresh instead.
@@ -49,33 +49,42 @@ CONNECTION_TOL = 1e-8
 # fundamental form assembly
 
 
-def _hessian_rows(E: ScalarField, n: int, z, k: int):
-    """h[a][j] = D_{e_{n+j}} D_{e_{2n-k+a}} E for the last k frame directions.
+def _energy_pass(E: ScalarField, n: int, z, k: int):
+    """``(d, h)`` from one nested vector pass of E over the last k frame directions.
 
-    One nested vector pass: the inner lift (the larger tag) moves the last k
-    coordinates and the outer one the fiber, so each entry is what
-    ``nth_directional(E.fn, z, [e_{2n-k+a}, e_{n+j}])`` computes.
+    The inner lift (the larger tag) moves the last k coordinates and the outer
+    one the fiber.  h[a][j] = D_{e_{n+j}} D_{e_{2n-k+a}} E, each entry what
+    ``nth_directional(E.fn, z, [e_{2n-k+a}, e_{n+j}])`` computes.  ``d``, the
+    inner tangent's primal along the outer lift, is the Vec (or the scalar)
+    of the first derivatives D_{e_{2n-k+a}} E that ``directional`` computes
+    along ``vec_frame``: the outer lift leaves every value part as it is.
     """
     inner = [0.0] * (2 * n - k) + jets.vec_frame(k)
     outer = [0.0] * n + jets.vec_frame(n)
-    h = jets.nth_directional(E.fn, z, [inner, outer])
-    return [jets.slots(row, n) for row in jets.slots(h, k)]
+    outer_tag = jets.fresh_tag()
+    inner_tag = jets.fresh_tag()
+    first = jets.tangent(E.fn(jets.lift(jets.lift(z, outer, outer_tag), inner, inner_tag)),
+                         inner_tag)
+    h = jets.tangent(first, outer_tag)
+    return jets.primal(first, outer_tag), [jets.slots(row, n) for row in jets.slots(h, k)]
 
 
 def metric_matrix(E: ScalarField, n: int, z):
     """g_ij = d2 E / dy^i dy^j (the fundamental tensor)."""
-    h = _hessian_rows(E, n, z, n)
+    h = _energy_pass(E, n, z, n)[1]
     return [[h[i][j] if i <= j else h[j][i] for j in range(n)] for i in range(n)]
 
 
-def omega_matrix(E: ScalarField, n: int, z):
-    """Closed-form matrix of omega = d(d_J E): [[A, -g^T], [g, 0]].
+def omega_and_dE(E: ScalarField, n: int, z):
+    """Closed-form matrix of omega = d(d_J E), [[A, -g^T], [g, 0]], and dE.
 
     A_ij = E_{x^i y^j} - E_{x^j y^i} is the skew part of the mixed Hessian, so
     its diagonal is exactly zero and only the pairs i < j are formed.  Both
-    blocks come from one nested pass over the rows of the Hessian of E.
+    blocks come from one nested pass over the rows of the Hessian of E, and
+    dE, the Vec of D_{e_a} E over the frame, from the first-order part of
+    the same pass.
     """
-    h = _hessian_rows(E, n, z, 2 * n)
+    dE, h = _energy_pass(E, n, z, 2 * n)
     n2 = 2 * n
     m = [[0.0] * n2 for _ in range(n2)]
     for i in range(n):
@@ -87,7 +96,12 @@ def omega_matrix(E: ScalarField, n: int, z):
             g = h[n + i][j] if i <= j else h[n + j][i]
             m[i][n + j] = -g
             m[n + j][i] = g
-    return m
+    return m, dE
+
+
+def omega_matrix(E: ScalarField, n: int, z):
+    """omega's matrix, as ``omega_and_dE`` gives it."""
+    return omega_and_dE(E, n, z)[0]
 
 
 class FundamentalForm:
@@ -328,20 +342,29 @@ class FinslerStructure:
     def omega_matrix_at(self, z):
         return self.omega.matrix_at(z)
 
-    def shared_omega_matrix_at(self, z):
-        """omega's matrix at a float, batch or jet point, shared through the point memo.
+    def shared_omega_at(self, z):
+        """``[omega's matrix, dE]`` at a float, batch or jet point, shared through
+        the point memo.
 
-        The sharp solve and ``d_h omega`` both read omega here, so the sharp
-        fields bracketed with J at one point and d_h omega there build it once
-        per point.  A hit is renamed to z's tags, so it is what
-        ``omega_matrix_at`` computes.  The result is shared: do not modify it.
+        Both come from one pass of E (``omega_and_dE``).  The sharp solve and
+        ``d_h omega`` read omega here and the canonical spray reads both, so
+        the sharp fields bracketed with J at one point and d_h omega there
+        build them once per point.  A hit is renamed to z's tags, so it is
+        what ``omega_and_dE`` computes.  The result is shared: do not modify it.
         """
         return self._memo.get(z, self._omega_entry, retag_array)
 
+    def shared_omega_matrix_at(self, z):
+        """omega's matrix from ``shared_omega_at``; shared: do not modify it."""
+        return self.shared_omega_at(z)[0]
+
     def _omega_entry(self, z):
-        """omega's matrix at z; at a float or batch point, raises
-        ``NondegeneracyFailure`` at the first point where cond(omega) > COND_LIMIT."""
-        m = self.omega_matrix_at(z)
+        """``[omega's matrix, dE]`` at z; at a float or batch point, raises
+        ``NondegeneracyFailure`` at the first point where cond(omega) > COND_LIMIT.
+
+        A list, not a tuple: ``retag_array`` renames a hit by walking lists.
+        """
+        m, dE = omega_and_dE(self.E, self.n, z)
         if jets.Jet not in map(type, z):
             cond = np.linalg.cond(_stacked(m, jets.batch_size(z) or 1))
             bad = np.flatnonzero(cond > COND_LIMIT)
@@ -350,7 +373,7 @@ class FinslerStructure:
                 raise NondegeneracyFailure(
                     f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
                     point=_real_point(z, i), value=float(cond[i]))
-        return m
+        return [m, dE]
 
     def metric_at(self, z):
         return self.omega.metric_at(z)
@@ -391,10 +414,19 @@ def gradient(F: FinslerStructure, f: ScalarField) -> VectorField:
 
 
 def canonical_spray(F: FinslerStructure) -> VectorField:
-    """S0 = -(dE)#; a 2-homogeneous semispray."""
+    """S0 = -(dE)#; a 2-homogeneous semispray.
+
+    dE comes from the pass that builds omega at the point, through the
+    structure's point memo, and is solved as ``sharp`` solves any 1-form.
+    """
     if F._spray is None:
-        F._spray = sharp(F, d_function(F.E).scale(-1.0))
-        F._spray.name = "S0"
+        n2 = 2 * F.n
+
+        def ev(z):
+            m, dE = F.shared_omega_at(z)
+            return _sharp_block_solve(m, jets.slots(-1.0 * dE, n2), F.n, z)
+
+        F._spray = VectorField(ev, F.n, name="S0", memo=True)
     return F._spray
 
 

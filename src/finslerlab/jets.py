@@ -178,8 +178,6 @@ class Jet:
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("jet powers must have constant numeric exponents")
-        if p == 2:
-            return self * self
         return Jet(self.tag, power(self.val, p), p * power(self.val, p - 1) * self.dot)
 
     # -- smooth primitives ---------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finslerlab import jets
+from finslerlab import finsler, jets
 from finslerlab.calculus import field_apply, liouville_field, point_key, sup_abs
 from finslerlab.checks import CHECKS, CheckContext, Outcome
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
@@ -23,7 +23,7 @@ from finslerlab.errors import (
 )
 from finslerlab.finsler import (
     DET_FLOOR, VALIDATION_TOL, FinslerStructure, _batch_pivot, _sharp_block_solve,
-    energy_axioms_residual, finsler_fixture, fixture_ids, omega_matrix,
+    energy_axioms_residual, finsler_fixture, fixture_ids, omega_and_dE, omega_matrix,
 )
 
 
@@ -87,7 +87,7 @@ def test_transcendentals_apply_libm_per_element(name):
 
 def test_powers_and_sqrt_match_floats():
     values = np.random.default_rng(4).uniform(0.01, 3.0, 200).tolist()
-    for p in (1.5, 3, -1, 0.5):
+    for p in (1.5, 2, 3, -1, 0.5):
         assert jets.power(jets.batch(values), p).tolist() == [v ** p for v in values]
         j = jets.Jet(jets.fresh_tag(), jets.batch(values), 1.0) ** p
         assert j.val.tolist() == [v ** p for v in values]
@@ -352,9 +352,9 @@ def test_a_renamed_hit_at_a_lifted_batch_point_is_a_fresh_computation(fid, monke
     F = finsler_fixture(fid, (PointBatch(grid),))
     z = PointBatch(grid).coords()
     frame = jets.vec_frame(4)
-    F.shared_omega_matrix_at(jets.lift(z, frame, jets.fresh_tag()))
+    F.shared_omega_at(jets.lift(z, frame, jets.fresh_tag()))
     za = jets.lift(z, frame, jets.fresh_tag())
     with monkeypatch.context() as m:
-        m.setattr(F.omega, "matrix_at", lambda z: pytest.fail("the memo missed"))
-        hit = F.shared_omega_matrix_at(za)
-    assert _same(hit, omega_matrix(F.E, 2, za))
+        m.setattr(finsler, "omega_and_dE", lambda *args: pytest.fail("the memo missed"))
+        hit = F.shared_omega_at(za)
+    assert _same(hit, list(omega_and_dE(F.E, 2, za)))

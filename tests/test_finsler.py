@@ -126,22 +126,28 @@ def _jet_constructions(fn):
                if name == "__init__" and path.endswith("jets.py"))
 
 
-@pytest.mark.parametrize("n, what, budget", [
-    (2, "omega", 100),
-    (2, "berwald", 600),
-    (3, "berwald", 1200),
-    (3, "dh_omega", 33000),
-    (3, "torsion", 13000),
-])
+BUDGETS = [
+    (2, "omega", 96),
+    (2, "spray", 97),
+    (2, "berwald", 390),
+    (3, "berwald", 690),
+    (3, "dh_omega", 8950),
+    (3, "torsion", 4200),
+]
+
+
+# the ids leave out the budget, so a new bound renames no test
+@pytest.mark.parametrize("n, what, budget", BUDGETS,
+                         ids=[f"{n}-{what}" for n, what, _ in BUDGETS])
 def test_jet_construction_budget(n, what, budget):
-    # Jets and Vecs together.  Per-direction scalar passes (one nested pass
-    # per Hessian entry of E, 2n lifts of S0 and of the point in d_h omega)
-    # build 92, 946, 3099 and 89536 jets; vector passes 86, 527, 1035 and
-    # 28930 objects, and d_h omega 25154 once the two connections share h0's
-    # lifted matrix.  A dense lift builds 280, 3396 and 13008 jets in the
-    # first three cases, and d_h omega without the point memo 147451.  The
-    # weak torsion [J, h0] at one point: 49125 with eight scalar passes per
-    # frame pair, 11448 from one vector lift of the point.
+    # Jets and Vecs together; each budget is today's count plus about 10%:
+    # omega 87, the float spray 88, the Berwald matrices 353 and 629, d_h
+    # omega of h0 and h_L 8128 and the weak torsion [J, h0] 3808.  Per-
+    # direction scalar passes (one nested pass per Hessian entry of E, 2n
+    # lifts of S0 and of the point in d_h omega) built 92, 946, 3099 and
+    # 89536 jets in the omega, Berwald and d_h omega cases, a dense lift 280,
+    # 3396 and 13008 in the first three, d_h omega without the point memo
+    # 147451, and [J, h0] with eight scalar passes per frame pair 49125.
     from finslerlab.connections import (
         berwald, dh_omega_residual, l_ehresmann_connection, vector_form2_residual,
         weak_torsion,
@@ -151,6 +157,8 @@ def test_jet_construction_budget(n, what, budget):
     z = [0.1, -0.2, 0.3][:n] + [0.7, 0.4, -0.5][:n]
     if what == "omega":
         count = _jet_constructions(lambda: omega_matrix(F.E, n, z))
+    elif what == "spray":
+        count = _jet_constructions(lambda: canonical_spray(F)(z))
     elif what == "berwald":
         count = _jet_constructions(lambda: berwald_connection(F)._compute_matrix(z))
     elif what == "torsion":
@@ -499,6 +507,8 @@ def _identical(a, b):
     if type(a) is jets.Vec or type(b) is jets.Vec:
         return type(a) is type(b) and len(a.s) == len(b.s) \
             and all(_identical(x, y) for x, y in zip(a.s, b.s))
+    if type(a) is jets.Batch or type(b) is jets.Batch:
+        return type(a) is type(b) and a.tobytes() == b.tobytes()
     return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
@@ -521,7 +531,7 @@ def test_sharp_memo_hit_is_exact(n, depth):
             first, _ = _jet_point(z0, depth, vec)
             F.sharp_at(_jet_beta(first), first)
             again, tags = _jet_point(z0, depth, vec)
-            with mock.patch.object(finsler, "omega_matrix",
+            with mock.patch.object(finsler, "omega_and_dE",
                                    side_effect=AssertionError("memo missed")):
                 hit = F.sharp_at(_jet_beta(again), again)
             fresh = finsler_fixture(fid, grid, n=n).sharp_at(_jet_beta(again), again)
@@ -571,10 +581,36 @@ def test_sharp_memo_keeps_float_entries_across_base_points():
     first = F.sharp_at(beta, z1)
     z, _ = _jet_point(z2, 1)
     F.sharp_at(_jet_beta(z), z)
-    with mock.patch.object(finsler, "omega_matrix",
+    with mock.patch.object(finsler, "omega_and_dE",
                            side_effect=AssertionError("float entry dropped")):
         assert F.sharp_at(beta, z1) == first
     assert F._memo.base == tuple(z1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+def test_spray_reads_dE_from_omegas_pass_bit_for_bit(fid, n):
+    grid = sample_slit_points(n, 3, seed=3)
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+    points = [z0, PointBatch([point(*z0), *grid]).coords()]
+    points += [_jet_point(z0, depth, vec)[0] for depth in (1, 2) for vec in (None, depth - 1)]
+    s0 = canonical_spray(finsler_fixture(fid, grid, n=n))
+    G = finsler_fixture(fid, grid, n=n)
+    ref = sharp(G, d_function(G.E).scale(-1.0))   # S0 with dE from a pass of its own
+    for z in points:
+        assert all(_identical(a, b) for a, b in zip(s0(z), ref(z)))
+    # a renamed hit of the structure's memo gives dE with the caller's tags
+    F = finsler_fixture(fid, grid, n=n)
+    for depth in (1, 2):
+        first, _ = _jet_point(z0, depth, vec=0)
+        F.shared_omega_at(first)
+        again, tags = _jet_point(z0, depth, vec=0)
+        with mock.patch.object(finsler, "omega_and_dE",
+                               side_effect=AssertionError("memo missed")):
+            hit = canonical_spray(F)(again)
+        assert all(_identical(a, b) for a, b in zip(hit, ref(again)))
+        assert set().union(*map(_tags_of, hit)) <= set(tags)
+        assert any(type(c) is jets.Jet for c in hit)
 
 
 def test_jet_omega_matrix_is_shared_and_renamed():
@@ -586,7 +622,7 @@ def test_jet_omega_matrix_is_shared_and_renamed():
         first, _ = _jet_point(z0, 1, vec=0)
         assert F.shared_omega_matrix_at(first) is F.shared_omega_matrix_at(first)
         again, tags = _jet_point(z0, 1, vec=0)
-        with mock.patch.object(finsler, "omega_matrix",
+        with mock.patch.object(finsler, "omega_and_dE",
                                side_effect=AssertionError("memo missed")):
             hit = F.shared_omega_matrix_at(again)
         fresh = F.omega_matrix_at(again)
@@ -600,16 +636,18 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
     F = finsler_fixture("randers-0.3", sample_slit_points(2, 4, seed=1))
     hL = l_ehresmann_connection(F, fn_bracket(vertical_endomorphism(N), build_field(F, "E-dy1")))
     built = []
-    omega = finsler.omega_matrix
+    omega = finsler.omega_and_dE
 
     def counting(E, n, z):
         built.append(len(calculus.point_key(z)[2]))
         return omega(E, n, z)
 
-    dh_omega_residual(F, berwald(F), [P0])
-    with mock.patch.object(finsler, "omega_matrix", counting):
+    with mock.patch.object(finsler, "omega_and_dE", counting):
+        dh_omega_residual(F, berwald(F), [P0])
+        assert 1 in built   # h0's pass builds omega at the point lifted along the frame
+        built.clear()
         dh_omega_residual(F, hL, [P0])
-    assert 1 not in built   # omega at the point lifted along the frame comes from the memo
+    assert 1 not in built   # and h_L's takes it from the memo
 
 
 def test_matrix_memo_hit_is_renamed_and_exact():

@@ -343,3 +343,36 @@ def test_vec_frame_matches_scalar_frame_evaluations(fid, n, xs, ys, dirs):
     dirs = [d if d == "vec" else d[:2 * n] for d in dirs]
     vec_dirs = [jets.vec_frame(2 * n) if d == "vec" else d for d in dirs]
     _vec_levels_match(E, z, dirs, nth_directional(E, z, vec_dirs))
+
+
+def _parts(x):
+    """Every float of a jet or a Vec, node by node, with its sign of zero."""
+    if type(x) is Jet:
+        return _parts(x.val) + _parts(x.dot)
+    if type(x) is Vec:
+        return [p for a in x.s for p in _parts(a)]
+    return [(x, math.copysign(1.0, x))]
+
+
+def test_square_takes_its_value_from_pow_and_its_derivatives_from_the_product():
+    # the float pass of an energy written with ``** 2`` computes pow(x, 2.0),
+    # which differs from x * x in the last bit at some x; a jet pass of it
+    # must give the float pass's value, and the derivatives of x * x
+    import numpy as np
+
+    xs = np.random.default_rng(0).uniform(0.1, 10.0, 20000).tolist()
+    differ = [x for x in xs if x ** 2 != x * x]
+    assert differ
+    xs = differ + xs[:1000]
+    directions = ([1.0], [Vec([1.0, 0.0, -2.5])])
+    for x in xs:
+        for depth in (1, 2):
+            for d in directions:
+                # depth 1: the first derivative along d; depth 2: nested
+                # second derivatives, the inner lift along [1.0]
+                z = [x]
+                for direction in ([1.0], d)[2 - depth:]:
+                    z = lift(z, direction, fresh_tag())
+                sq, prod = z[0] ** 2, z[0] * z[0]
+                assert realpart(sq) == x ** 2
+                assert _parts(sq)[1:] == _parts(prod)[1:]

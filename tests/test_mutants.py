@@ -49,13 +49,13 @@ MUTANTS = [
      *NEGATED_SHARP, ["CHK-03"] + [f"CHK-{i:02d}" for i in range(5, 17)]),
     # the block solve never reads the upper right block, so sharp is unchanged and
     # only the checks that read omega itself see it
-    ("a symmetric omega: +g in its upper right block", finsler, "omega_matrix",
+    ("a symmetric omega: +g in its upper right block", finsler, "omega_and_dE",
      "m[i][n + j] = -g", "m[i][n + j] = g", ["CHK-03", "CHK-15"]),
     ("S0 = +(dE)#", checks, "canonical_spray",
-     "scale(-1.0)", "scale(1.0)", ["CHK-04"]),
+     "-1.0 * dE", "1.0 * dE", ["CHK-04"]),
     ("a horizontal Liouville field", finsler, "liouville_field",
      "[0.0] * n + list(z[n:])", "list(z[n:]) + [0.0] * n", ["CHK-01"]),
-    ("the metric from the mixed x-y Hessian", finsler, "_hessian_rows",
+    ("the metric from the mixed x-y Hessian", finsler, "_energy_pass",
      "outer = [0.0] * n + jets.vec_frame(n)", "outer = jets.vec_frame(n) + [0.0] * n",
      ["CHK-01"]),
 ]
