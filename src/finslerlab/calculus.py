@@ -26,7 +26,7 @@ import math
 import operator
 
 from . import jets
-from .core import BaseFunction, ScalarField
+from .core import BaseFunction, ScalarField, grid_coords
 from .errors import DegreeOutOfRange, NotSemibasic, NotSemispray
 
 PRECHECK_TOL = 1e-8
@@ -748,12 +748,9 @@ def sup_abs(values) -> float:
 def semispray_residual(S: VectorField, points) -> float:
     """sup |J S - C|, i.e. how far the base components are from y."""
     n = S.n
-    devs = []
-    for p in points:
-        z = p.coords()
-        sz = S(z)
-        devs.extend(sz[i] - z[n + i] for i in range(n))
-    return sup_abs(devs)
+    z = grid_coords(points)
+    sz = S(z)
+    return sup_abs(sz[i] - z[n + i] for i in range(n))
 
 
 def potential(K, S: VectorField, points=None, tol: float = PRECHECK_TOL):
@@ -779,11 +776,11 @@ def homogeneity_residual(K, r: float, points, C: VectorField | None = None) -> f
     if isinstance(K, VectorField):
         C = C or liouville_field(K.n)
         dev = lie_bracket(C, K) - K.scale(r - 1.0)
-        return sup_abs(c for p in points for c in dev(p.coords()))
+        return sup_abs(dev(grid_coords(points)))
     if isinstance(K, VectorForm) and K.degree == 1:
         C = C or liouville_field(K.n)
         dev = fn_bracket(C, K) - K.scale(r - 1.0)
-        return sup_abs(x for p in points for row in dev.matrix(p.coords()) for x in row)
+        return sup_abs(x for row in dev.matrix(grid_coords(points)) for x in row)
     raise TypeError("homogeneity defined for vector fields and vector 1-forms")
 
 
@@ -797,31 +794,22 @@ def semibasic_residual(K, points) -> float:
     if isinstance(K, VectorForm):
         n = K.n
         n2 = 2 * n
-        devs = []
-        for p in points:
-            m = K.matrix(p.coords())
-            if K.degree == 1:
-                # J o K = 0: every column must be vertical (first n rows zero)
-                devs.extend(m[i][b] for b in range(n2) for i in range(n))
-                # K kills verticals: columns n..2n-1 vanish entirely
-                devs.extend(m[a][n + i] for i in range(n) for a in range(n2))
-            else:
-                # vertical insertion vanishes
-                for i in range(n):
-                    for b in range(n2):
-                        devs.extend(m[n + i][b])
-                # J o K = 0: output of K is vertical on every frame pair
-                for a in range(n2):
-                    for b in range(a + 1, n2):
-                        devs.extend(m[a][b][:n])
-        return sup_abs(devs)
+        m = K.matrix(grid_coords(points))
+        if K.degree == 1:
+            # J o K = 0: every column must be vertical (first n rows zero);
+            # K kills verticals: columns n..2n-1 vanish entirely
+            return sup_abs([m[i][b] for b in range(n2) for i in range(n)]
+                           + [m[a][n + i] for i in range(n) for a in range(n2)])
+        # vertical insertion vanishes; J o K = 0: output of K is vertical on
+        # every frame pair
+        return sup_abs([v for i in range(n) for b in range(n2) for v in m[n + i][b]]
+                       + [v for a in range(n2) for b in range(a + 1, n2) for v in m[a][b][:n]])
     if isinstance(K, DifferentialForm):
         if K.degree < 1:
             raise DegreeOutOfRange("semibasic test needs degree >= 1")
         J = vertical_endomorphism(K.n)
         ijk = insert_one_form(J, K)
         n2 = 2 * K.n
-        fr = frame(n2)
-        return sup_abs(ijk.fn(p.coords(), *args) for p in points
-                       for args in itertools.combinations(fr, K.degree))
+        z = grid_coords(points)
+        return sup_abs(ijk.fn(z, *args) for args in itertools.combinations(frame(n2), K.degree))
     raise TypeError("semibasic test defined for forms and vector forms")

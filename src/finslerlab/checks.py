@@ -22,7 +22,7 @@ from .calculus import (
     lie_derivative, liouville_field, potential, sup_abs, vertical_endomorphism,
     vertical_lift_function, vertical_lift_vector, zero_vector_form,
 )
-from .core import BaseFunction, PointBatch, sample_slit_points
+from .core import BaseFunction, PointBatch, grid_coords, sample_slit_points
 from .errors import DegenerateDegree, FinslerLabError, HypothesisFailure
 from .finsler import (
     berwald_connection, canonical_spray, conformal_change,
@@ -149,13 +149,13 @@ def _e_dy1(F) -> VectorField:
     return VectorField(lambda z: [0.0] * n + [F.E(z)] + [0.0] * (n - 1), n, "E-dy1")
 
 
-def _sup_form1(form, points, n2):
-    return sup_abs(form(p.coords(), frame_vector(n2, a)) for p in points for a in range(n2))
+def _sup_form1(form, z, n2):
+    return sup_abs(form(z, frame_vector(n2, a)) for a in range(n2))
 
 
-def _sup_form2(form, points, n2):
-    return sup_abs(form(p.coords(), frame_vector(n2, a), frame_vector(n2, b))
-                   for p in points for a in range(n2) for b in range(a + 1, n2))
+def _sup_form2(form, z, n2):
+    return sup_abs(form(z, frame_vector(n2, a), frame_vector(n2, b))
+                   for a in range(n2) for b in range(a + 1, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +176,39 @@ def _chk02_omega_relations(F, ctx):
     diff1 = DifferentialForm(1, lambda z, v: i_c_om(z, v) - djE(z, v), F.n)
     lie = lie_derivative(C, om)
     diff2 = DifferentialForm(2, lambda z, u, v: lie(z, u, v) - om(z, u, v), F.n)
-    return Outcome(sup_abs([_sup_form2(insert_one_form(J, om), ctx.grid, n2),
-                            _sup_form1(diff1, ctx.grid, n2),
-                            _sup_form2(diff2, ctx.grid, n2)]))
+    z = grid_coords(ctx.grid)
+    return Outcome(sup_abs([_sup_form2(insert_one_form(J, om), z, n2),
+                            _sup_form1(diff1, z, n2),
+                            _sup_form2(diff2, z, n2)]))
 
 
 def _chk03_sharp_round_trip(F, ctx):
     n2 = 2 * F.n
-    om = fundamental_form(F)
+    z = grid_coords(ctx.grid)
+    m = fundamental_form(F).matrix_at(z)
     devs = []
     betas = random_one_forms(F.n, 3, ctx.seed + 103) \
         + random_one_forms(F.n, 2, ctx.seed + 203, semibasic=True)
     for beta in betas:
-        x = sharp(F, beta)
-        for p in ctx.grid:
-            z = p.coords()
-            xz = x(z)
-            m = om.matrix_at(z)
-            for b in range(n2):
-                ins = sum(xz[a] * m[a][b] for a in range(n2))
-                devs.append(ins - beta(z, frame_vector(n2, b)))
+        xz = sharp(F, beta)(z)
+        for b in range(n2):
+            ins = sum(xz[a] * m[a][b] for a in range(n2))
+            devs.append(ins - beta(z, frame_vector(n2, b)))
     return Outcome(sup_abs(devs))
 
 
 def _chk04_potential_lemma(F, ctx):
-    s0 = canonical_spray(F)
-    devs = []
-    for beta in random_one_forms(F.n, 5, ctx.seed + 104, semibasic=True):
-        x = sharp(F, beta)
-        xE = field_apply(x, F.E)
-        for p in ctx.grid:
-            z = p.coords()
-            devs.append(xE(z) - beta(z, s0(z)))
-    return Outcome(sup_abs(devs))
+    z = grid_coords(ctx.grid)
+    s0z = canonical_spray(F)(z)
+    return Outcome(sup_abs(field_apply(sharp(F, beta), F.E)(z) - beta(z, s0z)
+                           for beta in random_one_forms(F.n, 5, ctx.seed + 104, semibasic=True)))
 
 
 def _chk05_berwald(F, ctx):
     h0 = berwald(F)
-    pts = list(ctx.grid)
-    return Outcome(sup_abs([vector_form2_residual(weak_torsion(F, h0), pts),
-                            vector_form1_residual(tension(F, h0), pts),
-                            conservative_connection_residual(F, h0.form, pts)]))
+    return Outcome(sup_abs([vector_form2_residual(weak_torsion(F, h0), ctx.grid),
+                            vector_form1_residual(tension(F, h0), ctx.grid),
+                            conservative_connection_residual(F, h0.form, ctx.grid)]))
 
 
 def _chk06_conservative_form(F, ctx):
@@ -284,12 +276,11 @@ def _chk09_conformal(F, ctx):
     dle2 = d_K(L, F2.E)
     phi = vertical_lift_function(f)
     n2 = 2 * F.n
-    for p in ctx.grid:
-        z = p.coords()
-        s = jets.exp(phi(z))
-        for a in range(n2):
-            ea = frame_vector(n2, a)
-            residuals.append(dle2(z, ea) - s * dle(z, ea))
+    z = grid_coords(ctx.grid)
+    s = jets.exp(phi(z))
+    for a in range(n2):
+        ea = frame_vector(n2, a)
+        residuals.append(dle2(z, ea) - s * dle(z, ea))
     # conservative L-Ehresmann connections stay conservative after the change
     hL2 = l_ehresmann_connection(F2, L)
     residuals.append(conservative_connection_residual(F2, hL2.form, ctx.grid))
@@ -380,16 +371,11 @@ def _chk14_homogeneity_lemma(F, ctx):
 
 
 def _chk15_dh_omega(F, ctx):
-    # point by point, so h_L reuses the lifted matrices h0 left in the jet memos
-    # (those entries live for one base point)
     J = vertical_endomorphism(F.n)
     h0 = berwald(F)
     hL = l_ehresmann_connection(F, fn_bracket(J, _e_dy1(F)))
-    residuals = []
-    for p in ctx.grid:
-        residuals.append(dh_omega_residual(F, h0, [p]))
-        residuals.append(dh_omega_residual(F, hL, [p]))
-    return Outcome(sup_abs(residuals))
+    return Outcome(sup_abs([dh_omega_residual(F, h0, ctx.grid),
+                            dh_omega_residual(F, hL, ctx.grid)]))
 
 
 def _chk16_spray_family(F, ctx):
@@ -407,10 +393,8 @@ def _chk16_spray_family(F, ctx):
     U = VectorField(lambda z: [0.0] * (2 * n), n, "0")
     lam, residual = projective_factor(F, V, U)
     residuals.append(residual)
-    C = liouville_field(n)
-    for p in ctx.grid:
-        z = p.coords()
-        residuals.append(jets.directional(lam.fn, z, C(z)) - lam(z))
+    z = grid_coords(ctx.grid)
+    residuals.append(jets.directional(lam.fn, z, liouville_field(n)(z)) - lam(z))
     return Outcome(sup_abs(residuals))
 
 
@@ -467,7 +451,8 @@ def run_checks(config) -> tuple:
     Per-cell errors are captured in the result record, never aborting the
     suite; the exit code is 0 exactly when every cell passed.  Every cell
     evaluates the sample grid as one batch point (``core.PointBatch``), and
-    the fixtures are validated on it.
+    the fixtures are validated on it: each runner and residual helper takes
+    the grid's coordinates from ``core.grid_coords`` and evaluates once.
     """
     grid = (PointBatch(sample_slit_points(2, config.samples, config.seed)),)
     structures = {}

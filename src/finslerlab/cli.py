@@ -13,7 +13,7 @@ import sys
 
 from .checks import list_checks, run_checks
 from .config import RunConfig, load_config
-from .core import TangentPoint, sample_slit_points
+from .core import TangentPoint, grid_coords, sample_slit_points
 from .errors import BadConfig, FinslerLabError
 from .finsler import finsler_fixture, fixture_ids
 from .registry import build_object
@@ -66,9 +66,8 @@ def _cmd_eval(args) -> int:
     n = len(coords) // 2
     grid = sample_slit_points(n, args.samples, args.seed)
     F = finsler_fixture(args.fixture, grid, n=n)
-    p = TangentPoint(tuple(coords[:n]), tuple(coords[n:]))
+    z = grid_coords([TangentPoint(tuple(coords[:n]), tuple(coords[n:]))])
     kind, obj = build_object(F, args.object)
-    z = p.coords()
     value = obj(z) if kind == "field" else obj.matrix(z)
     print(json.dumps({"fixture": args.fixture, "object": args.object,
                       "kind": kind, "point": coords, "value": value},

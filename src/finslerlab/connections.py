@@ -6,7 +6,9 @@ the correspondence between torsion-free semibasic 1-forms and vertical
 vector fields, the spray family S^V = S0 + 2V + 2 (d_[J,V] E)#, projective
 factors, and the conservativity criterion i_V omega = d_J(V E) for vertical
 fields.  Every predicate is a sup-norm residual over sample points; nothing
-is proved symbolically.
+is proved symbolically.  A residual helper evaluates its points as one point
+(``core.grid_coords``: one batch point for a grid of several) and takes the
+sup over that point's values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .calculus import (
     liouville_field, semibasic_residual, semispray_residual, sup_abs,
     tensor_one_form_field, vertical_endomorphism, vertical_lift_function,
 )
-from .core import BaseFunction, ScalarField
+from .core import BaseFunction, ScalarField, grid_coords
 from .errors import (
     DegenerateDegree, HomogeneityFailure, HypothesisFailure, NotConnection,
     NotSemibasic, NotSemispray, NotTorsionFree, NotVertical,
@@ -83,38 +85,31 @@ def _as_form(h) -> VectorForm:
 
 def vertical_residual(V: VectorField, points) -> float:
     """sup of the horizontal components of V."""
-    n = V.n
-    return sup_abs(c for p in points for c in V(p.coords())[:n])
+    return sup_abs(V(grid_coords(points))[:V.n])
 
 
 def form_matrix_residual(A: VectorForm, B: VectorForm, points) -> float:
     """sup over points and frame of the matrix difference of two 1-forms."""
-    devs = []
-    for p in points:
-        ma, mb = A.matrix(p.coords()), B.matrix(p.coords())
-        devs.extend(x - y for ra, rb in zip(ma, mb) for x, y in zip(ra, rb))
-    return sup_abs(devs)
+    z = grid_coords(points)
+    return sup_abs(x - y for ra, rb in zip(A.matrix(z), B.matrix(z)) for x, y in zip(ra, rb))
 
 
 def vector_form2_residual(K: VectorForm, points) -> float:
     """sup |K(e_a, e_b)| over points and frame pairs a < b, for a vector 2-form.
 
-    Reads the form's frame array once per point.
+    Reads the form's frame array once.
     """
     n2 = 2 * K.n
-    devs = []
-    for p in points:
-        t = K.matrix(p.coords())
-        devs.extend(v for a in range(n2) for b in range(a + 1, n2) for v in t[a][b])
-    return sup_abs(devs)
+    t = K.matrix(grid_coords(points))
+    return sup_abs(v for a in range(n2) for b in range(a + 1, n2) for v in t[a][b])
 
 
 def vector_form1_residual(K: VectorForm, points) -> float:
-    return sup_abs(x for p in points for row in K.matrix(p.coords()) for x in row)
+    return sup_abs(x for row in K.matrix(grid_coords(points)) for x in row)
 
 
 def vector_field_residual(X: VectorField, points) -> float:
-    return sup_abs(c for p in points for c in X(p.coords()))
+    return sup_abs(X(grid_coords(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +301,9 @@ def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField,
     sV = semispray_from_vertical(F, V, pre_tol)
     sU = semispray_from_vertical(F, U, pre_tol)
     C = liouville_field(F.n)
-    devs = []
-    for p in F.grid:
-        z = p.coords()
-        lc = lam(z)
-        devs.extend(a - b - lc * c for a, b, c in zip(sV(z), sU(z), C(z)))
-    return lam, sup_abs(devs)
+    z = grid_coords(F.grid)
+    lc = lam(z)
+    return lam, sup_abs(a - b - lc * c for a, b, c in zip(sV(z), sU(z), C(z)))
 
 
 def vincze_residual(F: FinslerStructure, V: VectorField,
@@ -323,17 +315,12 @@ def vincze_residual(F: FinslerStructure, V: VectorField,
     J = vertical_endomorphism(F.n)
     VE = field_apply(V, F.E)
     dj_ve = d_K(J, VE)
-    om = F.omega
     n2 = 2 * F.n
-    devs = []
-    for p in points:
-        z = p.coords()
-        vz = V(z)
-        m = om.matrix_at(z)
-        for b in range(n2):
-            i_v_om = sum(vz[a] * m[a][b] for a in range(n2))
-            devs.append(i_v_om - dj_ve(z, frame_vector(n2, b)))
-    return sup_abs(devs)
+    z = grid_coords(points)
+    vz = V(z)
+    m = F.omega.matrix_at(z)
+    return sup_abs(sum(vz[a] * m[a][b] for a in range(n2)) - dj_ve(z, frame_vector(n2, b))
+                   for b in range(n2))
 
 
 def conservative_lift(F: FinslerStructure, V: VectorField,
@@ -364,57 +351,57 @@ def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> floa
     J = vertical_endomorphism(F.n)
     djg = d_K(J, g)
     n2 = 2 * F.n
-    return sup_abs(djg(p.coords(), frame_vector(n2, a)) for p in points for a in range(n2))
+    z = grid_coords(points)
+    return sup_abs(djg(z, frame_vector(n2, a)) for a in range(n2))
 
 
 def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
     """sup over points and frame triples of d_h omega = i_h(d omega) - d(i_h omega).
 
-    Shares the per-point lifted evaluations across all triples: one vector
-    lift along the frame gives the derivatives of the connection matrix and
-    of the omega matrix in every direction, and the connection matrix at the
-    point itself is the primal of the lifted one, so h is evaluated once per
-    point.  omega at the lifted point comes through the structure's point
-    memo, so connections evaluated in turn at one point share it.  Of
-    d(i_h omega) only the entries the triples a < b < c read are formed.
+    The grid is evaluated as one point (``core.grid_coords``), and its lifted
+    evaluations are shared across all triples: one vector lift along the
+    frame gives the derivatives of the connection matrix and of the omega
+    matrix in every direction, and the connection matrix at the point itself
+    is the primal of the lifted one, so h is evaluated once.  omega at the
+    lifted point comes through the structure's point memo, so connections
+    evaluated in turn at one grid share it.  Of d(i_h omega) only the entries
+    the triples a < b < c read are formed.
     """
     points = points if points is not None else F.grid
     form = _as_form(h)
     n2 = 2 * F.n
     rng = range(n2)
-    frame = jets.vec_frame(n2)
+    tag = jets.fresh_tag()
+    za = jets.lift(grid_coords(points), jets.vec_frame(n2), tag)
+    m = form.matrix(za)
+    h_real = [[jets.primal(x, tag) for x in row] for row in m]
+    w = F.shared_omega_matrix_at(za)
+    # d_ihom[a][b][c] = D_a[(i_h om)(e_b, e_c)] for b < c, the entries read;
+    # d_om[a][b][c] = D_a[om(e_b, e_c)], read in every order
+    d_ihom = [[[0.0] * n2 for _ in rng] for _ in rng]
+    d_om = [[[0.0] * n2 for _ in rng] for _ in rng]
+    for b in rng:
+        for c in rng:
+            for a, v in enumerate(jets.slots(jets.tangent(w[b][c], tag), n2)):
+                d_om[a][b][c] = v
+        for c in range(b + 1, n2):
+            val = sum(m[d][b] * w[d][c] for d in rng) \
+                + sum(m[d][c] * w[b][d] for d in rng)
+            for a, v in enumerate(jets.slots(jets.tangent(val, tag), n2)):
+                d_ihom[a][b][c] = v
+
+    def d_omega(a, b, c):
+        return d_om[a][b][c] - d_om[b][a][c] + d_om[c][a][b]
+
     devs = []
-    for p in points:
-        tag = jets.fresh_tag()
-        za = jets.lift(p.coords(), frame, tag)
-        m = form.matrix(za)
-        h_real = [[jets.primal(x, tag) for x in row] for row in m]
-        w = F.shared_omega_matrix_at(za)
-        # d_ihom[a][b][c] = D_a[(i_h om)(e_b, e_c)] for b < c, the entries read;
-        # d_om[a][b][c] = D_a[om(e_b, e_c)], read in every order
-        d_ihom = [[[0.0] * n2 for _ in rng] for _ in rng]
-        d_om = [[[0.0] * n2 for _ in rng] for _ in rng]
-        for b in rng:
-            for c in rng:
-                for a, v in enumerate(jets.slots(jets.tangent(w[b][c], tag), n2)):
-                    d_om[a][b][c] = v
+    for a in rng:
+        for b in range(a + 1, n2):
             for c in range(b + 1, n2):
-                val = sum(m[d][b] * w[d][c] for d in rng) \
-                    + sum(m[d][c] * w[b][d] for d in rng)
-                for a, v in enumerate(jets.slots(jets.tangent(val, tag), n2)):
-                    d_ihom[a][b][c] = v
-
-        def d_omega(a, b, c):
-            return d_om[a][b][c] - d_om[b][a][c] + d_om[c][a][b]
-
-        for a in rng:
-            for b in range(a + 1, n2):
-                for c in range(b + 1, n2):
-                    d_ih = d_ihom[a][b][c] - d_ihom[b][a][c] + d_ihom[c][a][b]
-                    ih_d = sum(h_real[d][a] * d_omega(d, b, c) for d in rng) \
-                        + sum(h_real[d][b] * d_omega(a, d, c) for d in rng) \
-                        + sum(h_real[d][c] * d_omega(a, b, d) for d in rng)
-                    devs.append(ih_d - d_ih)
+                d_ih = d_ihom[a][b][c] - d_ihom[b][a][c] + d_ihom[c][a][b]
+                ih_d = sum(h_real[d][a] * d_omega(d, b, c) for d in rng) \
+                    + sum(h_real[d][b] * d_omega(a, d, c) for d in rng) \
+                    + sum(h_real[d][c] * d_omega(a, b, d) for d in rng)
+                devs.append(ih_d - d_ih)
     return sup_abs(devs)
 
 

@@ -58,15 +58,19 @@ class PointBatch:
     at ``coords()`` computes its values at every point of the batch, provided
     it keeps the batch rules in ``jets``: it never reads a batch's own
     truthiness, and it raises to constant powers with ``jets.power``, not
-    ``**``.  Built from a
-    ``SampleGrid`` or any sequence of TangentPoints of one dimension;
-    ``points[i]`` is the point of slot i.
+    ``**``.  Built from a ``SampleGrid`` or any sequence of TangentPoints
+    and PointBatches of one dimension: a batch in the sequence contributes
+    its points, so the batch holds every point in order, and ``points[i]``
+    is the point of slot i.  An empty sequence raises ``BadConfig``.
     """
 
     __slots__ = ("points", "_coords")
 
     def __init__(self, points):
-        self.points = tuple(points)
+        self.points = tuple(q for p in points
+                            for q in (p.points if isinstance(p, PointBatch) else (p,)))
+        if not self.points:
+            raise BadConfig("a grid needs at least one point")
         self._coords = [jets.batch(c) for c in zip(*(p.coords() for p in self.points))]
         for c in self._coords:
             c.flags.writeable = False  # shared by every coords() list
@@ -81,6 +85,20 @@ class PointBatch:
     def coords(self) -> list:
         """Flat coordinate list (x^1..x^n, y^1..y^n), each a Batch over the points."""
         return list(self._coords)
+
+
+def grid_coords(grid) -> list:
+    """The coordinates of a grid of points, evaluated as one point.
+
+    A grid of one TangentPoint or one PointBatch gives that point's
+    ``coords()``, so a single TangentPoint is evaluated on floats; any other
+    grid gives those of one ``PointBatch`` of all its points, in order.  An
+    empty grid raises ``BadConfig``.
+    """
+    points = tuple(grid)
+    if len(points) == 1:
+        return points[0].coords()
+    return PointBatch(points).coords()
 
 
 def point(*coords) -> TangentPoint:

@@ -33,7 +33,7 @@ from .calculus import (
     field_apply, fn_bracket, identity_form, liouville_field, retag_array,
     semibasic_residual, sup_abs, vertical_endomorphism,
 )
-from .core import BaseFunction, PointBatch, ScalarField, SampleGrid, sample_slit_points
+from .core import BaseFunction, PointBatch, ScalarField, grid_coords, sample_slit_points
 from .errors import (
     HomogeneityFailure, NondegeneracyFailure, NotConnection, NotSemibasic,
     PositivityFailure,
@@ -285,16 +285,14 @@ def _stacked(m, size):
 def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
     """sup |CE - 2E| over the grid, where each point must satisfy the energy axioms.
 
-    The grid's points (TangentPoints and the points of each ``PointBatch``,
-    in order) are checked as one ``PointBatch``.  The first point that fails
-    an axiom raises: ``PositivityFailure`` if E <= 0, else
+    The grid is checked as one ``PointBatch`` of its points.  The first point
+    that fails an axiom raises: ``PositivityFailure`` if E <= 0, else
     ``HomogeneityFailure`` if |CE - 2E| > tol * max(1, |E|), else
-    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.  An empty grid gives 0.0.
+    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.  An empty grid raises
+    ``BadConfig``.
     """
-    points = [q for p in grid for q in (p.points if isinstance(p, PointBatch) else (p,))]
-    if not points:
-        return 0.0
-    z = PointBatch(points).coords()
+    batch = PointBatch(grid)
+    points, z = batch.points, grid_coords([batch])
     size = len(points)
     CE = field_apply(liouville_field(F.n), F.E)
     e = np.broadcast_to(F.E(z), size)
@@ -389,7 +387,7 @@ def validate_finsler(E: ScalarField, grid, n: int | None = None,
                      tol: float = VALIDATION_TOL, name: str = "") -> FinslerStructure:
     """Check positivity, 2-homogeneity, and nondegeneracy on the grid."""
     if n is None:
-        n = grid.n if isinstance(grid, SampleGrid) else next(iter(grid)).n
+        n = PointBatch(grid).n
     return FinslerStructure(E, n, grid, validate=True, tol=tol, name=name)
 
 
@@ -457,13 +455,9 @@ def conformal_change(F: FinslerStructure, f: BaseFunction) -> FinslerStructure:
 def _d_form_E_residual(F: FinslerStructure, K: VectorForm, points) -> float:
     """sup over points and frame of |dE(K e_a)|."""
     n2 = 2 * F.n
-    devs = []
-    for p in points:
-        z = p.coords()
-        m = K.matrix(z)
-        for b in range(n2):
-            devs.append(jets.directional(F.E.fn, z, [m[a][b] for a in range(n2)]))
-    return sup_abs(devs)
+    z = grid_coords(points)
+    m = K.matrix(z)
+    return sup_abs(jets.directional(F.E.fn, z, [m[a][b] for a in range(n2)]) for b in range(n2))
 
 
 def conservative_form_residual(F: FinslerStructure, L: VectorForm,
@@ -482,18 +476,16 @@ def projector_residual(F: FinslerStructure, h: VectorForm, points=None) -> float
     n, n2 = F.n, 2 * F.n
     J = vertical_endomorphism(F.n)
     jm = J.matrix([0.0] * n2)
+    m = h.matrix(grid_coords(points))
     devs = []
-    for p in points:
-        z = p.coords()
-        m = h.matrix(z)
-        for b in range(n2):
-            col = [m[a][b] for a in range(n2)]
-            hcol = [sum(m[a][c] * col[c] for c in range(n2)) for a in range(n2)]
-            devs.extend(hcol[a] - col[a] for a in range(n2))
-            jh = [sum(jm[a][c] * col[c] for c in range(n2)) for a in range(n2)]
-            devs.extend(jh[a] - jm[a][b] for a in range(n2))
-        # h o J = 0: h kills the vertical frame vectors
-        devs.extend(m[a][n + i] for i in range(n) for a in range(n2))
+    for b in range(n2):
+        col = [m[a][b] for a in range(n2)]
+        hcol = [sum(m[a][c] * col[c] for c in range(n2)) for a in range(n2)]
+        devs.extend(hcol[a] - col[a] for a in range(n2))
+        jh = [sum(jm[a][c] * col[c] for c in range(n2)) for a in range(n2)]
+        devs.extend(jh[a] - jm[a][b] for a in range(n2))
+    # h o J = 0: h kills the vertical frame vectors
+    devs.extend(m[a][n + i] for i in range(n) for a in range(n2))
     return sup_abs(devs)
 
 

@@ -19,7 +19,7 @@ from finslerlab.calculus import field_apply, liouville_field, point_key, sup_abs
 from finslerlab.checks import CHECKS, CheckContext, Outcome
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
-    FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
+    BadConfig, FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
 )
 from finslerlab.finsler import (
     DET_FLOOR, VALIDATION_TOL, FinslerStructure, _batch_pivot, _sharp_block_solve,
@@ -109,6 +109,21 @@ def test_library_raises_to_powers_only_in_jets():
     assert offenders == []
 
 
+def test_library_reads_point_coordinates_only_in_core():
+    # a residual helper or check runner evaluates its grid as one point
+    # (core.grid_coords); a .coords() call elsewhere would be a per-point loop
+    package = Path(jets.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "coords":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_jet_and_vec_take_precedence_over_numpy_operators():
     b = jets.batch([1.0, 2.0])
     j = jets.Jet(jets.fresh_tag(), 3.0, 1.0)
@@ -134,11 +149,10 @@ def test_where_selects_slot_by_slot_over_jets():
 # -- every runner, per point and batched ------------------------------------------
 
 
-def _run_cells(fid, grid, points):
-    F = finsler_fixture(fid, points)
+def _run_cells(F, seed, grid):
     out = []
     for spec in sorted(CHECKS, key=lambda c: c.id):
-        ctx = CheckContext(grid=points, seed=grid.seed, tol=spec.tolerance)
+        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance)
         try:
             outcome = spec.runner(F, ctx)
         except FinslerLabError as e:
@@ -149,11 +163,17 @@ def _run_cells(fid, grid, points):
 
 @pytest.mark.parametrize("fid", fixture_ids())
 def test_every_runner_agrees_per_point_and_batched(fid):
+    # the reference runs every runner at each one-point grid [p], on floats
     for samples in (4, 1):  # one point: an array's own truthiness reads its value
         grid = sample_slit_points(2, samples, 7)
-        per_point = _run_cells(fid, grid, grid)
-        batched = _run_cells(fid, grid, (PointBatch(grid),))
-        assert batched == per_point
+        F = finsler_fixture(fid, grid)
+        per_point = [_run_cells(F, grid.seed, [p]) for p in grid]
+        for points in (grid, (PointBatch(grid),)):
+            batched = _run_cells(F, grid.seed, points)
+            for k, (check, residual, note) in enumerate(batched):
+                reference = sup_abs(cells[k][1] for cells in per_point)
+                assert residual.hex() == reference.hex(), check
+                assert {cells[k][2] for cells in per_point} == {note}, check
 
 
 # -- the sharp solve's pivot --------------------------------------------------
@@ -309,7 +329,8 @@ def test_batched_validation_residual_matches_per_point():
         F = finsler_fixture(fid, pts)
         for grid in grids(pts):
             assert energy_axioms_residual(F, grid) == per_point_energy_axioms(F, pts)
-    assert energy_axioms_residual(F, []) == 0.0
+    with pytest.raises(BadConfig):
+        energy_axioms_residual(F, [])
 
 
 # -- the batch memo key ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from finslerlab import calculus, jets
@@ -11,7 +12,7 @@ from finslerlab.calculus import (
     identity_form, liouville_field, potential, semispray_residual, sup_abs,
     vertical_endomorphism, vertical_lift_function, vertical_lift_vector,
 )
-from finslerlab.core import BaseFunction, ScalarField, point, sample_slit_points
+from finslerlab.core import BaseFunction, ScalarField, grid_coords, point, sample_slit_points
 from finslerlab.errors import (
     DegenerateDegree, HomogeneityFailure, HypothesisFailure, NotSemispray,
     NotVertical,
@@ -607,13 +608,14 @@ def test_sup_abs():
     assert math.isnan(sup_abs([0.0, math.nan, 5.0]))
 
 
+def nan_at_second(z):
+    """NaN at the grid's second point, slot 1 of the batch GRID is evaluated as; else 0."""
+    return np.where(jets.realpart(z[0]) == list(GRID)[1].base[0], math.nan, 0.0)
+
+
 def test_residual_helpers_propagate_nan_past_the_first_point():
     # max(0.0, nan) == 0.0, so a hand-written sup loop would read 0.0 here
-    second = list(GRID)[1].coords()
-
-    def nan_at_second(z):
-        return math.nan if [jets.realpart(c) for c in z] == second else 0.0
-
+    assert np.isnan(nan_at_second(grid_coords(GRID))).tolist() == [False, True] + [False] * 6
     X = VectorField(lambda z: [nan_at_second(z)] * N2, N)
     S = VectorField(lambda z: [c + nan_at_second(z) for c in z[N:]] * 2, N)
     K1 = VectorForm(1, lambda z: [[nan_at_second(z)] * N2 for _ in range(N2)], N)
@@ -632,18 +634,14 @@ def test_sup_loops_propagate_nan_past_the_first_point():
     from finslerlab.calculus import DifferentialForm, homogeneity_residual, semibasic_residual
     from finslerlab.checks import _sup_form1, _sup_form2
     from finslerlab.finsler import _d_form_E_residual, projector_residual
-    second = list(GRID)[1].coords()
-
-    def nan_at_second(z):
-        return math.nan if [jets.realpart(c) for c in z] == second else 0.0
-
     X = VectorField(lambda z: [nan_at_second(z)] * N2, N)
     K1 = VectorForm(1, lambda z: [[nan_at_second(z)] * N2 for _ in range(N2)], N)
     K2 = VectorForm(2, lambda z: [[[nan_at_second(z)] * N2 for _ in range(N2)]
                               for _ in range(N2)], N)
     a1 = DifferentialForm(1, lambda z, v: nan_at_second(z), N)
     a2 = DifferentialForm(2, lambda z, u, v: nan_at_second(z), N)
-    for r in (_sup_form1(a1, GRID, N2), _sup_form2(a2, GRID, N2),
+    z = grid_coords(GRID)
+    for r in (_sup_form1(a1, z, N2), _sup_form2(a2, z, N2),
               projector_residual(EUC, K1, GRID), _d_form_E_residual(EUC, K1, GRID),
               homogeneity_residual(X, 2.0, GRID), homogeneity_residual(K1, 1.0, GRID),
               semibasic_residual(K1, GRID), semibasic_residual(K2, GRID),

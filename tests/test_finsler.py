@@ -642,12 +642,14 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
         built.append(len(calculus.point_key(z)[2]))
         return omega(E, n, z)
 
-    with mock.patch.object(finsler, "omega_and_dE", counting):
-        dh_omega_residual(F, berwald(F), [P0])
-        assert 1 in built   # h0's pass builds omega at the point lifted along the frame
-        built.clear()
-        dh_omega_residual(F, hL, [P0])
-    assert 1 not in built   # and h_L's takes it from the memo
+    for points in ([P0], F.grid):  # a float point, and the grid as one batch point
+        with mock.patch.object(finsler, "omega_and_dE", counting):
+            built.clear()
+            dh_omega_residual(F, berwald(F), points)
+            assert 1 in built   # h0's pass builds omega at the point lifted along the frame
+            built.clear()
+            dh_omega_residual(F, hL, points)
+        assert 1 not in built   # and h_L's takes it from the memo
 
 
 def test_matrix_memo_hit_is_renamed_and_exact():
