@@ -25,6 +25,8 @@ import itertools
 import math
 import operator
 
+import numpy as np
+
 from . import jets
 from .core import BaseFunction, ScalarField, grid_coords
 from .errors import DegreeOutOfRange, NotSemibasic, NotSemispray
@@ -731,17 +733,25 @@ def sup_abs(values) -> float:
 
     A hand-written ``max(worst, abs(v))`` loop drops a NaN that is not the
     first value, because ``max(0.0, nan) == 0.0``.  A value may be a
-    ``jets.Batch``: its values over a batch of points count one by one.
+    ``jets.Batch``: its values over a batch of points count one by one.  Float
+    values are compared in turn, and the batch values are collected and
+    reduced with one ``np.abs(...).max()``, which is NaN if any point is NaN.
     """
     worst = 0.0
+    batches = []
     for v in values:
+        if type(v) is jets.Batch:
+            batches.append(v)
+            continue
         a = abs(v)
-        if type(a) is jets.Batch:
-            a = float(a.max())  # NaN if any point is NaN
         if a != a:
             return a
         if a > worst:
             worst = a
+    if batches:
+        a = float(np.abs(np.concatenate(batches)).max())
+        if a != a or a > worst:
+            return a
     return worst
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,11 +86,59 @@ class CheckResult:
         return rec
 
 
+class SharedObjects:
+    """The constructions that several cells of one fixture read, built once per run.
+
+    ``run_checks`` makes one per fixture and hands it to every cell of that
+    fixture as ``CheckContext.shared``.  Each object is built by the first
+    cell that reads it, which pays for the build; later cells read the same
+    object and its memos.  A build that raises caches nothing, so every cell
+    that reads it raises again and records the same error.
+    """
+
+    def __init__(self, F):
+        self.F = F
+
+    @cached_property
+    def wagner(self):
+        """(hbar, L_W): the Wagner connection of f = x1 and its form L_W."""
+        return wagner_connection(self.F, base_function("x1", self.F.n))
+
+    @cached_property
+    def e_dy1(self) -> VectorField:
+        """The vertical field E d/dy1."""
+        F, n = self.F, self.F.n
+        return VectorField(lambda z: [0.0] * n + [F.E(z)] + [0.0] * (n - 1), n, "E-dy1")
+
+    @cached_property
+    def j_e_dy1(self):
+        """L = [J, E-dy1], whose frame arrays are memoised."""
+        L = fn_bracket(vertical_endomorphism(self.F.n), self.e_dy1)
+        L.memoize_matrix()
+        return L
+
+    @cached_property
+    def h_j_e_dy1(self):
+        """h_L of L = [J, E-dy1]."""
+        return l_ehresmann_connection(self.F, self.j_e_dy1)
+
+    @cached_property
+    def h_L_W(self):
+        """h_L of the Wagner form L_W."""
+        return l_ehresmann_connection(self.F, self.wagner[1])
+
+    @cached_property
+    def spray_e_dy1(self):
+        """S^V of V = E-dy1."""
+        return semispray_from_vertical(self.F, self.e_dy1)
+
+
 @dataclass
 class CheckContext:
     grid: object
     seed: int
     tol: float
+    shared: SharedObjects
 
 
 @dataclass
@@ -142,11 +191,6 @@ def random_one_forms(n: int, count: int, seed: int, semibasic: bool = False):
 
         out.append(DifferentialForm(1, ev, n))
     return out
-
-
-def _e_dy1(F) -> VectorField:
-    n = F.n
-    return VectorField(lambda z: [0.0] * n + [F.E(z)] + [0.0] * (n - 1), n, "E-dy1")
 
 
 def _sup_form1(form, z, n2):
@@ -212,7 +256,7 @@ def _chk05_berwald(F, ctx):
 
 
 def _chk06_conservative_form(F, ctx):
-    hbar, _ = wagner_connection(F, base_function("x1", F.n))
+    hbar, _ = ctx.shared.wagner
     L = hbar.form - berwald_connection(F)
     residuals = [conservative_form_residual(F, L, ctx.grid)]
     hL = l_ehresmann_connection(F, L)
@@ -225,19 +269,24 @@ def _chk07_biconditional(F, ctx):
     n = F.n
     J = vertical_endomorphism(n)
     f_v = vertical_lift_function(base_function("x1", n))
-    _, L_W = wagner_connection(F, base_function("x1", n))
+    shared = ctx.shared
+    _, L_W = shared.wagner
+
+    def own(L):  # (L, the build of its h_L)
+        return L, lambda: l_ehresmann_connection(F, L)
+
     fixtures = [
-        ("zero", zero_vector_form(n)),
-        ("wagner", L_W),
-        ("fvJ", J.scale(f_v)),
-        ("jv:E-dy1", fn_bracket(J, _e_dy1(F))),
-        ("corollary", J.scale(f_v / (2.0 * F.E))),
+        ("zero", *own(zero_vector_form(n))),
+        ("wagner", L_W, lambda: shared.h_L_W),
+        ("fvJ", *own(J.scale(f_v))),
+        ("jv:E-dy1", shared.j_e_dy1, lambda: shared.h_j_e_dy1),
+        ("corollary", *own(J.scale(f_v / (2.0 * F.E)))),
     ]
     s0 = canonical_spray(F)
     residuals, notes = [], []
     tol = TOL_THEOREM
-    for name, L in fixtures:
-        hL = l_ehresmann_connection(F, L)
+    for name, L, connection in fixtures:
+        hL = connection()
         a = conservative_connection_residual(F, hL.form, ctx.grid)
         pot = insert_vector(s0, L)
         b = vertical_lift_test(F, field_apply(pot, F.E), ctx.grid)
@@ -255,10 +304,9 @@ def _chk07_biconditional(F, ctx):
 
 
 def _chk08_wagner(F, ctx):
-    hbar, L_W = wagner_connection(F, base_function("x1", F.n))
+    hbar, L_W = ctx.shared.wagner
     residuals = [conservative_connection_residual(F, hbar.form, ctx.grid)]
-    hL = l_ehresmann_connection(F, L_W)
-    residuals.append(form_matrix_residual(hbar.form, hL.form, ctx.grid))
+    residuals.append(form_matrix_residual(hbar.form, ctx.shared.h_L_W.form, ctx.grid))
     pot = potential(L_W, canonical_spray(F), points=ctx.grid)
     residuals.append(vector_field_residual(pot, ctx.grid))
     return Outcome(sup_abs(residuals))
@@ -267,7 +315,7 @@ def _chk08_wagner(F, ctx):
 def _chk09_conformal(F, ctx):
     f = base_function("x1", F.n)
     F2 = conformal_change(F, f)
-    hbar, _ = wagner_connection(F, f)
+    hbar, _ = ctx.shared.wagner
     L = hbar.form - berwald_connection(F)
     residuals = [conservative_form_residual(F, L, ctx.grid),
                  conservative_form_residual(F2, L, ctx.grid)]
@@ -303,7 +351,7 @@ def _chk10_conservative_lift(F, ctx):
     residuals.append(vincze_residual(F, U2, ctx.grid))
 
     try:
-        conservative_lift(F, _e_dy1(F))
+        conservative_lift(F, ctx.shared.e_dy1)
         return Outcome(float("inf"), "expected HypothesisFailure was not raised for E-dy1")
     except HypothesisFailure as e:
         note = f"HypothesisFailure (expected) for E-dy1: residual {e.residual:.3e}"
@@ -315,9 +363,9 @@ def _chk11_theta_commutator(F, ctx):
     J = vertical_endomorphism(n)
     C = liouville_field(n)
     f_v = vertical_lift_function(base_function("x1", n))
-    _, L_W = wagner_connection(F, base_function("x1", n))
+    _, L_W = ctx.shared.wagner
     residuals = []
-    for L in (L_W, J.scale(f_v), fn_bracket(J, _e_dy1(F))):
+    for L in (L_W, J.scale(f_v), ctx.shared.j_e_dy1):
         lhs = fn_bracket(C, theta_operator(F, L))
         rhs = theta_operator(F, fn_bracket(C, L))
         residuals.append(form_matrix_residual(lhs, rhs, ctx.grid))
@@ -330,7 +378,7 @@ def _chk12_vertical_correspondence(F, ctx):
     xv = vertical_lift_vector(
         [BaseFunction(lambda x, j=j: 1.0 if j == 0 else 0.0, n) for j in range(n)], n)
     residuals = []
-    for L in (zero_vector_form(n), fn_bracket(J, _e_dy1(F))):
+    for L in (zero_vector_form(n), ctx.shared.j_e_dy1):
         V = v_from_torsion_free(F, L)
         residuals += (vertical_residual(V, ctx.grid),
                       form_matrix_residual(fn_bracket(J, V), L, ctx.grid),
@@ -339,10 +387,8 @@ def _chk12_vertical_correspondence(F, ctx):
 
 
 def _chk13_homogeneous_reconstruction(F, ctx):
-    n = F.n
-    J = vertical_endomorphism(n)
-    V0 = _e_dy1(F)
-    L = fn_bracket(J, V0)
+    J = vertical_endomorphism(F.n)
+    V0, L = ctx.shared.e_dy1, ctx.shared.j_e_dy1
     V = v_from_homogeneous(F, L, r=1.0)
     residual = sup_abs([form_matrix_residual(fn_bracket(J, V), L, ctx.grid),
                         vector_field_residual(V - V0, ctx.grid)])
@@ -361,30 +407,28 @@ def _chk14_homogeneity_lemma(F, ctx):
     J = vertical_endomorphism(n)
     half_y1_C = VectorField(
         lambda z: [0.0] * n + [0.5 * z[n] * z[n + i] for i in range(n)], n, "half-y1-C")
-    residuals = []
-    for V in (_e_dy1(F), half_y1_C):
-        hL = l_ehresmann_connection(F, fn_bracket(J, V))
-        residuals.append(vector_form1_residual(tension(F, hL), ctx.grid))
-        sV = semispray_from_vertical(F, V)
-        residuals.append(homogeneity_residual(sV, 2.0, ctx.grid))
+    shared = ctx.shared
+    residuals = [
+        vector_form1_residual(tension(F, shared.h_j_e_dy1), ctx.grid),
+        homogeneity_residual(shared.spray_e_dy1, 2.0, ctx.grid),
+        vector_form1_residual(
+            tension(F, l_ehresmann_connection(F, fn_bracket(J, half_y1_C))), ctx.grid),
+        homogeneity_residual(semispray_from_vertical(F, half_y1_C), 2.0, ctx.grid),
+    ]
     return Outcome(sup_abs(residuals))
 
 
 def _chk15_dh_omega(F, ctx):
-    J = vertical_endomorphism(F.n)
     h0 = berwald(F)
-    hL = l_ehresmann_connection(F, fn_bracket(J, _e_dy1(F)))
+    hL = ctx.shared.h_j_e_dy1
     return Outcome(sup_abs([dh_omega_residual(F, h0, ctx.grid),
                             dh_omega_residual(F, hL, ctx.grid)]))
 
 
 def _chk16_spray_family(F, ctx):
     n = F.n
-    J = vertical_endomorphism(n)
-    V0 = _e_dy1(F)
-    sV = semispray_from_vertical(F, V0)
-    h1 = connection_from_semispray(F, sV)
-    h2 = l_ehresmann_connection(F, fn_bracket(J, V0))
+    h1 = connection_from_semispray(F, ctx.shared.spray_e_dy1)
+    h2 = ctx.shared.h_j_e_dy1
     residuals = [form_matrix_residual(h1.form, h2.form, ctx.grid)]
     # projective factor on a verified related pair: V = sqrt(E) C / 2, U = 0
     V = VectorField(
@@ -453,6 +497,11 @@ def run_checks(config) -> tuple:
     evaluates the sample grid as one batch point (``core.PointBatch``), and
     the fixtures are validated on it: each runner and residual helper takes
     the grid's coordinates from ``core.grid_coords`` and evaluates once.
+    The cells of a fixture share one ``SharedObjects`` for the run: the
+    Wagner pair, the field E-dy1, L = [J, E-dy1], the h_L of L and of L_W,
+    and S^V of E-dy1 are each built once, by the first cell that reads them,
+    whose wall time includes the build; a cold per-cell time needs a run of
+    that cell alone.
     """
     grid = (PointBatch(sample_slit_points(2, config.samples, config.seed)),)
     structures = {}
@@ -462,6 +511,7 @@ def run_checks(config) -> tuple:
             structures[fid] = finsler_fixture(fid, grid)
         except FinslerLabError as e:
             build_errors[fid] = f"{type(e).__name__}: {e}"
+    shared = {fid: SharedObjects(F) for fid, F in structures.items()}
 
     results = []
     for spec in list_checks(config.checks):
@@ -474,7 +524,7 @@ def run_checks(config) -> tuple:
                 results.append(CheckResult(spec.id, fid, config.samples, float("inf"),
                                            tol, False, 0.0, build_errors[fid]))
                 continue
-            ctx = CheckContext(grid=grid, seed=config.seed, tol=tol)
+            ctx = CheckContext(grid=grid, seed=config.seed, tol=tol, shared=shared[fid])
             try:
                 outcome = spec.runner(structures[fid], ctx)
                 residual, note = float(outcome.max_residual), outcome.note

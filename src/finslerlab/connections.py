@@ -89,9 +89,10 @@ def vertical_residual(V: VectorField, points) -> float:
 
 
 def form_matrix_residual(A: VectorForm, B: VectorForm, points) -> float:
-    """sup over points and frame of the matrix difference of two 1-forms."""
+    """sup over points and frame of the matrix difference of two 1-forms,
+    taken on the matrices stacked over the points (``jets.stacked``)."""
     z = grid_coords(points)
-    return sup_abs(x - y for ra, rb in zip(A.matrix(z), B.matrix(z)) for x, y in zip(ra, rb))
+    return sup_abs([(jets.stacked(A.matrix(z), z) - jets.stacked(B.matrix(z), z)).ravel()])
 
 
 def vector_form2_residual(K: VectorForm, points) -> float:

@@ -268,16 +268,6 @@ def _real_point(z, i=None):
     return real if i is None else [float(c[i]) if type(c) is jets.Batch else c for c in real]
 
 
-def _stacked(m, size):
-    """The real parts of a matrix of floats, batches and jets as one float array
-    of shape (size, rows, columns)."""
-    out = np.empty((size, len(m), len(m[0])))
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            out[:, i, j] = jets.realpart(x)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the validated structure
 
@@ -297,7 +287,7 @@ def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
     CE = field_apply(liouville_field(F.n), F.E)
     e = np.broadcast_to(F.E(z), size)
     dev = np.broadcast_to(CE(z) - 2.0 * e, size)
-    det = np.abs(np.linalg.det(_stacked(F.metric_at(z), size)))
+    det = np.abs(np.linalg.det(jets.stacked(F.metric_at(z), z)))
     with np.errstate(invalid="ignore"):
         axioms = (
             (~(e > 0.0), PositivityFailure, "energy not positive on the slit bundle", e),
@@ -364,7 +354,7 @@ class FinslerStructure:
         """
         m, dE = omega_and_dE(self.E, self.n, z)
         if jets.Jet not in map(type, z):
-            cond = np.linalg.cond(_stacked(m, jets.batch_size(z) or 1))
+            cond = np.linalg.cond(jets.stacked(m, z))
             bad = np.flatnonzero(cond > COND_LIMIT)
             if bad.size:
                 i = int(bad[0])
@@ -471,22 +461,24 @@ def conservative_form_residual(F: FinslerStructure, L: VectorForm,
 
 
 def projector_residual(F: FinslerStructure, h: VectorForm, points=None) -> float:
-    """sup of |h^2 - h|, |J o h - J|, |h o J| over points and the frame."""
+    """sup of |h^2 - h|, |J o h - J|, |h o J| over points and the frame.
+
+    h's matrix is stacked over the points (``jets.stacked``), and each product
+    sums over c one term at a time in the order of c, so every entry is the
+    same IEEE operation as a per-entry sum; only the signs of zeros can differ.
+    """
     points = points if points is not None else F.grid
     n, n2 = F.n, 2 * F.n
-    J = vertical_endomorphism(F.n)
-    jm = J.matrix([0.0] * n2)
-    m = h.matrix(grid_coords(points))
-    devs = []
-    for b in range(n2):
-        col = [m[a][b] for a in range(n2)]
-        hcol = [sum(m[a][c] * col[c] for c in range(n2)) for a in range(n2)]
-        devs.extend(hcol[a] - col[a] for a in range(n2))
-        jh = [sum(jm[a][c] * col[c] for c in range(n2)) for a in range(n2)]
-        devs.extend(jh[a] - jm[a][b] for a in range(n2))
+    jm = np.array(vertical_endomorphism(F.n).matrix([0.0] * n2))
+    z = grid_coords(points)
+    m = jets.stacked(h.matrix(z), z)
+    hh = m[:, :, 0, None] * m[:, None, 0, :]
+    jh = jm[:, 0, None] * m[:, None, 0, :]
+    for c in range(1, n2):
+        hh += m[:, :, c, None] * m[:, None, c, :]
+        jh += jm[:, c, None] * m[:, None, c, :]
     # h o J = 0: h kills the vertical frame vectors
-    devs.extend(m[a][n + i] for i in range(n) for a in range(n2))
-    return sup_abs(devs)
+    return sup_abs([(hh - m).ravel(), (jh - jm).ravel(), m[:, :, n:].ravel()])
 
 
 def conservative_connection_residual(F: FinslerStructure, h: VectorForm,

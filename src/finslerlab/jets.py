@@ -298,6 +298,21 @@ def batch_size(z):
     return None
 
 
+def stacked(m, z):
+    """The real parts of a matrix of floats, batches and jets at point ``z`` as
+    one float array of shape (points, rows, columns): one point at a float or
+    jet point, ``batch_size(z)`` at a batch point.
+
+    Each entry is assigned into its slice, which is exact and, for a batch
+    matrix, much faster than ``np.array`` over broadcast views.
+    """
+    out = np.empty((batch_size(z) or 1, len(m), len(m[0])))
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            out[:, i, j] = realpart(x)
+    return out
+
+
 def _per_element(f, x):
     return batch([f(v) for v in x.tolist()])
 

@@ -16,7 +16,7 @@ import pytest
 
 from finslerlab import finsler, jets
 from finslerlab.calculus import field_apply, liouville_field, point_key, sup_abs
-from finslerlab.checks import CHECKS, CheckContext, Outcome
+from finslerlab.checks import CHECKS, CheckContext, Outcome, SharedObjects
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
     BadConfig, FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
@@ -151,8 +151,9 @@ def test_where_selects_slot_by_slot_over_jets():
 
 def _run_cells(F, seed, grid):
     out = []
+    shared = SharedObjects(F)
     for spec in sorted(CHECKS, key=lambda c: c.id):
-        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance)
+        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance, shared=shared)
         try:
             outcome = spec.runner(F, ctx)
         except FinslerLabError as e:
@@ -255,7 +256,8 @@ def test_nan_in_one_batch_slot_fails_its_cell():
     pts = list(grid)
     pts[2] = point(*pts[2].base, pts[2].fiber[0], math.nan)
     spec = next(c for c in CHECKS if c.id == "CHK-02")
-    outcome = spec.runner(F, CheckContext(grid=(PointBatch(pts),), seed=7, tol=spec.tolerance))
+    outcome = spec.runner(F, CheckContext(grid=(PointBatch(pts),), seed=7, tol=spec.tolerance,
+                                          shared=SharedObjects(F)))
     assert math.isnan(outcome.max_residual)
     assert not outcome.max_residual < spec.tolerance
 

@@ -5,7 +5,8 @@ compiled and monkeypatched in; it must push at least one cell of each check
 it targets over tolerance in ``finslerlab check --seed 7 --samples 4``.  A
 check that passes for a wrong formula would pass for a right one just as
 well, so this is what gives its residuals meaning.  Only the targeted checks
-run, to keep the file fast.
+run, to keep the file fast.  A mutant of a function that other modules
+import by name names every module whose alias it must replace.
 """
 
 import inspect
@@ -14,7 +15,7 @@ import textwrap
 
 import pytest
 
-from finslerlab import calculus, checks, finsler
+from finslerlab import calculus, checks, cli, connections, finsler
 from finslerlab.cli import main
 
 
@@ -34,7 +35,7 @@ def mutant(func, old, new):
 
 NEGATED_SHARP = ("xh + solve(rhs)", "[-v for v in xh + solve(rhs)]")
 
-# (name, owner, attribute, old, new, targeted checks)
+# (name, owner or tuple of owners, attribute, old, new, targeted checks)
 MUTANTS = [
     ("drop D_Y K", calculus, "_bracket_1_0",
      " - d_y_k[a][b]", "", ["CHK-05", "CHK-13", "CHK-14"]),
@@ -58,14 +59,32 @@ MUTANTS = [
     ("the metric from the mixed x-y Hessian", finsler, "_energy_pass",
      "outer = [0.0] * n + jets.vec_frame(n)", "outer = jets.vec_frame(n) + [0.0] * n",
      ["CHK-01"]),
+    # one fixture's shared objects serve every fixture: the cells whose identity
+    # ties a shared object to the structure's own h0 or omega fail
+    ("share the first fixture's objects with every fixture", (checks, cli), "run_checks",
+     "shared=shared[fid]", "shared=next(iter(shared.values()))",
+     ["CHK-06", "CHK-07", "CHK-08", "CHK-09", "CHK-15"]),
+    # h^2 + h in place of h^2 - h: every connection's projector laws fail, both
+    # where a construction validates it and where d_h E is measured
+    ("h^2 + h in the stacked projector residual", (finsler, connections),
+     "projector_residual", "(hh - m)", "(hh + m)",
+     ["CHK-05", "CHK-06", "CHK-07", "CHK-08", "CHK-09", "CHK-10", "CHK-11", "CHK-12",
+      "CHK-14", "CHK-15", "CHK-16"]),
 ]
+
+
+def patch(monkeypatch, owner, attr, old, new):
+    owners = owner if isinstance(owner, tuple) else (owner,)
+    replacement = mutant(getattr(owners[0], attr), old, new)
+    for o in owners:
+        monkeypatch.setattr(o, attr, replacement)
 
 
 @pytest.mark.parametrize("name, owner, attr, old, new, checks", MUTANTS,
                          ids=[m[0] for m in MUTANTS])
 def test_mutant_fails_every_targeted_check(name, owner, attr, old, new, checks,
                                            monkeypatch, capsys):
-    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), old, new))
+    patch(monkeypatch, owner, attr, old, new)
     code = main(["check", "--seed", "7", "--samples", "4", "--only", ",".join(checks)])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     failing = {r["check"] for r in records if r["pass"] is not True}
@@ -79,7 +98,7 @@ def test_every_check_is_targeted_by_a_mutant():
 
 
 def run_under(monkeypatch, capsys, owner, attr, old, new, checks_run):
-    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), old, new))
+    patch(monkeypatch, owner, attr, old, new)
     main(["check", "--seed", "7", "--samples", "4", "--only", ",".join(checks_run)])
     return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
