@@ -109,25 +109,24 @@ def point_key(z):
 class PointMemo:
     """Values computed at points, keyed by ``point_key``.
 
-    Float entries are kept for the memo's life.  Jet entries are kept for one
-    base point (the real parts of the coordinates) and dropped when a keyed
-    point, float or jet, arrives at another one; every lift of a batch point
-    has the batch's base, so they live while the batch is evaluated.  An
-    entry is stored with the tags of the point that computed it; a point that differs from it by an
-    order-preserving renaming of tags hits it, and renaming the stored value
-    to that point's tags gives, bit for bit, what the computation gives
-    there, because jet arithmetic compares tags only by their order and
-    strips the tags it makes.  A value that holds a tag no point carries (a
-    function that holds jets of its own) cannot be renamed: ``jets.retag``
-    raises ``KeyError`` and the value is computed afresh.
+    Entries are kept for one base point (the real parts of the coordinates)
+    and dropped when a keyed point arrives at another one, so a memo holds
+    one point's entries at most; every lift of a batch point has the batch's
+    base, so they live while the batch is evaluated.  An entry is stored
+    with the tags of the point that computed it; a point that differs from
+    it by an order-preserving renaming of tags hits it, and renaming the
+    stored value to that point's tags gives, bit for bit, what the
+    computation gives there, because jet arithmetic compares tags only by
+    their order and strips the tags it makes.  A value that holds a tag no
+    point carries (a function that holds jets of its own) cannot be renamed:
+    ``jets.retag`` raises ``KeyError`` and the value is computed afresh.
     """
 
-    __slots__ = ("base", "jets", "floats")
+    __slots__ = ("base", "entries")
 
     def __init__(self):
         self.base = None
-        self.jets = {}
-        self.floats = {}
+        self.entries = {}
 
     def get(self, z, compute, rename):
         """``compute(z)`` through the memo.
@@ -142,17 +141,12 @@ class PointMemo:
             return compute(z)
         key, base, tags = point
         if base != self.base:
-            self.jets = {}
+            self.entries = {}
             self.base = base
-        if not tags:
-            value = self.floats.get(key)
-            if value is None:
-                value = self.floats[key] = compute(z)
-            return value
-        hit = self.jets.get(key)
+        hit = self.entries.get(key)
         if hit is None:
             value = compute(z)
-            self.jets[key] = (tags, value)
+            self.entries[key] = (tags, value)
             return value
         stored, value = hit
         if stored == tags:
@@ -763,20 +757,20 @@ def semispray_residual(S: VectorField, points) -> float:
     return sup_abs(sz[i] - z[n + i] for i in range(n))
 
 
-def potential(K, S: VectorField, points=None, tol: float = PRECHECK_TOL):
+def potential(K, S: VectorField, points=None):
     """K deg minus one obtained by inserting a semispray; the potential of K.
 
     When sample points are supplied, the preconditions (K semibasic, S a
-    semispray) are residual-tested first.
+    semispray) are residual-tested first, against PRECHECK_TOL.
     """
     degree = K.degree if isinstance(K, (VectorForm, DifferentialForm)) else 0
     if degree < 1:
         raise DegreeOutOfRange("potential needs degree >= 1")
     if points is not None:
-        if semispray_residual(S, points) > tol:
+        if semispray_residual(S, points) > PRECHECK_TOL:
             raise NotSemispray("J(S) != C beyond tolerance on the supplied points")
         r = semibasic_residual(K, points)
-        if r > tol:
+        if r > PRECHECK_TOL:
             raise NotSemibasic(f"potential needs a semibasic operand, residual {r:.3e}")
     return insert_vector(S, K)
 

@@ -21,9 +21,9 @@ from .calculus import (
     DifferentialForm, VectorField, d_K, field_apply, fn_bracket,
     frame_vector, homogeneity_residual, insert_one_form, insert_vector,
     lie_derivative, liouville_field, potential, sup_abs, vertical_endomorphism,
-    vertical_lift_function, vertical_lift_vector, zero_vector_form,
+    vertical_lift_function, zero_vector_form,
 )
-from .core import BaseFunction, PointBatch, grid_coords, sample_slit_points
+from .core import PointBatch, grid_coords, sample_slit_points
 from .errors import DegenerateDegree, FinslerLabError, HypothesisFailure
 from .finsler import (
     berwald_connection, canonical_spray, conformal_change,
@@ -39,7 +39,7 @@ from .connections import (
     vector_form1_residual, vector_form2_residual, vertical_lift_test,
     vertical_residual, vincze_residual, wagner_connection, weak_torsion,
 )
-from .registry import base_function
+from .registry import base_function, build_field
 
 TOL_CONSTRUCTION = 1e-9
 TOL_THEOREM = 1e-8
@@ -107,8 +107,7 @@ class SharedObjects:
     @cached_property
     def e_dy1(self) -> VectorField:
         """The vertical field E d/dy1."""
-        F, n = self.F, self.F.n
-        return VectorField(lambda z: [0.0] * n + [F.E(z)] + [0.0] * (n - 1), n, "E-dy1")
+        return build_field(self.F, "E-dy1")
 
     @cached_property
     def j_e_dy1(self):
@@ -337,8 +336,7 @@ def _chk09_conformal(F, ctx):
 
 def _chk10_conservative_lift(F, ctx):
     n = F.n
-    xv = vertical_lift_vector(
-        [BaseFunction(lambda x, j=j: 1.0 if j == 0 else 0.0, n) for j in range(n)], n)
+    xv = build_field(F, "vlift:1")
     U = conservative_lift(F, xv)
     residuals = [vincze_residual(F, U, ctx.grid)]
 
@@ -375,8 +373,7 @@ def _chk11_theta_commutator(F, ctx):
 def _chk12_vertical_correspondence(F, ctx):
     n = F.n
     J = vertical_endomorphism(n)
-    xv = vertical_lift_vector(
-        [BaseFunction(lambda x, j=j: 1.0 if j == 0 else 0.0, n) for j in range(n)], n)
+    xv = build_field(F, "vlift:1")
     residuals = []
     for L in (zero_vector_form(n), ctx.shared.j_e_dy1):
         V = v_from_torsion_free(F, L)
@@ -405,8 +402,7 @@ def _chk13_homogeneous_reconstruction(F, ctx):
 def _chk14_homogeneity_lemma(F, ctx):
     n = F.n
     J = vertical_endomorphism(n)
-    half_y1_C = VectorField(
-        lambda z: [0.0] * n + [0.5 * z[n] * z[n + i] for i in range(n)], n, "half-y1-C")
+    half_y1_C = build_field(F, "half-y1-C")
     shared = ctx.shared
     residuals = [
         vector_form1_residual(tension(F, shared.h_j_e_dy1), ctx.grid),
@@ -431,9 +427,7 @@ def _chk16_spray_family(F, ctx):
     h2 = ctx.shared.h_j_e_dy1
     residuals = [form_matrix_residual(h1.form, h2.form, ctx.grid)]
     # projective factor on a verified related pair: V = sqrt(E) C / 2, U = 0
-    V = VectorField(
-        lambda z: [0.0] * n + [0.5 * jets.sqrt(F.E(z)) * z[n + i] for i in range(n)],
-        n, "half-sqrtE-C")
+    V = build_field(F, "half-sqrtE-C")
     U = VectorField(lambda z: [0.0] * (2 * n), n, "0")
     lam, residual = projective_factor(F, V, U)
     residuals.append(residual)

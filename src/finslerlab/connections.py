@@ -8,7 +8,10 @@ factors, and the conservativity criterion i_V omega = d_J(V E) for vertical
 fields.  Every predicate is a sup-norm residual over sample points; nothing
 is proved symbolically.  A residual helper evaluates its points as one point
 (``core.grid_coords``: one batch point for a grid of several) and takes the
-sup over that point's values.
+sup over that point's values.  Each construction and predicate first tests
+its hypotheses (semibasic, torsion-free, vertical, homogeneous, a semispray,
+the projector laws) as residuals on the structure's grid, or on the points
+given, and raises the matching error when one exceeds PRE_TOL.
 """
 
 from __future__ import annotations
@@ -65,13 +68,11 @@ class ConnectionDiagnostics:
     conservativity_residual: float
 
 
-def _wrap_connection(F: FinslerStructure, form: VectorForm, provenance: str,
-                     validate: bool = True, tol: float = PRE_TOL) -> EhresmannConnection:
+def _wrap_connection(F: FinslerStructure, form: VectorForm, provenance: str) -> EhresmannConnection:
     form.memoize_matrix()
-    if validate:
-        r = projector_residual(F, form, F.grid)
-        if r > tol:
-            raise NotConnection(f"projector laws fail for {provenance}: residual {r:.3e}")
+    r = projector_residual(F, form, F.grid)
+    if r > PRE_TOL:
+        raise NotConnection(f"projector laws fail for {provenance}: residual {r:.3e}")
     return EhresmannConnection(form=form, provenance=provenance)
 
 
@@ -117,10 +118,9 @@ def vector_field_residual(X: VectorField, points) -> float:
 # constructions
 
 
-def connection_from_semispray(F: FinslerStructure, S: VectorField,
-                              pre_tol: float = PRE_TOL) -> EhresmannConnection:
+def connection_from_semispray(F: FinslerStructure, S: VectorField) -> EhresmannConnection:
     """h = (Id + [J, S]) / 2; zero weak torsion by construction."""
-    if semispray_residual(S, F.grid) > pre_tol:
+    if semispray_residual(S, F.grid) > PRE_TOL:
         raise NotSemispray("J(S) != C on the sample grid")
     J = vertical_endomorphism(F.n)
     form = (identity_form(F.n) + fn_bracket(J, S)).scale(0.5)
@@ -145,11 +145,10 @@ def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
     return sharp(F, d_K(L, F.E))
 
 
-def theta_operator(F: FinslerStructure, L: VectorForm,
-                   pre_tol: float = PRE_TOL) -> VectorForm:
+def theta_operator(F: FinslerStructure, L: VectorForm) -> VectorForm:
     """Theta_L = L + [J, (d_L E)#] = h_L - h0, on semibasic 1-forms."""
     r = semibasic_residual(L, F.grid)
-    if r > pre_tol:
+    if r > PRE_TOL:
         raise NotSemibasic(f"Theta needs a semibasic operand, residual {r:.3e}")
     J = vertical_endomorphism(F.n)
     theta = L + fn_bracket(J, sharp_of_dLE(F, L))
@@ -157,10 +156,9 @@ def theta_operator(F: FinslerStructure, L: VectorForm,
     return theta
 
 
-def l_ehresmann_connection(F: FinslerStructure, L: VectorForm,
-                           pre_tol: float = PRE_TOL) -> EhresmannConnection:
+def l_ehresmann_connection(F: FinslerStructure, L: VectorForm) -> EhresmannConnection:
     """h_L = h0 + L + [J, (d_L E)#]."""
-    form = berwald_connection(F) + theta_operator(F, L, pre_tol=pre_tol)
+    form = berwald_connection(F) + theta_operator(F, L)
     form.name = f"h_L({L.name})"
     return _wrap_connection(F, form, f"l-ehresmann({L.name or 'L'})")
 
@@ -220,27 +218,25 @@ def diagnostics(F: FinslerStructure, h, points=None) -> ConnectionDiagnostics:
     )
 
 
-def torsion_free_residual(F: FinslerStructure, L: VectorForm,
-                          points=None, pre_tol: float = PRE_TOL) -> float:
+def torsion_free_residual(F: FinslerStructure, L: VectorForm, points=None) -> float:
     """sup |[J, L]| over frame pairs; zero characterises torsion-free forms."""
     points = points if points is not None else F.grid
     r = semibasic_residual(L, points)
-    if r > pre_tol:
+    if r > PRE_TOL:
         raise NotSemibasic(f"torsion-freeness applies to semibasic forms, residual {r:.3e}")
     J = vertical_endomorphism(F.n)
     return vector_form2_residual(fn_bracket(J, L), points)
 
 
-def v_from_torsion_free(F: FinslerStructure, L: VectorForm,
-                        pre_tol: float = PRE_TOL) -> VectorField:
+def v_from_torsion_free(F: FinslerStructure, L: VectorForm) -> VectorField:
     """A vertical V with [J, V] = L, for torsion-free semibasic L.
 
     V = (S - S0)/2 - (d_L E)# with S the semispray associated to h_L; any
     V + X^v solves the same equation.
     """
-    if torsion_free_residual(F, L, pre_tol=pre_tol) > pre_tol:
+    if torsion_free_residual(F, L) > PRE_TOL:
         raise NotTorsionFree("[J, L] != 0 on the sample grid")
-    h_L = l_ehresmann_connection(F, L, pre_tol=pre_tol)
+    h_L = l_ehresmann_connection(F, L)
     S = associated_semispray(F, h_L)
     s0 = canonical_spray(F)
     W = sharp_of_dLE(F, L)
@@ -251,15 +247,14 @@ def v_from_torsion_free(F: FinslerStructure, L: VectorForm,
     return VectorField(ev, F.n, name=f"V({L.name})", memo=True)
 
 
-def v_from_homogeneous(F: FinslerStructure, L: VectorForm, r: float,
-                       pre_tol: float = PRE_TOL) -> VectorField:
+def v_from_homogeneous(F: FinslerStructure, L: VectorForm, r: float) -> VectorField:
     """V = L° / (r + 1) for torsion-free L homogeneous of degree r != -1."""
     if r == -1:
         raise DegenerateDegree("degree -1 admits no potential reconstruction")
-    if torsion_free_residual(F, L, pre_tol=pre_tol) > pre_tol:
+    if torsion_free_residual(F, L) > PRE_TOL:
         raise NotTorsionFree("[J, L] != 0 on the sample grid")
     hr = homogeneity_residual(L, r, F.grid)
-    if hr > pre_tol:
+    if hr > PRE_TOL:
         raise HomogeneityFailure(
             f"L is not homogeneous of degree {r}", value=hr)
     s0 = canonical_spray(F)
@@ -267,10 +262,9 @@ def v_from_homogeneous(F: FinslerStructure, L: VectorForm, r: float,
     return pot.scale(1.0 / (r + 1.0))
 
 
-def semispray_from_vertical(F: FinslerStructure, V: VectorField,
-                            pre_tol: float = PRE_TOL) -> VectorField:
+def semispray_from_vertical(F: FinslerStructure, V: VectorField) -> VectorField:
     """S^V = S0 + 2V + 2 (d_[J,V] E)#; generates the [J,V]-connection."""
-    if vertical_residual(V, F.grid) > pre_tol:
+    if vertical_residual(V, F.grid) > PRE_TOL:
         raise NotVertical("V has horizontal components on the sample grid")
     J = vertical_endomorphism(F.n)
     L = fn_bracket(J, V)
@@ -283,8 +277,7 @@ def semispray_from_vertical(F: FinslerStructure, V: VectorField,
     return VectorField(ev, F.n, name=f"S^({V.name})", memo=True)
 
 
-def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField,
-                      pre_tol: float = PRE_TOL):
+def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField):
     """Candidate factor lam = 3 (V - U) E / E and the measured deviation.
 
     Returns (lam, residual) where residual = sup |S^V - S^U - lam C|; the two
@@ -292,26 +285,25 @@ def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField,
     only then is lam meaningful (and 1-homogeneous).
     """
     for X, tag in ((V, "V"), (U, "U")):
-        if vertical_residual(X, F.grid) > pre_tol:
+        if vertical_residual(X, F.grid) > PRE_TOL:
             raise NotVertical(f"{tag} has horizontal components")
         hr = homogeneity_residual(X, 2.0, F.grid)
-        if hr > pre_tol:
+        if hr > PRE_TOL:
             raise HomogeneityFailure(f"{tag} is not 2-homogeneous", value=hr)
     lam = (field_apply(V - U, F.E) * 3.0) / F.E
     lam.name = "lambda"
-    sV = semispray_from_vertical(F, V, pre_tol)
-    sU = semispray_from_vertical(F, U, pre_tol)
+    sV = semispray_from_vertical(F, V)
+    sU = semispray_from_vertical(F, U)
     C = liouville_field(F.n)
     z = grid_coords(F.grid)
     lc = lam(z)
     return lam, sup_abs(a - b - lc * c for a, b, c in zip(sV(z), sU(z), C(z)))
 
 
-def vincze_residual(F: FinslerStructure, V: VectorField,
-                    points=None, pre_tol: float = PRE_TOL) -> float:
+def vincze_residual(F: FinslerStructure, V: VectorField, points=None) -> float:
     """sup |i_V omega - d_J(V E)|; zero characterises conservative vertical fields."""
     points = points if points is not None else F.grid
-    if vertical_residual(V, points) > pre_tol:
+    if vertical_residual(V, points) > PRE_TOL:
         raise NotVertical("V has horizontal components on the sample points")
     J = vertical_endomorphism(F.n)
     VE = field_apply(V, F.E)
@@ -324,21 +316,20 @@ def vincze_residual(F: FinslerStructure, V: VectorField,
                    for b in range(n2))
 
 
-def conservative_lift(F: FinslerStructure, V: VectorField,
-                      pre_tol: float = PRE_TOL) -> VectorField:
+def conservative_lift(F: FinslerStructure, V: VectorField) -> VectorField:
     """U = V + (d_[J,V] E)#, conservative whenever the [J,V]-connection is.
 
     Raises HypothesisFailure (with the measured residual) when the
     [J,V]-connection is not conservative, distinguishing an inapplicable
     theorem from a violated one.
     """
-    if vertical_residual(V, F.grid) > pre_tol:
+    if vertical_residual(V, F.grid) > PRE_TOL:
         raise NotVertical("V has horizontal components on the sample grid")
     J = vertical_endomorphism(F.n)
     L = fn_bracket(J, V)
-    h = l_ehresmann_connection(F, L, pre_tol=pre_tol)
+    h = l_ehresmann_connection(F, L)
     r = conservative_connection_residual(F, h.form, F.grid)
-    if r > pre_tol:
+    if r > PRE_TOL:
         raise HypothesisFailure(
             f"[J,V]-connection is not conservative (residual {r:.3e})", residual=r)
     W = sharp_of_dLE(F, L)

@@ -5,15 +5,15 @@ keeps one point memo (``calculus.PointMemo``) of omega's matrix and dE, as
 ``omega_and_dE`` returns them from one pass of E, at every point: a float
 point, a batch point (``core.PointBatch``) and a jet point alike.  The sharp
 solve and ``d_h omega`` read omega there, and the canonical spray both.  A
-miss at a float or batch point also checks cond(omega) at each of its points
-against COND_LIMIT; a raise stores nothing.  The memo's key is the point's
-canonical form (``calculus.point_key``): every float, a negative zero as its
-own token, and the lift tags up to an order-preserving renaming.  Jet
-entries are kept for one base point (the real parts of the coordinates) at a
-time and dropped when a call arrives at another one, so they are the lifts
-of the point being worked on: the sharp fields bracketed with J there (S0,
-(d_L E)#, grad f^v) are lifted along the same frames and share them.  Float and batch entries
-are kept across base points, because the checks revisit every grid point.
+miss at a float or batch point also checks at each of its points that omega
+is finite and cond(omega) <= COND_LIMIT; a raise stores nothing.  The memo's
+key is the point's canonical form (``calculus.point_key``): every float, a
+negative zero as its own token, and the lift tags up to an order-preserving
+renaming.  Entries are kept for one base point (the real parts of the
+coordinates) at a time and dropped when a call arrives at another one, so
+they are the point being worked on and its lifts: the sharp fields
+bracketed with J there (S0, (d_L E)#, grad f^v) are lifted along the same
+frames and share them.
 
 A hit is exact.  Jet arithmetic compares tags only by their order, and every
 tag that ``omega_and_dE`` makes internally is stripped before it returns; so
@@ -272,12 +272,12 @@ def _real_point(z, i=None):
 # the validated structure
 
 
-def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
+def energy_axioms_residual(F, grid) -> float:
     """sup |CE - 2E| over the grid, where each point must satisfy the energy axioms.
 
     The grid is checked as one ``PointBatch`` of its points.  The first point
     that fails an axiom raises: ``PositivityFailure`` if E <= 0, else
-    ``HomogeneityFailure`` if |CE - 2E| > tol * max(1, |E|), else
+    ``HomogeneityFailure`` if |CE - 2E| > VALIDATION_TOL * max(1, |E|), else
     ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.  An empty grid raises
     ``BadConfig``.
     """
@@ -291,7 +291,7 @@ def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
     with np.errstate(invalid="ignore"):
         axioms = (
             (~(e > 0.0), PositivityFailure, "energy not positive on the slit bundle", e),
-            (np.abs(dev) > tol * np.maximum(1.0, np.abs(e)), HomogeneityFailure,
+            (np.abs(dev) > VALIDATION_TOL * np.maximum(1.0, np.abs(e)), HomogeneityFailure,
              "energy not 2-homogeneous: CE != 2E", dev),
             (det <= DET_FLOOR, NondegeneracyFailure, "fundamental tensor degenerate", det),
         )
@@ -304,10 +304,13 @@ def energy_axioms_residual(F, grid, tol: float = VALIDATION_TOL) -> float:
 
 
 class FinslerStructure:
-    """Energy function E with its cached fundamental-form machinery."""
+    """Energy function E with its cached fundamental-form machinery.
 
-    def __init__(self, E: ScalarField, n: int, grid, validate: bool = True,
-                 tol: float = VALIDATION_TOL, name: str = ""):
+    ``validate`` checks the energy axioms on the grid first
+    (``energy_axioms_residual``, to VALIDATION_TOL).
+    """
+
+    def __init__(self, E: ScalarField, n: int, grid, validate: bool = True, name: str = ""):
         self.E = E
         self.n = n
         self.grid = grid
@@ -317,13 +320,10 @@ class FinslerStructure:
         self._spray = None
         self._berwald = None
         if validate:
-            self._validate(tol)
+            energy_axioms_residual(self, grid)
 
     def __repr__(self):
         return f"FinslerStructure({self.name}, n={self.n})"
-
-    def _validate(self, tol: float):
-        energy_axioms_residual(self, self.grid, tol)
 
     # -- the point memo -------------------------------------------------------
 
@@ -348,13 +348,20 @@ class FinslerStructure:
 
     def _omega_entry(self, z):
         """``[omega's matrix, dE]`` at z; at a float or batch point, raises
-        ``NondegeneracyFailure`` at the first point where cond(omega) > COND_LIMIT.
+        ``NondegeneracyFailure`` at the first point where omega is not finite
+        or cond(omega) > COND_LIMIT.
 
         A list, not a tuple: ``retag_array`` renames a hit by walking lists.
         """
         m, dE = omega_and_dE(self.E, self.n, z)
         if jets.Jet not in map(type, z):
-            cond = np.linalg.cond(jets.stacked(m, z))
+            stacked = jets.stacked(m, z)
+            try:
+                cond = np.linalg.cond(stacked)
+            except np.linalg.LinAlgError:  # the SVD of a non-finite omega
+                i = int(np.argmin(np.isfinite(stacked).all(axis=(1, 2))))
+                raise NondegeneracyFailure("fundamental form not finite",
+                                           point=_real_point(z, i), value=float("nan")) from None
             bad = np.flatnonzero(cond > COND_LIMIT)
             if bad.size:
                 i = int(bad[0])
@@ -374,11 +381,12 @@ class FinslerStructure:
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,
-                     tol: float = VALIDATION_TOL, name: str = "") -> FinslerStructure:
-    """Check positivity, 2-homogeneity, and nondegeneracy on the grid."""
+                     name: str = "") -> FinslerStructure:
+    """Check positivity, 2-homogeneity, and nondegeneracy on the grid
+    (``energy_axioms_residual``)."""
     if n is None:
         n = PointBatch(grid).n
-    return FinslerStructure(E, n, grid, validate=True, tol=tol, name=name)
+    return FinslerStructure(E, n, grid, validate=True, name=name)
 
 
 def fundamental_form(F: FinslerStructure) -> FundamentalForm:
@@ -450,12 +458,11 @@ def _d_form_E_residual(F: FinslerStructure, K: VectorForm, points) -> float:
     return sup_abs(jets.directional(F.E.fn, z, [m[a][b] for a in range(n2)]) for b in range(n2))
 
 
-def conservative_form_residual(F: FinslerStructure, L: VectorForm,
-                               points=None, pre_tol: float = CONNECTION_TOL) -> float:
-    """sup |d_L E| for a semibasic vector 1-form (checked first)."""
+def conservative_form_residual(F: FinslerStructure, L: VectorForm, points=None) -> float:
+    """sup |d_L E| for a semibasic vector 1-form (checked first, to CONNECTION_TOL)."""
     points = points if points is not None else F.grid
     r = semibasic_residual(L, points)
-    if r > pre_tol:
+    if r > CONNECTION_TOL:
         raise NotSemibasic(f"form is not semibasic, residual {r:.3e}")
     return _d_form_E_residual(F, L, points)
 
@@ -481,12 +488,12 @@ def projector_residual(F: FinslerStructure, h: VectorForm, points=None) -> float
     return sup_abs([(hh - m).ravel(), (jh - jm).ravel(), m[:, :, n:].ravel()])
 
 
-def conservative_connection_residual(F: FinslerStructure, h: VectorForm,
-                                     points=None, pre_tol: float = CONNECTION_TOL) -> float:
-    """sup |d_h E| for an Ehresmann connection (projector laws checked first)."""
+def conservative_connection_residual(F: FinslerStructure, h: VectorForm, points=None) -> float:
+    """sup |d_h E| for an Ehresmann connection (projector laws checked first,
+    to CONNECTION_TOL)."""
     points = points if points is not None else F.grid
     r = projector_residual(F, h, points)
-    if r > pre_tol:
+    if r > CONNECTION_TOL:
         raise NotConnection(f"projector laws fail, residual {r:.3e}")
     return _d_form_E_residual(F, h, points)
 

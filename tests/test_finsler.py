@@ -374,6 +374,21 @@ def test_sharp_condition_failure():
         assert err.value.point == list(bad.coords()) and err.value.value > 1e12
 
 
+def test_a_nan_coordinate_fails_nondegeneracy_at_its_point():
+    # the SVD behind cond(omega) does not converge on a non-finite omega;
+    # the failure names the first point whose omega is not finite
+    F = finsler_fixture("randers-0.3", sample_slit_points(N, 32, seed=42))
+    pts = list(F.grid)
+    pts[17] = point(*pts[17].base, pts[17].fiber[0], math.nan)
+    for z, at in (([0.1, 0.2, 0.5, math.nan], [0.1, 0.2, 0.5, math.nan]),
+                  (PointBatch(pts).coords(), pts[17].coords())):
+        for _ in range(2):  # a raise stores nothing, so a repeated call raises again
+            with pytest.raises(NondegeneracyFailure, match="fundamental form not finite") as err:
+                canonical_spray(F)(z)
+            assert np.array_equal(err.value.point, at, equal_nan=True)
+            assert math.isnan(err.value.value)
+
+
 def test_sharp_pivot_guard_compares_every_pivot():
     # g = [[s, 1e-14], [1e-14, 1]] with s = x1: at x1 = 1e-14 the small pivot comes first and
     # the large one after it, so cond(g) is about 1e14 while no pivot is small against an earlier one
@@ -567,24 +582,28 @@ def test_sharp_memo_keeps_one_base_point():
     for depth in (1, 2):
         z, _ = _jet_point(z1, depth)
         F.sharp_at(_jet_beta(z), z)
-    assert len(F._memo.jets) == 2 and len(F._memo.floats) == 1
+    assert F._memo.base == tuple(z1) and len(F._memo.entries) == 3
     z, _ = _jet_point(z2, 1)
     F.sharp_at(_jet_beta(z), z)
     assert F._memo.base == tuple(z2)
-    assert len(F._memo.jets) == 1
+    assert len(F._memo.entries) == 1
 
 
-def test_sharp_memo_keeps_float_entries_across_base_points():
-    F = finsler_fixture("randers-0.3", GRID)
-    beta = [1.0, -0.5, 0.25, 2.0]
-    z1, z2 = list(GRID)[0].coords(), list(GRID)[1].coords()
-    first = F.sharp_at(beta, z1)
-    z, _ = _jet_point(z2, 1)
-    F.sharp_at(_jet_beta(z), z)
-    with mock.patch.object(finsler, "omega_and_dE",
-                           side_effect=AssertionError("float entry dropped")):
-        assert F.sharp_at(beta, z1) == first
-    assert F._memo.base == tuple(z1)
+def test_memos_hold_the_last_base_points_entries_only():
+    # S0, h0's matrix and a sharp field at 50 distinct float points leave in
+    # each memo what evaluating them at the last point alone leaves there
+    def memos_after(points):
+        F = finsler_fixture("randers-0.3", GRID)
+        s0, h0 = canonical_spray(F), berwald_connection(F)
+        X = sharp(F, coordinate_one_form(N, 0))
+        for z in points:
+            s0(z), h0.matrix(z), X(z)
+        return [F._memo, s0._memo, h0._matrix_memo, X._memo]
+
+    points = [p.coords() for p in sample_slit_points(N, 50, seed=11)]
+    for memo, alone in zip(memos_after(points), memos_after(points[-1:])):
+        assert memo.base == tuple(points[-1])
+        assert memo.entries.keys() == alone.entries.keys()
 
 
 @pytest.mark.parametrize("n", [2, 3])

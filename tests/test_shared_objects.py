@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from finslerlab import checks
+from finslerlab import calculus, checks, finsler
 from finslerlab.checks import CHECK_IDS, run_checks
 from finslerlab.config import RunConfig
 from finslerlab.errors import NotConnection
@@ -58,6 +58,31 @@ def test_each_fixture_builds_each_shared_object_once(monkeypatch):
         assert calls[("l_ehresmann_connection", fid, "[J,E-dy1]")] == 1
         assert calls[("l_ehresmann_connection", fid, "L_W(x1)")] == 1
         assert calls[("semispray_from_vertical", fid, "E-dy1")] == 1
+
+
+@pytest.mark.parametrize("config", [RunConfig(), RunConfig(samples=4, seed=7)])
+def test_the_memos_do_the_same_work_in_a_run(config, monkeypatch):
+    # each memo keeps one base point; the grid is one batch point, so a run
+    # builds omega and reads the memos as often as when float entries outlived it
+    work = Counter()
+    omega, get = finsler.omega_and_dE, calculus.PointMemo.get
+
+    def counting_omega(*args):
+        work["omega_and_dE"] += 1
+        return omega(*args)
+
+    def counting_get(memo, z, compute, rename):
+        work["get"] += 1
+
+        def counted(z):
+            work["compute"] += 1
+            return compute(z)
+        return get(memo, z, counted, rename)
+
+    monkeypatch.setattr(finsler, "omega_and_dE", counting_omega)
+    monkeypatch.setattr(calculus.PointMemo, "get", counting_get)
+    run_checks(config)
+    assert work == {"omega_and_dE": 33, "get": 948, "compute": 279}
 
 
 def _assert_users_record(results, users, error):
