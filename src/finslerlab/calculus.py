@@ -120,6 +120,7 @@ class PointMemo:
     their order and strips the tags it makes.  A value that holds a tag no
     point carries (a function that holds jets of its own) cannot be renamed:
     ``jets.retag`` raises ``KeyError`` and the value is computed afresh.
+    ``put`` stores a value computed elsewhere that is exact at its point.
     """
 
     __slots__ = ("base", "entries")
@@ -155,6 +156,13 @@ class PointMemo:
             return rename(value, dict(zip(stored, tags)))
         except KeyError:  # the value holds a tag the point does not carry
             return compute(z)
+
+    def put(self, z, value):
+        """Store ``value`` at z, a point at the memo's base point, unless an
+        entry is there.  It must be what ``compute`` would give at z."""
+        point = point_key(z)
+        if point is not None and point[1] == self.base:
+            self.entries.setdefault(point[0], (point[2], value))
 
 
 def retag_array(x, tag_map):

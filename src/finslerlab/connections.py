@@ -16,7 +16,11 @@ given, and raises the matching error when one exceeds PRE_TOL.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets
 from .calculus import (
@@ -350,51 +354,65 @@ def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> floa
 def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
     """sup over points and frame triples of d_h omega = i_h(d omega) - d(i_h omega).
 
-    The grid is evaluated as one point (``core.grid_coords``), and its lifted
-    evaluations are shared across all triples: one vector lift along the
-    frame gives the derivatives of the connection matrix and of the omega
-    matrix in every direction, and the connection matrix at the point itself
-    is the primal of the lifted one, so h is evaluated once.  omega at the
-    lifted point comes through the structure's point memo, so connections
-    evaluated in turn at one grid share it.  Of d(i_h omega) only the entries
-    the triples a < b < c read are formed.
+    The grid is evaluated as one point (``core.grid_coords``) and lifted once
+    along the vector frame: h and omega there give their matrices and their
+    derivatives in every direction.  h is read first: h0's bracket builds
+    omega at the lift of the lifted point, and the structure's memo stores
+    its primal at the lifted point, so omega there is a hit.
+
+    The primal parts and tangent slots are read into float arrays, and each
+    sum over d adds one term at a time in the order of d with the grouping of
+    the scalar formulas (a term of D(i_h omega) is ``p t_w + t_m p_w``; then
+    ``(s1 + s2) + s3 - d_ih``), so every entry is the operation that the jet
+    product rule and per-triple scalar sums perform (the reference in
+    ``tests/test_connections.py``).  Only the signs of zeros can differ, where
+    a structural-zero slot is an added zero; the sup removes them.
     """
     points = points if points is not None else F.grid
-    form = _as_form(h)
     n2 = 2 * F.n
-    rng = range(n2)
+    z = grid_coords(points)
     tag = jets.fresh_tag()
-    za = jets.lift(grid_coords(points), jets.vec_frame(n2), tag)
-    m = form.matrix(za)
-    h_real = [[jets.primal(x, tag) for x in row] for row in m]
-    w = F.shared_omega_matrix_at(za)
-    # d_ihom[a][b][c] = D_a[(i_h om)(e_b, e_c)] for b < c, the entries read;
-    # d_om[a][b][c] = D_a[om(e_b, e_c)], read in every order
-    d_ihom = [[[0.0] * n2 for _ in rng] for _ in rng]
-    d_om = [[[0.0] * n2 for _ in rng] for _ in rng]
-    for b in rng:
-        for c in rng:
-            for a, v in enumerate(jets.slots(jets.tangent(w[b][c], tag), n2)):
-                d_om[a][b][c] = v
-        for c in range(b + 1, n2):
-            val = sum(m[d][b] * w[d][c] for d in rng) \
-                + sum(m[d][c] * w[b][d] for d in rng)
-            for a, v in enumerate(jets.slots(jets.tangent(val, tag), n2)):
-                d_ihom[a][b][c] = v
+    za = jets.lift(z, jets.vec_frame(n2), tag)
+    hp, ht = _primal_and_slots(_as_form(h).matrix(za), tag, z)  # h first: see above
+    wp, wt = _primal_and_slots(F.shared_omega_matrix_at(za), tag, z)
+    # D_a of h[d][b] om[d][c] and of h[d][c] om[b][d], at [point, d, b, c, a]
+    t1 = hp[:, :, :, None, None] * wt[:, :, None, :, :] \
+        + ht[:, :, :, None, :] * wp[:, :, None, :, None]
+    t2 = hp[:, :, None, :, None] * wt.transpose(0, 2, 1, 3)[:, :, :, None, :] \
+        + ht[:, :, None, :, :] * wp.transpose(0, 2, 1)[:, :, :, None, None]
+    d_ihom = _sum_over_d(t1) + _sum_over_d(t2)  # D_a[(i_h om)(e_b, e_c)] at [point, b, c, a]
+    d_om = _alternate(wt.transpose(0, 3, 1, 2))
+    a, b, c = _triples(n2)
+    s1 = _sum_over_d(hp[:, :, a] * d_om[:, :, b, c])
+    s2 = _sum_over_d(hp[:, :, b] * d_om.transpose(0, 2, 1, 3)[:, :, a, c])
+    s3 = _sum_over_d(hp[:, :, c] * d_om.transpose(0, 3, 1, 2)[:, :, a, b])
+    d_ih = _alternate(d_ihom.transpose(0, 3, 1, 2))[:, a, b, c]
+    return sup_abs([((s1 + s2) + s3 - d_ih).ravel()])
 
-    def d_omega(a, b, c):
-        return d_om[a][b][c] - d_om[b][a][c] + d_om[c][a][b]
 
-    devs = []
-    for a in rng:
-        for b in range(a + 1, n2):
-            for c in range(b + 1, n2):
-                d_ih = d_ihom[a][b][c] - d_ihom[b][a][c] + d_ihom[c][a][b]
-                ih_d = sum(h_real[d][a] * d_omega(d, b, c) for d in rng) \
-                    + sum(h_real[d][b] * d_omega(a, d, c) for d in rng) \
-                    + sum(h_real[d][c] * d_omega(a, b, d) for d in rng)
-                devs.append(ih_d - d_ih)
-    return sup_abs(devs)
+def _primal_and_slots(m, tag, z):
+    """A matrix at z lifted with ``tag`` along ``vec_frame``, as float arrays
+    at [point, row, column] (primal) and [point, row, column, slot]."""
+    n2 = len(m)
+    p = jets.stacked(m, z)
+    t = jets.stacked([jets.slots(jets.tangent(x, tag), n2) for row in m for x in row], z)
+    return p, t.reshape(len(p), n2, n2, n2)
+
+
+def _sum_over_d(terms):
+    """The sum over axis 1 (d), adding one term at a time in the order of d."""
+    return functools.reduce(np.add, (terms[:, d] for d in range(terms.shape[1])))
+
+
+def _alternate(t):
+    """t_abc - t_bac + t_cab at [point, a, b, c]; d om for t_abc = D_a om_bc."""
+    return t - t.transpose(0, 2, 1, 3) + t.transpose(0, 2, 3, 1)
+
+
+@functools.cache
+def _triples(n2):
+    """Index arrays a, b, c of the frame triples a < b < c, in order."""
+    return np.array(list(itertools.combinations(range(n2), 3))).T
 
 
 def dh_omega_form(F: FinslerStructure, h):

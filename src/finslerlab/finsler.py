@@ -21,6 +21,14 @@ a stored entry renamed to the caller's tags is, bit for bit, what a fresh
 computation at the caller's point would give, and so is the sharp solve that
 reads it.  An energy that holds jets of its own puts tags into omega that no
 point carries; a hit that would have to rename one computes afresh instead.
+
+A miss at a jet point z also stores, at the point z lifts, the primal of its
+entry along z's largest tag t (``PointMemo.put``); that is how ``d_h omega``
+reads omega at its lifted point.  This is exact too: nested forward mode
+computes every value part from value parts alone (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., 2008, ch. 13).  Not stored: a float or
+batch lifted-from point, which keeps its own checked miss, and an entry
+holding an energy's own jet above t, whose primal along t would keep t.
 """
 
 from __future__ import annotations
@@ -352,9 +360,19 @@ class FinslerStructure:
         or cond(omega) > COND_LIMIT.
 
         A list, not a tuple: ``retag_array`` renames a hit by walking lists.
+        At a jet point, its primal may be stored at the point z lifts.
         """
         m, dE = omega_and_dE(self.E, self.n, z)
-        if jets.Jet not in map(type, z):
+        tags = [c.tag for c in z if type(c) is jets.Jet]
+        if tags:
+            t = max(tags)
+            zp = [jets.primal(c, t) for c in z]
+            entries = [x for row in m for x in row] + jets.slots(dE, 2 * self.n)
+            if jets.Jet in map(type, zp) and all(type(x) is not jets.Jet or x.tag <= t
+                                                 for x in entries):
+                self._memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m],
+                                    jets.primal(dE, t)])
+        else:
             stacked = jets.stacked(m, z)
             try:
                 cond = np.linalg.cond(stacked)

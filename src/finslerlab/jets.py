@@ -303,10 +303,15 @@ def stacked(m, z):
     one float array of shape (points, rows, columns): one point at a float or
     jet point, ``batch_size(z)`` at a batch point.
 
-    Each entry is assigned into its slice, which is exact and, for a batch
-    matrix, much faster than ``np.array`` over broadcast views.
+    At a float or jet point the real parts are floats, and one ``np.array``
+    call stacks them.  At a batch point each entry is assigned into its
+    slice, which is exact and much faster than ``np.array`` over broadcast
+    views.
     """
-    out = np.empty((batch_size(z) or 1, len(m), len(m[0])))
+    size = batch_size(z)
+    if size is None:
+        return np.array([[[realpart(x) for x in row] for row in m]])
+    out = np.empty((size, len(m), len(m[0])))
     for i, row in enumerate(m):
         for j, x in enumerate(row):
             out[:, i, j] = realpart(x)

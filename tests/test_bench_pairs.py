@@ -1,0 +1,78 @@
+"""tools/bench_pairs.py: the summary of alternating benchmark pairs, on canned runs."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "pass_ratio": "higher"}
+
+
+def _run(wall, ratio=1.0, correct=True, digests=()):
+    return {"correct": correct, "attempted": 12, "failed": 0,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "pass_ratio": {"value": ratio, "unit": "ratio"}},
+            "report_sha256": list(digests)}
+
+
+@pytest.fixture(autouse=True)
+def no_subprocess(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the summary starts no process")
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+
+
+def test_summary_of_canned_pairs():
+    runs = {"parent": [_run(w) for w in (0.044, 0.046, 0.043, 0.045, 0.050)],
+            "change": [_run(w, ratio=r) for w, r in
+                       ((0.037, 1.0), (0.039, 0.9), (0.036, 1.0), (0.046, 1.0), (0.038, 1.0))]}
+    s = bench_pairs.summarize(runs, BETTER)
+    assert s["pairs"] == 5 and s["correct"] is True
+    assert s["first_in_pair"] == ["parent", "change", "parent", "change", "parent"]
+    assert s["attempted"] == {"parent": [12] * 5, "change": [12] * 5}
+    wall = s["metrics"]["wall_s"]
+    # inclusive quartiles of 0.043, 0.044, 0.045, 0.046, 0.050
+    assert wall["parent"] == {"median": 0.045, "q1": 0.044, "q3": 0.046,
+                              "runs": [0.044, 0.046, 0.043, 0.045, 0.050]}
+    assert wall["change"]["median"] == 0.038
+    assert wall["change_wins"] == 4   # 0.046 against 0.045 is a loss
+    assert wall["relative_change"] == round(0.038 / 0.045 - 1.0, 4)
+    ratio = s["metrics"]["pass_ratio"]
+    assert ratio["change_wins"] == 0  # higher is better: four ties and a loss
+    assert "report_sha256" not in s
+
+    c = bench_pairs.claim(s, "wall_s", "lower")
+    assert c["parent_iqr"] == 0.002 and c["change_wins"] == 4 and c["pairs"] == 5
+    assert c["met"] is False
+
+
+PARENT = [0.044, 0.046, 0.043, 0.045, 0.050, 0.045, 0.044, 0.046, 0.045, 0.045]
+
+
+@pytest.mark.parametrize("parent, change, met", [
+    (PARENT, [0.038] * 10, True),
+    (PARENT, [0.038] * 9 + [0.046], True),          # nine wins in ten
+    (PARENT, [0.038] * 8 + [0.046] * 2, False),     # eight
+    (PARENT[:9], [0.038] * 9, False),               # fewer than ten pairs
+    ([0.040, 0.050] * 5, [0.039] * 10, False),      # ten wins, a gap inside the IQR
+])
+def test_a_claim_needs_ten_pairs_nine_wins_and_a_gap_beyond_the_iqr(parent, change, met):
+    runs = {"parent": [_run(w) for w in parent], "change": [_run(w) for w in change]}
+    summary = bench_pairs.summarize(runs, BETTER)
+    assert bench_pairs.claim(summary, "wall_s", "lower")["met"] is met
+
+
+def test_an_incorrect_run_and_the_report_digests_show_in_the_summary():
+    runs = {"parent": [_run(1.0, digests=["aa"]), _run(1.1, digests=["aa"])],
+            "change": [_run(0.9, digests=["aa"]), _run(0.8, correct=False, digests=["bb"])]}
+    s = bench_pairs.summarize(runs, BETTER)
+    assert s["correct"] is False
+    assert s["report_sha256"] == {"parent": ["aa"], "change": ["aa", "bb"]}
+    assert s["metrics"]["wall_s"]["change_wins"] == 2

@@ -34,6 +34,7 @@ from finslerlab.connections import (
 from finslerlab.registry import base_function, build_field
 
 from helpers import maxabs
+from test_funk import funk
 
 N, N2 = 2, 4
 P0 = point(0.0, 0.0, 1.0, 2.0)
@@ -579,9 +580,13 @@ def _dh_omega_per_direction(F, form, z):
 
 
 @pytest.mark.parametrize("fid, n", [("euclidean", 2), ("riemannian-exp", 2),
-                                    ("randers-0.3", 2), ("randers-0.3", 3)])
+                                    ("randers-0.3", 2), ("randers-0.3", 3),
+                                    ("funk", 2), ("funk", 3)])
 def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
-    F = finsler_fixture(fid, sample_slit_points(n, 4, seed=1), n=n)
+    # Funk is the one input whose omega and h have every block nonzero and
+    # x-dependent, so an index slip in the stacked contractions shows there
+    grid = sample_slit_points(n, 4, seed=1)
+    F = funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
     hL = l_ehresmann_connection(
         F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
     p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
@@ -590,6 +595,9 @@ def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
     for h in (berwald(F), hL):
         residual, d_m, d_om = _dh_omega_per_direction(F, h.form, z)
         assert dh_omega_residual(F, h, [p]) == residual
+        # the grid as one 4-point batch point gives the largest per-point residual
+        assert dh_omega_residual(F, h, grid) == \
+            max(_dh_omega_per_direction(F, h.form, q.coords())[0] for q in grid)
         tag = jets.fresh_tag()
         za = jets.lift(z, jets.vec_frame(n2), tag)
         for mat, per_direction in ((h.form.matrix(za), d_m), (F.shared_omega_matrix_at(za), d_om)):
@@ -597,6 +605,15 @@ def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
                 for c in range(n2):
                     assert jets.slots(jets.tangent(mat[b][c], tag), n2) == \
                         [per_direction[a][b][c] for a in range(n2)]
+
+
+def test_dh_omega_is_nan_where_one_batch_point_is():
+    points = list(GRID)
+    coords = list(points[2].coords())
+    coords[N + 1] = math.nan
+    points[2] = point(*coords)
+    for h in (berwald(RAN), l_ehresmann_connection(RAN, fn_bracket(J, E_dy1(RAN)))):
+        assert math.isnan(dh_omega_residual(RAN, h, points))
 
 
 # -- NaN-safe residuals ------------------------------------------------------------

@@ -27,6 +27,7 @@ from finslerlab.finsler import (
 )
 
 from helpers import maxabs
+from test_funk import funk
 
 N, N2 = 2, 4
 P0 = point(0.0, 0.0, 1.0, 2.0)
@@ -650,10 +651,18 @@ def test_jet_omega_matrix_is_shared_and_renamed():
 
 
 def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
+    # h's matrix is read before omega's: h0's bracket builds omega at the lift of
+    # d_h omega's lifted point, and the memo stores its primal at the lifted point,
+    # so omega is never built at the one-tag point, for h0 or h_L; the residuals
+    # are those of a structure whose memo stores no primal
     from finslerlab.connections import berwald, dh_omega_residual, l_ehresmann_connection
     from finslerlab.registry import build_field
-    F = finsler_fixture("randers-0.3", sample_slit_points(2, 4, seed=1))
-    hL = l_ehresmann_connection(F, fn_bracket(vertical_endomorphism(N), build_field(F, "E-dy1")))
+
+    def connections():
+        F = finsler_fixture("randers-0.3", sample_slit_points(2, 4, seed=1))
+        return F, [berwald(F), l_ehresmann_connection(
+            F, fn_bracket(vertical_endomorphism(N), build_field(F, "E-dy1")))]
+
     built = []
     omega = finsler.omega_and_dE
 
@@ -661,14 +670,76 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
         built.append(len(calculus.point_key(z)[2]))
         return omega(E, n, z)
 
-    for points in ([P0], F.grid):  # a float point, and the grid as one batch point
+    for points in ([P0], sample_slit_points(2, 4, seed=1)):  # a float point, a batch point
+        F, hs = connections()
+        built.clear()
         with mock.patch.object(finsler, "omega_and_dE", counting):
-            built.clear()
-            dh_omega_residual(F, berwald(F), points)
-            assert 1 in built   # h0's pass builds omega at the point lifted along the frame
-            built.clear()
-            dh_omega_residual(F, hL, points)
-        assert 1 not in built   # and h_L's takes it from the memo
+            got = [dh_omega_residual(F, h, points) for h in hs]
+        assert 2 in built and 1 not in built
+        with mock.patch.object(calculus.PointMemo, "put", lambda memo, z, value: None):
+            F, hs = connections()
+            assert got == [dh_omega_residual(F, h, points) for h in hs]
+
+
+def _stores_at_the_lifted_point(F, z, tags):
+    """Build omega at z (a miss), then read the entry stored at the point z lifts,
+    ``[primal(c, tags[-1]) for c in z]``: returns (stored entry, fresh omega_and_dE)."""
+    zp = [jets.primal(c, tags[-1]) for c in z]
+    fresh = finsler.omega_and_dE(F.E, F.n, zp)
+    F.shared_omega_at(z)
+    with mock.patch.object(finsler, "omega_and_dE",
+                           side_effect=AssertionError("no entry stored")):
+        return F.shared_omega_at(zp), fresh
+
+
+def _identical_entries(a, b):
+    (ma, da), (mb, db) = a, b
+    return _identical(da, db) and all(_identical(x, y) for u, v in zip(ma, mb)
+                                      for x, y in zip(u, v))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", [*fixture_ids(), "funk"])
+def test_a_lifted_omega_entry_answers_the_point_it_lifts(fid, n):
+    # the stored primal is, tag for tag and bit for bit (zero signs and batch
+    # bytes included), what omega_and_dE computes at the point z lifts
+    grid = sample_slit_points(n, 4, seed=3)
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+
+    def structure():
+        return funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
+
+    for base in (z0, PointBatch(grid).coords()):    # a float and a 4-point batch base
+        for depth in (2, 3):                          # the lifted point is lifted once, twice
+            for vec in (None, 0, depth - 1):
+                z, tags = _jet_point(base, depth, vec)
+                assert _identical_entries(*_stores_at_the_lifted_point(structure(), z, tags))
+        # a float or batch point keeps its own miss, with its cond(omega) check
+        F = structure()
+        F.shared_omega_at(_jet_point(base, 1, 0)[0])
+        assert calculus.point_key(base)[0] not in F._memo.entries
+
+
+def test_an_entry_holding_a_tag_above_the_points_is_not_stored():
+    # an energy that holds a jet of its own: a tag below the point's is stored
+    # with the primal; one above it would stay inside the primal, so nothing is
+    from finslerlab.finsler import FinslerStructure
+
+    def structure(drift):
+        def ev(z):
+            f = jets.sqrt(z[2] * z[2] + z[3] * z[3]) + drift * z[2]
+            return 0.5 * f * f
+        return FinslerStructure(ScalarField(ev, N, "E_drift"), N, GRID, validate=False)
+
+    below = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
+    z, tags = _jet_point(P0.coords(), 2, vec=0)
+    assert _identical_entries(*_stores_at_the_lifted_point(structure(below), z, tags))
+    above = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
+    F = structure(above)
+    F.shared_omega_at(z)
+    zp = [jets.primal(c, tags[-1]) for c in z]
+    assert calculus.point_key(zp)[0] not in F._memo.entries
+    assert _identical_entries(F.shared_omega_at(zp), finsler.omega_and_dE(F.E, N, zp))
 
 
 def test_matrix_memo_hit_is_renamed_and_exact():

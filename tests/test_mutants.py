@@ -2,10 +2,11 @@
 
 Each mutant is the library's own source with one expression replaced,
 compiled and monkeypatched in; it must push at least one cell of each check
-it targets over tolerance in ``finslerlab check --seed 7 --samples 4``.  A
-check that passes for a wrong formula would pass for a right one just as
-well, so this is what gives its residuals meaning.  Only the targeted checks
-run, to keep the file fast.  A mutant of a function that other modules
+it targets over tolerance in ``finslerlab check --seed 7 --samples 4``, or,
+for a mutant that every fixture is blind to, the same cells on the Funk
+metric (``test_funk.funk_cells``).  A check that passes for a wrong formula
+would pass for a right one just as well, so this is what gives its
+residuals meaning.  Only the targeted checks run, to keep the file fast.  A mutant of a function that other modules
 import by name names every module whose alias it must replace.
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 from finslerlab import calculus, checks, cli, connections, finsler
 from finslerlab.cli import main
+from test_funk import funk_cells
 
 
 def mutant(func, old, new):
@@ -90,6 +92,27 @@ def test_mutant_fails_every_targeted_check(name, owner, attr, old, new, checks,
     failing = {r["check"] for r in records if r["pass"] is not True}
     assert code != 0
     assert failing == set(checks), f"{name}: {sorted(set(checks) - failing)} still pass"
+
+
+# Mutants that every fixture is blind to, run on the Funk metric (tests/test_funk.py)
+# through the same runners.  Every fixture is independent of x^2, so A_01 = E_{x^1 y^2}
+# - E_{x^2 y^1} has one nonzero term there and its sign flip passes all 48 cells.
+FUNK_MUTANTS = [
+    ("the skew block A as h[i][j] + h[j][i]", finsler, "omega_and_dE",
+     "a = h[i][j] - h[j][i]", "a = h[i][j] + h[j][i]",
+     ["CHK-05", "CHK-07", "CHK-08", "CHK-09", "CHK-10", "CHK-15"]),
+]
+
+
+@pytest.mark.parametrize("name, owner, attr, old, new, checks", FUNK_MUTANTS,
+                         ids=[m[0] for m in FUNK_MUTANTS])
+def test_mutant_fails_every_targeted_check_on_funk(name, owner, attr, old, new, checks,
+                                                   monkeypatch):
+    patch(monkeypatch, owner, attr, old, new)
+    cells = funk_cells(7, 4, checks)
+    assert [c for c, *_ in cells] == checks
+    still_pass = [c for c, _, _, passed in cells if passed]
+    assert not still_pass, f"{name}: {still_pass} still pass"
 
 
 def test_every_check_is_targeted_by_a_mutant():

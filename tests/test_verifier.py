@@ -269,6 +269,18 @@ def test_golden_report_digest(capsys):
     assert digest == "66c8d58ad2a063d0a61ff3f27121060650f68fc45d3a58b3a871d54958df0c8c"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--seed", "7"], "29097056218f1b3529f3d3c9ac6d822ae787753df61f79d97468d24b190f695a"),
+    (["--seed", "11"], "c9df66f46903621ab4319190784c9887729f0e2dcfcec80dffee9cf6aa27a934"),
+    (["--seed", "7", "--samples", "1"],
+     "bd9dd8dd5c3b1354086c82d12c35a3b8111b0a96f80672b454dcf7473032823a"),
+], ids=["seed-7", "seed-11", "seed-7-samples-1"])
+def test_golden_report_digests_at_other_seeds(argv, expected, capsys):
+    """More full reports pinned byte for byte: other grids, and a one-point grid."""
+    main(["check", *argv])
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == expected
+
+
 def test_golden_default_report_digest(capsys):
     """The default `finslerlab check --seed 42` (32 samples, 48 cells), pinned byte for byte."""
     main(["check", "--seed", "42"])
