@@ -437,7 +437,7 @@ def _chk16_spray_family(F, ctx):
 
 
 CHECKS = (
-    CheckSpec("CHK-01", "energy axioms: positivity, 2-homogeneity, nondegenerate metric",
+    CheckSpec("CHK-01", "energy axioms: positivity, 2-homogeneity, positive-definite metric",
               tuple(fixture_ids()), TOL_CONSTRUCTION, _chk01_axioms),
     CheckSpec("CHK-02", "fundamental form relations: i_J w = 0, i_C w = d_J E, L_C w = w",
               tuple(fixture_ids()), TOL_THEOREM, _chk02_omega_relations),

@@ -151,48 +151,42 @@ def _sharp_block_solve(m, beta, n, z):
         g X^h = -beta^v,
         g X^v = beta^h - A^T X^h,   (A^T X^h)_j = sum_i m[i][j] X^h_i.
 
-    g is eliminated once, pivoting on the real part: validation bounds only
-    |det g|, so g may be indefinite and its diagonal may vanish.  Both
+    g is positive definite (strong convexity, which validation checks), so it
+    is eliminated once on its diagonal, with no row exchange.  Both
     right-hand sides go through the same recorded operations.  Exact float
-    zeros of A, such as its diagonal, are skipped.  A zero pivot raises
-    ``NondegeneracyFailure`` before its division, and so does, after the
+    zeros of A, such as its diagonal, are skipped.  A pivot whose real part
+    is <= 0 raises ``NondegeneracyFailure`` before its division, so an
+    unvalidated indefinite or singular g fails here; so does, after the
     elimination, a smallest pivot smaller than the largest by more than
     COND_LIMIT; as det omega = det(g)^2, this guards omega too.  Pivot sizes
     are not a condition estimate, so the float and batch entries of the
     structure's memo check cond(omega) as well.
 
-    At a batch point each point takes the pivot row it would take alone
-    (``_batch_pivot``), the rows are exchanged point by point with
-    ``jets.where`` where the points' choices differ, and each point's pivots
-    are guarded on their own.  A float or batch component of the result has
-    its negative zeros made positive; a jet component is returned as computed.
+    At a batch point each point's pivots are guarded on their own, and the
+    first failing point raises; a float pivot is the same at every point, so
+    it fails at the first.  A float or batch component of the result has its
+    negative zeros made positive; a jet component is returned as computed.
     """
     rows = [[m[n + i][j] for i in range(n)] for j in range(n)]  # g^T, by row j
-    steps = []  # (pivot row, multipliers) of each column
-    pivots = []  # |pivot| of each column
+    steps = []  # the multipliers of each column
+    pivots = []  # the real part of each column's pivot
     for col in range(n):
-        keys = [abs(jets.realpart(rows[r][col])) for r in range(col, n)]
-        if jets.Batch in map(type, keys):
-            p, pv = _batch_pivot(keys, col)
-            zero = pv == 0.0
-            if zero.any():
-                raise _singular(z, int(np.argmax(zero)), 0.0)
-        else:
-            p = col + max(range(n - col), key=keys.__getitem__)
-            pv = keys[p - col]
-            if pv == 0.0:
-                raise _singular(z, None, 0.0)
-        pivots.append(pv)
-        if type(p) is int:
-            rows[col], rows[p] = rows[p], rows[col]
-        else:
-            _exchange(rows, col, p, _where_rows)
-        inv = 1.0 / rows[col][col]
+        pivot = rows[col][col]
+        key = jets.realpart(pivot)
+        if type(key) is jets.Batch:
+            bad = key <= 0.0
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise _singular(z, i, key[i])
+        elif key <= 0.0:
+            raise _singular(z, 0, key)
+        pivots.append(key)
+        inv = 1.0 / pivot
         fs = [rows[r][col] * inv for r in range(col + 1, n)]
         for r, f in enumerate(fs, col + 1):
             for c in range(col + 1, n):
                 rows[r][c] = rows[r][c] - f * rows[col][c]
-        steps.append((p, fs))
+        steps.append(fs)
     if jets.Batch in map(type, pivots):
         pivots = np.array(np.broadcast_arrays(*pivots))  # (column, point)
         smallest = pivots.min(axis=0)
@@ -201,14 +195,10 @@ def _sharp_block_solve(m, beta, n, z):
             i = int(np.argmax(bad))
             raise _singular(z, i, smallest[i])
     elif max(pivots) > COND_LIMIT * min(pivots):
-        raise _singular(z, None, min(pivots))
+        raise _singular(z, 0, min(pivots))
 
     def solve(b):
-        for col, (p, fs) in enumerate(steps):
-            if type(p) is int:
-                b[col], b[p] = b[p], b[col]
-            else:
-                _exchange(b, col, p, jets.where)
+        for col, fs in enumerate(steps):
             for r, f in enumerate(fs, col + 1):
                 b[r] = b[r] - f * b[col]
         x = [0.0] * n
@@ -232,48 +222,15 @@ def _sharp_block_solve(m, beta, n, z):
 
 
 def _singular(z, i, pivot):
-    """The failure of a pivot at z, or at point ``i`` of a batch point z."""
+    """The failure of a pivot at point ``i`` of z (z itself at a float point)."""
     return NondegeneracyFailure("fundamental tensor numerically singular during sharp solve",
                                 point=_real_point(z, i), value=float(pivot))
 
 
-def _batch_pivot(keys, col):
-    """``(row, key)`` of the first largest of ``keys[r - col]`` at each point of a batch.
-
-    Each point picks the row ``max`` would pick from its own keys: a later
-    row replaces the pick only when its key is larger, so a NaN key is never
-    picked over an earlier row.  The row is an int array over the points, or
-    an int when every point picks the same row.
-    """
-    p, best = col, keys[0]
-    for r, k in enumerate(keys[1:], col + 1):
-        larger = k > best
-        p = np.where(larger, r, p)
-        best = np.where(larger, k, best)
-    if type(p) is not int and (p == p[0]).all():
-        p = int(p[0])
-    return p, best
-
-
-def _exchange(items, col, p, select):
-    """Exchange ``items[col]`` and ``items[p]`` in place, where the int array
-    ``p`` names the row of each point of a batch."""
-    top = items[col]
-    for r in range(col + 1, len(items)):
-        at = p == r
-        if at.any():
-            items[col] = select(at, items[r], items[col])
-            items[r] = select(at, top, items[r])
-
-
-def _where_rows(mask, a, b):
-    return [jets.where(mask, x, y) for x, y in zip(a, b)]
-
-
-def _real_point(z, i=None):
-    """The real parts of z's coordinates; those of point ``i`` of a batch."""
-    real = [jets.realpart(c) for c in z]
-    return real if i is None else [float(c[i]) if type(c) is jets.Batch else c for c in real]
+def _real_point(z, i):
+    """The real parts of z's coordinates at point ``i`` of a batch; at a float
+    point, all of them."""
+    return [float(c[i]) if type(c) is jets.Batch else c for c in map(jets.realpart, z)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +243,10 @@ def energy_axioms_residual(F, grid) -> float:
     The grid is checked as one ``PointBatch`` of its points.  The first point
     that fails an axiom raises: ``PositivityFailure`` if E <= 0, else
     ``HomogeneityFailure`` if |CE - 2E| > VALIDATION_TOL * max(1, |E|), else
-    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR.  An empty grid raises
+    ``NondegeneracyFailure`` if |det g| <= DET_FLOOR, else
+    ``NondegeneracyFailure`` if g is not positive definite (strong
+    convexity): by Sylvester's criterion, if its smallest leading principal
+    minor is <= 0, which is then the reported value.  An empty grid raises
     ``BadConfig``.
     """
     batch = PointBatch(grid)
@@ -295,13 +255,18 @@ def energy_axioms_residual(F, grid) -> float:
     CE = field_apply(liouville_field(F.n), F.E)
     e = np.broadcast_to(F.E(z), size)
     dev = np.broadcast_to(CE(z) - 2.0 * e, size)
-    det = np.abs(np.linalg.det(jets.stacked(F.metric_at(z), z)))
+    g = jets.stacked(F.metric_at(z), z)
+    minors = [np.linalg.det(g[:, :k, :k]) for k in range(1, F.n + 1)]
+    det = np.abs(minors[-1])
+    smallest = np.min(minors, axis=0)
     with np.errstate(invalid="ignore"):
         axioms = (
             (~(e > 0.0), PositivityFailure, "energy not positive on the slit bundle", e),
             (np.abs(dev) > VALIDATION_TOL * np.maximum(1.0, np.abs(e)), HomogeneityFailure,
              "energy not 2-homogeneous: CE != 2E", dev),
             (det <= DET_FLOOR, NondegeneracyFailure, "fundamental tensor degenerate", det),
+            (smallest <= 0.0, NondegeneracyFailure, "fundamental tensor not positive definite",
+             smallest),
         )
     failed = np.array([ax[0] for ax in axioms])  # failed[k][i]: axiom k fails at point i
     if failed.any():
@@ -315,7 +280,9 @@ class FinslerStructure:
     """Energy function E with its cached fundamental-form machinery.
 
     ``validate`` checks the energy axioms on the grid first
-    (``energy_axioms_residual``, to VALIDATION_TOL).
+    (``energy_axioms_residual``, to VALIDATION_TOL), strong convexity among
+    them.  An unvalidated structure whose g is not positive definite fails
+    at its first sharp solve.
     """
 
     def __init__(self, E: ScalarField, n: int, grid, validate: bool = True, name: str = ""):
@@ -400,8 +367,8 @@ class FinslerStructure:
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,
                      name: str = "") -> FinslerStructure:
-    """Check positivity, 2-homogeneity, and nondegeneracy on the grid
-    (``energy_axioms_residual``)."""
+    """Check positivity, 2-homogeneity, nondegeneracy and strong convexity
+    (g positive definite) on the grid (``energy_axioms_residual``)."""
     if n is None:
         n = PointBatch(grid).n
     return FinslerStructure(E, n, grid, validate=True, name=name)

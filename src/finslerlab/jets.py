@@ -67,9 +67,9 @@ per-point passes, value for value:
    return ``NotImplemented`` for them and a batch on the left of a Jet or a
    Vec defers to their reflected operator.
 
-Control flow that reads a value must not read a batch as one bool: ``where``
-selects over jets slot by slot, and the callers that branch on a value (the
-pivot of the sharp solve, the energy axioms, ``sup_abs``) do so per point.
+Control flow that reads a value must not read a batch as one bool: the
+callers that branch on a value (the pivot guard of the sharp solve, the
+energy axioms, ``sup_abs``) do so per point.
 
 Only operations needed by smooth energy functions on the slit bundle are
 implemented: field arithmetic, constant powers, sqrt, exp, log, sin, cos.
@@ -360,25 +360,6 @@ def cos(x):
     if t is Jet:
         return x.cos()
     return _per_element(math.cos, x) if t is Batch else math.cos(x)
-
-
-def where(mask, a, b):
-    """``a`` at the points of a batch where ``mask`` holds, ``b`` elsewhere.
-
-    Selects over jets (the larger tag outside, as arithmetic nests them) and
-    Vecs part by part; equal floats, exact zeros included, stay floats.
-    """
-    ta, tb = type(a), type(b)
-    if ta is Jet or tb is Jet:
-        t = a.tag if tb is not Jet or (ta is Jet and a.tag > b.tag) else b.tag
-        return Jet(t, where(mask, primal(a, t), primal(b, t)),
-                   where(mask, tangent(a, t), tangent(b, t)))
-    if ta is Vec or tb is Vec:
-        k = len(a.s if ta is Vec else b.s)
-        return Vec([where(mask, x, y) for x, y in zip(slots(a, k), slots(b, k))])
-    if ta is float and tb is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
-        return a
-    return np.where(mask, a, b)
 
 
 def realpart(x) -> float:

@@ -26,7 +26,7 @@ from finslerlab.calculus import (
 from finslerlab.checks import random_scalar_fields, run_checks
 from finslerlab.config import RunConfig
 from finslerlab.core import BaseFunction, ScalarField, point, sample_slit_points
-from finslerlab.errors import PositivityFailure
+from finslerlab.errors import NondegeneracyFailure, PositivityFailure
 from finslerlab.finsler import (
     berwald_connection, canonical_spray, finsler_fixture,
     fundamental_form, sharp, validate_finsler,
@@ -143,13 +143,19 @@ def test_criterion_4_bracket_derivation_contract():
 
 def test_criterion_5_negative_controls():
     details = []
-    # indefinite energy fails validation with the right error
-    bad = ScalarField(lambda z: 0.5 * (z[2] * z[2] - z[3] * z[3]), N)
-    try:
-        validate_finsler(bad, GRID)
-        positivity_ok = False
-    except PositivityFailure:
-        positivity_ok = True
+    # an indefinite energy fails strong convexity, a negative one positivity
+    def fails_with(error, E):
+        try:
+            validate_finsler(E, GRID)
+        except error:
+            return True
+        return False
+
+    convexity_ok = fails_with(NondegeneracyFailure,
+                              ScalarField(lambda z: 0.5 * (z[2] * z[2] - z[3] * z[3]), N))
+    details.append(f"convexity-control={convexity_ok}")
+    positivity_ok = fails_with(PositivityFailure,
+                               ScalarField(lambda z: -0.5 * (z[2] * z[2] + z[3] * z[3]), N))
     details.append(f"positivity-control={positivity_ok}")
 
     # L = [J, E dy1] gives a non-conservative connection: both t2 sides are large
@@ -169,7 +175,7 @@ def test_criterion_5_negative_controls():
     control3 = vr >= 2.0 - 1e-9
     details.append(f"vincze(C)@p0={vr:.2f}")
 
-    report(5, positivity_ok and control2 and control3, ", ".join(details))
+    report(5, convexity_ok and positivity_ok and control2 and control3, ", ".join(details))
 
 
 def test_criterion_6_derivative_substrate():

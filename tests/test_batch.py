@@ -3,8 +3,8 @@
 ``finslerlab check`` evaluates every cell at one batch point whose
 coordinates are arrays over the grid.  These tests pin the batch rules of
 ``jets`` and show, runner by runner and for the branches that read values
-(the pivot of the sharp solve, the energy axioms, ``sup_abs``), that the
-batch reproduces the per-point evaluation exactly.
+(the pivot guard of the sharp solve, the energy axioms, ``sup_abs``), that
+the batch reproduces the per-point evaluation exactly.
 """
 
 import ast
@@ -22,7 +22,7 @@ from finslerlab.errors import (
     BadConfig, FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
 )
 from finslerlab.finsler import (
-    DET_FLOOR, VALIDATION_TOL, FinslerStructure, _batch_pivot, _sharp_block_solve,
+    DET_FLOOR, VALIDATION_TOL, FinslerStructure, _sharp_block_solve,
     energy_axioms_residual, finsler_fixture, fixture_ids, omega_and_dE, omega_matrix,
 )
 
@@ -133,19 +133,6 @@ def test_jet_and_vec_take_precedence_over_numpy_operators():
     assert type(b * v) is jets.Vec and (b * v).s[1] == 0.0
 
 
-def test_where_selects_slot_by_slot_over_jets():
-    outer, inner = jets.fresh_tag(), jets.fresh_tag()
-    a = jets.Jet(inner, jets.batch([1.0, 2.0]), jets.Vec([1.0, 0.0]))
-    b = jets.Jet(outer, 5.0, 7.0)
-    mask = np.array([True, False])
-    w = jets.where(mask, a, b)
-    assert w.tag == inner
-    assert at(w.val.val, 0) == 1.0 and at(w.val.val, 1) == 5.0
-    assert at(w.val.dot, 0) == 0.0 and at(w.val.dot, 1) == 7.0
-    assert at(w.dot.s[0], 0) == 1.0 and at(w.dot.s[0], 1) == 0.0
-    assert w.dot.s[1] == 0.0 and type(w.dot.s[1]) is float  # both structural zeros
-
-
 # -- every runner, per point and batched ------------------------------------------
 
 
@@ -177,27 +164,21 @@ def test_every_runner_agrees_per_point_and_batched(fid):
                 assert {cells[k][2] for cells in per_point} == {note}, check
 
 
-# -- the sharp solve's pivot --------------------------------------------------
-
-
-def test_pivot_picks_what_max_picks_at_each_point():
-    keys = [jets.batch([1.0, 2.0, math.nan, 3.0, 2.0]),
-            jets.batch([1.0, 1.0, 5.0, math.nan, 3.0]),
-            3.0]
-    p, pv = _batch_pivot(keys, 1)
-    for i in range(5):
-        ki = [at(k, i) for k in keys]
-        row = max(range(3), key=ki.__getitem__)
-        assert p[i] == 1 + row
-        assert pv[i] == ki[row] or (math.isnan(pv[i]) and math.isnan(ki[row]))
+# -- the sharp solve's pivots --------------------------------------------------
 
 
 def _omega_like(z):
-    """[[A, -g], [g, 0]] at n = 2, with an indefinite g whose larger first-column
-    entry changes row from point to point."""
-    g11 = z[0] * z[2]
-    g12 = 0.3 + z[1] * z[3]
-    g22 = 2.0 + z[0] * z[3]
+    """[[A, -g], [g, 0]] at n = 2, with a g that is not positive definite where x1 y1 <= 0."""
+    return _omega(z, z[0] * z[2], 0.3 + z[1] * z[3], 2.0 + z[0] * z[3])
+
+
+def _omega_convex(z):
+    """[[A, -g], [g, 0]] at n = 2, with a g that varies from point to point and
+    is positive definite wherever |x2| <= 1."""
+    return _omega(z, 1.0 + z[0] * z[0] + z[2] * z[2], 0.5 * z[1] * z[3], 1.0 + z[3] * z[3])
+
+
+def _omega(z, g11, g12, g22):
     a = z[1] * z[2]
     return [[0.0, a, -g11, -g12], [-a, 0.0, -g12, -g22],
             [g11, g12, 0.0, 0.0], [g12, g22, 0.0, 0.0]]
@@ -207,20 +188,21 @@ def _beta(z):
     return [z[0] + z[3], z[1] * z[2], z[2] - 0.5, z[3] * z[0]]
 
 
-def _solve_lifted(z):
+def _solve_lifted(z, omega=_omega_like):
     tag = jets.fresh_tag()
     za = jets.lift(z, jets.vec_frame(4), tag)
-    return tag, _sharp_block_solve(_omega_like(za), _beta(za), 2, za)
+    return tag, _sharp_block_solve(omega(za), _beta(za), 2, za)
 
 
 def test_sharp_block_solve_batched_with_differing_pivots():
     pts = list(sample_slit_points(2, 12, 5))
-    choices = {int(abs(0.3 + p.base[1] * p.fiber[1]) > abs(p.base[0] * p.fiber[0]))
-               for p in pts}
-    assert choices == {0, 1}
-    tag, x = _solve_lifted(PointBatch(pts).coords())
+    g = np.array([[[m[2 + i][j] for j in range(2)] for i in range(2)]
+                  for m in (_omega_convex(p.coords()) for p in pts)])
+    assert (g[:, 0, 0] > 0.0).all() and (np.linalg.det(g) > 0.0).all()
+    assert len(set(g[:, 0, 0])) == len(pts)
+    tag, x = _solve_lifted(PointBatch(pts).coords(), _omega_convex)
     for i, p in enumerate(pts):
-        tag_i, xi = _solve_lifted(p.coords())
+        tag_i, xi = _solve_lifted(p.coords(), _omega_convex)
         for xk, xik in zip(x, xi):
             assert at(jets.primal(xk, tag), i) == jets.primal(xik, tag_i)
             slots = jets.slots(jets.tangent(xk, tag), 4)
@@ -266,14 +248,17 @@ def test_nan_in_one_batch_slot_fails_its_cell():
 
 
 def _energy(z):
-    # positive iff x1 > 0; 2-homogeneous iff x2 y1 = 0; det g = x1^2
-    return 0.5 * z[0] * (z[2] * z[2] + z[3] * z[3]) + 0.1 * z[1] * z[2]
+    # 2-homogeneous iff x2 y1 = 0; g = [[x1, 2 x2], [2 x2, x1]].  Where x2 = 0,
+    # E is positive iff x1 > 0 and g = x1 Id; where 2 |x2| > x1, g is indefinite
+    return (0.5 * z[0] * (z[2] * z[2] + z[3] * z[3]) + 0.1 * z[1] * z[2]
+            + 2.0 * z[1] * z[2] * z[3])
 
 
 GOOD = point(0.5, 0.0, 1.0, 1.0)
 NOT_HOMOGENEOUS = point(0.5, 0.3, 1.0, 0.5)
 NOT_POSITIVE = point(-0.5, 0.0, 1.0, 1.0)
 DEGENERATE = point(1e-6, 0.0, 1.0, 1.0)
+INDEFINITE = point(0.5, 0.5, 0.0, 1.0)  # E = 1/4, det g = -3/4
 
 
 def per_point_energy_axioms(F, points, tol=VALIDATION_TOL):
@@ -289,9 +274,14 @@ def per_point_energy_axioms(F, points, tol=VALIDATION_TOL):
         dev = CE(z) - 2.0 * e
         if abs(dev) > tol * max(1.0, abs(e)):
             raise HomogeneityFailure("energy not 2-homogeneous: CE != 2E", point=p, value=dev)
-        det = abs(np.linalg.det(np.array(F.metric_at(z), dtype=float)))
+        g = np.array(F.metric_at(z), dtype=float)
+        det = abs(np.linalg.det(g))
         if det <= DET_FLOOR:
             raise NondegeneracyFailure("fundamental tensor degenerate", point=p, value=det)
+        minor = min(float(np.linalg.det(g[:k, :k])) for k in range(1, F.n + 1))
+        if minor <= 0.0:  # Sylvester's criterion
+            raise NondegeneracyFailure("fundamental tensor not positive definite",
+                                       point=p, value=minor)
         devs.append(dev)
     return sup_abs(devs)
 
@@ -306,6 +296,7 @@ def grids(pts):
     ([GOOD, NOT_POSITIVE, NOT_HOMOGENEOUS], PositivityFailure),
     ([GOOD, GOOD, DEGENERATE, NOT_POSITIVE], NondegeneracyFailure),
     ([NOT_HOMOGENEOUS, GOOD], HomogeneityFailure),
+    ([GOOD, INDEFINITE, NOT_POSITIVE], NondegeneracyFailure),
 ])
 def test_batched_validation_raises_the_per_point_error(pts, error):
     F = FinslerStructure(ScalarField(_energy, 2, "test-energy"), 2, pts, validate=False)

@@ -1,13 +1,15 @@
 """Dimension-genericity: the calculus must not bake in n = 2."""
 
+import pytest
+
 from finslerlab.calculus import (
     fn_bracket, frame_vector, liouville_field, vertical_endomorphism,
 )
-from finslerlab.core import point, sample_slit_points
-from finslerlab.errors import HypothesisFailure
+from finslerlab.core import ScalarField, point, sample_slit_points
+from finslerlab.errors import HypothesisFailure, NondegeneracyFailure
 from finslerlab.finsler import (
-    berwald_connection, canonical_spray, finsler_fixture, fundamental_form,
-    projector_residual, sharp,
+    FinslerStructure, berwald_connection, canonical_spray, finsler_fixture, fundamental_form,
+    projector_residual, sharp, validate_finsler,
 )
 from finslerlab.connections import (
     l_ehresmann_connection, form_matrix_residual, vector_form1_residual,
@@ -27,6 +29,22 @@ def test_fixtures_validate_in_3d():
     for fid in ("euclidean", "riemannian-exp", "randers-0.3"):
         F = finsler_fixture(fid, GRID, n=N)
         assert F.n == N
+
+
+def test_an_indefinite_energy_fails_validation_in_3d():
+    # g = diag(1, -1, -1) has det g = +1, so only its leading minors (1, -1, 1)
+    # show that it is not positive definite; E > 0 at both points
+    E = ScalarField(lambda z: 0.5 * (z[3] * z[3] - z[4] * z[4] - z[5] * z[5]), N)
+    pts = [point(0.1, 0.2, 0.3, 2.0, 0.5, 0.4), point(-0.5, 0.4, 0.9, -1.5, 1.0, 0.2)]
+    with pytest.raises(NondegeneracyFailure, match="not positive definite") as err:
+        validate_finsler(E, pts)
+    assert err.value.point == pts[0] and err.value.value == -1.0
+    # unvalidated, the sharp solve stops at its second pivot, -1
+    F = FinslerStructure(E, N, pts, validate=False)
+    z = pts[0].coords()
+    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
+        F.sharp_at(list(z), z)
+    assert err.value.value == -1.0
 
 
 def test_canonical_objects_in_3d():

@@ -20,7 +20,7 @@ from finslerlab.errors import (
     HomogeneityFailure, NondegeneracyFailure, NotConnection, PositivityFailure,
 )
 from finslerlab.finsler import (
-    berwald_connection, canonical_spray, conformal_change,
+    FinslerStructure, berwald_connection, canonical_spray, conformal_change,
     conservative_connection_residual, conservative_form_residual,
     finsler_fixture, fixture_energy, fixture_ids, fundamental_form, gradient,
     omega_matrix, projector_residual, sharp, validate_finsler,
@@ -65,6 +65,27 @@ def test_nondegeneracy_failure():
     bad = ScalarField(lambda z: 0.5 * z[2] * z[2], N)
     with pytest.raises(NondegeneracyFailure):
         validate_finsler(bad, GRID)
+
+
+def _energy_cos4(z):
+    # E = |y|^2 (1 + cos(4 theta) / 2) / 2: positive and 2-homogeneous, but g is
+    # indefinite at 13 of the 32 points of seed 42
+    y1, y2 = z[2], z[3]
+    r2 = y1 * y1 + y2 * y2
+    quartic = y1 * y1 * y1 * y1 - 6.0 * y1 * y1 * y2 * y2 + y2 * y2 * y2 * y2
+    return 0.5 * (r2 + 0.5 * quartic / r2)
+
+
+def test_an_indefinite_energy_fails_strong_convexity():
+    # |det g| stays above DET_FLOOR: only the leading principal minors see it
+    grid = sample_slit_points(N, 32, seed=42)
+    with pytest.raises(NondegeneracyFailure, match="not positive definite") as err:
+        validate_finsler(ScalarField(_energy_cos4, N), grid)
+    assert err.value.point == list(grid)[2]
+    assert err.value.value == pytest.approx(-1.2651349483916243, rel=1e-12)
+    # unvalidated, the sharp solve stops at a pivot <= 0 there
+    F = FinslerStructure(ScalarField(_energy_cos4, N), N, grid, validate=False)
+    assert _sharp_error(F, list(grid)[2].coords()).value < 0.0
 
 
 def test_homogeneity_failure():
@@ -468,18 +489,39 @@ def test_sharp_block_solve_matches_full_elimination(fid, n):
             assert abs(x - y) <= 1e-12 * abs(y) and abs(xb[i] - y) <= 1e-12 * abs(y)
 
 
-def test_sharp_with_an_indefinite_metric_pivots():
-    # E = y1 y2 has g = [[0, 1], [1, 0]]: the metric block must be pivoted
-    from finslerlab.finsler import FinslerStructure
+def _sharp_error(F, z):
+    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
+        F.sharp_at(_jet_beta(z), z)
+    return err.value
+
+
+def _assert_batch_fails_like_its_points(F, pts):
+    """The batch raises at the first point that raises alone, with its value."""
+    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as per_point:
+        for p in pts:
+            F.sharp_at(_jet_beta(p.coords()), p.coords())
+    batched = _sharp_error(F, PointBatch(pts).coords())
+    assert (batched.point, batched.value) == (per_point.value.point, per_point.value.value)
+    return batched
+
+
+def test_sharp_with_an_indefinite_metric_fails_loudly():
+    # validation is off, so the solve's pivot guard is what stops an indefinite g
+    # E = y1 y2 has g = [[0, 1], [1, 0]]: the first pivot is 0 at every point
     F = FinslerStructure(ScalarField(lambda z: z[2] * z[3], N), N, GRID, validate=False)
-    zs, tags = _lifted(P0.coords(), [frame_vector(N2, 0), [0.5, -0.25, 1.0, 0.75]])
-    m = omega_matrix(F.E, N, zs)
-    assert jets.realpart(m[N][0]) == 0.0
-    beta = _jet_beta(zs)
-    x = F.sharp_at(beta, zs)
-    for b in range(N2):
-        r = sum(x[a] * m[a][b] for a in range(N2)) - beta[b]
-        assert all(abs(c) <= 1e-12 for c in _coeffs(r, tags))
+    zs = _lifted(P0.coords(), [frame_vector(N2, 0), [0.5, -0.25, 1.0, 0.75]])[0]
+    for z in (P0.coords(), zs):
+        err = _sharp_error(F, z)
+        assert err.point == list(P0.coords()) and err.value == 0.0
+    _assert_batch_fails_like_its_points(F, [P0, *GRID])
+    # g = [[x1, x2], [x2, 1]]: where 0 < x1 < x2^2, g11 > 0 but det g < 0, and
+    # the second pivot 1 - x2^2 / x1 fails (-3 at the second point)
+    def ev(z):
+        return 0.5 * z[0] * z[2] * z[2] + z[1] * z[2] * z[3] + 0.5 * z[3] * z[3]
+
+    F = FinslerStructure(ScalarField(ev, N), N, GRID, validate=False)
+    pts = [point(0.5, 0.5, 1.0, 2.0), point(0.25, 1.0, 1.0, 2.0)]
+    assert _assert_batch_fails_like_its_points(F, pts).value == -3.0
 
 
 def test_sharp_with_a_degenerate_metric_fails_at_a_jet_point():
