@@ -228,7 +228,7 @@ def _chk02_omega_relations(F, ctx):
 def _chk03_sharp_round_trip(F, ctx):
     n2 = 2 * F.n
     z = grid_coords(ctx.grid)
-    m = fundamental_form(F).matrix_at(z)
+    m = F.omega_matrix_at(z)
     devs = []
     betas = random_one_forms(F.n, 3, ctx.seed + 103) \
         + random_one_forms(F.n, 2, ctx.seed + 203, semibasic=True)

@@ -315,7 +315,7 @@ def vincze_residual(F: FinslerStructure, V: VectorField, points=None) -> float:
     n2 = 2 * F.n
     z = grid_coords(points)
     vz = V(z)
-    m = F.omega.matrix_at(z)
+    m = F.omega_matrix_at(z)
     return sup_abs(sum(vz[a] * m[a][b] for a in range(n2)) - dj_ve(z, frame_vector(n2, b))
                    for b in range(n2))
 
@@ -374,7 +374,7 @@ def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
     tag = jets.fresh_tag()
     za = jets.lift(z, jets.vec_frame(n2), tag)
     hp, ht = _primal_and_slots(_as_form(h).matrix(za), tag, z)  # h first: see above
-    wp, wt = _primal_and_slots(F.shared_omega_matrix_at(za), tag, z)
+    wp, wt = _primal_and_slots(F.shared_omega_at(za)[0], tag, z)
     # D_a of h[d][b] om[d][c] and of h[d][c] om[b][d], at [point, d, b, c, a]
     t1 = hp[:, :, :, None, None] * wt[:, :, None, :, :] \
         + ht[:, :, :, None, :] * wp[:, :, None, :, None]

@@ -57,43 +57,29 @@ CONNECTION_TOL = 1e-8
 # fundamental form assembly
 
 
-def _energy_pass(E: ScalarField, n: int, z, k: int):
-    """``(d, h)`` from one nested vector pass of E over the last k frame directions.
+def omega_and_dE(E: ScalarField, n: int, z):
+    """Closed-form matrix of omega = d(d_J E), [[A, -g^T], [g, 0]], and dE.
 
-    The inner lift (the larger tag) moves the last k coordinates and the outer
-    one the fiber.  h[a][j] = D_{e_{n+j}} D_{e_{2n-k+a}} E, each entry what
-    ``nth_directional(E.fn, z, [e_{2n-k+a}, e_{n+j}])`` computes.  ``d``, the
-    inner tangent's primal along the outer lift, is the Vec (or the scalar)
-    of the first derivatives D_{e_{2n-k+a}} E that ``directional`` computes
-    along ``vec_frame``: the outer lift leaves every value part as it is.
+    Both come from one nested vector pass of E.  The inner lift (the larger
+    tag) moves all 2n coordinates and the outer one the fiber, so
+    h[a][j] = D_{e_{n+j}} D_{e_a} E, each entry what
+    ``nth_directional(E.fn, z, [e_a, e_{n+j}])`` computes.  dE, the inner
+    tangent's primal along the outer lift, is the Vec of the D_{e_a} E that
+    ``directional`` computes along ``vec_frame``: the outer lift leaves every
+    value part as it is.  g_ij = d2 E / dy^i dy^j (the fundamental tensor)
+    is h[n + min(i, j)][max(i, j)], the one g of the structure: validation
+    reads it from this block.  A_ij = E_{x^i y^j} - E_{x^j y^i} is the skew
+    part of the mixed Hessian, so only the pairs i < j are formed.
     """
-    inner = [0.0] * (2 * n - k) + jets.vec_frame(k)
+    n2 = 2 * n
+    inner = jets.vec_frame(n2)
     outer = [0.0] * n + jets.vec_frame(n)
     outer_tag = jets.fresh_tag()
     inner_tag = jets.fresh_tag()
     first = jets.tangent(E.fn(jets.lift(jets.lift(z, outer, outer_tag), inner, inner_tag)),
                          inner_tag)
-    h = jets.tangent(first, outer_tag)
-    return jets.primal(first, outer_tag), [jets.slots(row, n) for row in jets.slots(h, k)]
-
-
-def metric_matrix(E: ScalarField, n: int, z):
-    """g_ij = d2 E / dy^i dy^j (the fundamental tensor)."""
-    h = _energy_pass(E, n, z, n)[1]
-    return [[h[i][j] if i <= j else h[j][i] for j in range(n)] for i in range(n)]
-
-
-def omega_and_dE(E: ScalarField, n: int, z):
-    """Closed-form matrix of omega = d(d_J E), [[A, -g^T], [g, 0]], and dE.
-
-    A_ij = E_{x^i y^j} - E_{x^j y^i} is the skew part of the mixed Hessian, so
-    its diagonal is exactly zero and only the pairs i < j are formed.  Both
-    blocks come from one nested pass over the rows of the Hessian of E, and
-    dE, the Vec of D_{e_a} E over the frame, from the first-order part of
-    the same pass.
-    """
-    dE, h = _energy_pass(E, n, z, 2 * n)
-    n2 = 2 * n
+    dE = jets.primal(first, outer_tag)
+    h = [jets.slots(row, n) for row in jets.slots(jets.tangent(first, outer_tag), n2)]
     m = [[0.0] * n2 for _ in range(n2)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -107,17 +93,12 @@ def omega_and_dE(E: ScalarField, n: int, z):
     return m, dE
 
 
-def omega_matrix(E: ScalarField, n: int, z):
-    """omega's matrix, as ``omega_and_dE`` gives it."""
-    return omega_and_dE(E, n, z)[0]
-
-
 class FundamentalForm:
-    """The 2-form omega = d(d_J E), with a fast pointwise matrix path.
+    """The 2-form omega = d(d_J E).
 
     ``two_form`` is assembled through the generic exterior calculus and is the
-    reference path; ``matrix_at`` is the closed-form assembly used by linear
-    solves.  Tests pin the two together.
+    reference path; ``omega_and_dE`` is the closed-form assembly of its
+    matrix that the linear solves read.  Tests pin the two together.
     """
 
     def __init__(self, E: ScalarField, n: int):
@@ -126,12 +107,6 @@ class FundamentalForm:
         J = vertical_endomorphism(n)
         self.two_form = exterior_derivative(d_K(J, E))
         self.two_form.name = "omega"
-
-    def matrix_at(self, z):
-        return omega_matrix(self.E, self.n, z)
-
-    def metric_at(self, z):
-        return metric_matrix(self.E, self.n, z)
 
     def __call__(self, z, u, v):
         return self.two_form(z, u, v)
@@ -155,12 +130,13 @@ def _sharp_block_solve(m, beta, n, z):
     is eliminated once on its diagonal, with no row exchange.  Both
     right-hand sides go through the same recorded operations.  Exact float
     zeros of A, such as its diagonal, are skipped.  A pivot whose real part
-    is <= 0 raises ``NondegeneracyFailure`` before its division, so an
-    unvalidated indefinite or singular g fails here; so does, after the
-    elimination, a smallest pivot smaller than the largest by more than
-    COND_LIMIT; as det omega = det(g)^2, this guards omega too.  Pivot sizes
-    are not a condition estimate, so the float and batch entries of the
-    structure's memo check cond(omega) as well.
+    is <= 0 raises ``NondegeneracyFailure`` ("not positive definite") before
+    its division, so an unvalidated indefinite or singular g fails here; so
+    does ("numerically singular"), after the elimination, a smallest pivot
+    smaller than the largest by more than COND_LIMIT; as det omega =
+    det(g)^2, this guards omega too.  Pivot sizes are not a condition
+    estimate, so the float and batch entries of the structure's memo check
+    cond(omega) as well.
 
     At a batch point each point's pivots are guarded on their own, and the
     first failing point raises; a float pivot is the same at every point, so
@@ -177,9 +153,9 @@ def _sharp_block_solve(m, beta, n, z):
             bad = key <= 0.0
             if bad.any():
                 i = int(np.argmax(bad))
-                raise _singular(z, i, key[i])
+                raise _pivot_failure(z, i, key[i], "not positive definite")
         elif key <= 0.0:
-            raise _singular(z, 0, key)
+            raise _pivot_failure(z, 0, key, "not positive definite")
         pivots.append(key)
         inv = 1.0 / pivot
         fs = [rows[r][col] * inv for r in range(col + 1, n)]
@@ -193,9 +169,9 @@ def _sharp_block_solve(m, beta, n, z):
         bad = pivots.max(axis=0) > COND_LIMIT * smallest
         if bad.any():
             i = int(np.argmax(bad))
-            raise _singular(z, i, smallest[i])
+            raise _pivot_failure(z, i, smallest[i], "numerically singular")
     elif max(pivots) > COND_LIMIT * min(pivots):
-        raise _singular(z, 0, min(pivots))
+        raise _pivot_failure(z, 0, min(pivots), "numerically singular")
 
     def solve(b):
         for col, fs in enumerate(steps):
@@ -221,9 +197,9 @@ def _sharp_block_solve(m, beta, n, z):
     return [v if type(v) is jets.Jet else v + 0.0 for v in xh + solve(rhs)]  # +0.0 normalises -0.0
 
 
-def _singular(z, i, pivot):
+def _pivot_failure(z, i, pivot, what):
     """The failure of a pivot at point ``i`` of z (z itself at a float point)."""
-    return NondegeneracyFailure("fundamental tensor numerically singular during sharp solve",
+    return NondegeneracyFailure(f"fundamental tensor {what} during sharp solve",
                                 point=_real_point(z, i), value=float(pivot))
 
 
@@ -240,7 +216,8 @@ def _real_point(z, i):
 def energy_axioms_residual(F, grid) -> float:
     """sup |CE - 2E| over the grid, where each point must satisfy the energy axioms.
 
-    The grid is checked as one ``PointBatch`` of its points.  The first point
+    The grid is checked as one ``PointBatch`` of its points, and g is the
+    block of omega's matrix that the sharp solve eliminates.  The first point
     that fails an axiom raises: ``PositivityFailure`` if E <= 0, else
     ``HomogeneityFailure`` if |CE - 2E| > VALIDATION_TOL * max(1, |E|), else
     ``NondegeneracyFailure`` if |det g| <= DET_FLOOR, else
@@ -303,7 +280,14 @@ class FinslerStructure:
     # -- the point memo -------------------------------------------------------
 
     def omega_matrix_at(self, z):
-        return self.omega.matrix_at(z)
+        """omega's matrix from a fresh ``omega_and_dE`` pass, not the memo: the
+        checks of the sharp solve read it, so a bad memo entry cannot hide."""
+        return omega_and_dE(self.E, self.n, z)[0]
+
+    def metric_at(self, z):
+        """g, the fiber block of a fresh omega's matrix (``omega_matrix_at``)."""
+        n = self.n
+        return [row[:n] for row in self.omega_matrix_at(z)[n:]]
 
     def shared_omega_at(self, z):
         """``[omega's matrix, dE]`` at a float, batch or jet point, shared through
@@ -316,10 +300,6 @@ class FinslerStructure:
         what ``omega_and_dE`` computes.  The result is shared: do not modify it.
         """
         return self._memo.get(z, self._omega_entry, retag_array)
-
-    def shared_omega_matrix_at(self, z):
-        """omega's matrix from ``shared_omega_at``; shared: do not modify it."""
-        return self.shared_omega_at(z)[0]
 
     def _omega_entry(self, z):
         """``[omega's matrix, dE]`` at z; at a float or batch point, raises
@@ -355,14 +335,11 @@ class FinslerStructure:
                     point=_real_point(z, i), value=float(cond[i]))
         return [m, dE]
 
-    def metric_at(self, z):
-        return self.omega.metric_at(z)
-
     # -- sharp and friends ------------------------------------------------------
 
     def sharp_at(self, beta_values, z):
         """Solve sum_a X^a omega_ab = beta_b at a float, batch or jet point."""
-        return _sharp_block_solve(self.shared_omega_matrix_at(z), beta_values, self.n, z)
+        return _sharp_block_solve(self.shared_omega_at(z)[0], beta_values, self.n, z)
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,

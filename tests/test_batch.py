@@ -23,7 +23,7 @@ from finslerlab.errors import (
 )
 from finslerlab.finsler import (
     DET_FLOOR, VALIDATION_TOL, FinslerStructure, _sharp_block_solve,
-    energy_axioms_residual, finsler_fixture, fixture_ids, omega_and_dE, omega_matrix,
+    energy_axioms_residual, finsler_fixture, fixture_ids, omega_and_dE,
 )
 
 

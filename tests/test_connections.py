@@ -18,7 +18,7 @@ from finslerlab.errors import (
     NotVertical,
 )
 from finslerlab.finsler import (
-    berwald_connection, canonical_spray, finsler_fixture, fundamental_form,
+    berwald_connection, canonical_spray, finsler_fixture,
     conservative_connection_residual, conservative_form_residual, gradient,
 )
 from finslerlab.connections import (
@@ -509,11 +509,10 @@ def test_vincze_identity_oracle():
         lhs = d_K(L, F.E)
         VE = field_apply(V, F.E)
         dj_ve = d_K(J, VE)
-        om = fundamental_form(F)
         for p in list(GRID)[:5]:
             z = p.coords()
             vz = V(z)
-            m = om.matrix_at(z)
+            m = F.omega_matrix_at(z)
             for b in range(N2):
                 eb = frame_vector(N2, b)
                 ivo = sum(vz[a] * m[a][b] for a in range(N2))
@@ -600,7 +599,7 @@ def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
             max(_dh_omega_per_direction(F, h.form, q.coords())[0] for q in grid)
         tag = jets.fresh_tag()
         za = jets.lift(z, jets.vec_frame(n2), tag)
-        for mat, per_direction in ((h.form.matrix(za), d_m), (F.shared_omega_matrix_at(za), d_om)):
+        for mat, per_direction in ((h.form.matrix(za), d_m), (F.shared_omega_at(za)[0], d_om)):
             for b in range(n2):
                 for c in range(n2):
                     assert jets.slots(jets.tangent(mat[b][c], tag), n2) == \

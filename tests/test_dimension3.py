@@ -8,7 +8,7 @@ from finslerlab.calculus import (
 from finslerlab.core import ScalarField, point, sample_slit_points
 from finslerlab.errors import HypothesisFailure, NondegeneracyFailure
 from finslerlab.finsler import (
-    FinslerStructure, berwald_connection, canonical_spray, finsler_fixture, fundamental_form,
+    FinslerStructure, berwald_connection, canonical_spray, finsler_fixture,
     projector_residual, sharp, validate_finsler,
 )
 from finslerlab.connections import (
@@ -42,7 +42,7 @@ def test_an_indefinite_energy_fails_validation_in_3d():
     # unvalidated, the sharp solve stops at its second pivot, -1
     F = FinslerStructure(E, N, pts, validate=False)
     z = pts[0].coords()
-    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
+    with pytest.raises(NondegeneracyFailure, match="not positive definite during sharp solve") as err:
         F.sharp_at(list(z), z)
     assert err.value.value == -1.0
 
@@ -64,13 +64,12 @@ def test_canonical_objects_in_3d():
 
 def test_sharp_round_trip_in_3d():
     F = finsler_fixture("randers-0.3", GRID, n=N)
-    om = fundamental_form(F)
     for beta in random_one_forms(N, 2, seed=77):
         x = sharp(F, beta)
         for p in list(GRID)[:3]:
             z = p.coords()
             xz = x(z)
-            m = om.matrix_at(z)
+            m = F.omega_matrix_at(z)
             for b in range(N2):
                 ins = sum(xz[a] * m[a][b] for a in range(N2))
                 assert abs(ins - beta(z, frame_vector(N2, b))) < 1e-9

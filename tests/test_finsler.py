@@ -23,7 +23,7 @@ from finslerlab.finsler import (
     FinslerStructure, berwald_connection, canonical_spray, conformal_change,
     conservative_connection_residual, conservative_form_residual,
     finsler_fixture, fixture_energy, fixture_ids, fundamental_form, gradient,
-    omega_matrix, projector_residual, sharp, validate_finsler,
+    omega_and_dE, projector_residual, sharp, validate_finsler,
 )
 
 from helpers import maxabs
@@ -115,25 +115,32 @@ def test_omega_two_paths_agree():
         om = fundamental_form(F)
         for p in list(GRID)[:6]:
             z = p.coords()
-            m = om.matrix_at(z)
+            m = F.omega_matrix_at(z)
             for a in range(N2):
                 for b in range(N2):
                     assert abs(m[a][b] - om(z, frame_vector(N2, a), frame_vector(N2, b))) < 1e-9
 
 
 def test_omega_matrix_block_structure():
-    for F in ALL:
-        for p in list(GRID)[:4]:
-            z = p.coords()
-            m = np.array(F.omega_matrix_at(z), dtype=float)
-            g = np.array(F.metric_at(z), dtype=float)
-            assert np.allclose(m[N:, :N], g, atol=1e-12)
-            assert np.allclose(m[:N, N:], -g.T, atol=1e-12)
-            assert np.allclose(m[N:, N:], 0.0, atol=1e-12)
-            assert np.allclose(m, -m.T, atol=1e-10)
-            skew = m[:N, :N]
-            assert (np.diag(skew) == 0.0).all()
-            assert (skew == -skew.T).all()
+    # g has one source: the metric that validation reads is, bit for bit, the
+    # block of omega's matrix that the sharp solve eliminates, at float, batch
+    # and frame-lifted jet points
+    for n in (2, 3):
+        grid = list(sample_slit_points(n, 4, seed=5))
+        for fid in fixture_ids():
+            F = finsler_fixture(fid, grid, n=n)
+            za = jets.lift(grid[0].coords(), jets.vec_frame(2 * n), jets.fresh_tag())
+            for z in [p.coords() for p in grid] + [PointBatch(grid).coords(), za]:
+                g, m = F.metric_at(z), F.shared_omega_at(z)[0]
+                assert all(_identical(g[i][j], m[n + i][j]) and _identical(g[i][j], g[j][i])
+                           for i in range(n) for j in range(n))
+            for p in grid:
+                m = np.array(F.omega_matrix_at(p.coords()), dtype=float)
+                assert (m[:n, n:] == -m[n:, :n].T).all()
+                assert (m[n:, n:] == 0.0).all()
+                skew = m[:n, :n]
+                assert (np.diag(skew) == 0.0).all()
+                assert (skew == -skew.T).all()
 
 
 def _jet_constructions(fn):
@@ -178,7 +185,7 @@ def test_jet_construction_budget(n, what, budget):
     F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
     z = [0.1, -0.2, 0.3][:n] + [0.7, 0.4, -0.5][:n]
     if what == "omega":
-        count = _jet_constructions(lambda: omega_matrix(F.E, n, z))
+        count = _jet_constructions(lambda: omega_and_dE(F.E, n, z)[0])
     elif what == "spray":
         count = _jet_constructions(lambda: canonical_spray(F)(z))
     elif what == "berwald":
@@ -306,10 +313,10 @@ def test_omega_matrix_vector_lift_matches_scalar_lifts(fid, n, xs, ys, dirs, pos
     dirs = [d[:2 * n] for d in dirs]
     # the vector Hessian against one nested scalar pass per entry ...
     zs, tags = _lifted(z, dirs)
-    for u, v in zip(omega_matrix(E, n, zs), _omega_reference(E, n, zs)):
+    for u, v in zip(omega_and_dE(E, n, zs)[0], _omega_reference(E, n, zs)):
         assert all(_coeffs(x, tags) == _coeffs(y, tags) for x, y in zip(u, v))
     # ... and a vector lift of the point against per-direction lifts
-    _assert_slots_match(lambda w: omega_matrix(E, n, w), z, dirs, pos % len(dirs))
+    _assert_slots_match(lambda w: omega_and_dE(E, n, w)[0], z, dirs, pos % len(dirs))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -420,15 +427,15 @@ def test_sharp_pivot_guard_compares_every_pivot():
     F = FinslerStructure(E, N, GRID, validate=False)
     good, bad = point(0.5, 0.0, 1.0, 1.0), point(1e-14, 0.0, 1.0, 1.0)
     z = jets.lift(bad.coords(), jets.vec_frame(N2), jets.fresh_tag())
-    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
+    with pytest.raises(NondegeneracyFailure, match=SINGULAR) as err:
         F.sharp_at(_jet_beta(z), z)
     assert err.value.point == list(bad.coords()) and err.value.value == 1e-14
     z = PointBatch([good, bad]).coords()
-    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
-        _sharp_block_solve(omega_matrix(E, N, z), _jet_beta(z), N, z)
+    with pytest.raises(NondegeneracyFailure, match=SINGULAR) as err:
+        _sharp_block_solve(omega_and_dE(E, N, z)[0], _jet_beta(z), N, z)
     assert err.value.point == list(bad.coords()) and err.value.value == 1e-14
     z = good.coords()
-    _sharp_block_solve(omega_matrix(E, N, z), _jet_beta(z), N, z)
+    _sharp_block_solve(omega_and_dE(E, N, z)[0], _jet_beta(z), N, z)
 
 
 def _sharp_full_elimination(m, beta):
@@ -468,7 +475,7 @@ def test_sharp_block_solve_matches_full_elimination(fid, n):
     F = conformal_change(finsler_fixture(fid, grid, n=n), f)
     z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
     zs, tags = _lifted(z0, [jets.vec_frame(n2), [0.5, -0.25, 1.0, 0.75, -0.5, 0.25][:n2]])
-    m = omega_matrix(F.E, n, zs)
+    m = omega_and_dE(F.E, n, zs)[0]
     assert all(jets.realpart(m[i][j]) != 0.0 for i in range(n) for j in range(n) if i != j)
     beta = _jet_beta(zs)
     got = F.sharp_at(beta, zs)
@@ -484,23 +491,27 @@ def test_sharp_block_solve_matches_full_elimination(fid, n):
     batched = F.sharp_at(_jet_beta(zb), zb)
     for i, p in enumerate(pts):
         z = p.coords()
-        ref = _sharp_full_elimination(omega_matrix(F.E, n, z), _jet_beta(z))
+        ref = _sharp_full_elimination(omega_and_dE(F.E, n, z)[0], _jet_beta(z))
         for x, xb, y in zip(F.sharp_at(_jet_beta(z), z), batched, ref):
             assert abs(x - y) <= 1e-12 * abs(y) and abs(xb[i] - y) <= 1e-12 * abs(y)
 
 
-def _sharp_error(F, z):
-    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as err:
+NOT_POSITIVE = "fundamental tensor not positive definite during sharp solve"
+SINGULAR = "fundamental tensor numerically singular during sharp solve"
+
+
+def _sharp_error(F, z, message=NOT_POSITIVE):
+    with pytest.raises(NondegeneracyFailure, match=message) as err:
         F.sharp_at(_jet_beta(z), z)
     return err.value
 
 
-def _assert_batch_fails_like_its_points(F, pts):
+def _assert_batch_fails_like_its_points(F, pts, message=NOT_POSITIVE):
     """The batch raises at the first point that raises alone, with its value."""
-    with pytest.raises(NondegeneracyFailure, match="during sharp solve") as per_point:
+    with pytest.raises(NondegeneracyFailure, match=message) as per_point:
         for p in pts:
             F.sharp_at(_jet_beta(p.coords()), p.coords())
-    batched = _sharp_error(F, PointBatch(pts).coords())
+    batched = _sharp_error(F, PointBatch(pts).coords(), message)
     assert (batched.point, batched.value) == (per_point.value.point, per_point.value.value)
     return batched
 
@@ -522,6 +533,16 @@ def test_sharp_with_an_indefinite_metric_fails_loudly():
     F = FinslerStructure(ScalarField(ev, N), N, GRID, validate=False)
     pts = [point(0.5, 0.5, 1.0, 2.0), point(0.25, 1.0, 1.0, 2.0)]
     assert _assert_batch_fails_like_its_points(F, pts).value == -3.0
+    # g = diag(1, 1e-13) is positive definite but its pivots are 1e13 apart, so
+    # the ratio test stops it; at a float or batch point the memo's cond(omega)
+    # check comes first, so the solve is called on omega's matrix there
+    E = ScalarField(lambda z: 0.5 * (z[2] * z[2] + 1e-13 * z[3] * z[3]), N)
+    F = FinslerStructure(E, N, GRID, validate=False)
+    assert _sharp_error(F, zs, SINGULAR).value == 1e-13
+    for z in (P0.coords(), PointBatch([P0, *GRID]).coords()):
+        with pytest.raises(NondegeneracyFailure, match=SINGULAR) as err:
+            finsler._sharp_block_solve(omega_and_dE(E, N, z)[0], _jet_beta(z), N, z)
+        assert err.value.point == list(P0.coords()) and err.value.value == 1e-13
 
 
 def test_sharp_with_a_degenerate_metric_fails_at_a_jet_point():
@@ -682,11 +703,11 @@ def test_jet_omega_matrix_is_shared_and_renamed():
         z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
         F = finsler_fixture("randers-0.3", sample_slit_points(n, 2, seed=3), n=n)
         first, _ = _jet_point(z0, 1, vec=0)
-        assert F.shared_omega_matrix_at(first) is F.shared_omega_matrix_at(first)
+        assert F.shared_omega_at(first)[0] is F.shared_omega_at(first)[0]
         again, tags = _jet_point(z0, 1, vec=0)
         with mock.patch.object(finsler, "omega_and_dE",
                                side_effect=AssertionError("memo missed")):
-            hit = F.shared_omega_matrix_at(again)
+            hit = F.shared_omega_at(again)[0]
         fresh = F.omega_matrix_at(again)
         assert all(_identical(a, b) for u, v in zip(hit, fresh) for a, b in zip(u, v))
         assert set().union(*(_tags_of(a) for row in hit for a in row)) == set(tags)

@@ -58,9 +58,14 @@ MUTANTS = [
      "-1.0 * dE", "1.0 * dE", ["CHK-04"]),
     ("a horizontal Liouville field", finsler, "liouville_field",
      "[0.0] * n + list(z[n:])", "list(z[n:]) + [0.0] * n", ["CHK-01"]),
-    ("the metric from the mixed x-y Hessian", finsler, "_energy_pass",
+    ("the metric from the mixed x-y Hessian", finsler, "omega_and_dE",
      "outer = [0.0] * n + jets.vec_frame(n)", "outer = jets.vec_frame(n) + [0.0] * n",
      ["CHK-01"]),
+    # validation reads its g where the sharp solve does; -g, omega's upper right
+    # block, has negative leading minors
+    ("the metric from omega's upper right block", finsler.FinslerStructure, "metric_at",
+     "[row[:n] for row in self.omega_matrix_at(z)[n:]]",
+     "[row[n:] for row in self.omega_matrix_at(z)[:n]]", ["CHK-01"]),
     # one fixture's shared objects serve every fixture: the cells whose identity
     # ties a shared object to the structure's own h0 or omega fail
     ("share the first fixture's objects with every fixture", (checks, cli), "run_checks",
