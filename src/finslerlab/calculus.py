@@ -34,6 +34,18 @@ from .errors import DegreeOutOfRange, NotSemibasic, NotSemispray
 PRECHECK_TOL = 1e-8
 
 
+def precheck(residual: float, error: Exception) -> None:
+    """Raise ``error`` unless ``residual <= PRECHECK_TOL``; a NaN raises too.
+
+    The one gate of every hypothesis pre-check in the library: a construction
+    or predicate measures its hypothesis as a residual and passes it here
+    with the typed error to raise.  ``r > tol`` is False for a NaN, so the
+    test is written as ``not r <= tol``.
+    """
+    if not residual <= PRECHECK_TOL:
+        raise error
+
+
 def frame_vector(n2: int, a: int):
     v = [0.0] * n2
     v[a] = 1.0
@@ -129,13 +141,13 @@ class PointMemo:
         self.base = None
         self.entries = {}
 
-    def get(self, z, compute, rename):
+    def get(self, z, compute):
         """``compute(z)`` through the memo.
 
         A miss stores the value, unless ``compute`` raises or z has no key; a
-        hit stored with other tags is returned as ``rename(value, renaming)``,
-        where ``renaming`` maps the stored tags to z's.  The result is shared:
-        do not modify it.
+        hit stored with other tags is returned as ``retag_array(value,
+        renaming)``, where ``renaming`` maps the stored tags to z's.  The
+        result is shared: do not modify it.
         """
         point = point_key(z)
         if point is None:
@@ -153,7 +165,7 @@ class PointMemo:
         if stored == tags:
             return value
         try:
-            return rename(value, dict(zip(stored, tags)))
+            return retag_array(value, dict(zip(stored, tags)))
         except KeyError:  # the value holds a tag the point does not carry
             return compute(z)
 
@@ -191,13 +203,10 @@ class VectorField:
         memo = self._memo
         if memo is None:
             return self.fn(z)
-        return memo.get(z, self.fn, retag_array)
+        return memo.get(z, self.fn)
 
     def __repr__(self):
         return f"VectorField({self.name or 'anonymous'}, n={self.n})"
-
-    def component(self, a: int) -> ScalarField:
-        return ScalarField(lambda z: self(z)[a], self.n)
 
     def __add__(self, other):
         return VectorField(lambda z: [a + b for a, b in zip(self(z), other(z))], self.n)
@@ -413,7 +422,7 @@ class VectorForm:
         memo = self._matrix_memo
         if memo is None:
             return self._compute_matrix(z)
-        return memo.get(z, self._compute_matrix, retag_array)
+        return memo.get(z, self._compute_matrix)
 
     def memoize_matrix(self):
         """Keep the frame arrays computed at points in a ``PointMemo``."""
@@ -768,18 +777,17 @@ def semispray_residual(S: VectorField, points) -> float:
 def potential(K, S: VectorField, points=None):
     """K deg minus one obtained by inserting a semispray; the potential of K.
 
-    When sample points are supplied, the preconditions (K semibasic, S a
-    semispray) are residual-tested first, against PRECHECK_TOL.
+    When sample points are supplied, the preconditions (S a semispray, K
+    semibasic) are residual-tested first, through ``precheck``.
     """
     degree = K.degree if isinstance(K, (VectorForm, DifferentialForm)) else 0
     if degree < 1:
         raise DegreeOutOfRange("potential needs degree >= 1")
     if points is not None:
-        if semispray_residual(S, points) > PRECHECK_TOL:
-            raise NotSemispray("J(S) != C beyond tolerance on the supplied points")
+        precheck(semispray_residual(S, points),
+                 NotSemispray("J(S) != C beyond tolerance on the supplied points"))
         r = semibasic_residual(K, points)
-        if r > PRECHECK_TOL:
-            raise NotSemibasic(f"potential needs a semibasic operand, residual {r:.3e}")
+        precheck(r, NotSemibasic(f"potential needs a semibasic operand, residual {r:.3e}"))
     return insert_vector(S, K)
 
 

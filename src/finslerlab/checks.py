@@ -10,7 +10,6 @@ third-derivative identity.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,7 +23,7 @@ from .calculus import (
     vertical_lift_function, zero_vector_form,
 )
 from .core import PointBatch, grid_coords, sample_slit_points
-from .errors import DegenerateDegree, FinslerLabError, HypothesisFailure
+from .errors import BadConfig, DegenerateDegree, FinslerLabError, HypothesisFailure
 from .finsler import (
     berwald_connection, canonical_spray, conformal_change,
     conservative_connection_residual, conservative_form_residual,
@@ -68,11 +67,10 @@ class CheckResult:
     max_residual: float
     tolerance: float
     passed: bool
-    wall_time: float
     error: str | None = None
 
     def record(self) -> dict:
-        """The stable report record (wall time excluded for reproducibility)."""
+        """The stable report record."""
         rec = {
             "check": self.id,
             "fixture": self.fixture,
@@ -486,17 +484,30 @@ def list_checks(only=None):
 def run_checks(config) -> tuple:
     """Run the configured (check, fixture) cells; returns (results, exit_code).
 
-    Per-cell errors are captured in the result record, never aborting the
-    suite; the exit code is 0 exactly when every cell passed.  Every cell
-    evaluates the sample grid as one batch point (``core.PointBatch``), and
-    the fixtures are validated on it: each runner and residual helper takes
-    the grid's coordinates from ``core.grid_coords`` and evaluates once.
+    A configuration that selects no cell, names an unknown check or fixture,
+    or asks for fewer than one sample raises ``BadConfig``: an empty run
+    would pass vacuously.  Per-cell errors are captured in the result record,
+    never aborting the suite; the exit code is 0 exactly when every cell
+    passed.  Every cell evaluates the sample grid as one batch point
+    (``core.PointBatch``), and the fixtures are validated on it: each runner
+    and residual helper takes the grid's coordinates from
+    ``core.grid_coords`` and evaluates once.
     The cells of a fixture share one ``SharedObjects`` for the run: the
     Wagner pair, the field E-dy1, L = [J, E-dy1], the h_L of L and of L_W,
-    and S^V of E-dy1 are each built once, by the first cell that reads them,
-    whose wall time includes the build; a cold per-cell time needs a run of
-    that cell alone.
+    and S^V of E-dy1 are each built once, by the first cell that reads them.
     """
+    if config.samples < 1:
+        raise BadConfig("samples must be >= 1")
+    unknown = [c for c in config.checks or () if c not in CHECK_IDS]
+    if unknown:
+        raise BadConfig(f"unknown check ids {unknown}")
+    unknown = [f for f in config.fixtures if f not in fixture_ids()]
+    if unknown:
+        raise BadConfig(f"unknown fixture ids {unknown}")
+    cells = [(spec, fid) for spec in list_checks(config.checks)
+             for fid in config.fixtures if fid in spec.fixtures]
+    if not cells:
+        raise BadConfig("the configuration selects no (check, fixture) cell")
     grid = (PointBatch(sample_slit_points(2, config.samples, config.seed)),)
     structures = {}
     build_errors = {}
@@ -508,26 +519,20 @@ def run_checks(config) -> tuple:
     shared = {fid: SharedObjects(F) for fid, F in structures.items()}
 
     results = []
-    for spec in list_checks(config.checks):
+    for spec, fid in cells:
         tol = config.tolerances.get(spec.id, spec.tolerance)
-        for fid in config.fixtures:
-            if fid not in spec.fixtures:
-                continue
-            start = time.perf_counter()
-            if fid in build_errors:
-                results.append(CheckResult(spec.id, fid, config.samples, float("inf"),
-                                           tol, False, 0.0, build_errors[fid]))
-                continue
-            ctx = CheckContext(grid=grid, seed=config.seed, tol=tol, shared=shared[fid])
-            try:
-                outcome = spec.runner(structures[fid], ctx)
-                residual, note = float(outcome.max_residual), outcome.note
-            except FinslerLabError as e:
-                residual, note = float("inf"), f"{type(e).__name__}: {e}"
-            wall = time.perf_counter() - start
-            passed = bool(residual < tol)
-            results.append(CheckResult(spec.id, fid, config.samples, residual,
-                                       tol, passed, wall, note))
+        if fid in build_errors:
+            results.append(CheckResult(spec.id, fid, config.samples, float("inf"),
+                                       tol, False, build_errors[fid]))
+            continue
+        ctx = CheckContext(grid=grid, seed=config.seed, tol=tol, shared=shared[fid])
+        try:
+            outcome = spec.runner(structures[fid], ctx)
+            residual, note = float(outcome.max_residual), outcome.note
+        except FinslerLabError as e:
+            residual, note = float("inf"), f"{type(e).__name__}: {e}"
+        results.append(CheckResult(spec.id, fid, config.samples, residual,
+                                   tol, bool(residual < tol), note))
     results.sort(key=lambda r: (r.id, r.fixture))
     exit_code = 0 if all(r.passed for r in results) else 1
     return results, exit_code

@@ -36,16 +36,9 @@ def _cmd_check(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.samples is not None:
-        if args.samples < 1:
-            raise BadConfig("samples must be >= 1")
         cfg.samples = args.samples
-    if args.only:
-        wanted = [c.strip() for c in args.only.split(",") if c.strip()]
-        known = {spec.id for spec in list_checks()}
-        unknown = [c for c in wanted if c not in known]
-        if unknown:
-            raise BadConfig(f"unknown check ids {unknown}")
-        cfg.checks = wanted
+    if args.only is not None:
+        cfg.checks = [c.strip() for c in args.only.split(",") if c.strip()]
     if args.out:
         cfg.out = args.out
 

@@ -10,8 +10,11 @@ is proved symbolically.  A residual helper evaluates its points as one point
 (``core.grid_coords``: one batch point for a grid of several) and takes the
 sup over that point's values.  Each construction and predicate first tests
 its hypotheses (semibasic, torsion-free, vertical, homogeneous, a semispray,
-the projector laws) as residuals on the structure's grid, or on the points
-given, and raises the matching error when one exceeds PRE_TOL.
+the projector laws, a conservative [J,V]-connection) as residuals on the
+structure's grid, or on the points given, and passes each residual to
+``calculus.precheck``, the one gate of the library's pre-checks: it raises
+the matching typed error unless the residual is at most
+``calculus.PRECHECK_TOL``, so a NaN residual raises too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .calculus import (
     VectorField, VectorForm, complete_lift_function, d_K, d_function,
     exterior_derivative, field_apply, fn_bracket, frame_vector,
     homogeneity_residual, identity_form, insert_one_form, insert_vector,
-    liouville_field, semibasic_residual, semispray_residual, sup_abs,
+    liouville_field, precheck, semibasic_residual, semispray_residual, sup_abs,
     tensor_one_form_field, vertical_endomorphism, vertical_lift_function,
 )
 from .core import BaseFunction, ScalarField, grid_coords
@@ -39,8 +42,6 @@ from .finsler import (
     FinslerStructure, berwald_connection, canonical_spray,
     conservative_connection_residual, gradient, projector_residual, sharp,
 )
-
-PRE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,7 @@ class ConnectionDiagnostics:
 def _wrap_connection(F: FinslerStructure, form: VectorForm, provenance: str) -> EhresmannConnection:
     form.memoize_matrix()
     r = projector_residual(F, form, F.grid)
-    if r > PRE_TOL:
-        raise NotConnection(f"projector laws fail for {provenance}: residual {r:.3e}")
+    precheck(r, NotConnection(f"projector laws fail for {provenance}: residual {r:.3e}"))
     return EhresmannConnection(form=form, provenance=provenance)
 
 
@@ -124,8 +124,7 @@ def vector_field_residual(X: VectorField, points) -> float:
 
 def connection_from_semispray(F: FinslerStructure, S: VectorField) -> EhresmannConnection:
     """h = (Id + [J, S]) / 2; zero weak torsion by construction."""
-    if semispray_residual(S, F.grid) > PRE_TOL:
-        raise NotSemispray("J(S) != C on the sample grid")
+    precheck(semispray_residual(S, F.grid), NotSemispray("J(S) != C on the sample grid"))
     J = vertical_endomorphism(F.n)
     form = (identity_form(F.n) + fn_bracket(J, S)).scale(0.5)
     form.name = f"h({S.name})"
@@ -152,8 +151,7 @@ def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
 def theta_operator(F: FinslerStructure, L: VectorForm) -> VectorForm:
     """Theta_L = L + [J, (d_L E)#] = h_L - h0, on semibasic 1-forms."""
     r = semibasic_residual(L, F.grid)
-    if r > PRE_TOL:
-        raise NotSemibasic(f"Theta needs a semibasic operand, residual {r:.3e}")
+    precheck(r, NotSemibasic(f"Theta needs a semibasic operand, residual {r:.3e}"))
     J = vertical_endomorphism(F.n)
     theta = L + fn_bracket(J, sharp_of_dLE(F, L))
     theta.name = f"Theta({L.name})"
@@ -226,8 +224,7 @@ def torsion_free_residual(F: FinslerStructure, L: VectorForm, points=None) -> fl
     """sup |[J, L]| over frame pairs; zero characterises torsion-free forms."""
     points = points if points is not None else F.grid
     r = semibasic_residual(L, points)
-    if r > PRE_TOL:
-        raise NotSemibasic(f"torsion-freeness applies to semibasic forms, residual {r:.3e}")
+    precheck(r, NotSemibasic(f"torsion-freeness applies to semibasic forms, residual {r:.3e}"))
     J = vertical_endomorphism(F.n)
     return vector_form2_residual(fn_bracket(J, L), points)
 
@@ -238,8 +235,7 @@ def v_from_torsion_free(F: FinslerStructure, L: VectorForm) -> VectorField:
     V = (S - S0)/2 - (d_L E)# with S the semispray associated to h_L; any
     V + X^v solves the same equation.
     """
-    if torsion_free_residual(F, L) > PRE_TOL:
-        raise NotTorsionFree("[J, L] != 0 on the sample grid")
+    precheck(torsion_free_residual(F, L), NotTorsionFree("[J, L] != 0 on the sample grid"))
     h_L = l_ehresmann_connection(F, L)
     S = associated_semispray(F, h_L)
     s0 = canonical_spray(F)
@@ -255,12 +251,9 @@ def v_from_homogeneous(F: FinslerStructure, L: VectorForm, r: float) -> VectorFi
     """V = L° / (r + 1) for torsion-free L homogeneous of degree r != -1."""
     if r == -1:
         raise DegenerateDegree("degree -1 admits no potential reconstruction")
-    if torsion_free_residual(F, L) > PRE_TOL:
-        raise NotTorsionFree("[J, L] != 0 on the sample grid")
+    precheck(torsion_free_residual(F, L), NotTorsionFree("[J, L] != 0 on the sample grid"))
     hr = homogeneity_residual(L, r, F.grid)
-    if hr > PRE_TOL:
-        raise HomogeneityFailure(
-            f"L is not homogeneous of degree {r}", value=hr)
+    precheck(hr, HomogeneityFailure(f"L is not homogeneous of degree {r}", value=hr))
     s0 = canonical_spray(F)
     pot = insert_vector(s0, L)
     return pot.scale(1.0 / (r + 1.0))
@@ -268,8 +261,8 @@ def v_from_homogeneous(F: FinslerStructure, L: VectorForm, r: float) -> VectorFi
 
 def semispray_from_vertical(F: FinslerStructure, V: VectorField) -> VectorField:
     """S^V = S0 + 2V + 2 (d_[J,V] E)#; generates the [J,V]-connection."""
-    if vertical_residual(V, F.grid) > PRE_TOL:
-        raise NotVertical("V has horizontal components on the sample grid")
+    precheck(vertical_residual(V, F.grid),
+             NotVertical("V has horizontal components on the sample grid"))
     J = vertical_endomorphism(F.n)
     L = fn_bracket(J, V)
     W = sharp_of_dLE(F, L)
@@ -289,11 +282,9 @@ def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField):
     only then is lam meaningful (and 1-homogeneous).
     """
     for X, tag in ((V, "V"), (U, "U")):
-        if vertical_residual(X, F.grid) > PRE_TOL:
-            raise NotVertical(f"{tag} has horizontal components")
+        precheck(vertical_residual(X, F.grid), NotVertical(f"{tag} has horizontal components"))
         hr = homogeneity_residual(X, 2.0, F.grid)
-        if hr > PRE_TOL:
-            raise HomogeneityFailure(f"{tag} is not 2-homogeneous", value=hr)
+        precheck(hr, HomogeneityFailure(f"{tag} is not 2-homogeneous", value=hr))
     lam = (field_apply(V - U, F.E) * 3.0) / F.E
     lam.name = "lambda"
     sV = semispray_from_vertical(F, V)
@@ -307,8 +298,8 @@ def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField):
 def vincze_residual(F: FinslerStructure, V: VectorField, points=None) -> float:
     """sup |i_V omega - d_J(V E)|; zero characterises conservative vertical fields."""
     points = points if points is not None else F.grid
-    if vertical_residual(V, points) > PRE_TOL:
-        raise NotVertical("V has horizontal components on the sample points")
+    precheck(vertical_residual(V, points),
+             NotVertical("V has horizontal components on the sample points"))
     J = vertical_endomorphism(F.n)
     VE = field_apply(V, F.E)
     dj_ve = d_K(J, VE)
@@ -327,15 +318,14 @@ def conservative_lift(F: FinslerStructure, V: VectorField) -> VectorField:
     [J,V]-connection is not conservative, distinguishing an inapplicable
     theorem from a violated one.
     """
-    if vertical_residual(V, F.grid) > PRE_TOL:
-        raise NotVertical("V has horizontal components on the sample grid")
+    precheck(vertical_residual(V, F.grid),
+             NotVertical("V has horizontal components on the sample grid"))
     J = vertical_endomorphism(F.n)
     L = fn_bracket(J, V)
     h = l_ehresmann_connection(F, L)
     r = conservative_connection_residual(F, h.form, F.grid)
-    if r > PRE_TOL:
-        raise HypothesisFailure(
-            f"[J,V]-connection is not conservative (residual {r:.3e})", residual=r)
+    precheck(r, HypothesisFailure(
+        f"[J,V]-connection is not conservative (residual {r:.3e})", residual=r))
     W = sharp_of_dLE(F, L)
     return VectorField(lambda z: [a + b for a, b in zip(V(z), W(z))],
                        F.n, name=f"U({V.name})", memo=True)

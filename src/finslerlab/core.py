@@ -169,11 +169,6 @@ def constant(n: int, c: float) -> ScalarField:
     return ScalarField(lambda z: c, n, name=f"const({c})")
 
 
-def coordinate(n: int, a: int) -> ScalarField:
-    """The coordinate function z^a (a < n base, a >= n fiber)."""
-    return ScalarField(lambda z: z[a], n, name=f"z[{a}]")
-
-
 class BaseFunction:
     """Smooth function of the base coordinates only (a function on M)."""
 

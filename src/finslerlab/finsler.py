@@ -38,7 +38,7 @@ import numpy as np
 from . import jets
 from .calculus import (
     PointMemo, VectorField, VectorForm, d_K, d_function, exterior_derivative,
-    field_apply, fn_bracket, identity_form, liouville_field, retag_array,
+    field_apply, fn_bracket, identity_form, liouville_field, precheck,
     semibasic_residual, sup_abs, vertical_endomorphism,
 )
 from .core import BaseFunction, PointBatch, ScalarField, grid_coords, sample_slit_points
@@ -50,7 +50,6 @@ from .errors import (
 DET_FLOOR = 1e-10
 COND_LIMIT = 1e12
 VALIDATION_TOL = 1e-9
-CONNECTION_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ class FinslerStructure:
         build them once per point.  A hit is renamed to z's tags, so it is
         what ``omega_and_dE`` computes.  The result is shared: do not modify it.
         """
-        return self._memo.get(z, self._omega_entry, retag_array)
+        return self._memo.get(z, self._omega_entry)
 
     def _omega_entry(self, z):
         """``[omega's matrix, dE]`` at z; at a float or batch point, raises
@@ -421,11 +420,10 @@ def _d_form_E_residual(F: FinslerStructure, K: VectorForm, points) -> float:
 
 
 def conservative_form_residual(F: FinslerStructure, L: VectorForm, points=None) -> float:
-    """sup |d_L E| for a semibasic vector 1-form (checked first, to CONNECTION_TOL)."""
+    """sup |d_L E| for a semibasic vector 1-form (checked first, through ``precheck``)."""
     points = points if points is not None else F.grid
     r = semibasic_residual(L, points)
-    if r > CONNECTION_TOL:
-        raise NotSemibasic(f"form is not semibasic, residual {r:.3e}")
+    precheck(r, NotSemibasic(f"form is not semibasic, residual {r:.3e}"))
     return _d_form_E_residual(F, L, points)
 
 
@@ -452,11 +450,10 @@ def projector_residual(F: FinslerStructure, h: VectorForm, points=None) -> float
 
 def conservative_connection_residual(F: FinslerStructure, h: VectorForm, points=None) -> float:
     """sup |d_h E| for an Ehresmann connection (projector laws checked first,
-    to CONNECTION_TOL)."""
+    through ``precheck``)."""
     points = points if points is not None else F.grid
     r = projector_residual(F, h, points)
-    if r > CONNECTION_TOL:
-        raise NotConnection(f"projector laws fail, residual {r:.3e}")
+    precheck(r, NotConnection(f"projector laws fail, residual {r:.3e}"))
     return _d_form_E_residual(F, h, points)
 
 

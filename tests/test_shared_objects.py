@@ -76,13 +76,13 @@ def test_the_memos_do_the_same_work_in_a_run(config, monkeypatch):
         work["omega_and_dE"] += 1
         return omega(*args)
 
-    def counting_get(memo, z, compute, rename):
+    def counting_get(memo, z, compute):
         work["get"] += 1
 
         def counted(z):
             work["compute"] += 1
             return compute(z)
-        return get(memo, z, counted, rename)
+        return get(memo, z, counted)
 
     monkeypatch.setattr(finsler, "omega_and_dE", counting_omega)
     monkeypatch.setattr(calculus.PointMemo, "get", counting_get)

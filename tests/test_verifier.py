@@ -93,7 +93,8 @@ def test_run_checks_subset_passes_and_is_deterministic():
     assert len(res1) == len(CHEAP)
     for r in res1:
         assert r.passed == (r.max_residual < r.tolerance)
-        assert "wall_time" not in r.record()
+        assert set(r.record()) == {"check", "fixture", "samples", "max_residual",
+                                   "tolerance", "pass"}
 
 
 def test_run_checks_sorted_records():
@@ -190,6 +191,37 @@ def test_cli_check_config_file(tmp_path, capsys):
 def test_cli_check_rejects_unknown_check(capsys):
     assert main(["check", "--only", "CHK-99"]) == 2
     assert "unknown check ids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    (RunConfig(samples=0), "samples must be >= 1"),
+    (RunConfig(checks=["CHK-99"]), "unknown check ids ['CHK-99']"),
+    (RunConfig(fixtures=["lorentz"]), "unknown fixture ids ['lorentz']"),
+    (RunConfig(checks=[]), "selects no"),
+    (RunConfig(fixtures=[]), "selects no"),
+], ids=["no-samples", "unknown-check", "unknown-fixture", "no-checks", "no-fixtures"])
+def test_run_checks_rejects_an_empty_or_unknown_selection(config, message):
+    # a run of no cell would exit 0, a vacuous pass
+    with pytest.raises(BadConfig) as err:
+        run_checks(config)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--only", ","], None, "selects no"),
+    (["--samples", "0"], None, "samples must be >= 1"),
+    ([], "checks = []\n", "selects no"),
+    ([], "fixtures = []\n", "selects no"),
+], ids=["only-comma", "no-samples", "no-checks", "no-fixtures"])
+def test_cli_check_rejects_an_empty_selection(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(["check"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cli_check_failure_exit_code(tmp_path, capsys):
