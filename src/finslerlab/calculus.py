@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -435,29 +434,31 @@ class VectorForm:
     def __add__(self, other):
         if other.degree != self.degree:
             raise DegreeOutOfRange("cannot add vector forms of different degree")
-        return VectorForm(
-            self.degree, lambda z: _map_arrays(operator.add, self.matrix(z), other.matrix(z)),
-            self.n)
+        return VectorForm(self.degree, lambda z: _add_arrays(self.matrix(z), other.matrix(z)),
+                          self.n)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, c):
         if isinstance(c, ScalarField):
-            def mfn(z):
-                s = c(z)
-                return _map_arrays(lambda x: s * x, self.matrix(z))
-            return VectorForm(self.degree, mfn, self.n)
-        return VectorForm(self.degree, lambda z: _map_arrays(lambda x: c * x, self.matrix(z)),
-                          self.n)
+            return VectorForm(self.degree, lambda z: _scale_array(c(z), self.matrix(z)), self.n)
+        return VectorForm(self.degree, lambda z: _scale_array(c, self.matrix(z)), self.n)
 
 
-def _map_arrays(f, *arrays):
-    """``f`` entry by entry over arrays of one shape: matrices, or the frame
-    arrays of vector 2-forms."""
-    if type(arrays[0][0][0]) is list:
-        return [_map_arrays(f, *rows) for rows in zip(*arrays)]
-    return [[f(*xs) for xs in zip(*rows)] for rows in zip(*arrays)]
+def _add_arrays(a, b):
+    """``a + b`` entry by entry, for two arrays of one shape: matrices, or the
+    frame arrays of vector 2-forms."""
+    if type(a[0][0]) is list:
+        return [_add_arrays(x, y) for x, y in zip(a, b)]
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _scale_array(c, a):
+    """``c * x`` for every entry x of a matrix or of a vector 2-form's frame array."""
+    if type(a[0][0]) is list:
+        return [_scale_array(c, x) for x in a]
+    return [[c * x for x in row] for row in a]
 
 
 def constant_vector_form(coeffs, n: int, name: str = "") -> VectorForm:
@@ -602,13 +603,16 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
     with DY the Jacobian of Y (column c is D_c Y, the derivative along e_c)
     and D_Y K the derivative of K's matrix along Y.  One lift of the point
     along the vector frame gives Y there and DY; one lift along Y(z) gives K
-    there and D_Y K, a structural zero (0.0) when K is constant.  The
-    products are contractions whose coefficients are K's entries
-    (``_combine``): column b of DY.K is DY (K e_b), and row a of K.DY is the
-    rows of DY weighted by row a of K.  An exact-zero entry of K is skipped
-    and a unit entry takes a column or row of DY as it is, so for K = J (and
-    Id) every entry is what the scalar passes of the column formula give,
-    up to the sign of a zero: a vector lift's slot repeats the scalar pass.
+    there and D_Y K.  When no entry of K's lifted matrix carries the lift's
+    tag (J, Id, any constant K), D_Y K is a structural zero: K is the lifted
+    matrix itself and no D_Y K term is formed, which is exact, as x - 0.0 is
+    x for every float, batch and jet.  The products are contractions whose
+    coefficients are K's entries (``_combine``): column b of DY.K is
+    DY (K e_b), and row a of K.DY is the rows of DY weighted by row a of K.
+    An exact-zero entry of K is skipped and a unit entry takes a column or
+    row of DY as it is, so for K = J (and Id) every entry is what the scalar
+    passes of the column formula give, up to the sign of a zero: a vector
+    lift's slot repeats the scalar pass.
     """
     n2 = 2 * K.n
     rng = range(n2)
@@ -619,12 +623,15 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
         dy_rows = [jets.slots(d, n2) for d in dy]
         dy_cols = list(zip(*dy_rows))
         tag = jets.fresh_tag()
-        lifted = K.matrix(jets.lift(z, yz, tag))
-        k = [[jets.primal(x, tag) for x in row] for row in lifted]
-        d_y_k = [[jets.tangent(x, tag) for x in row] for row in lifted]
+        k = K.matrix(jets.lift(z, yz, tag))
+        d_y_k = None  # a structural zero
+        if any(type(x) is jets.Jet and x.tag == tag for row in k for x in row):
+            d_y_k = [[jets.tangent(x, tag) for x in row] for row in k]
+            k = [[jets.primal(x, tag) for x in row] for row in k]
         dy_k = [_combine([row[b] for row in k], dy_cols) for b in rng]
         k_dy = [_combine(row, dy_rows) for row in k]
-        return [[dy_k[b][a] - d_y_k[a][b] - k_dy[a][b] for b in rng] for a in rng]
+        return [[(dy_k[b][a] if d_y_k is None else dy_k[b][a] - d_y_k[a][b]) - k_dy[a][b]
+                 for b in rng] for a in rng]
 
     return VectorForm(1, matrix_fn, K.n, name=f"[{K.name},{Y.name}]")
 

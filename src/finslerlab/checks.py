@@ -473,10 +473,17 @@ CHECK_IDS = tuple(c.id for c in CHECKS)
 
 
 def list_checks(only=None):
-    """Check summaries in stable id order; unknown filters yield an empty list."""
+    """Check summaries in stable id order, those named in ``only`` if given.
+
+    An id that names no check raises ``BadConfig``: a filter that drops it
+    would answer an unknown id with a shorter list, as if it were known.
+    """
     specs = sorted(CHECKS, key=lambda c: c.id)
     if only is None:
-        return list(specs)
+        return specs
+    unknown = [c for c in only if c not in CHECK_IDS]
+    if unknown:
+        raise BadConfig(f"unknown check ids {unknown}")
     wanted = set(only)
     return [c for c in specs if c.id in wanted]
 
@@ -498,14 +505,11 @@ def run_checks(config) -> tuple:
     """
     if config.samples < 1:
         raise BadConfig("samples must be >= 1")
-    unknown = [c for c in config.checks or () if c not in CHECK_IDS]
-    if unknown:
-        raise BadConfig(f"unknown check ids {unknown}")
+    specs = list_checks(config.checks)
     unknown = [f for f in config.fixtures if f not in fixture_ids()]
     if unknown:
         raise BadConfig(f"unknown fixture ids {unknown}")
-    cells = [(spec, fid) for spec in list_checks(config.checks)
-             for fid in config.fixtures if fid in spec.fixtures]
+    cells = [(spec, fid) for spec in specs for fid in config.fixtures if fid in spec.fixtures]
     if not cells:
         raise BadConfig("the configuration selects no (check, fixture) cell")
     grid = (PointBatch(sample_slit_points(2, config.samples, config.seed)),)

@@ -19,9 +19,13 @@ from .finsler import finsler_fixture, fixture_ids
 from .registry import build_object
 
 
+def _check_ids(only):
+    """The check ids of an ``--only`` value: comma-separated, blanks dropped."""
+    return [c.strip() for c in only.split(",") if c.strip()]
+
+
 def _cmd_list(args) -> int:
-    only = args.only.split(",") if args.only else None
-    for spec in list_checks(only):
+    for spec in list_checks(_check_ids(args.only) if args.only else None):
         print(f"{spec.id}  tol={spec.tolerance:g}  {spec.description}")
     return 0
 
@@ -38,7 +42,7 @@ def _cmd_check(args) -> int:
     if args.samples is not None:
         cfg.samples = args.samples
     if args.only is not None:
-        cfg.checks = [c.strip() for c in args.only.split(",") if c.strip()]
+        cfg.checks = _check_ids(args.only)
     if args.out:
         cfg.out = args.out
 

@@ -72,7 +72,7 @@ def omega_and_dE(E: ScalarField, n: int, z):
     """
     n2 = 2 * n
     inner = jets.vec_frame(n2)
-    outer = [0.0] * n + jets.vec_frame(n)
+    outer = (0.0,) * n + jets.vec_frame(n)
     outer_tag = jets.fresh_tag()
     inner_tag = jets.fresh_tag()
     first = jets.tangent(E.fn(jets.lift(jets.lift(z, outer, outer_tag), inner, inner_tag)),
@@ -143,10 +143,11 @@ def _sharp_block_solve(m, beta, n, z):
     negative zeros made positive; a jet component is returned as computed.
     """
     rows = [[m[n + i][j] for i in range(n)] for j in range(n)]  # g^T, by row j
-    steps = []  # the multipliers of each column
+    elim = []  # (r, col, f): row r minus f times row col, in the order done
     pivots = []  # the real part of each column's pivot
     for col in range(n):
-        pivot = rows[col][col]
+        prow = rows[col]
+        pivot = prow[col]
         key = jets.realpart(pivot)
         if type(key) is jets.Batch:
             bad = key <= 0.0
@@ -156,12 +157,14 @@ def _sharp_block_solve(m, beta, n, z):
         elif key <= 0.0:
             raise _pivot_failure(z, 0, key, "not positive definite")
         pivots.append(key)
-        inv = 1.0 / pivot
-        fs = [rows[r][col] * inv for r in range(col + 1, n)]
-        for r, f in enumerate(fs, col + 1):
-            for c in range(col + 1, n):
-                rows[r][c] = rows[r][c] - f * rows[col][c]
-        steps.append(fs)
+        if col + 1 < n:  # the last column has no rows below it
+            inv = 1.0 / pivot
+            for r in range(col + 1, n):
+                row = rows[r]
+                f = row[col] * inv
+                elim.append((r, col, f))
+                for c in range(col + 1, n):
+                    row[c] = row[c] - f * prow[c]
     if jets.Batch in map(type, pivots):
         pivots = np.array(np.broadcast_arrays(*pivots))  # (column, point)
         smallest = pivots.min(axis=0)
@@ -173,15 +176,15 @@ def _sharp_block_solve(m, beta, n, z):
         raise _pivot_failure(z, 0, min(pivots), "numerically singular")
 
     def solve(b):
-        for col, fs in enumerate(steps):
-            for r, f in enumerate(fs, col + 1):
-                b[r] = b[r] - f * b[col]
+        for r, col, f in elim:
+            b[r] = b[r] - f * b[col]
         x = [0.0] * n
         for r in range(n - 1, -1, -1):
+            row = rows[r]
             acc = b[r]
             for c in range(r + 1, n):
-                acc = acc - rows[r][c] * x[c]
-            x[r] = acc / rows[r][r]
+                acc = acc - row[c] * x[c]
+            x[r] = acc / row[r]
         return x
 
     xh = solve([-v for v in beta[n:]])
@@ -206,6 +209,23 @@ def _real_point(z, i):
     """The real parts of z's coordinates at point ``i`` of a batch; at a float
     point, all of them."""
     return [float(c[i]) if type(c) is jets.Batch else c for c in map(jets.realpart, z)]
+
+
+def _condition_numbers(stacked):
+    """The 2-norm condition number of each matrix of a (points, rows, columns)
+    array, what ``np.linalg.cond`` gives, without its argument handling.
+
+    The ratio of the largest to the smallest singular value; a NaN ratio
+    (0 / 0) becomes inf unless the matrix holds a NaN, numpy's own rule.  A
+    non-finite matrix raises ``np.linalg.LinAlgError`` from the SVD, as there.
+    """
+    s = np.linalg.svd(stacked, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    nan = np.isnan(cond)
+    if nan.any():
+        cond[nan & ~np.isnan(stacked).any(axis=(1, 2))] = np.inf
+    return cond
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +333,15 @@ class FinslerStructure:
         if tags:
             t = max(tags)
             zp = [jets.primal(c, t) for c in z]
-            entries = [x for row in m for x in row] + jets.slots(dE, 2 * self.n)
-            if jets.Jet in map(type, zp) and all(type(x) is not jets.Jet or x.tag <= t
-                                                 for x in entries):
-                self._memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m],
-                                    jets.primal(dE, t)])
+            if jets.Jet in map(type, zp):
+                entries = [x for row in m for x in row] + jets.slots(dE, 2 * self.n)
+                if all(type(x) is not jets.Jet or x.tag <= t for x in entries):
+                    self._memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m],
+                                        jets.primal(dE, t)])
         else:
             stacked = jets.stacked(m, z)
             try:
-                cond = np.linalg.cond(stacked)
+                cond = _condition_numbers(stacked)
             except np.linalg.LinAlgError:  # the SVD of a non-finite omega
                 i = int(np.argmin(np.isfinite(stacked).all(axis=(1, 2))))
                 raise NondegeneracyFailure("fundamental form not finite",

@@ -77,6 +77,7 @@ implemented: field arithmetic, constant powers, sqrt, exp, log, sin, cos.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -274,9 +275,14 @@ class Vec:
                     for a, b in zip(self.s, w.s)])
 
 
+@functools.cache
 def vec_frame(k: int):
-    """The identity frame of a vector lift: component ``a`` is the a-th unit Vec."""
-    return [Vec([1.0 if b == a else 0.0 for b in range(k)]) for a in range(k)]
+    """The identity frame of a vector lift: component ``a`` is the a-th unit Vec.
+
+    Built once per k and shared by every caller, as a tuple; Vecs are never
+    mutated, so sharing them is safe.
+    """
+    return tuple(Vec([1.0 if b == a else 0.0 for b in range(k)]) for a in range(k))
 
 
 def slots(x, k: int):
@@ -304,13 +310,14 @@ def stacked(m, z):
     jet point, ``batch_size(z)`` at a batch point.
 
     At a float or jet point the real parts are floats, and one ``np.array``
-    call stacks them.  At a batch point each entry is assigned into its
-    slice, which is exact and much faster than ``np.array`` over broadcast
-    views.
+    call stacks them; a float entry is its own real part.  At a batch point
+    each entry is assigned into its slice, which is exact and much faster
+    than ``np.array`` over broadcast views.
     """
     size = batch_size(z)
     if size is None:
-        return np.array([[[realpart(x) for x in row] for row in m]])
+        return np.array([[[x if type(x) is float else realpart(x) for x in row]
+                          for row in m]])
     out = np.empty((size, len(m), len(m[0])))
     for i, row in enumerate(m):
         for j, x in enumerate(row):

@@ -283,6 +283,38 @@ def test_constant_bracket_vector_pass_matches_columns_exactly():
                 [[cols[b][a] for b in range(N2)] for a in range(N2)]
 
 
+def _equal_up_to_zero_signs(a, b, tag):
+    """Equal values, a zero's sign aside: batches point by point (a float
+    stands for every point), jets by their value and tangent slots along
+    ``tag`` (the lift of a jet point)."""
+    if type(a) is jets.Jet or type(b) is jets.Jet:
+        return _equal_up_to_zero_signs(jets.primal(a, tag), jets.primal(b, tag), None) and \
+            jets.slots(jets.tangent(a, tag), N2) == jets.slots(jets.tangent(b, tag), N2)
+    return bool(np.array_equal(*np.broadcast_arrays(a, b)))
+
+
+def test_bracket_with_a_structural_zero_D_Y_K_matches_the_general_branch():
+    # J times a field equal to 1 that depends on z: every entry of its lifted
+    # matrix carries the lift's tag, with zero tangents, so the bracket forms
+    # D_Y K as the general branch does; with J itself, D_Y K is a structural zero
+    from finslerlab.core import PointBatch
+    from finslerlab.finsler import canonical_spray, finsler_fixture
+    one = ScalarField(lambda z: 1.0 + 0.0 * (z[0] + z[1] + z[2] + z[3]), N, "1")
+    K1 = J.scale(one)
+    z0 = list(GRID)[0].coords()
+    tag = jets.fresh_tag()
+    zj = jets.lift(z0, jets.vec_frame(N2), tag)
+    points = [(z0, None), (PointBatch(list(GRID)[:3]).coords(), None), (zj, tag)]
+    for Y in (randvector(8), canonical_spray(finsler_fixture("randers-0.3", GRID))):
+        lift_tag = jets.fresh_tag()
+        assert all(type(x) is jets.Jet and x.tag == lift_tag
+                   for row in K1.matrix(jets.lift(z0, Y(z0), lift_tag)) for x in row)
+        for z, t in points:
+            general, structural = fn_bracket(K1, Y).matrix(z), fn_bracket(J, Y).matrix(z)
+            assert all(_equal_up_to_zero_signs(a, b, t)
+                       for ra, rb in zip(general, structural) for a, b in zip(ra, rb))
+
+
 def test_float_memo_keys_tell_zero_signs_apart():
     import math
 

@@ -156,12 +156,13 @@ def _jet_constructions(fn):
 
 
 BUDGETS = [
-    (2, "omega", 96),
-    (2, "spray", 97),
-    (2, "berwald", 390),
-    (3, "berwald", 690),
-    (3, "dh_omega", 8950),
-    (3, "torsion", 4200),
+    (2, "omega", 89),
+    (2, "spray", 90),
+    (2, "berwald", 374),
+    (3, "berwald", 672),
+    (3, "dh_omega", 6920),
+    (3, "torsion", 4130),
+    (2, "point-query", 464),
 ]
 
 
@@ -170,8 +171,10 @@ BUDGETS = [
                          ids=[f"{n}-{what}" for n, what, _ in BUDGETS])
 def test_jet_construction_budget(n, what, budget):
     # Jets and Vecs together; each budget is today's count plus about 10%:
-    # omega 87, the float spray 88, the Berwald matrices 353 and 629, d_h
-    # omega of h0 and h_L 8128 and the weak torsion [J, h0] 3808.  Per-
+    # omega 81, the float spray 82, the Berwald matrices 340 and 611, d_h
+    # omega of h0 and h_L 6293, the weak torsion [J, h0] 3756, and one point
+    # query (spray, Berwald matrix and a sharp at a fresh float point) 422.
+    # The shared vector frames save 6 Vecs per n = 2 omega pass.  Per-
     # direction scalar passes (one nested pass per Hessian entry of E, 2n
     # lifts of S0 and of the point in d_h omega) built 92, 946, 3099 and
     # 89536 jets in the omega, Berwald and d_h omega cases, a dense lift 280,
@@ -193,6 +196,10 @@ def test_jet_construction_budget(n, what, budget):
     elif what == "torsion":
         torsion = weak_torsion(F, berwald(F))
         count = _jet_constructions(lambda: vector_form2_residual(torsion, [point(*z)]))
+    elif what == "point-query":
+        x = sharp(F, coordinate_one_form(n, 0))
+        count = _jet_constructions(
+            lambda: (canonical_spray(F)(z), berwald_connection(F).matrix(z), x(z)))
     else:
         h0 = berwald(F)
         hL = l_ehresmann_connection(
@@ -416,6 +423,42 @@ def test_a_nan_coordinate_fails_nondegeneracy_at_its_point():
                 canonical_spray(F)(z)
             assert np.array_equal(err.value.point, at, equal_nan=True)
             assert math.isnan(err.value.value)
+
+
+def test_condition_numbers_are_numpys_cond_bit_for_bit():
+    # the memo's miss takes cond(omega) from one SVD, as np.linalg.cond does
+    rng = np.random.default_rng(21)
+    zero = np.zeros((N2, N2))
+    rank_one = np.outer([1.0, 2.0, 0.0, -1.0], [0.5, 0.0, 1.0, 1.0])
+    arrays = [rng.normal(size=(1, N2, N2)), rng.normal(size=(9, N2, N2)), zero[None],
+              np.stack([rng.normal(size=(N2, N2)), zero, rank_one])]
+    for F in ALL:
+        for z in (P0.coords(), PointBatch(GRID).coords()):
+            arrays.append(jets.stacked(omega_and_dE(F.E, N, z)[0], z))
+    for x in arrays:
+        cond = finsler._condition_numbers(x)
+        assert cond.dtype == np.float64 and cond.tobytes() == np.linalg.cond(x).tobytes()
+    assert np.isinf(finsler._condition_numbers(zero[None])).all()  # 0 / 0
+    nan = rng.normal(size=(2, N2, N2))
+    nan[1, 2, 3] = math.nan
+    for cond in (np.linalg.cond, finsler._condition_numbers):
+        with pytest.raises(np.linalg.LinAlgError):
+            cond(nan)
+    # end to end: a singular omega is ill-conditioned with cond = inf, at its
+    # float point and at its point of a batch (omega vanishes where x1 = 0)
+    F = FinslerStructure(ScalarField(lambda z: 0.5 * z[0] * z[0] * (z[2] * z[2] + z[3] * z[3]), N),
+                         N, GRID, validate=False)
+    good, singular = point(0.5, 0.1, 1.0, 1.0), point(0.0, 0.1, 1.0, 1.0)
+    for z, at in ((singular.coords(), singular.coords()),
+                  (PointBatch([good, singular]).coords(), singular.coords())):
+        with pytest.raises(NondegeneracyFailure, match=r"ill-conditioned \(cond=inf\)") as err:
+            F.shared_omega_at(z)
+        assert err.value.point == list(at) and err.value.value == math.inf
+    # and an omega with a NaN coordinate is not finite
+    bad = point(math.nan, 0.1, 1.0, 1.0)
+    for z in (bad.coords(), PointBatch([good, bad]).coords()):
+        with pytest.raises(NondegeneracyFailure, match="fundamental form not finite"):
+            F.shared_omega_at(z)
 
 
 def test_sharp_pivot_guard_compares_every_pivot():

@@ -310,6 +310,22 @@ def test_vec_frame_lift():
     assert type(zj[0]) is Jet and zj[0].dot is frame[0]
     # an exact zero and a Vec of exact zeros leave their coordinates untagged
     assert zj[1] == 1.5 and zj[2] == 2.5
+
+
+def test_vec_frame_is_built_once_and_shared_unchanged():
+    # every vector lift of a run reads the same frame objects, so no lift may
+    # write to them: a changed slot would move every later lift
+    from finslerlab.checks import run_checks
+    from finslerlab.config import RunConfig
+    frames = {k: jets.vec_frame(k) for k in (2, 4)}
+    slot_lists = {k: [v.s for v in f] for k, f in frames.items()}
+    assert all(jets.vec_frame(k) is f for k, f in frames.items())
+    assert run_checks(RunConfig())[1] == 0
+    for k, f in frames.items():
+        assert jets.vec_frame(k) is f and type(f) is tuple
+        assert all(v.s is s for v, s in zip(f, slot_lists[k]))
+        assert [v.s for v in f] == [[1.0 if b == a else 0.0 for b in range(k)] for a in range(k)]
+        assert all(math.copysign(1.0, a) == 1.0 for v in f for a in v.s)
     value, grad = jvp(poly, Z0, jets.vec_frame(4))
     assert value == poly(Z0)
     assert grad.s == [nth_directional(poly, Z0, [e]) for e in (E1, E2, E3, E4)]

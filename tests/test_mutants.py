@@ -59,7 +59,7 @@ MUTANTS = [
     ("a horizontal Liouville field", finsler, "liouville_field",
      "[0.0] * n + list(z[n:])", "list(z[n:]) + [0.0] * n", ["CHK-01"]),
     ("the metric from the mixed x-y Hessian", finsler, "omega_and_dE",
-     "outer = [0.0] * n + jets.vec_frame(n)", "outer = jets.vec_frame(n) + [0.0] * n",
+     "outer = (0.0,) * n + jets.vec_frame(n)", "outer = jets.vec_frame(n) + (0.0,) * n",
      ["CHK-01"]),
     # validation reads its g where the sharp solve does; -g, omega's upper right
     # block, has negative leading minors

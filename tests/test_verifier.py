@@ -28,7 +28,8 @@ def test_registry_size_and_order():
 
 def test_registry_filter():
     assert [s.id for s in list_checks(["CHK-07"])] == ["CHK-07"]
-    assert list_checks(["CHK-99"]) == []
+    with pytest.raises(BadConfig, match=r"unknown check ids \['CHK-99'\]"):
+        list_checks(["CHK-07", "CHK-99"])
 
 
 def test_every_check_has_description_and_fixtures():
@@ -191,6 +192,20 @@ def test_cli_check_config_file(tmp_path, capsys):
 def test_cli_check_rejects_unknown_check(capsys):
     assert main(["check", "--only", "CHK-99"]) == 2
     assert "unknown check ids" in capsys.readouterr().err
+
+
+def test_cli_list_rejects_unknown_check_as_check_does(capsys):
+    # an unknown id once listed nothing and exited 0
+    errors = []
+    for command in ("list", "check"):
+        assert main([command, "--only", "CHK-01,CHK-99"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == "config error: unknown check ids ['CHK-99']\n"
+    assert main(["list", "--only", "CHK-01, CHK-02"]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == \
+        ["CHK-01", "CHK-02"]
 
 
 @pytest.mark.parametrize("config, message", [
