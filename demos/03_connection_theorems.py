@@ -7,7 +7,7 @@ residuals it finds.
 """
 
 from finslerlab import (
-    BaseFunction, VectorField, conservative_lift,
+    BaseFunction, VectorField, berwald_connection, conservative_lift,
     finsler_fixture, fn_bracket, liouville_field, point, projective_factor,
     semispray_from_vertical, theta_operator, v_from_torsion_free,
     vertical_endomorphism, vincze_residual, wagner_connection,
@@ -15,7 +15,7 @@ from finslerlab import (
 from finslerlab import jets
 from finslerlab.connections import (
     connection_from_semispray, dh_omega_residual, form_matrix_residual,
-    l_ehresmann_connection, tension, vector_form1_residual, berwald,
+    l_ehresmann_connection, tension, vector_form1_residual,
 )
 from finslerlab.errors import HypothesisFailure
 
@@ -30,7 +30,7 @@ p0 = point(0.0, 0.0, 1.0, 2.0)
 f = BaseFunction(lambda x: x[0], 2, "x1")
 hbar, L_W = wagner_connection(F, f)
 hL = l_ehresmann_connection(F, L_W)
-print("wagner == h_{L_W} residual:", form_matrix_residual(hbar.form, hL.form, grid))
+print("wagner == h_{L_W} residual:", form_matrix_residual(hbar, hL, grid))
 
 # The Theta operator intertwines with the Liouville bracket.
 lhs = fn_bracket(C, theta_operator(F, L_W))
@@ -49,7 +49,7 @@ sV = semispray_from_vertical(F, V0)
 print("S^V at p0:", sV(p0.coords()))
 h1 = connection_from_semispray(F, sV)
 h2 = l_ehresmann_connection(F, L)
-print("generated == h_[J,V]:      ", form_matrix_residual(h1.form, h2.form, list(grid)[:8]))
+print("generated == h_[J,V]:      ", form_matrix_residual(h1, h2, list(grid)[:8]))
 print("tension residual:          ", vector_form1_residual(tension(F, h2), list(grid)[:8]))
 
 # Projectively related sprays: V = sqrt(E) C / 2 against U = 0 produces the
@@ -74,6 +74,7 @@ except HypothesisFailure as e:
 
 # The third-order identity: d_h omega vanishes for torsion-free deformations.
 # The Wagner connection carries torsion, so its value is only reported.
-print("d_h omega (berwald):       ", dh_omega_residual(F, berwald(F), list(grid)[:6]))
+print("d_h omega (berwald):       ",
+      dh_omega_residual(F, berwald_connection(F), list(grid)[:6]))
 print("d_h omega (h_[J,V]):       ", dh_omega_residual(F, h2, list(grid)[:6]))
 print("d_h omega (wagner, meas.): ", dh_omega_residual(F, hbar, list(grid)[:6]))

@@ -7,7 +7,8 @@ The package provides three layers:
 * a Frolicher-Nijenhuis toolbox (lifts, brackets, insertions, derivations)
   and the Finsler objects built from an energy function (fundamental form,
   sharp operator, canonical spray, Berwald and Wagner connections, the
-  h_L deformation family, spray families from vertical fields);
+  h_L deformation family, spray families from vertical fields), where a
+  connection is its vector 1-form, a ``VectorForm``;
 * a check registry that certifies each structural identity as a sup-norm
   residual over sampled points, runnable from the ``finslerlab`` CLI.
 """
@@ -30,12 +31,11 @@ from .finsler import (
     sharp, validate_finsler,
 )
 from .connections import (
-    ConnectionDiagnostics, EhresmannConnection, associated_semispray, berwald,
-    connection_from_semispray, conservative_lift, dh_omega_residual, diagnostics,
-    l_ehresmann_connection, projective_factor, semispray_from_vertical, tension,
-    theta_operator, torsion_free_residual, v_from_homogeneous,
-    v_from_torsion_free, vertical_lift_test, vincze_residual, wagner_connection,
-    weak_torsion,
+    associated_semispray, connection_from_semispray, conservative_lift,
+    dh_omega_residual, l_ehresmann_connection, projective_factor,
+    semispray_from_vertical, tension, theta_operator, torsion_free_residual,
+    v_from_homogeneous, v_from_torsion_free, vertical_lift_test, vincze_residual,
+    wagner_connection, weak_torsion,
 )
 from .checks import CheckResult, CheckSpec, list_checks, run_checks
 from .config import RunConfig, parse_config

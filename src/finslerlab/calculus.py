@@ -223,11 +223,6 @@ class VectorField:
         return VectorField(lambda z: [c * a for a in self(z)], self.n)
 
 
-def constant_vector_field(vec, n: int, name: str = "") -> VectorField:
-    vals = [float(v) for v in vec]
-    return VectorField(lambda z: list(vals), n, name)
-
-
 def field_apply(X: VectorField, f: ScalarField) -> ScalarField:
     """The function Xf = sum_a X^a df/dz^a."""
 
@@ -422,6 +417,12 @@ class VectorForm:
         if memo is None:
             return self._compute_matrix(z)
         return memo.get(z, self._compute_matrix)
+
+    @property
+    def form(self):
+        """The form itself: the old ``connection.form`` read, kept only for
+        perfbench/workloads.py, its one reader."""
+        return self
 
     def memoize_matrix(self):
         """Keep the frame arrays computed at points in a ``PointMemo``."""

@@ -31,7 +31,7 @@ from .finsler import (
     sharp,
 )
 from .connections import (
-    berwald, connection_from_semispray, conservative_lift,
+    connection_from_semispray, conservative_lift,
     dh_omega_residual, form_matrix_residual, l_ehresmann_connection,
     projective_factor, semispray_from_vertical, tension, theta_operator,
     v_from_homogeneous, v_from_torsion_free, vector_field_residual,
@@ -148,27 +148,6 @@ class Outcome:
 # deterministic random objects
 
 
-def random_scalar_fields(n: int, count: int, seed: int):
-    """Quadratic polynomials with uniform coefficients; smooth and well scaled."""
-    rng = np.random.default_rng(seed)
-    n2 = 2 * n
-    out = []
-    for _ in range(count):
-        lin = rng.uniform(-1, 1, n2).tolist()
-        quad = rng.uniform(-1, 1, (n2, n2)).tolist()
-
-        def ev(z, lin=lin, quad=quad):
-            acc = sum(lin[a] * z[a] for a in range(n2))
-            for i in range(n2):
-                for j in range(n2):
-                    acc = acc + quad[i][j] * z[i] * z[j]
-            return acc
-
-        from .core import ScalarField
-        out.append(ScalarField(ev, n))
-    return out
-
-
 def random_one_forms(n: int, count: int, seed: int, semibasic: bool = False):
     """1-forms with random affine coefficient functions."""
     rng = np.random.default_rng(seed)
@@ -246,19 +225,19 @@ def _chk04_potential_lemma(F, ctx):
 
 
 def _chk05_berwald(F, ctx):
-    h0 = berwald(F)
+    h0 = berwald_connection(F)
     return Outcome(sup_abs([vector_form2_residual(weak_torsion(F, h0), ctx.grid),
                             vector_form1_residual(tension(F, h0), ctx.grid),
-                            conservative_connection_residual(F, h0.form, ctx.grid)]))
+                            conservative_connection_residual(F, h0, ctx.grid)]))
 
 
 def _chk06_conservative_form(F, ctx):
     hbar, _ = ctx.shared.wagner
-    L = hbar.form - berwald_connection(F)
+    L = hbar - berwald_connection(F)
     residuals = [conservative_form_residual(F, L, ctx.grid)]
     hL = l_ehresmann_connection(F, L)
     translated = berwald_connection(F) + L
-    residuals.append(form_matrix_residual(hL.form, translated, ctx.grid))
+    residuals.append(form_matrix_residual(hL, translated, ctx.grid))
     return Outcome(sup_abs(residuals))
 
 
@@ -284,7 +263,7 @@ def _chk07_biconditional(F, ctx):
     tol = TOL_THEOREM
     for name, L, connection in fixtures:
         hL = connection()
-        a = conservative_connection_residual(F, hL.form, ctx.grid)
+        a = conservative_connection_residual(F, hL, ctx.grid)
         pot = insert_vector(s0, L)
         b = vertical_lift_test(F, field_apply(pot, F.E), ctx.grid)
         small_a, small_b = a < tol, b < tol
@@ -302,8 +281,8 @@ def _chk07_biconditional(F, ctx):
 
 def _chk08_wagner(F, ctx):
     hbar, L_W = ctx.shared.wagner
-    residuals = [conservative_connection_residual(F, hbar.form, ctx.grid)]
-    residuals.append(form_matrix_residual(hbar.form, ctx.shared.h_L_W.form, ctx.grid))
+    residuals = [conservative_connection_residual(F, hbar, ctx.grid)]
+    residuals.append(form_matrix_residual(hbar, ctx.shared.h_L_W, ctx.grid))
     pot = potential(L_W, canonical_spray(F), points=ctx.grid)
     residuals.append(vector_field_residual(pot, ctx.grid))
     return Outcome(sup_abs(residuals))
@@ -313,7 +292,7 @@ def _chk09_conformal(F, ctx):
     f = base_function("x1", F.n)
     F2 = conformal_change(F, f)
     hbar, _ = ctx.shared.wagner
-    L = hbar.form - berwald_connection(F)
+    L = hbar - berwald_connection(F)
     residuals = [conservative_form_residual(F, L, ctx.grid),
                  conservative_form_residual(F2, L, ctx.grid)]
     # the scaling identity d_L E~ = phi d_L E behind the invariance
@@ -328,7 +307,7 @@ def _chk09_conformal(F, ctx):
         residuals.append(dle2(z, ea) - s * dle(z, ea))
     # conservative L-Ehresmann connections stay conservative after the change
     hL2 = l_ehresmann_connection(F2, L)
-    residuals.append(conservative_connection_residual(F2, hL2.form, ctx.grid))
+    residuals.append(conservative_connection_residual(F2, hL2, ctx.grid))
     return Outcome(sup_abs(residuals))
 
 
@@ -413,7 +392,7 @@ def _chk14_homogeneity_lemma(F, ctx):
 
 
 def _chk15_dh_omega(F, ctx):
-    h0 = berwald(F)
+    h0 = berwald_connection(F)
     hL = ctx.shared.h_j_e_dy1
     return Outcome(sup_abs([dh_omega_residual(F, h0, ctx.grid),
                             dh_omega_residual(F, hL, ctx.grid)]))
@@ -423,7 +402,7 @@ def _chk16_spray_family(F, ctx):
     n = F.n
     h1 = connection_from_semispray(F, ctx.shared.spray_e_dy1)
     h2 = ctx.shared.h_j_e_dy1
-    residuals = [form_matrix_residual(h1.form, h2.form, ctx.grid)]
+    residuals = [form_matrix_residual(h1, h2, ctx.grid)]
     # projective factor on a verified related pair: V = sqrt(E) C / 2, U = 0
     V = build_field(F, "half-sqrtE-C")
     U = VectorField(lambda z: [0.0] * (2 * n), n, "0")
@@ -475,12 +454,15 @@ CHECK_IDS = tuple(c.id for c in CHECKS)
 def list_checks(only=None):
     """Check summaries in stable id order, those named in ``only`` if given.
 
-    An id that names no check raises ``BadConfig``: a filter that drops it
-    would answer an unknown id with a shorter list, as if it were known.
+    A given ``only`` that names no check, or an id in it that names no check,
+    raises ``BadConfig``: a filter that drops it would answer with a shorter
+    list, or none, as if the selection were known.
     """
     specs = sorted(CHECKS, key=lambda c: c.id)
     if only is None:
         return specs
+    if not only:
+        raise BadConfig("the configuration selects no check")
     unknown = [c for c in only if c not in CHECK_IDS]
     if unknown:
         raise BadConfig(f"unknown check ids {unknown}")

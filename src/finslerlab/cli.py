@@ -25,7 +25,7 @@ def _check_ids(only):
 
 
 def _cmd_list(args) -> int:
-    for spec in list_checks(_check_ids(args.only) if args.only else None):
+    for spec in list_checks(None if args.only is None else _check_ids(args.only)):
         print(f"{spec.id}  tol={spec.tolerance:g}  {spec.description}")
     return 0
 

@@ -5,7 +5,10 @@ Berwald connection by a semibasic vector 1-form L, the Wagner connection,
 the correspondence between torsion-free semibasic 1-forms and vertical
 vector fields, the spray family S^V = S0 + 2V + 2 (d_[J,V] E)#, projective
 factors, and the conservativity criterion i_V omega = d_J(V E) for vertical
-fields.  Every predicate is a sup-norm residual over sample points; nothing
+fields.  A connection is its vector 1-form h, a projector whose kernel is
+the vertical bundle: each construction returns the ``VectorForm`` itself,
+with its frame arrays memoised, and h0 is ``finsler.berwald_connection``.
+Every predicate is a sup-norm residual over sample points; nothing
 is proved symbolically.  A residual helper evaluates its points as one point
 (``core.grid_coords``: one batch point for a grid of several) and takes the
 sup over that point's values.  Each construction and predicate first tests
@@ -21,17 +24,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
 from .calculus import (
     VectorField, VectorForm, complete_lift_function, d_K, d_function,
-    exterior_derivative, field_apply, fn_bracket, frame_vector,
-    homogeneity_residual, identity_form, insert_one_form, insert_vector,
-    liouville_field, precheck, semibasic_residual, semispray_residual, sup_abs,
-    tensor_one_form_field, vertical_endomorphism, vertical_lift_function,
+    field_apply, fn_bracket, frame_vector, homogeneity_residual, identity_form,
+    insert_vector, liouville_field, precheck, semibasic_residual,
+    semispray_residual, sup_abs, tensor_one_form_field, vertical_endomorphism,
+    vertical_lift_function,
 )
 from .core import BaseFunction, ScalarField, grid_coords
 from .errors import (
@@ -44,44 +46,13 @@ from .finsler import (
 )
 
 
-@dataclass(frozen=True)
-class EhresmannConnection:
-    """A projector-valued vector 1-form h with vertical kernel, plus provenance."""
-
-    form: VectorForm
-    provenance: str
-
-    @property
-    def n(self) -> int:
-        return self.form.n
-
-    def __call__(self, z, v):
-        return self.form(z, v)
-
-    def matrix(self, z):
-        return self.form.matrix(z)
-
-
-@dataclass(frozen=True)
-class ConnectionDiagnostics:
-    """Everything recomputable from a connection alone."""
-
-    torsion: VectorForm
-    tension: VectorForm
-    torsion_residual: float
-    tension_residual: float
-    conservativity_residual: float
-
-
-def _wrap_connection(F: FinslerStructure, form: VectorForm, provenance: str) -> EhresmannConnection:
+def _wrap_connection(F: FinslerStructure, form: VectorForm) -> VectorForm:
+    """The connection ``form``, once its projector laws hold on F's grid; its
+    frame arrays are memoised."""
     form.memoize_matrix()
     r = projector_residual(F, form, F.grid)
-    precheck(r, NotConnection(f"projector laws fail for {provenance}: residual {r:.3e}"))
-    return EhresmannConnection(form=form, provenance=provenance)
-
-
-def _as_form(h) -> VectorForm:
-    return h.form if isinstance(h, EhresmannConnection) else h
+    precheck(r, NotConnection(f"projector laws fail for {form.name}: residual {r:.3e}"))
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +93,23 @@ def vector_field_residual(X: VectorField, points) -> float:
 # constructions
 
 
-def connection_from_semispray(F: FinslerStructure, S: VectorField) -> EhresmannConnection:
+def connection_from_semispray(F: FinslerStructure, S: VectorField) -> VectorForm:
     """h = (Id + [J, S]) / 2; zero weak torsion by construction."""
     precheck(semispray_residual(S, F.grid), NotSemispray("J(S) != C on the sample grid"))
     J = vertical_endomorphism(F.n)
     form = (identity_form(F.n) + fn_bracket(J, S)).scale(0.5)
-    form.name = f"h({S.name})"
-    return _wrap_connection(F, form, f"from-semispray({S.name or 'S'})")
+    form.name = f"h({S.name or 'S'})"
+    return _wrap_connection(F, form)
 
 
-def associated_semispray(F: FinslerStructure, h) -> VectorField:
+def associated_semispray(F: FinslerStructure, h: VectorForm) -> VectorField:
     """S = h(S0); the same field for any semispray seed since h kills verticals."""
-    form = _as_form(h)
     s0 = canonical_spray(F)
-    out = VectorField(lambda z: form(z, s0(z)), F.n, name="h(S0)", memo=True)
+    out = VectorField(lambda z: h(z, s0(z)), F.n, name="h(S0)", memo=True)
     return out
 
 
-def berwald(F: FinslerStructure) -> EhresmannConnection:
-    return EhresmannConnection(form=berwald_connection(F), provenance="berwald")
+berwald = berwald_connection  # old name of h0; perfbench/workloads.py is its only reader
 
 
 def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
@@ -158,11 +127,11 @@ def theta_operator(F: FinslerStructure, L: VectorForm) -> VectorForm:
     return theta
 
 
-def l_ehresmann_connection(F: FinslerStructure, L: VectorForm) -> EhresmannConnection:
+def l_ehresmann_connection(F: FinslerStructure, L: VectorForm) -> VectorForm:
     """h_L = h0 + L + [J, (d_L E)#]."""
     form = berwald_connection(F) + theta_operator(F, L)
-    form.name = f"h_L({L.name})"
-    return _wrap_connection(F, form, f"l-ehresmann({L.name or 'L'})")
+    form.name = f"h_L({L.name or 'L'})"
+    return _wrap_connection(F, form)
 
 
 def wagner_connection(F: FinslerStructure, f: BaseFunction):
@@ -184,40 +153,27 @@ def wagner_connection(F: FinslerStructure, f: BaseFunction):
         + J.scale(f_c) \
         + fn_bracket(J, grad_fv).scale(F.E).scale(-1.0) \
         + tensor_one_form_field(djE, grad_fv).scale(-1.0)
-    form.name = f"wagner({f.name})"
+    form.name = f"wagner({f.name or 'f'})"
     C = liouville_field(n)
     L_W = (J.scale(f_c) + tensor_one_form_field(d_function(f_v), C).scale(-1.0)).scale(0.5)
     L_W.name = f"L_W({f.name})"
-    return _wrap_connection(F, form, f"wagner({f.name or 'f'})"), L_W
+    return _wrap_connection(F, form), L_W
 
 
-def weak_torsion(F: FinslerStructure, h) -> VectorForm:
+def weak_torsion(F: FinslerStructure, h: VectorForm) -> VectorForm:
     """t = [J, h], a vector 2-form."""
     J = vertical_endomorphism(F.n)
-    t = fn_bracket(J, _as_form(h))
+    t = fn_bracket(J, h)
     t.name = "t"
     return t
 
 
-def tension(F: FinslerStructure, h) -> VectorForm:
+def tension(F: FinslerStructure, h: VectorForm) -> VectorForm:
     """H = [C, h], a vector 1-form; zero means the connection is homogeneous."""
     C = liouville_field(F.n)
-    H = fn_bracket(C, _as_form(h))
+    H = fn_bracket(C, h)
     H.name = "H"
     return H
-
-
-def diagnostics(F: FinslerStructure, h, points=None) -> ConnectionDiagnostics:
-    points = points if points is not None else F.grid
-    t = weak_torsion(F, h)
-    H = tension(F, h)
-    return ConnectionDiagnostics(
-        torsion=t,
-        tension=H,
-        torsion_residual=vector_form2_residual(t, points),
-        tension_residual=vector_form1_residual(H, points),
-        conservativity_residual=conservative_connection_residual(F, _as_form(h), points),
-    )
 
 
 def torsion_free_residual(F: FinslerStructure, L: VectorForm, points=None) -> float:
@@ -323,7 +279,7 @@ def conservative_lift(F: FinslerStructure, V: VectorField) -> VectorField:
     J = vertical_endomorphism(F.n)
     L = fn_bracket(J, V)
     h = l_ehresmann_connection(F, L)
-    r = conservative_connection_residual(F, h.form, F.grid)
+    r = conservative_connection_residual(F, h, F.grid)
     precheck(r, HypothesisFailure(
         f"[J,V]-connection is not conservative (residual {r:.3e})", residual=r))
     W = sharp_of_dLE(F, L)
@@ -341,7 +297,7 @@ def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> floa
     return sup_abs(djg(z, frame_vector(n2, a)) for a in range(n2))
 
 
-def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
+def dh_omega_residual(F: FinslerStructure, h: VectorForm, points=None) -> float:
     """sup over points and frame triples of d_h omega = i_h(d omega) - d(i_h omega).
 
     The grid is evaluated as one point (``core.grid_coords``) and lifted once
@@ -363,7 +319,7 @@ def dh_omega_residual(F: FinslerStructure, h, points=None) -> float:
     z = grid_coords(points)
     tag = jets.fresh_tag()
     za = jets.lift(z, jets.vec_frame(n2), tag)
-    hp, ht = _primal_and_slots(_as_form(h).matrix(za), tag, z)  # h first: see above
+    hp, ht = _primal_and_slots(h.matrix(za), tag, z)  # h first: see above
     wp, wt = _primal_and_slots(F.shared_omega_at(za)[0], tag, z)
     # D_a of h[d][b] om[d][c] and of h[d][c] om[b][d], at [point, d, b, c, a]
     t1 = hp[:, :, :, None, None] * wt[:, :, None, :, :] \
@@ -404,10 +360,3 @@ def _triples(n2):
     """Index arrays a, b, c of the frame triples a < b < c, in order."""
     return np.array(list(itertools.combinations(range(n2), 3))).T
 
-
-def dh_omega_form(F: FinslerStructure, h):
-    """d_h omega as a generic 3-form (reference path for the shared driver)."""
-    om = F.omega.two_form
-    form = _as_form(h)
-    return insert_one_form(form, exterior_derivative(om)) \
-        - exterior_derivative(insert_one_form(form, om))

@@ -3,7 +3,9 @@
 Coordinates on the tangent bundle of R^n are ordered (x^1..x^n, y^1..y^n);
 index a < n is a base direction, a >= n a fiber direction.  Scalar fields are
 pure evaluators over these 2n coordinates and accept jet-valued inputs, which
-is what makes every derivative in the library exact.
+is what makes every derivative in the library exact.  A grid is evaluated as
+one point (``grid_coords``): no library module outside this one reads a
+point's coordinates, and a test keeps it so.
 """
 
 from __future__ import annotations

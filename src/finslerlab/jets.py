@@ -62,7 +62,8 @@ per-point passes, value for value:
    Batch-exact code calls them, not ``np.exp`` and the rest, and raises to a
    constant power with ``power`` (or ``**`` on a Jet, which calls it), never
    with ``**`` on a bare array, which is numpy's own power.  ``sqrt`` and
-   field arithmetic are correctly rounded either way.
+   field arithmetic are correctly rounded either way.  No library module
+   outside ``jets`` uses ``**``, and a test keeps it so.
 3. ``Jet`` and ``Vec`` set ``__array_ufunc__ = None``, so numpy's operators
    return ``NotImplemented`` for them and a batch on the left of a Jet or a
    Vec defers to their reflected operator.

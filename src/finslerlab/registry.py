@@ -13,8 +13,8 @@ from .calculus import (
 )
 from .core import BaseFunction
 from .errors import BadConfig
-from .finsler import FinslerStructure, canonical_spray
-from .connections import berwald, l_ehresmann_connection, wagner_connection
+from .finsler import FinslerStructure, berwald_connection, canonical_spray
+from .connections import l_ehresmann_connection, wagner_connection
 
 BASE_FUNCTIONS = {
     "zero": lambda n: BaseFunction(lambda x: 0.0, n, "zero"),
@@ -86,7 +86,7 @@ def build_form(F: FinslerStructure, fid: str):
 
 def build_connection(F: FinslerStructure, cid: str):
     if cid == "berwald":
-        return berwald(F)
+        return berwald_connection(F)
     if cid.startswith("wagner:"):
         h, _ = wagner_connection(F, base_function(cid.split(":", 1)[1], F.n))
         return h

@@ -2,10 +2,17 @@
 
 The finite-difference oracle here is deliberately independent of the jet
 machinery: it only ever calls the function under test on plain float
-coordinates.
+coordinates.  The constructions at the end are the library objects that only
+tests use, among them ``dh_omega_form``, the generic reference that
+``connections.dh_omega_residual`` is compared with.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from finslerlab.calculus import VectorField, exterior_derivative, insert_one_form
+from finslerlab.core import ScalarField
 
 
 def fd_directional(fn, coords, direction, h=1e-5):
@@ -46,3 +53,35 @@ def frame(n2, a):
     v = [0.0] * n2
     v[a] = 1.0
     return v
+
+
+def constant_vector_field(vec, n: int, name: str = "") -> VectorField:
+    vals = [float(v) for v in vec]
+    return VectorField(lambda z: list(vals), n, name)
+
+
+def random_scalar_fields(n: int, count: int, seed: int):
+    """Quadratic polynomials with uniform coefficients; smooth and well scaled."""
+    rng = np.random.default_rng(seed)
+    n2 = 2 * n
+    out = []
+    for _ in range(count):
+        lin = rng.uniform(-1, 1, n2).tolist()
+        quad = rng.uniform(-1, 1, (n2, n2)).tolist()
+
+        def ev(z, lin=lin, quad=quad):
+            acc = sum(lin[a] * z[a] for a in range(n2))
+            for i in range(n2):
+                for j in range(n2):
+                    acc = acc + quad[i][j] * z[i] * z[j]
+            return acc
+
+        out.append(ScalarField(ev, n))
+    return out
+
+
+def dh_omega_form(F, h):
+    """d_h omega as a generic 3-form (reference path for the shared driver)."""
+    om = F.omega.two_form
+    return insert_one_form(h, exterior_derivative(om)) \
+        - exterior_derivative(insert_one_form(h, om))

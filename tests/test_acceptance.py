@@ -23,7 +23,7 @@ from finslerlab.calculus import (
     coordinate_one_form, d_K, fn_bracket, frame_vector, insert_vector,
     lie_derivative, liouville_field, potential, vertical_endomorphism,
 )
-from finslerlab.checks import random_scalar_fields, run_checks
+from finslerlab.checks import run_checks
 from finslerlab.config import RunConfig
 from finslerlab.core import BaseFunction, ScalarField, point, sample_slit_points
 from finslerlab.errors import NondegeneracyFailure, PositivityFailure
@@ -36,7 +36,7 @@ from finslerlab.connections import (
     vertical_lift_test, vincze_residual, wagner_connection,
 )
 
-from helpers import fd_directional, maxabs
+from helpers import fd_directional, maxabs, random_scalar_fields
 
 N, N2 = 2, 4
 P0 = point(0.0, 0.0, 1.0, 2.0)
@@ -163,7 +163,7 @@ def test_criterion_5_negative_controls():
     V0 = VectorField(lambda z: [0.0, 0.0, EUC.E(z), 0.0], N)
     L = fn_bracket(J, V0)
     hL = l_ehresmann_connection(EUC, L)
-    dhe = conservative_connection_residual(EUC, hL.form, [P0])
+    dhe = conservative_connection_residual(EUC, hL, [P0])
     pot = insert_vector(canonical_spray(EUC), L)
     from finslerlab.calculus import field_apply
     lift_test = vertical_lift_test(EUC, field_apply(pot, EUC.E), points=[P0])

@@ -5,7 +5,7 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.calculus import (
-    DifferentialForm, VectorField, VectorForm, complete_lift_function, constant_vector_field,
+    DifferentialForm, VectorField, VectorForm, complete_lift_function,
     coordinate_one_form, d_K, d_function, exterior_derivative, field_apply,
     fn_bracket, frame, frame_vector, function_form, homogeneity_residual,
     identity_form, insert_one_form, insert_vector, lie_bracket, lie_derivative,
@@ -15,7 +15,7 @@ from finslerlab.calculus import (
 from finslerlab.core import BaseFunction, ScalarField, point, sample_slit_points
 from finslerlab.errors import DegreeOutOfRange, NotSemibasic, NotSemispray
 
-from helpers import fd_vector, maxabs
+from helpers import constant_vector_field, fd_vector, maxabs
 
 N = 2
 N2 = 4

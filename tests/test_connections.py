@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from finslerlab import calculus, jets
+from finslerlab import calculus, connections, jets
 from finslerlab.calculus import (
     VectorField, VectorForm, d_K, field_apply, fn_bracket, frame_vector,
     identity_form, liouville_field, potential, semispray_residual, sup_abs,
@@ -14,26 +14,26 @@ from finslerlab.calculus import (
 )
 from finslerlab.core import BaseFunction, ScalarField, grid_coords, point, sample_slit_points
 from finslerlab.errors import (
-    DegenerateDegree, HomogeneityFailure, HypothesisFailure, NotSemispray,
-    NotVertical,
+    DegenerateDegree, HomogeneityFailure, HypothesisFailure, NotConnection,
+    NotSemispray, NotVertical,
 )
 from finslerlab.finsler import (
     berwald_connection, canonical_spray, finsler_fixture,
     conservative_connection_residual, conservative_form_residual, gradient,
 )
 from finslerlab.connections import (
-    associated_semispray, berwald, connection_from_semispray, conservative_lift,
-    dh_omega_form, dh_omega_residual, diagnostics, form_matrix_residual,
-    l_ehresmann_connection, projective_factor, semispray_from_vertical,
-    sharp_of_dLE, tension, theta_operator, torsion_free_residual,
-    v_from_homogeneous, v_from_torsion_free, vector_field_residual,
-    vector_form1_residual, vector_form2_residual, vertical_lift_test,
-    vertical_residual, vincze_residual, wagner_connection, weak_torsion,
+    associated_semispray, connection_from_semispray, conservative_lift,
+    dh_omega_residual, form_matrix_residual, l_ehresmann_connection,
+    projective_factor, semispray_from_vertical, sharp_of_dLE, tension,
+    theta_operator, torsion_free_residual, v_from_homogeneous,
+    v_from_torsion_free, vector_field_residual, vector_form1_residual,
+    vector_form2_residual, vertical_lift_test, vertical_residual,
+    vincze_residual, wagner_connection, weak_torsion,
 )
 
 from finslerlab.registry import base_function, build_field
 
-from helpers import maxabs
+from helpers import dh_omega_form, maxabs
 from test_funk import funk
 
 N, N2 = 2, 4
@@ -64,14 +64,14 @@ def close(a, b, tol=1e-9):
 def test_connection_from_canonical_spray_is_berwald():
     for F in ALL:
         h = connection_from_semispray(F, canonical_spray(F))
-        assert form_matrix_residual(h.form, berwald_connection(F), GRID) < 1e-9
+        assert form_matrix_residual(h, berwald_connection(F), GRID) < 1e-9
 
 
 def test_vertical_lift_shift_keeps_connection():
     shift = VectorField(lambda z: [a + 2.0 * b for a, b in zip(
         canonical_spray(EUC)(z), [0, 0, 1.0, 0])], N, "S0+2dy1")
     h = connection_from_semispray(EUC, shift)
-    assert form_matrix_residual(h.form, berwald_connection(EUC), GRID) < 1e-10
+    assert form_matrix_residual(h, berwald_connection(EUC), GRID) < 1e-10
 
 
 def test_connection_from_semispray_rejects_non_semispray():
@@ -79,13 +79,25 @@ def test_connection_from_semispray_rejects_non_semispray():
         connection_from_semispray(EUC, C)
 
 
+def test_the_constructors_return_the_connection_form():
+    # a connection is its vector 1-form, with its frame arrays memoised
+    hbar, _ = wagner_connection(EUC, F_X1)
+    for h in (connection_from_semispray(EUC, semispray_from_vertical(EUC, E_dy1(EUC))),
+              l_ehresmann_connection(EUC, fn_bracket(J, E_dy1(EUC))), hbar):
+        assert type(h) is VectorForm and h.degree == 1
+        assert h._matrix_memo is not None
+    # Id is a projector, but its kernel is not the vertical bundle
+    with pytest.raises(NotConnection, match=r"projector laws fail for Id: residual 1\.000e\+00"):
+        connections._wrap_connection(EUC, identity_form(N))
+
+
 def test_associated_semispray_of_berwald():
     for F in ALL:
-        s = associated_semispray(F, berwald(F))
+        s = associated_semispray(F, berwald_connection(F))
         s0 = canonical_spray(F)
         for p in GRID:
             assert close(s(p.coords()), s0(p.coords()))
-    assert close(associated_semispray(RIE, berwald(RIE))(P0.coords()),
+    assert close(associated_semispray(RIE, berwald_connection(RIE))(P0.coords()),
                  [1.0, 2.0, -1.0, 0.0])
 
 
@@ -98,7 +110,7 @@ def test_torsion_free_round_trip_and_idempotence():
     for p in GRID:
         assert close(s_back(p.coords()), sV(p.coords()), tol=1e-9)
     h2 = connection_from_semispray(EUC, s_back)
-    assert form_matrix_residual(h.form, h2.form, GRID) < 1e-9
+    assert form_matrix_residual(h, h2, GRID) < 1e-9
 
 
 # -- L-Ehresmann machinery ---------------------------------------------------------
@@ -107,17 +119,17 @@ def test_torsion_free_round_trip_and_idempotence():
 def test_l_ehresmann_zero_is_berwald():
     for F in ALL:
         h = l_ehresmann_connection(F, J.scale(0.0))
-        assert form_matrix_residual(h.form, berwald_connection(F), GRID) < 1e-10
+        assert form_matrix_residual(h, berwald_connection(F), GRID) < 1e-10
 
 
 def test_l_ehresmann_of_conservative_form_is_translation():
     for F in ALL:
         hbar, _ = wagner_connection(F, F_X1)
-        L = hbar.form - berwald_connection(F)
+        L = hbar - berwald_connection(F)
         assert conservative_form_residual(F, L, GRID) < 1e-9
         hL = l_ehresmann_connection(F, L)
         direct = berwald_connection(F) + L
-        assert form_matrix_residual(hL.form, direct, GRID) < 1e-8
+        assert form_matrix_residual(hL, direct, GRID) < 1e-8
 
 
 def test_theta_zero():
@@ -129,7 +141,7 @@ def test_theta_matches_connection_difference():
     for F in (EUC, RIE):
         hbar, L_W = wagner_connection(F, F_X1)
         th = theta_operator(F, L_W)
-        diff = hbar.form - berwald_connection(F)
+        diff = hbar - berwald_connection(F)
         assert form_matrix_residual(th, diff, GRID) < 1e-8
 
 
@@ -148,7 +160,7 @@ def test_theta_commutes_with_liouville_bracket():
 
 def test_wagner_zero_function():
     h, L_W = wagner_connection(EUC, BaseFunction(lambda x: 0.0, N, "0"))
-    assert form_matrix_residual(h.form, berwald_connection(EUC), GRID) < 1e-12
+    assert form_matrix_residual(h, berwald_connection(EUC), GRID) < 1e-12
     assert vector_form1_residual(L_W, GRID) < 1e-12
 
 
@@ -161,7 +173,7 @@ def test_wagner_form_hand_value():
 def test_wagner_conservative_everywhere():
     for F in ALL:
         h, L_W = wagner_connection(F, F_X1)
-        assert conservative_connection_residual(F, h.form, GRID) < 1e-8
+        assert conservative_connection_residual(F, h, GRID) < 1e-8
         pot = potential(L_W, canonical_spray(F), points=GRID)
         assert vector_field_residual(pot, GRID) < 1e-9
 
@@ -170,7 +182,7 @@ def test_wagner_equals_its_l_ehresmann_connection():
     for F in ALL:
         h, L_W = wagner_connection(F, F_X1)
         hL = l_ehresmann_connection(F, L_W)
-        assert form_matrix_residual(h.form, hL.form, GRID) < 1e-8
+        assert form_matrix_residual(h, hL, GRID) < 1e-8
 
 
 def test_wagner_form_residual_hand_value():
@@ -179,15 +191,16 @@ def test_wagner_form_residual_hand_value():
     assert abs(dle(P0.coords(), frame_vector(N2, 0)) + 2.0) < 1e-12  # -(y2^2)/2
 
 
-# -- torsion, tension, diagnostics ------------------------------------------------------
+# -- torsion and tension ----------------------------------------------------------------
 
 
 def test_berwald_torsion_and_tension_vanish():
+    pts = list(GRID)[:5]
     for F in ALL:
-        d = diagnostics(F, berwald(F), points=list(GRID)[:5])
-        assert d.torsion_residual < 1e-8
-        assert d.tension_residual < 1e-8
-        assert d.conservativity_residual < 1e-9
+        h0 = berwald_connection(F)
+        assert vector_form2_residual(weak_torsion(F, h0), pts) < 1e-8
+        assert vector_form1_residual(tension(F, h0), pts) < 1e-8
+        assert conservative_connection_residual(F, h0, pts) < 1e-9
 
 
 def test_weak_torsion_of_hL_equals_JL():
@@ -294,7 +307,7 @@ def test_scaled_J_with_nowhere_vanishing_potential_is_conservative():
         f_v = ScalarField(lambda z: z[0], N)
         L = J.scale(f_v / (2.0 * F.E))
         hL = l_ehresmann_connection(F, L)
-        assert conservative_connection_residual(F, hL.form, GRID) < 1e-8
+        assert conservative_connection_residual(F, hL, GRID) < 1e-8
         # and it is a genuine deformation: d_L E != 0
         assert conservative_form_residual(F, L, GRID) > 1e-3
 
@@ -334,7 +347,7 @@ def test_sV_generates_the_JV_connection():
         sV = semispray_from_vertical(F, V0)
         h1 = connection_from_semispray(F, sV)
         h2 = l_ehresmann_connection(F, fn_bracket(J, V0))
-        assert form_matrix_residual(h1.form, h2.form, list(GRID)[:6]) < 1e-8
+        assert form_matrix_residual(h1, h2, list(GRID)[:6]) < 1e-8
 
 
 def test_homogeneity_lemma_and_sprayness():
@@ -477,7 +490,7 @@ def test_vincze_closure_for_conservative_torsion_free_forms():
         L = fn_bracket(J, VectorField(V_fn, N))
         assert torsion_free_residual(F, L, list(GRID)[:5]) < 1e-9
         hL = l_ehresmann_connection(F, L)
-        assert conservative_connection_residual(F, hL.form, GRID) < 1e-8
+        assert conservative_connection_residual(F, hL, GRID) < 1e-8
         V_L = v_from_torsion_free(F, L)
         W = sharp_of_dLE(F, L)
         U = V_L + W
@@ -524,7 +537,7 @@ def test_vincze_identity_oracle():
 
 def test_dh_omega_berwald_and_torsion_free():
     F = EUC
-    assert dh_omega_residual(F, berwald(F), points=list(GRID)[:4]) < 1e-7
+    assert dh_omega_residual(F, berwald_connection(F), points=list(GRID)[:4]) < 1e-7
     hL = l_ehresmann_connection(F, fn_bracket(J, E_dy1(F)))
     assert dh_omega_residual(F, hL, points=list(GRID)[:4]) < 1e-7
 
@@ -591,15 +604,15 @@ def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
     p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
     z = p.coords()
     n2 = 2 * n
-    for h in (berwald(F), hL):
-        residual, d_m, d_om = _dh_omega_per_direction(F, h.form, z)
+    for h in (berwald_connection(F), hL):
+        residual, d_m, d_om = _dh_omega_per_direction(F, h, z)
         assert dh_omega_residual(F, h, [p]) == residual
         # the grid as one 4-point batch point gives the largest per-point residual
         assert dh_omega_residual(F, h, grid) == \
-            max(_dh_omega_per_direction(F, h.form, q.coords())[0] for q in grid)
+            max(_dh_omega_per_direction(F, h, q.coords())[0] for q in grid)
         tag = jets.fresh_tag()
         za = jets.lift(z, jets.vec_frame(n2), tag)
-        for mat, per_direction in ((h.form.matrix(za), d_m), (F.shared_omega_at(za)[0], d_om)):
+        for mat, per_direction in ((h.matrix(za), d_m), (F.shared_omega_at(za)[0], d_om)):
             for b in range(n2):
                 for c in range(n2):
                     assert jets.slots(jets.tangent(mat[b][c], tag), n2) == \
@@ -611,7 +624,7 @@ def test_dh_omega_is_nan_where_one_batch_point_is():
     coords = list(points[2].coords())
     coords[N + 1] = math.nan
     points[2] = point(*coords)
-    for h in (berwald(RAN), l_ehresmann_connection(RAN, fn_bracket(J, E_dy1(RAN)))):
+    for h in (berwald_connection(RAN), l_ehresmann_connection(RAN, fn_bracket(J, E_dy1(RAN)))):
         assert math.isnan(dh_omega_residual(RAN, h, points))
 
 
@@ -716,8 +729,8 @@ def _bracket_pairs(F):
     Jn = vertical_endomorphism(n)
     L = fn_bracket(Jn, build_field(F, "E-dy1"))
     f = ScalarField(lambda z: z[n] * z[0] + z[2 * n - 1] * z[1] * z[n], n)
-    h0 = berwald(F).form
-    return [(Jn, h0), (Jn, l_ehresmann_connection(F, L).form), (Jn, L),
+    h0 = berwald_connection(F)
+    return [(Jn, h0), (Jn, l_ehresmann_connection(F, L)), (Jn, L),
             (Jn, Jn.scale(f)), (Jn, h0.scale(f))]
 
 
@@ -758,7 +771,7 @@ def test_bracket_1_1_of_nonconstant_forms_matches_pairwise_formula():
         F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
         Jn = vertical_endomorphism(n)
         f = ScalarField(lambda z: z[n] * z[0] + z[2 * n - 1] * z[1] * z[n], n)
-        h0 = berwald(F).form
+        h0 = berwald_connection(F)
         fr = [frame_vector(n2, a) for a in range(n2)]
         z = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
         for K, L in ((h0.scale(f), Jn), (Jn.scale(f), h0), (h0, h0.scale(f))):
@@ -832,7 +845,7 @@ def test_bracket_1_0_of_nonconstant_forms_matches_column_formula():
             f = ScalarField(lambda z: z[n] * z[0] + z[2 * n - 1] * z[1] * z[n], n)
             fr = [frame_vector(n2, a) for a in range(n2)]
             z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
-            for K in (berwald(F).form, vertical_endomorphism(n).scale(f)):
+            for K in (berwald_connection(F), vertical_endomorphism(n).scale(f)):
                 devs, size = [], 0.0
                 for Y in _bracket_fields(F) + [liouville_field(n)]:
                     for z in (z0, list(F.grid)[0].coords()):
@@ -848,7 +861,7 @@ def test_bracket_1_0_of_nonconstant_forms_matches_column_formula():
 def test_sum_of_vector_two_forms_builds_each_array_once():
     # (t + t).matrix adds the two summands' frame arrays entry by entry: two
     # arrays, each reading the lifted columns of J and of h0 once
-    t = weak_torsion(RAN, berwald(RAN))
+    t = weak_torsion(RAN, berwald_connection(RAN))
     z = P0.coords()
     lifted = []
     lifted_columns = calculus._lifted_columns

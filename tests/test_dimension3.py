@@ -80,8 +80,8 @@ def test_connections_in_3d():
     assert projector_residual(F, berwald_connection(F), GRID) < 1e-9
     hbar, L_W = wagner_connection(F, base_function("x1", N))
     hL = l_ehresmann_connection(F, L_W)
-    assert form_matrix_residual(hbar.form, hL.form, list(GRID)[:3]) < 1e-8
-    assert vector_form1_residual(tension(F, hbar.form), list(GRID)[:3]) < 1e-8
+    assert form_matrix_residual(hbar, hL, list(GRID)[:3]) < 1e-8
+    assert vector_form1_residual(tension(F, hbar), list(GRID)[:3]) < 1e-8
 
 
 def test_registry_fields_in_3d():

@@ -181,8 +181,7 @@ def test_jet_construction_budget(n, what, budget):
     # 3396 and 13008 in the first three, d_h omega without the point memo
     # 147451, and [J, h0] with eight scalar passes per frame pair 49125.
     from finslerlab.connections import (
-        berwald, dh_omega_residual, l_ehresmann_connection, vector_form2_residual,
-        weak_torsion,
+        dh_omega_residual, l_ehresmann_connection, vector_form2_residual, weak_torsion,
     )
     from finslerlab.registry import build_field
     F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
@@ -194,14 +193,14 @@ def test_jet_construction_budget(n, what, budget):
     elif what == "berwald":
         count = _jet_constructions(lambda: berwald_connection(F)._compute_matrix(z))
     elif what == "torsion":
-        torsion = weak_torsion(F, berwald(F))
+        torsion = weak_torsion(F, berwald_connection(F))
         count = _jet_constructions(lambda: vector_form2_residual(torsion, [point(*z)]))
     elif what == "point-query":
         x = sharp(F, coordinate_one_form(n, 0))
         count = _jet_constructions(
             lambda: (canonical_spray(F)(z), berwald_connection(F).matrix(z), x(z)))
     else:
-        h0 = berwald(F)
+        h0 = berwald_connection(F)
         hL = l_ehresmann_connection(
             F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
         p = point(*z)
@@ -761,12 +760,12 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
     # d_h omega's lifted point, and the memo stores its primal at the lifted point,
     # so omega is never built at the one-tag point, for h0 or h_L; the residuals
     # are those of a structure whose memo stores no primal
-    from finslerlab.connections import berwald, dh_omega_residual, l_ehresmann_connection
+    from finslerlab.connections import dh_omega_residual, l_ehresmann_connection
     from finslerlab.registry import build_field
 
     def connections():
         F = finsler_fixture("randers-0.3", sample_slit_points(2, 4, seed=1))
-        return F, [berwald(F), l_ehresmann_connection(
+        return F, [berwald_connection(F), l_ehresmann_connection(
             F, fn_bracket(vertical_endomorphism(N), build_field(F, "E-dy1")))]
 
     built = []
@@ -873,13 +872,12 @@ def test_dh_omega_and_weak_torsion_build_the_lifted_berwald_matrix_once():
     # lift the point along the vector frame with a tag of their own
     from finslerlab.calculus import VectorForm
     from finslerlab.connections import (
-        berwald, dh_omega_residual, l_ehresmann_connection, vector_form2_residual,
-        weak_torsion,
+        dh_omega_residual, l_ehresmann_connection, vector_form2_residual, weak_torsion,
     )
     from finslerlab.registry import build_field
     for n in (2, 3):
         F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
-        h0 = berwald(F)
+        h0 = berwald_connection(F)
         hL = l_ehresmann_connection(
             F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
         p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
@@ -887,7 +885,7 @@ def test_dh_omega_and_weak_torsion_build_the_lifted_berwald_matrix_once():
         compute = VectorForm._compute_matrix
 
         def counting(self, z):
-            if self is h0.form and calculus.point_key(z)[2]:
+            if self is h0 and calculus.point_key(z)[2]:
                 built.append(z)
             return compute(self, z)
 

@@ -19,6 +19,7 @@ import pytest
 from finslerlab import calculus, checks, cli, connections, finsler
 from finslerlab.cli import main
 from test_funk import funk_cells
+from test_headroom import above_headroom, cells
 
 
 def mutant(func, old, new):
@@ -118,6 +119,26 @@ def test_mutant_fails_every_targeted_check_on_funk(name, owner, attr, old, new, 
     assert [c for c, *_ in cells] == checks
     still_pass = [c for c, _, _, passed in cells if passed]
     assert not still_pass, f"{name}: {still_pass} still pass"
+
+
+# Mutants that every tolerance misses and only the precision sentinel
+# (tests/test_headroom.py) catches: a relative error of 1e-11 in omega's g
+# blocks moves the worst default cell to about 1e-9, below every tolerance.
+HEADROOM_MUTANTS = [
+    ("omega's g blocks scaled by 1 + 1e-11", finsler, "omega_and_dE",
+     "g = h[n + i][j] if i <= j else h[n + j][i]",
+     "g = (h[n + i][j] if i <= j else h[n + j][i]) * (1.0 + 1e-11)"),
+]
+
+
+@pytest.mark.parametrize("name, owner, attr, old, new", HEADROOM_MUTANTS,
+                         ids=[m[0] for m in HEADROOM_MUTANTS])
+def test_mutant_below_every_tolerance_is_caught_by_the_headroom(name, owner, attr, old, new,
+                                                                monkeypatch):
+    patch(monkeypatch, owner, attr, old, new)
+    cell_list = cells(7)
+    assert all(passed for _, _, passed in cell_list)
+    assert above_headroom(cell_list), f"{name}: every cell still reads below the headroom"
 
 
 def test_every_check_is_targeted_by_a_mutant():

@@ -71,8 +71,8 @@ def _forms(F):
     shared = SharedObjects(F)
     hbar, L_W = shared.wagner
     h0 = berwald_connection(F)
-    return {"h0": h0, "wagner": hbar.form, "h_L_W": shared.h_L_W.form,
-            "h_[J,E-dy1]": shared.h_j_e_dy1.form, "h0 + L_W": h0 + L_W,
+    return {"h0": h0, "wagner": hbar, "h_L_W": shared.h_L_W,
+            "h_[J,E-dy1]": shared.h_j_e_dy1, "h0 + L_W": h0 + L_W,
             "1.5 h0": h0.scale(1.5)}
 
 

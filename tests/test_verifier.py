@@ -30,6 +30,8 @@ def test_registry_filter():
     assert [s.id for s in list_checks(["CHK-07"])] == ["CHK-07"]
     with pytest.raises(BadConfig, match=r"unknown check ids \['CHK-99'\]"):
         list_checks(["CHK-07", "CHK-99"])
+    with pytest.raises(BadConfig, match="selects no check"):
+        list_checks([])
 
 
 def test_every_check_has_description_and_fixtures():
@@ -164,20 +166,21 @@ def test_residuals_reproducible_from_library_ops():
     # a report cell must be recomputable by calling the underlying ops on the
     # same grid; CHK-05 is max over torsion, tension, and d_h E residuals
     from finslerlab.core import sample_slit_points
-    from finslerlab.finsler import conservative_connection_residual, finsler_fixture
+    from finslerlab.finsler import (
+        berwald_connection, conservative_connection_residual, finsler_fixture,
+    )
     from finslerlab.connections import (
-        berwald, diagnostics, tension, vector_form1_residual,
-        vector_form2_residual, weak_torsion,
+        tension, vector_form1_residual, vector_form2_residual, weak_torsion,
     )
     cfg = RunConfig(fixtures=["riemannian-exp"], samples=8, seed=42,
                     checks=["CHK-05"])
     res, _ = run_checks(cfg)
     grid = sample_slit_points(2, 8, 42)
     F = finsler_fixture("riemannian-exp", grid)
-    h0 = berwald(F)
+    h0 = berwald_connection(F)
     direct = max(vector_form2_residual(weak_torsion(F, h0), grid),
                  vector_form1_residual(tension(F, h0), grid),
-                 conservative_connection_residual(F, h0.form, grid))
+                 conservative_connection_residual(F, h0, grid))
     assert res[0].max_residual == direct
 
 
@@ -206,6 +209,18 @@ def test_cli_list_rejects_unknown_check_as_check_does(capsys):
     assert main(["list", "--only", "CHK-01, CHK-02"]) == 0
     assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == \
         ["CHK-01", "CHK-02"]
+
+
+@pytest.mark.parametrize("only, message", [
+    ("", "the configuration selects no check"),
+    (",", "the configuration selects no check"),
+    ("CHK-99", "unknown check ids ['CHK-99']"),
+], ids=["empty", "comma", "unknown"])
+def test_cli_list_and_check_reject_an_only_that_selects_no_check(only, message, capsys):
+    # list once printed all 16 checks for "" and none for ",", exiting 0
+    for command in ("list", "check"):
+        assert main([command, "--only", only]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize("config, message", [
