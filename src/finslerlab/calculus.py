@@ -488,10 +488,12 @@ def tensor_one_form_field(alpha: DifferentialForm, X: VectorField) -> VectorForm
     if alpha.degree != 1:
         raise DegreeOutOfRange("tensor product needs a 1-form")
 
+    n2 = 2 * X.n
+    frame = jets.vec_frame(n2)
+
     def mfn(z):
         xz = X(z)
-        n2 = 2 * X.n
-        row = [alpha.fn(z, frame_vector(n2, b)) for b in range(n2)]
+        row = jets.slots(alpha.fn(z, frame), n2)
         return [[row[b] * xa for b in range(n2)] for xa in xz]
 
     return VectorForm(1, mfn, X.n, name=f"{alpha.name}(x){X.name}")

@@ -170,7 +170,7 @@ def random_one_forms(n: int, count: int, seed: int, semibasic: bool = False):
 
 
 def _sup_form1(form, z, n2):
-    return sup_abs(form(z, frame_vector(n2, a)) for a in range(n2))
+    return sup_abs(jets.slots(form(z, jets.vec_frame(n2)), n2))
 
 
 def _sup_form2(form, z, n2):
@@ -211,9 +211,10 @@ def _chk03_sharp_round_trip(F, ctx):
         + random_one_forms(F.n, 2, ctx.seed + 203, semibasic=True)
     for beta in betas:
         xz = sharp(F, beta)(z)
+        row = jets.slots(beta(z, jets.vec_frame(n2)), n2)
         for b in range(n2):
             ins = sum(xz[a] * m[a][b] for a in range(n2))
-            devs.append(ins - beta(z, frame_vector(n2, b)))
+            devs.append(ins - row[b])
     return Outcome(sup_abs(devs))
 
 
@@ -302,9 +303,9 @@ def _chk09_conformal(F, ctx):
     n2 = 2 * F.n
     z = grid_coords(ctx.grid)
     s = jets.exp(phi(z))
-    for a in range(n2):
-        ea = frame_vector(n2, a)
-        residuals.append(dle2(z, ea) - s * dle(z, ea))
+    frame = jets.vec_frame(n2)
+    residuals += (x2 - s * x for x2, x in zip(jets.slots(dle2(z, frame), n2),
+                                              jets.slots(dle(z, frame), n2)))
     # conservative L-Ehresmann connections stay conservative after the change
     hL2 = l_ehresmann_connection(F2, L)
     residuals.append(conservative_connection_residual(F2, hL2, ctx.grid))

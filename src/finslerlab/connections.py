@@ -8,6 +8,11 @@ factors, and the conservativity criterion i_V omega = d_J(V E) for vertical
 fields.  A connection is its vector 1-form h, a projector whose kernel is
 the vertical bundle: each construction returns the ``VectorForm`` itself,
 with its frame arrays memoised, and h0 is ``finsler.berwald_connection``.
+A construction may read dE from the structure's point memo, as (d_L E)#
+does (``sharp_of_dLE``: d_L E = dE o L); a predicate never does, and the
+Vincze residual reads omega from a fresh pass.  A 1-form is evaluated on the
+whole frame at once, along ``jets.vec_frame``, and ``jets.slots`` gives its
+2n values.
 Every predicate is a sup-norm residual over sample points; nothing
 is proved symbolically.  A residual helper evaluates its points as one point
 (``core.grid_coords``: one batch point for a grid of several) and takes the
@@ -29,8 +34,8 @@ import numpy as np
 
 from . import jets
 from .calculus import (
-    VectorField, VectorForm, complete_lift_function, d_K, d_function,
-    field_apply, fn_bracket, frame_vector, homogeneity_residual, identity_form,
+    VectorField, VectorForm, _combine, complete_lift_function, d_K, d_function,
+    field_apply, fn_bracket, homogeneity_residual, identity_form,
     insert_vector, liouville_field, precheck, semibasic_residual,
     semispray_residual, sup_abs, tensor_one_form_field, vertical_endomorphism,
     vertical_lift_function,
@@ -42,7 +47,7 @@ from .errors import (
 )
 from .finsler import (
     FinslerStructure, berwald_connection, canonical_spray,
-    conservative_connection_residual, gradient, projector_residual, sharp,
+    conservative_connection_residual, gradient, projector_residual,
 )
 
 
@@ -113,8 +118,20 @@ berwald = berwald_connection  # old name of h0; perfbench/workloads.py is its on
 
 
 def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
-    """(d_L E)#, the vertical field driving the h_L deformation."""
-    return sharp(F, d_K(L, F.E))
+    """(d_L E)#, the vertical field driving the h_L deformation.
+
+    d_L E = dE o L, so at z its value on e_b is beta_b = sum_a dE_a L[a][b],
+    the rows of L's matrix contracted with dE (``_combine``).  dE is the memo
+    entry that the solve at z reads omega from (``F.shared_omega_at``), so
+    the field makes no pass of E of its own.
+    """
+    n2 = 2 * F.n
+
+    def ev(z):
+        beta = _combine(jets.slots(F.shared_omega_at(z)[1], n2), L.matrix(z))
+        return F.sharp_at(beta, z)
+
+    return VectorField(ev, F.n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
 
 
 def theta_operator(F: FinslerStructure, L: VectorForm) -> VectorForm:
@@ -263,8 +280,8 @@ def vincze_residual(F: FinslerStructure, V: VectorField, points=None) -> float:
     z = grid_coords(points)
     vz = V(z)
     m = F.omega_matrix_at(z)
-    return sup_abs(sum(vz[a] * m[a][b] for a in range(n2)) - dj_ve(z, frame_vector(n2, b))
-                   for b in range(n2))
+    dj = jets.slots(dj_ve(z, jets.vec_frame(n2)), n2)
+    return sup_abs(sum(vz[a] * m[a][b] for a in range(n2)) - dj[b] for b in range(n2))
 
 
 def conservative_lift(F: FinslerStructure, V: VectorField) -> VectorField:
@@ -293,8 +310,7 @@ def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> floa
     J = vertical_endomorphism(F.n)
     djg = d_K(J, g)
     n2 = 2 * F.n
-    z = grid_coords(points)
-    return sup_abs(djg(z, frame_vector(n2, a)) for a in range(n2))
+    return sup_abs(jets.slots(djg(grid_coords(points), jets.vec_frame(n2)), n2))
 
 
 def dh_omega_residual(F: FinslerStructure, h: VectorForm, points=None) -> float:

@@ -29,6 +29,12 @@ computes every value part from value parts alone (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).  Not stored: a float or
 batch lifted-from point, which keeps its own checked miss, and an entry
 holding an energy's own jet above t, whose primal along t would keep t.
+
+Constructions may read dE from the memo: the canonical spray solves -dE, and
+(d_L E)# (``connections.sharp_of_dLE``) contracts dE with L's matrix, each at
+the entry its solve reads omega from.  Checks never do: ``omega_matrix_at``
+and ``_d_form_E_residual`` make fresh passes of E, so a wrong entry cannot
+confirm itself.
 """
 
 from __future__ import annotations
@@ -138,9 +144,13 @@ def _sharp_block_solve(m, beta, n, z):
     cond(omega) as well.
 
     At a batch point each point's pivots are guarded on their own, and the
-    first failing point raises; a float pivot is the same at every point, so
-    it fails at the first.  A float or batch component of the result has its
-    negative zeros made positive; a jet component is returned as computed.
+    first failing point raises what its own solve raises, as a loop over the
+    points would: a point that fails a column's pivot is named only when no
+    earlier point fails at a later column or the ratio test
+    (``_earlier_failure``, which runs only on that failing path).  A float
+    pivot is the same at every point, so it fails at the first.  A float or
+    batch component of the result has its negative zeros made positive; a
+    jet component is returned as computed.
     """
     rows = [[m[n + i][j] for i in range(n)] for j in range(n)]  # g^T, by row j
     elim = []  # (r, col, f): row r minus f times row col, in the order done
@@ -153,7 +163,8 @@ def _sharp_block_solve(m, beta, n, z):
             bad = key <= 0.0
             if bad.any():
                 i = int(np.argmax(bad))
-                raise _pivot_failure(z, i, key[i], "not positive definite")
+                raise _earlier_failure(m, n, z, i) \
+                    or _pivot_failure(z, i, key[i], "not positive definite")
         elif key <= 0.0:
             raise _pivot_failure(z, 0, key, "not positive definite")
         pivots.append(key)
@@ -199,6 +210,21 @@ def _sharp_block_solve(m, beta, n, z):
     return [v if type(v) is jets.Jet else v + 0.0 for v in xh + solve(rhs)]  # +0.0 normalises -0.0
 
 
+def _earlier_failure(m, n, z, i):
+    """The failure of the first of points 0..i-1 of batch point z whose own
+    solve fails, or None: each point's real parts of omega's matrix are
+    solved as a float point.  Pivots and their guards read real parts alone,
+    which the jet and batch operations compute from real parts, point by
+    point."""
+    for k in range(i):
+        try:
+            _sharp_block_solve([_real_point(row, k) for row in m], [0.0] * (2 * n), n,
+                               _real_point(z, k))
+        except NondegeneracyFailure as e:
+            return e
+    return None
+
+
 def _pivot_failure(z, i, pivot, what):
     """The failure of a pivot at point ``i`` of z (z itself at a float point)."""
     return NondegeneracyFailure(f"fundamental tensor {what} during sharp solve",
@@ -206,8 +232,8 @@ def _pivot_failure(z, i, pivot, what):
 
 
 def _real_point(z, i):
-    """The real parts of z's coordinates at point ``i`` of a batch; at a float
-    point, all of them."""
+    """The real parts of the entries of z (a point's coordinates, or a row of a
+    matrix there) at point ``i`` of a batch; at a float point, all of them."""
     return [float(c[i]) if type(c) is jets.Batch else c for c in map(jets.realpart, z)]
 
 
@@ -432,11 +458,16 @@ def conformal_change(F: FinslerStructure, f: BaseFunction) -> FinslerStructure:
 
 
 def _d_form_E_residual(F: FinslerStructure, K: VectorForm, points) -> float:
-    """sup over points and frame of |dE(K e_a)|."""
+    """sup over points and frame of |dE(K e_b)|.
+
+    One fresh vector pass of E along K's columns: component a of the
+    direction is ``Vec`` of row a, whose slot b is component a of K e_b.  A
+    check, so it never reads dE from the structure's memo.
+    """
     n2 = 2 * F.n
     z = grid_coords(points)
-    m = K.matrix(z)
-    return sup_abs(jets.directional(F.E.fn, z, [m[a][b] for a in range(n2)]) for b in range(n2))
+    direction = [jets.Vec(row) for row in K.matrix(z)]
+    return sup_abs(jets.slots(jets.directional(F.E.fn, z, direction), n2))
 
 
 def conservative_form_residual(F: FinslerStructure, L: VectorForm, points=None) -> float:

@@ -3,16 +3,18 @@
 The finite-difference oracle here is deliberately independent of the jet
 machinery: it only ever calls the function under test on plain float
 coordinates.  The constructions at the end are the library objects that only
-tests use, among them ``dh_omega_form``, the generic reference that
-``connections.dh_omega_residual`` is compared with.
+tests use, among them the generic references that library shortcuts are
+compared with: ``dh_omega_form`` for ``connections.dh_omega_residual`` and
+``sharp_of_dLE_reference`` for ``connections.sharp_of_dLE``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from finslerlab.calculus import VectorField, exterior_derivative, insert_one_form
+from finslerlab.calculus import VectorField, d_K, exterior_derivative, insert_one_form
 from finslerlab.core import ScalarField
+from finslerlab.finsler import sharp
 
 
 def fd_directional(fn, coords, direction, h=1e-5):
@@ -85,3 +87,10 @@ def dh_omega_form(F, h):
     om = F.omega.two_form
     return insert_one_form(h, exterior_derivative(om)) \
         - exterior_derivative(insert_one_form(h, om))
+
+
+def sharp_of_dLE_reference(F, L):
+    """(d_L E)# as the sharp of the generic 1-form d_K(L, E), whose every
+    evaluation is a fresh pass of E along L's columns (the library contracts
+    L's matrix with the dE of the structure's memo instead)."""
+    return sharp(F, d_K(L, F.E))

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from finslerlab import calculus, connections, jets
+from finslerlab import calculus, connections, finsler, jets
 from finslerlab.calculus import (
     VectorField, VectorForm, d_K, field_apply, fn_bracket, frame_vector,
     identity_form, liouville_field, potential, semispray_residual, sup_abs,
@@ -33,7 +33,7 @@ from finslerlab.connections import (
 
 from finslerlab.registry import base_function, build_field
 
-from helpers import dh_omega_form, maxabs
+from helpers import dh_omega_form, maxabs, sharp_of_dLE_reference
 from test_funk import funk
 
 N, N2 = 2, 4
@@ -153,6 +153,69 @@ def test_theta_commutes_with_liouville_bracket():
             lhs = fn_bracket(C, theta_operator(F, L))
             rhs = theta_operator(F, fn_bracket(C, L))
             assert form_matrix_residual(lhs, rhs, list(GRID)[:5]) < 1e-8
+
+
+def _dLE_forms(F):
+    """The semibasic forms whose (d_L E)# the checks read: [J, E-dy1], L_W and f^v J."""
+    n = F.n
+    J_n = vertical_endomorphism(n)
+    f = base_function("x1", n)
+    fvJ = J_n.scale(vertical_lift_function(f))
+    fvJ.name = "fvJ"
+    return [fn_bracket(J_n, build_field(F, "E-dy1")), wagner_connection(F, f)[1], fvJ]
+
+
+def _value_and_slots(xs, tag, k):
+    """A field's value at a point lifted with ``tag`` (None: not lifted): its
+    primal parts and then the k tangent slots of each component, as one array."""
+    if tag is not None:
+        xs = [jets.primal(x, tag) for x in xs] \
+            + [s for x in xs for s in jets.slots(jets.tangent(x, tag), k)]
+    return np.array(np.broadcast_arrays(*xs))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3", "funk"])
+def test_sharp_of_dLE_matches_the_sharp_of_d_L_E(fid, n):
+    # the contraction of L's matrix with the memo's dE against a fresh pass of E
+    # along L's columns: they round differently, so the bound is relative, to
+    # the largest part of the reference's value and slots (a slot that is zero
+    # in exact arithmetic, such as D_{x2} of (d_fvJ E)# on Funk, reads rounding
+    # noise of about 1e-18 on both paths)
+    grid = sample_slit_points(n, 4, seed=1)
+    F = funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
+    n2 = 2 * n
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+    scalar, vector = jets.fresh_tag(), jets.fresh_tag()
+    points = [(z0, None, 0), (grid_coords(grid), None, 0),
+              (jets.lift(z0, [0.5, -0.25, 1.0, 0.75, -0.5, 0.3][:n2], scalar), scalar, 1),
+              (jets.lift(z0, jets.vec_frame(n2), vector), vector, n2)]
+    for L in _dLE_forms(F):
+        W, reference = sharp_of_dLE(F, L), sharp_of_dLE_reference(F, L)
+        assert W.name == reference.name == f"sharp(d_{L.name}{F.E.name})"
+        for z, tag, k in points:
+            actual, expected = (_value_and_slots(X(z), tag, k) for X in (W, reference))
+            scale = np.abs(expected).max()
+            assert scale > 0.0 and np.abs(actual - expected).max() <= 1e-12 * scale, (L.name, k)
+
+
+def test_sharp_of_dLE_reads_dE_where_its_solve_reads_omega(monkeypatch):
+    # one omega pass per point: the solve's, whose memo entry holds dE too.  The
+    # frame arrays of these L read no omega
+    calls = []
+    omega = finsler.omega_and_dE
+    monkeypatch.setattr(finsler, "omega_and_dE", lambda *args: calls.append(1) or omega(*args))
+    z0 = P0.coords()
+    for fid in ("euclidean", "randers-0.3"):
+        for z in (z0, grid_coords(GRID), jets.lift(z0, [0.5, -0.25, 1.0, 0.75], jets.fresh_tag()),
+                  jets.lift(z0, jets.vec_frame(N2), jets.fresh_tag())):
+            for L in (lambda F: fn_bracket(J, build_field(F, "E-dy1")),
+                      lambda F: J.scale(vertical_lift_function(F_X1))):
+                F = finsler_fixture(fid, GRID)  # its memo is empty
+                W = sharp_of_dLE(F, L(F))
+                calls.clear()
+                W(z)
+                assert len(calls) == 1
 
 
 # -- Wagner connection ----------------------------------------------------------------

@@ -558,6 +558,16 @@ def _assert_batch_fails_like_its_points(F, pts, message=NOT_POSITIVE):
     return batched
 
 
+def _energy_g11_x1(z):
+    """g = [[x1, x2], [x2, 1]]: where 0 < x1 < x2^2, the second pivot fails."""
+    return 0.5 * z[0] * z[2] * z[2] + z[1] * z[2] * z[3] + 0.5 * z[3] * z[3]
+
+
+def _energy_diag_x1(z):
+    """g = diag(x1, 1): its pivots are x1 and 1."""
+    return 0.5 * (z[0] * z[2] * z[2] + z[3] * z[3])
+
+
 def test_sharp_with_an_indefinite_metric_fails_loudly():
     # validation is off, so the solve's pivot guard is what stops an indefinite g
     # E = y1 y2 has g = [[0, 1], [1, 0]]: the first pivot is 0 at every point
@@ -569,10 +579,7 @@ def test_sharp_with_an_indefinite_metric_fails_loudly():
     _assert_batch_fails_like_its_points(F, [P0, *GRID])
     # g = [[x1, x2], [x2, 1]]: where 0 < x1 < x2^2, g11 > 0 but det g < 0, and
     # the second pivot 1 - x2^2 / x1 fails (-3 at the second point)
-    def ev(z):
-        return 0.5 * z[0] * z[2] * z[2] + z[1] * z[2] * z[3] + 0.5 * z[3] * z[3]
-
-    F = FinslerStructure(ScalarField(ev, N), N, GRID, validate=False)
+    F = FinslerStructure(ScalarField(_energy_g11_x1, N), N, GRID, validate=False)
     pts = [point(0.5, 0.5, 1.0, 2.0), point(0.25, 1.0, 1.0, 2.0)]
     assert _assert_batch_fails_like_its_points(F, pts).value == -3.0
     # g = diag(1, 1e-13) is positive definite but its pivots are 1e13 apart, so
@@ -585,6 +592,44 @@ def test_sharp_with_an_indefinite_metric_fails_loudly():
         with pytest.raises(NondegeneracyFailure, match=SINGULAR) as err:
             finsler._sharp_block_solve(omega_and_dE(E, N, z)[0], _jet_beta(z), N, z)
         assert err.value.point == list(P0.coords()) and err.value.value == 1e-13
+
+
+@pytest.mark.parametrize("ev, pts, message, value", [
+    # the first point fails the second column's pivot (1 - 1 / 0.25), the second
+    # point the first column's (-0.5)
+    (_energy_g11_x1, [point(0.25, 1.0, 1.0, 2.0), point(-0.5, 0.0, 1.0, 2.0)],
+     NOT_POSITIVE, -3.0),
+    # the first point's pivots are positive but 1e13 apart, and the ratio test
+    # after the elimination stops it; the second point fails the first column
+    (_energy_diag_x1, [point(1e-13, 0.0, 1.0, 2.0), point(-0.5, 0.0, 1.0, 2.0)],
+     SINGULAR, 1e-13),
+    # only the second point fails: the batch names it with its own pivot
+    (_energy_diag_x1, [point(0.5, 0.0, 1.0, 2.0), point(-0.5, 0.0, 1.0, 2.0)],
+     NOT_POSITIVE, -0.5),
+], ids=["later-column", "ratio-test", "second-point"])
+@pytest.mark.parametrize("lifted", [False, True], ids=["batch", "lifted-batch"])
+def test_a_batch_solve_raises_what_the_first_failing_point_raises_alone(ev, pts, message,
+                                                                        value, lifted):
+    # a batch solve stops at the earliest failing column, where a later point may
+    # fail first; it must still name the point that a loop over the points names,
+    # with that point's own failure.  The solve is called on omega's matrix, since
+    # at a float or batch point the memo's cond(omega) check comes first
+    E = ScalarField(ev, N)
+
+    def failure(z):
+        if lifted:
+            z = jets.lift(z, [0.5, -0.25, 1.0, 0.75], jets.fresh_tag())
+        try:
+            finsler._sharp_block_solve(omega_and_dE(E, N, z)[0], _jet_beta(z), N, z)
+        except NondegeneracyFailure as e:
+            return e
+        return None
+
+    first = next(e for e in map(failure, (p.coords() for p in pts)) if e is not None)
+    batched = failure(PointBatch(pts).coords())
+    assert (type(batched), str(batched), batched.point, batched.value) \
+        == (type(first), str(first), first.point, first.value)
+    assert str(batched) == message and batched.value == value
 
 
 def test_sharp_with_a_degenerate_metric_fails_at_a_jet_point():

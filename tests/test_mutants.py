@@ -72,6 +72,18 @@ MUTANTS = [
     ("share the first fixture's objects with every fixture", (checks, cli), "run_checks",
      "shared=shared[fid]", "shared=next(iter(shared.values()))",
      ["CHK-06", "CHK-07", "CHK-08", "CHK-09", "CHK-15"]),
+    # d_L E = dE o L, whose value on e_b contracts dE with column b of L's matrix:
+    # row b in its place (m[b][a]), or -dE, is another 1-form, and (d_L E)# drives
+    # every h_L, S^V and conservative lift.  -dE keeps the homogeneity of Theta_L
+    # and cancels in the V_L round trip, so CHK-11, 12 and 14 are blind to it, and
+    # CHK-06 measures a conservative L, for which d_L E = 0
+    ("d_L E from the rows of L's matrix, m[b][a]", connections, "sharp_of_dLE",
+     "L.matrix(z)", "[list(c) for c in zip(*L.matrix(z))]",
+     ["CHK-07", "CHK-08", "CHK-09", "CHK-10", "CHK-11", "CHK-12", "CHK-14", "CHK-15",
+      "CHK-16"]),
+    ("d_L E from -dE", connections, "sharp_of_dLE",
+     "F.shared_omega_at(z)[1]", "-1.0 * F.shared_omega_at(z)[1]",
+     ["CHK-07", "CHK-08", "CHK-10", "CHK-15", "CHK-16"]),
     # h^2 + h in place of h^2 - h: every connection's projector laws fail, both
     # where a construction validates it and where d_h E is measured
     ("h^2 + h in the stacked projector residual", (finsler, connections),

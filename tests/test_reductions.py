@@ -6,6 +6,12 @@ matrices stacked over the points.  The references below are the per-entry
 loops they replace; each product and partial sum is the same IEEE operation
 in both, so the residuals agree to the last bit (compared with ``float.hex``)
 at a float point, a 32-point batch and a one-point batch.
+
+Likewise a 1-form on the whole frame is one evaluation along
+``jets.vec_frame``, whose slots repeat the per-frame-vector passes of the
+per-frame loops it replaces (``checks._sup_form1``, ``vertical_lift_test``,
+``vincze_residual``, ``finsler._d_form_E_residual`` and the row of
+``tensor_one_form_field``), so they agree up to the signs of zeros.
 """
 
 import math
@@ -15,16 +21,19 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.calculus import (
-    complete_lift_function, identity_form, sup_abs, vertical_endomorphism,
+    complete_lift_function, d_function, d_K, field_apply, fn_bracket, frame_vector,
+    identity_form, insert_vector, liouville_field, sup_abs, tensor_one_form_field,
+    vertical_endomorphism, vertical_lift_function,
 )
-from finslerlab.checks import SharedObjects
-from finslerlab.connections import form_matrix_residual
+from finslerlab.checks import SharedObjects, _sup_form1, random_one_forms
+from finslerlab.connections import form_matrix_residual, vertical_lift_test, vincze_residual
 from finslerlab.core import PointBatch, grid_coords, point, sample_slit_points
 from finslerlab.errors import BadConfig
 from finslerlab.finsler import (
-    berwald_connection, finsler_fixture, fixture_ids, projector_residual,
+    _d_form_E_residual, berwald_connection, canonical_spray, finsler_fixture, fixture_ids,
+    gradient, projector_residual,
 )
-from finslerlab.registry import base_function
+from finslerlab.registry import base_function, build_field
 
 
 def ref_sup_abs(values):
@@ -156,3 +165,80 @@ def test_sup_abs_of_nan_negative_zero_and_empty_inputs():
         projector_residual(F, h0, [])
     with pytest.raises(BadConfig):
         form_matrix_residual(h0, h0, [])
+
+
+# -- 1-forms on the whole frame in one vector pass ----------------------------------------
+
+
+def ref_sup_form1(form, z, n2):
+    return sup_abs(form(z, frame_vector(n2, a)) for a in range(n2))
+
+
+def ref_vertical_lift_test(F, g, points):
+    n2 = 2 * F.n
+    djg = d_K(vertical_endomorphism(F.n), g)
+    z = grid_coords(points)
+    return sup_abs(djg(z, frame_vector(n2, a)) for a in range(n2))
+
+
+def ref_vincze_residual(F, V, points):
+    n2 = 2 * F.n
+    dj_ve = d_K(vertical_endomorphism(F.n), field_apply(V, F.E))
+    z = grid_coords(points)
+    vz = V(z)
+    m = F.omega_matrix_at(z)
+    return sup_abs(sum(vz[a] * m[a][b] for a in range(n2)) - dj_ve(z, frame_vector(n2, b))
+                   for b in range(n2))
+
+
+def ref_d_form_E_residual(F, K, points):
+    n2 = 2 * F.n
+    z = grid_coords(points)
+    m = K.matrix(z)
+    return sup_abs(jets.directional(F.E.fn, z, [m[a][b] for a in range(n2)]) for b in range(n2))
+
+
+def ref_tensor_matrix(alpha, X, z):
+    n2 = 2 * X.n
+    row = [alpha.fn(z, frame_vector(n2, b)) for b in range(n2)]
+    return [[row[b] * xa for b in range(n2)] for xa in X(z)]
+
+
+def _equal(a, b):
+    """``a == b`` for floats or batches, which ignores the signs of zeros."""
+    return bool(np.all(np.asarray(a) == np.asarray(b)))
+
+
+@pytest.mark.parametrize("where", ["float point", "32-point batch"])
+@pytest.mark.parametrize("fid", fixture_ids())
+def test_one_forms_on_the_frame_equal_their_per_frame_loops(fid, where):
+    F = finsler_fixture(fid, (PointBatch(GRID),))
+    points = GRIDS[where]
+    z = grid_coords(points)
+    n, n2 = F.n, 2 * F.n
+    J = vertical_endomorphism(n)
+    C = liouville_field(n)
+    f_v = vertical_lift_function(base_function("x1", n))
+    hbar, L_W = SharedObjects(F).wagner
+    e_dy1 = build_field(F, "E-dy1")
+    djE = d_K(J, F.E)
+    i_c_om = insert_vector(C, F.omega.two_form)
+    # CHK-02's i_C omega - d_J E reads about 1e-16; the others are far from zero
+    forms = [i_c_om - djE, djE, d_function(F.E), d_K(L_W, F.E),
+             *random_one_forms(n, 2, 3), *random_one_forms(n, 1, 4, semibasic=True)]
+    sups = [(_sup_form1(a, z, n2), ref_sup_form1(a, z, n2)) for a in forms]
+    pot = insert_vector(canonical_spray(F), L_W)
+    for g in (F.E, f_v, field_apply(pot, F.E), field_apply(e_dy1, F.E)):
+        sups.append((vertical_lift_test(F, g, points), ref_vertical_lift_test(F, g, points)))
+    for V in (C, build_field(F, "vlift:1"), e_dy1):
+        sups.append((vincze_residual(F, V, points), ref_vincze_residual(F, V, points)))
+    for K in (berwald_connection(F), hbar, L_W, J, fn_bracket(J, e_dy1)):
+        sups.append((_d_form_E_residual(F, K, points), ref_d_form_E_residual(F, K, points)))
+    assert all(got == ref for got, ref in sups), sups
+    assert sum(ref > 1e-3 for _, ref in sups) >= len(sups) // 2
+    grad = gradient(F, f_v)
+    for alpha, X in ((djE, grad), (d_function(f_v), C), (d_function(F.E), e_dy1),
+                     (forms[4], grad)):
+        got, ref = tensor_one_form_field(alpha, X).matrix(z), ref_tensor_matrix(alpha, X, z)
+        assert all(_equal(a, b) for ra, rb in zip(got, ref) for a, b in zip(ra, rb))
+        assert any(np.any(np.asarray(a) != 0.0) for row in ref for a in row)

@@ -328,14 +328,14 @@ def test_golden_report_digest(capsys):
     """
     main(["check", "--seed", "7", "--samples", "4"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "66c8d58ad2a063d0a61ff3f27121060650f68fc45d3a58b3a871d54958df0c8c"
+    assert digest == "46f7c5c37df6af0f21d5fd0975d52c45216d120452ef3026d5002dd5bf0f9404"
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["--seed", "7"], "29097056218f1b3529f3d3c9ac6d822ae787753df61f79d97468d24b190f695a"),
-    (["--seed", "11"], "c9df66f46903621ab4319190784c9887729f0e2dcfcec80dffee9cf6aa27a934"),
+    (["--seed", "7"], "7c28e12d9819e8a1bcdb3c754e485458c1456f2a96427e804bbd54f8732b1c77"),
+    (["--seed", "11"], "b0cd7d9b2daee0aeff0f12361c6cd78449d47f9dd86d1322fa02ca8b39f100a7"),
     (["--seed", "7", "--samples", "1"],
-     "bd9dd8dd5c3b1354086c82d12c35a3b8111b0a96f80672b454dcf7473032823a"),
+     "5a07f34ad36fb84ffba72975299fd62f549dbba0df5d26c365ef0b724890a17e"),
 ], ids=["seed-7", "seed-11", "seed-7-samples-1"])
 def test_golden_report_digests_at_other_seeds(argv, expected, capsys):
     """More full reports pinned byte for byte: other grids, and a one-point grid."""
@@ -347,4 +347,4 @@ def test_golden_default_report_digest(capsys):
     """The default `finslerlab check --seed 42` (32 samples, 48 cells), pinned byte for byte."""
     main(["check", "--seed", "42"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "6b3562c2bde45c6a78a8c6d57d445a8bcbe337c83baa6d8ea1a890e3c03d15e8"
+    assert digest == "eb7bdab05fbbafcb414601084421f66454f812ef74bf70ad833256a6926e7496"
