@@ -17,6 +17,22 @@ Degree and sign conventions:
   derivations (tested, not assumed);
 * homogeneity degree r means [C, K] = (r - 1) K for vector fields and for
   vector 1-forms alike.
+
+Exact zeros are structural in the array layer, as in ``jets`` (rule 3 of its
+vector mode).  The contractions (``_combine``), the sums and multiples of
+vector forms, ``tensor_one_form_field`` and the final combinations of the
+brackets' arrays take no arithmetic with an exact float zero (a value that
+is not a batch and is falsy) on either side of a product or a sum
+(``_mul``, ``_add``, ``_sub``): ``c * 0.0`` is the 0.0, ``x + 0.0`` and
+``x - 0.0`` are x, and ``0.0 - x`` is -x.  The grouping of every formula is
+kept, so a finite result changes at most in the sign of a zero.  J, the
+semibasic 1-forms and the vertical fields are mostly zeros, so most numpy
+calls on batches and most jets built on their entries are skipped.
+
+NaN semantics: a NaN or an infinity that meets only exact zeros does not
+reach the result, because no product with a zero is formed (plain
+arithmetic gives ``nan * 0.0 = nan``).  A NaN that meets a nonzero value
+does reach it, and every residual that sees it reads NaN (``sup_abs``).
 """
 
 from __future__ import annotations
@@ -447,19 +463,47 @@ class VectorForm:
         return VectorForm(self.degree, lambda z: _scale_array(c, self.matrix(z)), self.n)
 
 
+def _mul(c, x):
+    """``c * x``; an exact float zero on either side is returned as it is."""
+    if type(c) is not jets.Batch and not c:
+        return c
+    if type(x) is not jets.Batch and not x:
+        return x
+    return c * x
+
+
+def _add(x, y):
+    """``x + y``; an exact float zero on either side adds nothing."""
+    if type(y) is not jets.Batch and not y:
+        return x
+    if type(x) is not jets.Batch and not x:
+        return y
+    return x + y
+
+
+def _sub(x, y):
+    """``x - y``; ``x - 0.0`` is x and ``0.0 - y`` is -y."""
+    if type(y) is not jets.Batch and not y:
+        return x
+    if type(x) is not jets.Batch and not x:
+        return -y
+    return x - y
+
+
 def _add_arrays(a, b):
-    """``a + b`` entry by entry, for two arrays of one shape: matrices, or the
-    frame arrays of vector 2-forms."""
+    """``a + b`` entry by entry (``_add``), for two arrays of one shape:
+    matrices, or the frame arrays of vector 2-forms."""
     if type(a[0][0]) is list:
         return [_add_arrays(x, y) for x, y in zip(a, b)]
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _scale_array(c, a):
-    """``c * x`` for every entry x of a matrix or of a vector 2-form's frame array."""
+    """``c * x`` (``_mul``) for every entry x of a matrix or of a vector
+    2-form's frame array."""
     if type(a[0][0]) is list:
         return [_scale_array(c, x) for x in a]
-    return [[c * x for x in row] for row in a]
+    return [[_mul(c, x) for x in row] for row in a]
 
 
 def constant_vector_form(coeffs, n: int, name: str = "") -> VectorForm:
@@ -494,7 +538,7 @@ def tensor_one_form_field(alpha: DifferentialForm, X: VectorField) -> VectorForm
     def mfn(z):
         xz = X(z)
         row = jets.slots(alpha.fn(z, frame), n2)
-        return [[row[b] * xa for b in range(n2)] for xa in xz]
+        return [[_mul(row[b], xa) for b in range(n2)] for xa in xz]
 
     return VectorForm(1, mfn, X.n, name=f"{alpha.name}(x){X.name}")
 
@@ -606,16 +650,15 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
     with DY the Jacobian of Y (column c is D_c Y, the derivative along e_c)
     and D_Y K the derivative of K's matrix along Y.  One lift of the point
     along the vector frame gives Y there and DY; one lift along Y(z) gives K
-    there and D_Y K.  When no entry of K's lifted matrix carries the lift's
-    tag (J, Id, any constant K), D_Y K is a structural zero: K is the lifted
-    matrix itself and no D_Y K term is formed, which is exact, as x - 0.0 is
-    x for every float, batch and jet.  The products are contractions whose
-    coefficients are K's entries (``_combine``): column b of DY.K is
-    DY (K e_b), and row a of K.DY is the rows of DY weighted by row a of K.
-    An exact-zero entry of K is skipped and a unit entry takes a column or
-    row of DY as it is, so for K = J (and Id) every entry is what the scalar
-    passes of the column formula give, up to the sign of a zero: a vector
-    lift's slot repeats the scalar pass.
+    there and D_Y K.  An entry of K's lifted matrix that does not carry the
+    lift's tag (every entry of J, Id or any constant K) has the tangent 0.0,
+    a structural zero, so ``_sub`` forms no D_Y K term for it.  The products
+    are contractions whose coefficients are K's entries (``_combine``):
+    column b of DY.K is DY (K e_b), and row a of K.DY is the rows of DY
+    weighted by row a of K.  An exact-zero entry of K is skipped and a unit
+    entry takes a column or row of DY as it is, so for K = J (and Id) every
+    entry is what the scalar passes of the column formula give, up to the
+    sign of a zero: a vector lift's slot repeats the scalar pass.
     """
     n2 = 2 * K.n
     rng = range(n2)
@@ -627,35 +670,36 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
         dy_cols = list(zip(*dy_rows))
         tag = jets.fresh_tag()
         k = K.matrix(jets.lift(z, yz, tag))
-        d_y_k = None  # a structural zero
-        if any(type(x) is jets.Jet and x.tag == tag for row in k for x in row):
-            d_y_k = [[jets.tangent(x, tag) for x in row] for row in k]
-            k = [[jets.primal(x, tag) for x in row] for row in k]
+        d_y_k = [[jets.tangent(x, tag) for x in row] for row in k]
+        k = [[jets.primal(x, tag) for x in row] for row in k]
         dy_k = [_combine([row[b] for row in k], dy_cols) for b in rng]
         k_dy = [_combine(row, dy_rows) for row in k]
-        return [[(dy_k[b][a] if d_y_k is None else dy_k[b][a] - d_y_k[a][b]) - k_dy[a][b]
-                 for b in rng] for a in rng]
+        return [[_sub(_sub(dy_k[b][a], d_y_k[a][b]), k_dy[a][b]) for b in rng] for a in rng]
 
     return VectorForm(1, matrix_fn, K.n, name=f"[{K.name},{Y.name}]")
 
 
 def _combine(coeffs, vectors):
-    """sum_c coeffs[c] * vectors[c], skipping the exact-zero coefficients.
+    """sum_c coeffs[c] * vectors[c], with exact float zeros structural.
 
+    An exact-zero coefficient is skipped, and so is an exact-zero entry of a
+    vector and of a partial sum (``_mul``, ``_add``): an entry that no
+    nonzero product reaches is the float zero itself, not a batch or a jet.
     A unit coefficient contributes ``vectors[c]`` itself, so along a frame
     vector the result is that vector, bit for bit, and with no nonzero
-    coefficient it is the zero vector.  The result may be one of the inputs.
+    coefficient it is the zero vector.  The sums run in the order of c, so a
+    finite entry is what plain arithmetic gives up to the sign of a zero.  A
+    NaN or an infinity that meets only exact zeros, as a coefficient or as
+    an entry, does not reach the result: ``nan * 0.0`` is skipped, not NaN.
+    The result may be one of the inputs.
     """
     out = None
     for x, vec in zip(coeffs, vectors):
-        if isinstance(x, (int, float)):
-            if x == 0:
-                continue
-            if x != 1:
-                vec = [x * v for v in vec]
-        else:
-            vec = [x * v for v in vec]
-        out = vec if out is None else [o + v for o, v in zip(out, vec)]
+        if type(x) is not jets.Batch and not x:
+            continue
+        if not (type(x) is float and x == 1.0):
+            vec = [_mul(x, v) for v in vec]
+        out = vec if out is None else [_add(o, v) for o, v in zip(out, vec)]
     return [0.0] * len(vectors[0]) if out is None else out
 
 
@@ -713,9 +757,9 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
                 q = _combine(lc[b], dk[a])
                 r = _combine(lc[a], dk[b])
                 s = _combine(kc[b], dl[a])
-                k_term = _combine([x - y for x, y in zip(dl[b][a], dl[a][b])], kc)
-                l_term = _combine([x - y for x, y in zip(dk[b][a], dk[a][b])], lc)
-                v = [(p_ - q_) + (r_ - s_) - t_ - u_
+                k_term = _combine([_sub(x, y) for x, y in zip(dl[b][a], dl[a][b])], kc)
+                l_term = _combine([_sub(x, y) for x, y in zip(dk[b][a], dk[a][b])], lc)
+                v = [_sub(_sub(_add(_sub(p_, q_), _sub(r_, s_)), t_), u_)
                      for p_, q_, r_, s_, t_, u_ in zip(p, q, r, s, k_term, l_term)]
                 arr[a][b] = v
                 arr[b][a] = [-x for x in v]

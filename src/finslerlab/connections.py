@@ -46,7 +46,7 @@ from .errors import (
     NotSemibasic, NotSemispray, NotTorsionFree, NotVertical,
 )
 from .finsler import (
-    FinslerStructure, berwald_connection, canonical_spray,
+    FinslerStructure, _sharp_block_solve, berwald_connection, canonical_spray,
     conservative_connection_residual, gradient, projector_residual,
 )
 
@@ -121,15 +121,16 @@ def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
     """(d_L E)#, the vertical field driving the h_L deformation.
 
     d_L E = dE o L, so at z its value on e_b is beta_b = sum_a dE_a L[a][b],
-    the rows of L's matrix contracted with dE (``_combine``).  dE is the memo
-    entry that the solve at z reads omega from (``F.shared_omega_at``), so
-    the field makes no pass of E of its own.
+    the rows of L's matrix contracted with dE (``_combine``).  omega's matrix
+    and dE come from one read of the structure's memo (``F.shared_omega_at``),
+    and the field solves with that matrix, as the canonical spray does, so it
+    makes no pass of E and no second lookup of its own.
     """
     n2 = 2 * F.n
 
     def ev(z):
-        beta = _combine(jets.slots(F.shared_omega_at(z)[1], n2), L.matrix(z))
-        return F.sharp_at(beta, z)
+        m, dE = F.shared_omega_at(z)
+        return _sharp_block_solve(m, _combine(jets.slots(dE, n2), L.matrix(z)), F.n, z)
 
     return VectorField(ev, F.n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
 

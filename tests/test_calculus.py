@@ -294,13 +294,15 @@ def _equal_up_to_zero_signs(a, b, tag):
 
 
 def test_bracket_with_a_structural_zero_D_Y_K_matches_the_general_branch():
-    # J times a field equal to 1 that depends on z: every entry of its lifted
-    # matrix carries the lift's tag, with zero tangents, so the bracket forms
-    # D_Y K as the general branch does; with J itself, D_Y K is a structural zero
+    # J's entries times a field equal to 1 that depends on z: every entry of its
+    # lifted matrix carries the lift's tag, with zero tangents, so the bracket
+    # forms D_Y K from them; with J itself, every entry of D_Y K is a structural
+    # zero.  Plain products, not J.scale(one): the array layer keeps J's zero
+    # entries as float zeros, which would carry no tag
     from finslerlab.core import PointBatch
     from finslerlab.finsler import canonical_spray, finsler_fixture
     one = ScalarField(lambda z: 1.0 + 0.0 * (z[0] + z[1] + z[2] + z[3]), N, "1")
-    K1 = J.scale(one)
+    K1 = VectorForm(1, lambda z: [[one(z) * x for x in row] for row in J.matrix(z)], N, "1J")
     z0 = list(GRID)[0].coords()
     tag = jets.fresh_tag()
     zj = jets.lift(z0, jets.vec_frame(N2), tag)

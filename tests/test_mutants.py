@@ -41,15 +41,17 @@ NEGATED_SHARP = ("xh + solve(rhs)", "[-v for v in xh + solve(rhs)]")
 # (name, owner or tuple of owners, attribute, old, new, targeted checks)
 MUTANTS = [
     ("drop D_Y K", calculus, "_bracket_1_0",
-     " - d_y_k[a][b]", "", ["CHK-05", "CHK-13", "CHK-14"]),
+     "_sub(dy_k[b][a], d_y_k[a][b])", "dy_k[b][a]", ["CHK-05", "CHK-13", "CHK-14"]),
     ("flip the sign of D_Y K", calculus, "_bracket_1_0",
-     " - d_y_k[a][b]", " + d_y_k[a][b]", ["CHK-05", "CHK-13", "CHK-14"]),
+     "_sub(dy_k[b][a], d_y_k[a][b])", "_add(dy_k[b][a], d_y_k[a][b])",
+     ["CHK-05", "CHK-13", "CHK-14"]),
     ("drop K.DY", calculus, "_bracket_1_0",
-     " - k_dy[a][b]", "", [f"CHK-{i:02d}" for i in range(5, 12)]),
+     "_sub(_sub(dy_k[b][a], d_y_k[a][b]), k_dy[a][b])", "_sub(dy_k[b][a], d_y_k[a][b])",
+     [f"CHK-{i:02d}" for i in range(5, 12)]),
     ("contract rows instead of columns in K(z, v)", calculus.VectorForm, "__call__",
      "list(zip(*m))", "m", ["CHK-02", "CHK-06", "CHK-07", "CHK-08"]),
     # what solving with omega in place of omega^T gives, as omega^T = -omega
-    ("negate the result of the sharp solve", finsler, "_sharp_block_solve",
+    ("negate the result of the sharp solve", (finsler, connections), "_sharp_block_solve",
      *NEGATED_SHARP, ["CHK-03"] + [f"CHK-{i:02d}" for i in range(5, 17)]),
     # the block solve never reads the upper right block, so sharp is unchanged and
     # only the checks that read omega itself see it
@@ -82,7 +84,7 @@ MUTANTS = [
      ["CHK-07", "CHK-08", "CHK-09", "CHK-10", "CHK-11", "CHK-12", "CHK-14", "CHK-15",
       "CHK-16"]),
     ("d_L E from -dE", connections, "sharp_of_dLE",
-     "F.shared_omega_at(z)[1]", "-1.0 * F.shared_omega_at(z)[1]",
+     "jets.slots(dE, n2)", "jets.slots(-1.0 * dE, n2)",
      ["CHK-07", "CHK-08", "CHK-10", "CHK-15", "CHK-16"]),
     # h^2 + h in place of h^2 - h: every connection's projector laws fail, both
     # where a construction validates it and where d_h E is measured
@@ -168,7 +170,7 @@ def test_chk04_is_blind_to_a_global_sign_of_sharp(monkeypatch, capsys):
     """(b#)E = b(S0) with S0 = -(dE)# holds for any skew map in place of
     omega's inverse, so a sign (or scale) error common to every sharp cancels
     between its sides; CHK-03 is the check that catches it."""
-    records = run_under(monkeypatch, capsys, finsler, "_sharp_block_solve",
+    records = run_under(monkeypatch, capsys, (finsler, connections), "_sharp_block_solve",
                         *NEGATED_SHARP, ["CHK-03", "CHK-04"])
     assert {r["check"] for r in records if r["pass"] is not True} == {"CHK-03"}
 

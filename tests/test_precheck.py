@@ -71,10 +71,19 @@ def spray_plus(k, f):
 L_NAN = nan_entry_form(0, 2)          # not semibasic: a horizontal output of d/dy1
 V_NAN_HORIZONTAL = VectorField(lambda z: [math.nan * z[0], 0.0, 0.0, 0.0], N, "nan.dx1")
 V_NAN_VERTICAL = VectorField(lambda z: [0.0, 0.0, math.nan * z[2], 0.0], N, "nan.dy1")
-# semibasic (its only entry maps d/dx1 to d/dy1), but [J, L] is NaN
-L_NAN_SEMIBASIC = VectorForm(
-    1, lambda z: [[0.0] * 4, [0.0] * 4, [math.nan * z[2], 0.0, 0.0, 0.0], [0.0] * 4], N,
-    "nan.y1.dx1(x)dy1")
+
+def semibasic_nan_form(f, name):
+    """A semibasic vector 1-form whose only entry maps d/dx1 to f(z) d/dy1."""
+    return VectorForm(1, lambda z: [[0.0] * 4, [0.0] * 4, [f(z), 0.0, 0.0, 0.0], [0.0] * 4],
+                      N, name)
+
+
+# [J, L] is NaN: D_{y2} of the entry, NaN, meets the unit entry of J e_{x2}
+L_NAN_SEMIBASIC = semibasic_nan_form(lambda z: math.nan * (z[2] + z[3]),
+                                     "nan.(y1+y2).dx1(x)dy1")
+# c y1 dx1 (x) dy1 is torsion-free for every finite c: the NaN of c = nan meets
+# only exact zeros in [J, L], which the array layer skips, so [J, L] reads 0
+L_NAN_TORSION_FREE = semibasic_nan_form(lambda z: math.nan * z[2], "nan.y1.dx1(x)dy1")
 
 
 NAN_CASES = {
@@ -108,6 +117,13 @@ def test_a_nan_hypothesis_residual_raises_its_typed_error(case):
     error, build = NAN_CASES[case]
     with pytest.raises(error):
         build()
+
+
+def test_a_nan_that_meets_only_zeros_in_the_torsion_still_fails_loudly():
+    # the torsion-free pre-check passes it, and the projector laws of h_L read NaN
+    assert torsion_free_residual(EUC, L_NAN_TORSION_FREE) == 0.0
+    with pytest.raises(NotConnection, match=r"residual nan"):
+        v_from_torsion_free(EUC, L_NAN_TORSION_FREE)
 
 
 def test_a_nan_conservativity_residual_raises_hypothesis_failure(monkeypatch):

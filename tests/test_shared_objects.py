@@ -65,11 +65,11 @@ def test_the_memos_do_the_same_work_in_a_run(config, monkeypatch):
     # the work a run does: each memo keeps one base point, the grid is one batch
     # point, and a miss at a lifted point stores omega's primal at the point it
     # lifts, where d_h omega reads it (39 omega passes and 258 computations
-    # without).  (d_L E)# reads dE from the entry its solve reads, one more
-    # lookup per evaluation.  Some passes bypass the memos by design: CHK-03
-    # and the Vincze residual read omega fresh, and so do the nine validations
-    # (the three fixtures, CHK-01's three and CHK-09's three conformal
-    # structures), which read g as omega's block
+    # without).  (d_L E)# reads omega and dE with one lookup and solves with
+    # that omega.  Some passes bypass the memos by design: CHK-03 and the
+    # Vincze residual read omega fresh, and so do the nine validations (the
+    # three fixtures, CHK-01's three and CHK-09's three conformal structures),
+    # which read g as omega's block
     work = Counter()
     omega, get = finsler.omega_and_dE, calculus.PointMemo.get
 
@@ -88,7 +88,7 @@ def test_the_memos_do_the_same_work_in_a_run(config, monkeypatch):
     monkeypatch.setattr(finsler, "omega_and_dE", counting_omega)
     monkeypatch.setattr(calculus.PointMemo, "get", counting_get)
     run_checks(config)
-    assert work == {"omega_and_dE": 33, "get": 942, "compute": 252}
+    assert work == {"omega_and_dE": 33, "get": 825, "compute": 252}
 
 
 def _assert_users_record(results, users, error):
