@@ -18,21 +18,15 @@ Degree and sign conventions:
 * homogeneity degree r means [C, K] = (r - 1) K for vector fields and for
   vector 1-forms alike.
 
-Exact zeros are structural in the array layer, as in ``jets`` (rule 3 of its
-vector mode).  The contractions (``_combine``), the sums and multiples of
-vector forms, ``tensor_one_form_field`` and the final combinations of the
-brackets' arrays take no arithmetic with an exact float zero (a value that
-is not a batch and is falsy) on either side of a product or a sum
-(``_mul``, ``_add``, ``_sub``): ``c * 0.0`` is the 0.0, ``x + 0.0`` and
-``x - 0.0`` are x, and ``0.0 - x`` is -x.  The grouping of every formula is
-kept, so a finite result changes at most in the sign of a zero.  J, the
-semibasic 1-forms and the vertical fields are mostly zeros, so most numpy
-calls on batches and most jets built on their entries are skipped.
-
-NaN semantics: a NaN or an infinity that meets only exact zeros does not
-reach the result, because no product with a zero is formed (plain
-arithmetic gives ``nan * 0.0 = nan``).  A NaN that meets a nonzero value
-does reach it, and every residual that sees it reads NaN (``sup_abs``).
+Exact zeros and units are structural in the array layer, by rule 3 of the
+vector mode of ``jets``, which states the rule and its NaN semantics.  The
+contractions (``_combine``), the sums, differences and multiples of vector
+forms, ``tensor_one_form_field`` and the final combinations of the brackets'
+arrays form their products and sums through ``_mul``, ``_add`` and ``_sub``,
+and keep the grouping of every formula, so a finite result changes at most
+in the sign of a zero.  J, the semibasic 1-forms and the vertical fields are
+mostly zeros, so most numpy calls on batches and most jets built on their
+entries are skipped.
 """
 
 from __future__ import annotations
@@ -455,7 +449,10 @@ class VectorForm:
                           self.n)
 
     def __sub__(self, other):
-        return self + other.scale(-1.0)
+        if other.degree != self.degree:
+            raise DegreeOutOfRange("cannot subtract vector forms of different degree")
+        return VectorForm(self.degree, lambda z: _sub_arrays(self.matrix(z), other.matrix(z)),
+                          self.n)
 
     def scale(self, c):
         if isinstance(c, ScalarField):
@@ -464,30 +461,23 @@ class VectorForm:
 
 
 def _mul(c, x):
-    """``c * x``; an exact float zero on either side is returned as it is."""
-    if type(c) is not jets.Batch and not c:
-        return c
-    if type(x) is not jets.Batch and not x:
-        return x
+    """``c * x`` by rule 3 of ``jets``, except that an exact zero on either
+    side is returned as it is, even against a Vec: an entry that only zeros
+    reach stays a float zero."""
+    if type(c) is not jets.Batch:
+        if not c:
+            return c
+        if type(c) is float and c == 1.0:
+            return x
+    if type(x) is not jets.Batch:
+        if not x:
+            return x
+        if type(x) is float and x == 1.0:
+            return c
     return c * x
 
 
-def _add(x, y):
-    """``x + y``; an exact float zero on either side adds nothing."""
-    if type(y) is not jets.Batch and not y:
-        return x
-    if type(x) is not jets.Batch and not x:
-        return y
-    return x + y
-
-
-def _sub(x, y):
-    """``x - y``; ``x - 0.0`` is x and ``0.0 - y`` is -y."""
-    if type(y) is not jets.Batch and not y:
-        return x
-    if type(x) is not jets.Batch and not x:
-        return -y
-    return x - y
+_add, _sub = jets._add, jets._sub  # x + y and x - y by rule 3 of ``jets``
 
 
 def _add_arrays(a, b):
@@ -496,6 +486,13 @@ def _add_arrays(a, b):
     if type(a[0][0]) is list:
         return [_add_arrays(x, y) for x, y in zip(a, b)]
     return [[_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _sub_arrays(a, b):
+    """``a - b`` entry by entry (``_sub``), for two arrays of one shape."""
+    if type(a[0][0]) is list:
+        return [_sub_arrays(x, y) for x, y in zip(a, b)]
+    return [[_sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _scale_array(c, a):

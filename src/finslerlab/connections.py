@@ -169,11 +169,11 @@ def wagner_connection(F: FinslerStructure, f: BaseFunction):
     djE = d_K(J, F.E)
     form = berwald_connection(F) \
         + J.scale(f_c) \
-        + fn_bracket(J, grad_fv).scale(F.E).scale(-1.0) \
-        + tensor_one_form_field(djE, grad_fv).scale(-1.0)
+        - fn_bracket(J, grad_fv).scale(F.E) \
+        - tensor_one_form_field(djE, grad_fv)
     form.name = f"wagner({f.name or 'f'})"
     C = liouville_field(n)
-    L_W = (J.scale(f_c) + tensor_one_form_field(d_function(f_v), C).scale(-1.0)).scale(0.5)
+    L_W = (J.scale(f_c) - tensor_one_form_field(d_function(f_v), C)).scale(0.5)
     L_W.name = f"L_W({f.name})"
     return _wrap_connection(F, form), L_W
 

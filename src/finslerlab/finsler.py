@@ -43,7 +43,7 @@ import numpy as np
 
 from . import jets
 from .calculus import (
-    PointMemo, VectorField, VectorForm, d_K, d_function, exterior_derivative,
+    PointMemo, VectorField, VectorForm, _mul, _sub, d_K, d_function, exterior_derivative,
     field_apply, fn_bracket, identity_form, liouville_field, precheck,
     semibasic_residual, sup_abs, vertical_endomorphism,
 )
@@ -133,15 +133,16 @@ def _sharp_block_solve(m, beta, n, z):
 
     g is positive definite (strong convexity, which validation checks), so it
     is eliminated once on its diagonal, with no row exchange.  Both
-    right-hand sides go through the same recorded operations.  Exact float
-    zeros of A, such as its diagonal, are skipped.  A pivot whose real part
-    is <= 0 raises ``NondegeneracyFailure`` ("not positive definite") before
-    its division, so an unvalidated indefinite or singular g fails here; so
-    does ("numerically singular"), after the elimination, a smallest pivot
-    smaller than the largest by more than COND_LIMIT; as det omega =
-    det(g)^2, this guards omega too.  Pivot sizes are not a condition
-    estimate, so the float and batch entries of the structure's memo check
-    cond(omega) as well.
+    right-hand sides go through the same recorded operations.  Products and
+    differences take exact zeros as structural (``calculus._mul`` and
+    ``_sub``), so the zeros of A, such as its diagonal, and of the right-hand
+    sides cost no arithmetic.  A pivot whose real part is <= 0 raises
+    ``NondegeneracyFailure`` ("not positive definite") before its division,
+    so an unvalidated indefinite or singular g fails here; so does
+    ("numerically singular"), after the elimination, a smallest pivot smaller
+    than the largest by more than COND_LIMIT; as det omega = det(g)^2, this
+    guards omega too.  Pivot sizes are not a condition estimate, so the float
+    and batch entries of the structure's memo check cond(omega) as well.
 
     At a batch point each point's pivots are guarded on their own, and the
     first failing point raises what its own solve raises, as a loop over the
@@ -172,10 +173,10 @@ def _sharp_block_solve(m, beta, n, z):
             inv = 1.0 / pivot
             for r in range(col + 1, n):
                 row = rows[r]
-                f = row[col] * inv
+                f = _mul(row[col], inv)
                 elim.append((r, col, f))
                 for c in range(col + 1, n):
-                    row[c] = row[c] - f * prow[c]
+                    row[c] = _sub(row[c], _mul(f, prow[c]))
     if jets.Batch in map(type, pivots):
         pivots = np.array(np.broadcast_arrays(*pivots))  # (column, point)
         smallest = pivots.min(axis=0)
@@ -188,13 +189,13 @@ def _sharp_block_solve(m, beta, n, z):
 
     def solve(b):
         for r, col, f in elim:
-            b[r] = b[r] - f * b[col]
+            b[r] = _sub(b[r], _mul(f, b[col]))
         x = [0.0] * n
         for r in range(n - 1, -1, -1):
             row = rows[r]
             acc = b[r]
             for c in range(r + 1, n):
-                acc = acc - row[c] * x[c]
+                acc = _sub(acc, _mul(row[c], x[c]))
             x[r] = acc / row[r]
         return x
 
@@ -203,9 +204,7 @@ def _sharp_block_solve(m, beta, n, z):
     for j in range(n):
         acc = beta[j]
         for i in range(n):
-            a = m[i][j]
-            if type(a) is not float or a != 0.0:
-                acc = acc - a * xh[i]
+            acc = _sub(acc, _mul(m[i][j], xh[i]))
         rhs.append(acc)
     return [v if type(v) is jets.Jet else v + 0.0 for v in xh + solve(rhs)]  # +0.0 normalises -0.0
 

@@ -33,8 +33,21 @@ evaluator that is linear in its direction then returns all k values at once
 2. Jet operators return ``NotImplemented`` for a Vec operand, so the Vec
    computes the result slot by slot; a scalar operand (a float or a Jet)
    broadcasts across the slots.
-3. An exact float-zero slot is structural: it is carried without arithmetic.
-   This is the slot analogue of the untagged coordinate in ``lift``.
+3. Exact zeros and units are structural.  An exact zero is a value that is
+   not a batch and is falsy (0.0, -0.0, or the int 0 that ``sum()`` starts
+   from).  As an operand of a Jet or Vec operator, a jet part or a slot, it
+   takes no arithmetic: ``x + 0`` and ``x - 0`` are x, ``0 - x`` is -x, a
+   product with it is the float zero (a Vec of float zeros when the other
+   factor is a Vec, which keeps rule 1), and a zero slot is carried as it
+   is.  A float 1.0 factor is the identity: ``1.0 * x`` and ``x / 1.0`` are
+   x itself, bit for bit, the sign of a zero and a NaN included.  Division
+   is otherwise plain: a zero divided and a division by zero are computed,
+   so a 0/0 still surfaces.  This is the operand analogue of the untagged
+   coordinate in ``lift``.  NaN semantics: a NaN or an infinity that meets
+   only exact zeros is dropped, because no product with a zero is formed
+   (plain arithmetic gives ``nan * 0.0 = nan``); one that meets a nonzero
+   value reaches the result, and every residual that sees it reads NaN
+   (``calculus.sup_abs``).
 4. ``tangent``, ``primal`` and ``retag`` (and ``calculus.point_key``, the
    key of every point memo) map over slots.
 
@@ -55,8 +68,8 @@ per-point passes, value for value:
    that (an array's own truthiness would raise, or read the value of a
    one-point batch).  So ``lift`` tags a coordinate whose direction is a
    batch, and a Vec slot that is a batch takes part in arithmetic; where a
-   point's own pass would skip an exact zero, the batch multiplies or adds
-   it, which changes at most the sign of a zero.
+   point's own pass would skip an exact zero or a unit, the batch multiplies
+   or adds it, which changes at most the sign of a finite zero.
 2. ``exp``, ``log``, ``sin``, ``cos`` and ``power`` apply libm per element,
    as the float pass does; numpy's vectorised versions round differently.
    Batch-exact code calls them, not ``np.exp`` and the rest, and raises to a
@@ -95,6 +108,46 @@ def fresh_tag() -> int:
     return next(_TAGS)
 
 
+def _zero_like(x):
+    """The exact zero that a product with ``x`` gives: a Vec of float zeros
+    when x is a Vec (a Jet's dot keeps its type), else the float zero."""
+    return Vec([0.0] * len(x.s)) if type(x) is Vec else 0.0
+
+
+def _mul(x, y):
+    """``x * y`` with rule 3: an exact-zero operand gives ``_zero_like`` the
+    other, and a float 1.0 gives the other operand itself."""
+    if type(x) is not Batch:
+        if not x:
+            return _zero_like(y)
+        if type(x) is float and x == 1.0:
+            return y
+    if type(y) is not Batch:
+        if not y:
+            return _zero_like(x)
+        if type(y) is float and y == 1.0:
+            return x
+    return x * y
+
+
+def _add(x, y):
+    """``x + y``; an exact zero on either side adds nothing."""
+    if type(y) is not Batch and not y:
+        return x
+    if type(x) is not Batch and not x:
+        return y
+    return x + y
+
+
+def _sub(x, y):
+    """``x - y``; ``x - 0.0`` is x and ``0.0 - y`` is -y."""
+    if type(y) is not Batch and not y:
+        return x
+    if type(x) is not Batch and not x:
+        return -y
+    return x - y
+
+
 class Jet:
     """value + epsilon * dot, for one particular lift tag."""
 
@@ -116,13 +169,17 @@ class Jet:
     def __add__(self, o):
         if type(o) is Jet:
             t = o.tag
-            if t == self.tag:
-                return Jet(t, self.val + o.val, self.dot + o.dot)
+            if t == self.tag:  # a Vec dot keeps rule 3 itself
+                sd = self.dot
+                return Jet(t, _add(self.val, o.val),
+                           sd + o.dot if type(sd) is Vec else _add(sd, o.dot))
             if t > self.tag:
                 return Jet(t, self + o.val, o.dot)
         elif type(o) is Vec:
             return NotImplemented
-        return Jet(self.tag, self.val + o, self.dot)
+        elif type(o) is not Batch and not o:
+            return self
+        return Jet(self.tag, _add(self.val, o), self.dot)
 
     __radd__ = __add__
 
@@ -133,30 +190,45 @@ class Jet:
         if type(o) is Jet:
             t = o.tag
             if t == self.tag:
-                return Jet(t, self.val - o.val, self.dot - o.dot)
+                sd = self.dot
+                return Jet(t, _sub(self.val, o.val),
+                           sd - o.dot if type(sd) is Vec else _sub(sd, o.dot))
             if t > self.tag:
                 return Jet(t, self - o.val, -o.dot)
         elif type(o) is Vec:
             return NotImplemented
-        return Jet(self.tag, self.val - o, self.dot)
+        elif type(o) is not Batch and not o:
+            return self
+        return Jet(self.tag, _sub(self.val, o), self.dot)
 
     def __rsub__(self, o):
         # o is scalar or lower-tag jet
-        return Jet(self.tag, o - self.val, -self.dot)
+        if type(o) is not Batch and not o:
+            return -self
+        return Jet(self.tag, _sub(o, self.val), -self.dot)
 
     def __mul__(self, o):
         if type(o) is Jet:
             t = o.tag
             if t == self.tag:
-                sd, od = self.dot, o.dot
+                sv, ov, sd, od = self.val, o.val, self.dot, o.dot
                 if type(sd) is Vec and type(od) is Vec:
-                    return Jet(t, self.val * o.val, sd.mul_add(o.val, self.val, od))
-                return Jet(t, self.val * o.val, self.val * od + sd * o.val)
+                    dot = (sd * ov if type(sv) is not Batch and not sv else
+                           sv * od if type(ov) is not Batch and not ov else
+                           sd.mul_add(ov, sv, od))
+                    return Jet(t, _mul(sv, ov), dot)
+                return Jet(t, _mul(sv, ov), _add(_mul(sv, od), _mul(sd, ov)))
             if t > self.tag:
                 return Jet(t, self * o.val, self * o.dot)
         elif type(o) is Vec:
             return NotImplemented
-        return Jet(self.tag, self.val * o, self.dot * o)
+        elif type(o) is not Batch:
+            if not o:
+                return 0.0
+            if type(o) is float and o == 1.0:
+                return self
+        d = self.dot
+        return Jet(self.tag, _mul(self.val, o), d * o if type(d) is Vec else _mul(d, o))
 
     __rmul__ = __mul__
 
@@ -165,22 +237,24 @@ class Jet:
             t = o.tag
             if t == self.tag:
                 q = self.val / o.val
-                return Jet(t, q, (self.dot - q * o.dot) / o.val)
+                return Jet(t, q, _sub(self.dot, _mul(q, o.dot)) / o.val)
             if t > self.tag:
                 q = self / o.val
-                return Jet(t, q, -q * o.dot / o.val)
+                return Jet(t, q, _mul(-q, o.dot) / o.val)
         elif type(o) is Vec:
             return NotImplemented
+        elif type(o) is float and o == 1.0:
+            return self
         return Jet(self.tag, self.val / o, self.dot / o)
 
     def __rtruediv__(self, o):
         q = o / self.val
-        return Jet(self.tag, q, -q * self.dot / self.val)
+        return Jet(self.tag, q, _mul(-q, self.dot) / self.val)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("jet powers must have constant numeric exponents")
-        return Jet(self.tag, power(self.val, p), p * power(self.val, p - 1) * self.dot)
+        return Jet(self.tag, power(self.val, p), _mul(_mul(p, power(self.val, p - 1)), self.dot))
 
     # -- smooth primitives ---------------------------------------------------
 
@@ -190,25 +264,27 @@ class Jet:
 
     def exp(self):
         e = exp(self.val)
-        return Jet(self.tag, e, e * self.dot)
+        return Jet(self.tag, e, _mul(e, self.dot))
 
     def log(self):
         return Jet(self.tag, log(self.val), self.dot / self.val)
 
     def sin(self):
-        return Jet(self.tag, sin(self.val), cos(self.val) * self.dot)
+        return Jet(self.tag, sin(self.val), _mul(cos(self.val), self.dot))
 
     def cos(self):
-        return Jet(self.tag, cos(self.val), -sin(self.val) * self.dot)
+        return Jet(self.tag, cos(self.val), _mul(-sin(self.val), self.dot))
 
 
 class Vec:
     """A tangent with one slot per direction of a vector lift.
 
     Vecs add and subtract slot by slot; any other operand is a scalar (a
-    float, a batch or a Jet) and broadcasts across the slots.  An exact-zero
-    slot is structural: it is carried as it is, never used in arithmetic; a
-    batch slot never is.  Vecs are never mutated, so one may be shared.
+    float, a batch or a Jet) and broadcasts across the slots.  Exact zeros
+    and units are structural (rule 3): an exact-zero slot is carried as it
+    is, never used in arithmetic, and a slot or scalar that is a float 1.0
+    multiplies as the identity; a batch never is either.  Vecs are never
+    mutated, so one may be shared.
     """
 
     __slots__ = ("s",)
@@ -254,26 +330,58 @@ class Vec:
     def __mul__(self, o):
         if type(o) is Vec:
             return NotImplemented
-        return Vec([a if type(a) is not Batch and not a else a * o for a in self.s])
+        if type(o) is not Batch:
+            if not o:
+                return Vec([0.0] * len(self.s))
+            if type(o) is float and o == 1.0:
+                return self
+        return Vec([a if type(a) is not Batch and not a else
+                    o if type(a) is float and a == 1.0 else a * o for a in self.s])
 
     def __rmul__(self, o):
-        return Vec([a if type(a) is not Batch and not a else o * a for a in self.s])
+        if type(o) is not Batch:
+            if not o:
+                return Vec([0.0] * len(self.s))
+            if type(o) is float and o == 1.0:
+                return self
+        return Vec([a if type(a) is not Batch and not a else
+                    o if type(a) is float and a == 1.0 else o * a for a in self.s])
 
     def __truediv__(self, o):
         if type(o) is Vec:
             return NotImplemented
+        if type(o) is float and o == 1.0:
+            return self
         return Vec([a if type(a) is not Batch and not a else a / o for a in self.s])
 
     def mul_add(self, x, y, w):
         """``y * w + self * x`` for scalars x, y and a Vec w, in one pass over the slots.
 
         The product rule of a Jet whose dots are Vecs: each slot does what
-        ``y * w + self * x`` does, with the structural zeros of both Vecs.
+        ``y * w + self * x`` does, with the structural zeros and units of
+        both Vecs and the units of x and y.  x and y are the values of the
+        two jets, and ``Jet.__mul__`` takes an exact-zero value apart before
+        it calls here, so a zero x or y is multiplied plainly.
         """
-        return Vec([(a if type(a) is not Batch and not a else a * x)
-                    if type(b) is not Batch and not b else
-                    y * b if type(a) is not Batch and not a else y * b + a * x
-                    for a, b in zip(self.s, w.s)])
+        x1 = type(x) is float and x == 1.0
+        y1 = type(y) is float and y == 1.0
+        out = []
+        for a, b in zip(self.s, w.s):
+            # the slot products a * x and y * b; ax is None for a structural zero
+            if type(a) is not Batch and not a:
+                ax = None
+            elif x1:
+                ax = a
+            elif type(a) is float and a == 1.0:
+                ax = x
+            else:
+                ax = a * x
+            if type(b) is not Batch and not b:
+                out.append(a if ax is None else ax)
+                continue
+            yb = b if y1 else y if type(b) is float and b == 1.0 else y * b
+            out.append(yb if ax is None else yb + ax)
+        return Vec(out)
 
 
 @functools.cache

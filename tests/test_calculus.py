@@ -294,15 +294,20 @@ def _equal_up_to_zero_signs(a, b, tag):
 
 
 def test_bracket_with_a_structural_zero_D_Y_K_matches_the_general_branch():
-    # J's entries times a field equal to 1 that depends on z: every entry of its
-    # lifted matrix carries the lift's tag, with zero tangents, so the bracket
-    # forms D_Y K from them; with J itself, every entry of D_Y K is a structural
-    # zero.  Plain products, not J.scale(one): the array layer keeps J's zero
-    # entries as float zeros, which would carry no tag
+    # J's entries plus a field equal to 0 that depends on z (s - s for the sum
+    # s of the coordinates): every entry of its lifted matrix carries the lift's
+    # tag, with zero tangents, so the bracket forms D_Y K from them; with J
+    # itself, every entry of D_Y K is a structural zero.  A jet zero, not a
+    # product with 0.0 or 1.0: exact zeros and units are structural in jets
+    # and in the array layer, so 0.0 * s is the float zero and carries no tag
     from finslerlab.core import PointBatch
     from finslerlab.finsler import canonical_spray, finsler_fixture
-    one = ScalarField(lambda z: 1.0 + 0.0 * (z[0] + z[1] + z[2] + z[3]), N, "1")
-    K1 = VectorForm(1, lambda z: [[one(z) * x for x in row] for row in J.matrix(z)], N, "1J")
+
+    def zero(z):
+        s = z[0] + z[1] + z[2] + z[3]
+        return s - s
+
+    K1 = VectorForm(1, lambda z: [[x + zero(z) for x in row] for row in J.matrix(z)], N, "J+0")
     z0 = list(GRID)[0].coords()
     tag = jets.fresh_tag()
     zj = jets.lift(z0, jets.vec_frame(N2), tag)

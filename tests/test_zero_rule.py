@@ -1,10 +1,13 @@
-"""Exact zeros are structural in the array layer of ``calculus``.
+"""Exact zeros and units are structural (rule 3 of ``jets``).
 
-``_combine``, ``_add_arrays``, ``_scale_array`` and the bracket arrays skip an
-exact float zero on either side of a product or a sum.  On finite inputs that
-mix signed zeros, floats, batches and jets they must give what plain
-arithmetic gives, up to the signs of zeros, and an entry that only zeros
-reach must come back as a float zero: no batch or jet is built for it.
+The rule holds in the jet kernel, the ``Jet`` and ``Vec`` operators and
+``Vec.mul_add``, and in the array layer of ``calculus``: ``_combine``,
+``_add_arrays``, ``_scale_array`` and the bracket arrays skip an exact zero
+on either side of a product or a sum.  On finite inputs that mix signed
+zeros, units, floats, batches and jets they must give what plain arithmetic
+gives, up to the signs of zeros; a product with an exact zero must come back
+as a float zero (or a Vec of them), with no batch or jet built for it; and a
+float 1.0 factor must give the other operand itself.
 """
 
 import functools
@@ -12,7 +15,8 @@ import operator
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finslerlab import calculus, jets
 from finslerlab.calculus import (
@@ -152,3 +156,156 @@ def test_brackets_of_the_zero_form_are_float_zeros():
     for z in points():
         for x in entries(fn_bracket(zero, Y).matrix(z)) + entries(fn_bracket(zero, L).matrix(z)):
             assert_structural_zero(x)
+
+
+# -- the jet kernel -------------------------------------------------------------
+
+# jets nested two deep: inner and outer lifts, each scalar (a float, batch or
+# jet tangent) or vector (a Vec tangent of K slots), in tag order
+K = 2
+INNER_SCALAR, INNER_VECTOR, OUTER_SCALAR, OUTER_VECTOR = (jets.fresh_tag() for _ in range(4))
+UNITS = st.sampled_from([0.0, -0.0, 0, 1.0, -1.0])
+KERNEL_BATCHES = st.lists(UNITS.map(float) | FLOATS, min_size=SIZE, max_size=SIZE).map(jets.batch)
+NONZERO = st.floats(0.25, 4.0) | st.floats(-4.0, -0.25) | st.sampled_from([1.0, -1.0])
+B = jets.batch([2.0, -0.5, 3.0])  # a batch of the explicit examples
+
+
+def lifts(values, dots):
+    """Jets of one scalar and one vector lift above ``values``, by tag order."""
+    def lift(tags):
+        scalar, vector = tags
+        return st.one_of(
+            st.builds(lambda v, d: jets.Jet(scalar, v, d), values, dots),
+            st.builds(lambda v, d: jets.Jet(vector, v, jets.Vec(d)), values,
+                      st.lists(dots, min_size=K, max_size=K)))
+    return lift
+
+
+def nested(base, dots_base):
+    """Values of ``base`` and jets over them, nested two deep; every jet value
+    at every depth is drawn from ``base``, the tangents from ``dots_base``."""
+    inner = base | lifts(base, dots_base)((INNER_SCALAR, INNER_VECTOR))
+    inner_dots = dots_base | lifts(dots_base, dots_base)((INNER_SCALAR, INNER_VECTOR))
+    return inner | lifts(inner, inner_dots)((OUTER_SCALAR, OUTER_VECTOR))
+
+
+SCALARS = nested(UNITS | FLOATS | KERNEL_BATCHES, UNITS | FLOATS | KERNEL_BATCHES)
+VECS = st.lists(SCALARS, min_size=K, max_size=K).map(jets.Vec)
+OPERANDS = SCALARS | VECS
+# divisors: no value at any depth is zero, so plain arithmetic never divides by zero
+DIVISORS = nested(NONZERO | st.lists(NONZERO, min_size=SIZE, max_size=SIZE).map(jets.batch),
+                  UNITS | FLOATS | KERNEL_BATCHES)
+
+PLAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def plain(op, x, y):
+    """``x op y`` with no structural zero or unit: the rules of jet arithmetic
+    expanded on the parts, and floats and batches by plain arithmetic."""
+    if type(x) is jets.Vec or type(y) is jets.Vec:
+        return jets.Vec([plain(op, a, b) for a, b in zip(jets.slots(x, K), jets.slots(y, K))])
+    t = max(v.tag if type(v) is jets.Jet else 0 for v in (x, y))
+    if t == 0:
+        return PLAIN_OPS[op](x, y)
+    (xv, xd), (yv, yd) = ((v.val, v.dot) if type(v) is jets.Jet and v.tag == t else (v, 0.0)
+                          for v in (x, y))
+    if op == "*":
+        return jets.Jet(t, plain("*", xv, yv), plain("+", plain("*", xv, yd), plain("*", xd, yv)))
+    if op == "/":
+        q = plain("/", xv, yv)
+        return jets.Jet(t, q, plain("/", plain("-", xd, plain("*", q, yd)), yv))
+    return jets.Jet(t, plain(op, xv, yv), plain(op, xd, yd))
+
+
+def assert_zero_product(x):
+    """x is what a product with an exact zero gives: a float zero or a Vec of them."""
+    for v in jets.slots(x, K) if type(x) is jets.Vec else [x]:
+        assert_structural_zero(v)
+
+
+def is_unit(x):
+    return type(x) is float and x == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["+", "-", "*"]), OPERANDS, OPERANDS)
+@example("*", jets.Jet(INNER_SCALAR, B, 1.0), 0.0)
+@example("*", 1.0, jets.Vec([B, 1.0]))
+def test_jet_and_vec_operators_are_plain_arithmetic_with_structural_zeros(op, x, y):
+    if op == "*" and type(x) is jets.Vec and type(y) is jets.Vec:
+        return  # a Vec has no product with a Vec
+    out = PLAIN_OPS[op](x, y)
+    assert same(out, plain(op, x, y))
+    ours = (jets.Jet, jets.Vec)  # a float or a batch on both sides is numpy's or Python's
+    if op == "*":
+        if is_zero(x) and type(y) in ours or is_zero(y) and type(x) in ours:
+            assert_zero_product(out)
+        if type(x) is jets.Jet and type(y) is jets.Jet and x.tag == y.tag \
+                and (is_zero(x.val) or is_zero(y.val)):
+            assert_structural_zero(out.val)
+        if is_unit(x) and type(y) in ours:
+            assert out is y
+        if is_unit(y) and type(x) in ours:
+            assert out is x
+    elif is_zero(y) and type(x) in ours:
+        assert out is x
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPERANDS, DIVISORS)
+def test_jet_and_vec_division_is_plain_arithmetic_with_a_structural_unit(x, y):
+    assert same(x / y, plain("/", x, y))
+    if type(x) in (jets.Jet, jets.Vec):
+        assert x / 1.0 is x
+
+
+# mul_add's operands, with zeros and units drawn more often
+SPARSE_VECS = st.lists(UNITS | SCALARS, min_size=K, max_size=K).map(jets.Vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPARSE_VECS, UNITS | SCALARS, UNITS | SCALARS, SPARSE_VECS)
+@example(jets.Vec([1.0, B]), B, 1.0, jets.Vec([0.0, 0.0]))
+@example(jets.Vec([0.0, 0.0]), 1.0, B, jets.Vec([1.0, B]))
+@example(jets.Vec([B, 1.0]), 1.0, B, jets.Vec([1.0, B]))
+def test_mul_add_is_plain_arithmetic_with_structural_zeros_and_units(v, x, y, w):
+    out = v.mul_add(x, y, w)
+    assert same(out, plain("+", plain("*", y, w), plain("*", v, x)))
+    for a, b, o in zip(v.s, w.s, out.s):
+        # the slot is y * b + a * x, with each product that meets a zero or a
+        # unit slot, or a unit scalar, taking no arithmetic
+        if is_zero(a) and is_zero(b):
+            assert is_zero(o)  # a zero slot, carried as it is
+        elif is_zero(b):
+            assert o is (a if is_unit(x) else x if is_unit(a) else o)
+        elif is_zero(a):
+            assert o is (b if is_unit(y) else y if is_unit(b) else o)
+
+
+def test_a_zero_jet_value_takes_no_arithmetic_in_a_vector_product():
+    # the values of two jets of one vector lift: a zero value takes the dot's
+    # product apart before mul_add, and the dot keeps its Vec type (rule 1)
+    tag = jets.fresh_tag()
+    b = jets.batch([2.0, 3.0, 4.0])
+    x = jets.Jet(tag, 0.0, jets.Vec([1.0, 0.0]))
+    y = jets.Jet(tag, b, jets.Vec([b, 1.0]))
+    for out in (x * y, y * x):
+        assert_structural_zero(out.val)
+        assert type(out.dot) is jets.Vec
+        assert out.dot.s[0] is b and out.dot.s[1] == 0.0
+    zero = x * jets.Jet(tag, 0.0, jets.Vec([0.0, 1.0]))
+    assert_structural_zero(zero.val)
+    assert_zero_product(zero.dot)
+
+
+def test_division_of_and_by_zero_stays_plain():
+    tag = jets.fresh_tag()
+    with np.errstate(all="ignore"):
+        q = jets.Jet(tag, jets.batch([0.0, 1.0]), jets.batch([1.0, 1.0])) / 0.0
+        assert np.isnan(q.val[0]) and np.isinf(q.val).tolist() == [False, True]
+        assert np.isinf(q.dot).all()
+        assert np.isnan((jets.Vec([jets.batch([0.0])]) / 0.0).s[0]).all()
+    with pytest.raises(ZeroDivisionError):
+        jets.Jet(tag, 0.0, 1.0) / 0.0
+    with pytest.raises(ZeroDivisionError):
+        0.0 / jets.Jet(tag, 0.0, 1.0)
