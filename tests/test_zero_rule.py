@@ -164,37 +164,37 @@ def test_brackets_of_the_zero_form_are_float_zeros():
 # jet tangent) or vector (a Vec tangent of K slots), in tag order
 K = 2
 INNER_SCALAR, INNER_VECTOR, OUTER_SCALAR, OUTER_VECTOR = (jets.fresh_tag() for _ in range(4))
-UNITS = st.sampled_from([0.0, -0.0, 0, 1.0, -1.0])
-KERNEL_BATCHES = st.lists(UNITS.map(float) | FLOATS, min_size=SIZE, max_size=SIZE).map(jets.batch)
+ZEROS_AND_UNITS = st.sampled_from([0.0, -0.0, 0, 1.0, -1.0])
+KERNEL_BATCHES = st.lists(ZEROS_AND_UNITS.map(float) | FLOATS,
+                          min_size=SIZE, max_size=SIZE).map(jets.batch)
 NONZERO = st.floats(0.25, 4.0) | st.floats(-4.0, -0.25) | st.sampled_from([1.0, -1.0])
 B = jets.batch([2.0, -0.5, 3.0])  # a batch of the explicit examples
 
 
-def lifts(values, dots):
-    """Jets of one scalar and one vector lift above ``values``, by tag order."""
-    def lift(tags):
-        scalar, vector = tags
-        return st.one_of(
-            st.builds(lambda v, d: jets.Jet(scalar, v, d), values, dots),
-            st.builds(lambda v, d: jets.Jet(vector, v, jets.Vec(d)), values,
-                      st.lists(dots, min_size=K, max_size=K)))
-    return lift
+def lifts(values, dots, scalar, vector):
+    """Jets of the scalar lift ``scalar`` and of the vector lift ``vector``
+    with values drawn from ``values`` and tangents (or slots) from ``dots``."""
+    return st.one_of(
+        st.builds(lambda v, d: jets.Jet(scalar, v, d), values, dots),
+        st.builds(lambda v, d: jets.Jet(vector, v, jets.Vec(d)), values,
+                  st.lists(dots, min_size=K, max_size=K)))
 
 
 def nested(base, dots_base):
     """Values of ``base`` and jets over them, nested two deep; every jet value
     at every depth is drawn from ``base``, the tangents from ``dots_base``."""
-    inner = base | lifts(base, dots_base)((INNER_SCALAR, INNER_VECTOR))
-    inner_dots = dots_base | lifts(dots_base, dots_base)((INNER_SCALAR, INNER_VECTOR))
-    return inner | lifts(inner, inner_dots)((OUTER_SCALAR, OUTER_VECTOR))
+    inner = base | lifts(base, dots_base, INNER_SCALAR, INNER_VECTOR)
+    inner_dots = dots_base | lifts(dots_base, dots_base, INNER_SCALAR, INNER_VECTOR)
+    return inner | lifts(inner, inner_dots, OUTER_SCALAR, OUTER_VECTOR)
 
 
-SCALARS = nested(UNITS | FLOATS | KERNEL_BATCHES, UNITS | FLOATS | KERNEL_BATCHES)
+KERNEL_VALUES = ZEROS_AND_UNITS | FLOATS | KERNEL_BATCHES
+SCALARS = nested(KERNEL_VALUES, KERNEL_VALUES)
 VECS = st.lists(SCALARS, min_size=K, max_size=K).map(jets.Vec)
 OPERANDS = SCALARS | VECS
 # divisors: no value at any depth is zero, so plain arithmetic never divides by zero
 DIVISORS = nested(NONZERO | st.lists(NONZERO, min_size=SIZE, max_size=SIZE).map(jets.batch),
-                  UNITS | FLOATS | KERNEL_BATCHES)
+                  KERNEL_VALUES)
 
 PLAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -260,11 +260,11 @@ def test_jet_and_vec_division_is_plain_arithmetic_with_a_structural_unit(x, y):
 
 
 # mul_add's operands, with zeros and units drawn more often
-SPARSE_VECS = st.lists(UNITS | SCALARS, min_size=K, max_size=K).map(jets.Vec)
+SPARSE_VECS = st.lists(ZEROS_AND_UNITS | SCALARS, min_size=K, max_size=K).map(jets.Vec)
 
 
 @settings(max_examples=300, deadline=None)
-@given(SPARSE_VECS, UNITS | SCALARS, UNITS | SCALARS, SPARSE_VECS)
+@given(SPARSE_VECS, ZEROS_AND_UNITS | SCALARS, ZEROS_AND_UNITS | SCALARS, SPARSE_VECS)
 @example(jets.Vec([1.0, B]), B, 1.0, jets.Vec([0.0, 0.0]))
 @example(jets.Vec([0.0, 0.0]), 1.0, B, jets.Vec([1.0, B]))
 @example(jets.Vec([B, 1.0]), 1.0, B, jets.Vec([1.0, B]))
