@@ -39,14 +39,16 @@ evaluator that is linear in its direction then returns all k values at once
    takes no arithmetic: ``x + 0`` and ``x - 0`` are x, ``0 - x`` is -x, a
    product with it is the float zero (a Vec of float zeros when the other
    factor is a Vec, which keeps rule 1), and a zero slot is carried as it
-   is.  A float 1.0 factor is the identity: ``1.0 * x`` and ``x / 1.0`` are
-   x itself, bit for bit, the sign of a zero and a NaN included.  Division
-   is otherwise plain: a zero divided and a division by zero are computed,
-   so a 0/0 still surfaces.  This is the operand analogue of the untagged
-   coordinate in ``lift``.  NaN semantics: a NaN or an infinity that meets
-   only exact zeros is dropped, because no product with a zero is formed
-   (plain arithmetic gives ``nan * 0.0 = nan``); one that meets a nonzero
-   value reaches the result, and every residual that sees it reads NaN
+   is (``Vec.mul_add`` alone multiplies a zero scalar plainly, and the jet
+   product never hands it one).  A float 1.0 factor is the identity:
+   ``1.0 * x`` and ``x / 1.0`` are x itself, bit for bit, the sign of a
+   zero and a NaN included.  Division is otherwise plain: a zero divided
+   and a division by zero are computed, so a 0/0 still surfaces.  This is
+   the operand analogue of the untagged coordinate in ``lift``.  NaN
+   semantics: a NaN or an infinity that meets only exact zeros is dropped,
+   because no product with a zero is formed (plain arithmetic gives
+   ``nan * 0.0 = nan``); one that meets a nonzero value reaches the
+   result, and every residual that sees it reads NaN
    (``calculus.sup_abs``).
 4. ``tangent``, ``primal`` and ``retag`` (and ``calculus.point_key``, the
    key of every point memo) map over slots.
