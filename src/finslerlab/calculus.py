@@ -27,18 +27,24 @@ and keep the grouping of every formula, so a finite result changes at most
 in the sign of a zero.  J, the semibasic 1-forms and the vertical fields are
 mostly zeros, so most numpy calls on batches and most jets built on their
 entries are skipped.
+
+A construction is built once per operand (``memo.kept_on``): J and C are one
+shared constant per n, ``fn_bracket`` gives one object per operand pair, and
+the connection constructions one per structure and operand, each kept on its
+operand and living exactly as long as it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 
 import numpy as np
 
 from . import jets
 from .core import BaseFunction, ScalarField, grid_coords
 from .errors import DegreeOutOfRange, NotSemibasic, NotSemispray
+from .memo import PointMemo, kept_on
 
 PRECHECK_TOL = 1e-8
 
@@ -65,132 +71,19 @@ def frame(n2: int):
     return [frame_vector(n2, a) for a in range(n2)]
 
 
-NEG_ZERO = "-0.0"
-_VEC = "vec"
+def _one_per_n(build):
+    """``build(n)`` as one shared constant per n, which keeps no construction."""
+    made = {}
 
+    @functools.wraps(build)
+    def constant(n):
+        c = made.get(n)
+        if c is None:
+            c = made[n] = build(n)
+            c._built = False
+        return c
 
-def point_key(z):
-    """One pass over a point: ``(key, base, tags)``, or None if it has no key.
-
-    ``tags`` lists the point's lift tags in order of first appearance and
-    ``base`` holds the real parts of the coordinates.  The key lists every
-    float of the point (a negative zero as its own token: ``tuple(z)`` would
-    give -0.0 and 0.0 the same key, and a function may tell them apart), a
-    mark for each jet node giving the position of its tag in ``tags`` and one
-    for each Vec giving its number of slots, then the order of those tags.
-    Two points get the same key exactly when an order-preserving renaming of
-    tags maps one onto the other.  A ``jets.Batch``, as a coordinate or a jet
-    part of a batch point, enters the key (and ``base``) as the bytes of its
-    array, which tell -0.0 from 0.0 at every point too.  A coordinate or jet
-    part of any other type leaves the point without a key.
-    """
-    key = tuple(z)
-    for c in key:
-        if type(c) is not float:
-            break
-    else:
-        if 0.0 in key:
-            key = tuple(c if c or math.copysign(1.0, c) > 0.0 else NEG_ZERO for c in key)
-        return key + ((),), tuple(z), []
-    Jet, Vec, copysign = jets.Jet, jets.Vec, math.copysign
-    flat, base, tags, marks = [], [], [], {}
-    push = flat.append
-    for c in z:
-        if type(c) is float:
-            push(c if c or copysign(1.0, c) > 0.0 else NEG_ZERO)
-            base.append(c)
-            continue
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            if type(x) is Jet:
-                mark = marks.get(x.tag)
-                if mark is None:
-                    mark = marks[x.tag] = f"tag{len(tags)}"
-                    tags.append(x.tag)
-                push(mark)
-                stack += (x.dot, x.val)
-            elif type(x) is float:
-                push(x if x or copysign(1.0, x) > 0.0 else NEG_ZERO)
-            elif type(x) is Vec:
-                push(_VEC)
-                push(len(x.s))
-                stack += x.s
-            elif type(x) is jets.Batch:
-                push(x.tobytes())
-            else:
-                return None
-        while type(c) is Jet:
-            c = c.val
-        base.append(c.tobytes() if type(c) is jets.Batch else c)
-    push(tuple(sorted(range(len(tags)), key=tags.__getitem__)) if len(tags) > 1 else ())
-    return tuple(flat), tuple(base), tags
-
-
-class PointMemo:
-    """Values computed at points, keyed by ``point_key``.
-
-    Entries are kept for one base point (the real parts of the coordinates)
-    and dropped when a keyed point arrives at another one, so a memo holds
-    one point's entries at most; every lift of a batch point has the batch's
-    base, so they live while the batch is evaluated.  An entry is stored
-    with the tags of the point that computed it; a point that differs from
-    it by an order-preserving renaming of tags hits it, and renaming the
-    stored value to that point's tags gives, bit for bit, what the
-    computation gives there, because jet arithmetic compares tags only by
-    their order and strips the tags it makes.  A value that holds a tag no
-    point carries (a function that holds jets of its own) cannot be renamed:
-    ``jets.retag`` raises ``KeyError`` and the value is computed afresh.
-    ``put`` stores a value computed elsewhere that is exact at its point.
-    """
-
-    __slots__ = ("base", "entries")
-
-    def __init__(self):
-        self.base = None
-        self.entries = {}
-
-    def get(self, z, compute):
-        """``compute(z)`` through the memo.
-
-        A miss stores the value, unless ``compute`` raises or z has no key; a
-        hit stored with other tags is returned as ``retag_array(value,
-        renaming)``, where ``renaming`` maps the stored tags to z's.  The
-        result is shared: do not modify it.
-        """
-        point = point_key(z)
-        if point is None:
-            return compute(z)
-        key, base, tags = point
-        if base != self.base:
-            self.entries = {}
-            self.base = base
-        hit = self.entries.get(key)
-        if hit is None:
-            value = compute(z)
-            self.entries[key] = (tags, value)
-            return value
-        stored, value = hit
-        if stored == tags:
-            return value
-        try:
-            return retag_array(value, dict(zip(stored, tags)))
-        except KeyError:  # the value holds a tag the point does not carry
-            return compute(z)
-
-    def put(self, z, value):
-        """Store ``value`` at z, a point at the memo's base point, unless an
-        entry is there.  It must be what ``compute`` would give at z."""
-        point = point_key(z)
-        if point is not None and point[1] == self.base:
-            self.entries.setdefault(point[0], (point[2], value))
-
-
-def retag_array(x, tag_map):
-    """``jets.retag`` over nested lists (a matrix or a frame array)."""
-    if type(x) is list:
-        return [retag_array(v, tag_map) for v in x]
-    return jets.retag(x, tag_map)
+    return constant
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +93,14 @@ def retag_array(x, tag_map):
 class VectorField:
     """2n-component vector field over the coordinate frame (d/dx^i, d/dy^i)."""
 
-    __slots__ = ("fn", "n", "name", "_memo")
+    __slots__ = ("fn", "n", "name", "_memo", "_built", "__weakref__")
 
     def __init__(self, fn, n: int, name: str = "", memo: bool = False):
         self.fn = fn
         self.n = n
         self.name = name
         self._memo = PointMemo() if memo else None
+        self._built = None
 
     def __call__(self, z):
         memo = self._memo
@@ -258,8 +152,9 @@ def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
 # canonical fields and lifts
 
 
+@_one_per_n
 def liouville_field(n: int) -> VectorField:
-    """C = y^i d/dy^i, the radial vertical field."""
+    """C = y^i d/dy^i, the radial vertical field; one shared constant per n."""
 
     def ev(z):
         return [0.0] * n + list(z[n:])
@@ -394,7 +289,7 @@ class VectorForm:
     columns, degree 2 over the rows and then over the entries of each row.
     """
 
-    __slots__ = ("degree", "n", "name", "_matrix_fn", "_matrix_memo")
+    __slots__ = ("degree", "n", "name", "_matrix_fn", "_matrix_memo", "_built", "__weakref__")
 
     def __init__(self, degree: int, matrix_fn, n: int, name: str = ""):
         if degree not in (1, 2):
@@ -404,6 +299,7 @@ class VectorForm:
         self.name = name
         self._matrix_fn = matrix_fn
         self._matrix_memo = None
+        self._built = None
 
     def __call__(self, z, *vectors):
         if len(vectors) != self.degree:
@@ -515,8 +411,9 @@ def identity_form(n: int) -> VectorForm:
     return constant_vector_form(m, n, "Id")
 
 
+@_one_per_n
 def vertical_endomorphism(n: int) -> VectorForm:
-    """J: d/dx^i -> d/dy^i, d/dy^i -> 0."""
+    """J: d/dx^i -> d/dy^i, d/dy^i -> 0; one shared constant per n."""
     n2 = 2 * n
     m = [[0.0] * n2 for _ in range(n2)]
     for i in range(n):
@@ -766,7 +663,17 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
 
 
 def fn_bracket(K, L):
-    """Frolicher-Nijenhuis bracket for degrees (1,0), (0,1), (1,1) and (0,0)."""
+    """Frolicher-Nijenhuis bracket for degrees (1,0), (0,1), (1,1) and (0,0).
+
+    One object per operand pair (``kept_on``): it is kept on L, or on K when
+    L is a shared constant (J, C), so [J, V] lives as long as V.  A bracket
+    of two shared constants is built at each call.
+    """
+    holder = K if L._built is False else L
+    return kept_on(holder, "fn_bracket", (K, L), lambda: _bracket(K, L))
+
+
+def _bracket(K, L):
     k_is_form = isinstance(K, VectorForm)
     l_is_form = isinstance(L, VectorForm)
     if not k_is_form and not l_is_form:
@@ -779,7 +686,9 @@ def fn_bracket(K, L):
         if L.degree != 1:
             raise DegreeOutOfRange("bracket with a vector field needs a vector 1-form")
         # [Y, L] = -[L, Y] (degrees 0 and 1)
-        return _bracket_1_0(L, K).scale(-1.0)
+        form = _bracket_1_0(L, K).scale(-1.0)
+        form.name = f"[{K.name},{L.name}]"
+        return form
     if K.degree == 1 and L.degree == 1:
         return _bracket_1_1(K, L)
     raise DegreeOutOfRange(

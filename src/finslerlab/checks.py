@@ -85,13 +85,18 @@ class CheckResult:
 
 
 class SharedObjects:
-    """The constructions that several cells of one fixture read, built once per run.
+    """The operands that several cells of one fixture read, built once per run.
 
     ``run_checks`` makes one per fixture and hands it to every cell of that
-    fixture as ``CheckContext.shared``.  Each object is built by the first
+    fixture as ``CheckContext.shared``.  Each operand is built by the first
     cell that reads it, which pays for the build; later cells read the same
     object and its memos.  A build that raises caches nothing, so every cell
     that reads it raises again and records the same error.
+
+    The constructions on these operands are plain library calls: the
+    library keeps each on its operand (``memo.kept_on``), so h_L and
+    (d_L E)# of [J, E-dy1] or of L_W, S^V of E-dy1 and their brackets are
+    built by the first cell that asks and live for the run with the operand.
     """
 
     def __init__(self, F):
@@ -101,6 +106,17 @@ class SharedObjects:
     def wagner(self):
         """(hbar, L_W): the Wagner connection of f = x1 and its form L_W."""
         return wagner_connection(self.F, base_function("x1", self.F.n))
+
+    @cached_property
+    def wagner_minus_h0(self):
+        """L = hbar - h0, the conservative form of CHK-06 and CHK-09."""
+        return self.wagner[0] - berwald_connection(self.F)
+
+    @cached_property
+    def fv_J(self):
+        """f^v J for f = x1."""
+        n = self.F.n
+        return vertical_endomorphism(n).scale(vertical_lift_function(base_function("x1", n)))
 
     @cached_property
     def e_dy1(self) -> VectorField:
@@ -113,21 +129,6 @@ class SharedObjects:
         L = fn_bracket(vertical_endomorphism(self.F.n), self.e_dy1)
         L.memoize_matrix()
         return L
-
-    @cached_property
-    def h_j_e_dy1(self):
-        """h_L of L = [J, E-dy1]."""
-        return l_ehresmann_connection(self.F, self.j_e_dy1)
-
-    @cached_property
-    def h_L_W(self):
-        """h_L of the Wagner form L_W."""
-        return l_ehresmann_connection(self.F, self.wagner[1])
-
-    @cached_property
-    def spray_e_dy1(self):
-        """S^V of V = E-dy1."""
-        return semispray_from_vertical(self.F, self.e_dy1)
 
 
 @dataclass
@@ -233,8 +234,7 @@ def _chk05_berwald(F, ctx):
 
 
 def _chk06_conservative_form(F, ctx):
-    hbar, _ = ctx.shared.wagner
-    L = hbar - berwald_connection(F)
+    L = ctx.shared.wagner_minus_h0
     residuals = [conservative_form_residual(F, L, ctx.grid)]
     hL = l_ehresmann_connection(F, L)
     translated = berwald_connection(F) + L
@@ -247,23 +247,18 @@ def _chk07_biconditional(F, ctx):
     J = vertical_endomorphism(n)
     f_v = vertical_lift_function(base_function("x1", n))
     shared = ctx.shared
-    _, L_W = shared.wagner
-
-    def own(L):  # (L, the build of its h_L)
-        return L, lambda: l_ehresmann_connection(F, L)
-
     fixtures = [
-        ("zero", *own(zero_vector_form(n))),
-        ("wagner", L_W, lambda: shared.h_L_W),
-        ("fvJ", *own(J.scale(f_v))),
-        ("jv:E-dy1", shared.j_e_dy1, lambda: shared.h_j_e_dy1),
-        ("corollary", *own(J.scale(f_v / (2.0 * F.E)))),
+        ("zero", zero_vector_form(n)),
+        ("wagner", shared.wagner[1]),
+        ("fvJ", shared.fv_J),
+        ("jv:E-dy1", shared.j_e_dy1),
+        ("corollary", J.scale(f_v / (2.0 * F.E))),
     ]
     s0 = canonical_spray(F)
     residuals, notes = [], []
     tol = TOL_THEOREM
-    for name, L, connection in fixtures:
-        hL = connection()
+    for name, L in fixtures:
+        hL = l_ehresmann_connection(F, L)
         a = conservative_connection_residual(F, hL, ctx.grid)
         pot = insert_vector(s0, L)
         b = vertical_lift_test(F, field_apply(pot, F.E), ctx.grid)
@@ -283,7 +278,7 @@ def _chk07_biconditional(F, ctx):
 def _chk08_wagner(F, ctx):
     hbar, L_W = ctx.shared.wagner
     residuals = [conservative_connection_residual(F, hbar, ctx.grid)]
-    residuals.append(form_matrix_residual(hbar, ctx.shared.h_L_W, ctx.grid))
+    residuals.append(form_matrix_residual(hbar, l_ehresmann_connection(F, L_W), ctx.grid))
     pot = potential(L_W, canonical_spray(F), points=ctx.grid)
     residuals.append(vector_field_residual(pot, ctx.grid))
     return Outcome(sup_abs(residuals))
@@ -292,8 +287,7 @@ def _chk08_wagner(F, ctx):
 def _chk09_conformal(F, ctx):
     f = base_function("x1", F.n)
     F2 = conformal_change(F, f)
-    hbar, _ = ctx.shared.wagner
-    L = hbar - berwald_connection(F)
+    L = ctx.shared.wagner_minus_h0
     residuals = [conservative_form_residual(F, L, ctx.grid),
                  conservative_form_residual(F2, L, ctx.grid)]
     # the scaling identity d_L E~ = phi d_L E behind the invariance
@@ -335,13 +329,10 @@ def _chk10_conservative_lift(F, ctx):
 
 
 def _chk11_theta_commutator(F, ctx):
-    n = F.n
-    J = vertical_endomorphism(n)
-    C = liouville_field(n)
-    f_v = vertical_lift_function(base_function("x1", n))
-    _, L_W = ctx.shared.wagner
+    C = liouville_field(F.n)
+    shared = ctx.shared
     residuals = []
-    for L in (L_W, J.scale(f_v), ctx.shared.j_e_dy1):
+    for L in (shared.wagner[1], shared.fv_J, shared.j_e_dy1):
         lhs = fn_bracket(C, theta_operator(F, L))
         rhs = theta_operator(F, fn_bracket(C, L))
         residuals.append(form_matrix_residual(lhs, rhs, ctx.grid))
@@ -383,8 +374,8 @@ def _chk14_homogeneity_lemma(F, ctx):
     half_y1_C = build_field(F, "half-y1-C")
     shared = ctx.shared
     residuals = [
-        vector_form1_residual(tension(F, shared.h_j_e_dy1), ctx.grid),
-        homogeneity_residual(shared.spray_e_dy1, 2.0, ctx.grid),
+        vector_form1_residual(tension(F, l_ehresmann_connection(F, shared.j_e_dy1)), ctx.grid),
+        homogeneity_residual(semispray_from_vertical(F, shared.e_dy1), 2.0, ctx.grid),
         vector_form1_residual(
             tension(F, l_ehresmann_connection(F, fn_bracket(J, half_y1_C))), ctx.grid),
         homogeneity_residual(semispray_from_vertical(F, half_y1_C), 2.0, ctx.grid),
@@ -394,15 +385,15 @@ def _chk14_homogeneity_lemma(F, ctx):
 
 def _chk15_dh_omega(F, ctx):
     h0 = berwald_connection(F)
-    hL = ctx.shared.h_j_e_dy1
+    hL = l_ehresmann_connection(F, ctx.shared.j_e_dy1)
     return Outcome(sup_abs([dh_omega_residual(F, h0, ctx.grid),
                             dh_omega_residual(F, hL, ctx.grid)]))
 
 
 def _chk16_spray_family(F, ctx):
     n = F.n
-    h1 = connection_from_semispray(F, ctx.shared.spray_e_dy1)
-    h2 = ctx.shared.h_j_e_dy1
+    h1 = connection_from_semispray(F, semispray_from_vertical(F, ctx.shared.e_dy1))
+    h2 = l_ehresmann_connection(F, ctx.shared.j_e_dy1)
     residuals = [form_matrix_residual(h1, h2, ctx.grid)]
     # projective factor on a verified related pair: V = sqrt(E) C / 2, U = 0
     V = build_field(F, "half-sqrtE-C")
@@ -483,8 +474,10 @@ def run_checks(config) -> tuple:
     and residual helper takes the grid's coordinates from
     ``core.grid_coords`` and evaluates once.
     The cells of a fixture share one ``SharedObjects`` for the run: the
-    Wagner pair, the field E-dy1, L = [J, E-dy1], the h_L of L and of L_W,
-    and S^V of E-dy1 are each built once, by the first cell that reads them.
+    Wagner pair, hbar - h0, f^v J, the field E-dy1 and L = [J, E-dy1] are
+    each built once, by the first cell that reads them, and so is each
+    construction the library keeps on them, such as the h_L of L and of L_W
+    and S^V of E-dy1.
     """
     if config.samples < 1:
         raise BadConfig("samples must be >= 1")

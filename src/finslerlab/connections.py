@@ -8,6 +8,12 @@ factors, and the conservativity criterion i_V omega = d_J(V E) for vertical
 fields.  A connection is its vector 1-form h, a projector whose kernel is
 the vertical bundle: each construction returns the ``VectorForm`` itself,
 with its frame arrays memoised, and h0 is ``finsler.berwald_connection``.
+A construction is built once per structure and operand and lives exactly as
+long as the operand: (d_L E)#, Theta_L and h_L are kept on L and S^V on V
+(``memo.kept_on``), as brackets are kept on their operand, so every caller
+of h_L([J, V]) or S^V, from a cell or from ``conservative_lift`` and
+``v_from_torsion_free``, reads one object and its memos.  The weak torsion
+[J, h] and the tension [C, h] are these brackets themselves.
 A construction may read dE from the structure's point memo, as (d_L E)#
 does (``sharp_of_dLE``: d_L E = dE o L); a predicate never does, and the
 Vincze residual reads omega from a fresh pass.  A 1-form is evaluated on the
@@ -19,7 +25,8 @@ is proved symbolically.  A residual helper evaluates its points as one point
 sup over that point's values.  Each construction and predicate first tests
 its hypotheses (semibasic, torsion-free, vertical, homogeneous, a semispray,
 the projector laws, a conservative [J,V]-connection) as residuals on the
-structure's grid, or on the points given, and passes each residual to
+structure's grid, or on the points given (a kept construction once, when
+it is built), and passes each residual to
 ``calculus.precheck``, the one gate of the library's pre-checks: it raises
 the matching typed error unless the residual is at most
 ``calculus.PRECHECK_TOL``, so a NaN residual raises too.
@@ -49,6 +56,7 @@ from .finsler import (
     FinslerStructure, _sharp_block_solve, berwald_connection, canonical_spray,
     conservative_connection_residual, gradient, projector_residual,
 )
+from .memo import kept_on
 
 
 def _wrap_connection(F: FinslerStructure, form: VectorForm) -> VectorForm:
@@ -126,30 +134,41 @@ def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
     and the field solves with that matrix, as the canonical spray does, so it
     makes no pass of E and no second lookup of its own.
     """
-    n2 = 2 * F.n
 
-    def ev(z):
-        m, dE = F.shared_omega_at(z)
-        return _sharp_block_solve(m, _combine(jets.slots(dE, n2), L.matrix(z)), F.n, z)
+    def build():
+        n2 = 2 * F.n
 
-    return VectorField(ev, F.n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
+        def ev(z):
+            m, dE = F.shared_omega_at(z)
+            return _sharp_block_solve(m, _combine(jets.slots(dE, n2), L.matrix(z)), F.n, z)
+
+        return VectorField(ev, F.n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
+
+    return kept_on(L, "sharp_of_dLE", (F,), build)
 
 
 def theta_operator(F: FinslerStructure, L: VectorForm) -> VectorForm:
     """Theta_L = L + [J, (d_L E)#] = h_L - h0, on semibasic 1-forms."""
-    r = semibasic_residual(L, F.grid)
-    precheck(r, NotSemibasic(f"Theta needs a semibasic operand, residual {r:.3e}"))
-    J = vertical_endomorphism(F.n)
-    theta = L + fn_bracket(J, sharp_of_dLE(F, L))
-    theta.name = f"Theta({L.name})"
-    return theta
+
+    def build():
+        r = semibasic_residual(L, F.grid)
+        precheck(r, NotSemibasic(f"Theta needs a semibasic operand, residual {r:.3e}"))
+        theta = L + fn_bracket(vertical_endomorphism(F.n), sharp_of_dLE(F, L))
+        theta.name = f"Theta({L.name})"
+        return theta
+
+    return kept_on(L, "theta_operator", (F,), build)
 
 
 def l_ehresmann_connection(F: FinslerStructure, L: VectorForm) -> VectorForm:
     """h_L = h0 + L + [J, (d_L E)#]."""
-    form = berwald_connection(F) + theta_operator(F, L)
-    form.name = f"h_L({L.name or 'L'})"
-    return _wrap_connection(F, form)
+
+    def build():
+        form = berwald_connection(F) + theta_operator(F, L)
+        form.name = f"h_L({L.name or 'L'})"
+        return _wrap_connection(F, form)
+
+    return kept_on(L, "l_ehresmann_connection", (F,), build)
 
 
 def wagner_connection(F: FinslerStructure, f: BaseFunction):
@@ -179,19 +198,14 @@ def wagner_connection(F: FinslerStructure, f: BaseFunction):
 
 
 def weak_torsion(F: FinslerStructure, h: VectorForm) -> VectorForm:
-    """t = [J, h], a vector 2-form."""
-    J = vertical_endomorphism(F.n)
-    t = fn_bracket(J, h)
-    t.name = "t"
-    return t
+    """t = [J, h], a vector 2-form: the bracket itself, kept on h."""
+    return fn_bracket(vertical_endomorphism(F.n), h)
 
 
 def tension(F: FinslerStructure, h: VectorForm) -> VectorForm:
-    """H = [C, h], a vector 1-form; zero means the connection is homogeneous."""
-    C = liouville_field(F.n)
-    H = fn_bracket(C, h)
-    H.name = "H"
-    return H
+    """H = [C, h], a vector 1-form, kept on h; zero means the connection is
+    homogeneous."""
+    return fn_bracket(liouville_field(F.n), h)
 
 
 def torsion_free_residual(F: FinslerStructure, L: VectorForm, points=None) -> float:
@@ -235,17 +249,19 @@ def v_from_homogeneous(F: FinslerStructure, L: VectorForm, r: float) -> VectorFi
 
 def semispray_from_vertical(F: FinslerStructure, V: VectorField) -> VectorField:
     """S^V = S0 + 2V + 2 (d_[J,V] E)#; generates the [J,V]-connection."""
-    precheck(vertical_residual(V, F.grid),
-             NotVertical("V has horizontal components on the sample grid"))
-    J = vertical_endomorphism(F.n)
-    L = fn_bracket(J, V)
-    W = sharp_of_dLE(F, L)
-    s0 = canonical_spray(F)
 
-    def ev(z):
-        return [a + 2.0 * (b + c) for a, b, c in zip(s0(z), V(z), W(z))]
+    def build():
+        precheck(vertical_residual(V, F.grid),
+                 NotVertical("V has horizontal components on the sample grid"))
+        W = sharp_of_dLE(F, fn_bracket(vertical_endomorphism(F.n), V))
+        s0 = canonical_spray(F)
 
-    return VectorField(ev, F.n, name=f"S^({V.name})", memo=True)
+        def ev(z):
+            return [a + 2.0 * (b + c) for a, b, c in zip(s0(z), V(z), W(z))]
+
+        return VectorField(ev, F.n, name=f"S^({V.name})", memo=True)
+
+    return kept_on(V, "semispray_from_vertical", (F,), build)
 
 
 def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField):

@@ -1,13 +1,14 @@
 """Finsler energies: validation, fundamental form, sharp operator, sprays.
 
-A validated structure caches its canonical spray and Berwald connection, and
-keeps one point memo (``calculus.PointMemo``) of omega's matrix and dE, as
+A validated structure keeps its canonical spray and Berwald connection
+(``memo.kept_on``, as every construction is kept on its operand), and
+keeps one point memo (``memo.PointMemo``) of omega's matrix and dE, as
 ``omega_and_dE`` returns them from one pass of E, at every point: a float
 point, a batch point (``core.PointBatch``) and a jet point alike.  The sharp
 solve and ``d_h omega`` read omega there, and the canonical spray both.  A
 miss at a float or batch point also checks at each of its points that omega
 is finite and cond(omega) <= COND_LIMIT; a raise stores nothing.  The memo's
-key is the point's canonical form (``calculus.point_key``): every float, a
+key is the point's canonical form (``memo.point_key``): every float, a
 negative zero as its own token, and the lift tags up to an order-preserving
 renaming.  Entries are kept for one base point (the real parts of the
 coordinates) at a time and dropped when a call arrives at another one, so
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import jets
 from .calculus import (
-    PointMemo, VectorField, VectorForm, _mul, _sub, d_K, d_function, exterior_derivative,
+    VectorField, VectorForm, _mul, _sub, d_K, d_function, exterior_derivative,
     field_apply, fn_bracket, identity_form, liouville_field, precheck,
     semibasic_residual, sup_abs, vertical_endomorphism,
 )
@@ -52,6 +53,7 @@ from .errors import (
     HomogeneityFailure, NondegeneracyFailure, NotConnection, NotSemibasic,
     PositivityFailure,
 )
+from .memo import PointMemo, kept_on
 
 DET_FLOOR = 1e-10
 COND_LIMIT = 1e12
@@ -196,7 +198,11 @@ def _sharp_block_solve(m, beta, n, z):
             acc = b[r]
             for c in range(r + 1, n):
                 acc = _sub(acc, _mul(row[c], x[c]))
-            x[r] = acc / row[r]
+            # the pivot is positive: an exact-zero numerator leaves x[r] the
+            # float zero, and a unit pivot divides nothing (rule 3 of jets)
+            if type(acc) is jets.Batch or acc:
+                p = row[r]
+                x[r] = acc if type(p) is float and p == 1.0 else acc / p
         return x
 
     xh = solve([-v for v in beta[n:]])
@@ -313,8 +319,7 @@ class FinslerStructure:
         self.name = name or E.name or "finsler"
         self.omega = FundamentalForm(E, n)
         self._memo = PointMemo()
-        self._spray = None
-        self._berwald = None
+        self._built = None
         if validate:
             energy_axioms_residual(self, grid)
 
@@ -421,27 +426,30 @@ def canonical_spray(F: FinslerStructure) -> VectorField:
     dE comes from the pass that builds omega at the point, through the
     structure's point memo, and is solved as ``sharp`` solves any 1-form.
     """
-    if F._spray is None:
+
+    def build():
         n2 = 2 * F.n
 
         def ev(z):
             m, dE = F.shared_omega_at(z)
             return _sharp_block_solve(m, jets.slots(-1.0 * dE, n2), F.n, z)
 
-        F._spray = VectorField(ev, F.n, name="S0", memo=True)
-    return F._spray
+        return VectorField(ev, F.n, name="S0", memo=True)
+
+    return kept_on(F, "canonical_spray", (), build)
 
 
 def berwald_connection(F: FinslerStructure) -> VectorForm:
     """h0 = (Id + [J, S0]) / 2, the connection generated by the canonical spray."""
-    if F._berwald is None:
+
+    def build():
         J = vertical_endomorphism(F.n)
-        s0 = canonical_spray(F)
-        h0 = (identity_form(F.n) + fn_bracket(J, s0)).scale(0.5)
+        h0 = (identity_form(F.n) + fn_bracket(J, canonical_spray(F))).scale(0.5)
         h0.name = "h0"
         h0.memoize_matrix()
-        F._berwald = h0
-    return F._berwald
+        return h0
+
+    return kept_on(F, "berwald_connection", (), build)
 
 
 def conformal_change(F: FinslerStructure, f: BaseFunction) -> FinslerStructure:
@@ -512,8 +520,8 @@ def conservative_connection_residual(F: FinslerStructure, h: VectorForm, points=
 
 
 def _energy_euclidean(n: int) -> ScalarField:
-    def ev(z):
-        return 0.5 * sum(z[n + i] * z[n + i] for i in range(n))
+    def ev(z):  # each sum starts from its first term: a bare batch pays for 0 + x
+        return 0.5 * sum((z[n + i] * z[n + i] for i in range(1, n)), z[n] * z[n])
 
     return ScalarField(ev, n, "E_euclidean")
 
@@ -530,7 +538,7 @@ def _energy_riemannian_exp(n: int) -> ScalarField:
 
 def _energy_randers(n: int, drift: float = 0.3) -> ScalarField:
     def ev(z):
-        norm = jets.sqrt(sum(z[n + i] * z[n + i] for i in range(n)))
+        norm = jets.sqrt(sum((z[n + i] * z[n + i] for i in range(1, n)), z[n] * z[n]))
         f = norm + drift * z[n]
         return 0.5 * f * f
 

@@ -14,7 +14,7 @@ smaller than its own.  ``nth_directional`` and ``jvp`` strip the tags they
 create before they return, so no internal tag escapes into a result.  Hence
 renaming the tags of a computation's inputs by an order-preserving map
 (``retag``) renames those of its outputs and changes nothing else; the point
-memos (``calculus.PointMemo``) rely on this.
+memos (``memo.PointMemo``) rely on this.
 
 Tangents are sparse by structure: a lift leaves a coordinate whose direction
 component is an exact float zero untagged, so arithmetic on it never carries
@@ -50,7 +50,7 @@ evaluator that is linear in its direction then returns all k values at once
    ``nan * 0.0 = nan``); one that meets a nonzero value reaches the
    result, and every residual that sees it reads NaN
    (``calculus.sup_abs``).
-4. ``tangent``, ``primal`` and ``retag`` (and ``calculus.point_key``, the
+4. ``tangent``, ``primal`` and ``retag`` (and ``memo.point_key``, the
    key of every point memo) map over slots.
 
 Each slot then performs the float operations of the scalar pass along its

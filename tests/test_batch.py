@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from finslerlab import finsler, jets
-from finslerlab.calculus import field_apply, liouville_field, point_key, sup_abs
+from finslerlab.calculus import field_apply, liouville_field, sup_abs
 from finslerlab.checks import CHECKS, CheckContext, Outcome, SharedObjects
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
@@ -25,6 +25,7 @@ from finslerlab.finsler import (
     DET_FLOOR, VALIDATION_TOL, FinslerStructure, _sharp_block_solve,
     energy_axioms_residual, finsler_fixture, fixture_ids, omega_and_dE,
 )
+from finslerlab.memo import point_key
 
 
 def at(x, i):

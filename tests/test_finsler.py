@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finslerlab import calculus, finsler, jets
+from finslerlab import finsler, jets, memo
 from finslerlab.calculus import (
     DifferentialForm, VectorField, coordinate_one_form, d_function,
     exterior_derivative, fn_bracket, frame_vector, insert_one_form,
@@ -817,7 +817,7 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
     omega = finsler.omega_and_dE
 
     def counting(E, n, z):
-        built.append(len(calculus.point_key(z)[2]))
+        built.append(len(memo.point_key(z)[2]))
         return omega(E, n, z)
 
     for points in ([P0], sample_slit_points(2, 4, seed=1)):  # a float point, a batch point
@@ -826,7 +826,7 @@ def test_dh_omega_of_two_connections_builds_the_lifted_omega_once():
         with mock.patch.object(finsler, "omega_and_dE", counting):
             got = [dh_omega_residual(F, h, points) for h in hs]
         assert 2 in built and 1 not in built
-        with mock.patch.object(calculus.PointMemo, "put", lambda memo, z, value: None):
+        with mock.patch.object(memo.PointMemo, "put", lambda memo, z, value: None):
             F, hs = connections()
             assert got == [dh_omega_residual(F, h, points) for h in hs]
 
@@ -867,7 +867,7 @@ def test_a_lifted_omega_entry_answers_the_point_it_lifts(fid, n):
         # a float or batch point keeps its own miss, with its cond(omega) check
         F = structure()
         F.shared_omega_at(_jet_point(base, 1, 0)[0])
-        assert calculus.point_key(base)[0] not in F._memo.entries
+        assert memo.point_key(base)[0] not in F._memo.entries
 
 
 def test_an_entry_holding_a_tag_above_the_points_is_not_stored():
@@ -888,7 +888,7 @@ def test_an_entry_holding_a_tag_above_the_points_is_not_stored():
     F = structure(above)
     F.shared_omega_at(z)
     zp = [jets.primal(c, tags[-1]) for c in z]
-    assert calculus.point_key(zp)[0] not in F._memo.entries
+    assert memo.point_key(zp)[0] not in F._memo.entries
     assert _identical_entries(F.shared_omega_at(zp), finsler.omega_and_dE(F.E, N, zp))
 
 
@@ -930,7 +930,7 @@ def test_dh_omega_and_weak_torsion_build_the_lifted_berwald_matrix_once():
         compute = VectorForm._compute_matrix
 
         def counting(self, z):
-            if self is h0 and calculus.point_key(z)[2]:
+            if self is h0 and memo.point_key(z)[2]:
                 built.append(z)
             return compute(self, z)
 
@@ -942,7 +942,7 @@ def test_dh_omega_and_weak_torsion_build_the_lifted_berwald_matrix_once():
 
 
 def test_sharp_memo_key_separates_zero_signs_and_tag_order():
-    key = calculus.point_key
+    key = memo.point_key
     t1, t2 = jets.fresh_tag(), jets.fresh_tag()
     z = [0.5, 0.0, 1.0, 2.0]
     assert key(z)[0] != key([0.5, -0.0, 1.0, 2.0])[0]

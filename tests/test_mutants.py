@@ -70,10 +70,12 @@ MUTANTS = [
      "[row[:n] for row in self.omega_matrix_at(z)[n:]]",
      "[row[n:] for row in self.omega_matrix_at(z)[:n]]", ["CHK-01"]),
     # one fixture's shared objects serve every fixture: the cells whose identity
-    # ties a shared object to the structure's own h0 or omega fail
+    # ties a shared object to the structure's own h0 or omega fail.  The h_L
+    # of a shared form is built for the structure that asks (it is kept on the
+    # form per structure), so CHK-07 and CHK-15, which read only such h_L, hold
     ("share the first fixture's objects with every fixture", (checks, cli), "run_checks",
      "shared=shared[fid]", "shared=next(iter(shared.values()))",
-     ["CHK-06", "CHK-07", "CHK-08", "CHK-09", "CHK-15"]),
+     ["CHK-06", "CHK-08", "CHK-09"]),
     # d_L E = dE o L, whose value on e_b contracts dE with column b of L's matrix:
     # row b in its place (m[b][a]), or -dE, is another 1-form, and (d_L E)# drives
     # every h_L, S^V and conservative lift.  -dE keeps the homogeneity of Theta_L

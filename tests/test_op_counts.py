@@ -5,8 +5,8 @@ counts every numpy call made on them and notes who made it.  The total is
 pinned, as ``test_shared_objects`` pins memo work, so a change that adds or
 removes numpy calls on batches shows here.  Exact zeros and units are
 structural (rule 3 of ``jets``): no product made from ``jets.py`` meets a
-float 0.0 or 1.0, and no product or difference of the sharp solve meets an
-exact zero.
+float 0.0 or 1.0, no product or difference of the sharp solve meets an exact
+zero, and its back substitution divides no exact zero and by no unit pivot.
 """
 
 import inspect
@@ -68,13 +68,27 @@ def test_a_default_check_makes_a_pinned_number_of_numpy_calls(counted):
     results, code = run_checks(RunConfig(seed=42))
     assert code == 0 and len(results) == 48
     calls = len(counted)
-    assert calls == 35636
+    # 35,636 when each cell rebuilt the h_L, (d_L E)# and brackets of the shared
+    # operands, divided exact zeros and unit pivots in the sharp solve, and the
+    # fixture energies summed from the int 0
+    assert calls == 30314
 
 
-def test_no_product_meets_a_structural_zero_or_unit(counted):
+def test_no_product_meets_a_structural_zero_or_unit(counted, monkeypatch):
+    zero_over_jet = Counter()
+    rtruediv = jets.Jet.__rtruediv__
+
+    def counting_rtruediv(self, o):
+        frame = sys._getframe(1)
+        if _is_exact_zero(o) and frame.f_code is finsler._sharp_block_solve.__code__:
+            zero_over_jet[frame.f_lineno] += 1
+        return rtruediv(self, o)
+
+    monkeypatch.setattr(jets.Jet, "__rtruediv__", counting_rtruediv)
     run_checks(RunConfig(seed=42))
     trivial_jets = Counter()
     zero_in_sharp = Counter()
+    trivial_division = Counter()
     for name, inputs, filename, line in counted:
         if filename == jets.__file__ and name == "multiply" and any(
                 type(x) in (float, int) and x in (0.0, 1.0) for x in inputs):
@@ -82,5 +96,11 @@ def test_no_product_meets_a_structural_zero_or_unit(counted):
         if filename == finsler.__file__ and line in SHARP_LINES and \
                 name in ("multiply", "subtract") and any(map(_is_exact_zero, inputs)):
             zero_in_sharp[line] += 1
+        if filename == finsler.__file__ and line in SHARP_LINES and \
+                name in ("divide", "true_divide") and \
+                (_is_exact_zero(inputs[0]) or type(inputs[1]) is float and inputs[1] == 1.0):
+            trivial_division[line] += 1
     assert not trivial_jets
     assert not zero_in_sharp
+    assert not trivial_division
+    assert not zero_over_jet

@@ -26,7 +26,9 @@ from finslerlab.calculus import (
     vertical_endomorphism, vertical_lift_function,
 )
 from finslerlab.checks import SharedObjects, _sup_form1, random_one_forms
-from finslerlab.connections import form_matrix_residual, vertical_lift_test, vincze_residual
+from finslerlab.connections import (
+    form_matrix_residual, l_ehresmann_connection, vertical_lift_test, vincze_residual,
+)
 from finslerlab.core import PointBatch, grid_coords, point, sample_slit_points
 from finslerlab.errors import BadConfig
 from finslerlab.finsler import (
@@ -80,8 +82,8 @@ def _forms(F):
     shared = SharedObjects(F)
     hbar, L_W = shared.wagner
     h0 = berwald_connection(F)
-    return {"h0": h0, "wagner": hbar, "h_L_W": shared.h_L_W,
-            "h_[J,E-dy1]": shared.h_j_e_dy1, "h0 + L_W": h0 + L_W,
+    return {"h0": h0, "wagner": hbar, "h_L_W": l_ehresmann_connection(F, L_W),
+            "h_[J,E-dy1]": l_ehresmann_connection(F, shared.j_e_dy1), "h0 + L_W": h0 + L_W,
             "1.5 h0": h0.scale(1.5)}
 
 

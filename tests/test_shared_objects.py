@@ -3,15 +3,20 @@
 Sharing must change no record: a cell run alone gives the record it has in
 the full run, each shared object is built once per fixture, and a build that
 raises is retried by every cell that reads it, so each records the error.
+The library keeps each construction on its operand (``memo.kept_on``):
+its body runs once per (structure, operand), and it lives no longer than
+the operand, so a run leaves nothing alive.
 """
 
+import gc
 import json
 import math
+import weakref
 from collections import Counter
 
 import pytest
 
-from finslerlab import calculus, checks, finsler
+from finslerlab import calculus, checks, connections, finsler, memo
 from finslerlab.checks import CHECK_IDS, run_checks
 from finslerlab.config import RunConfig
 from finslerlab.errors import NotConnection
@@ -40,24 +45,95 @@ def test_a_cell_alone_gives_its_record_in_the_full_run(check, full_run):
         assert _line(r) == full_run[(r.id, r.fixture)]
 
 
-def _counting(calls, build):
-    def wrapped(F, arg, *args, **kwargs):
-        calls[(build.__name__, F.name, arg.name)] += 1
-        return build(F, arg, *args, **kwargs)
-    return wrapped
+def _counting_builds(monkeypatch):
+    """Count every run of a construction body kept on its operand
+    (``memo.kept_on``), by (construction, holder, operands), named."""
+    builds = Counter()
+    kept_on = memo.kept_on
+
+    def counting(holder, tag, operands, build):
+        def counted():
+            builds[(tag, holder.name, *(x.name for x in operands))] += 1
+            return build()
+        return kept_on(holder, tag, operands, counted)
+
+    for module in (calculus, finsler, connections):
+        monkeypatch.setattr(module, "kept_on", counting)
+    return builds
 
 
-def test_each_fixture_builds_each_shared_object_once(monkeypatch):
-    calls = Counter()
-    for name in ("wagner_connection", "l_ehresmann_connection", "semispray_from_vertical"):
-        monkeypatch.setattr(checks, name, _counting(calls, getattr(checks, name)))
+def test_each_construction_body_runs_once_per_fixture_and_operand(monkeypatch):
+    builds = _counting_builds(monkeypatch)
     _, code = run_checks(RunConfig())
     assert code == 0
     for fid in fixture_ids():
-        assert calls[("wagner_connection", fid, "x1")] == 1
-        assert calls[("l_ehresmann_connection", fid, "[J,E-dy1]")] == 1
-        assert calls[("l_ehresmann_connection", fid, "L_W(x1)")] == 1
-        assert calls[("semispray_from_vertical", fid, "E-dy1")] == 1
+        for key in [("canonical_spray", fid), ("berwald_connection", fid),
+                    ("l_ehresmann_connection", "[J,E-dy1]", fid),
+                    ("sharp_of_dLE", "[J,E-dy1]", fid), ("theta_operator", "[J,E-dy1]", fid),
+                    ("l_ehresmann_connection", "L_W(x1)", fid),
+                    ("theta_operator", "L_W(x1)", fid),
+                    ("semispray_from_vertical", "E-dy1", fid)]:
+            assert builds[key] == 1, key
+    # one bracket per operand pair: [J, E-dy1] and [C, L_W] for each fixture's operands
+    assert builds[("fn_bracket", "E-dy1", "J", "E-dy1")] == len(fixture_ids())
+    assert builds[("fn_bracket", "L_W(x1)", "C", "L_W(x1)")] == len(fixture_ids())
+
+
+def test_the_conservative_lift_and_V_L_read_one_h_L_of_J_E_dy1(monkeypatch):
+    # CHK-10's conservative_lift(E-dy1) and CHK-12's v_from_torsion_free([J, E-dy1])
+    # ask for the same h_L, which is built once per fixture by the first of them
+    builds = _counting_builds(monkeypatch)
+    asked = Counter()
+    build = connections.l_ehresmann_connection
+
+    def counting(F, L):
+        asked[(L.name, F.name)] += 1
+        return build(F, L)
+
+    monkeypatch.setattr(connections, "l_ehresmann_connection", counting)
+    results, _ = run_checks(RunConfig(checks=["CHK-10", "CHK-12"]))
+    assert all(r.passed for r in results)
+    for fid in fixture_ids():
+        assert asked[("[J,E-dy1]", fid)] == 2
+        assert builds[("l_ehresmann_connection", "[J,E-dy1]", fid)] == 1
+        assert builds[("sharp_of_dLE", "[J,E-dy1]", fid)] == 1
+
+
+def test_a_run_leaves_no_structure_or_construction_alive(monkeypatch):
+    # constructions live as long as their operands: once run_checks returns,
+    # the structures, the shared operands and every construction kept on them
+    # are garbage, and the shared constants J and C keep no entry
+    alive = []
+    kept_on, fixture, init = memo.kept_on, checks.finsler_fixture, checks.SharedObjects.__init__
+
+    def tracking(holder, tag, operands, build):
+        def tracked():
+            value = build()
+            alive.append(weakref.ref(value))
+            return value
+        return kept_on(holder, tag, operands, tracked)
+
+    def tracked_fixture(*args, **kwargs):
+        F = fixture(*args, **kwargs)
+        alive.append(weakref.ref(F))
+        return F
+
+    def tracked_init(self, F):
+        init(self, F)
+        alive.append(weakref.ref(self))
+
+    for module in (calculus, finsler, connections):
+        monkeypatch.setattr(module, "kept_on", tracking)
+    monkeypatch.setattr(checks, "finsler_fixture", tracked_fixture)
+    monkeypatch.setattr(checks.SharedObjects, "__init__", tracked_init)
+    _, code = run_checks(RunConfig(samples=4, seed=7))
+    assert code == 0
+    gc.collect()
+    assert len(alive) > 100
+    assert [ref() for ref in alive if ref() is not None] == []
+    for n in (2, 3):
+        assert not calculus.vertical_endomorphism(n)._built
+        assert not calculus.liouville_field(n)._built
 
 
 @pytest.mark.parametrize("config", [RunConfig(), RunConfig(samples=4, seed=7)])
@@ -66,12 +142,15 @@ def test_the_memos_do_the_same_work_in_a_run(config, monkeypatch):
     # point, and a miss at a lifted point stores omega's primal at the point it
     # lifts, where d_h omega reads it (39 omega passes and 258 computations
     # without).  (d_L E)# reads omega and dE with one lookup and solves with
-    # that omega.  Some passes bypass the memos by design: CHK-03 and the
-    # Vincze residual read omega fresh, and so do the nine validations (the
-    # three fixtures, CHK-01's three and CHK-09's three conformal structures),
-    # which read g as omega's block
+    # that omega.  Each construction is built once per (structure, operand):
+    # CHK-10 and CHK-12 read the h_L and (d_L E)# of [J, E-dy1] that CHK-07
+    # built (825 lookups and 252 computations when each rebuilt them).  Some
+    # passes bypass the memos by design: CHK-03 and the Vincze residual read
+    # omega fresh, and so do the nine validations (the three fixtures, CHK-01's
+    # three and CHK-09's three conformal structures), which read g as omega's
+    # block
     work = Counter()
-    omega, get = finsler.omega_and_dE, calculus.PointMemo.get
+    omega, get = finsler.omega_and_dE, memo.PointMemo.get
 
     def counting_omega(*args):
         work["omega_and_dE"] += 1
@@ -86,9 +165,9 @@ def test_the_memos_do_the_same_work_in_a_run(config, monkeypatch):
         return get(memo, z, counted)
 
     monkeypatch.setattr(finsler, "omega_and_dE", counting_omega)
-    monkeypatch.setattr(calculus.PointMemo, "get", counting_get)
+    monkeypatch.setattr(memo.PointMemo, "get", counting_get)
     run_checks(config)
-    assert work == {"omega_and_dE": 33, "get": 825, "compute": 252}
+    assert work == {"omega_and_dE": 33, "get": 780, "compute": 237}
 
 
 def _assert_users_record(results, users, error):

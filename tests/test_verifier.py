@@ -348,3 +348,22 @@ def test_golden_default_report_digest(capsys):
     main(["check", "--seed", "42"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "eb7bdab05fbbafcb414601084421f66454f812ef74bf70ad833256a6926e7496"
+
+
+# `finslerlab eval --fixture randers-0.3 --point 0.1,0.2,0.7,-0.4 --object <id>`,
+# stdout pinned byte for byte; CI's "Connection eval" step reads these pins
+EVAL_DIGESTS = {
+    "berwald": "99cb56b2f5891e97ce51bd3bd7593396f0677dba0f052d188f0dbf5f9f96e8b6",
+    "l:jv:E-dy1": "2b4a721bf9d6b12d4c1b9b7f47d33e4f9b72b6066a2cdaa9b073aa2eba6b88ea",
+    "wagner:x1": "768331ea19963f207cc0ec7c58c44628a2efd1c2d11a83f409e90ecf6b23edd3",
+}
+
+
+@pytest.mark.parametrize("oid", EVAL_DIGESTS)
+def test_golden_eval_digests(oid, capsys):
+    """h0, an h_L and the Wagner connection at a float point off the grid: the
+    (d_L E)# fields of h_L and of the Wagner form outside the batch grid."""
+    assert main(["eval", "--fixture", "randers-0.3", "--point", "0.1,0.2,0.7,-0.4",
+                 "--object", oid]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == EVAL_DIGESTS[oid]
