@@ -101,39 +101,32 @@ def test_the_conservative_lift_and_V_L_read_one_h_L_of_J_E_dy1(monkeypatch):
 
 def test_a_run_leaves_no_structure_or_construction_alive(monkeypatch):
     # constructions live as long as their operands: once run_checks returns,
-    # the structures, the shared operands and every construction kept on them
-    # are garbage, and the shared constants J and C keep no entry
-    alive = []
-    kept_on, fixture, init = memo.kept_on, checks.finsler_fixture, checks.SharedObjects.__init__
+    # every structure, SharedObjects, field and vector form it made is
+    # garbage, brackets and the constructions kept on shared operands
+    # included, but for the shared constants J and C, which keep no entry
+    made = []
 
-    def tracking(holder, tag, operands, build):
-        def tracked():
-            value = build()
-            alive.append(weakref.ref(value))
-            return value
-        return kept_on(holder, tag, operands, tracked)
+    def tracking(cls):
+        init = cls.__init__
 
-    def tracked_fixture(*args, **kwargs):
-        F = fixture(*args, **kwargs)
-        alive.append(weakref.ref(F))
-        return F
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
 
-    def tracked_init(self, F):
-        init(self, F)
-        alive.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__init__", tracked)
 
-    for module in (calculus, finsler, connections):
-        monkeypatch.setattr(module, "kept_on", tracking)
-    monkeypatch.setattr(checks, "finsler_fixture", tracked_fixture)
-    monkeypatch.setattr(checks.SharedObjects, "__init__", tracked_init)
+    for cls in (finsler.FinslerStructure, checks.SharedObjects, calculus.VectorField,
+                calculus.VectorForm):
+        tracking(cls)
     _, code = run_checks(RunConfig(samples=4, seed=7))
     assert code == 0
     gc.collect()
-    assert len(alive) > 100
-    assert [ref() for ref in alive if ref() is not None] == []
+    alive = [ref() for ref in made if ref() is not None]
+    assert len(made) > 100
+    assert [x for x in alive if getattr(x, "_built", None) is not False] == []
     for n in (2, 3):
-        assert not calculus.vertical_endomorphism(n)._built
-        assert not calculus.liouville_field(n)._built
+        assert calculus.vertical_endomorphism(n)._built is False
+        assert calculus.liouville_field(n)._built is False
 
 
 @pytest.mark.parametrize("config", [RunConfig(), RunConfig(samples=4, seed=7)])
