@@ -1,7 +1,13 @@
 """Vector fields, differential forms, vector-valued forms, and their calculus.
 
 Everything is stored as a pure evaluator over flat bundle coordinates; a
-vector form as the evaluator of its frame array.  Forms and vector forms are
+differential form of degree >= 1 and a vector form as the evaluator of its
+frame array, and calling one contracts that array with the vectors.  A
+differential form given by a closure has its array read from the closure: in
+one pass along ``jets.vec_frame`` at degree 1, per frame pair or triple at
+degree 2 or 3.  The exterior derivative reads its operand's array at the
+point's frame lift, and insertions, sums and scales contract and combine
+arrays, so no operator composes closures.  Forms and vector forms are
 pointwise multilinear, so they are always evaluated on constant coordinate
 vectors; derivative-based operators (exterior derivative, Lie and
 Frolicher-Nijenhuis brackets) extend the arguments as constant fields, which
@@ -20,9 +26,10 @@ Degree and sign conventions:
 
 Exact zeros and units are structural in the array layer, by rule 3 of the
 vector mode of ``jets``, which states the rule and its NaN semantics.  The
-contractions (``_combine``), the sums, differences and multiples of vector
-forms, ``tensor_one_form_field`` and the final combinations of the brackets'
-arrays form their products and sums through ``_mul``, ``_add`` and ``_sub``,
+contractions (``_combine``, ``_dot``), the sums, differences and multiples of
+forms and vector forms, ``tensor_one_form_field`` and the final combinations
+of the brackets' and the exterior derivative's arrays form their products
+and sums through ``_mul``, ``_add`` and ``_sub``,
 and keep the grouping of every formula, so a finite result changes at most
 in the sign of a zero.  J, the semibasic 1-forms and the vertical fields are
 mostly zeros, so most numpy calls on batches and most jets built on their
@@ -193,9 +200,21 @@ def vertical_lift_vector(components, n: int, name: str = "") -> VectorField:
 
 
 class DifferentialForm:
-    """Skew p-linear form, 0 <= p <= 3, evaluated on constant vectors."""
+    """Skew p-linear form, 0 <= p <= 3, evaluated on constant vectors.
 
-    __slots__ = ("degree", "fn", "n", "name")
+    A form of degree p >= 1 is its frame array at each point (``array``): at
+    degree 1 its row w[a] = w(e_a), at degree 2 the skew 2n x 2n array
+    w[a][b] = w(e_a, e_b), at degree 3 the skew 2n x 2n x 2n array
+    w[a][b][c].  ``form(z, *vectors)`` contracts the array with the vectors
+    (``_contract``), the last slot first, as ``VectorForm.__call__`` does.
+    The operators of this module build forms from arrays (``_array_form``).
+    A form may also be given by a closure ``fn(z, *vectors)``, linear and
+    skew in the vectors: its array is then read with one pass along
+    ``jets.vec_frame`` at degree 1, and with one call per frame pair or
+    triple at degree 2 or 3.  A 0-form is its function ``fn(z)``.
+    """
+
+    __slots__ = ("degree", "fn", "n", "name", "_array_fn")
 
     def __init__(self, degree: int, fn, n: int, name: str = ""):
         if not 0 <= degree <= 3:
@@ -204,32 +223,92 @@ class DifferentialForm:
         self.fn = fn
         self.n = n
         self.name = name
+        self._array_fn = None
 
     def __call__(self, z, *vectors):
         if len(vectors) != self.degree:
             raise DegreeOutOfRange(
                 f"{self.degree}-form called with {len(vectors)} vectors")
-        return self.fn(z, *vectors)
+        if not vectors:
+            return self.fn(z)
+        return _contract(self.array(z), vectors)
 
     def __repr__(self):
         return f"DifferentialForm(p={self.degree}, {self.name or 'anonymous'})"
 
+    def array(self, z):
+        """The form's frame array at z (see the class docstring); do not modify it."""
+        if self._array_fn is not None:
+            return self._array_fn(z)
+        p, n2 = self.degree, 2 * self.n
+        if p == 0:
+            raise DegreeOutOfRange("a 0-form has no frame array")
+        if p == 1:
+            return jets.slots(self.fn(z, jets.vec_frame(n2)), n2)
+        fr = frame(n2)
+        return _skew_array(p, n2, lambda *idx: self.fn(z, *(fr[i] for i in idx)))
+
     def __add__(self, other):
         if other.degree != self.degree:
             raise DegreeOutOfRange("cannot add forms of different degree")
-        return DifferentialForm(
-            self.degree, lambda z, *v: self.fn(z, *v) + other.fn(z, *v), self.n)
+        return _array_form(self.degree, lambda z: _add_arrays(self.array(z), other.array(z)),
+                           self.n)
 
     def __sub__(self, other):
         if other.degree != self.degree:
             raise DegreeOutOfRange("cannot subtract forms of different degree")
-        return DifferentialForm(
-            self.degree, lambda z, *v: self.fn(z, *v) - other.fn(z, *v), self.n)
+        return _array_form(self.degree, lambda z: _sub_arrays(self.array(z), other.array(z)),
+                           self.n)
 
     def scale(self, c):
         if isinstance(c, ScalarField):
-            return DifferentialForm(self.degree, lambda z, *v: c(z) * self.fn(z, *v), self.n)
-        return DifferentialForm(self.degree, lambda z, *v: c * self.fn(z, *v), self.n)
+            return _array_form(self.degree, lambda z: _scale_array(c(z), self.array(z)), self.n)
+        return _array_form(self.degree, lambda z: _scale_array(c, self.array(z)), self.n)
+
+
+def _array_form(degree: int, array_fn, n: int, name: str = "") -> DifferentialForm:
+    """The form of degree >= 1 whose frame array at z is ``array_fn(z)``."""
+    form = DifferentialForm(degree, None, n, name)
+    form._array_fn = array_fn
+    return form
+
+
+def _dot(coeffs, values):
+    """sum_c coeffs[c] * values[c], with exact float zeros and units structural
+    (``_mul``, ``_add``), in the order of c: the scalar case of ``_combine``."""
+    out = 0.0
+    for x, v in zip(coeffs, values):
+        out = _add(out, _mul(x, v))
+    return out
+
+
+def _contract(arr, vectors):
+    """A form's frame array contracted with one vector per slot, the last slot
+    first: sum_a u^a (sum_b v^b arr[a][b]) at degree 2."""
+    if len(vectors) == 1:
+        return _dot(vectors[0], arr)
+    return _dot(vectors[0], [_contract(x, vectors[1:]) for x in arr])
+
+
+def _skew_array(p: int, n2: int, entry):
+    """The skew frame array of degree p (2 or 3) whose entry at a < b (< c)
+    is ``entry(a, b(, c))``: every other order of the indices is that entry,
+    negated for an odd permutation, and an entry with a repeated index is 0.0."""
+    rng = range(n2)
+    if p == 2:
+        arr = [[0.0] * n2 for _ in rng]
+        for a, b in itertools.combinations(rng, 2):
+            v = entry(a, b)
+            arr[a][b] = v
+            arr[b][a] = -v
+        return arr
+    arr = [[[0.0] * n2 for _ in rng] for _ in rng]
+    for a, b, c in itertools.combinations(rng, 3):
+        v = entry(a, b, c)
+        w = -v
+        arr[a][b][c] = arr[b][c][a] = arr[c][a][b] = v
+        arr[b][a][c] = arr[a][c][b] = arr[c][b][a] = w
+    return arr
 
 
 def function_form(f: ScalarField) -> DifferentialForm:
@@ -255,6 +334,10 @@ def exterior_derivative(alpha: DifferentialForm) -> DifferentialForm:
     """d(alpha) by the alternating sum of coordinate-frame derivatives.
 
     Arguments are extended as constant fields, so no bracket terms appear.
+    alpha's array is read at the point's frame lift (``jets.frame_pass``):
+    slot a of the tangent of entry I is D_a alpha_I, and the array of
+    d(alpha) alternates these over the slots, D_a alpha_b - D_b alpha_a at
+    degree 1 and (D_a alpha_bc - D_b alpha_ac) + D_c alpha_ab at degree 2.
     """
     p = alpha.degree
     if p > 2:
@@ -262,16 +345,18 @@ def exterior_derivative(alpha: DifferentialForm) -> DifferentialForm:
     if p == 0:
         return DifferentialForm(1, lambda z, v: jets.directional(alpha.fn, z, v),
                                 alpha.n, name=f"d({alpha.name})")
+    n2 = 2 * alpha.n
 
-    def ev(z, *vectors):
-        total = 0.0
-        for i, v in enumerate(vectors):
-            rest = vectors[:i] + vectors[i + 1:]
-            term = jets.directional(lambda w: alpha.fn(w, *rest), z, v)
-            total = total + term if i % 2 == 0 else total - term
-        return total
+    def array_fn(z):
+        tag, arr = jets.frame_pass(alpha.array, z, n2)
+        if p == 1:
+            d = [jets.slots(jets.tangent(x, tag), n2) for x in arr]  # d[b][a] = D_a alpha_b
+            return _skew_array(2, n2, lambda a, b: _sub(d[b][a], d[a][b]))
+        d = {(a, b): jets.slots(jets.tangent(arr[a][b], tag), n2)
+             for a, b in itertools.combinations(range(n2), 2)}
+        return _skew_array(3, n2, lambda a, b, c: _add(_sub(d[b, c][a], d[a, c][b]), d[a, b][c]))
 
-    return DifferentialForm(p + 1, ev, alpha.n, name=f"d({alpha.name})")
+    return _array_form(p + 1, array_fn, alpha.n, name=f"d({alpha.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +462,25 @@ _add, _sub = jets._add, jets._sub  # x + y and x - y by rule 3 of ``jets``
 
 
 def _add_arrays(a, b):
-    """``a + b`` entry by entry (``_add``), for two arrays of one shape:
-    matrices, or the frame arrays of vector 2-forms."""
-    if type(a[0][0]) is list:
+    """``a + b`` entry by entry (``_add``), for two arrays of one shape: the
+    frame arrays of forms and vector forms."""
+    if type(a[0]) is list:
         return [_add_arrays(x, y) for x, y in zip(a, b)]
-    return [[_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [_add(x, y) for x, y in zip(a, b)]
 
 
 def _sub_arrays(a, b):
     """``a - b`` entry by entry (``_sub``), for two arrays of one shape."""
-    if type(a[0][0]) is list:
+    if type(a[0]) is list:
         return [_sub_arrays(x, y) for x, y in zip(a, b)]
-    return [[_sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [_sub(x, y) for x, y in zip(a, b)]
 
 
 def _scale_array(c, a):
-    """``c * x`` (``_mul``) for every entry x of a matrix or of a vector
-    2-form's frame array."""
-    if type(a[0][0]) is list:
+    """``c * x`` (``_mul``) for every entry x of a frame array."""
+    if type(a[0]) is list:
         return [_scale_array(c, x) for x in a]
-    return [[_mul(c, x) for x in row] for row in a]
+    return [_mul(c, x) for x in a]
 
 
 def constant_vector_form(coeffs, n: int, name: str = "") -> VectorForm:
@@ -427,11 +511,10 @@ def tensor_one_form_field(alpha: DifferentialForm, X: VectorField) -> VectorForm
         raise DegreeOutOfRange("tensor product needs a 1-form")
 
     n2 = 2 * X.n
-    frame = jets.vec_frame(n2)
 
     def mfn(z):
         xz = X(z)
-        row = jets.slots(alpha.fn(z, frame), n2)
+        row = alpha.array(z)
         return [[_mul(row[b], xa) for b in range(n2)] for xa in xz]
 
     return VectorForm(1, mfn, X.n, name=f"{alpha.name}(x){X.name}")
@@ -455,11 +538,17 @@ def insert_vector(Y: VectorField, K):
         if K.degree < 1:
             raise DegreeOutOfRange("cannot insert a vector into a 0-form")
         if K.degree == 1:
-            return ScalarField(lambda z: K.fn(z, Y(z)), K.n,
-                               name=f"i_{Y.name}{K.name}")
-        return DifferentialForm(K.degree - 1,
-                                lambda z, *v: K.fn(z, Y(z), *v), K.n,
-                                name=f"i_{Y.name}{K.name}")
+            return ScalarField(lambda z: K(z, Y(z)), K.n, name=f"i_{Y.name}{K.name}")
+        n2 = 2 * K.n
+
+        def array_fn(z):
+            # (i_Y K)[b..] = sum_a Y^a K[a][b..], the contraction over the first slot
+            yz, arr = Y(z), K.array(z)
+            if K.degree == 2:
+                return [_dot(yz, [row[b] for row in arr]) for b in range(n2)]
+            return _skew_array(2, n2, lambda b, c: _dot(yz, [m[b][c] for m in arr]))
+
+        return _array_form(K.degree - 1, array_fn, K.n, name=f"i_{Y.name}{K.name}")
     if isinstance(K, VectorForm):
         if K.degree == 1:
             return VectorField(lambda z: K(z, Y(z)), K.n, name=f"{K.name}({Y.name})")
@@ -475,21 +564,33 @@ def insert_vector(Y: VectorField, K):
 
 
 def insert_one_form(K: VectorForm, alpha: DifferentialForm) -> DifferentialForm:
-    """i_K alpha = sum over slots of alpha(.., K X_i, ..) for a vector 1-form K."""
+    """i_K alpha = sum over slots of alpha(.., K X_i, ..) for a vector 1-form K.
+
+    K is read as ``K(z, jets.vec_frame(2n))``, whose component a has slot b
+    (K e_b)^a, and alpha(.., K e_b, ..) contracts the column K e_b with
+    alpha's array in that slot (``_dot``).
+    """
     if K.degree != 1:
         raise DegreeOutOfRange("insertion derivation requires a vector 1-form")
-    if alpha.degree < 1:
+    p = alpha.degree
+    if p < 1:
         raise DegreeOutOfRange("cannot insert into a 0-form")
+    n2 = 2 * alpha.n
+    rng = range(n2)
 
-    def ev(z, *vectors):
-        total = 0.0
-        for i in range(len(vectors)):
-            replaced = list(vectors)
-            replaced[i] = K(z, vectors[i])
-            total = total + alpha.fn(z, *replaced)
-        return total
+    def array_fn(z):
+        cols = list(zip(*(jets.slots(x, n2) for x in K(z, jets.vec_frame(n2)))))
+        arr = alpha.array(z)
+        if p == 1:
+            return [_dot(cols[b], arr) for b in rng]
+        if p == 2:
+            return _skew_array(2, n2, lambda a, b: _add(
+                _dot(cols[a], [row[b] for row in arr]), _dot(cols[b], arr[a])))
+        return _skew_array(3, n2, lambda a, b, c: _add(_add(
+            _dot(cols[a], [m[b][c] for m in arr]), _dot(cols[b], [row[c] for row in arr[a]])),
+            _dot(cols[c], arr[a][b])))
 
-    return DifferentialForm(alpha.degree, ev, alpha.n, name=f"i_{K.name}{alpha.name}")
+    return _array_form(p, array_fn, alpha.n, name=f"i_{K.name}{alpha.name}")
 
 
 def d_K(K: VectorForm, target) -> DifferentialForm:
@@ -519,18 +620,9 @@ def lie_derivative(Y: VectorField, alpha: DifferentialForm) -> DifferentialForm:
     """L_Y alpha = i_Y d(alpha) + d(i_Y alpha) (Cartan)."""
     if alpha.degree == 0:
         return function_form(field_apply(Y, ScalarField(alpha.fn, alpha.n)))
-    da = exterior_derivative(alpha)
-    first = insert_vector(Y, da)
     iya = insert_vector(Y, alpha)
-    if alpha.degree == 1:
-        second = d_function(iya)
-    else:
-        second = exterior_derivative(iya)
-    if isinstance(first, ScalarField):
-        first = function_form(first)
-    if isinstance(second, ScalarField):  # pragma: no cover - degrees align above
-        second = function_form(second)
-    return first + second
+    second = d_function(iya) if alpha.degree == 1 else exterior_derivative(iya)
+    return insert_vector(Y, exterior_derivative(alpha)) + second
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +638,10 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
     along the vector frame (``jets.frame_pass``, one lift per point) gives Y
     there and DY; one lift along Y(z), with a fresh tag, gives K there and
     D_Y K.  An entry of K's lifted matrix that does not carry the lift's tag
-    (every entry of J, Id or any constant K) has the tangent 0.0, a
-    structural zero, so ``_sub`` forms no D_Y K term for it.  The products
-    are contractions whose coefficients are K's entries (``_combine``):
+    (every entry of Id or any constant K) has the tangent 0.0, a structural
+    zero, so ``_sub`` forms no D_Y K term for it.  A shared constant K (J) is
+    not lifted at all: its matrix at z is K, and D_Y K is float zeros.  The
+    products are contractions whose coefficients are K's entries (``_combine``):
     column b of DY.K is DY (K e_b), and row a of K.DY is the rows of DY
     weighted by row a of K.  An exact-zero entry of K is skipped and a unit
     entry takes a column or row of DY as it is, so for K = J (and Id) every
@@ -558,16 +651,19 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
     n2 = 2 * K.n
     rng = range(n2)
     y_fn = Y.fn  # not Y: [K, Y] kept on Y must not hold Y, or the two form a cycle
+    constant = K._built is False
 
     def matrix_fn(z):
         frame_tag, y = jets.frame_pass(y_fn, z, n2)
-        yz = [jets.primal(v, frame_tag) for v in y]
         dy_rows = [jets.slots(jets.tangent(v, frame_tag), n2) for v in y]
         dy_cols = list(zip(*dy_rows))
-        tag = jets.fresh_tag()
-        k = K.matrix(jets.lift(z, yz, tag))
-        d_y_k = [[jets.tangent(x, tag) for x in row] for row in k]
-        k = [[jets.primal(x, tag) for x in row] for row in k]
+        if constant:
+            k, d_y_k = K.matrix(z), [[0.0] * n2] * n2
+        else:
+            tag = jets.fresh_tag()
+            k = K.matrix(jets.lift(z, [jets.primal(v, frame_tag) for v in y], tag))
+            d_y_k = [[jets.tangent(x, tag) for x in row] for row in k]
+            k = [[jets.primal(x, tag) for x in row] for row in k]
         dy_k = [_combine([row[b] for row in k], dy_cols) for b in rng]
         k_dy = [_combine(row, dy_rows) for row in k]
         return [[_sub(_sub(dy_k[b][a], d_y_k[a][b]), k_dy[a][b]) for b in rng] for a in rng]
@@ -628,8 +724,10 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
     lift per point) gives K and L there (the primal parts of their matrices)
     and every D_c(K e_b) and D_c(L e_b) (slot c of the tangents); each D_v
     and each application of K or L is then a contraction over components
-    (``_combine``).  Only a < b is
-    formed: T[b][a] = -T[a][b] and T[a][a] = 0, as the formula gives them.
+    (``_combine``).  A shared constant K (J) is not lifted: its columns are
+    those of its matrix at z, and every D_c(K e_b) is float zeros.  Only
+    a < b is formed: T[b][a] = -T[a][b] and T[a][a] = 0, as the formula gives
+    them.
 
     Exactness: a contraction along a frame vector or zero is, bit for bit,
     the scalar lift along it, because a vector lift's slot repeats the
@@ -640,13 +738,18 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
     """
     n2 = 2 * K.n
     rng = range(n2)
+    constant = K._built is False
 
     def matrices(za):
         return K.matrix(za), L.matrix(za)
 
     def matrix_fn(z):
-        tag, (km, lm) = jets.frame_pass(matrices, z, n2)
-        kc, dk = _lifted_columns(km, tag, n2)
+        if constant:
+            tag, lm = jets.frame_pass(L.matrix, z, n2)
+            kc, dk = [list(col) for col in zip(*K.matrix(z))], [[[0.0] * n2] * n2] * n2
+        else:
+            tag, (km, lm) = jets.frame_pass(matrices, z, n2)
+            kc, dk = _lifted_columns(km, tag, n2)
         lc, dl = _lifted_columns(lm, tag, n2)
         arr = [[[0.0] * n2 for _ in rng] for _ in rng]
         for a in rng:
@@ -791,9 +894,7 @@ def semibasic_residual(K, points) -> float:
     if isinstance(K, DifferentialForm):
         if K.degree < 1:
             raise DegreeOutOfRange("semibasic test needs degree >= 1")
-        J = vertical_endomorphism(K.n)
-        ijk = insert_one_form(J, K)
-        n2 = 2 * K.n
-        z = grid_coords(points)
-        return sup_abs(ijk.fn(z, *args) for args in itertools.combinations(frame(n2), K.degree))
+        arr = insert_one_form(vertical_endomorphism(K.n), K).array(grid_coords(points))
+        return sup_abs(functools.reduce(list.__getitem__, idx, arr)
+                       for idx in itertools.combinations(range(2 * K.n), K.degree))
     raise TypeError("semibasic test defined for forms and vector forms")

@@ -297,7 +297,7 @@ def vincze_residual(F: FinslerStructure, V: VectorField, points=None) -> float:
     z = grid_coords(points)
     vz = V(z)
     m = F.omega_matrix_at(z)
-    dj = jets.slots(dj_ve(z, jets.vec_frame(n2)), n2)
+    dj = dj_ve.array(z)
     return sup_abs(sum(vz[a] * m[a][b] for a in range(n2)) - dj[b] for b in range(n2))
 
 
@@ -325,9 +325,7 @@ def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> floa
     """sup |d_J g| over points and frame; zero iff g is a vertical lift."""
     points = points if points is not None else F.grid
     J = vertical_endomorphism(F.n)
-    djg = d_K(J, g)
-    n2 = 2 * F.n
-    return sup_abs(jets.slots(djg(grid_coords(points), jets.vec_frame(n2)), n2))
+    return sup_abs(d_K(J, g).array(grid_coords(points)))
 
 
 def dh_omega_residual(F: FinslerStructure, h: VectorForm, points=None) -> float:

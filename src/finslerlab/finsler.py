@@ -406,12 +406,8 @@ def fundamental_form(F: FinslerStructure) -> FundamentalForm:
 
 def sharp(F: FinslerStructure, beta) -> VectorField:
     """The unique X with i_X omega = beta, as a vector field."""
-    n2 = 2 * F.n
-
-    frame = jets.vec_frame(n2)
-
     def ev(z):
-        return F.sharp_at(jets.slots(beta.fn(z, frame), n2), z)
+        return F.sharp_at(beta.array(z), z)
 
     return VectorField(ev, F.n, name=f"sharp({beta.name})", memo=True)
 

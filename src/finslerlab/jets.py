@@ -12,8 +12,9 @@ A lift along a direction gets a fresh tag; a frame lift is one per point
 object (``frame_lift``): while the point is cached, every lift of the same
 coordinate objects along ``vec_frame(k)`` is the same lifted point under the
 same tag, so the constructions that read a point's frame lift (the brackets
-of ``calculus``, ``connections.dh_omega_residual``) meet one lifted point
-and memo hits there need no renaming.  Sharing that tag confuses no perturbations (Siskind &
+and the exterior derivative of ``calculus``,
+``connections.dh_omega_residual``) meet one lifted point and memo hits there
+need no renaming.  Sharing that tag confuses no perturbations (Siskind &
 Pearlmutter, "Perturbation confusion and referential transparency", IFL
 2005): two lifts share a tag only when they are one perturbation, the same
 coordinates moved along the same frame, and the tag order is kept, because

@@ -336,11 +336,11 @@ def test_berwald_and_sharp_vector_lifts_match_scalar_lifts(fid, n):
     _assert_slots_match(h0.matrix, z, [None], 0)
     # sharp's vector beta row against one scalar evaluation of beta per frame vector
     n2 = 2 * n
-    beta = d_function(F.E).scale(-1.0)
-    x = sharp(F, beta)
+    dE = d_function(F.E)
+    x = sharp(F, dE.scale(-1.0))
     for depth in (0, 1, 2):
         zs, tags = _lifted(z, [frame_vector(n2, 0), [0.5] * n2][:depth])
-        ref = F.sharp_at([beta.fn(zs, frame_vector(n2, b)) for b in range(n2)], zs)
+        ref = F.sharp_at([-1.0 * dE.fn(zs, frame_vector(n2, b)) for b in range(n2)], zs)
         assert all(_coeffs(u, tags) == _coeffs(v, tags) for u, v in zip(x(zs), ref))
     if n == 2:
         _assert_slots_match(x, z, [[0.5, 0.0, 1.0, -0.5], None], 1)
