@@ -322,6 +322,42 @@ def test_bracket_with_a_structural_zero_D_Y_K_matches_the_general_branch():
                        for ra, rb in zip(general, structural) for a, b in zip(ra, rb))
 
 
+def test_brackets_of_J_equal_those_of_an_unshared_copy(monkeypatch):
+    # J is a shared constant: [J, Y] and [J, L] read its matrix at the point,
+    # with float zeros for its derivatives; a copy of J that is not shared
+    # takes the general path, lifting the point along Y and along the frame
+    from finslerlab.calculus import constant_vector_form
+    from finslerlab.core import PointBatch
+    from finslerlab.finsler import berwald_connection, finsler_fixture
+
+    J_copy = constant_vector_form(J.matrix(P0.coords()), N, "J'")
+    assert J._built is False and J_copy._built is None
+    z0 = list(GRID)[0].coords()
+    tag = jets.fresh_tag()
+    points = [(z0, None), (PointBatch(list(GRID)[:3]).coords(), None),
+              (jets.lift(z0, jets.vec_frame(N2), tag), tag)]
+    h0 = berwald_connection(finsler_fixture("randers-0.3", GRID))
+    for L in (randvector(8), S0_EUC, h0):
+        for z, t in points:
+            shared, copy = fn_bracket(J, L).matrix(z), fn_bracket(J_copy, L).matrix(z)
+            if L is h0:
+                shared = [x for row in shared for x in row]
+                copy = [x for row in copy for x in row]
+            assert all(_equal_up_to_zero_signs(a, b, t)
+                       for ra, rb in zip(shared, copy) for a, b in zip(ra, rb))
+    # [J, Y] makes no lift but the point's frame lift, which is made once per point
+    Y = randvector(8)
+    z = P0.coords()
+    jets.frame_lift(z, N2)
+    lifts = []
+    lift = jets.lift
+    monkeypatch.setattr(jets, "lift", lambda *args: lifts.append(args) or lift(*args))
+    fn_bracket(J, Y).matrix(z)
+    assert lifts == []
+    fn_bracket(J_copy, Y).matrix(z)
+    assert len(lifts) == 1
+
+
 def test_float_memo_keys_tell_zero_signs_apart():
     import math
 
