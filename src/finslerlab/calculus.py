@@ -214,7 +214,7 @@ class DifferentialForm:
     triple at degree 2 or 3.  A 0-form is its function ``fn(z)``.
     """
 
-    __slots__ = ("degree", "fn", "n", "name", "_array_fn")
+    __slots__ = ("degree", "fn", "n", "name", "_array_fn", "_array_memo")
 
     def __init__(self, degree: int, fn, n: int, name: str = ""):
         if not 0 <= degree <= 3:
@@ -224,6 +224,7 @@ class DifferentialForm:
         self.n = n
         self.name = name
         self._array_fn = None
+        self._array_memo = None
 
     def __call__(self, z, *vectors):
         if len(vectors) != self.degree:
@@ -238,6 +239,17 @@ class DifferentialForm:
 
     def array(self, z):
         """The form's frame array at z (see the class docstring); do not modify it."""
+        memo = self._array_memo
+        if memo is None:
+            return self._compute_array(z)
+        return memo.get(z, self._compute_array)
+
+    def memoize_array(self):
+        """Keep the frame arrays computed at points in a ``PointMemo``."""
+        if self._array_memo is None:
+            self._array_memo = PointMemo()
+
+    def _compute_array(self, z):
         if self._array_fn is not None:
             return self._array_fn(z)
         p, n2 = self.degree, 2 * self.n
@@ -725,9 +737,11 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
     and every D_c(K e_b) and D_c(L e_b) (slot c of the tangents); each D_v
     and each application of K or L is then a contraction over components
     (``_combine``).  A shared constant K (J) is not lifted: its columns are
-    those of its matrix at z, and every D_c(K e_b) is float zeros.  Only
-    a < b is formed: T[b][a] = -T[a][b] and T[a][a] = 0, as the formula gives
-    them.
+    those of its matrix at z, and every D_c(K e_b) is zero, so the terms
+    D_{L e_b} K e_a, D_{L e_a} K e_b and L(D_a K e_b - D_b K e_a) are sums of
+    float zeros, which the general path adds as nothing, and are not formed:
+    ``_sub(p, s)`` is ``_add(p, _sub(0.0, s))`` bit for bit.  Only a < b is
+    formed: T[b][a] = -T[a][b] and T[a][a] = 0, as the formula gives them.
 
     Exactness: a contraction along a frame vector or zero is, bit for bit,
     the scalar lift along it, because a vector lift's slot repeats the
@@ -746,7 +760,7 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
     def matrix_fn(z):
         if constant:
             tag, lm = jets.frame_pass(L.matrix, z, n2)
-            kc, dk = [list(col) for col in zip(*K.matrix(z))], [[[0.0] * n2] * n2] * n2
+            kc = [list(col) for col in zip(*K.matrix(z))]
         else:
             tag, (km, lm) = jets.frame_pass(matrices, z, n2)
             kc, dk = _lifted_columns(km, tag, n2)
@@ -755,13 +769,16 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
         for a in rng:
             for b in range(a + 1, n2):
                 p = _combine(kc[a], dl[b])
-                q = _combine(lc[b], dk[a])
-                r = _combine(lc[a], dk[b])
                 s = _combine(kc[b], dl[a])
                 k_term = _combine([_sub(x, y) for x, y in zip(dl[b][a], dl[a][b])], kc)
-                l_term = _combine([_sub(x, y) for x, y in zip(dk[b][a], dk[a][b])], lc)
-                v = [_sub(_sub(_add(_sub(p_, q_), _sub(r_, s_)), t_), u_)
-                     for p_, q_, r_, s_, t_, u_ in zip(p, q, r, s, k_term, l_term)]
+                if constant:
+                    v = [_sub(_sub(p_, s_), t_) for p_, s_, t_ in zip(p, s, k_term)]
+                else:
+                    q = _combine(lc[b], dk[a])
+                    r = _combine(lc[a], dk[b])
+                    l_term = _combine([_sub(x, y) for x, y in zip(dk[b][a], dk[a][b])], lc)
+                    v = [_sub(_sub(_add(_sub(p_, q_), _sub(r_, s_)), t_), u_)
+                         for p_, q_, r_, s_, t_, u_ in zip(p, q, r, s, k_term, l_term)]
                 arr[a][b] = v
                 arr[b][a] = [-x for x in v]
         return arr

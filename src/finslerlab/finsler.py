@@ -106,6 +106,8 @@ class FundamentalForm:
     ``two_form`` is assembled through the generic exterior calculus and is the
     reference path; ``omega_and_dE`` is the closed-form assembly of its
     matrix that the linear solves read.  Tests pin the two together.
+    ``two_form`` keeps its frame arrays in a point memo of its own, so the
+    operators that read it at one point build the array once.
     """
 
     def __init__(self, E: ScalarField, n: int):
@@ -114,6 +116,7 @@ class FundamentalForm:
         J = vertical_endomorphism(n)
         self.two_form = exterior_derivative(d_K(J, E))
         self.two_form.name = "omega"
+        self.two_form.memoize_array()
 
     def __call__(self, z, u, v):
         return self.two_form(z, u, v)
@@ -543,10 +546,18 @@ def _energy_riemannian_exp(n: int) -> ScalarField:
 
 
 def _energy_randers(n: int, drift: float = 0.3) -> ScalarField:
+    """E = f^2 / 2 for the Randers norm f = |y| + drift y^1.
+
+    Written ``0.5 * (f * f)`` so that f meets itself and a jet f is squared
+    (``jets.Jet._square``), where ``0.5 * f * f``, read as ``(0.5 * f) * f``,
+    takes the general product; scaling by 0.5 is exact, so every jet part is
+    what ``0.5 * f * f`` gives, bit for bit.
+    """
+
     def ev(z):
         norm = jets.sqrt(sum((z[n + i] * z[n + i] for i in range(1, n)), z[n] * z[n]))
         f = norm + drift * z[n]
-        return 0.5 * f * f
+        return 0.5 * (f * f)
 
     return ScalarField(ev, n, f"E_randers_{drift}")
 

@@ -57,8 +57,11 @@ evaluator that is linear in its direction then returns all k values at once
    takes no arithmetic: ``x + 0`` and ``x - 0`` are x, ``0 - x`` is -x, a
    product with it is the float zero (a Vec of float zeros when the other
    factor is a Vec, which keeps rule 1), and a zero slot is carried as it
-   is (``Vec.mul_add`` alone multiplies a zero scalar plainly, and the jet
-   product never hands it one).  A float 1.0 factor is the identity:
+   is.  A jet times itself (``Jet._square``) forms one product per nonzero
+   tangent slot, ``p = a * v`` for the slot a and the value v, and the slot
+   is ``p + p``: the product rule's ``v * a + a * v`` is that, because
+   IEEE products commute, so a square equals the general product up to the
+   signs of zeros.  A float 1.0 factor is the identity:
    ``1.0 * x`` and ``x / 1.0`` are x itself, bit for bit, the sign of a
    zero and a NaN included.  Division is otherwise plain: a zero divided
    and a division by zero are computed, so a 0/0 still surfaces.  This is
@@ -239,15 +242,14 @@ class Jet:
         return Jet(self.tag, _sub(o, self.val), -self.dot)
 
     def __mul__(self, o):
+        if o is self:
+            return self._square()
         if type(o) is Jet:
             t = o.tag
             if t == self.tag:
                 sv, ov, sd, od = self.val, o.val, self.dot, o.dot
                 if type(sd) is Vec and type(od) is Vec:
-                    dot = (sd * ov if type(sv) is not Batch and not sv else
-                           sv * od if type(ov) is not Batch and not ov else
-                           sd.mul_add(ov, sv, od))
-                    return Jet(t, _mul(sv, ov), dot)
+                    return Jet(t, _mul(sv, ov), sd.mul_add(ov, sv, od))
                 return Jet(t, _mul(sv, ov), _add(_mul(sv, od), _mul(sd, ov)))
             if t > self.tag:
                 return Jet(t, self * o.val, self * o.dot)
@@ -262,6 +264,30 @@ class Jet:
         return Jet(self.tag, _mul(self.val, o), d * o if type(d) is Vec else _mul(d, o))
 
     __rmul__ = __mul__
+
+    def _square(self):
+        """``self * self``, with one product per nonzero tangent slot.
+
+        The product rule gives ``v * a + a * v`` for the value v and a slot
+        (or scalar tangent) a; products commute, so that is ``p + p`` for
+        ``p = a * v``, and the square equals the general product up to the
+        signs of zeros (rule 3 of the module docstring).
+        """
+        v, d = self.val, self.dot
+        if type(d) is not Vec:
+            u = _mul(v, d)
+            return Jet(self.tag, _mul(v, v), _add(u, u))
+        if type(v) is not Batch and not v:
+            return Jet(self.tag, 0.0, d * v)
+        v1 = type(v) is float and v == 1.0
+        out = []
+        for a in d.s:
+            if type(a) is not Batch and not a:
+                out.append(a)
+                continue
+            p = a if v1 else v if type(a) is float and a == 1.0 else a * v
+            out.append(p + p)
+        return Jet(self.tag, _mul(v, v), Vec(out))
 
     def __truediv__(self, o):
         if type(o) is Jet:
@@ -388,12 +414,15 @@ class Vec:
     def mul_add(self, x, y, w):
         """``y * w + self * x`` for scalars x, y and a Vec w, in one pass over the slots.
 
-        The product rule of a Jet whose dots are Vecs: each slot does what
-        ``y * w + self * x`` does, with the structural zeros and units of
-        both Vecs and the units of x and y.  x and y are the values of the
-        two jets, and ``Jet.__mul__`` takes an exact-zero value apart before
-        it calls here, so a zero x or y is multiplied plainly.
+        The product rule of a Jet whose dots are Vecs, x and y being the
+        values of the two jets: each slot does what ``y * w + self * x``
+        does, with the structural zeros and units of both Vecs and of x and
+        y.  An exact-zero y or x gives ``self * x`` or ``y * w`` alone.
         """
+        if type(y) is not Batch and not y:
+            return self * x
+        if type(x) is not Batch and not x:
+            return y * w
         x1 = type(x) is float and x == 1.0
         y1 = type(y) is float and y == 1.0
         out = []

@@ -65,7 +65,7 @@ def test_batch_is_never_a_structural_zero():
         assert _carried((-1.0 * Vec([zero])).s[0], neg_zero)
         assert _carried((Vec([zero]) / -1.0).s[0], neg_zero)
         assert _carried(Vec([zero]).mul_add(3.0, 1.0, Vec([2.0])).s[0], two)
-        assert _carried(Vec([2.0]).mul_add(-1.0, 0.0, Vec([zero])).s[0], minus_two)
+        assert _carried(Vec([2.0]).mul_add(-1.0, -1.0, Vec([zero])).s[0], minus_two)
         # a zero batch operand
         assert _carried((Vec([2.0]) + zero).s[0], two)
         assert _carried((zero + Vec([2.0])).s[0], two)

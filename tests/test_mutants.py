@@ -16,8 +16,9 @@ import textwrap
 
 import pytest
 
-from finslerlab import calculus, checks, cli, connections, finsler
+from finslerlab import calculus, checks, cli, connections, finsler, jets
 from finslerlab.cli import main
+from finslerlab.finsler import fixture_ids
 from test_funk import funk_cells
 from test_headroom import above_headroom, cells
 
@@ -189,3 +190,16 @@ def test_chk13_failing_reconstruction_is_not_noted_as_expected(monkeypatch, caps
     for r in records:
         if r["pass"] is True:
             assert r["error"] == "DegenerateDegree (expected) for r=-1"
+
+
+def test_a_square_with_one_term_of_its_product_rule_fails_every_fixture(monkeypatch, capsys):
+    """A square's tangent slot ``p`` in place of ``p + p`` halves every
+    derivative of a square.  Every fixture energy squares its fiber
+    coordinates, so checks that compare E's value with its derivatives fail
+    on every fixture; on randers-0.3, whose energy also squares its norm, the
+    other checks but CHK-01 and CHK-03 fail too."""
+    every_fixture = ["CHK-04", "CHK-09", "CHK-10", "CHK-13", "CHK-16"]
+    records = run_under(monkeypatch, capsys, jets.Jet, "_square",
+                        "out.append(p + p)", "out.append(p)", every_fixture)
+    failing = {(r["check"], r["fixture"]) for r in records if r["pass"] is not True}
+    assert failing == {(c, f) for c in every_fixture for f in fixture_ids()}

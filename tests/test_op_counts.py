@@ -71,8 +71,11 @@ def test_a_default_check_makes_a_pinned_number_of_numpy_calls(counted):
     # 35,636 when each cell rebuilt the h_L, (d_L E)# and brackets of the shared
     # operands, divided exact zeros and unit pivots in the sharp solve, and the
     # fixture energies summed from the int 0; 30,314 when CHK-02 composed form
-    # closures, which lifted the grid again for every term of every frame pair
-    assert calls == 26112
+    # closures, which lifted the grid again for every term of every frame pair;
+    # 26,112 when a square took the general product rule, [J, L] formed the
+    # terms of J's zero derivatives, and CHK-02 built omega's frame array once
+    # per reader (23,833 with the first two mended)
+    assert calls == 23227
 
 
 def test_no_product_meets_a_structural_zero_or_unit(counted, monkeypatch):

@@ -11,6 +11,7 @@ float 1.0 factor must give the other operand itself.
 """
 
 import functools
+import math
 import operator
 from unittest import mock
 
@@ -273,18 +274,19 @@ def test_mul_add_is_plain_arithmetic_with_structural_zeros_and_units(v, x, y, w)
     assert same(out, plain("+", plain("*", y, w), plain("*", v, x)))
     for a, b, o in zip(v.s, w.s, out.s):
         # the slot is y * b + a * x, with each product that meets a zero or a
-        # unit slot, or a unit scalar, taking no arithmetic
-        if is_zero(a) and is_zero(b):
-            assert is_zero(o)  # a zero slot, carried as it is
-        elif is_zero(b):
+        # unit, as a slot or as a scalar, taking no arithmetic
+        ax_zero, yb_zero = is_zero(a) or is_zero(x), is_zero(b) or is_zero(y)
+        if ax_zero and yb_zero:
+            assert is_zero(o)  # a zero slot, carried as it is, or a zero product
+        elif yb_zero:
             assert o is (a if is_unit(x) else x if is_unit(a) else o)
-        elif is_zero(a):
+        elif ax_zero:
             assert o is (b if is_unit(y) else y if is_unit(b) else o)
 
 
 def test_a_zero_jet_value_takes_no_arithmetic_in_a_vector_product():
     # the values of two jets of one vector lift: a zero value takes the dot's
-    # product apart before mul_add, and the dot keeps its Vec type (rule 1)
+    # product apart in mul_add, and the dot keeps its Vec type (rule 1)
     tag = jets.fresh_tag()
     b = jets.batch([2.0, 3.0, 4.0])
     x = jets.Jet(tag, 0.0, jets.Vec([1.0, 0.0]))
@@ -309,3 +311,113 @@ def test_division_of_and_by_zero_stays_plain():
         jets.Jet(tag, 0.0, 1.0) / 0.0
     with pytest.raises(ZeroDivisionError):
         0.0 / jets.Jet(tag, 0.0, 1.0)
+
+
+# -- squares ----------------------------------------------------------------------
+
+# jets nested up to four deep: level i holds a scalar and a vector lift, every
+# tag of level i above those of level i - 1
+LEVELS = [(jets.fresh_tag(), jets.fresh_tag()) for _ in range(4)]
+SPECIALS = st.sampled_from([0.0, -0.0, 0, 1.0, -1.0, math.nan, math.inf, -math.inf])
+
+
+def square_leaves(size):
+    """Floats, exact zeros, units, NaN and inf, and batches of ``size`` points."""
+    floats = SPECIALS | FLOATS
+    return floats | st.lists(floats.map(float), min_size=size, max_size=size).map(jets.batch)
+
+
+def jets_at(level, parts):
+    """Jets of level ``level``'s lifts, with value and tangent (or slots) from ``parts``."""
+    scalar, vector = LEVELS[level]
+    return st.one_of(
+        st.builds(lambda v, d: jets.Jet(scalar, v, d), parts, parts),
+        st.builds(lambda v, d: jets.Jet(vector, v, jets.Vec(d)), parts,
+                  st.lists(parts, min_size=K, max_size=K)))
+
+
+@functools.cache
+def values_below(level, size):
+    """Values that carry only tags of the levels below ``level``."""
+    if level == 0:
+        return square_leaves(size)
+    lower = values_below(level - 1, size)
+    return lower | jets_at(level - 1, lower)
+
+
+SQUARED = st.tuples(st.integers(0, 3), st.sampled_from([1, SIZE])).flatmap(
+    lambda a: jets_at(a[0], values_below(*a)))
+
+
+def unshared(x):
+    """An entry-for-entry copy of x that shares no jet, Vec or batch with it."""
+    if type(x) is jets.Jet:
+        return jets.Jet(x.tag, unshared(x.val), unshared(x.dot))
+    if type(x) is jets.Vec:
+        return jets.Vec([unshared(a) for a in x.s])
+    return x.copy() if type(x) is jets.Batch else x
+
+
+def same_or_nan(a, b):
+    """``same``, with a NaN equal to a NaN in the same place."""
+    if type(a) is jets.Jet or type(b) is jets.Jet:
+        t = max(x.tag for x in (a, b) if type(x) is jets.Jet)
+        return same_or_nan(jets.primal(a, t), jets.primal(b, t)) and \
+            same_or_nan(jets.tangent(a, t), jets.tangent(b, t))
+    if type(a) is jets.Vec or type(b) is jets.Vec:
+        return all(same_or_nan(x, y) for x, y in zip(jets.slots(a, K), jets.slots(b, K)))
+    return bool(np.array_equal(*np.broadcast_arrays(a, b), equal_nan=True))
+
+
+def no_square(self):
+    raise AssertionError("the reference product took the square path")
+
+
+@settings(max_examples=300, deadline=None)
+@given(SQUARED)
+@example(jets.Jet(LEVELS[0][1], B, jets.Vec([0.0, 1.0])))
+@example(jets.Jet(LEVELS[0][1], 0.0, jets.Vec([math.inf, -0.0])))
+@example(jets.Jet(LEVELS[1][1], jets.Jet(LEVELS[0][0], 1.0, -0.0),
+                  jets.Vec([jets.Jet(LEVELS[0][1], B, jets.Vec([1.0, math.nan])), 0])))
+def test_a_square_is_the_general_product_up_to_zero_signs(x):
+    # x * x takes one product per tangent slot; a copy that is not x itself,
+    # at any depth, takes the general product rule
+    y = unshared(x)
+    with np.errstate(all="ignore"):
+        square = x * x
+        with mock.patch.object(jets.Jet, "_square", no_square):
+            general = x * y
+    assert same_or_nan(square, general)
+
+
+def bits(x):
+    """Every part of a jet, node by node: tags, slot counts, and each float
+    with its sign of zero (a batch point by point)."""
+    if type(x) is jets.Jet:
+        return [("jet", x.tag)] + bits(x.val) + bits(x.dot)
+    if type(x) is jets.Vec:
+        return [("vec", len(x.s))] + [p for a in x.s for p in bits(a)]
+    values = x.tolist() if type(x) is jets.Batch else [x]
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+def test_the_randers_energy_is_its_written_square_bit_for_bit():
+    # the fixture writes 0.5 * (f * f), so that f is squared; every jet part
+    # must be what 0.5 * f * f, the general product, gives
+    from finslerlab.finsler import fixture_energy
+
+    n = 3
+
+    def written(z):
+        norm = jets.sqrt(sum((z[n + i] * z[n + i] for i in range(1, n)), z[n] * z[n]))
+        f = norm + 0.3 * z[n]
+        return 0.5 * f * f
+
+    E = fixture_energy("randers-0.3", n)
+    grid = sample_slit_points(n, 4, seed=31)
+    z0 = list(grid)[0].coords()
+    once = jets.frame_lift(z0, 2 * n)[1]
+    twice = jets.frame_lift(once, 2 * n)[1]
+    for z in (z0, PointBatch(list(grid)).coords(), twice):
+        assert bits(E.fn(z)) == bits(written(z))
+    assert type(E.fn(twice).dot) is jets.Vec

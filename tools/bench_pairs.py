@@ -13,8 +13,9 @@ temporary directory by default), so neither holds ``__pycache__`` or
 tree, the parent first in even pairs and the change first in odd ones.  The
 summary holds every run and, per end-to-end metric of BENCHMARK.json, the
 median and the quartiles (``statistics.quantiles``, inclusive method) of each
-side and ``change_wins``, the pairs where the change is better (ties count for
-neither).  The digests of the ``finslerlab check`` reports in REPORTS are
+side, ``change_wins``, the pairs where the change is better (ties count for
+neither), and a regression ``verdict`` against the metric's ``bound``
+(``verdict``).  The digests of the ``finslerlab check`` reports in REPORTS are
 added for both trees.  ``--workdir`` keeps the trees; by default they go to a
 temporary directory that is removed at the end.  The exit status is 1 if any
 run was not correct or the two trees gave different report digests.
@@ -39,13 +40,14 @@ REPORTS = ["--seed 42", "--seed 7", "--seed 7 --samples 4", "--seed 7 --samples 
                    "--seed 11"]
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds):
     """The summary of one workload at one seed.
 
     ``runs`` maps each side to its list of perfbench results in pair order
     (the JSON object on the last line of ``perfbench/run.py``'s output, plus
     ``report_sha256``, the report digests it printed); ``better`` maps each
-    end-to-end metric to "lower" or "higher".
+    end-to-end metric to "lower" or "higher", and ``bounds`` to its bound in
+    BENCHMARK.json, a fraction of the parent's median.
     """
     pairs = len(runs["parent"])
     out = {
@@ -65,6 +67,7 @@ def summarize(runs, better):
         parent = entry["parent"]["median"]
         entry["relative_change"] = round(entry["change"]["median"] / parent - 1.0, 4) \
             if parent else None
+        entry["verdict"] = verdict(values, entry, direction, bounds[name])
         out["metrics"][name] = entry
     digests = {side: sorted({d for r in runs[side] for d in r.get("report_sha256", [])})
                for side in SIDES}
@@ -80,6 +83,29 @@ def _spread(values):
         q1 = median = q3 = values[0]
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
             "runs": [round(v, 6) for v in values]}
+
+
+def verdict(values, entry, direction, bound):
+    """Whether one metric regressed: "ok", "worse" or "unresolved".
+
+    ``values`` holds each side's runs and ``entry`` their spreads
+    (``_spread``).  "ok" when every change run beats every parent run.
+    Otherwise "unresolved" when either side's interquartile range exceeds
+    ``bound`` times its median, as the runs then spread too widely to tell a
+    regression of that size; else "worse" when the change's median is worse
+    than the parent's by more than ``bound`` times the parent's median, and
+    "ok" when it is not.
+    """
+    sign = 1.0 if direction == "lower" else -1.0
+    if max(sign * c for c in values["change"]) < min(sign * p for p in values["parent"]):
+        return "ok"
+    for side in SIDES:
+        s = entry[side]
+        if s["q3"] - s["q1"] > bound * abs(s["median"]):
+            return "unresolved"
+    parent = entry["parent"]["median"]
+    return "worse" if sign * (entry["change"]["median"] - parent) > bound * abs(parent) \
+        else "ok"
 
 
 def claim(summary, metric, direction):
@@ -156,6 +182,7 @@ def run(args, pairs, work):
              "change": export(args.change, work / "change")}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     src_trees = {side: subprocess.run(["git", "rev-parse", f"{rev}:src"], check=True,
                                       text=True, stdout=subprocess.PIPE).stdout.strip()
                  for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -170,7 +197,7 @@ def run(args, pairs, work):
                 for side in order:
                     runs[side].append(bench_run(trees[side], workload, seed, args.seconds))
                 print(f"# {workload} seed {seed} pair {i + 1}/{count} done", file=sys.stderr)
-            workloads[workload][f"seed-{seed}"] = {"seed": seed, **summarize(runs, better)}
+            workloads[workload][f"seed-{seed}"] = {"seed": seed, **summarize(runs, better, bounds)}
 
     reports = {a: {side: report_digest(trees[side], a) for side in SIDES} for a in REPORTS}
     result = {
@@ -195,7 +222,11 @@ def run(args, pairs, work):
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     correct = all(s["correct"] for w in workloads.values() for s in w.values())
     same_reports = all(d["parent"] == d["change"] for d in reports.values())
-    print(f"wrote {args.out}; correct: {correct}; identical reports: {same_reports}")
+    flagged = [f"{w} {seed} {m}: {e['verdict']}" for w, by_seed in workloads.items()
+               for seed, s in by_seed.items() for m, e in s["metrics"].items()
+               if e["verdict"] != "ok"]
+    print(f"wrote {args.out}; correct: {correct}; identical reports: {same_reports}; "
+          f"not ok: {flagged or 'none'}")
     return 0 if correct and same_reports else 1
 
 
