@@ -44,14 +44,14 @@ def is_zero(x):
 def same(a, b):
     """Equal values, the sign of a zero aside: jets by their value and tangent
     along their outer tag (a float is a jet with a zero tangent), batches point
-    by point (a float stands for every point)."""
+    by point (a float stands for every point), and a NaN equal to a NaN."""
     if type(a) is jets.Jet or type(b) is jets.Jet:
         t = max(x.tag for x in (a, b) if type(x) is jets.Jet)
         return same(jets.primal(a, t), jets.primal(b, t)) and \
             same(jets.tangent(a, t), jets.tangent(b, t))
     if type(a) is jets.Vec or type(b) is jets.Vec:
         return all(same(x, y) for x, y in zip(jets.slots(a, N2), jets.slots(b, N2)))
-    return bool(np.array_equal(*np.broadcast_arrays(a, b)))
+    return bool(np.array_equal(*np.broadcast_arrays(a, b), equal_nan=True))
 
 
 def assert_structural_zero(x):
@@ -358,17 +358,6 @@ def unshared(x):
     return x.copy() if type(x) is jets.Batch else x
 
 
-def same_or_nan(a, b):
-    """``same``, with a NaN equal to a NaN in the same place."""
-    if type(a) is jets.Jet or type(b) is jets.Jet:
-        t = max(x.tag for x in (a, b) if type(x) is jets.Jet)
-        return same_or_nan(jets.primal(a, t), jets.primal(b, t)) and \
-            same_or_nan(jets.tangent(a, t), jets.tangent(b, t))
-    if type(a) is jets.Vec or type(b) is jets.Vec:
-        return all(same_or_nan(x, y) for x, y in zip(jets.slots(a, K), jets.slots(b, K)))
-    return bool(np.array_equal(*np.broadcast_arrays(a, b), equal_nan=True))
-
-
 def no_square(self):
     raise AssertionError("the reference product took the square path")
 
@@ -387,7 +376,7 @@ def test_a_square_is_the_general_product_up_to_zero_signs(x):
         square = x * x
         with mock.patch.object(jets.Jet, "_square", no_square):
             general = x * y
-    assert same_or_nan(square, general)
+    assert same(square, general)
 
 
 def bits(x):
