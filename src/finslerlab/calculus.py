@@ -29,11 +29,10 @@ vector mode of ``jets``, which states the rule and its NaN semantics.  The
 contractions (``_combine``, ``_dot``), the sums, differences and multiples of
 forms and vector forms, ``tensor_one_form_field`` and the final combinations
 of the brackets' and the exterior derivative's arrays form their products
-and sums through ``_mul``, ``_add`` and ``_sub``,
-and keep the grouping of every formula, so a finite result changes at most
-in the sign of a zero.  J, the semibasic 1-forms and the vertical fields are
-mostly zeros, so most numpy calls on batches and most jets built on their
-entries are skipped.
+and sums through ``jets``' ``_mul``, ``_add`` and ``_sub``, and keep the
+grouping of every formula, so a finite result changes at most in the sign of
+a zero.  J, the semibasic 1-forms and the vertical fields are mostly zeros, so
+most numpy calls on batches and most jets built on their entries are skipped.
 
 A construction is built once per operand (``memo.kept_on``): J and C are one
 shared constant per n, ``fn_bracket`` gives one object per operand pair, and
@@ -453,24 +452,7 @@ class VectorForm:
         return VectorForm(self.degree, lambda z: _scale_array(c, self.matrix(z)), self.n)
 
 
-def _mul(c, x):
-    """``c * x`` by rule 3 of ``jets``, except that an exact zero on either
-    side is returned as it is, even against a Vec: an entry that only zeros
-    reach stays a float zero."""
-    if type(c) is not jets.Batch:
-        if not c:
-            return c
-        if type(c) is float and c == 1.0:
-            return x
-    if type(x) is not jets.Batch:
-        if not x:
-            return x
-        if type(x) is float and x == 1.0:
-            return c
-    return c * x
-
-
-_add, _sub = jets._add, jets._sub  # x + y and x - y by rule 3 of ``jets``
+_mul, _add, _sub = jets._mul, jets._add, jets._sub  # x * y, x + y and x - y by rule 3
 
 
 def _add_arrays(a, b):
@@ -687,8 +669,10 @@ def _combine(coeffs, vectors):
     """sum_c coeffs[c] * vectors[c], with exact float zeros structural.
 
     An exact-zero coefficient is skipped, and so is an exact-zero entry of a
-    vector and of a partial sum (``_mul``, ``_add``): an entry that no
-    nonzero product reaches is the float zero itself, not a batch or a jet.
+    vector (tested inline: against a Vec coefficient, such as a component of
+    the vector frame, ``_mul`` would give a Vec of zeros) and of a partial sum
+    (``_add``): an entry that no nonzero product reaches is an exact zero
+    itself, not a batch, a jet or a Vec.
     A unit coefficient contributes ``vectors[c]`` itself, so along a frame
     vector the result is that vector, bit for bit, and with no nonzero
     coefficient it is the zero vector.  The sums run in the order of c, so a
@@ -702,22 +686,21 @@ def _combine(coeffs, vectors):
         if type(x) is not jets.Batch and not x:
             continue
         if not (type(x) is float and x == 1.0):
-            vec = [_mul(x, v) for v in vec]
+            vec = [v if type(v) is not jets.Batch and not v else _mul(x, v) for v in vec]
         out = vec if out is None else [_add(o, v) for o, v in zip(out, vec)]
     return [0.0] * len(vectors[0]) if out is None else out
 
 
 def _lifted_columns(m, tag, n2):
-    """The columns of a matrix at a point lifted along the vector frame with
-    ``tag``: ``cols[b]`` is M e_b at the point and ``d[b][c]`` is D_c(M e_b),
-    the derivative along e_c."""
+    """The derivatives of the columns of a matrix at a point lifted along the
+    vector frame with ``tag``: ``d[b][c]`` is D_c(M e_b), the derivative along
+    e_c."""
     rng = range(n2)
-    cols = [[jets.primal(m[a][b], tag) for a in rng] for b in rng]
     d = []
     for b in rng:
         t = [jets.slots(jets.tangent(m[a][b], tag), n2) for a in rng]
         d.append([[t[a][c] for a in rng] for c in rng])
-    return cols, d
+    return d
 
 
 def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
@@ -740,7 +723,8 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
     those of its matrix at z, and every D_c(K e_b) is zero, so the terms
     D_{L e_b} K e_a, D_{L e_a} K e_b and L(D_a K e_b - D_b K e_a) are sums of
     float zeros, which the general path adds as nothing, and are not formed:
-    ``_sub(p, s)`` is ``_add(p, _sub(0.0, s))`` bit for bit.  Only a < b is
+    ``_sub(p, s)`` is ``_add(p, _sub(0.0, s))`` bit for bit.  Only those terms
+    read L's columns, so they are not taken either.  Only a < b is
     formed: T[b][a] = -T[a][b] and T[a][a] = 0, as the formula gives them.
 
     Exactness: a contraction along a frame vector or zero is, bit for bit,
@@ -763,8 +747,9 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
             kc = [list(col) for col in zip(*K.matrix(z))]
         else:
             tag, (km, lm) = jets.frame_pass(matrices, z, n2)
-            kc, dk = _lifted_columns(km, tag, n2)
-        lc, dl = _lifted_columns(lm, tag, n2)
+            kc, lc = ([[jets.primal(m[a][b], tag) for a in rng] for b in rng] for m in (km, lm))
+            dk = _lifted_columns(km, tag, n2)
+        dl = _lifted_columns(lm, tag, n2)
         arr = [[[0.0] * n2 for _ in rng] for _ in rng]
         for a in rng:
             for b in range(a + 1, n2):

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import jets
 from .calculus import (
-    VectorField, VectorForm, _mul, _sub, d_K, d_function, exterior_derivative,
+    VectorField, VectorForm, d_K, d_function, exterior_derivative,
     field_apply, fn_bracket, identity_form, liouville_field, precheck,
     semibasic_residual, sup_abs, vertical_endomorphism,
 )
@@ -53,6 +53,7 @@ from .errors import (
     HomogeneityFailure, NondegeneracyFailure, NotConnection, NotSemibasic,
     PositivityFailure,
 )
+from .jets import _mul, _sub
 from .memo import PointMemo, kept_on
 
 DET_FLOOR = 1e-10
@@ -139,7 +140,7 @@ def _sharp_block_solve(m, beta, n, z):
     g is positive definite (strong convexity, which validation checks), so it
     is eliminated once on its diagonal, with no row exchange.  Both
     right-hand sides go through the same recorded operations.  Products and
-    differences take exact zeros as structural (``calculus._mul`` and
+    differences take exact zeros as structural (``jets._mul`` and
     ``_sub``), so the zeros of A, such as its diagonal, and of the right-hand
     sides cost no arithmetic.  A pivot whose real part is <= 0 raises
     ``NondegeneracyFailure`` ("not positive definite") before its division,

@@ -70,7 +70,12 @@ evaluator that is linear in its direction then returns all k values at once
    because no product with a zero is formed (plain arithmetic gives
    ``nan * 0.0 = nan``); one that meets a nonzero value reaches the
    result, and every residual that sees it reads NaN
-   (``calculus.sup_abs``).
+   (``calculus.sup_abs``).  ``_mul``, ``_add`` and ``_sub`` are the rule on
+   two operands, the one copy that ``calculus`` and ``finsler`` call.  The
+   zero and unit tests are written inline at every site, not as calls of a
+   zero and a unit predicate: a call per operand made the third-order
+   workload about 17% slower and point queries about 11% (2 cores, Python
+   3.11).
 4. ``tangent``, ``primal`` and ``retag`` (and ``memo.point_key``, the
    key of every point memo) map over slots.
 
@@ -142,23 +147,18 @@ def fresh_tag() -> int:
     return next(_TAGS)
 
 
-def _zero_like(x):
-    """The exact zero that a product with ``x`` gives: a Vec of float zeros
-    when x is a Vec (a Jet's dot keeps its type), else the float zero."""
-    return Vec([0.0] * len(x.s)) if type(x) is Vec else 0.0
-
-
 def _mul(x, y):
-    """``x * y`` with rule 3: an exact-zero operand gives ``_zero_like`` the
-    other, and a float 1.0 gives the other operand itself."""
+    """``x * y`` with rule 3: an exact-zero operand gives the float zero (a
+    Vec of float zeros when the other operand is a Vec, as a Jet's dot keeps
+    its type), and a float 1.0 gives the other operand itself."""
     if type(x) is not Batch:
         if not x:
-            return _zero_like(y)
+            return Vec([0.0] * len(y.s)) if type(y) is Vec else 0.0
         if type(x) is float and x == 1.0:
             return y
     if type(y) is not Batch:
         if not y:
-            return _zero_like(x)
+            return Vec([0.0] * len(x.s)) if type(x) is Vec else 0.0
         if type(y) is float and y == 1.0:
             return x
     return x * y
@@ -362,10 +362,7 @@ class Vec:
             return self
         return Vec([o if type(a) is not Batch and not a else a + o for a in self.s])
 
-    def __radd__(self, o):
-        if type(o) is not Batch and not o:
-            return self
-        return Vec([o if type(a) is not Batch and not a else o + a for a in self.s])
+    __radd__ = __add__
 
     def __neg__(self):
         return Vec([a if type(a) is not Batch and not a else -a for a in self.s])
@@ -395,14 +392,7 @@ class Vec:
         return Vec([a if type(a) is not Batch and not a else
                     o if type(a) is float and a == 1.0 else a * o for a in self.s])
 
-    def __rmul__(self, o):
-        if type(o) is not Batch:
-            if not o:
-                return Vec([0.0] * len(self.s))
-            if type(o) is float and o == 1.0:
-                return self
-        return Vec([a if type(a) is not Batch and not a else
-                    o if type(a) is float and a == 1.0 else o * a for a in self.s])
+    __rmul__ = __mul__
 
     def __truediv__(self, o):
         if type(o) is Vec:

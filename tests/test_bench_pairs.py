@@ -107,3 +107,39 @@ def test_a_verdict_on_a_higher_is_better_metric(change, verdict):
             "change": [_run(0.045, ratio=r) for r in change]}
     summary = bench_pairs.summarize(runs, BETTER, BOUNDS)
     assert summary["metrics"]["pass_ratio"]["verdict"] == verdict
+
+
+@pytest.mark.parametrize("parent, change, same", [
+    ((0, b"a"), (0, b"a"), True),
+    ((0, b"a"), (0, b"b"), False),
+    ((0, b"a"), (1, b"a"), False),
+    ((1, b""), (1, b""), False),    # both crash: no digest to compare
+])
+def test_a_report_command_that_exits_nonzero_is_a_mismatch(monkeypatch, parent, change, same):
+    outputs = {"parent": parent, "change": change}
+
+    def fake_run(cmd, cwd, **kwargs):
+        code, out = outputs[Path(cwd).name]
+        return subprocess.CompletedProcess(cmd, code, stdout=out)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    reports = {a: {side: bench_pairs.report_digest(Path(side), a) for side in bench_pairs.SIDES}
+               for a in bench_pairs.REPORTS}
+    assert bench_pairs.same_reports(reports) is same
+
+
+def test_the_reports_include_the_eval_outputs_that_ci_pins():
+    from test_verifier import EVAL_DIGESTS
+    evals = [a.split() for a in bench_pairs.REPORTS if a.startswith("eval ")]
+    assert [a[-1] for a in evals] == list(EVAL_DIGESTS)
+    assert all(a[1:-2] == ["--fixture", "randers-0.3", "--point", "0.1,0.2,0.7,-0.4"]
+               for a in evals)
+
+
+def test_src_lines_counts_the_package_sources(tmp_path):
+    package = tmp_path / "src" / "finslerlab"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (package / "b.py").write_text("z = 3\n", encoding="utf-8")
+    (package / "notes.txt").write_text("not a source\n", encoding="utf-8")
+    assert bench_pairs.src_lines(tmp_path) == 3

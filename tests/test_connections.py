@@ -938,3 +938,21 @@ def test_sum_of_vector_two_forms_builds_each_array_once():
         s = (t + t).matrix(z)
     assert len(lifted) == 2
     assert s == [[[x + x for x in v] for v in row] for row in t.matrix(z)]
+
+
+def test_bracket_with_j_takes_no_primal_columns_of_l():
+    # [J, h0] reads the tangents of h0's lifted matrix and never its primal
+    # columns, so it takes none of them: 46 calls, (2n)^2 = 16 more, when it did
+    h0 = berwald_connection(RAN)
+    t = fn_bracket(J, h0)
+    t.matrix([0.2, -0.3, 0.9, 0.4])  # builds what the first call builds
+    primal = jets.primal
+    calls = []
+
+    def counting(x, tag):
+        calls.append(tag)
+        return primal(x, tag)
+
+    with mock.patch.object(jets, "primal", counting):
+        t.matrix([0.4, 0.1, -0.6, 1.1])
+    assert len(calls) == 30

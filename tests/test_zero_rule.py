@@ -68,9 +68,15 @@ PLAIN = {"_mul": operator.mul, "_add": operator.add, "_sub": operator.sub,
          "_combine": plain_combine}
 
 
+# a coefficient may be a Vec, as a component of the vector frame is when a
+# vector form is applied to it: a zero entry must then stay a float zero too
+VECS = st.lists(st.sampled_from([0.0, 1.0]) | FLOATS | BATCHES,
+                min_size=N2, max_size=N2).map(jets.Vec)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
-    st.lists(VALUES, min_size=k, max_size=k),
+    st.lists(VALUES | VECS, min_size=k, max_size=k),
     st.lists(st.lists(VALUES, min_size=3, max_size=3), min_size=k, max_size=k))))
 def test_combine_is_plain_arithmetic_with_structural_zeros(args):
     coeffs, vectors = args

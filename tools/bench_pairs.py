@@ -15,10 +15,13 @@ summary holds every run and, per end-to-end metric of BENCHMARK.json, the
 median and the quartiles (``statistics.quantiles``, inclusive method) of each
 side, ``change_wins``, the pairs where the change is better (ties count for
 neither), and a regression ``verdict`` against the metric's ``bound``
-(``verdict``).  The digests of the ``finslerlab check`` reports in REPORTS are
-added for both trees.  ``--workdir`` keeps the trees; by default they go to a
+(``verdict``).  The digests of the outputs of the ``finslerlab`` commands in
+REPORTS (the ``check`` reports and the ``eval`` outputs that CI pins) are added
+for both trees, and so is each tree's line count of ``src/finslerlab``
+(``src_lines``).  ``--workdir`` keeps the trees; by default they go to a
 temporary directory that is removed at the end.  The exit status is 1 if any
-run was not correct or the two trees gave different report digests.
+run was not correct or the two trees' reports differ; a report command that
+exits nonzero has no digest and differs from everything.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-REPORTS = ["--seed 42", "--seed 7", "--seed 7 --samples 4", "--seed 7 --samples 1",
-                   "--seed 11"]
+REPORTS = [f"check {a}" for a in ("--seed 42", "--seed 7", "--seed 7 --samples 4",
+                                  "--seed 7 --samples 1", "--seed 11")] + \
+    [f"eval --fixture randers-0.3 --point 0.1,0.2,0.7,-0.4 --object {o}"
+     for o in ("berwald", "l:jv:E-dy1", "wagner:x1")]
 
 
 def summarize(runs, better, bounds):
@@ -149,10 +154,25 @@ def bench_run(tree, workload, seed, seconds):
 
 
 def report_digest(tree, args):
+    """The sha256 of the output of ``finslerlab ARGS`` run in ``tree``, or None
+    when the command exits nonzero."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    out = subprocess.run([sys.executable, "-m", "finslerlab", "check", *args.split()],
-                         cwd=tree, env=env, stdout=subprocess.PIPE, check=False).stdout
-    return hashlib.sha256(out).hexdigest()
+    proc = subprocess.run([sys.executable, "-m", "finslerlab", *args.split()],
+                          cwd=tree, env=env, stdout=subprocess.PIPE, check=False)
+    return hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0 else None
+
+
+def same_reports(reports):
+    """Whether every report command gave one digest in both trees; a command
+    that exited nonzero (no digest) in either tree is a mismatch."""
+    return all(d["parent"] is not None and d["parent"] == d["change"]
+               for d in reports.values())
+
+
+def src_lines(tree):
+    """The number of lines of the ``src/finslerlab`` sources of ``tree``."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in (tree / "src" / "finslerlab").rglob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -203,6 +223,7 @@ def run(args, pairs, work):
     result = {
         "change": args.describe,
         "src_tree": src_trees,
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
                    f"{args.seconds:g} --trace 0",
         "method": "parent and change exported with git archive as fresh trees; pairs run one "
@@ -212,7 +233,7 @@ def run(args, pairs, work):
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
                    f"{platform.machine()}",
         "workloads": workloads,
-        "report_sha256": {f"finslerlab check {a}": d for a, d in reports.items()},
+        "report_sha256": {f"finslerlab {a}": d for a, d in reports.items()},
     }
     if args.claim:
         workload, metric, seed = args.claim.split(":")
@@ -221,13 +242,13 @@ def run(args, pairs, work):
                                    better[metric])}
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     correct = all(s["correct"] for w in workloads.values() for s in w.values())
-    same_reports = all(d["parent"] == d["change"] for d in reports.values())
     flagged = [f"{w} {seed} {m}: {e['verdict']}" for w, by_seed in workloads.items()
                for seed, s in by_seed.items() for m, e in s["metrics"].items()
                if e["verdict"] != "ok"]
-    print(f"wrote {args.out}; correct: {correct}; identical reports: {same_reports}; "
+    same = same_reports(reports)
+    print(f"wrote {args.out}; correct: {correct}; identical reports: {same}; "
           f"not ok: {flagged or 'none'}")
-    return 0 if correct and same_reports else 1
+    return 0 if correct and same else 1
 
 
 if __name__ == "__main__":
