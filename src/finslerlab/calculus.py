@@ -37,7 +37,9 @@ most numpy calls on batches and most jets built on their entries are skipped.
 A construction is built once per operand (``memo.kept_on``): J and C are one
 shared constant per n, ``fn_bracket`` gives one object per operand pair, and
 the connection constructions one per structure and operand, each kept on its
-operand and living exactly as long as it.
+operand and living exactly as long as it.  A construction holds its
+operands' evaluators (a field's ``at`` or ``fn``, a form's ``array``, a vector
+form's ``matrix``), never the operands, so reference counting frees it too.
 """
 
 from __future__ import annotations
@@ -64,7 +66,10 @@ def precheck(residual: float, error: Exception) -> None:
     test is written as ``not r <= tol``.
     """
     if not residual <= PRECHECK_TOL:
-        raise error
+        try:
+            raise error
+        finally:  # the traceback holds this frame: keep the frame off the error
+            del error
 
 
 def frame_vector(n2: int, a: int):
@@ -97,40 +102,43 @@ def _one_per_n(build):
 
 
 class VectorField:
-    """2n-component vector field over the coordinate frame (d/dx^i, d/dy^i)."""
+    """2n-component vector field over the coordinate frame (d/dx^i, d/dy^i).
 
-    __slots__ = ("fn", "n", "name", "_memo", "_built", "__weakref__")
+    Calling it calls ``at``: the raw function ``fn``, or with ``memo`` its
+    read through a ``PointMemo`` of the field's own."""
+
+    __slots__ = ("fn", "at", "n", "name", "_built", "__weakref__")
 
     def __init__(self, fn, n: int, name: str = "", memo: bool = False):
         self.fn = fn
+        self.at = functools.partial(PointMemo().get, compute=fn) if memo else fn
         self.n = n
         self.name = name
-        self._memo = PointMemo() if memo else None
         self._built = None
 
     def __call__(self, z):
-        memo = self._memo
-        if memo is None:
-            return self.fn(z)
-        return memo.get(z, self.fn)
+        return self.at(z)
 
     def __repr__(self):
         return f"VectorField({self.name or 'anonymous'}, n={self.n})"
 
     def __add__(self, other):
-        return VectorField(lambda z: [a + b for a, b in zip(self(z), other(z))], self.n)
+        a, b = self.at, other.at
+        return VectorField(lambda z: [x + y for x, y in zip(a(z), b(z))], self.n)
 
     def __sub__(self, other):
-        return VectorField(lambda z: [a - b for a, b in zip(self(z), other(z))], self.n)
+        a, b = self.at, other.at
+        return VectorField(lambda z: [x - y for x, y in zip(a(z), b(z))], self.n)
 
     def __neg__(self):
         return self.scale(-1.0)
 
     def scale(self, c):
         """Scale by a constant or a ScalarField coefficient."""
+        a = self.at
         if isinstance(c, ScalarField):
-            return VectorField(lambda z: [c(z) * a for a in self(z)], self.n)
-        return VectorField(lambda z: [c * a for a in self(z)], self.n)
+            return VectorField(lambda z: [c(z) * x for x in a(z)], self.n)
+        return VectorField(lambda z: [c * x for x in a(z)], self.n)
 
 
 def field_apply(X: VectorField, f: ScalarField) -> ScalarField:
@@ -145,10 +153,11 @@ def field_apply(X: VectorField, f: ScalarField) -> ScalarField:
 def lie_bracket(xi: VectorField, eta: VectorField) -> VectorField:
     """[xi, eta]^a = xi(eta^a) - eta(xi^a)."""
 
+    xi_at, xi_fn, eta_fn = xi.at, xi.fn, eta.fn
+
     def ev(z):
-        xz = xi(z)
-        ez, d_xi_eta = jets.jvp(eta.fn, z, xz)
-        d_eta_xi = jets.directional(xi.fn, z, ez)
+        ez, d_xi_eta = jets.jvp(eta_fn, z, xi_at(z))
+        d_eta_xi = jets.directional(xi_fn, z, ez)
         return [a - b for a, b in zip(d_xi_eta, d_eta_xi)]
 
     return VectorField(ev, xi.n)
@@ -210,10 +219,11 @@ class DifferentialForm:
     A form may also be given by a closure ``fn(z, *vectors)``, linear and
     skew in the vectors: its array is then read with one pass along
     ``jets.vec_frame`` at degree 1, and with one call per frame pair or
-    triple at degree 2 or 3.  A 0-form is its function ``fn(z)``.
+    triple at degree 2 or 3.  A 0-form is its function ``fn(z)``.  ``array``
+    is the evaluator of the frame array (do not modify what it returns).
     """
 
-    __slots__ = ("degree", "fn", "n", "name", "_array_fn", "_array_memo")
+    __slots__ = ("degree", "fn", "n", "name", "array")
 
     def __init__(self, degree: int, fn, n: int, name: str = ""):
         if not 0 <= degree <= 3:
@@ -222,8 +232,7 @@ class DifferentialForm:
         self.fn = fn
         self.n = n
         self.name = name
-        self._array_fn = None
-        self._array_memo = None
+        self.array = functools.partial(_closure_array, fn, degree, 2 * n)
 
     def __call__(self, z, *vectors):
         if len(vectors) != self.degree:
@@ -236,28 +245,10 @@ class DifferentialForm:
     def __repr__(self):
         return f"DifferentialForm(p={self.degree}, {self.name or 'anonymous'})"
 
-    def array(self, z):
-        """The form's frame array at z (see the class docstring); do not modify it."""
-        memo = self._array_memo
-        if memo is None:
-            return self._compute_array(z)
-        return memo.get(z, self._compute_array)
-
     def memoize_array(self):
-        """Keep the frame arrays computed at points in a ``PointMemo``."""
-        if self._array_memo is None:
-            self._array_memo = PointMemo()
-
-    def _compute_array(self, z):
-        if self._array_fn is not None:
-            return self._array_fn(z)
-        p, n2 = self.degree, 2 * self.n
-        if p == 0:
-            raise DegreeOutOfRange("a 0-form has no frame array")
-        if p == 1:
-            return jets.slots(self.fn(z, jets.vec_frame(n2)), n2)
-        fr = frame(n2)
-        return _skew_array(p, n2, lambda *idx: self.fn(z, *(fr[i] for i in idx)))
+        """Keep the frame arrays computed at points in a ``PointMemo``; call it
+        once, before the form is read."""
+        self.array = functools.partial(PointMemo().get, compute=self.array)
 
     def __add__(self, other):
         if other.degree != self.degree:
@@ -277,10 +268,20 @@ class DifferentialForm:
         return _array_form(self.degree, lambda z: _scale_array(c, self.array(z)), self.n)
 
 
+def _closure_array(fn, p: int, n2: int, z):
+    """The frame array at z of the p-form given by the closure ``fn``."""
+    if p == 0:
+        raise DegreeOutOfRange("a 0-form has no frame array")
+    if p == 1:
+        return jets.slots(fn(z, jets.vec_frame(n2)), n2)
+    fr = frame(n2)
+    return _skew_array(p, n2, lambda *idx: fn(z, *(fr[i] for i in idx)))
+
+
 def _array_form(degree: int, array_fn, n: int, name: str = "") -> DifferentialForm:
     """The form of degree >= 1 whose frame array at z is ``array_fn(z)``."""
     form = DifferentialForm(degree, None, n, name)
-    form._array_fn = array_fn
+    form.array = array_fn
     return form
 
 
@@ -377,15 +378,18 @@ def exterior_derivative(alpha: DifferentialForm) -> DifferentialForm:
 class VectorForm:
     """Vector-valued skew k-form, k in {1, 2}; k = 0 is just VectorField.
 
-    A vector form is its frame array at each point, given by its matrix
-    function: at degree 1 the matrix M[a][b] = component a of K(e_b), whose
-    columns are the images of the frame; at degree 2 the array T[a][b] =
-    K(e_a, e_b), a list of 2n vectors of 2n components.  ``K(z, *vectors)``
-    contracts the array with the vectors (``_combine``): degree 1 over the
-    columns, degree 2 over the rows and then over the entries of each row.
+    A vector form is its frame array at each point, ``matrix(z)``: at degree
+    1 the matrix M[a][b] = component a of K(e_b), whose columns are the
+    images of the frame; at degree 2 the array T[a][b] = K(e_a, e_b), a list
+    of 2n vectors of 2n components.  ``K(z, *vectors)`` contracts the array
+    with the vectors (``_combine``): degree 1 over the columns, degree 2 over
+    the rows and then over the entries of each row.  ``matrix`` is the
+    evaluator the form is made with, or its read through a ``PointMemo`` of
+    the form's own once ``memoize_matrix`` is on; it does not hold the form.
+    Its result may be shared with the memo: do not modify it.
     """
 
-    __slots__ = ("degree", "n", "name", "_matrix_fn", "_matrix_memo", "_built", "__weakref__")
+    __slots__ = ("degree", "n", "name", "matrix", "_built", "__weakref__")
 
     def __init__(self, degree: int, matrix_fn, n: int, name: str = ""):
         if degree not in (1, 2):
@@ -393,8 +397,7 @@ class VectorForm:
         self.degree = degree
         self.n = n
         self.name = name
-        self._matrix_fn = matrix_fn
-        self._matrix_memo = None
+        self.matrix = matrix_fn
         self._built = None
 
     def __call__(self, z, *vectors):
@@ -410,16 +413,6 @@ class VectorForm:
     def __repr__(self):
         return f"VectorForm(k={self.degree}, {self.name or 'anonymous'})"
 
-    def matrix(self, z):
-        """The form's frame array at z (see the class docstring).
-
-        Shared with the memo once ``memoize_matrix`` is on: do not modify it.
-        """
-        memo = self._matrix_memo
-        if memo is None:
-            return self._compute_matrix(z)
-        return memo.get(z, self._compute_matrix)
-
     @property
     def form(self):
         """The form itself: the old ``connection.form`` read, kept only for
@@ -427,29 +420,30 @@ class VectorForm:
         return self
 
     def memoize_matrix(self):
-        """Keep the frame arrays computed at points in a ``PointMemo``."""
-        if self._matrix_memo is None:
-            self._matrix_memo = PointMemo()
+        """Keep the frame arrays computed at points in a ``PointMemo``.
 
-    def _compute_matrix(self, z):
-        return self._matrix_fn(z)
+        Call it once, before the form is handed out: a caller that took
+        ``matrix`` before reads around the memo.
+        """
+        self.matrix = functools.partial(PointMemo().get, compute=self.matrix)
 
     def __add__(self, other):
         if other.degree != self.degree:
             raise DegreeOutOfRange("cannot add vector forms of different degree")
-        return VectorForm(self.degree, lambda z: _add_arrays(self.matrix(z), other.matrix(z)),
-                          self.n)
+        a, b = self.matrix, other.matrix
+        return VectorForm(self.degree, lambda z: _add_arrays(a(z), b(z)), self.n)
 
     def __sub__(self, other):
         if other.degree != self.degree:
             raise DegreeOutOfRange("cannot subtract vector forms of different degree")
-        return VectorForm(self.degree, lambda z: _sub_arrays(self.matrix(z), other.matrix(z)),
-                          self.n)
+        a, b = self.matrix, other.matrix
+        return VectorForm(self.degree, lambda z: _sub_arrays(a(z), b(z)), self.n)
 
     def scale(self, c):
+        a = self.matrix
         if isinstance(c, ScalarField):
-            return VectorForm(self.degree, lambda z: _scale_array(c(z), self.matrix(z)), self.n)
-        return VectorForm(self.degree, lambda z: _scale_array(c, self.matrix(z)), self.n)
+            return VectorForm(self.degree, lambda z: _scale_array(c(z), a(z)), self.n)
+        return VectorForm(self.degree, lambda z: _scale_array(c, a(z)), self.n)
 
 
 _mul, _add, _sub = jets._mul, jets._add, jets._sub  # x * y, x + y and x - y by rule 3
@@ -644,18 +638,17 @@ def _bracket_1_0(K: VectorForm, Y: VectorField) -> VectorForm:
     """
     n2 = 2 * K.n
     rng = range(n2)
-    y_fn = Y.fn  # not Y: [K, Y] kept on Y must not hold Y, or the two form a cycle
-    constant = K._built is False
+    y_fn, k_matrix, constant = Y.fn, K.matrix, K._built is False
 
     def matrix_fn(z):
         frame_tag, y = jets.frame_pass(y_fn, z, n2)
         dy_rows = [jets.slots(jets.tangent(v, frame_tag), n2) for v in y]
         dy_cols = list(zip(*dy_rows))
         if constant:
-            k, d_y_k = K.matrix(z), [[0.0] * n2] * n2
+            k, d_y_k = k_matrix(z), [[0.0] * n2] * n2
         else:
             tag = jets.fresh_tag()
-            k = K.matrix(jets.lift(z, [jets.primal(v, frame_tag) for v in y], tag))
+            k = k_matrix(jets.lift(z, [jets.primal(v, frame_tag) for v in y], tag))
             d_y_k = [[jets.tangent(x, tag) for x in row] for row in k]
             k = [[jets.primal(x, tag) for x in row] for row in k]
         dy_k = [_combine([row[b] for row in k], dy_cols) for b in rng]
@@ -736,15 +729,15 @@ def _bracket_1_1(K: VectorForm, L: VectorForm) -> VectorForm:
     """
     n2 = 2 * K.n
     rng = range(n2)
-    constant = K._built is False
+    k_matrix, l_matrix, constant = K.matrix, L.matrix, K._built is False
 
     def matrices(za):
-        return K.matrix(za), L.matrix(za)
+        return k_matrix(za), l_matrix(za)
 
     def matrix_fn(z):
         if constant:
-            tag, lm = jets.frame_pass(L.matrix, z, n2)
-            kc = [list(col) for col in zip(*K.matrix(z))]
+            tag, lm = jets.frame_pass(l_matrix, z, n2)
+            kc = [list(col) for col in zip(*k_matrix(z))]
         else:
             tag, (km, lm) = jets.frame_pass(matrices, z, n2)
             kc, lc = ([[jets.primal(m[a][b], tag) for a in rng] for b in rng] for m in (km, lm))
@@ -775,11 +768,13 @@ def fn_bracket(K, L):
     """Frolicher-Nijenhuis bracket for degrees (1,0), (0,1), (1,1) and (0,0).
 
     One object per operand pair (``kept_on``): it is kept on L, or on K when
-    L is a shared constant (J, C), so [J, V] lives as long as V.  A bracket
-    of two shared constants is built at each call.
+    L is a shared constant (J, C), so [J, V] lives as long as V.  Its key is
+    the other operand and the holder's side, which tells [K, C] from [C, K],
+    both kept on K.  A bracket of two shared constants is built at each call.
     """
-    holder = K if L._built is False else L
-    return kept_on(holder, "fn_bracket", (K, L), lambda: _bracket(K, L))
+    holder, side, other = (K, "fn_bracket(holder, L)", L) if L._built is False \
+        else (L, "fn_bracket(K, holder)", K)
+    return kept_on(holder, side, (other,) if other is not holder else (), lambda: _bracket(K, L))
 
 
 def _bracket(K, L):

@@ -12,8 +12,10 @@ A construction is built once per structure and operand and lives exactly as
 long as the operand: (d_L E)#, Theta_L and h_L are kept on L and S^V on V
 (``memo.kept_on``), as brackets are kept on their operand, so every caller
 of h_L([J, V]) or S^V, from a cell or from ``conservative_lift`` and
-``v_from_torsion_free``, reads one object and its memos.  The weak torsion
-[J, h] and the tension [C, h] are these brackets themselves.
+``v_from_torsion_free``, reads one object and its memos.  Each holds
+``L.matrix``, ``V.at`` and ``F.shared_omega_at``, not L, V and F, so
+reference counting frees it with its operand.  The weak torsion [J, h] and
+the tension [C, h] are these brackets themselves.
 A construction may read dE from the structure's point memo, as (d_L E)#
 does (``sharp_of_dLE``: d_L E = dE o L); a predicate never does, and the
 Vincze residual reads omega from a fresh pass.  A 1-form is evaluated on the
@@ -118,8 +120,7 @@ def connection_from_semispray(F: FinslerStructure, S: VectorField) -> VectorForm
 def associated_semispray(F: FinslerStructure, h: VectorForm) -> VectorField:
     """S = h(S0); the same field for any semispray seed since h kills verticals."""
     s0 = canonical_spray(F)
-    out = VectorField(lambda z: h(z, s0(z)), F.n, name="h(S0)", memo=True)
-    return out
+    return VectorField(lambda z: h(z, s0(z)), F.n, name="h(S0)", memo=True)
 
 
 berwald = berwald_connection  # old name of h0; perfbench/workloads.py is its only reader
@@ -136,13 +137,13 @@ def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
     """
 
     def build():
-        n2 = 2 * F.n
+        n, n2, omega_at, l_matrix = F.n, 2 * F.n, F.shared_omega_at, L.matrix
 
         def ev(z):
-            m, dE = F.shared_omega_at(z)
-            return _sharp_block_solve(m, _combine(jets.slots(dE, n2), L.matrix(z)), F.n, z)
+            m, dE = omega_at(z)
+            return _sharp_block_solve(m, _combine(jets.slots(dE, n2), l_matrix(z)), n, z)
 
-        return VectorField(ev, F.n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
+        return VectorField(ev, n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
 
     return kept_on(L, "sharp_of_dLE", (F,), build)
 
@@ -253,11 +254,11 @@ def semispray_from_vertical(F: FinslerStructure, V: VectorField) -> VectorField:
     def build():
         precheck(vertical_residual(V, F.grid),
                  NotVertical("V has horizontal components on the sample grid"))
-        W = sharp_of_dLE(F, fn_bracket(vertical_endomorphism(F.n), V))
-        s0 = canonical_spray(F)
+        w = sharp_of_dLE(F, fn_bracket(vertical_endomorphism(F.n), V)).at
+        s0, v = canonical_spray(F).at, V.at
 
         def ev(z):
-            return [a + 2.0 * (b + c) for a, b, c in zip(s0(z), V(z), W(z))]
+            return [a + 2.0 * (b + c) for a, b, c in zip(s0(z), v(z), w(z))]
 
         return VectorField(ev, F.n, name=f"S^({V.name})", memo=True)
 

@@ -40,6 +40,8 @@ confirm itself.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import jets
@@ -314,6 +316,12 @@ class FinslerStructure:
     (``energy_axioms_residual``, to VALIDATION_TOL), strong convexity among
     them.  An unvalidated structure whose g is not positive definite fails
     at its first sharp solve.
+
+    ``shared_omega_at(z)``, the evaluator that S0, h0 and the sharp solves
+    hold, is ``[omega's matrix, dE]`` through the structure's point memo (see
+    the module docstring): what ``omega_and_dE`` computes at z, a hit renamed
+    to z's tags.  It holds E, n and the memo, not the structure.  The result
+    is shared: do not modify it.
     """
 
     def __init__(self, E: ScalarField, n: int, grid, validate: bool = True, name: str = ""):
@@ -322,7 +330,9 @@ class FinslerStructure:
         self.grid = grid
         self.name = name or E.name or "finsler"
         self.omega = FundamentalForm(E, n)
-        self._memo = PointMemo()
+        memo = PointMemo()
+        self.shared_omega_at = functools.partial(
+            memo.get, compute=functools.partial(_omega_entry, E, n, memo))
         self._built = None
         if validate:
             energy_axioms_residual(self, grid)
@@ -342,57 +352,46 @@ class FinslerStructure:
         n = self.n
         return [row[:n] for row in self.omega_matrix_at(z)[n:]]
 
-    def shared_omega_at(self, z):
-        """``[omega's matrix, dE]`` at a float, batch or jet point, shared through
-        the point memo.
-
-        Both come from one pass of E (``omega_and_dE``).  The sharp solve and
-        ``d_h omega`` read omega here and the canonical spray reads both, so
-        the sharp fields bracketed with J at one point and d_h omega there
-        build them once per point.  A hit is renamed to z's tags, so it is
-        what ``omega_and_dE`` computes.  The result is shared: do not modify it.
-        """
-        return self._memo.get(z, self._omega_entry)
-
-    def _omega_entry(self, z):
-        """``[omega's matrix, dE]`` at z; at a float or batch point, raises
-        ``NondegeneracyFailure`` at the first point where omega is not finite
-        or cond(omega) > COND_LIMIT.
-
-        A list, not a tuple: ``retag_array`` renames a hit by walking lists.
-        At a jet point, its primal may be stored at the point z lifts.
-        """
-        m, dE = omega_and_dE(self.E, self.n, z)
-        tags = [c.tag for c in z if type(c) is jets.Jet]
-        if tags:
-            t = max(tags)
-            zp = [jets.primal(c, t) for c in z]
-            if jets.Jet in map(type, zp):
-                entries = [x for row in m for x in row] + jets.slots(dE, 2 * self.n)
-                if all(type(x) is not jets.Jet or x.tag <= t for x in entries):
-                    self._memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m],
-                                        jets.primal(dE, t)])
-        else:
-            stacked = jets.stacked(m, z)
-            try:
-                cond = _condition_numbers(stacked)
-            except np.linalg.LinAlgError:  # the SVD of a non-finite omega
-                i = int(np.argmin(np.isfinite(stacked).all(axis=(1, 2))))
-                raise NondegeneracyFailure("fundamental form not finite",
-                                           point=_real_point(z, i), value=float("nan")) from None
-            bad = np.flatnonzero(cond > COND_LIMIT)
-            if bad.size:
-                i = int(bad[0])
-                raise NondegeneracyFailure(
-                    f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
-                    point=_real_point(z, i), value=float(cond[i]))
-        return [m, dE]
-
     # -- sharp and friends ------------------------------------------------------
 
     def sharp_at(self, beta_values, z):
         """Solve sum_a X^a omega_ab = beta_b at a float, batch or jet point."""
         return _sharp_block_solve(self.shared_omega_at(z)[0], beta_values, self.n, z)
+
+
+def _omega_entry(E: ScalarField, n: int, memo: PointMemo, z):
+    """``[omega's matrix, dE]`` at z, a miss of a structure's ``memo``; at a
+    float or batch point, raises ``NondegeneracyFailure`` at the first point
+    where omega is not finite or cond(omega) > COND_LIMIT.
+
+    A list, not a tuple: ``retag_array`` renames a hit by walking lists.
+    At a jet point, its primal may be stored in ``memo`` at the point z lifts.
+    """
+    m, dE = omega_and_dE(E, n, z)
+    tags = [c.tag for c in z if type(c) is jets.Jet]
+    if tags:
+        t = max(tags)
+        zp = [jets.primal(c, t) for c in z]
+        if jets.Jet in map(type, zp):
+            entries = [x for row in m for x in row] + jets.slots(dE, 2 * n)
+            if all(type(x) is not jets.Jet or x.tag <= t for x in entries):
+                memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m],
+                              jets.primal(dE, t)])
+    else:
+        stacked = jets.stacked(m, z)
+        try:
+            cond = _condition_numbers(stacked)
+        except np.linalg.LinAlgError:  # the SVD of a non-finite omega
+            i = int(np.argmin(np.isfinite(stacked).all(axis=(1, 2))))
+            raise NondegeneracyFailure("fundamental form not finite",
+                                       point=_real_point(z, i), value=float("nan")) from None
+        bad = np.flatnonzero(cond > COND_LIMIT)
+        if bad.size:
+            i = int(bad[0])
+            raise NondegeneracyFailure(
+                f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
+                point=_real_point(z, i), value=float(cond[i]))
+    return [m, dE]
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,
@@ -428,13 +427,13 @@ def canonical_spray(F: FinslerStructure) -> VectorField:
     """
 
     def build():
-        n2 = 2 * F.n
+        n, n2, omega_at = F.n, 2 * F.n, F.shared_omega_at
 
         def ev(z):
-            m, dE = F.shared_omega_at(z)
-            return _sharp_block_solve(m, jets.slots(-1.0 * dE, n2), F.n, z)
+            m, dE = omega_at(z)
+            return _sharp_block_solve(m, jets.slots(-1.0 * dE, n2), n, z)
 
-        return VectorField(ev, F.n, name="S0", memo=True)
+        return VectorField(ev, n, name="S0", memo=True)
 
     return kept_on(F, "canonical_spray", (), build)
 
@@ -507,13 +506,15 @@ def projector_residual(F: FinslerStructure, h: VectorForm, points=None) -> float
 
 
 def kept_projector_residual(F: FinslerStructure, h: VectorForm, points) -> float:
-    """``projector_residual(F, h, points)``, kept on h per structure
-    (``kept_on``) when the points are F's grid, where every connection is
-    checked when it is built (``connections._wrap_connection``) and where
-    ``conservative_connection_residual`` checks it again."""
+    """``projector_residual(F, h, points)``, kept on h (``kept_on``) when the
+    points are F's grid, where every connection is checked when it is built
+    (``connections._wrap_connection``) and where
+    ``conservative_connection_residual`` checks it again.  The entry is keyed
+    by the points, not by F, which it reads for its n alone."""
     if points is not F.grid:
         return projector_residual(F, h, points)
-    return kept_on(h, "projector_residual", (F,), lambda: projector_residual(F, h, points))
+    return kept_on(h, "projector_residual", tuple(points),
+                   lambda: projector_residual(F, h, points))
 
 
 def conservative_connection_residual(F: FinslerStructure, h: VectorForm, points=None) -> float:

@@ -3,9 +3,12 @@
 A ``PointMemo`` keeps values computed at points, keyed by ``point_key``, the
 canonical form of a point up to an order-preserving renaming of its lift
 tags; the memoised fields and vector forms of ``calculus`` and the omega
-memo of a ``finsler.FinslerStructure`` are point memos.  ``kept_on`` keeps a
-construction on its operand, so the same operands give the same object for
-as long as the operand lives.
+memo of a ``finsler.FinslerStructure`` are point memos, each read through
+an evaluator ``functools.partial(memo.get, compute=fn)``.  ``kept_on`` keeps
+a construction on its operand, so the same operands give the same object for
+as long as the operand lives.  An operand holds its kept constructions, and
+a construction holds its operands' evaluators, never the operands, so the
+object graph is acyclic.
 """
 
 from __future__ import annotations
@@ -182,22 +185,22 @@ def retag_array(x, tag_map):
 def kept_on(holder, tag, operands, build):
     """What ``build()`` gives, built once and kept on ``holder``.
 
-    The entry is keyed by ``tag`` and the operands themselves, which hash by
-    identity, so it keeps them alive and never matches a new object at a
-    reused address; the holder, as an operand, is None in its own key, so
-    the key makes no reference cycle with it.  A construction then lives
+    The entry is keyed by ``tag`` and the other operands, never the holder
+    itself; they hash by identity, so the entry keeps them alive and never
+    matches a new object at a reused address.  A construction then lives
     exactly as long as its holder, a field, a vector form or a structure
-    (their ``_built`` slot), never in a module-level table, and it is freed
-    by reference counting when the holder is, unless it refers to the holder
-    itself.  A shared constant (``_built`` False) keeps nothing, and a build
-    that raises stores nothing, so the next call raises again.
+    (their ``_built`` slot), never in a module-level table.  It holds the
+    evaluators of the objects it is built from, not the objects, so it holds
+    no reference back to its holder and reference counting frees it with
+    the holder.  A shared constant (``_built`` False) keeps nothing, and a
+    build that raises stores nothing, so the next call raises again.
     """
     built = holder._built
     if built is False:
         return build()
     if built is None:
         built = holder._built = {}
-    key = (tag, *(None if x is holder else x for x in operands))
+    key = (tag, *operands)
     value = built.get(key)
     if value is None:
         value = built[key] = build()

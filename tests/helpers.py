@@ -10,6 +10,10 @@ compared with: ``dh_omega_form`` for ``connections.dh_omega_residual`` and
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import gc
+
 import numpy as np
 
 from finslerlab.calculus import VectorField, d_K, exterior_derivative, insert_one_form
@@ -49,6 +53,48 @@ def fd_vector(fn, coords, direction, h=1e-6):
 
 def maxabs(values):
     return max(abs(v) for v in values) if values else 0.0
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The block runs with the cycle collector off, so only reference counting
+    frees what it makes."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def cyclic_garbage(run) -> int:
+    """The number of objects that ``run()`` leaves for the cycle collector.
+
+    Earlier garbage is collected first; ``run()`` then runs with the
+    collector off, and ``gc.collect()`` under ``gc.DEBUG_SAVEALL`` counts
+    what it left unreachable, before the collector is on again: the first
+    allocation after that could collect it unseen.
+    """
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with collector_off():
+            run()
+            return gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def point_memo(evaluator):
+    """The ``memo.PointMemo`` that a memoised evaluator reads through, or None.
+
+    A field's ``at``, a vector form's ``matrix`` and a structure's
+    ``shared_omega_at`` are ``functools.partial(memo.get, compute=...)`` when
+    memoised.
+    """
+    if isinstance(evaluator, functools.partial):
+        return evaluator.func.__self__
+    return None
 
 
 def frame(n2, a):

@@ -1,7 +1,9 @@
 """tools/bench_pairs.py: the summary of alternating benchmark pairs, on canned runs."""
 
+import gc
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +145,30 @@ def test_src_lines_counts_the_package_sources(tmp_path):
     (package / "b.py").write_text("z = 3\n", encoding="utf-8")
     (package / "notes.txt").write_text("not a source\n", encoding="utf-8")
     assert bench_pairs.src_lines(tmp_path) == 3
+
+
+@pytest.mark.parametrize("code, out, count", [(0, "5318\n", 5318), (0, "0\n", 0), (1, "", None)])
+def test_cyclic_garbage_runs_the_probe_against_the_trees_sources(monkeypatch, code, out, count):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, code, stdout=out)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    tree = Path("change")
+    assert bench_pairs.cyclic_garbage(tree) == count
+    assert calls == [([sys.executable, "-c", bench_pairs.CYCLIC_GARBAGE_PROBE], tree,
+                      str(tree / "src"))]
+
+
+def test_the_cyclic_garbage_probe_reads_0_on_this_tree(capsys):
+    gc_state = gc.isenabled(), gc.get_debug()
+    try:
+        exec(bench_pairs.CYCLIC_GARBAGE_PROBE, {})
+    finally:
+        gc.set_debug(gc_state[1])
+        gc.garbage.clear()
+        if gc_state[0]:
+            gc.enable()
+    assert capsys.readouterr().out == "0\n"

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from finslerlab import calculus, connections, finsler, jets
+from finslerlab import calculus, connections, finsler, jets, memo
 from finslerlab.calculus import (
     VectorField, VectorForm, d_K, field_apply, fn_bracket, frame_vector,
     identity_form, liouville_field, potential, semispray_residual, sup_abs,
@@ -33,7 +33,7 @@ from finslerlab.connections import (
 
 from finslerlab.registry import base_function, build_field
 
-from helpers import dh_omega_form, maxabs, sharp_of_dLE_reference
+from helpers import dh_omega_form, maxabs, point_memo, sharp_of_dLE_reference
 from test_funk import funk
 
 N, N2 = 2, 4
@@ -85,7 +85,7 @@ def test_the_constructors_return_the_connection_form():
     for h in (connection_from_semispray(EUC, semispray_from_vertical(EUC, E_dy1(EUC))),
               l_ehresmann_connection(EUC, fn_bracket(J, E_dy1(EUC))), hbar):
         assert type(h) is VectorForm and h.degree == 1
-        assert h._matrix_memo is not None
+        assert isinstance(point_memo(h.matrix), memo.PointMemo)
     # Id is a projector, but its kernel is not the vertical bundle
     with pytest.raises(NotConnection, match=r"projector laws fail for Id: residual 1\.000e\+00"):
         connections._wrap_connection(EUC, identity_form(N))

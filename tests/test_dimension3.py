@@ -15,10 +15,13 @@ from finslerlab.connections import (
     l_ehresmann_connection, form_matrix_residual, vector_form1_residual,
     tension, wagner_connection,
 )
-from finslerlab.checks import random_one_forms
+from finslerlab.checks import CHECKS, CheckContext, SharedObjects, random_one_forms
+from finslerlab.core import PointBatch
 from finslerlab.registry import base_function, build_field
 
 from helpers import maxabs
+from test_funk import funk
+from test_headroom import HEADROOM
 
 N, N2 = 3, 6
 GRID = sample_slit_points(N, 6, seed=13)
@@ -91,3 +94,24 @@ def test_registry_fields_in_3d():
     assert v(z) == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
     c = build_field(F, "half-y1-C")
     assert maxabs([a - b for a, b in zip(c(z), [0, 0, 0, 0.5, 1.0, 0.25])]) < 1e-12
+
+
+@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3", "funk"])
+def test_every_runner_passes_at_n3(fid):
+    # each of the 16 runners on an 8-point batch of seed 42 at n = 3, as
+    # run_checks runs a fixture's cells: one SharedObjects for all of them.
+    # Every cell reads below HEADROOM (the worst about 4e-15), and only the
+    # expected-error checks leave a note
+    grid = (PointBatch(sample_slit_points(N, 8, seed=42)),)
+    F = funk(grid, N) if fid == "funk" else finsler_fixture(fid, grid, n=N)
+    shared = SharedObjects(F)
+    notes = {}
+    for spec in CHECKS:
+        outcome = spec.runner(F, CheckContext(grid=grid, seed=42, tol=spec.tolerance,
+                                              shared=shared))
+        assert float(outcome.max_residual) <= HEADROOM, (spec.id, outcome)
+        if outcome.note is not None:
+            notes[spec.id] = outcome.note
+    assert notes.keys() == {"CHK-10", "CHK-13"}
+    assert notes["CHK-10"].startswith("HypothesisFailure (expected) for E-dy1: residual ")
+    assert notes["CHK-13"] == "DegenerateDegree (expected) for r=-1"

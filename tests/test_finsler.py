@@ -1,6 +1,7 @@
 """Finsler layer: validation, omega, sharp, sprays, Berwald, conformal change."""
 
 import cProfile
+import functools
 import math
 import pstats
 from unittest import mock
@@ -26,7 +27,7 @@ from finslerlab.finsler import (
     omega_and_dE, projector_residual, sharp, validate_finsler,
 )
 
-from helpers import maxabs
+from helpers import maxabs, point_memo
 from test_funk import funk
 
 N, N2 = 2, 4
@@ -191,7 +192,7 @@ def test_jet_construction_budget(n, what, budget):
     elif what == "spray":
         count = _jet_constructions(lambda: canonical_spray(F)(z))
     elif what == "berwald":
-        count = _jet_constructions(lambda: berwald_connection(F)._compute_matrix(z))
+        count = _jet_constructions(lambda: berwald_connection(F).matrix(z))
     elif what == "torsion":
         torsion = weak_torsion(F, berwald_connection(F))
         count = _jet_constructions(lambda: vector_form2_residual(torsion, [point(*z)]))
@@ -733,11 +734,12 @@ def test_sharp_memo_keeps_one_base_point():
     for depth in (1, 2):
         z, _ = _jet_point(z1, depth)
         F.sharp_at(_jet_beta(z), z)
-    assert F._memo.base == tuple(z1) and len(F._memo.entries) == 3
+    memo_ = point_memo(F.shared_omega_at)
+    assert memo_.base == tuple(z1) and len(memo_.entries) == 3
     z, _ = _jet_point(z2, 1)
     F.sharp_at(_jet_beta(z), z)
-    assert F._memo.base == tuple(z2)
-    assert len(F._memo.entries) == 1
+    assert memo_.base == tuple(z2)
+    assert len(memo_.entries) == 1
 
 
 def test_memos_hold_the_last_base_points_entries_only():
@@ -749,7 +751,7 @@ def test_memos_hold_the_last_base_points_entries_only():
         X = sharp(F, coordinate_one_form(N, 0))
         for z in points:
             s0(z), h0.matrix(z), X(z)
-        return [F._memo, s0._memo, h0._matrix_memo, X._memo]
+        return [point_memo(e) for e in (F.shared_omega_at, s0.at, h0.matrix, X.at)]
 
     points = [p.coords() for p in sample_slit_points(N, 50, seed=11)]
     for memo, alone in zip(memos_after(points), memos_after(points[-1:])):
@@ -867,7 +869,7 @@ def test_a_lifted_omega_entry_answers_the_point_it_lifts(fid, n):
         # a float or batch point keeps its own miss, with its cond(omega) check
         F = structure()
         F.shared_omega_at(_jet_point(base, 1, 0)[0])
-        assert memo.point_key(base)[0] not in F._memo.entries
+        assert memo.point_key(base)[0] not in point_memo(F.shared_omega_at).entries
 
 
 def test_an_entry_holding_a_tag_above_the_points_is_not_stored():
@@ -888,14 +890,13 @@ def test_an_entry_holding_a_tag_above_the_points_is_not_stored():
     F = structure(above)
     F.shared_omega_at(z)
     zp = [jets.primal(c, tags[-1]) for c in z]
-    assert memo.point_key(zp)[0] not in F._memo.entries
+    assert memo.point_key(zp)[0] not in point_memo(F.shared_omega_at).entries
     assert _identical_entries(F.shared_omega_at(zp), finsler.omega_and_dE(F.E, N, zp))
 
 
 def test_matrix_memo_hit_is_renamed_and_exact():
     # a vector form's matrix at a jet point comes from its point memo when the
     # point differs from a stored one by a renaming of tags, renamed to its tags
-    from finslerlab.calculus import VectorForm
     for n in (2, 3):
         z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
         grid = sample_slit_points(n, 2, seed=3)
@@ -904,8 +905,9 @@ def test_matrix_memo_hit_is_renamed_and_exact():
             first, _ = _jet_point(z0, depth, vec=0)
             assert h0.matrix(first) is h0.matrix(first)
             again, tags = _jet_point(z0, depth, vec=0)
-            with mock.patch.object(VectorForm, "_compute_matrix",
-                                   side_effect=AssertionError("memo missed")):
+            missed = mock.Mock(side_effect=AssertionError("memo missed"))
+            with mock.patch.object(h0, "matrix", functools.partial(
+                    point_memo(h0.matrix).get, compute=missed)):
                 hit = h0.matrix(again)
             fresh = berwald_connection(finsler_fixture("randers-0.3", grid, n=n)).matrix(again)
             assert all(_identical(a, b) for u, v in zip(hit, fresh) for a, b in zip(u, v))
@@ -914,27 +916,30 @@ def test_matrix_memo_hit_is_renamed_and_exact():
 
 def test_dh_omega_and_weak_torsion_build_the_lifted_berwald_matrix_once():
     # d_h omega for h0 and for h_L (through h_L's sum matrix) and [J, h0] read
-    # one lift of the point along the vector frame (jets.frame_lift)
-    from finslerlab.calculus import VectorForm
+    # one lift of the point along the vector frame (jets.frame_lift); the memos
+    # are made under the spy, so that their evaluators read it
     from finslerlab.connections import (
         dh_omega_residual, l_ehresmann_connection, vector_form2_residual, weak_torsion,
     )
     from finslerlab.registry import build_field
+    get = memo.PointMemo.get
     for n in (2, 3):
-        F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
-        h0 = berwald_connection(F)
-        hL = l_ehresmann_connection(
-            F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
-        p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
-        built = []
-        compute = VectorForm._compute_matrix
+        built, h0_memo = [], []
 
-        def counting(self, z):
-            if self is h0 and memo.point_key(z)[2]:
-                built.append(z)
-            return compute(self, z)
+        def counting(pm, z, compute):
+            def counted(z):
+                if pm in h0_memo and memo.point_key(z)[2]:
+                    built.append(z)
+                return compute(z)
+            return get(pm, z, counted)
 
-        with mock.patch.object(VectorForm, "_compute_matrix", counting):
+        with mock.patch.object(memo.PointMemo, "get", counting):
+            F = finsler_fixture("randers-0.3", sample_slit_points(n, 4, seed=1), n=n)
+            h0 = berwald_connection(F)
+            h0_memo.append(point_memo(h0.matrix))
+            hL = l_ehresmann_connection(
+                F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
+            p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
             dh_omega_residual(F, h0, [p])
             dh_omega_residual(F, hL, [p])
             vector_form2_residual(weak_torsion(F, h0), [p])

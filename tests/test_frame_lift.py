@@ -10,7 +10,6 @@ tag is above every tag of the point it lifts), and a jet that an energy holds
 and that is newer than a shared lift must not be confused with the lift.
 """
 
-import gc
 import weakref
 from collections import Counter
 
@@ -27,6 +26,7 @@ from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.finsler import FinslerStructure, berwald_connection, finsler_fixture, fixture_ids
 from finslerlab.registry import build_field
 
+from helpers import collector_off
 from test_finsler import _identical, _tags_of
 
 
@@ -171,34 +171,33 @@ def test_the_point_caches_are_bounded_and_hold_coordinates_and_keys_only():
         init(self, *args, **kwargs)
         made.append(weakref.ref(self))
 
-    VectorField.__init__ = tracked
-    try:
-        run_checks(RunConfig(samples=4, seed=7))
-    finally:
-        VectorField.__init__ = init
-    for p in sample_slit_points(2, jets.CACHED_POINTS, seed=1):
-        h0 = berwald_connection(finsler_fixture("euclidean", [p]))
-        h0.matrix(jets.frame_lift(p.coords(), 4)[1])
-        assert len(jets._frame_lifts) <= jets.CACHED_POINTS
-        assert len(memo._keys) <= jets.CACHED_POINTS
-    # one point's lifts, lifted again and again, which no new point empties
-    w = point(0.1, -0.2, 0.7, -0.4).coords()
-    for _ in range(2 * jets.CACHED_POINTS):
-        w = jets.frame_lift(w, 4)[1]
-        memo.point_key(w)
-        assert len(jets._frame_lifts) <= jets.CACHED_POINTS
-        assert len(memo._keys) <= jets.CACHED_POINTS
-    held = _held_types([list(jets._frame_lifts.items()), list(memo._keys.items())], set())
-    assert held <= {int, float, str, bytes, jets.Batch, type(None)}
-    gc.collect()
-    assert made and all(ref() is None for ref in made)
+    # with the cycle collector off: reference counting alone frees the fields
+    with collector_off():
+        VectorField.__init__ = tracked
+        try:
+            run_checks(RunConfig(samples=4, seed=7))
+        finally:
+            VectorField.__init__ = init
+        for p in sample_slit_points(2, jets.CACHED_POINTS, seed=1):
+            h0 = berwald_connection(finsler_fixture("euclidean", [p]))
+            h0.matrix(jets.frame_lift(p.coords(), 4)[1])
+            assert len(jets._frame_lifts) <= jets.CACHED_POINTS
+            assert len(memo._keys) <= jets.CACHED_POINTS
+        # one point's lifts, lifted again and again, which no new point empties
+        w = point(0.1, -0.2, 0.7, -0.4).coords()
+        for _ in range(2 * jets.CACHED_POINTS):
+            w = jets.frame_lift(w, 4)[1]
+            memo.point_key(w)
+            assert len(jets._frame_lifts) <= jets.CACHED_POINTS
+            assert len(memo._keys) <= jets.CACHED_POINTS
+        held = _held_types([list(jets._frame_lifts.items()), list(memo._keys.items())], set())
+        assert held <= {int, float, str, bytes, jets.Batch, type(None)}
+        assert made and all(ref() is None for ref in made)
 
 
 def test_a_bracket_with_a_fresh_field_dies_with_it_without_the_cycle_collector():
     J = vertical_endomorphism(2)
-    gc.collect()
-    gc.disable()
-    try:
+    with collector_off():
         V = VectorField(lambda z: [0.0, 0.0, z[2] * z[3], z[3]], 2, name="V")
         bracket = fn_bracket(J, V)
         assert fn_bracket(J, V) is bracket
@@ -206,8 +205,6 @@ def test_a_bracket_with_a_fresh_field_dies_with_it_without_the_cycle_collector()
         dead = weakref.ref(bracket)
         del V, bracket
         assert dead() is None
-    finally:
-        gc.enable()
 
 
 def _counting_work(monkeypatch):

@@ -83,7 +83,7 @@ MUTANTS = [
     # and cancels in the V_L round trip, so CHK-11, 12 and 14 are blind to it, and
     # CHK-06 measures a conservative L, for which d_L E = 0
     ("d_L E from the rows of L's matrix, m[b][a]", connections, "sharp_of_dLE",
-     "L.matrix(z)", "[list(c) for c in zip(*L.matrix(z))]",
+     "l_matrix(z)", "[list(c) for c in zip(*l_matrix(z))]",
      ["CHK-07", "CHK-08", "CHK-09", "CHK-10", "CHK-11", "CHK-12", "CHK-14", "CHK-15",
       "CHK-16"]),
     ("d_L E from -dE", connections, "sharp_of_dLE",

@@ -31,6 +31,9 @@ from finslerlab.finsler import (
     berwald_connection, canonical_spray, conservative_connection_residual,
     conservative_form_residual, finsler_fixture,
 )
+from finslerlab.registry import build_field
+
+from helpers import cyclic_garbage
 
 N = 2
 GRID = sample_slit_points(N, 8, seed=9)
@@ -177,3 +180,16 @@ def test_precheck_tol_is_compared_only_inside_the_gate():
     assert offenders == []
     assert [m for m, tree in _package_modules() for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name == "precheck"] == ["calculus"]
+
+
+def test_a_failing_precheck_leaves_no_cyclic_garbage():
+    # the error's traceback holds the gate's frame, which must not hold the
+    # error: else the cycle keeps every frame of the failing chain alive, up
+    # to run_checks with its results and grid, until the collector runs
+    def fail():
+        with pytest.raises(NotSemibasic):
+            precheck(math.nan, NotSemibasic("not semibasic"))
+        with pytest.raises(HypothesisFailure):
+            conservative_lift(EUC, build_field(EUC, "E-dy1"))
+
+    assert cyclic_garbage(fail) == 0

@@ -8,7 +8,6 @@ its body runs once per (structure, operand), and it lives no longer than
 the operand, so a run leaves nothing alive.
 """
 
-import gc
 import json
 import math
 import weakref
@@ -21,6 +20,8 @@ from finslerlab.checks import CHECK_IDS, run_checks
 from finslerlab.config import RunConfig
 from finslerlab.errors import NotConnection
 from finslerlab.finsler import fixture_ids
+
+from helpers import collector_off
 
 WAGNER_USERS = {"CHK-06", "CHK-07", "CHK-08", "CHK-09", "CHK-11"}
 H_J_E_DY1_USERS = {"CHK-07", "CHK-14", "CHK-15", "CHK-16"}
@@ -47,13 +48,15 @@ def test_a_cell_alone_gives_its_record_in_the_full_run(check, full_run):
 
 def _counting_builds(monkeypatch):
     """Count every run of a construction body kept on its operand
-    (``memo.kept_on``), by (construction, holder, operands), named."""
+    (``memo.kept_on``), by (construction, holder, other operands), named; an
+    operand with no name (a point of a grid) by its type."""
     builds = Counter()
     kept_on = memo.kept_on
 
     def counting(holder, tag, operands, build):
         def counted():
-            builds[(tag, holder.name, *(x.name for x in operands))] += 1
+            names = (getattr(x, "name", type(x).__name__) for x in operands)
+            builds[(tag, holder.name, *names)] += 1
             return build()
         return kept_on(holder, tag, operands, counted)
 
@@ -74,9 +77,12 @@ def test_each_construction_body_runs_once_per_fixture_and_operand(monkeypatch):
                     ("theta_operator", "L_W(x1)", fid),
                     ("semispray_from_vertical", "E-dy1", fid)]:
             assert builds[key] == 1, key
-    # one bracket per operand pair: [J, E-dy1] and [C, L_W] for each fixture's operands
-    assert builds[("fn_bracket", "E-dy1", "J", "E-dy1")] == len(fixture_ids())
-    assert builds[("fn_bracket", "L_W(x1)", "C", "L_W(x1)")] == len(fixture_ids())
+    # one bracket per operand pair: [J, E-dy1] and [C, L_W] for each fixture's
+    # operands, kept on the right operand and keyed by the left one
+    assert builds[("fn_bracket(K, holder)", "E-dy1", "J")] == len(fixture_ids())
+    assert builds[("fn_bracket(K, holder)", "L_W(x1)", "C")] == len(fixture_ids())
+    # each connection's projector laws are checked once, on the grid's one batch point
+    assert builds[("projector_residual", "h0", "PointBatch")] == len(fixture_ids())
 
 
 def test_the_conservative_lift_and_V_L_read_one_h_L_of_J_E_dy1(monkeypatch):
@@ -101,9 +107,10 @@ def test_the_conservative_lift_and_V_L_read_one_h_L_of_J_E_dy1(monkeypatch):
 
 def test_a_run_leaves_no_structure_or_construction_alive(monkeypatch):
     # constructions live as long as their operands: once run_checks returns,
-    # every structure, SharedObjects, field and vector form it made is
-    # garbage, brackets and the constructions kept on shared operands
-    # included, but for the shared constants J and C, which keep no entry
+    # reference counting alone, with the cycle collector off, has freed every
+    # structure, SharedObjects, field and vector form it made, brackets and
+    # the constructions kept on shared operands included, but for the shared
+    # constants J and C, which keep no entry
     made = []
 
     def tracking(cls):
@@ -118,10 +125,10 @@ def test_a_run_leaves_no_structure_or_construction_alive(monkeypatch):
     for cls in (finsler.FinslerStructure, checks.SharedObjects, calculus.VectorField,
                 calculus.VectorForm):
         tracking(cls)
-    _, code = run_checks(RunConfig(samples=4, seed=7))
+    with collector_off():
+        _, code = run_checks(RunConfig(samples=4, seed=7))
+        alive = [ref() for ref in made if ref() is not None]
     assert code == 0
-    gc.collect()
-    alive = [ref() for ref in made if ref() is not None]
     assert len(made) > 100
     assert [x for x in alive if getattr(x, "_built", None) is not False] == []
     for n in (2, 3):

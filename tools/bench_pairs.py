@@ -17,8 +17,9 @@ side, ``change_wins``, the pairs where the change is better (ties count for
 neither), and a regression ``verdict`` against the metric's ``bound``
 (``verdict``).  The digests of the outputs of the ``finslerlab`` commands in
 REPORTS (the ``check`` reports and the ``eval`` outputs that CI pins) are added
-for both trees, and so is each tree's line count of ``src/finslerlab``
-(``src_lines``).  ``--workdir`` keeps the trees; by default they go to a
+for both trees, and so are each tree's line count of ``src/finslerlab``
+(``src_lines``) and the objects of cyclic garbage that a second default check
+leaves with the collector off (``cyclic_garbage``).  ``--workdir`` keeps the trees; by default they go to a
 temporary directory that is removed at the end.  The exit status is 1 if any
 run was not correct or the two trees' reports differ; a report command that
 exits nonzero has no digest and differs from everything.
@@ -43,6 +44,20 @@ REPORTS = [f"check {a}" for a in ("--seed 42", "--seed 7", "--seed 7 --samples 4
                                   "--seed 7 --samples 1", "--seed 11")] + \
     [f"eval --fixture randers-0.3 --point 0.1,0.2,0.7,-0.4 --object {o}"
      for o in ("berwald", "l:jv:E-dy1", "wagner:x1")]
+
+# A second default check in one process, with the cycle collector off: what
+# gc.collect() then finds unreachable is what only the collector would free.
+CYCLIC_GARBAGE_PROBE = """
+import gc
+from finslerlab.checks import run_checks
+from finslerlab.config import RunConfig
+run_checks(RunConfig())
+gc.collect()
+gc.disable()
+gc.set_debug(gc.DEBUG_SAVEALL)
+run_checks(RunConfig())
+print(gc.collect())
+"""
 
 
 def summarize(runs, better, bounds):
@@ -169,6 +184,15 @@ def same_reports(reports):
                for d in reports.values())
 
 
+def cyclic_garbage(tree):
+    """The count that ``CYCLIC_GARBAGE_PROBE`` prints, run against the sources
+    of ``tree``, or None when it exits nonzero."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", CYCLIC_GARBAGE_PROBE], cwd=tree, env=env,
+                          stdout=subprocess.PIPE, text=True, check=False)
+    return int(proc.stdout.split()[-1]) if proc.returncode == 0 else None
+
+
 def src_lines(tree):
     """The number of lines of the ``src/finslerlab`` sources of ``tree``."""
     return sum(len(p.read_text(encoding="utf-8").splitlines())
@@ -224,6 +248,7 @@ def run(args, pairs, work):
         "change": args.describe,
         "src_tree": src_trees,
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+        "cyclic_garbage": {side: cyclic_garbage(trees[side]) for side in SIDES},
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
                    f"{args.seconds:g} --trace 0",
         "method": "parent and change exported with git archive as fresh trees; pairs run one "
