@@ -37,9 +37,9 @@ most numpy calls on batches and most jets built on their entries are skipped.
 A construction is built once per operand (``memo.kept_on``): J and C are one
 shared constant per n, ``fn_bracket`` gives one object per operand pair, and
 the connection constructions one per structure and operand, each kept on its
-operand and living exactly as long as it.  A construction holds its
-operands' evaluators (a field's ``at`` or ``fn``, a form's ``array``, a vector
-form's ``matrix``), never the operands, so reference counting frees it too.
+operand and living exactly as long as it.  A kept construction, and the sums,
+multiples and brackets it is made of, hold their operands' evaluators (a
+field's ``at`` or ``fn``, a vector form's ``matrix``), never the operands.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Finsler energies: validation, fundamental form, sharp operator, sprays.
 
 A validated structure keeps its canonical spray and Berwald connection
-(``memo.kept_on``, as every construction is kept on its operand), and
-keeps one point memo (``memo.PointMemo``) of omega's matrix and dE, as
-``omega_and_dE`` returns them from one pass of E, at every point: a float
+(``memo.kept_on``), which hold its evaluator ``shared_omega_at``, not the
+structure, and one point memo (``memo.PointMemo``) of omega's matrix and dE,
+as ``omega_and_dE`` returns them from one pass of E, at every point: a float
 point, a batch point (``core.PointBatch``) and a jet point alike.  The sharp
 solve and ``d_h omega`` read omega there, and the canonical spray both.  A
 miss at a float or batch point also checks at each of its points that omega

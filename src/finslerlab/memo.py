@@ -7,8 +7,8 @@ memo of a ``finsler.FinslerStructure`` are point memos, each read through
 an evaluator ``functools.partial(memo.get, compute=fn)``.  ``kept_on`` keeps
 a construction on its operand, so the same operands give the same object for
 as long as the operand lives.  An operand holds its kept constructions, and
-a construction holds its operands' evaluators, never the operands, so the
-object graph is acyclic.
+they hold their operands' evaluators, never the operands, so none of them
+refers back to the operand it is kept on.
 """
 
 from __future__ import annotations
