@@ -855,14 +855,13 @@ def potential(K, S: VectorField, points=None):
     return insert_vector(S, K)
 
 
-def homogeneity_residual(K, r: float, points, C: VectorField | None = None) -> float:
+def homogeneity_residual(K, r: float, points) -> float:
     """sup norm of [C, K] - (r - 1) K over the points (and frame, for 1-forms)."""
+    C = liouville_field(K.n)
     if isinstance(K, VectorField):
-        C = C or liouville_field(K.n)
         dev = lie_bracket(C, K) - K.scale(r - 1.0)
         return sup_abs(dev(grid_coords(points)))
     if isinstance(K, VectorForm) and K.degree == 1:
-        C = C or liouville_field(K.n)
         dev = fn_bracket(C, K) - K.scale(r - 1.0)
         return sup_abs(x for row in dev.matrix(grid_coords(points)) for x in row)
     raise TypeError("homogeneity defined for vector fields and vector 1-forms")

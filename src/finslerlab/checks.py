@@ -11,7 +11,6 @@ third-derivative identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -31,14 +30,14 @@ from .finsler import (
     sharp,
 )
 from .connections import (
-    connection_from_semispray, conservative_lift,
-    dh_omega_residual, form_matrix_residual, l_ehresmann_connection,
-    projective_factor, semispray_from_vertical, tension, theta_operator,
-    v_from_homogeneous, v_from_torsion_free, vector_field_residual,
-    vector_form1_residual, vector_form2_residual, vertical_lift_test,
-    vertical_residual, vincze_residual, wagner_connection, weak_torsion,
+    connection_from_semispray, conservative_lift, dh_omega_residual, form_matrix_residual,
+    l_ehresmann_connection, projective_factor, semispray_from_vertical, tension,
+    theta_operator, v_from_homogeneous, v_from_torsion_free, vector_field_residual,
+    vector_form1_residual, vector_form2_residual, vertical_lift_test, vertical_residual,
+    vincze_residual, weak_torsion,
 )
-from .registry import base_function, build_field
+from .memo import kept_on
+from .registry import base_function, build_connection, build_field, build_form
 
 TOL_CONSTRUCTION = 1e-9
 TOL_THEOREM = 1e-8
@@ -52,9 +51,9 @@ class CheckSpec:
 
     id: str
     description: str
-    fixtures: tuple
     tolerance: float
     runner: object = field(repr=False)
+    fixtures = tuple(fixture_ids())  # every check runs on every fixture
 
 
 @dataclass(frozen=True)
@@ -84,59 +83,11 @@ class CheckResult:
         return rec
 
 
-class SharedObjects:
-    """The operands that several cells of one fixture read, built once per run.
-
-    ``run_checks`` makes one per fixture and hands it to every cell of that
-    fixture as ``CheckContext.shared``.  Each operand is built by the first
-    cell that reads it, which pays for the build; later cells read the same
-    object and its memos.  A build that raises caches nothing, so every cell
-    that reads it raises again and records the same error.
-
-    The constructions on these operands are plain library calls: the
-    library keeps each on its operand (``memo.kept_on``), so h_L and
-    (d_L E)# of [J, E-dy1] or of L_W, S^V of E-dy1 and their brackets are
-    built by the first cell that asks and live for the run with the operand.
-    """
-
-    def __init__(self, F):
-        self.F = F
-
-    @cached_property
-    def wagner(self):
-        """(hbar, L_W): the Wagner connection of f = x1 and its form L_W."""
-        return wagner_connection(self.F, base_function("x1", self.F.n))
-
-    @cached_property
-    def wagner_minus_h0(self):
-        """L = hbar - h0, the conservative form of CHK-06 and CHK-09."""
-        return self.wagner[0] - berwald_connection(self.F)
-
-    @cached_property
-    def fv_J(self):
-        """f^v J for f = x1."""
-        n = self.F.n
-        return vertical_endomorphism(n).scale(vertical_lift_function(base_function("x1", n)))
-
-    @cached_property
-    def e_dy1(self) -> VectorField:
-        """The vertical field E d/dy1."""
-        return build_field(self.F, "E-dy1")
-
-    @cached_property
-    def j_e_dy1(self):
-        """L = [J, E-dy1], whose frame arrays are memoised."""
-        L = fn_bracket(vertical_endomorphism(self.F.n), self.e_dy1)
-        L.memoize_matrix()
-        return L
-
-
 @dataclass
 class CheckContext:
     grid: object
     seed: int
     tol: float
-    shared: SharedObjects
 
 
 @dataclass
@@ -228,8 +179,14 @@ def _chk05_berwald(F, ctx):
                             conservative_connection_residual(F, h0, ctx.grid)]))
 
 
+def _wagner_minus_h0(F):
+    """L = hbar - h0 for f = x1, the conservative form of CHK-06 and CHK-09."""
+    return kept_on(F, "wagner_minus_h0", (),
+                   lambda: build_connection(F, "wagner:x1") - berwald_connection(F))
+
+
 def _chk06_conservative_form(F, ctx):
-    L = ctx.shared.wagner_minus_h0
+    L = _wagner_minus_h0(F)
     residuals = [conservative_form_residual(F, L, ctx.grid)]
     hL = l_ehresmann_connection(F, L)
     translated = berwald_connection(F) + L
@@ -241,12 +198,11 @@ def _chk07_biconditional(F, ctx):
     n = F.n
     J = vertical_endomorphism(n)
     f_v = vertical_lift_function(base_function("x1", n))
-    shared = ctx.shared
     fixtures = [
         ("zero", zero_vector_form(n)),
-        ("wagner", shared.wagner[1]),
-        ("fvJ", shared.fv_J),
-        ("jv:E-dy1", shared.j_e_dy1),
+        ("wagner", build_form(F, "wagner-form:x1")),
+        ("fvJ", build_form(F, "fvJ:x1")),
+        ("jv:E-dy1", build_form(F, "jv:E-dy1")),
         ("corollary", J.scale(f_v / (2.0 * F.E))),
     ]
     s0 = canonical_spray(F)
@@ -271,7 +227,7 @@ def _chk07_biconditional(F, ctx):
 
 
 def _chk08_wagner(F, ctx):
-    hbar, L_W = ctx.shared.wagner
+    hbar, L_W = build_connection(F, "wagner:x1"), build_form(F, "wagner-form:x1")
     residuals = [conservative_connection_residual(F, hbar, ctx.grid)]
     residuals.append(form_matrix_residual(hbar, l_ehresmann_connection(F, L_W), ctx.grid))
     pot = potential(L_W, canonical_spray(F), points=ctx.grid)
@@ -282,7 +238,7 @@ def _chk08_wagner(F, ctx):
 def _chk09_conformal(F, ctx):
     f = base_function("x1", F.n)
     F2 = conformal_change(F, f)
-    L = ctx.shared.wagner_minus_h0
+    L = _wagner_minus_h0(F)
     residuals = [conservative_form_residual(F, L, ctx.grid),
                  conservative_form_residual(F2, L, ctx.grid)]
     # the scaling identity d_L E~ = phi d_L E behind the invariance
@@ -314,7 +270,7 @@ def _chk10_conservative_lift(F, ctx):
     residuals.append(vincze_residual(F, U2, ctx.grid))
 
     try:
-        conservative_lift(F, ctx.shared.e_dy1)
+        conservative_lift(F, build_field(F, "E-dy1"))
         return Outcome(float("inf"), "expected HypothesisFailure was not raised for E-dy1")
     except HypothesisFailure as e:
         note = f"HypothesisFailure (expected) for E-dy1: residual {e.residual:.3e}"
@@ -323,9 +279,8 @@ def _chk10_conservative_lift(F, ctx):
 
 def _chk11_theta_commutator(F, ctx):
     C = liouville_field(F.n)
-    shared = ctx.shared
     residuals = []
-    for L in (shared.wagner[1], shared.fv_J, shared.j_e_dy1):
+    for L in (build_form(F, fid) for fid in ("wagner-form:x1", "fvJ:x1", "jv:E-dy1")):
         lhs = fn_bracket(C, theta_operator(F, L))
         rhs = theta_operator(F, fn_bracket(C, L))
         residuals.append(form_matrix_residual(lhs, rhs, ctx.grid))
@@ -337,7 +292,7 @@ def _chk12_vertical_correspondence(F, ctx):
     J = vertical_endomorphism(n)
     xv = build_field(F, "vlift:1")
     residuals = []
-    for L in (zero_vector_form(n), ctx.shared.j_e_dy1):
+    for L in (zero_vector_form(n), build_form(F, "jv:E-dy1")):
         V = v_from_torsion_free(F, L)
         residuals += (vertical_residual(V, ctx.grid),
                       form_matrix_residual(fn_bracket(J, V), L, ctx.grid),
@@ -347,7 +302,7 @@ def _chk12_vertical_correspondence(F, ctx):
 
 def _chk13_homogeneous_reconstruction(F, ctx):
     J = vertical_endomorphism(F.n)
-    V0, L = ctx.shared.e_dy1, ctx.shared.j_e_dy1
+    V0, L = build_field(F, "E-dy1"), build_form(F, "jv:E-dy1")
     V = v_from_homogeneous(F, L, r=1.0)
     residual = sup_abs([form_matrix_residual(fn_bracket(J, V), L, ctx.grid),
                         vector_field_residual(V - V0, ctx.grid)])
@@ -364,11 +319,11 @@ def _chk13_homogeneous_reconstruction(F, ctx):
 def _chk14_homogeneity_lemma(F, ctx):
     n = F.n
     J = vertical_endomorphism(n)
-    half_y1_C = build_field(F, "half-y1-C")
-    shared = ctx.shared
+    half_y1_C, e_dy1, L = (build_field(F, "half-y1-C"), build_field(F, "E-dy1"),
+                           build_form(F, "jv:E-dy1"))
     residuals = [
-        vector_form1_residual(tension(F, l_ehresmann_connection(F, shared.j_e_dy1)), ctx.grid),
-        homogeneity_residual(semispray_from_vertical(F, shared.e_dy1), 2.0, ctx.grid),
+        vector_form1_residual(tension(F, l_ehresmann_connection(F, L)), ctx.grid),
+        homogeneity_residual(semispray_from_vertical(F, e_dy1), 2.0, ctx.grid),
         vector_form1_residual(
             tension(F, l_ehresmann_connection(F, fn_bracket(J, half_y1_C))), ctx.grid),
         homogeneity_residual(semispray_from_vertical(F, half_y1_C), 2.0, ctx.grid),
@@ -378,15 +333,15 @@ def _chk14_homogeneity_lemma(F, ctx):
 
 def _chk15_dh_omega(F, ctx):
     h0 = berwald_connection(F)
-    hL = l_ehresmann_connection(F, ctx.shared.j_e_dy1)
+    hL = l_ehresmann_connection(F, build_form(F, "jv:E-dy1"))
     return Outcome(sup_abs([dh_omega_residual(F, h0, ctx.grid),
                             dh_omega_residual(F, hL, ctx.grid)]))
 
 
 def _chk16_spray_family(F, ctx):
     n = F.n
-    h1 = connection_from_semispray(F, semispray_from_vertical(F, ctx.shared.e_dy1))
-    h2 = l_ehresmann_connection(F, ctx.shared.j_e_dy1)
+    h1 = connection_from_semispray(F, semispray_from_vertical(F, build_field(F, "E-dy1")))
+    h2 = l_ehresmann_connection(F, build_form(F, "jv:E-dy1"))
     residuals = [form_matrix_residual(h1, h2, ctx.grid)]
     # projective factor on a verified related pair: V = sqrt(E) C / 2, U = 0
     V = build_field(F, "half-sqrtE-C")
@@ -400,37 +355,37 @@ def _chk16_spray_family(F, ctx):
 
 CHECKS = (
     CheckSpec("CHK-01", "energy axioms: positivity, 2-homogeneity, positive-definite metric",
-              tuple(fixture_ids()), TOL_CONSTRUCTION, _chk01_axioms),
+              TOL_CONSTRUCTION, _chk01_axioms),
     CheckSpec("CHK-02", "fundamental form relations: i_J w = 0, i_C w = d_J E, L_C w = w",
-              tuple(fixture_ids()), TOL_THEOREM, _chk02_omega_relations),
+              TOL_THEOREM, _chk02_omega_relations),
     CheckSpec("CHK-03", "sharp operator round trip on random 1-forms",
-              tuple(fixture_ids()), TOL_CONSTRUCTION, _chk03_sharp_round_trip),
+              TOL_CONSTRUCTION, _chk03_sharp_round_trip),
     CheckSpec("CHK-04", "potential lemma: (sharp b) E = b(S0) for semibasic b",
-              tuple(fixture_ids()), TOL_THEOREM, _chk04_potential_lemma),
+              TOL_THEOREM, _chk04_potential_lemma),
     CheckSpec("CHK-05", "Berwald connection: zero torsion, zero tension, d_h E = 0",
-              tuple(fixture_ids()), TOL_THEOREM, _chk05_berwald),
+              TOL_THEOREM, _chk05_berwald),
     CheckSpec("CHK-06", "conservative form: h_L collapses to h0 + L",
-              tuple(fixture_ids()), TOL_THEOREM, _chk06_conservative_form),
+              TOL_THEOREM, _chk06_conservative_form),
     CheckSpec("CHK-07", "biconditional: h_L conservative iff L°E is a vertical lift",
-              tuple(fixture_ids()), TOL_THEOREM, _chk07_biconditional),
+              TOL_THEOREM, _chk07_biconditional),
     CheckSpec("CHK-08", "Wagner connection conservative and equal to its L-form deformation",
-              tuple(fixture_ids()), TOL_THEOREM, _chk08_wagner),
+              TOL_THEOREM, _chk08_wagner),
     CheckSpec("CHK-09", "conformal change preserves form and connection conservativity",
-              tuple(fixture_ids()), TOL_THEOREM, _chk09_conformal),
+              TOL_THEOREM, _chk09_conformal),
     CheckSpec("CHK-10", "conservative lift U = V + (d_[J,V]E)# incl. hypothesis-failure branch",
-              tuple(fixture_ids()), TOL_THEOREM, _chk10_conservative_lift),
+              TOL_THEOREM, _chk10_conservative_lift),
     CheckSpec("CHK-11", "Liouville commutator of the Theta operator",
-              tuple(fixture_ids()), TOL_THEOREM, _chk11_theta_commutator),
+              TOL_THEOREM, _chk11_theta_commutator),
     CheckSpec("CHK-12", "torsion-free forms come from vertical fields (V_L round trip)",
-              tuple(fixture_ids()), TOL_THEOREM, _chk12_vertical_correspondence),
+              TOL_THEOREM, _chk12_vertical_correspondence),
     CheckSpec("CHK-13", "homogeneous reconstruction V = L°/(r+1) and degenerate degree",
-              tuple(fixture_ids()), TOL_THEOREM, _chk13_homogeneous_reconstruction),
+              TOL_THEOREM, _chk13_homogeneous_reconstruction),
     CheckSpec("CHK-14", "2-homogeneous V: homogeneous connection and spray S^V",
-              tuple(fixture_ids()), TOL_THEOREM, _chk14_homogeneity_lemma),
+              TOL_THEOREM, _chk14_homogeneity_lemma),
     CheckSpec("CHK-15", "d_h omega vanishes for torsion-free deformations",
-              tuple(fixture_ids()), TOL_THIRD_ORDER, _chk15_dh_omega),
+              TOL_THIRD_ORDER, _chk15_dh_omega),
     CheckSpec("CHK-16", "S^V generates the [J,V]-connection; projective factor formula",
-              tuple(fixture_ids()), TOL_THEOREM, _chk16_spray_family),
+              TOL_THEOREM, _chk16_spray_family),
 )
 
 CHECK_IDS = tuple(c.id for c in CHECKS)
@@ -466,11 +421,10 @@ def run_checks(config) -> tuple:
     (``core.PointBatch``), and the fixtures are validated on it: each runner
     and residual helper takes the grid's coordinates from
     ``core.grid_coords`` and evaluates once.
-    The cells of a fixture share one ``SharedObjects`` for the run: the
-    Wagner pair, hbar - h0, f^v J, the field E-dy1 and L = [J, E-dy1] are
-    each built once, by the first cell that reads them, and so is each
-    construction the library keeps on them, such as the h_L of L and of L_W
-    and S^V of E-dy1.
+    The cells of a fixture read the operands they share through
+    ``registry.build_*`` and ``_wagner_minus_h0``, which keep each on the
+    structure; a build that raises keeps nothing, so every cell that reads
+    it records the same error.
     """
     if config.samples < 1:
         raise BadConfig("samples must be >= 1")
@@ -478,7 +432,7 @@ def run_checks(config) -> tuple:
     unknown = [f for f in config.fixtures if f not in fixture_ids()]
     if unknown:
         raise BadConfig(f"unknown fixture ids {unknown}")
-    cells = [(spec, fid) for spec in specs for fid in config.fixtures if fid in spec.fixtures]
+    cells = [(spec, fid) for spec in specs for fid in config.fixtures]
     if not cells:
         raise BadConfig("the configuration selects no (check, fixture) cell")
     grid = (PointBatch(sample_slit_points(2, config.samples, config.seed)),)
@@ -489,7 +443,6 @@ def run_checks(config) -> tuple:
             structures[fid] = finsler_fixture(fid, grid)
         except FinslerLabError as e:
             build_errors[fid] = f"{type(e).__name__}: {e}"
-    shared = {fid: SharedObjects(F) for fid, F in structures.items()}
 
     results = []
     for spec, fid in cells:
@@ -498,7 +451,7 @@ def run_checks(config) -> tuple:
             results.append(CheckResult(spec.id, fid, config.samples, float("inf"),
                                        tol, False, build_errors[fid]))
             continue
-        ctx = CheckContext(grid=grid, seed=config.seed, tol=tol, shared=shared[fid])
+        ctx = CheckContext(grid=grid, seed=config.seed, tol=tol)
         try:
             outcome = spec.runner(structures[fid], ctx)
             residual, note = float(outcome.max_residual), outcome.note

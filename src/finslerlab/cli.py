@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .checks import list_checks, run_checks
@@ -30,11 +31,6 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _records(results):
-    for r in results:
-        yield json.dumps(r.record(), separators=(", ", ": "))
-
-
 def _cmd_check(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
@@ -47,7 +43,7 @@ def _cmd_check(args) -> int:
         cfg.out = args.out
 
     results, exit_code = run_checks(cfg)
-    lines = list(_records(results))
+    lines = [json.dumps(r.record(), separators=(", ", ": ")) for r in results]
     for line in lines:
         print(line)
     if cfg.out:
@@ -57,7 +53,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    coords = [float(c) for c in args.point.split(",")]
+    try:
+        coords = [float(c) for c in args.point.split(",")]
+        if not all(map(math.isfinite, coords)):  # NaN and Infinity are not JSON
+            raise ValueError
+    except ValueError:
+        raise BadConfig(f"point coordinates must be finite numbers, got {args.point!r}") from None
     if len(coords) % 2:
         raise BadConfig("point needs an even number of coordinates x..,y..")
     n = len(coords) // 2

@@ -9,8 +9,10 @@ or unknown ids are rejected with the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from .checks import CHECK_IDS
 from .errors import BadConfig
 from .finsler import fixture_ids
 
@@ -30,11 +32,6 @@ def _parse_list(raw: str):
     if raw.startswith("[") and raw.endswith("]"):
         raw = raw[1:-1]
     return [item.strip() for item in raw.split(",") if item.strip()]
-
-
-def _known_check_ids():
-    from .checks import CHECK_IDS
-    return CHECK_IDS
 
 
 def parse_config(text: str) -> RunConfig:
@@ -63,17 +60,17 @@ def parse_config(text: str) -> RunConfig:
                 cfg.fixtures = wanted
             elif key == "checks":
                 wanted = _parse_list(raw)
-                unknown = [c for c in wanted if c not in _known_check_ids()]
+                unknown = [c for c in wanted if c not in CHECK_IDS]
                 if unknown:
                     raise ValueError(f"unknown check ids {unknown}")
                 cfg.checks = wanted
             elif key.startswith("tolerance."):
                 cid = key.split(".", 1)[1]
-                if cid not in _known_check_ids():
+                if cid not in CHECK_IDS:
                     raise ValueError(f"unknown check id {cid!r}")
                 tol = float(raw)
-                if tol <= 0.0:
-                    raise ValueError("tolerance must be positive")
+                if not 0.0 < tol < math.inf:  # a NaN or inf tolerance passes nothing or all
+                    raise ValueError("tolerance must be positive and finite")
                 cfg.tolerances[cid] = tol
             else:
                 raise ValueError(f"unknown key {key!r}")

@@ -11,11 +11,11 @@ with its frame arrays memoised, and h0 is ``finsler.berwald_connection``.
 A construction is built once per structure and operand and lives exactly as
 long as the operand: (d_L E)#, Theta_L and h_L are kept on L and S^V on V
 (``memo.kept_on``), as brackets are kept on their operand, so every caller
-of h_L([J, V]) or S^V, from a cell or from ``conservative_lift`` and
-``v_from_torsion_free``, reads one object and its memos.  Each holds
-``L.matrix``, ``V.at`` and ``F.shared_omega_at``, not L, V and F, so
-reference counting frees it with its operand.  The weak torsion [J, h] and
-the tension [C, h] are these brackets themselves.
+of h_L([J, V]) or S^V (a cell, ``conservative_lift``, ``v_from_torsion_free``)
+reads one object and its memos.  Each holds ``L.matrix``, ``V.at`` and
+``F.shared_omega_at``, not L, V and F, and F enters its key as that evaluator:
+an operand kept on F never refers back to F, and reference counting frees it
+with its operand.  [J, h] and [C, h] (torsion, tension) are these brackets.
 A construction may read dE from the structure's point memo, as (d_L E)#
 does (``sharp_of_dLE``: d_L E = dE o L); a predicate never does, and the
 Vincze residual reads omega from a fresh pass.  A 1-form is evaluated on the
@@ -145,7 +145,7 @@ def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
 
         return VectorField(ev, n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
 
-    return kept_on(L, "sharp_of_dLE", (F,), build)
+    return kept_on(L, "sharp_of_dLE", (F.shared_omega_at,), build)
 
 
 def theta_operator(F: FinslerStructure, L: VectorForm) -> VectorForm:
@@ -158,7 +158,7 @@ def theta_operator(F: FinslerStructure, L: VectorForm) -> VectorForm:
         theta.name = f"Theta({L.name})"
         return theta
 
-    return kept_on(L, "theta_operator", (F,), build)
+    return kept_on(L, "theta_operator", (F.shared_omega_at,), build)
 
 
 def l_ehresmann_connection(F: FinslerStructure, L: VectorForm) -> VectorForm:
@@ -169,7 +169,7 @@ def l_ehresmann_connection(F: FinslerStructure, L: VectorForm) -> VectorForm:
         form.name = f"h_L({L.name or 'L'})"
         return _wrap_connection(F, form)
 
-    return kept_on(L, "l_ehresmann_connection", (F,), build)
+    return kept_on(L, "l_ehresmann_connection", (F.shared_omega_at,), build)
 
 
 def wagner_connection(F: FinslerStructure, f: BaseFunction):
@@ -262,7 +262,7 @@ def semispray_from_vertical(F: FinslerStructure, V: VectorField) -> VectorField:
 
         return VectorField(ev, F.n, name=f"S^({V.name})", memo=True)
 
-    return kept_on(V, "semispray_from_vertical", (F,), build)
+    return kept_on(V, "semispray_from_vertical", (F.shared_omega_at,), build)
 
 
 def projective_factor(F: FinslerStructure, V: VectorField, U: VectorField):

@@ -232,6 +232,8 @@ def sample_slit_points(n: int, count: int, seed: int,
     """
     if count < 1:
         raise BadConfig(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise BadConfig(f"seed must be >= 0, got {seed}")
     if n < 2:
         raise BadConfig(f"dimension must be >= 2, got {n}")
     if min_fiber_norm <= 0.0:

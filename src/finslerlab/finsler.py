@@ -408,11 +408,14 @@ def fundamental_form(F: FinslerStructure) -> FundamentalForm:
 
 
 def sharp(F: FinslerStructure, beta) -> VectorField:
-    """The unique X with i_X omega = beta, as a vector field."""
-    def ev(z):
-        return F.sharp_at(beta.array(z), z)
+    """The unique X with i_X omega = beta, as a vector field, solved as ``F.sharp_at`` does."""
+    n, omega_at, array = F.n, F.shared_omega_at, beta.array
 
-    return VectorField(ev, F.n, name=f"sharp({beta.name})", memo=True)
+    def ev(z):
+        values = array(z)
+        return _sharp_block_solve(omega_at(z)[0], values, n, z)
+
+    return VectorField(ev, n, name=f"sharp({beta.name})", memo=True)
 
 
 def gradient(F: FinslerStructure, f: ScalarField) -> VectorField:
@@ -453,7 +456,8 @@ def berwald_connection(F: FinslerStructure) -> VectorForm:
 
 def conformal_change(F: FinslerStructure, f: BaseFunction) -> FinslerStructure:
     """Rescale the energy by exp(f^v); returns a freshly validated structure."""
-    phi = ScalarField(lambda z: jets.exp(f.fn(z[:F.n])), F.n, name=f"exp({f.name}^v)")
+    n = F.n
+    phi = ScalarField(lambda z: jets.exp(f.fn(z[:n])), n, name=f"exp({f.name}^v)")
     E2 = phi * F.E
     E2.name = f"{F.name}~conformal({f.name})"
     return FinslerStructure(E2, F.n, F.grid, validate=True, name=E2.name)

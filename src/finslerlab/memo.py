@@ -186,14 +186,14 @@ def kept_on(holder, tag, operands, build):
     """What ``build()`` gives, built once and kept on ``holder``.
 
     The entry is keyed by ``tag`` and the other operands, never the holder
-    itself; they hash by identity, so the entry keeps them alive and never
-    matches a new object at a reused address.  A construction then lives
-    exactly as long as its holder, a field, a vector form or a structure
-    (their ``_built`` slot), never in a module-level table.  It holds the
-    evaluators of the objects it is built from, not the objects, so it holds
-    no reference back to its holder and reference counting frees it with
-    the holder.  A shared constant (``_built`` False) keeps nothing, and a
-    build that raises stores nothing, so the next call raises again.
+    itself.  Ids hash by value and objects by identity, so the entry keeps
+    them alive and never matches a new object at a reused address; a
+    structure enters a key as its evaluator ``shared_omega_at``.  A
+    construction lives exactly as long as its holder (a field, vector form
+    or structure), never in a module-level table, and holds the evaluators
+    of what it is built from, not the objects, so reference counting frees
+    it with the holder.  A shared constant (``_built`` False) keeps nothing;
+    a build that raises stores nothing, so the next call raises again.
     """
     built = holder._built
     if built is False:

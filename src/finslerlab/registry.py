@@ -2,6 +2,7 @@
 
 Ids compose left to right: ``l:jv:E-dy1`` is the L-Ehresmann connection of the
 bracket form [J, E d/dy1].  Base functions parameterise the Wagner objects.
+Each builder keeps what it builds on F, so an id names one object per structure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .core import BaseFunction
 from .errors import BadConfig
 from .finsler import FinslerStructure, berwald_connection, canonical_spray
 from .connections import l_ehresmann_connection, wagner_connection
+from .memo import kept_on
 
 BASE_FUNCTIONS = {
     "zero": lambda n: BaseFunction(lambda x: 0.0, n, "zero"),
@@ -41,7 +43,11 @@ def base_function(fid: str, n: int) -> BaseFunction:
 
 
 def build_field(F: FinslerStructure, fid: str) -> VectorField:
-    n = F.n
+    return kept_on(F, "build_field", (fid,), lambda: _field(F, fid))
+
+
+def _field(F, fid):
+    n, E = F.n, F.E
     if fid == "C":
         return liouville_field(n)
     if fid == "S0":
@@ -57,27 +63,37 @@ def build_field(F: FinslerStructure, fid: str) -> VectorField:
                  for j in range(n)]
         return vertical_lift_vector(comps, n, name=fid)
     if fid == "E-dy1":
-        return VectorField(lambda z: [0.0] * n + [F.E(z)] + [0.0] * (n - 1), n, fid)
+        return VectorField(lambda z: [0.0] * n + [E(z)] + [0.0] * (n - 1), n, fid)
     if fid == "half-y1-C":
         return VectorField(lambda z: [0.0] * n + [0.5 * z[n] * z[n + i] for i in range(n)],
                            n, fid)
     if fid == "half-sqrtE-C":
         return VectorField(
-            lambda z: [0.0] * n + [0.5 * jets.sqrt(F.E(z)) * z[n + i] for i in range(n)],
+            lambda z: [0.0] * n + [0.5 * jets.sqrt(E(z)) * z[n + i] for i in range(n)],
             n, fid)
     raise _UnknownId("field", fid)
 
 
+def _wagner(F, fid):
+    """The Wagner pair (connection, L_W) of the base function ``fid``."""
+    return kept_on(F, "wagner_connection", (fid,),
+                   lambda: wagner_connection(F, base_function(fid, F.n)))
+
+
 def build_form(F: FinslerStructure, fid: str):
+    return kept_on(F, "build_form", (fid,), lambda: _form(F, fid))
+
+
+def _form(F, fid):
     n = F.n
     if fid == "zero":
         return zero_vector_form(n)
     if fid.startswith("wagner-form:"):
-        _, L_W = wagner_connection(F, base_function(fid.split(":", 1)[1], n))
-        return L_W
+        return _wagner(F, fid.split(":", 1)[1])[1]
     if fid.startswith("jv:"):
-        V = build_field(F, fid.split(":", 1)[1])
-        return fn_bracket(vertical_endomorphism(n), V)
+        L = fn_bracket(vertical_endomorphism(n), build_field(F, fid.split(":", 1)[1]))
+        L.memoize_matrix()
+        return L
     if fid.startswith("fvJ:"):
         f_v = vertical_lift_function(base_function(fid.split(":", 1)[1], n))
         return vertical_endomorphism(n).scale(f_v)
@@ -85,11 +101,14 @@ def build_form(F: FinslerStructure, fid: str):
 
 
 def build_connection(F: FinslerStructure, cid: str):
+    return kept_on(F, "build_connection", (cid,), lambda: _connection(F, cid))
+
+
+def _connection(F, cid):
     if cid == "berwald":
         return berwald_connection(F)
     if cid.startswith("wagner:"):
-        h, _ = wagner_connection(F, base_function(cid.split(":", 1)[1], F.n))
-        return h
+        return _wagner(F, cid.split(":", 1)[1])[0]
     if cid.startswith("l:"):
         return l_ehresmann_connection(F, build_form(F, cid.split(":", 1)[1]))
     raise _UnknownId("connection", cid)

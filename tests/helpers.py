@@ -19,6 +19,7 @@ import numpy as np
 from finslerlab.calculus import VectorField, d_K, exterior_derivative, insert_one_form
 from finslerlab.core import ScalarField
 from finslerlab.finsler import sharp
+from finslerlab.registry import BASE_FUNCTIONS
 
 
 def fd_directional(fn, coords, direction, h=1e-5):
@@ -83,6 +84,16 @@ def cyclic_garbage(run) -> int:
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+# every registry id at n = 2, each prefix with every base function and every
+# field or form it can take; but l:jv:S0, whose form [J, S0] is not semibasic
+FIELD_IDS = ["C", "S0", "vlift:1", "vlift:2", "E-dy1", "half-y1-C", "half-sqrtE-C"]
+FORM_IDS = ["zero"] + [f"{prefix}:{f}" for prefix in ("wagner-form", "fvJ")
+                       for f in BASE_FUNCTIONS] + [f"jv:{v}" for v in FIELD_IDS]
+CONNECTION_IDS = ["berwald"] + [f"wagner:{f}" for f in BASE_FUNCTIONS] + \
+    [f"l:{L}" for L in FORM_IDS if L != "jv:S0"]
+REGISTRY_IDS = FIELD_IDS + FORM_IDS + CONNECTION_IDS
 
 
 def point_memo(evaluator):

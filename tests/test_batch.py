@@ -16,7 +16,7 @@ import pytest
 
 from finslerlab import finsler, jets
 from finslerlab.calculus import field_apply, liouville_field, sup_abs
-from finslerlab.checks import CHECKS, CheckContext, Outcome, SharedObjects
+from finslerlab.checks import CHECKS, CheckContext, Outcome
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
     BadConfig, FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
@@ -139,9 +139,8 @@ def test_jet_and_vec_take_precedence_over_numpy_operators():
 
 def _run_cells(F, seed, grid):
     out = []
-    shared = SharedObjects(F)
     for spec in sorted(CHECKS, key=lambda c: c.id):
-        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance, shared=shared)
+        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance)
         try:
             outcome = spec.runner(F, ctx)
         except FinslerLabError as e:
@@ -239,8 +238,7 @@ def test_nan_in_one_batch_slot_fails_its_cell():
     pts = list(grid)
     pts[2] = point(*pts[2].base, pts[2].fiber[0], math.nan)
     spec = next(c for c in CHECKS if c.id == "CHK-02")
-    outcome = spec.runner(F, CheckContext(grid=(PointBatch(pts),), seed=7, tol=spec.tolerance,
-                                          shared=SharedObjects(F)))
+    outcome = spec.runner(F, CheckContext(grid=(PointBatch(pts),), seed=7, tol=spec.tolerance))
     assert math.isnan(outcome.max_residual)
     assert not outcome.max_residual < spec.tolerance
 

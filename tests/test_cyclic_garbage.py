@@ -6,8 +6,9 @@ holds plain callables: a field's ``at`` or ``fn``, a vector form's
 acyclic, and reference counting frees every construction with its operand.
 With the collector off, each run below leaves nothing for it
 (``helpers.cyclic_garbage``): a default check (5,318 objects when the kept
-constructions held their operands), the three objects of CI's ``eval`` step,
-and a fresh-structure pass of the point-query workload at n = 2 and of the
+constructions held their operands), CHK-09 on its conformal structures,
+every registry id evaluated as CI's ``eval`` step evaluates it, and a
+fresh-structure pass of the point-query workload at n = 2 and of the
 third-order workload at n = 3.
 """
 
@@ -25,7 +26,7 @@ from finslerlab.finsler import (
 )
 from finslerlab.registry import build_field, build_object
 
-from helpers import cyclic_garbage
+from helpers import REGISTRY_IDS, cyclic_garbage
 
 
 def test_a_default_check_leaves_no_cyclic_garbage():
@@ -33,15 +34,22 @@ def test_a_default_check_leaves_no_cyclic_garbage():
     assert cyclic_garbage(lambda: run_checks(RunConfig())) == 0
 
 
-@pytest.mark.parametrize("oid", ["berwald", "l:jv:E-dy1", "wagner:x1"])
+def test_chk09_on_its_conformal_structures_leaves_no_cyclic_garbage():
+    # CHK-09's h_L of hbar - h0 on the conformal change of F is kept on that
+    # form, which is kept on F (1,451 objects when phi held F)
+    run_checks(RunConfig(checks=["CHK-09"]))
+    assert cyclic_garbage(lambda: run_checks(RunConfig(checks=["CHK-09"]))) == 0
+
+
+@pytest.mark.parametrize("oid", REGISTRY_IDS)
 def test_the_eval_objects_leave_no_cyclic_garbage(oid):
     # what `finslerlab eval --fixture randers-0.3 --point 0.1,0.2,0.7,-0.4`
     # builds and reads, through the registry: argparse leaves cycles of its own
     def evaluate():
         F = finsler_fixture("randers-0.3", sample_slit_points(2, 32, 42))
-        kind, h = build_object(F, oid)
-        assert kind == "connection"
-        h.matrix(grid_coords([point(0.1, 0.2, 0.7, -0.4)]))
+        kind, obj = build_object(F, oid)
+        z = grid_coords([point(0.1, 0.2, 0.7, -0.4)])
+        obj(z) if kind == "field" else obj.matrix(z)
 
     assert cyclic_garbage(evaluate) == 0
 

@@ -15,7 +15,7 @@ from finslerlab.connections import (
     l_ehresmann_connection, form_matrix_residual, vector_form1_residual,
     tension, wagner_connection,
 )
-from finslerlab.checks import CHECKS, CheckContext, SharedObjects, random_one_forms
+from finslerlab.checks import CHECKS, CheckContext, random_one_forms
 from finslerlab.core import PointBatch
 from finslerlab.registry import base_function, build_field
 
@@ -99,16 +99,14 @@ def test_registry_fields_in_3d():
 @pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3", "funk"])
 def test_every_runner_passes_at_n3(fid):
     # each of the 16 runners on an 8-point batch of seed 42 at n = 3, as
-    # run_checks runs a fixture's cells: one SharedObjects for all of them.
+    # run_checks runs a fixture's cells: all of them on one structure.
     # Every cell reads below HEADROOM (the worst about 4e-15), and only the
     # expected-error checks leave a note
     grid = (PointBatch(sample_slit_points(N, 8, seed=42)),)
     F = funk(grid, N) if fid == "funk" else finsler_fixture(fid, grid, n=N)
-    shared = SharedObjects(F)
     notes = {}
     for spec in CHECKS:
-        outcome = spec.runner(F, CheckContext(grid=grid, seed=42, tol=spec.tolerance,
-                                              shared=shared))
+        outcome = spec.runner(F, CheckContext(grid=grid, seed=42, tol=spec.tolerance))
         assert float(outcome.max_residual) <= HEADROOM, (spec.id, outcome)
         if outcome.note is not None:
             notes[spec.id] = outcome.note

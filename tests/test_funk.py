@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from finslerlab import jets
-from finslerlab.checks import CheckContext, SharedObjects, list_checks
+from finslerlab.checks import CheckContext, list_checks
 from finslerlab.core import PointBatch, ScalarField, grid_coords, point, sample_slit_points
 from finslerlab.errors import FinslerLabError
 from finslerlab.finsler import berwald_connection, canonical_spray, validate_finsler
@@ -82,13 +82,13 @@ def test_spray_and_berwald_block_match_the_closed_form(n):
 def funk_cells(seed, samples, checks=None):
     """``(check, residual, note, passed)`` of the runners on Funk at n = 2, as
     ``run_checks`` runs them on a fixture: on the grid as one batch point,
-    with one ``SharedObjects`` for every cell, a raise recorded as inf."""
+    every cell reading the objects kept on one structure, a raise recorded as
+    inf."""
     grid = (PointBatch(sample_slit_points(2, samples, seed)),)
     F = funk(grid, 2)
-    shared = SharedObjects(F)
     out = []
     for spec in list_checks(checks):
-        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance, shared=shared)
+        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance)
         try:
             outcome = spec.runner(F, ctx)
             residual, note = float(outcome.max_residual), outcome.note

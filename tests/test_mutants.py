@@ -16,7 +16,7 @@ import textwrap
 
 import pytest
 
-from finslerlab import calculus, checks, cli, connections, finsler, jets
+from finslerlab import calculus, checks, connections, finsler, jets, registry
 from finslerlab.cli import main
 from finslerlab.finsler import fixture_ids
 from test_funk import funk_cells
@@ -70,12 +70,13 @@ MUTANTS = [
     ("the metric from omega's upper right block", finsler.FinslerStructure, "metric_at",
      "[row[:n] for row in self.omega_matrix_at(z)[n:]]",
      "[row[n:] for row in self.omega_matrix_at(z)[:n]]", ["CHK-01"]),
-    # one fixture's shared objects serve every fixture: the cells whose identity
-    # ties a shared object to the structure's own h0 or omega fail.  The h_L
-    # of a shared form is built for the structure that asks (it is kept on the
-    # form per structure), so CHK-07 and CHK-15, which read only such h_L, hold
-    ("share the first fixture's objects with every fixture", (checks, cli), "run_checks",
-     "shared=shared[fid]", "shared=next(iter(shared.values()))",
+    # the first structure's Wagner pair serves every structure: it is kept on
+    # one holder, the mutant function itself, which the test drops.  The cells
+    # whose identity ties the pair to the structure's own h0 or omega fail;
+    # the h_L of L_W is built for the structure that asks (it is kept on the
+    # form per structure), so CHK-07 and CHK-11, which read only such h_L, hold
+    ("serve the first structure's Wagner pair to every structure", registry, "_wagner",
+     "kept_on(F, ", 'kept_on(vars(_wagner).setdefault("holder", type("H", (), {"_built": None})), ',
      ["CHK-06", "CHK-08", "CHK-09"]),
     # d_L E = dE o L, whose value on e_b contracts dE with column b of L's matrix:
     # row b in its place (m[b][a]), or -dE, is another 1-form, and (d_L E)# drives

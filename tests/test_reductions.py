@@ -25,7 +25,7 @@ from finslerlab.calculus import (
     identity_form, insert_vector, liouville_field, sup_abs, tensor_one_form_field,
     vertical_endomorphism, vertical_lift_function,
 )
-from finslerlab.checks import SharedObjects, _sup_form1, random_one_forms
+from finslerlab.checks import _sup_form1, random_one_forms
 from finslerlab.connections import (
     form_matrix_residual, l_ehresmann_connection, vertical_lift_test, vincze_residual,
 )
@@ -35,7 +35,7 @@ from finslerlab.finsler import (
     _d_form_E_residual, berwald_connection, canonical_spray, finsler_fixture, fixture_ids,
     gradient, projector_residual,
 )
-from finslerlab.registry import base_function, build_field
+from finslerlab.registry import base_function, build_connection, build_field, build_form
 
 
 def ref_sup_abs(values):
@@ -79,11 +79,10 @@ GRIDS = {"float point": [P], "32-point batch": (PointBatch(GRID),),
 
 def _forms(F):
     """Connections of the checks and forms near them, so that residuals are nonzero too."""
-    shared = SharedObjects(F)
-    hbar, L_W = shared.wagner
+    hbar, L_W = build_connection(F, "wagner:x1"), build_form(F, "wagner-form:x1")
     h0 = berwald_connection(F)
     return {"h0": h0, "wagner": hbar, "h_L_W": l_ehresmann_connection(F, L_W),
-            "h_[J,E-dy1]": l_ehresmann_connection(F, shared.j_e_dy1), "h0 + L_W": h0 + L_W,
+            "h_[J,E-dy1]": build_connection(F, "l:jv:E-dy1"), "h0 + L_W": h0 + L_W,
             "1.5 h0": h0.scale(1.5)}
 
 
@@ -114,7 +113,7 @@ def test_form_matrix_residual_equals_its_per_entry_reference(forms, where):
 def test_a_nan_at_one_point_of_a_batch_reads_nan():
     # forms that need no sharp solve, so omega is never read at the NaN point
     F = finsler_fixture("randers-0.3", (PointBatch(GRID),))
-    _, L_W = SharedObjects(F).wagner
+    L_W = build_form(F, "wagner-form:x1")
     f_c = complete_lift_function(base_function("x1", F.n))
     J = vertical_endomorphism(F.n)
     pts = list(GRID)
@@ -221,7 +220,7 @@ def test_one_forms_on_the_frame_equal_their_per_frame_loops(fid, where):
     J = vertical_endomorphism(n)
     C = liouville_field(n)
     f_v = vertical_lift_function(base_function("x1", n))
-    hbar, L_W = SharedObjects(F).wagner
+    hbar, L_W = build_connection(F, "wagner:x1"), build_form(F, "wagner-form:x1")
     e_dy1 = build_field(F, "E-dy1")
     djE = d_K(J, F.E)
     i_c_om = insert_vector(C, F.omega.two_form)

@@ -1,13 +1,15 @@
-"""The constructions the cells of one fixture share for a run (``checks.SharedObjects``).
+"""The objects the cells of one fixture share for a run.
 
+The registry keeps each object on its structure, and the library each
+construction on its operand (``memo.kept_on``), so an id names one object
+per structure and a construction body runs once per (structure, operand).
 Sharing must change no record: a cell run alone gives the record it has in
-the full run, each shared object is built once per fixture, and a build that
-raises is retried by every cell that reads it, so each records the error.
-The library keeps each construction on its operand (``memo.kept_on``):
-its body runs once per (structure, operand), and it lives no longer than
-the operand, so a run leaves nothing alive.
+the full run, and a build that raises is retried by every cell that reads
+it, so each records the error.  A kept object lives no longer than its
+holder, so a run leaves nothing alive.
 """
 
+import functools
 import json
 import math
 import weakref
@@ -15,13 +17,18 @@ from collections import Counter
 
 import pytest
 
-from finslerlab import calculus, checks, connections, finsler, memo
+from finslerlab import calculus, checks, connections, finsler, memo, registry
 from finslerlab.checks import CHECK_IDS, run_checks
 from finslerlab.config import RunConfig
+from finslerlab.connections import (
+    l_ehresmann_connection, semispray_from_vertical, sharp_of_dLE, theta_operator,
+)
+from finslerlab.core import PointBatch, sample_slit_points
 from finslerlab.errors import NotConnection
-from finslerlab.finsler import fixture_ids
+from finslerlab.finsler import conformal_change, finsler_fixture, fixture_ids
+from finslerlab.registry import base_function, build_field, build_form, build_object
 
-from helpers import collector_off
+from helpers import REGISTRY_IDS, collector_off
 
 WAGNER_USERS = {"CHK-06", "CHK-07", "CHK-08", "CHK-09", "CHK-11"}
 H_J_E_DY1_USERS = {"CHK-07", "CHK-14", "CHK-15", "CHK-16"}
@@ -48,19 +55,32 @@ def test_a_cell_alone_gives_its_record_in_the_full_run(check, full_run):
 
 def _counting_builds(monkeypatch):
     """Count every run of a construction body kept on its operand
-    (``memo.kept_on``), by (construction, holder, other operands), named; an
-    operand with no name (a point of a grid) by its type."""
+    (``memo.kept_on``), by (construction, holder, other operands), named: a
+    structure, which enters a key as its ``shared_omega_at`` (a ``partial``),
+    by the structure's name, a registry id by itself, and an operand with no
+    name (a point of a grid) by its type."""
     builds = Counter()
     kept_on = memo.kept_on
+    structures = {}
+    init = finsler.FinslerStructure.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        structures[self.shared_omega_at] = self.name
+
+    def name(x):
+        if isinstance(x, functools.partial):
+            return structures[x]
+        return x if isinstance(x, str) else getattr(x, "name", type(x).__name__)
 
     def counting(holder, tag, operands, build):
         def counted():
-            names = (getattr(x, "name", type(x).__name__) for x in operands)
-            builds[(tag, holder.name, *names)] += 1
+            builds[(tag, holder.name, *map(name, operands))] += 1
             return build()
         return kept_on(holder, tag, operands, counted)
 
-    for module in (calculus, finsler, connections):
+    monkeypatch.setattr(finsler.FinslerStructure, "__init__", tracked)
+    for module in (calculus, finsler, connections, registry, checks):
         monkeypatch.setattr(module, "kept_on", counting)
     return builds
 
@@ -75,7 +95,11 @@ def test_each_construction_body_runs_once_per_fixture_and_operand(monkeypatch):
                     ("sharp_of_dLE", "[J,E-dy1]", fid), ("theta_operator", "[J,E-dy1]", fid),
                     ("l_ehresmann_connection", "L_W(x1)", fid),
                     ("theta_operator", "L_W(x1)", fid),
-                    ("semispray_from_vertical", "E-dy1", fid)]:
+                    ("semispray_from_vertical", "E-dy1", fid),
+                    ("build_field", fid, "E-dy1"), ("build_form", fid, "jv:E-dy1"),
+                    ("build_form", fid, "wagner-form:x1"), ("build_form", fid, "fvJ:x1"),
+                    ("build_connection", fid, "wagner:x1"), ("wagner_connection", fid, "x1"),
+                    ("wagner_minus_h0", fid)]:
             assert builds[key] == 1, key
     # one bracket per operand pair: [J, E-dy1] and [C, L_W] for each fixture's
     # operands, kept on the right operand and keyed by the left one
@@ -108,9 +132,9 @@ def test_the_conservative_lift_and_V_L_read_one_h_L_of_J_E_dy1(monkeypatch):
 def test_a_run_leaves_no_structure_or_construction_alive(monkeypatch):
     # constructions live as long as their operands: once run_checks returns,
     # reference counting alone, with the cycle collector off, has freed every
-    # structure, SharedObjects, field and vector form it made, brackets and
-    # the constructions kept on shared operands included, but for the shared
-    # constants J and C, which keep no entry
+    # structure, field and vector form it made, the registry's objects,
+    # brackets and the constructions kept on them included, but for the
+    # shared constants J and C, which keep no entry
     made = []
 
     def tracking(cls):
@@ -122,8 +146,7 @@ def test_a_run_leaves_no_structure_or_construction_alive(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", tracked)
 
-    for cls in (finsler.FinslerStructure, checks.SharedObjects, calculus.VectorField,
-                calculus.VectorForm):
+    for cls in (finsler.FinslerStructure, calculus.VectorField, calculus.VectorForm):
         tracking(cls)
     with collector_off():
         _, code = run_checks(RunConfig(samples=4, seed=7))
@@ -189,7 +212,7 @@ def test_a_wagner_build_that_raises_is_retried_by_every_cell(monkeypatch):
         calls[F.name] += 1
         raise NotConnection("wagner build failed")
 
-    monkeypatch.setattr(checks, "wagner_connection", failing)
+    monkeypatch.setattr(registry, "wagner_connection", failing)
     results, code = run_checks(RunConfig(samples=4, seed=7))
     assert code == 1
     _assert_users_record(results, WAGNER_USERS, "NotConnection: wagner build failed")
@@ -211,3 +234,50 @@ def test_a_shared_h_L_build_that_raises_is_retried_by_every_cell(monkeypatch):
     assert code == 1
     _assert_users_record(results, H_J_E_DY1_USERS, "NotConnection: h_L build failed")
     assert calls == {fid: len(H_J_E_DY1_USERS) for fid in fixture_ids()}
+
+
+@pytest.mark.parametrize("fid", fixture_ids())
+def test_an_id_names_one_object_per_structure(fid):
+    # one object for each id on one structure, another on another structure;
+    # the shared constant C is the same everywhere
+    grid = (PointBatch(sample_slit_points(2, 4, 7)),)
+    F, G = finsler_fixture(fid, grid), finsler_fixture(fid, grid)
+    for oid in REGISTRY_IDS:
+        obj = build_object(F, oid)[1]
+        assert build_object(F, oid)[1] is obj, oid
+        if obj._built is not False:
+            assert build_object(G, oid)[1] is not obj, oid
+
+
+def test_the_wagner_pair_is_built_once_per_structure(monkeypatch):
+    grid = (PointBatch(sample_slit_points(2, 4, 7)),)
+    calls = Counter()
+    build = registry.wagner_connection
+
+    def counting(F, f):
+        calls[F] += 1
+        return build(F, f)
+
+    monkeypatch.setattr(registry, "wagner_connection", counting)
+    structures = [finsler_fixture("randers-0.3", grid) for _ in range(2)]
+    for F in structures:
+        for oid in ("wagner:x1", "wagner-form:x1", "l:wagner-form:x1", "wagner:x1"):
+            build_object(F, oid)
+    assert list(calls.values()) == [1, 1]
+    hbar, L_W = registry._wagner(F, "x1")
+    assert build_object(F, "wagner:x1")[1] is hbar and build_form(F, "wagner-form:x1") is L_W
+
+
+def test_the_constructions_of_one_operand_are_kept_per_structure():
+    # the four constructions keyed by the structure, of one operand on F and on
+    # its conformal change: a key that dropped the structure would serve F's
+    # construction to the other structure
+    F = finsler_fixture("randers-0.3", (PointBatch(sample_slit_points(2, 4, 7)),))
+    F2 = conformal_change(F, base_function("x1", F.n))
+    L, V = build_form(F, "jv:E-dy1"), build_field(F, "E-dy1")
+    for construction, operand in ((sharp_of_dLE, L), (theta_operator, L),
+                                  (l_ehresmann_connection, L),
+                                  (semispray_from_vertical, V)):
+        a, b = construction(F, operand), construction(F2, operand)
+        assert a is construction(F, operand) and b is construction(F2, operand)
+        assert a is not b, construction.__name__

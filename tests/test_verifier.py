@@ -75,6 +75,8 @@ def test_parse_config_values():
     "samples = 0",
     "tolerance.CHK-99 = 1e-6",
     "tolerance.CHK-01 = -1",
+    "tolerance.CHK-01 = nan",
+    "tolerance.CHK-01 = inf",
     "unknown_key = 3",
     "just words",
 ])
@@ -305,6 +307,33 @@ def test_cli_eval_reports_the_specific_error(oid, message, capsys):
     assert "matches no" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--point", "0.1,abc,1,2"], "point coordinates must be finite numbers"),
+    (["eval", "--point", "0.1,0.2,nan,1"], "point coordinates must be finite numbers"),
+    (["eval", "--point", "0.1,0.2,inf,1"], "point coordinates must be finite numbers"),
+    (["eval", "--point", "0,0,1,2", "--seed", "-3"], "seed must be >= 0, got -3"),
+    (["check", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["point-abc", "point-nan", "point-inf", "eval-seed", "check-seed"])
+def test_cli_rejects_bad_input_as_a_config_error(argv, message, capsys):
+    # each once died with a traceback (exit 1) or printed NaN, which is not JSON
+    if argv[0] == "eval":
+        argv = argv + ["--fixture", "euclidean", "--object", "S0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_check_rejects_a_non_finite_tolerance(value, tmp_path, capsys):
+    # nan was written into the report as NaN, and inf passed the cell vacuously
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tolerance.CHK-01 = {value}\n")
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: line 1: tolerance must be positive and finite")
+
+
 @pytest.mark.parametrize("check, helper", [
     ("CHK-05", "vector_form1_residual"),     # the second of three combined residuals
     ("CHK-07", "vertical_lift_test"),        # one side of each biconditional
@@ -351,18 +380,21 @@ def test_golden_default_report_digest(capsys):
 
 
 # `finslerlab eval --fixture randers-0.3 --point 0.1,0.2,0.7,-0.4 --object <id>`,
-# stdout pinned byte for byte; CI's "Connection eval" step reads these pins
+# stdout pinned byte for byte; CI's "Registry eval" step reads these pins
 EVAL_DIGESTS = {
     "berwald": "99cb56b2f5891e97ce51bd3bd7593396f0677dba0f052d188f0dbf5f9f96e8b6",
     "l:jv:E-dy1": "2b4a721bf9d6b12d4c1b9b7f47d33e4f9b72b6066a2cdaa9b073aa2eba6b88ea",
     "wagner:x1": "768331ea19963f207cc0ec7c58c44628a2efd1c2d11a83f409e90ecf6b23edd3",
+    "jv:E-dy1": "8ad6d3aa8145b773fa2394c4985c3ef27065c15deaab320ea3966b4fdd9edca6",
+    "wagner-form:x1": "c91da8bf3f42e00ea67b3c4ceae8deaa790669ff1ff10c84d99c77e16c5b732c",
 }
 
 
 @pytest.mark.parametrize("oid", EVAL_DIGESTS)
 def test_golden_eval_digests(oid, capsys):
-    """h0, an h_L and the Wagner connection at a float point off the grid: the
-    (d_L E)# fields of h_L and of the Wagner form outside the batch grid."""
+    """h0, an h_L, the Wagner connection and the registry's forms [J, E-dy1]
+    and L_W at a float point off the grid: the (d_L E)# fields of h_L and of
+    the Wagner form outside the batch grid."""
     assert main(["eval", "--fixture", "randers-0.3", "--point", "0.1,0.2,0.7,-0.4",
                  "--object", oid]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()

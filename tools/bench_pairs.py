@@ -43,7 +43,7 @@ SIDES = ("parent", "change")
 REPORTS = [f"check {a}" for a in ("--seed 42", "--seed 7", "--seed 7 --samples 4",
                                   "--seed 7 --samples 1", "--seed 11")] + \
     [f"eval --fixture randers-0.3 --point 0.1,0.2,0.7,-0.4 --object {o}"
-     for o in ("berwald", "l:jv:E-dy1", "wagner:x1")]
+     for o in ("berwald", "l:jv:E-dy1", "wagner:x1", "jv:E-dy1", "wagner-form:x1")]
 
 # A second default check in one process, with the cycle collector off: what
 # gc.collect() then finds unreachable is what only the collector would free.
