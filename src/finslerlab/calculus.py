@@ -40,6 +40,8 @@ the connection constructions one per structure and operand, each kept on its
 operand and living exactly as long as it.  A kept construction, and the sums,
 multiples and brackets it is made of, hold their operands' evaluators (a
 field's ``at`` or ``fn``, a vector form's ``matrix``), never the operands.
+A field, form or vector form keeps its values at points once ``memoize()``,
+which returns it, is on.
 """
 
 from __future__ import annotations
@@ -104,20 +106,24 @@ def _one_per_n(build):
 class VectorField:
     """2n-component vector field over the coordinate frame (d/dx^i, d/dy^i).
 
-    Calling it calls ``at``: the raw function ``fn``, or with ``memo`` its
-    read through a ``PointMemo`` of the field's own."""
+    Calling it calls ``at``: the raw function ``fn``, or once ``memoize`` is
+    on its read through a ``PointMemo`` of the field's own."""
 
     __slots__ = ("fn", "at", "n", "name", "_built", "__weakref__")
 
-    def __init__(self, fn, n: int, name: str = "", memo: bool = False):
-        self.fn = fn
-        self.at = functools.partial(PointMemo().get, compute=fn) if memo else fn
+    def __init__(self, fn, n: int, name: str = ""):
+        self.fn = self.at = fn
         self.n = n
         self.name = name
         self._built = None
 
     def __call__(self, z):
         return self.at(z)
+
+    def memoize(self):
+        """Read ``fn`` through a ``PointMemo`` of the field's own; returns the field."""
+        self.at = functools.partial(PointMemo().get, compute=self.fn)
+        return self
 
     def __repr__(self):
         return f"VectorField({self.name or 'anonymous'}, n={self.n})"
@@ -245,10 +251,11 @@ class DifferentialForm:
     def __repr__(self):
         return f"DifferentialForm(p={self.degree}, {self.name or 'anonymous'})"
 
-    def memoize_array(self):
-        """Keep the frame arrays computed at points in a ``PointMemo``; call it
-        once, before the form is read."""
+    def memoize(self):
+        """Keep the frame arrays computed at points in a ``PointMemo``, before
+        the form is read; returns the form."""
         self.array = functools.partial(PointMemo().get, compute=self.array)
+        return self
 
     def __add__(self, other):
         if other.degree != self.degree:
@@ -385,7 +392,7 @@ class VectorForm:
     with the vectors (``_combine``): degree 1 over the columns, degree 2 over
     the rows and then over the entries of each row.  ``matrix`` is the
     evaluator the form is made with, or its read through a ``PointMemo`` of
-    the form's own once ``memoize_matrix`` is on; it does not hold the form.
+    the form's own once ``memoize`` is on; it does not hold the form.
     Its result may be shared with the memo: do not modify it.
     """
 
@@ -419,13 +426,12 @@ class VectorForm:
         perfbench/workloads.py, its one reader."""
         return self
 
-    def memoize_matrix(self):
-        """Keep the frame arrays computed at points in a ``PointMemo``.
-
-        Call it once, before the form is handed out: a caller that took
-        ``matrix`` before reads around the memo.
-        """
+    def memoize(self):
+        """Keep the frame arrays computed at points in a ``PointMemo``; returns
+        the form.  Call it before the form is handed out: a caller that took
+        ``matrix`` before reads around the memo."""
         self.matrix = functools.partial(PointMemo().get, compute=self.matrix)
+        return self
 
     def __add__(self, other):
         if other.degree != self.degree:
@@ -554,9 +560,8 @@ def insert_vector(Y: VectorField, K):
 def insert_one_form(K: VectorForm, alpha: DifferentialForm) -> DifferentialForm:
     """i_K alpha = sum over slots of alpha(.., K X_i, ..) for a vector 1-form K.
 
-    K is read as ``K(z, jets.vec_frame(2n))``, whose component a has slot b
-    (K e_b)^a, and alpha(.., K e_b, ..) contracts the column K e_b with
-    alpha's array in that slot (``_dot``).
+    Column b of K's matrix is K e_b, and alpha(.., K e_b, ..) contracts it
+    with alpha's array in that slot (``_dot``).
     """
     if K.degree != 1:
         raise DegreeOutOfRange("insertion derivation requires a vector 1-form")
@@ -567,7 +572,7 @@ def insert_one_form(K: VectorForm, alpha: DifferentialForm) -> DifferentialForm:
     rng = range(n2)
 
     def array_fn(z):
-        cols = list(zip(*(jets.slots(x, n2) for x in K(z, jets.vec_frame(n2)))))
+        cols = list(zip(*K.matrix(z)))
         arr = alpha.array(z)
         if p == 1:
             return [_dot(cols[b], arr) for b in rng]
@@ -808,9 +813,9 @@ def sup_abs(values) -> float:
 
     A hand-written ``max(worst, abs(v))`` loop drops a NaN that is not the
     first value, because ``max(0.0, nan) == 0.0``.  A value may be a
-    ``jets.Batch``: its values over a batch of points count one by one.  Float
-    values are compared in turn, and the batch values are collected and
-    reduced with one ``np.abs(...).max()``, which is NaN if any point is NaN.
+    ``jets.Batch``: its values over a batch of points count one by one.  Other
+    values are compared in turn as floats, at any precision, and the batch
+    values are reduced with one ``np.abs(...).max()``, NaN if any point is.
     """
     worst = 0.0
     batches = []
@@ -818,7 +823,7 @@ def sup_abs(values) -> float:
         if type(v) is jets.Batch:
             batches.append(v)
             continue
-        a = abs(v)
+        a = abs(float(v))
         if a != a:
             return a
         if a > worst:

@@ -1,37 +1,36 @@
 """Connection constructions and theorem predicates on a Finsler structure.
 
-This module houses the deformation h_L = h0 + L + [J, (d_L E)#] of the
-Berwald connection by a semibasic vector 1-form L, the Wagner connection,
-the correspondence between torsion-free semibasic 1-forms and vertical
-vector fields, the spray family S^V = S0 + 2V + 2 (d_[J,V] E)#, projective
-factors, and the conservativity criterion i_V omega = d_J(V E) for vertical
-fields.  A connection is its vector 1-form h, a projector whose kernel is
-the vertical bundle: each construction returns the ``VectorForm`` itself,
-with its frame arrays memoised, and h0 is ``finsler.berwald_connection``.
-A construction is built once per structure and operand and lives exactly as
-long as the operand: (d_L E)#, Theta_L and h_L are kept on L and S^V on V
-(``memo.kept_on``), as brackets are kept on their operand, so every caller
-of h_L([J, V]) or S^V (a cell, ``conservative_lift``, ``v_from_torsion_free``)
-reads one object and its memos.  Each holds ``L.matrix``, ``V.at`` and
-``F.shared_omega_at``, not L, V and F, and F enters its key as that evaluator:
-an operand kept on F never refers back to F, and reference counting frees it
-with its operand.  [J, h] and [C, h] (torsion, tension) are these brackets.
-A construction may read dE from the structure's point memo, as (d_L E)#
-does (``sharp_of_dLE``: d_L E = dE o L); a predicate never does, and the
+This module houses the deformation h_L = h0 + L + [J, (d_L E)#] of the Berwald
+connection by a semibasic vector 1-form L, the Wagner connection, the
+correspondence between torsion-free semibasic 1-forms and vertical vector
+fields, the spray family S^V = S0 + 2V + 2 (d_[J,V] E)#, projective factors,
+and the conservativity criterion i_V omega = d_J(V E) for vertical fields.  A
+connection is its vector 1-form h, a projector whose kernel is the vertical
+bundle: each construction returns the ``VectorForm`` itself, with its frame
+arrays memoised (``memoize()``), and h0 is ``finsler.berwald_connection``.
+The fields are sums of sharps (``finsler.sharp_field``) built with the field
+algebra of ``calculus``.  A construction is built once per structure and
+operand and lives exactly as long as the operand: (d_L E)#, Theta_L and h_L
+are kept on L and S^V on V (``memo.kept_on``), as brackets are kept on their
+operand, so every caller of h_L([J, V]) or S^V (a cell, ``conservative_lift``,
+``v_from_torsion_free``) reads one object and its memos.  Each holds
+``L.matrix``, ``V.at`` and ``F.shared_omega_at``, not L, V and F, and F enters
+its key as that evaluator: an operand kept on F never refers back to F, and
+reference counting frees it with its operand.  [J, h] and [C, h] (torsion,
+tension) are these brackets.  A construction may read dE from the structure's
+point memo, as (d_L E)# does (d_L E = dE o L); a predicate never does, and the
 Vincze residual reads omega from a fresh pass.  A 1-form is evaluated on the
-whole frame at once, along ``jets.vec_frame``, and ``jets.slots`` gives its
-2n values.
-Every predicate is a sup-norm residual over sample points; nothing
-is proved symbolically.  A residual helper evaluates its points as one point
+whole frame at once, along ``jets.vec_frame``, and ``jets.slots`` gives its 2n
+values.  Every predicate is a sup-norm residual over sample points; nothing is
+proved symbolically.  A residual helper evaluates its points as one point
 (``core.grid_coords``: one batch point for a grid of several) and takes the
-sup over that point's values.  Each construction and predicate first tests
-its hypotheses (semibasic, torsion-free, vertical, homogeneous, a semispray,
-the projector laws, a conservative [J,V]-connection) as residuals on the
-structure's grid, or on the points given (a kept construction once, when
-it is built), and passes each residual to
-``calculus.precheck``, the one gate of the library's pre-checks: it raises
-the matching typed error unless the residual is at most
-``calculus.PRECHECK_TOL``, so a NaN residual raises too.
+sup over that point's values.  Each construction and predicate first tests its
+hypotheses (semibasic, torsion-free, vertical, homogeneous, a semispray, the
+projector laws, a conservative [J,V]-connection) as residuals on the
+structure's grid, or on the points given (a kept construction once, when it is
+built), and passes each residual to ``calculus.precheck``, the one gate of the
+library's pre-checks: it raises the matching typed error unless the residual
+is at most ``calculus.PRECHECK_TOL``, so a NaN residual raises too.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ from .errors import (
     NotSemibasic, NotSemispray, NotTorsionFree, NotVertical,
 )
 from .finsler import (
-    FinslerStructure, _sharp_block_solve, berwald_connection, canonical_spray,
-    conservative_connection_residual, gradient, kept_projector_residual,
+    FinslerStructure, berwald_connection, canonical_spray,
+    conservative_connection_residual, gradient, kept_projector_residual, sharp_field,
 )
 from .memo import kept_on
 
@@ -64,7 +63,7 @@ from .memo import kept_on
 def _wrap_connection(F: FinslerStructure, form: VectorForm) -> VectorForm:
     """The connection ``form``, once its projector laws hold on F's grid; its
     frame arrays are memoised."""
-    form.memoize_matrix()
+    form.memoize()
     r = kept_projector_residual(F, form, F.grid)
     precheck(r, NotConnection(f"projector laws fail for {form.name}: residual {r:.3e}"))
     return form
@@ -119,8 +118,7 @@ def connection_from_semispray(F: FinslerStructure, S: VectorField) -> VectorForm
 
 def associated_semispray(F: FinslerStructure, h: VectorForm) -> VectorField:
     """S = h(S0); the same field for any semispray seed since h kills verticals."""
-    s0 = canonical_spray(F)
-    return VectorField(lambda z: h(z, s0(z)), F.n, name="h(S0)", memo=True)
+    return insert_vector(canonical_spray(F), h).memoize()
 
 
 berwald = berwald_connection  # old name of h0; perfbench/workloads.py is its only reader
@@ -130,20 +128,15 @@ def sharp_of_dLE(F: FinslerStructure, L: VectorForm) -> VectorField:
     """(d_L E)#, the vertical field driving the h_L deformation.
 
     d_L E = dE o L, so at z its value on e_b is beta_b = sum_a dE_a L[a][b],
-    the rows of L's matrix contracted with dE (``_combine``).  omega's matrix
-    and dE come from one read of the structure's memo (``F.shared_omega_at``),
-    and the field solves with that matrix, as the canonical spray does, so it
-    makes no pass of E and no second lookup of its own.
+    the rows of L's matrix contracted with dE (``_combine``), with dE from
+    the memo entry that the solve reads omega from (``finsler.sharp_field``),
+    as the canonical spray does: it makes no pass of E and no second lookup.
     """
 
     def build():
-        n, n2, omega_at, l_matrix = F.n, 2 * F.n, F.shared_omega_at, L.matrix
-
-        def ev(z):
-            m, dE = omega_at(z)
-            return _sharp_block_solve(m, _combine(jets.slots(dE, n2), l_matrix(z)), n, z)
-
-        return VectorField(ev, n, name=f"sharp(d_{L.name}{F.E.name})", memo=True)
+        n2, l_matrix = 2 * F.n, L.matrix
+        return sharp_field(F, lambda z, dE: _combine(jets.slots(dE, n2), l_matrix(z)),
+                           f"sharp(d_{L.name}{F.E.name})")
 
     return kept_on(L, "sharp_of_dLE", (F.shared_omega_at,), build)
 
@@ -225,15 +218,10 @@ def v_from_torsion_free(F: FinslerStructure, L: VectorForm) -> VectorField:
     V + X^v solves the same equation.
     """
     precheck(torsion_free_residual(F, L), NotTorsionFree("[J, L] != 0 on the sample grid"))
-    h_L = l_ehresmann_connection(F, L)
-    S = associated_semispray(F, h_L)
-    s0 = canonical_spray(F)
-    W = sharp_of_dLE(F, L)
-
-    def ev(z):
-        return [0.5 * (a - b) - c for a, b, c in zip(S(z), s0(z), W(z))]
-
-    return VectorField(ev, F.n, name=f"V({L.name})", memo=True)
+    S = associated_semispray(F, l_ehresmann_connection(F, L))
+    V = ((S - canonical_spray(F)).scale(0.5) - sharp_of_dLE(F, L)).memoize()
+    V.name = f"V({L.name})"
+    return V
 
 
 def v_from_homogeneous(F: FinslerStructure, L: VectorForm, r: float) -> VectorField:
@@ -254,13 +242,10 @@ def semispray_from_vertical(F: FinslerStructure, V: VectorField) -> VectorField:
     def build():
         precheck(vertical_residual(V, F.grid),
                  NotVertical("V has horizontal components on the sample grid"))
-        w = sharp_of_dLE(F, fn_bracket(vertical_endomorphism(F.n), V)).at
-        s0, v = canonical_spray(F).at, V.at
-
-        def ev(z):
-            return [a + 2.0 * (b + c) for a, b, c in zip(s0(z), v(z), w(z))]
-
-        return VectorField(ev, F.n, name=f"S^({V.name})", memo=True)
+        W = sharp_of_dLE(F, fn_bracket(vertical_endomorphism(F.n), V))
+        sV = (canonical_spray(F) + (V + W).scale(2.0)).memoize()
+        sV.name = f"S^({V.name})"
+        return sV
 
     return kept_on(V, "semispray_from_vertical", (F.shared_omega_at,), build)
 
@@ -317,9 +302,9 @@ def conservative_lift(F: FinslerStructure, V: VectorField) -> VectorField:
     r = conservative_connection_residual(F, h, F.grid)
     precheck(r, HypothesisFailure(
         f"[J,V]-connection is not conservative (residual {r:.3e})", residual=r))
-    W = sharp_of_dLE(F, L)
-    return VectorField(lambda z: [a + b for a, b in zip(V(z), W(z))],
-                       F.n, name=f"U({V.name})", memo=True)
+    U = (V + sharp_of_dLE(F, L)).memoize()
+    U.name = f"U({V.name})"
+    return U
 
 
 def vertical_lift_test(F: FinslerStructure, g: ScalarField, points=None) -> float:

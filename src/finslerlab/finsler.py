@@ -31,9 +31,10 @@ computes every value part from value parts alone (Griewank & Walther,
 batch lifted-from point, which keeps its own checked miss, and an entry
 holding an energy's own jet above t, whose primal along t would keep t.
 
-Constructions may read dE from the memo: the canonical spray solves -dE, and
-(d_L E)# (``connections.sharp_of_dLE``) contracts dE with L's matrix, each at
-the entry its solve reads omega from.  Checks never do: ``omega_matrix_at``
+Constructions may read dE from the memo: every (.)# field is a
+``sharp_field``, which solves with omega and dE from one entry; the canonical
+spray solves -dE, and (d_L E)# (``connections.sharp_of_dLE``) contracts dE
+with L's matrix.  Checks never do: ``omega_matrix_at``
 and ``_d_form_E_residual`` make fresh passes of E, so a wrong entry cannot
 confirm itself.
 """
@@ -117,9 +118,8 @@ class FundamentalForm:
         self.E = E
         self.n = n
         J = vertical_endomorphism(n)
-        self.two_form = exterior_derivative(d_K(J, E))
+        self.two_form = exterior_derivative(d_K(J, E)).memoize()
         self.two_form.name = "omega"
-        self.two_form.memoize_array()
 
     def __call__(self, z, u, v):
         return self.two_form(z, u, v)
@@ -255,7 +255,9 @@ def _condition_numbers(stacked):
     The ratio of the largest to the smallest singular value; a NaN ratio
     (0 / 0) becomes inf unless the matrix holds a NaN, numpy's own rule.  A
     non-finite matrix raises ``np.linalg.LinAlgError`` from the SVD, as there.
+    The matrices are read as doubles, whatever the precision of their entries.
     """
+    stacked = np.asarray(stacked, dtype=float)
     s = np.linalg.svd(stacked, compute_uv=False)
     with np.errstate(all="ignore"):
         cond = s[:, 0] / s[:, -1]
@@ -407,15 +409,23 @@ def fundamental_form(F: FinslerStructure) -> FundamentalForm:
     return F.omega
 
 
-def sharp(F: FinslerStructure, beta) -> VectorField:
-    """The unique X with i_X omega = beta, as a vector field, solved as ``F.sharp_at`` does."""
-    n, omega_at, array = F.n, F.shared_omega_at, beta.array
+def sharp_field(F: FinslerStructure, rhs, name: str) -> VectorField:
+    """The memoised field X with i_X omega = ``rhs(z, dE)``, every (.)# of the
+    library: omega's matrix and dE are one read of ``F.shared_omega_at``, and
+    X is solved as ``F.sharp_at`` solves.  It holds that evaluator, not F."""
+    n, omega_at = F.n, F.shared_omega_at
 
     def ev(z):
-        values = array(z)
-        return _sharp_block_solve(omega_at(z)[0], values, n, z)
+        m, dE = omega_at(z)
+        return _sharp_block_solve(m, rhs(z, dE), n, z)
 
-    return VectorField(ev, n, name=f"sharp({beta.name})", memo=True)
+    return VectorField(ev, n, name).memoize()
+
+
+def sharp(F: FinslerStructure, beta) -> VectorField:
+    """The unique X with i_X omega = beta, as a vector field."""
+    array = beta.array
+    return sharp_field(F, lambda z, dE: array(z), f"sharp({beta.name})")
 
 
 def gradient(F: FinslerStructure, f: ScalarField) -> VectorField:
@@ -426,19 +436,11 @@ def canonical_spray(F: FinslerStructure) -> VectorField:
     """S0 = -(dE)#; a 2-homogeneous semispray.
 
     dE comes from the pass that builds omega at the point, through the
-    structure's point memo, and is solved as ``sharp`` solves any 1-form.
+    structure's point memo (``sharp_field``).
     """
-
-    def build():
-        n, n2, omega_at = F.n, 2 * F.n, F.shared_omega_at
-
-        def ev(z):
-            m, dE = omega_at(z)
-            return _sharp_block_solve(m, jets.slots(-1.0 * dE, n2), n, z)
-
-        return VectorField(ev, n, name="S0", memo=True)
-
-    return kept_on(F, "canonical_spray", (), build)
+    n2 = 2 * F.n
+    return kept_on(F, "canonical_spray", (),
+                   lambda: sharp_field(F, lambda z, dE: jets.slots(-1.0 * dE, n2), "S0"))
 
 
 def berwald_connection(F: FinslerStructure) -> VectorForm:
@@ -446,9 +448,8 @@ def berwald_connection(F: FinslerStructure) -> VectorForm:
 
     def build():
         J = vertical_endomorphism(F.n)
-        h0 = (identity_form(F.n) + fn_bracket(J, canonical_spray(F))).scale(0.5)
+        h0 = (identity_form(F.n) + fn_bracket(J, canonical_spray(F))).scale(0.5).memoize()
         h0.name = "h0"
-        h0.memoize_matrix()
         return h0
 
     return kept_on(F, "berwald_connection", (), build)

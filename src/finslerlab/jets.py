@@ -61,9 +61,10 @@ evaluator that is linear in its direction then returns all k values at once
    tangent slot, ``p = a * v`` for the slot a and the value v, and the slot
    is ``p + p``: the product rule's ``v * a + a * v`` is that, because
    IEEE products commute, so a square equals the general product up to the
-   signs of zeros.  A float 1.0 factor is the identity:
-   ``1.0 * x`` and ``x / 1.0`` are x itself, bit for bit, the sign of a
-   zero and a NaN included.  Division is otherwise plain: a zero divided
+   signs of zeros.  A float 1.0 factor is the identity for an operand that
+   is not an exact zero: ``1.0 * x`` and ``x / 1.0`` are x itself, bit for
+   bit, a NaN included; ``1.0 * 0`` is the float zero, as every product
+   with an exact zero is.  Division is otherwise plain: a zero divided
    and a division by zero are computed, so a 0/0 still surfaces.  This is
    the operand analogue of the untagged coordinate in ``lift``.  NaN
    semantics: a NaN or an infinity that meets only exact zeros is dropped,
@@ -104,7 +105,9 @@ per-point passes, value for value:
    constant power with ``power`` (or ``**`` on a Jet, which calls it), never
    with ``**`` on a bare array, which is numpy's own power.  ``sqrt`` and
    field arithmetic are correctly rounded either way.  No library module
-   outside ``jets`` uses ``**``, and a test keeps it so.
+   outside ``jets`` uses ``**``, and a test keeps it so.  The five
+   elementary functions read their scalar function from ``LIBM`` at each
+   call, so a test can run the library at another precision.
 3. ``Jet`` and ``Vec`` set ``__array_ufunc__ = None``, so numpy's operators
    return ``NotImplemented`` for them and a batch on the left of a Jet or a
    Vec defers to their reflected operator.
@@ -150,17 +153,16 @@ def fresh_tag() -> int:
 def _mul(x, y):
     """``x * y`` with rule 3: an exact-zero operand gives the float zero (a
     Vec of float zeros when the other operand is a Vec, as a Jet's dot keeps
-    its type), and a float 1.0 gives the other operand itself."""
-    if type(x) is not Batch:
-        if not x:
-            return Vec([0.0] * len(y.s)) if type(y) is Vec else 0.0
-        if type(x) is float and x == 1.0:
-            return y
-    if type(y) is not Batch:
-        if not y:
-            return Vec([0.0] * len(x.s)) if type(x) is Vec else 0.0
-        if type(y) is float and y == 1.0:
-            return x
+    its type), and a float 1.0 gives the other operand itself; zeros first,
+    so ``_mul(1.0, 0)`` is 0.0, as ``_mul(0, 1.0)`` is."""
+    if type(x) is not Batch and not x:
+        return Vec([0.0] * len(y.s)) if type(y) is Vec else 0.0
+    if type(y) is not Batch and not y:
+        return Vec([0.0] * len(x.s)) if type(x) is Vec else 0.0
+    if type(x) is float and x == 1.0:
+        return y
+    if type(y) is float and y == 1.0:
+        return x
     return x * y
 
 
@@ -312,25 +314,6 @@ class Jet:
         if not isinstance(p, (int, float)):
             raise TypeError("jet powers must have constant numeric exponents")
         return Jet(self.tag, power(self.val, p), _mul(_mul(p, power(self.val, p - 1)), self.dot))
-
-    # -- smooth primitives ---------------------------------------------------
-
-    def sqrt(self):
-        r = sqrt(self.val)
-        return Jet(self.tag, r, self.dot / (2.0 * r))
-
-    def exp(self):
-        e = exp(self.val)
-        return Jet(self.tag, e, _mul(e, self.dot))
-
-    def log(self):
-        return Jet(self.tag, log(self.val), self.dot / self.val)
-
-    def sin(self):
-        return Jet(self.tag, sin(self.val), _mul(cos(self.val), self.dot))
-
-    def cos(self):
-        return Jet(self.tag, cos(self.val), _mul(-sin(self.val), self.dot))
 
 
 class Vec:
@@ -484,48 +467,38 @@ def stacked(m, z):
     return out
 
 
-def _per_element(f, x):
-    return batch([f(v) for v in x.tolist()])
-
-
 def power(x, p):
     """``x ** p`` for a constant p; a batch applies libm per element."""
-    return _per_element(lambda v: v ** p, x) if type(x) is Batch else x ** p
+    return batch([v ** p for v in x.tolist()]) if type(x) is Batch else x ** p
 
 
-def sqrt(x):
-    t = type(x)
-    if t is Jet:
-        return x.sqrt()
-    return np.sqrt(x) if t is Batch else math.sqrt(x)
+LIBM = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos}
+"""The scalar function behind each elementary function, read at every call: a
+test swaps in mpmath's to run the library at 40 digits."""
 
 
-def exp(x):
-    t = type(x)
-    if t is Jet:
-        return x.exp()
-    return _per_element(math.exp, x) if t is Batch else math.exp(x)
+def _elementary(name, chain):
+    """The elementary function ``name``: ``LIBM[name]`` at a scalar, per element
+    at a batch (``np.sqrt`` for sqrt, which rounds correctly), and at a jet
+    ``f(val)`` with the tangent ``chain(val, f(val), dot)``, the chain rule."""
+
+    def f(x):
+        t = type(x)
+        if t is Jet:
+            v = f(x.val)
+            return Jet(x.tag, v, chain(x.val, v, x.dot))
+        if t is Batch:
+            return np.sqrt(x) if name == "sqrt" else batch([LIBM[name](v) for v in x.tolist()])
+        return LIBM[name](x)
+
+    return f
 
 
-def log(x):
-    t = type(x)
-    if t is Jet:
-        return x.log()
-    return _per_element(math.log, x) if t is Batch else math.log(x)
-
-
-def sin(x):
-    t = type(x)
-    if t is Jet:
-        return x.sin()
-    return _per_element(math.sin, x) if t is Batch else math.sin(x)
-
-
-def cos(x):
-    t = type(x)
-    if t is Jet:
-        return x.cos()
-    return _per_element(math.cos, x) if t is Batch else math.cos(x)
+sqrt = _elementary("sqrt", lambda val, r, dot: dot / (2.0 * r))
+exp = _elementary("exp", lambda val, e, dot: _mul(e, dot))
+log = _elementary("log", lambda val, _, dot: dot / val)
+sin = _elementary("sin", lambda val, _, dot: _mul(cos(val), dot))
+cos = _elementary("cos", lambda val, _, dot: _mul(-sin(val), dot))
 
 
 def realpart(x) -> float:

@@ -91,9 +91,7 @@ def _form(F, fid):
     if fid.startswith("wagner-form:"):
         return _wagner(F, fid.split(":", 1)[1])[1]
     if fid.startswith("jv:"):
-        L = fn_bracket(vertical_endomorphism(n), build_field(F, fid.split(":", 1)[1]))
-        L.memoize_matrix()
-        return L
+        return fn_bracket(vertical_endomorphism(n), build_field(F, fid.split(":", 1)[1])).memoize()
     if fid.startswith("fvJ:"):
         f_v = vertical_lift_function(base_function(fid.split(":", 1)[1], n))
         return vertical_endomorphism(n).scale(f_v)

@@ -364,12 +364,11 @@ def test_float_memo_keys_tell_zero_signs_apart():
     def sign_field(z):
         return [math.copysign(1.0, z[0]), 0.0, 0.0, 0.0]
 
-    X = VectorField(sign_field, N, memo=True)
+    X = VectorField(sign_field, N).memoize()
     assert X([0.0, 1.0, 1.0, 1.0])[0] == 1.0
     assert X([-0.0, 1.0, 1.0, 1.0])[0] == -1.0
     K = VectorForm(1, lambda z: [[math.copysign(1.0, z[0]) if a == b else 0.0 for b in range(N2)]
-                                 for a in range(N2)], N)
-    K.memoize_matrix()
+                                 for a in range(N2)], N).memoize()
     m = K.matrix([0.0, 1.0, 1.0, 1.0])
     assert K.matrix([0.0, 1.0, 1.0, 1.0]) is m
     assert K.matrix([-0.0, 1.0, 1.0, 1.0])[0][0] == -1.0

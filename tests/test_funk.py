@@ -28,20 +28,21 @@ from finslerlab.finsler import berwald_connection, canonical_spray, validate_fin
 R = 3.0
 
 
-def funk_energy(n):
-    """E = Theta^2 / 2, written with ``jets.sqrt`` and products only."""
+def funk_energy(n, radius=R):
+    """E = Theta^2 / 2, written with ``jets.sqrt`` and products only; the
+    radius may be an ``mpmath.mpf`` (``tests/test_precision.py``)."""
     def ev(z):
         x, y = z[:n], z[n:]
-        s = 1.0 - sum(a * a for a in x) / (R * R)
-        p = sum(a * b for a, b in zip(x, y)) / (R * R)
-        theta = (jets.sqrt(s * sum(b * b for b in y) / (R * R) + p * p) + p) / s
+        s = 1.0 - sum(a * a for a in x) / (radius * radius)
+        p = sum(a * b for a, b in zip(x, y)) / (radius * radius)
+        theta = (jets.sqrt(s * sum(b * b for b in y) / (radius * radius) + p * p) + p) / s
         return 0.5 * theta * theta
 
     return ScalarField(ev, n, "E_funk")
 
 
-def funk(grid, n):
-    return validate_finsler(funk_energy(n), grid, n=n, name="funk")
+def funk(grid, n, radius=R):
+    return validate_finsler(funk_energy(n, radius), grid, n=n, name="funk")
 
 
 def _theta_and_dy(z, n):

@@ -52,7 +52,7 @@ MUTANTS = [
     ("contract rows instead of columns in K(z, v)", calculus.VectorForm, "__call__",
      "list(zip(*m))", "m", ["CHK-02", "CHK-06", "CHK-07", "CHK-08"]),
     # what solving with omega in place of omega^T gives, as omega^T = -omega
-    ("negate the result of the sharp solve", (finsler, connections), "_sharp_block_solve",
+    ("negate the result of the sharp solve", finsler, "_sharp_block_solve",
      *NEGATED_SHARP, ["CHK-03"] + [f"CHK-{i:02d}" for i in range(5, 17)]),
     # the block solve never reads the upper right block, so sharp is unchanged and
     # only the checks that read omega itself see it
@@ -175,7 +175,7 @@ def test_chk04_is_blind_to_a_global_sign_of_sharp(monkeypatch, capsys):
     """(b#)E = b(S0) with S0 = -(dE)# holds for any skew map in place of
     omega's inverse, so a sign (or scale) error common to every sharp cancels
     between its sides; CHK-03 is the check that catches it."""
-    records = run_under(monkeypatch, capsys, (finsler, connections), "_sharp_block_solve",
+    records = run_under(monkeypatch, capsys, finsler, "_sharp_block_solve",
                         *NEGATED_SHARP, ["CHK-03", "CHK-04"])
     assert {r["check"] for r in records if r["pass"] is not True} == {"CHK-03"}
 
