@@ -34,8 +34,8 @@ holding an energy's own jet above t, whose primal along t would keep t.
 Constructions may read dE from the memo: every (.)# field is a
 ``sharp_field``, which solves with omega and dE from one entry; the canonical
 spray solves -dE, and (d_L E)# (``connections.sharp_of_dLE``) contracts dE
-with L's matrix.  Checks never do: ``omega_matrix_at``
-and ``_d_form_E_residual`` make fresh passes of E, so a wrong entry cannot
+with L's matrix.  Checks never do: ``omega_matrix_at`` and
+``_d_form_E_residual`` make fresh passes of E, so a wrong entry cannot
 confirm itself.
 """
 
@@ -255,9 +255,7 @@ def _condition_numbers(stacked):
     The ratio of the largest to the smallest singular value; a NaN ratio
     (0 / 0) becomes inf unless the matrix holds a NaN, numpy's own rule.  A
     non-finite matrix raises ``np.linalg.LinAlgError`` from the SVD, as there.
-    The matrices are read as doubles, whatever the precision of their entries.
     """
-    stacked = np.asarray(stacked, dtype=float)
     s = np.linalg.svd(stacked, compute_uv=False)
     with np.errstate(all="ignore"):
         cond = s[:, 0] / s[:, -1]
@@ -368,6 +366,7 @@ def _omega_entry(E: ScalarField, n: int, memo: PointMemo, z):
 
     A list, not a tuple: ``retag_array`` renames a hit by walking lists.
     At a jet point, its primal may be stored in ``memo`` at the point z lifts.
+    Conditioning runs in double, whatever the precision of the entries.
     """
     m, dE = omega_and_dE(E, n, z)
     tags = [c.tag for c in z if type(c) is jets.Jet]
@@ -380,7 +379,7 @@ def _omega_entry(E: ScalarField, n: int, memo: PointMemo, z):
                 memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m],
                               jets.primal(dE, t)])
     else:
-        stacked = jets.stacked(m, z)
+        stacked = np.asarray(jets.stacked(m, z), dtype=float)
         try:
             cond = _condition_numbers(stacked)
         except np.linalg.LinAlgError:  # the SVD of a non-finite omega

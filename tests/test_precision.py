@@ -24,7 +24,7 @@ import pytest
 from finslerlab import finsler, jets
 from finslerlab.checks import CheckContext, list_checks
 from finslerlab.core import TangentPoint
-from finslerlab.errors import FinslerLabError
+from finslerlab.errors import FinslerLabError, NondegeneracyFailure
 from finslerlab.finsler import finsler_fixture, fixture_ids
 from test_funk import funk
 from test_mutants import patch
@@ -67,6 +67,14 @@ def test_every_cell_vanishes_at_40_digits(name, grid):
     cells = residuals(structure(name, grid), grid)
     assert len(cells) == 16
     assert {c: r for c, r in cells.items() if not r <= BOUND} == {}
+
+
+def test_a_non_finite_omega_at_an_mpf_point_is_a_typed_failure(grid):
+    F = finsler_fixture("randers-0.3", grid)
+    z = grid[0].coords()
+    z[2] = mpmath.mpf("nan")
+    with pytest.raises(NondegeneracyFailure, match="not finite"):
+        F.shared_omega_at(z)
 
 
 def test_a_float_radius_keeps_double_rounding(grid):
