@@ -10,7 +10,7 @@ Under ``mpmath.workdps(40)``, ``jets.LIBM`` is swapped to mpmath's elementary
 functions, and all 16 runners run on one ``TangentPoint`` with mpf
 coordinates, on the three fixtures and on the Funk metric.  Such a point has
 no memo key, so every point memo is bypassed; conditioning runs in double
-(``finsler._condition_numbers``) and residuals are floats
+(``finsler._omega_entry``) and residuals are floats
 (``calculus.sup_abs``).  Every cell read at most 1.4e-40 when BOUND was set,
 and BOUND moves only the way a tolerance moves.  Batch points are not covered
 at mpf precision: a batch is a float array, and its sqrt is ``np.sqrt``.
@@ -81,7 +81,7 @@ def test_a_float_radius_keeps_double_rounding(grid):
     assert residuals(funk(grid, 2, 3.0), grid, ["CHK-02"])["CHK-02"] > BOUND
 
 
-# the cells that item 12's g-scaling mutants move, on every fixture: at 1e-14
+# the cells that the g-scaling mutants move, on every fixture: at 1e-14
 # they read 3.5e-15 to 4.9e-14, as at 16 digits, and far above BOUND
 SCALED_G_CELLS = {f"CHK-{i:02d}" for i in (5, 6, 7, 8, 9, 10, 12, 13, 15, 16)}
 

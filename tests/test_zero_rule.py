@@ -259,14 +259,6 @@ def test_jet_and_vec_operators_are_plain_arithmetic_with_structural_zeros(op, x,
         assert out is x
 
 
-def test_a_product_with_an_exact_zero_is_the_float_zero_in_either_order():
-    # the zeros are tested before the units: _mul(1.0, 0) once returned the int 0
-    for zero in (0, 0.0, -0.0):
-        for x, y in ((1.0, zero), (zero, 1.0), (2.0, zero), (zero, 2.0)):
-            out = jets._mul(x, y)
-            assert type(out) is float and out == 0.0 and math.copysign(1.0, out) == 1.0
-
-
 @settings(max_examples=200, deadline=None)
 @given(OPERANDS, DIVISORS)
 def test_jet_and_vec_division_is_plain_arithmetic_with_a_structural_unit(x, y):
