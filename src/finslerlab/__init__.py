@@ -14,7 +14,7 @@ The package provides three layers:
 """
 
 from .core import (
-    BaseFunction, SampleGrid, ScalarField, TangentPoint, directional_derivative,
+    BaseFunction, PointBatch, ScalarField, TangentPoint, directional_derivative,
     evaluate, point, sample_slit_points,
 )
 from .calculus import (

@@ -1,17 +1,17 @@
 """Vector fields, differential forms, vector-valued forms, and their calculus.
 
 Everything is stored as a pure evaluator over flat bundle coordinates; a
-differential form of degree >= 1 and a vector form as the evaluator of its
-frame array, and calling one contracts that array with the vectors.  A
-differential form given by a closure has its array read from the closure: in
-one pass along ``jets.vec_frame`` at degree 1, per frame pair or triple at
-degree 2 or 3.  The exterior derivative reads its operand's array at the
-point's frame lift, and insertions, sums and scales contract and combine
-arrays, so no operator composes closures.  Forms and vector forms are
-pointwise multilinear, so they are always evaluated on constant coordinate
-vectors; derivative-based operators (exterior derivative, Lie and
-Frolicher-Nijenhuis brackets) extend the arguments as constant fields, which
-the tensoriality of each formula makes legitimate.
+differential form (of degree 1 to 3: a function is a ``ScalarField``) and a
+vector form as the evaluator of its frame array, and calling one contracts
+that array with the vectors.  A differential form given by a closure has its
+array read from the closure: in one pass along ``jets.vec_frame`` at degree
+1, per frame pair or triple at degree 2 or 3.  The exterior derivative reads
+its operand's array at the point's frame lift, and insertions, sums and
+scales contract and combine arrays, so no operator composes closures.  Forms
+and vector forms are pointwise multilinear, so they are always evaluated on
+constant coordinate vectors; derivative-based operators (exterior derivative,
+Lie and Frolicher-Nijenhuis brackets) extend the arguments as constant
+fields, which the tensoriality of each formula makes legitimate.
 
 Degree and sign conventions:
 
@@ -214,10 +214,11 @@ def vertical_lift_vector(components, n: int, name: str = "") -> VectorField:
 
 
 class DifferentialForm:
-    """Skew p-linear form, 0 <= p <= 3, evaluated on constant vectors.
+    """Skew p-linear form, 1 <= p <= 3, evaluated on constant vectors; a
+    function, which would be a 0-form, is a ``ScalarField``.
 
-    A form of degree p >= 1 is its frame array at each point (``array``): at
-    degree 1 its row w[a] = w(e_a), at degree 2 the skew 2n x 2n array
+    A form is its frame array at each point (``array``): at degree 1 its
+    row w[a] = w(e_a), at degree 2 the skew 2n x 2n array
     w[a][b] = w(e_a, e_b), at degree 3 the skew 2n x 2n x 2n array
     w[a][b][c].  ``form(z, *vectors)`` contracts the array with the vectors
     (``_contract``), the last slot first, as ``VectorForm.__call__`` does.
@@ -225,15 +226,15 @@ class DifferentialForm:
     A form may also be given by a closure ``fn(z, *vectors)``, linear and
     skew in the vectors: its array is then read with one pass along
     ``jets.vec_frame`` at degree 1, and with one call per frame pair or
-    triple at degree 2 or 3.  A 0-form is its function ``fn(z)``.  ``array``
-    is the evaluator of the frame array (do not modify what it returns).
+    triple at degree 2 or 3.  ``array`` is the evaluator of the frame array
+    (do not modify what it returns).
     """
 
     __slots__ = ("degree", "fn", "n", "name", "array")
 
     def __init__(self, degree: int, fn, n: int, name: str = ""):
-        if not 0 <= degree <= 3:
-            raise DegreeOutOfRange(f"form degree must be 0..3, got {degree}")
+        if not 1 <= degree <= 3:
+            raise DegreeOutOfRange(f"form degree must be 1..3, got {degree}")
         self.degree = degree
         self.fn = fn
         self.n = n
@@ -244,8 +245,6 @@ class DifferentialForm:
         if len(vectors) != self.degree:
             raise DegreeOutOfRange(
                 f"{self.degree}-form called with {len(vectors)} vectors")
-        if not vectors:
-            return self.fn(z)
         return _contract(self.array(z), vectors)
 
     def __repr__(self):
@@ -277,8 +276,6 @@ class DifferentialForm:
 
 def _closure_array(fn, p: int, n2: int, z):
     """The frame array at z of the p-form given by the closure ``fn``."""
-    if p == 0:
-        raise DegreeOutOfRange("a 0-form has no frame array")
     if p == 1:
         return jets.slots(fn(z, jets.vec_frame(n2)), n2)
     fr = frame(n2)
@@ -286,7 +283,7 @@ def _closure_array(fn, p: int, n2: int, z):
 
 
 def _array_form(degree: int, array_fn, n: int, name: str = "") -> DifferentialForm:
-    """The form of degree >= 1 whose frame array at z is ``array_fn(z)``."""
+    """The form of degree 1..3 whose frame array at z is ``array_fn(z)``."""
     form = DifferentialForm(degree, None, n, name)
     form.array = array_fn
     return form
@@ -330,11 +327,6 @@ def _skew_array(p: int, n2: int, entry):
     return arr
 
 
-def function_form(f: ScalarField) -> DifferentialForm:
-    """Wrap a scalar field as a 0-form."""
-    return DifferentialForm(0, lambda z: f.fn(z), f.n, f.name)
-
-
 def coordinate_one_form(n: int, a: int) -> DifferentialForm:
     """dz^a as a constant-coefficient 1-form."""
     return DifferentialForm(1, lambda z, v: v[a], n, f"dz[{a}]")
@@ -361,9 +353,6 @@ def exterior_derivative(alpha: DifferentialForm) -> DifferentialForm:
     p = alpha.degree
     if p > 2:
         raise DegreeOutOfRange("exterior derivative supported up to 2-forms")
-    if p == 0:
-        return DifferentialForm(1, lambda z, v: jets.directional(alpha.fn, z, v),
-                                alpha.n, name=f"d({alpha.name})")
     n2 = 2 * alpha.n
 
     def array_fn(z):
@@ -529,8 +518,6 @@ def zero_vector_form(n: int, degree: int = 1) -> VectorForm:
 def insert_vector(Y: VectorField, K):
     """i_Y K: plug the vector field into the first slot, lowering the degree."""
     if isinstance(K, DifferentialForm):
-        if K.degree < 1:
-            raise DegreeOutOfRange("cannot insert a vector into a 0-form")
         if K.degree == 1:
             return ScalarField(lambda z: K(z, Y(z)), K.n, name=f"i_{Y.name}{K.name}")
         n2 = 2 * K.n
@@ -566,8 +553,6 @@ def insert_one_form(K: VectorForm, alpha: DifferentialForm) -> DifferentialForm:
     if K.degree != 1:
         raise DegreeOutOfRange("insertion derivation requires a vector 1-form")
     p = alpha.degree
-    if p < 1:
-        raise DegreeOutOfRange("cannot insert into a 0-form")
     n2 = 2 * alpha.n
     rng = range(n2)
 
@@ -598,8 +583,6 @@ def d_K(K: VectorForm, target) -> DifferentialForm:
             return jets.directional(target.fn, z, K(z, u, v))
         return DifferentialForm(2, ev2, K.n, name=f"d_{K.name}{target.name}")
     if isinstance(target, DifferentialForm):
-        if target.degree == 0:
-            return d_K(K, ScalarField(target.fn, target.n, target.name))
         if K.degree != 1:
             raise DegreeOutOfRange("d_K on forms implemented for vector 1-forms")
         if target.degree > 2:
@@ -610,9 +593,8 @@ def d_K(K: VectorForm, target) -> DifferentialForm:
 
 
 def lie_derivative(Y: VectorField, alpha: DifferentialForm) -> DifferentialForm:
-    """L_Y alpha = i_Y d(alpha) + d(i_Y alpha) (Cartan)."""
-    if alpha.degree == 0:
-        return function_form(field_apply(Y, ScalarField(alpha.fn, alpha.n)))
+    """L_Y alpha = i_Y d(alpha) + d(i_Y alpha) (Cartan), for a form of degree
+    1 or 2; on a function, L_Y f is ``field_apply(Y, f)``."""
     iya = insert_vector(Y, alpha)
     second = d_function(iya) if alpha.degree == 1 else exterior_derivative(iya)
     return insert_vector(Y, exterior_derivative(alpha)) + second
@@ -893,8 +875,6 @@ def semibasic_residual(K, points) -> float:
         return sup_abs([v for i in range(n) for b in range(n2) for v in m[n + i][b]]
                        + [v for a in range(n2) for b in range(a + 1, n2) for v in m[a][b][:n]])
     if isinstance(K, DifferentialForm):
-        if K.degree < 1:
-            raise DegreeOutOfRange("semibasic test needs degree >= 1")
         arr = insert_one_form(vertical_endomorphism(K.n), K).array(grid_coords(points))
         return sup_abs(functools.reduce(list.__getitem__, idx, arr)
                        for idx in itertools.combinations(range(2 * K.n), K.degree))

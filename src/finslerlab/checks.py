@@ -21,7 +21,7 @@ from .calculus import (
     lie_derivative, liouville_field, potential, sup_abs, vertical_endomorphism,
     vertical_lift_function, zero_vector_form,
 )
-from .core import PointBatch, grid_coords, sample_slit_points
+from .core import grid_coords, sample_slit_points
 from .errors import BadConfig, DegenerateDegree, FinslerLabError, HypothesisFailure
 from .finsler import (
     berwald_connection, canonical_spray, conformal_change,
@@ -417,10 +417,10 @@ def run_checks(config) -> tuple:
     or asks for fewer than one sample raises ``BadConfig``: an empty run
     would pass vacuously.  Per-cell errors are captured in the result record,
     never aborting the suite; the exit code is 0 exactly when every cell
-    passed.  Every cell evaluates the sample grid as one batch point
-    (``core.PointBatch``), and the fixtures are validated on it: each runner
-    and residual helper takes the grid's coordinates from
-    ``core.grid_coords`` and evaluates once.
+    passed.  The sample grid is one ``core.PointBatch``, which every cell
+    evaluates as one batch point, and the fixtures are validated on it: each
+    runner and residual helper takes the grid's coordinates from
+    ``core.grid_coords``, the batch's own arrays, and evaluates once.
     The cells of a fixture read the operands they share through
     ``registry.build_*`` and ``_wagner_minus_h0``, which keep each on the
     structure; a build that raises keeps nothing, so every cell that reads
@@ -435,7 +435,7 @@ def run_checks(config) -> tuple:
     cells = [(spec, fid) for spec in specs for fid in config.fixtures]
     if not cells:
         raise BadConfig("the configuration selects no (check, fixture) cell")
-    grid = (PointBatch(sample_slit_points(2, config.samples, config.seed)),)
+    grid = sample_slit_points(2, config.samples, config.seed)
     structures = {}
     build_errors = {}
     for fid in config.fixtures:

@@ -3,9 +3,10 @@
 Coordinates on the tangent bundle of R^n are ordered (x^1..x^n, y^1..y^n);
 index a < n is a base direction, a >= n a fiber direction.  Scalar fields are
 pure evaluators over these 2n coordinates and accept jet-valued inputs, which
-is what makes every derivative in the library exact.  A grid is evaluated as
-one point (``grid_coords``): no library module outside this one reads a
-point's coordinates, and a test keeps it so.
+is what makes every derivative in the library exact.  A grid of points is a
+``PointBatch`` and is evaluated as one point (``grid_coords``); a plain
+sequence of points is a grid too.  No library module outside this one reads
+a point's coordinates, and a test keeps it so.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ class PointBatch:
     at ``coords()`` computes its values at every point of the batch, provided
     it keeps the batch rules in ``jets``: it never reads a batch's own
     truthiness, and it raises to constant powers with ``jets.power``, not
-    ``**``.  Built from a ``SampleGrid`` or any sequence of TangentPoints
-    and PointBatches of one dimension: a batch in the sequence contributes
-    its points, so the batch holds every point in order, and ``points[i]``
-    is the point of slot i.  An empty sequence raises ``BadConfig``.
+    ``**``.  Built from any sequence of TangentPoints and PointBatches of
+    one dimension: a batch in the sequence contributes its points, so the
+    batch holds every point in order, ``points[i]`` is the point of slot i,
+    and iterating the batch gives its points.  An empty sequence raises
+    ``BadConfig``.  A grid is a PointBatch (``sample_slit_points``), so its
+    coordinate arrays are built once and read by every evaluation.
     """
 
     __slots__ = ("points", "_coords")
@@ -84,6 +87,9 @@ class PointBatch:
     def __len__(self):
         return len(self.points)
 
+    def __iter__(self):
+        return iter(self.points)
+
     def coords(self) -> list:
         """Flat coordinate list (x^1..x^n, y^1..y^n), each a Batch over the points."""
         return list(self._coords)
@@ -92,11 +98,14 @@ class PointBatch:
 def grid_coords(grid) -> list:
     """The coordinates of a grid of points, evaluated as one point.
 
-    A grid of one TangentPoint or one PointBatch gives that point's
-    ``coords()``, so a single TangentPoint is evaluated on floats; any other
-    grid gives those of one ``PointBatch`` of all its points, in order.  An
-    empty grid raises ``BadConfig``.
+    A PointBatch gives its own ``coords()``.  A sequence of one TangentPoint
+    or one PointBatch gives that point's ``coords()``, so ``[p]`` is
+    evaluated on p's own coordinates, floats or mpf; any other sequence gives
+    those of one ``PointBatch`` of all its points, in order.  An empty grid
+    raises ``BadConfig``.
     """
+    if isinstance(grid, PointBatch):
+        return grid.coords()
     points = tuple(grid)
     if len(points) == 1:
         return points[0].coords()
@@ -167,10 +176,6 @@ class ScalarField:
         return ScalarField(lambda z: -self.fn(z), self.n)
 
 
-def constant(n: int, c: float) -> ScalarField:
-    return ScalarField(lambda z: c, n, name=f"const({c})")
-
-
 class BaseFunction:
     """Smooth function of the base coordinates only (a function on M)."""
 
@@ -204,29 +209,12 @@ def directional_derivative(fld: ScalarField, p: TangentPoint, dirs, order: int):
     return jets.nth_directional(fld.fn, p.coords(), [list(d) for d in dirs])
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Deterministic batch of slit-bundle points, reproducible from its config."""
-
-    points: tuple
-    seed: int
-    base_range: tuple = DEFAULT_BASE_RANGE
-    fiber_range: tuple = DEFAULT_FIBER_RANGE
-    min_fiber_norm: float = DEFAULT_MIN_FIBER_NORM
-    n: int = 2
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
 def sample_slit_points(n: int, count: int, seed: int,
                        base_range=DEFAULT_BASE_RANGE,
                        fiber_range=DEFAULT_FIBER_RANGE,
-                       min_fiber_norm: float = DEFAULT_MIN_FIBER_NORM) -> SampleGrid:
-    """Draw ``count`` points uniformly from the box, rejecting short fibers.
+                       min_fiber_norm: float = DEFAULT_MIN_FIBER_NORM) -> PointBatch:
+    """Draw ``count`` points uniformly from the box, rejecting short fibers,
+    as one grid, a ``PointBatch`` of the points in the order drawn.
 
     Identical arguments reproduce identical grids bit for bit.
     """
@@ -253,5 +241,4 @@ def sample_slit_points(n: int, count: int, seed: int,
         else:  # pragma: no cover - probability ~0 for sane configs
             raise BadConfig("could not sample a fiber above min_fiber_norm")
         pts.append(TangentPoint(base, fiber))
-    return SampleGrid(points=tuple(pts), seed=seed, base_range=tuple(base_range),
-                      fiber_range=tuple(fiber_range), min_fiber_norm=min_fiber_norm, n=n)
+    return PointBatch(pts)

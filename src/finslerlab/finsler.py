@@ -152,11 +152,10 @@ def _sharp_block_solve(m, beta, n, z):
     guards omega too.  Pivot sizes are not a condition estimate, so the float
     and batch entries of the structure's memo check cond(omega) as well.
 
-    At a batch point each point's pivots are guarded on their own, and the
-    first failing point raises what its own solve raises, as a loop over the
-    points would: a point that fails a column's pivot is named only when no
-    earlier point fails at a later column or the ratio test
-    (``_earlier_failure``, which runs only on that failing path).  A float
+    At a batch point each point's pivots are guarded on their own, and when
+    a guard fails at any point, the batch raises what the first failing
+    point's own solve raises, as a loop over the points would
+    (``_first_failure``, which runs only on that failing path).  A float
     pivot is the same at every point, so it fails at the first.  A float or
     batch component of the result has its negative zeros made positive; a
     jet component is returned as computed.
@@ -169,13 +168,10 @@ def _sharp_block_solve(m, beta, n, z):
         pivot = prow[col]
         key = jets.realpart(pivot)
         if type(key) is jets.Batch:
-            bad = key <= 0.0
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise _earlier_failure(m, n, z, i) \
-                    or _pivot_failure(z, i, key[i], "not positive definite")
+            if (key <= 0.0).any():
+                raise _first_failure(m, n, z, len(key))
         elif key <= 0.0:
-            raise _pivot_failure(z, 0, key, "not positive definite")
+            raise _pivot_failure(z, key, "not positive definite")
         pivots.append(key)
         if col + 1 < n:  # the last column has no rows below it
             inv = 1.0 / pivot
@@ -187,13 +183,10 @@ def _sharp_block_solve(m, beta, n, z):
                     row[c] = _sub(row[c], _mul(f, prow[c]))
     if jets.Batch in map(type, pivots):
         pivots = np.array(np.broadcast_arrays(*pivots))  # (column, point)
-        smallest = pivots.min(axis=0)
-        bad = pivots.max(axis=0) > COND_LIMIT * smallest
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _pivot_failure(z, i, smallest[i], "numerically singular")
+        if (pivots.max(axis=0) > COND_LIMIT * pivots.min(axis=0)).any():
+            raise _first_failure(m, n, z, pivots.shape[1])
     elif max(pivots) > COND_LIMIT * min(pivots):
-        raise _pivot_failure(z, 0, min(pivots), "numerically singular")
+        raise _pivot_failure(z, min(pivots), "numerically singular")
 
     def solve(b):
         for r, col, f in elim:
@@ -221,25 +214,24 @@ def _sharp_block_solve(m, beta, n, z):
     return [v if type(v) is jets.Jet else v + 0.0 for v in xh + solve(rhs)]  # +0.0 normalises -0.0
 
 
-def _earlier_failure(m, n, z, i):
-    """The failure of the first of points 0..i-1 of batch point z whose own
-    solve fails, or None: each point's real parts of omega's matrix are
-    solved as a float point.  Pivots and their guards read real parts alone,
-    which the jet and batch operations compute from real parts, point by
-    point."""
-    for k in range(i):
+def _first_failure(m, n, z, size):
+    """The failure of the first of the ``size`` points of batch point z whose
+    own solve fails: each point's real parts of omega's matrix are solved as
+    a float point.  Pivots and their guards read real parts alone, which the
+    jet and batch operations compute from real parts, point by point, so a
+    point where a batch guard fails fails its own solve."""
+    for k in range(size):
         try:
             _sharp_block_solve([_real_point(row, k) for row in m], [0.0] * (2 * n), n,
                                _real_point(z, k))
         except NondegeneracyFailure as e:
             return e
-    return None
 
 
-def _pivot_failure(z, i, pivot, what):
-    """The failure of a pivot at point ``i`` of z (z itself at a float point)."""
+def _pivot_failure(z, pivot, what):
+    """The failure of a float pivot, the same at every point of z: at its first."""
     return NondegeneracyFailure(f"fundamental tensor {what} during sharp solve",
-                                point=_real_point(z, i), value=float(pivot))
+                                point=_real_point(z, 0), value=float(pivot))
 
 
 def _real_point(z, i):
@@ -272,8 +264,9 @@ def _condition_numbers(stacked):
 def energy_axioms_residual(F, grid) -> float:
     """sup |CE - 2E| over the grid, where each point must satisfy the energy axioms.
 
-    The grid is checked as one ``PointBatch`` of its points, and g is the
-    block of omega's matrix that the sharp solve eliminates.  The first point
+    The grid is evaluated as one point (``grid_coords``), at the precision of
+    its coordinates, and g is the block of omega's matrix that the sharp
+    solve eliminates; the determinants run in double.  The first point
     that fails an axiom raises: ``PositivityFailure`` if E <= 0, else
     ``HomogeneityFailure`` if |CE - 2E| > VALIDATION_TOL * max(1, |E|), else
     ``NondegeneracyFailure`` if |det g| <= DET_FLOOR, else
@@ -282,13 +275,12 @@ def energy_axioms_residual(F, grid) -> float:
     minor is <= 0, which is then the reported value.  An empty grid raises
     ``BadConfig``.
     """
-    batch = PointBatch(grid)
-    points, z = batch.points, grid_coords([batch])
-    size = len(points)
+    z = grid_coords(grid)
+    size = jets.batch_size(z) or 1
     CE = field_apply(liouville_field(F.n), F.E)
     e = np.broadcast_to(F.E(z), size)
     dev = np.broadcast_to(CE(z) - 2.0 * e, size)
-    g = jets.stacked(F.metric_at(z), z)
+    g = np.asarray(jets.stacked(F.metric_at(z), z), dtype=float)
     minors = [np.linalg.det(g[:, :k, :k]) for k in range(1, F.n + 1)]
     det = np.abs(minors[-1])
     smallest = np.min(minors, axis=0)
@@ -305,7 +297,7 @@ def energy_axioms_residual(F, grid) -> float:
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
         _, error, message, value = axioms[int(np.argmax(failed[:, i]))]
-        raise error(message, point=points[i], value=float(value[i]))
+        raise error(message, point=PointBatch(grid).points[i], value=float(value[i]))
     return sup_abs([jets.batch(dev)])
 
 
@@ -514,10 +506,11 @@ def kept_projector_residual(F: FinslerStructure, h: VectorForm, points) -> float
     points are F's grid, where every connection is checked when it is built
     (``connections._wrap_connection``) and where
     ``conservative_connection_residual`` checks it again.  The entry is keyed
-    by the points, not by F, which it reads for its n alone."""
+    by F's evaluator ``shared_omega_at``, as every construction keyed by a
+    structure is, so it is the residual on that structure's grid."""
     if points is not F.grid:
         return projector_residual(F, h, points)
-    return kept_on(h, "projector_residual", tuple(points),
+    return kept_on(h, "projector_residual", (F.shared_omega_at,),
                    lambda: projector_residual(F, h, points))
 
 

@@ -22,8 +22,9 @@ from finslerlab.errors import (
     BadConfig, FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
 )
 from finslerlab.finsler import (
-    DET_FLOOR, VALIDATION_TOL, FinslerStructure, _sharp_block_solve,
-    energy_axioms_residual, finsler_fixture, fixture_ids, omega_and_dE,
+    DET_FLOOR, VALIDATION_TOL, FinslerStructure, _sharp_block_solve, berwald_connection,
+    conservative_connection_residual, energy_axioms_residual, finsler_fixture, fixture_ids,
+    omega_and_dE,
 )
 from finslerlab.memo import point_key
 
@@ -155,9 +156,9 @@ def test_every_runner_agrees_per_point_and_batched(fid):
     for samples in (4, 1):  # one point: an array's own truthiness reads its value
         grid = sample_slit_points(2, samples, 7)
         F = finsler_fixture(fid, grid)
-        per_point = [_run_cells(F, grid.seed, [p]) for p in grid]
-        for points in (grid, (PointBatch(grid),)):
-            batched = _run_cells(F, grid.seed, points)
+        per_point = [_run_cells(F, 7, [p]) for p in grid]
+        for points in (list(grid), grid):
+            batched = _run_cells(F, 7, points)
             for k, (check, residual, note) in enumerate(batched):
                 reference = sup_abs(cells[k][1] for cells in per_point)
                 assert residual.hex() == reference.hex(), check
@@ -223,6 +224,20 @@ def test_sharp_block_solve_batched_singular_point_raises_like_per_point():
     assert batched.value.value == per_point.value.value
 
 
+@pytest.mark.parametrize("fid", fixture_ids())
+def test_a_structure_validated_on_a_list_grid_checks_a_connection(fid):
+    # a sample grid is a PointBatch, and a plain list of its points is a grid
+    # too: the projector laws kept on a connection are keyed by the structure,
+    # not by the grid, which a list cannot be
+    grid = sample_slit_points(2, 4, 7)
+    residuals = []
+    for points in (list(grid), grid):
+        F = finsler_fixture(fid, points)
+        residuals.append(conservative_connection_residual(F, berwald_connection(F)).hex())
+    assert residuals[0] == residuals[1]
+    assert float.fromhex(residuals[0]) < 1e-12
+
+
 # -- sup_abs over batches -----------------------------------------------------------
 
 
@@ -234,7 +249,7 @@ def test_sup_abs_reduces_batches_and_keeps_a_nan():
 
 def test_nan_in_one_batch_slot_fails_its_cell():
     grid = sample_slit_points(2, 4, 7)
-    F = finsler_fixture("euclidean", (PointBatch(grid),))
+    F = finsler_fixture("euclidean", grid)
     pts = list(grid)
     pts[2] = point(*pts[2].base, pts[2].fiber[0], math.nan)
     spec = next(c for c in CHECKS if c.id == "CHK-02")
@@ -362,8 +377,8 @@ def test_batch_points_and_their_lifts_are_keyed_by_their_bytes():
 @pytest.mark.parametrize("fid", fixture_ids())
 def test_a_renamed_hit_at_a_lifted_batch_point_is_a_fresh_computation(fid, monkeypatch):
     grid = sample_slit_points(2, 6, 9)
-    F = finsler_fixture(fid, (PointBatch(grid),))
-    z = PointBatch(grid).coords()
+    F = finsler_fixture(fid, grid)
+    z = grid.coords()
     frame = jets.vec_frame(4)
     F.shared_omega_at(jets.lift(z, frame, jets.fresh_tag()))
     za = jets.lift(z, frame, jets.fresh_tag())

@@ -7,7 +7,7 @@ from finslerlab import jets
 from finslerlab.calculus import (
     DifferentialForm, VectorField, VectorForm, complete_lift_function,
     coordinate_one_form, d_K, d_function, exterior_derivative, field_apply,
-    fn_bracket, frame, frame_vector, function_form, homogeneity_residual,
+    fn_bracket, frame, frame_vector, homogeneity_residual,
     identity_form, insert_one_form, insert_vector, lie_bracket, lie_derivative,
     liouville_field, potential, semibasic_residual, tensor_one_form_field,
     vertical_endomorphism, vertical_lift_function, vertical_lift_vector,
@@ -144,8 +144,8 @@ def test_insert_vector():
     alpha = coordinate_one_form(N, 2)  # dy1
     val = insert_vector(DY1, alpha)
     assert val(P0.coords()) == 1.0
-    with pytest.raises(DegreeOutOfRange):
-        insert_vector(DY1, function_form(E_EUC))
+    with pytest.raises(TypeError):  # a function is a ScalarField, not a 0-form
+        insert_vector(DY1, E_EUC)
 
 
 def test_insert_one_form_on_exact_forms():
@@ -154,8 +154,8 @@ def test_insert_one_form_on_exact_forms():
     z = P0.coords()
     vals = [djE(z, frame_vector(N2, a)) for a in range(N2)]
     assert maxabs([u - v for u, v in zip(vals, [1.0, 2.0, 0.0, 0.0])]) < 1e-12
-    with pytest.raises(DegreeOutOfRange):
-        insert_one_form(J, function_form(E_EUC))
+    with pytest.raises(DegreeOutOfRange):  # a form has degree 1..3
+        DifferentialForm(0, lambda z: E_EUC(z), N)
 
 
 def test_exterior_derivative_basics():

@@ -16,7 +16,6 @@ from finslerlab.connections import (
     tension, wagner_connection,
 )
 from finslerlab.checks import CHECKS, CheckContext, random_one_forms
-from finslerlab.core import PointBatch
 from finslerlab.registry import base_function, build_field
 
 from helpers import maxabs
@@ -102,7 +101,7 @@ def test_every_runner_passes_at_n3(fid):
     # run_checks runs a fixture's cells: all of them on one structure.
     # Every cell reads below HEADROOM (the worst about 4e-15), and only the
     # expected-error checks leave a note
-    grid = (PointBatch(sample_slit_points(N, 8, seed=42)),)
+    grid = sample_slit_points(N, 8, seed=42)
     F = funk(grid, N) if fid == "funk" else finsler_fixture(fid, grid, n=N)
     notes = {}
     for spec in CHECKS:

@@ -33,7 +33,7 @@ from finslerlab.calculus import (
     insert_vector, lie_derivative, liouville_field, vertical_endomorphism,
 )
 from finslerlab.checks import random_one_forms
-from finslerlab.core import PointBatch, grid_coords, sample_slit_points
+from finslerlab.core import grid_coords, sample_slit_points
 from finslerlab.finsler import berwald_connection, finsler_fixture, fixture_ids
 
 from helpers import dh_omega_form
@@ -133,7 +133,7 @@ def _mismatches(form, ref, z):
 def _points(n):
     """A float point, a 3-point batch and the float point lifted along a direction."""
     zf = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
-    zb = grid_coords((PointBatch(sample_slit_points(n, 3, seed=9)),))
+    zb = grid_coords(sample_slit_points(n, 3, seed=9))
     zj = jets.lift(zf, [0.5, -0.25, 1.0, 0.75, -0.5, 0.25][:2 * n], jets.fresh_tag())
     return {"float": zf, "batch": zb, "jet": zj}
 

@@ -21,7 +21,7 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.checks import CheckContext, list_checks
-from finslerlab.core import PointBatch, ScalarField, grid_coords, point, sample_slit_points
+from finslerlab.core import ScalarField, grid_coords, point, sample_slit_points
 from finslerlab.errors import FinslerLabError
 from finslerlab.finsler import berwald_connection, canonical_spray, validate_finsler
 
@@ -85,7 +85,7 @@ def funk_cells(seed, samples, checks=None):
     ``run_checks`` runs them on a fixture: on the grid as one batch point,
     every cell reading the objects kept on one structure, a raise recorded as
     inf."""
-    grid = (PointBatch(sample_slit_points(2, samples, seed)),)
+    grid = sample_slit_points(2, samples, seed)
     F = funk(grid, 2)
     out = []
     for spec in list_checks(checks):

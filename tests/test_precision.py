@@ -12,8 +12,10 @@ coordinates, on the three fixtures and on the Funk metric.  Such a point has
 no memo key, so every point memo is bypassed; conditioning runs in double
 (``finsler._omega_entry``) and residuals are floats
 (``calculus.sup_abs``).  Every cell read at most 1.4e-40 when BOUND was set,
-and BOUND moves only the way a tolerance moves.  Batch points are not covered
-at mpf precision: a batch is a float array, and its sqrt is ``np.sqrt``.
+and BOUND moves only the way a tolerance moves.  CHK-01 evaluates the grid at
+its own coordinates (``core.grid_coords``), so it runs at 40 digits too.
+Batch points are not covered at mpf precision: a batch is a float array, and
+its sqrt is ``np.sqrt``.
 """
 
 import math
@@ -23,9 +25,11 @@ import pytest
 
 from finslerlab import finsler, jets
 from finslerlab.checks import CheckContext, list_checks
-from finslerlab.core import TangentPoint
+from finslerlab.core import ScalarField, TangentPoint
 from finslerlab.errors import FinslerLabError, NondegeneracyFailure
-from finslerlab.finsler import finsler_fixture, fixture_ids
+from finslerlab.finsler import (
+    FinslerStructure, energy_axioms_residual, finsler_fixture, fixture_energy, fixture_ids,
+)
 from test_funk import funk
 from test_mutants import patch
 
@@ -75,6 +79,17 @@ def test_a_non_finite_omega_at_an_mpf_point_is_a_typed_failure(grid):
     z[2] = mpmath.mpf("nan")
     with pytest.raises(NondegeneracyFailure, match="not finite"):
         F.shared_omega_at(z)
+
+
+@pytest.mark.parametrize("name", fixture_ids())
+def test_the_energy_axioms_run_at_the_precision_of_the_point(name, grid):
+    # a 1-homogeneous defect of 1e-20 y1, which double rounding hides:
+    # 1.0 + 1e-20 y1 is 1.0 in double; CE - 2E is -1e-20 y1 = -7e-21 here
+    E = fixture_energy(name)
+    defect = ScalarField(lambda z: E.fn(z) + ((1.0 + 1e-20 * z[2]) - 1.0), 2, "E + 1e-20 y1")
+    F = FinslerStructure(defect, 2, grid)  # validation's 1e-9 passes the defect
+    assert BOUND < energy_axioms_residual(F, grid) < 1e-20
+    assert residuals(F, grid, ["CHK-01"])["CHK-01"] == energy_axioms_residual(F, grid)
 
 
 def test_a_float_radius_keeps_double_rounding(grid):

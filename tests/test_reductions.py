@@ -73,7 +73,7 @@ def ref_form_matrix_residual(A, B, points):
 
 GRID = sample_slit_points(2, 32, 7)
 P = list(GRID)[5]
-GRIDS = {"float point": [P], "32-point batch": (PointBatch(GRID),),
+GRIDS = {"float point": [P], "32-point batch": GRID,
          "one-point batch": (PointBatch([P]),)}
 
 
@@ -88,7 +88,7 @@ def _forms(F):
 
 @pytest.fixture(scope="module", params=fixture_ids())
 def forms(request):
-    F = finsler_fixture(request.param, (PointBatch(GRID),))
+    F = finsler_fixture(request.param, GRID)
     return F, _forms(F)
 
 
@@ -112,7 +112,7 @@ def test_form_matrix_residual_equals_its_per_entry_reference(forms, where):
 
 def test_a_nan_at_one_point_of_a_batch_reads_nan():
     # forms that need no sharp solve, so omega is never read at the NaN point
-    F = finsler_fixture("randers-0.3", (PointBatch(GRID),))
+    F = finsler_fixture("randers-0.3", GRID)
     L_W = build_form(F, "wagner-form:x1")
     f_c = complete_lift_function(base_function("x1", F.n))
     J = vertical_endomorphism(F.n)
@@ -213,7 +213,7 @@ def _equal(a, b):
 @pytest.mark.parametrize("where", ["float point", "32-point batch"])
 @pytest.mark.parametrize("fid", fixture_ids())
 def test_one_forms_on_the_frame_equal_their_per_frame_loops(fid, where):
-    F = finsler_fixture(fid, (PointBatch(GRID),))
+    F = finsler_fixture(fid, GRID)
     points = GRIDS[where]
     z = grid_coords(points)
     n, n2 = F.n, 2 * F.n

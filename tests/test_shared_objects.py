@@ -23,7 +23,7 @@ from finslerlab.config import RunConfig
 from finslerlab.connections import (
     l_ehresmann_connection, semispray_from_vertical, sharp_of_dLE, theta_operator,
 )
-from finslerlab.core import PointBatch, sample_slit_points
+from finslerlab.core import sample_slit_points
 from finslerlab.errors import NotConnection
 from finslerlab.finsler import conformal_change, finsler_fixture, fixture_ids
 from finslerlab.registry import base_function, build_field, build_form, build_object
@@ -105,8 +105,9 @@ def test_each_construction_body_runs_once_per_fixture_and_operand(monkeypatch):
     # operands, kept on the right operand and keyed by the left one
     assert builds[("fn_bracket(K, holder)", "E-dy1", "J")] == len(fixture_ids())
     assert builds[("fn_bracket(K, holder)", "L_W(x1)", "C")] == len(fixture_ids())
-    # each connection's projector laws are checked once, on the grid's one batch point
-    assert builds[("projector_residual", "h0", "PointBatch")] == len(fixture_ids())
+    # each connection's projector laws are checked once, on its structure's grid
+    for fid in fixture_ids():
+        assert builds[("projector_residual", "h0", fid)] == 1, fid
 
 
 def test_the_conservative_lift_and_V_L_read_one_h_L_of_J_E_dy1(monkeypatch):
@@ -240,7 +241,7 @@ def test_a_shared_h_L_build_that_raises_is_retried_by_every_cell(monkeypatch):
 def test_an_id_names_one_object_per_structure(fid):
     # one object for each id on one structure, another on another structure;
     # the shared constant C is the same everywhere
-    grid = (PointBatch(sample_slit_points(2, 4, 7)),)
+    grid = sample_slit_points(2, 4, 7)
     F, G = finsler_fixture(fid, grid), finsler_fixture(fid, grid)
     for oid in REGISTRY_IDS:
         obj = build_object(F, oid)[1]
@@ -250,7 +251,7 @@ def test_an_id_names_one_object_per_structure(fid):
 
 
 def test_the_wagner_pair_is_built_once_per_structure(monkeypatch):
-    grid = (PointBatch(sample_slit_points(2, 4, 7)),)
+    grid = sample_slit_points(2, 4, 7)
     calls = Counter()
     build = registry.wagner_connection
 
@@ -272,7 +273,7 @@ def test_the_constructions_of_one_operand_are_kept_per_structure():
     # the four constructions keyed by the structure, of one operand on F and on
     # its conformal change: a key that dropped the structure would serve F's
     # construction to the other structure
-    F = finsler_fixture("randers-0.3", (PointBatch(sample_slit_points(2, 4, 7)),))
+    F = finsler_fixture("randers-0.3", sample_slit_points(2, 4, 7))
     F2 = conformal_change(F, base_function("x1", F.n))
     L, V = build_form(F, "jv:E-dy1"), build_field(F, "E-dy1")
     for construction, operand in ((sharp_of_dLE, L), (theta_operator, L),
