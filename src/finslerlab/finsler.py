@@ -31,6 +31,19 @@ computes every value part from value parts alone (Griewank & Walther,
 batch lifted-from point, which keeps its own checked miss, and an entry
 holding an energy's own jet above t, whose primal along t would keep t.
 
+A miss at a float or batch point z, while the memo expects z to be read at
+a jet point too (``PointMemo.lifted_reads``: the base points before it
+were), is computed at z's frame lift (``jets.frame_lift(z, 2n)``), where the
+bracket [J, S0] of the Berwald connection reads omega.  The entry there is
+stored, and its primal along the lift's tag, exact by the same argument, is
+z's entry after the same check; so S0 and h0 at a new point take one pass of
+E, not two.  The plain pass runs instead where that primal would not be z's
+entry: an entry holds an energy's own jet above the lift's tag, or the
+lifted pass raises ``ArithmeticError`` (a third derivative can divide by
+zero where the second does not).  A stream that reads S0 alone, or
+alternates between points read at jet points and points that are not,
+never lifts.
+
 Constructions may read dE from the memo: every (.)# field is a
 ``sharp_field``, which solves with omega and dE from one entry; the canonical
 spray solves -dE, and (d_L E)# (``connections.sharp_of_dLE``) contracts dE
@@ -358,33 +371,64 @@ def _omega_entry(E: ScalarField, n: int, memo: PointMemo, z):
 
     A list, not a tuple: ``retag_array`` renames a hit by walking lists.
     At a jet point, its primal may be stored in ``memo`` at the point z lifts.
+    At a float or batch point, while the memo expects lifted reads
+    (``PointMemo.lifted_reads``), it is the primal of the entry at z's frame
+    lift (``_lifted_entry``), which is stored there once the check passes.
     Conditioning runs in double, whatever the precision of the entries.
     """
-    m, dE = omega_and_dE(E, n, z)
     tags = [c.tag for c in z if type(c) is jets.Jet]
     if tags:
+        m, dE = omega_and_dE(E, n, z)
         t = max(tags)
         zp = [jets.primal(c, t) for c in z]
-        if jets.Jet in map(type, zp):
-            entries = [x for row in m for x in row] + jets.slots(dE, 2 * n)
-            if all(type(x) is not jets.Jet or x.tag <= t for x in entries):
-                memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m],
-                              jets.primal(dE, t)])
+        if jets.Jet in map(type, zp) and _tags_at_most(m, dE, n, t):
+            memo.put(zp, [[[jets.primal(x, t) for x in row] for row in m], jets.primal(dE, t)])
+        return [m, dE]
+    lifted = _lifted_entry(E, n, z) if memo.lifted_reads >= memo.LIFT_AT else None
+    if lifted is None:
+        m, dE = omega_and_dE(E, n, z)
     else:
-        stacked = np.asarray(jets.stacked(m, z), dtype=float)
-        try:
-            cond = _condition_numbers(stacked)
-        except np.linalg.LinAlgError:  # the SVD of a non-finite omega
-            i = int(np.argmin(np.isfinite(stacked).all(axis=(1, 2))))
-            raise NondegeneracyFailure("fundamental form not finite",
-                                       point=_real_point(z, i), value=float("nan")) from None
-        bad = np.flatnonzero(cond > COND_LIMIT)
-        if bad.size:
-            i = int(bad[0])
-            raise NondegeneracyFailure(
-                f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
-                point=_real_point(z, i), value=float(cond[i]))
+        t, zl, (ml, dEl) = lifted
+        m, dE = [[jets.primal(x, t) for x in row] for row in ml], jets.primal(dEl, t)
+    stacked = np.asarray(jets.stacked(m, z), dtype=float)
+    try:
+        cond = _condition_numbers(stacked)
+    except np.linalg.LinAlgError:  # the SVD of a non-finite omega
+        i = int(np.argmin(np.isfinite(stacked).all(axis=(1, 2))))
+        raise NondegeneracyFailure("fundamental form not finite",
+                                   point=_real_point(z, i), value=float("nan")) from None
+    bad = np.flatnonzero(cond > COND_LIMIT)
+    if bad.size:
+        i = int(bad[0])
+        raise NondegeneracyFailure(
+            f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
+            point=_real_point(z, i), value=float(cond[i]))
+    if lifted is not None:
+        memo.put(zl, [ml, dEl])
     return [m, dE]
+
+
+def _tags_at_most(m, dE, n, t):
+    """Whether every entry of omega's matrix ``m`` and of dE carries tags <= t:
+    an energy that holds a jet of its own above t keeps it in the primal along t."""
+    entries = [x for row in m for x in row] + jets.slots(dE, 2 * n)
+    return all(type(x) is not jets.Jet or x.tag <= t for x in entries)
+
+
+def _lifted_entry(E: ScalarField, n: int, z):
+    """``(t, lifted, omega_and_dE(E, n, lifted))`` at ``(t, lifted) =
+    jets.frame_lift(z, 2n)``, the point where the bracket [J, S0] reads omega,
+    or None where the primal along t would not be what ``omega_and_dE(E, n, z)``
+    gives: an entry holds an energy's own jet above t, or the lifted pass
+    raises ``ArithmeticError`` (a third derivative can divide by zero where
+    the second does not), so that a miss raises what the plain pass raises.
+    """
+    t, lifted = jets.frame_lift(z, 2 * n)
+    try:
+        m, dE = omega_and_dE(E, n, lifted)
+    except ArithmeticError:
+        return None
+    return (t, lifted, (m, dE)) if _tags_at_most(m, dE, n, t) else None
 
 
 def validate_finsler(E: ScalarField, grid, n: int | None = None,

@@ -311,9 +311,16 @@ class Jet:
         return Jet(self.tag, q, _mul(-q, self.dot) / self.val)
 
     def __pow__(self, p):
+        """``self ** p`` for a constant p.  ``x ** 0`` is the constant
+        ``val ** 0``, whose tangent is a structural zero, never
+        ``0 * x ** -1``, which a zero x would raise in; p enters the tangent
+        as a float, so no part is an int."""
         if not isinstance(p, (int, float)):
             raise TypeError("jet powers must have constant numeric exponents")
-        return Jet(self.tag, power(self.val, p), _mul(_mul(p, power(self.val, p - 1)), self.dot))
+        if not p:
+            return power(self.val, 0.0)
+        p = float(p)
+        return Jet(self.tag, power(self.val, p), _mul(_mul(p, power(self.val, p - 1.0)), self.dot))
 
 
 class Vec:

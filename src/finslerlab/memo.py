@@ -131,13 +131,26 @@ class PointMemo:
     point carries (a function that holds jets of its own) cannot be renamed:
     ``jets.retag`` raises ``KeyError`` and the value is computed afresh.
     ``put`` stores a value computed elsewhere that is exact at its point.
+
+    ``lifted_reads`` predicts whether the current base point will be read
+    at a jet point, for a ``compute`` that can do that work at its float or
+    batch miss (``finsler._omega_entry``).  It is a 2-bit saturating counter
+    (J. E. Smith, "A Study of Branch Prediction Strategies", ISCA 1981):
+    when a keyed point arrives at another base point, it counts up if the
+    base point left had a lookup at a jet point (a hit or a miss) and down
+    if it had none.  ``LIFT_AT`` or more predicts a lookup at a jet point;
+    a stream whose base points alternate between having one and not never
+    reaches it.
     """
 
-    __slots__ = ("base", "entries")
+    __slots__ = ("base", "entries", "lifted_reads", "read_lifted")
+    LIFT_AT = 2
 
     def __init__(self):
         self.base = None
         self.entries = {}
+        self.lifted_reads = 0
+        self.read_lifted = False  # the current base point had a lookup at a jet point
 
     def get(self, z, compute):
         """``compute(z)`` through the memo.
@@ -152,8 +165,13 @@ class PointMemo:
             return compute(z)
         key, base, tags = point
         if base != self.base:
+            c = self.lifted_reads
+            self.lifted_reads = min(c + 1, 3) if self.read_lifted else max(c - 1, 0)
+            self.read_lifted = False
             self.entries = {}
             self.base = base
+        if tags:
+            self.read_lifted = True
         hit = self.entries.get(key)
         if hit is None:
             value = compute(z)

@@ -111,6 +111,25 @@ def test_library_raises_to_powers_only_in_jets():
     assert offenders == []
 
 
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports to re-export, so it is not scanned
+    package = Path(jets.__file__).parent
+    offenders = []
+    for path in sorted([*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        if path == package / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in
+                              (a.asname or a.name.partition(".")[0] for a in node.names)
+                              if name not in used]
+    assert offenders == []
+
+
 def test_library_reads_point_coordinates_only_in_core():
     # a residual helper or check runner evaluates its grid as one point
     # (core.grid_coords); a .coords() call elsewhere would be a per-point loop

@@ -6,7 +6,7 @@ from finslerlab.calculus import (
     fn_bracket, frame_vector, liouville_field, vertical_endomorphism,
 )
 from finslerlab.core import ScalarField, point, sample_slit_points
-from finslerlab.errors import HypothesisFailure, NondegeneracyFailure
+from finslerlab.errors import NondegeneracyFailure
 from finslerlab.finsler import (
     FinslerStructure, berwald_connection, canonical_spray, finsler_fixture,
     projector_residual, sharp, validate_finsler,

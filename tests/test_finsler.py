@@ -430,8 +430,13 @@ def test_condition_numbers_are_numpys_cond_bit_for_bit():
     rng = np.random.default_rng(21)
     zero = np.zeros((N2, N2))
     rank_one = np.outer([1.0, 2.0, 0.0, -1.0], [0.5, 0.0, 1.0, 1.0])
+    # an infinite entry: the SVD gives NaN singular values, which read inf
+    # through the NaN rule alone (a NaN ratio would pass a > COND_LIMIT check)
+    infinite = np.eye(N2)
+    infinite[1, 2] = math.inf
     arrays = [rng.normal(size=(1, N2, N2)), rng.normal(size=(9, N2, N2)), zero[None],
-              np.stack([rng.normal(size=(N2, N2)), zero, rank_one])]
+              np.stack([rng.normal(size=(N2, N2)), zero, rank_one]), infinite[None],
+              np.stack([rng.normal(size=(N2, N2)), infinite])]
     for F in ALL:
         for z in (P0.coords(), PointBatch(GRID).coords()):
             arrays.append(jets.stacked(omega_and_dE(F.E, N, z)[0], z))
@@ -439,6 +444,7 @@ def test_condition_numbers_are_numpys_cond_bit_for_bit():
         cond = finsler._condition_numbers(x)
         assert cond.dtype == np.float64 and cond.tobytes() == np.linalg.cond(x).tobytes()
     assert np.isinf(finsler._condition_numbers(zero[None])).all()  # 0 / 0
+    assert np.isinf(finsler._condition_numbers(infinite[None])).all()  # NaN / NaN
     nan = rng.normal(size=(2, N2, N2))
     nan[1, 2, 3] = math.nan
     for cond in (np.linalg.cond, finsler._condition_numbers):

@@ -15,19 +15,25 @@ from collections import Counter
 
 import pytest
 
-from finslerlab import jets, memo
-from finslerlab.calculus import VectorField, fn_bracket, frame_vector, vertical_endomorphism
+from finslerlab import finsler, jets, memo
+from finslerlab.calculus import (
+    VectorField, coordinate_one_form, fn_bracket, frame_vector, vertical_endomorphism,
+)
 from finslerlab.checks import run_checks
 from finslerlab.config import RunConfig
 from finslerlab.connections import (
     dh_omega_residual, l_ehresmann_connection, vector_form2_residual, weak_torsion,
 )
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
-from finslerlab.finsler import FinslerStructure, berwald_connection, finsler_fixture, fixture_ids
+from finslerlab.finsler import (
+    FinslerStructure, berwald_connection, canonical_spray, finsler_fixture, fixture_ids,
+    omega_and_dE, sharp,
+)
 from finslerlab.registry import build_field
 
-from helpers import collector_off
-from test_finsler import _identical, _tags_of
+from helpers import collector_off, point_memo
+from test_finsler import _identical, _identical_entries, _tags_of
+from test_funk import funk
 
 
 def _fresh_frame_lift(z, k):
@@ -257,3 +263,175 @@ def test_a_third_order_query_renames_and_walks_a_pinned_number_of_points(monkeyp
         assert max(residuals) < 1e-7
     # 12 renames and 21 walks when every frame lift had a fresh tag
     assert (work["retag_array"], work["walk"]) == (0, 2)
+
+
+# -- a float or batch miss computed at the point's frame lift -----------------
+
+
+def _counting_passes(monkeypatch):
+    """Counts of ``omega_and_dE`` passes and of float or batch misses computed
+    at a frame lift (``finsler._lifted_entry`` calls)."""
+    work = Counter()
+    omega, lifted = finsler.omega_and_dE, finsler._lifted_entry
+
+    def counting_omega(E, n, z):
+        work["omega_and_dE"] += 1
+        return omega(E, n, z)
+
+    def counting_lifted(E, n, z):
+        work["lifted"] += 1
+        return lifted(E, n, z)
+
+    monkeypatch.setattr(finsler, "omega_and_dE", counting_omega)
+    monkeypatch.setattr(finsler, "_lifted_entry", counting_lifted)
+    return work
+
+
+def _queries(n=2, count=30, seed=17):
+    """S0, h0 and a sharp field of each fixture, and ``count`` fresh points."""
+    grid = sample_slit_points(n, 8, seed=5)
+    objects = []
+    for fid in fixture_ids():
+        F = finsler_fixture(fid, grid, n=n)
+        objects.append((F, canonical_spray(F), berwald_connection(F),
+                        sharp(F, coordinate_one_form(n, 1))))
+    return objects, [p.coords() for p in sample_slit_points(n, count, seed=seed)]
+
+
+def test_point_queries_make_one_energy_pass_each_once_the_memo_expects_lifted_reads(monkeypatch):
+    # S0, h0's matrix and a sharp at 300 fresh points, round-robin over the
+    # fixtures: the first two points of each fixture take a float pass and a
+    # lifted pass (the memo's counter is warming up), every later one a
+    # lifted pass alone, whose primal answers S0 and the sharp
+    objects, points = _queries(count=300)
+    work = _counting_passes(monkeypatch)
+    for i, z in enumerate(points):
+        _, s0, h0, X = objects[i % 3]
+        s0(z), h0.matrix(z), X(z)
+    assert work == {"omega_and_dE": 306, "lifted": 294}
+
+
+@pytest.mark.parametrize("stream, passes", [
+    ("N", 1), ("X", 1), ("LN", 3),
+])
+def test_streams_without_two_lifted_reads_in_a_row_never_lift(stream, passes, monkeypatch):
+    # N: S0 alone; X: a sharp field alone; L: S0 and h0's matrix.  Each stream
+    # makes the passes it made before the lifted miss, and none is lifted
+    objects, points = _queries()
+    work = _counting_passes(monkeypatch)
+    for i, z in enumerate(points):
+        _, s0, h0, X = objects[0]
+        step = stream[i % len(stream)]
+        if step == "X":
+            X(z)
+        else:
+            s0(z)
+            if step == "L":
+                h0.matrix(z)
+    assert work == {"omega_and_dE": passes * len(points) // len(stream)}
+
+
+def test_the_lifted_reads_counter_saturates_at_two_bits():
+    # 1 for a base point that had a lookup at a jet point, 0 for one that had
+    # none: the counter after each base point, read when the next one arrives
+    pm = memo.PointMemo()
+    seen = []
+    for i, lifted in enumerate([1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 1]):
+        z = [0.1 * (i + 1), 0.2, 0.7, -0.4]
+        pm.get(z, lambda z: 0.0)
+        if lifted:
+            pm.get(jets.frame_lift(z, 4)[1], lambda z: 0.0)
+        seen.append(pm.lifted_reads)
+    pm.get([0.0, 0.2, 0.7, -0.4], lambda z: 0.0)
+    assert seen[1:] + [pm.lifted_reads] == [1, 2, 3, 3, 2, 3, 2, 1, 0, 0, 1, 2]
+
+
+def _expecting_lifted_reads(F):
+    """F, after reads of its memo at two base points, each lifted once, so that
+    the memo lifts its next float or batch miss.  The lifts are not frame
+    lifts, so the frame lift cache is left as it is."""
+    n2 = 2 * F.n
+    for w in sample_slit_points(F.n, 2, seed=9):
+        F.shared_omega_at(jets.lift(w.coords(), frame_vector(n2, 0), jets.fresh_tag()))
+    assert point_memo(F.shared_omega_at).lifted_reads == memo.PointMemo.LIFT_AT - 1
+    return F
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fid", [*fixture_ids(), "funk"])
+def test_a_lifted_miss_gives_the_plain_entry_and_stores_the_lifted_one(fid, n, monkeypatch):
+    # bit for bit, zero signs and batch bytes included, at a float and a batch
+    # point; the entry at the frame lift is what a miss there computes
+    grid = sample_slit_points(n, 4, seed=3)
+    z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
+
+    def structure():
+        return funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
+
+    for z in (z0, PointBatch(grid).coords()):
+        F = _expecting_lifted_reads(structure())
+        plain = finsler.omega_and_dE(F.E, n, z)
+        work = _counting_passes(monkeypatch)
+        assert _identical_entries(F.shared_omega_at(z), plain)
+        assert work == {"omega_and_dE": 1, "lifted": 1}
+        lifted = jets.frame_lift(z, 2 * n)[1]
+        with monkeypatch.context() as p:
+            p.setattr(finsler, "omega_and_dE", lambda *args: pytest.fail("no entry stored"))
+            hit = F.shared_omega_at(lifted)
+        assert _identical_entries(hit, omega_and_dE(F.E, n, lifted))
+        monkeypatch.undo()
+
+
+def _assert_falls_back(F, z, monkeypatch):
+    """A float miss of F's memo, expecting lifted reads, gives the plain entry
+    after a lifted pass it cannot use, and stores nothing at the lift."""
+    plain = omega_and_dE(F.E, F.n, z)
+    _expecting_lifted_reads(F)
+    work = _counting_passes(monkeypatch)
+    assert _identical_entries(F.shared_omega_at(z), plain)
+    assert work == {"omega_and_dE": 2, "lifted": 1}
+    lifted = jets.frame_lift(z, 2 * F.n)[1]
+    assert memo.point_key(lifted)[0] not in point_memo(F.shared_omega_at).entries
+
+
+def test_a_lifted_miss_falls_back_on_an_energy_holding_a_jet_above_the_lift(monkeypatch):
+    z = point(0.1, -0.2, 0.7, -0.4).coords()
+    tag, _ = jets.frame_lift(z, 4)
+    drift = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
+    assert drift.tag > tag
+    _assert_falls_back(_drift_structure(drift), z, monkeypatch)
+
+
+def test_a_lifted_miss_falls_back_where_a_third_derivative_raises(monkeypatch):
+    # x1 ** 1.5 at x1 = 0: its second derivative there is power(0.0, -0.5)
+    E = ScalarField(lambda z: 0.5 * (1.0 + z[0] ** 1.5) * (z[2] * z[2] + z[3] * z[3]), 2)
+    F = FinslerStructure(E, 2, sample_slit_points(2, 2, seed=3), validate=False)
+    z = point(0.0, -0.2, 0.7, -0.4).coords()
+    with pytest.raises(ZeroDivisionError):
+        omega_and_dE(E, 2, jets.frame_lift(z, 4)[1])
+    _assert_falls_back(F, z, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_stream_of_queries_answers_what_a_fresh_structure_answers(n, monkeypatch):
+    objects, points = _queries(n)
+    work = _counting_passes(monkeypatch)
+    got = []
+    for i, z in enumerate(points):
+        _, s0, h0, X = objects[i % 3]
+        got.append((s0(z), h0.matrix(z), X(z)))
+    assert work["lifted"] == len(points) - 6
+    monkeypatch.undo()
+    for i, (z, answers) in enumerate(zip(points, got)):
+        F = objects[i % 3][0]
+        G = finsler_fixture(F.name, F.grid, n=n)
+        fresh = (canonical_spray(G)(z), berwald_connection(G).matrix(z),
+                 sharp(G, coordinate_one_form(n, 1))(z))
+        assert _flat(answers) and len(_flat(answers)) == len(_flat(fresh))
+        assert all(_identical(a, b) for a, b in zip(_flat(answers), _flat(fresh)))
+
+
+def _flat(x):
+    if type(x) in (list, tuple):
+        return [v for a in x for v in _flat(a)]
+    return [x]

@@ -392,3 +392,29 @@ def test_square_takes_its_value_from_pow_and_its_derivatives_from_the_product():
                 sq, prod = z[0] ** 2, z[0] * z[0]
                 assert realpart(sq) == x ** 2
                 assert _parts(sq)[1:] == _parts(prod)[1:]
+
+
+def _form(x):
+    """Every node of a jet or Vec with its tag, and every leaf with its type,
+    value and sign of zero."""
+    if type(x) is Jet:
+        return ("jet", x.tag, _form(x.val), _form(x.dot))
+    if type(x) is Vec:
+        return ("vec", [_form(a) for a in x.s])
+    return (type(x), x, math.copysign(1.0, x))
+
+
+def test_a_constant_power_is_the_product_part_for_part_at_every_depth():
+    # x ** 2 at a zero x three lifts deep must not form 0.0 ** -1, which
+    # raises, and no part may be the int exponent
+    for depth in (1, 2, 3):
+        for x0 in (0.0, 0.5):
+            for d in ([1.0], [Vec([1.0, 0.0, -2.5])]):   # the outermost lift
+                z = [x0]
+                for direction in [[1.0]] * (depth - 1) + [d]:
+                    z = lift(z, direction, fresh_tag())
+                x = z[0]
+                for power, product in ((2, x * x), (3, x * x * x)):
+                    got = _form(x ** power)
+                    assert got == _form(product)
+                    assert "<class 'int'>" not in repr(got)
