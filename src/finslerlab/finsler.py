@@ -7,14 +7,18 @@ as ``omega_and_dE`` returns them from one pass of E, at every point: a float
 point, a batch point (``core.PointBatch``) and a jet point alike.  The sharp
 solve and ``d_h omega`` read omega there, and the canonical spray both.  A
 miss at a float or batch point also checks at each of its points that omega
-is finite and cond(omega) <= COND_LIMIT; a raise stores nothing.  The memo's
-key is the point's canonical form (``memo.point_key``): every float, a
-negative zero as its own token, and the lift tags up to an order-preserving
-renaming.  Entries are kept for one base point (the real parts of the
-coordinates) at a time and dropped when a call arrives at another one, so
-they are the point being worked on and its lifts: the sharp fields
-bracketed with J there (S0, (d_L E)#, grad f^v) are lifted along the same
-frames and share them.
+is finite and cond(omega) <= COND_LIMIT; a raise stores nothing.  At a float
+point, a bound in closed form first tries to prove cond(omega) <=
+CERTIFIED_COND, 1e-4 of the limit (``_certified_well_conditioned``, a few
+float operations); only an omega it cannot certify, and every batch point,
+has its condition number computed from an SVD, which decides the raise.
+The memo's key is the point's canonical form (``memo.point_key``):
+every float, a negative zero as its own token, and the lift tags up to an
+order-preserving renaming.  Entries are kept for one base point (the real
+parts of the coordinates) at a time and dropped when a call arrives at
+another one, so they are the point being worked on and its lifts: the sharp
+fields bracketed with J there (S0, (d_L E)#, grad f^v) are lifted along the
+same frames and share them.
 
 A hit is exact.  Jet arithmetic compares tags only by their order, and every
 tag that ``omega_and_dE`` makes internally is stripped before it returns; so
@@ -74,6 +78,7 @@ from .memo import PointMemo, kept_on
 
 DET_FLOOR = 1e-10
 COND_LIMIT = 1e12
+CERTIFIED_COND = COND_LIMIT * 1e-4  # what a float miss proves without an SVD
 VALIDATION_TOL = 1e-9
 
 
@@ -162,8 +167,10 @@ def _sharp_block_solve(m, beta, n, z):
     so an unvalidated indefinite or singular g fails here; so does
     ("numerically singular"), after the elimination, a smallest pivot smaller
     than the largest by more than COND_LIMIT; as det omega = det(g)^2, this
-    guards omega too.  Pivot sizes are not a condition estimate, so the float
-    and batch entries of the structure's memo check cond(omega) as well.
+    guards omega too.  Pivot sizes are not a condition estimate, so a float
+    or batch miss of the structure's memo checks cond(omega) as well: at a
+    float point by a proved bound, falling back to an SVD, and at a batch
+    point by the SVD (``_omega_entry``).
 
     At a batch point each point's pivots are guarded on their own, and when
     a guard fails at any point, the batch raises what the first failing
@@ -374,7 +381,11 @@ def _omega_entry(E: ScalarField, n: int, memo: PointMemo, z):
     At a float or batch point, while the memo expects lifted reads
     (``PointMemo.lifted_reads``), it is the primal of the entry at z's frame
     lift (``_lifted_entry``), which is stored there once the check passes.
-    Conditioning runs in double, whatever the precision of the entries.
+    Conditioning runs in double, whatever the precision of the entries: at a
+    float point, an omega that ``_certified_well_conditioned`` certifies
+    passes with no SVD; any other, and every batch point, is checked by
+    ``_check_condition``.  A certified omega is one the SVD passes, so the
+    raise or its absence is the same either way.
     """
     tags = [c.tag for c in z if type(c) is jets.Jet]
     if tags:
@@ -390,6 +401,16 @@ def _omega_entry(E: ScalarField, n: int, memo: PointMemo, z):
     else:
         t, zl, (ml, dEl) = lifted
         m, dE = [[jets.primal(x, t) for x in row] for row in ml], jets.primal(dEl, t)
+    if jets.batch_size(z) is not None or not _certified_well_conditioned(m, n):
+        _check_condition(m, z)
+    if lifted is not None:
+        memo.put(zl, [ml, dEl])
+    return [m, dE]
+
+
+def _check_condition(m, z):
+    """Raise ``NondegeneracyFailure`` at the first point of z where omega's
+    matrix ``m`` is not finite or cond(omega) > COND_LIMIT, from the SVD."""
     stacked = np.asarray(jets.stacked(m, z), dtype=float)
     try:
         cond = _condition_numbers(stacked)
@@ -403,9 +424,63 @@ def _omega_entry(E: ScalarField, n: int, memo: PointMemo, z):
         raise NondegeneracyFailure(
             f"fundamental form ill-conditioned (cond={cond[i]:.3e})",
             point=_real_point(z, i), value=float(cond[i]))
-    if lifted is not None:
-        memo.put(zl, [ml, dEl])
-    return [m, dE]
+
+
+def _certified_well_conditioned(m, n):
+    """Whether omega's matrix ``m`` at a float point provably has cond(omega)
+    <= CERTIFIED_COND, read from real parts in double as ``jets.stacked``
+    reads them; False means only that no proof was found.
+
+    ``m`` is laid out as ``omega_and_dE`` builds it, [[A, -g], [g, 0]] with g
+    symmetric and A skew, so only its A and g blocks are read, and
+    ||omega||_F^2 = ||A||_F^2 + 2 ||g||_F^2.  Then
+    omega^-1 = [[0, g^-1], [-g^-1, g^-1 A g^-1]], so
+    ||omega^-1||_F^2 <= 2n ||g^-1||_2^2 + ||g^-1||_2^4 ||A||_F^2, and
+    cond_2(omega) <= ||omega||_F ||omega^-1||_F.  g is eliminated on its
+    diagonal, as ``_sharp_block_solve`` does; with every pivot > 0, det g is
+    their product, and s^2 = ||g||_F^(2(n-1)) / det^2 bounds ||g^-1||_2^2,
+    because sigma_min(g) >= det g / sigma_max(g)^(n-1).  The margin of
+    CERTIFIED_COND below COND_LIMIT dwarfs the rounding of this bound and of
+    the singular values (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, section 6.2 and ch. 15; Rump, "Verification
+    methods", Acta Numerica 19, 2010): the elimination of an SPD g is
+    backward stable, so a rounded det is far from the true one only where
+    cond(g), and so cond(omega), is far above the bound.  A certified omega
+    is thus one that ``_condition_numbers`` passes.  A NaN or infinite entry
+    fails a comparison, and a pivot <= 0, or det g or ||omega||_F^2 outside
+    [1e-150, 1e150], where the powers could overflow or underflow, is not
+    certified either.
+    """
+    g = [[x if type(x) is float else float(jets.realpart(x)) for x in row[:n]]
+         for row in m[n:]]
+    a2 = g2 = 0.0
+    for row in m[:n]:
+        for x in row[:n]:
+            if type(x) is not float:
+                x = float(jets.realpart(x))
+            a2 += x * x
+    for row in g:
+        for x in row:
+            g2 += x * x
+    det = 1.0
+    for col in range(n):
+        prow = g[col]
+        pivot = prow[col]
+        if not pivot > 0.0:
+            return False
+        det *= pivot
+        for r in range(col + 1, n):
+            row = g[r]
+            f = row[col] / pivot
+            for c in range(col + 1, n):
+                row[c] -= f * prow[c]
+    w2 = a2 + 2.0 * g2  # ||omega||_F^2
+    if not (1e-150 <= det <= 1e150 and 1e-150 <= w2 <= 1e150):
+        return False
+    s2 = 1.0 / (det * det)
+    for _ in range(n - 1):
+        s2 *= g2
+    return w2 * (2 * n * s2 + s2 * s2 * a2) <= CERTIFIED_COND * CERTIFIED_COND
 
 
 def _tags_at_most(m, dE, n, t):

@@ -13,6 +13,7 @@ refers back to the operand it is kept on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -40,11 +41,15 @@ def point_key(z):
     part of any other type leaves the point without a key.
 
     A float point is keyed by its floats at once, and keeps no entry.  Any
-    other point object is walked once: a point whose coordinates are the same
-    objects, in order, as those of one walked before gets its result from a
-    cache (coordinates and their parts are never modified).  So a frame lift,
-    one per point object (``jets.frame_lift``), and the points computed from
-    it are walked once however many memos read them.  The cache
+    other point object is keyed once: a point whose coordinates are the same
+    objects, in order, as those of one keyed before gets its result from a
+    cache (coordinates and their parts are never modified).  The frame lift
+    of a float point (``jets.frame_lift(z, len(z))``, where a point query's
+    bracket and omega's lifted miss read) is keyed in closed form from its
+    floats (``_frame_lift_key``), bit for bit the key its walk gives; every
+    other point is walked.  So a frame lift, one per point object
+    (``jets.frame_lift``), and the points computed from it are keyed once
+    however many memos read them.  The cache
     (``jets.point_keys``) holds the coordinates, so no id of theirs is reused
     while their entry lives; it holds at most ``jets.CACHED_POINTS`` entries,
     and a frame lift of a new float or batch point empties it.  Bytes equal
@@ -65,12 +70,45 @@ def point_key(z):
     hit = _keys.get(ids)
     if hit is not None:
         return hit[0]
-    point = _walk(coords, _last_base[0])
+    point = _frame_lift_key(coords)
+    if point is None:
+        point = _walk(coords, _last_base[0])
     _last_base[0] = point[1] if point else ()
     if len(_keys) >= jets.CACHED_POINTS:
         _keys.clear()
     _keys[ids] = (point, coords)
     return point
+
+
+def _frame_lift_key(z):
+    """``_walk``'s result, bit for bit, for the frame lift of a float point,
+    built without a walk; None for any other point.
+
+    Such a point has ``Jet(t, c, jets.vec_frame(k)[a])`` at every coordinate
+    a, one tag t, a float c and k the number of coordinates (the frame Vec is
+    tested by identity).  The walk meets each coordinate as its tag's mark,
+    c, then the Vec's mark, its k slots last first; one tag needs no order.
+    """
+    if type(z[0]) is not jets.Jet:
+        return None
+    t = z[0].tag
+    flat, base = [], []
+    for c, (e, tail) in zip(z, _frame_tails(len(z))):
+        if type(c) is not jets.Jet or c.tag != t or c.dot is not e:
+            return None
+        v = c.val
+        if type(v) is not float:
+            return None
+        base.append(v)
+        flat += ("tag0", v if v or math.copysign(1.0, v) > 0.0 else NEG_ZERO, *tail)
+    flat.append(())
+    return tuple(flat), tuple(base), [t]
+
+
+@functools.cache
+def _frame_tails(k):
+    """``(unit Vec, what the walk enters for it)`` for each Vec of ``jets.vec_frame(k)``."""
+    return tuple((e, (_VEC, k, *reversed(e.s))) for e in jets.vec_frame(k))
 
 
 def _walk(z, last_base):

@@ -29,6 +29,7 @@ from finslerlab.finsler import (
 
 from helpers import maxabs, point_memo
 from test_funk import funk
+from test_mutants import mutant
 
 N, N2 = 2, 4
 P0 = point(0.0, 0.0, 1.0, 2.0)
@@ -465,6 +466,105 @@ def test_condition_numbers_are_numpys_cond_bit_for_bit():
     for z in (bad.coords(), PointBatch([good, bad]).coords()):
         with pytest.raises(NondegeneracyFailure, match="fundamental form not finite"):
             F.shared_omega_at(z)
+
+
+# -- the certificate of cond(omega) at a float miss -----------------------------
+
+
+def _omega(g, a):
+    """omega's matrix [[A, -g], [g, 0]] as ``omega_and_dE`` lays it out, as lists of floats."""
+    n = len(g)
+    return np.block([[a, -g], [g, np.zeros((n, n))]]).tolist()
+
+
+def _random_omegas(rng, n, count):
+    """Seeded omegas whose g is SPD at a scale from 1e-6 to 1e6, with a
+    condition number up to about 1e12, and whose skew A has ||A||_F up to 1e4
+    (or is zero)."""
+    for _ in range(count):
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        g = (q * (scale * 10.0 ** rng.uniform(-12.0, 0.0, size=n))) @ q.T
+        g = (g + g.T) / 2.0  # exactly symmetric, as omega_and_dE builds it
+        a = rng.normal(size=(n, n))
+        a -= a.T
+        a *= 10.0 ** rng.uniform(-8.0, 4.0) / np.linalg.norm(a) if rng.uniform() > 0.2 else 0.0
+        yield _omega(g, a)
+
+
+def _wrongly_certified(certified, n, omegas):
+    """The omegas that ``certified`` passes although np.linalg.cond reads more than it proves."""
+    return [m for m in omegas
+            if certified(m, n) and not np.linalg.cond(m) <= finsler.CERTIFIED_COND]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_certified_omega_is_well_conditioned(n):
+    omegas = list(_random_omegas(np.random.default_rng(37 + n), n, 1500))
+    # g = 1e-2 I and A = 1e4 times a unit skew matrix: cond(omega) is about 1e12
+    g, a = 1e-2 * np.eye(n), np.zeros((n, n))
+    a[0, 1], a[1, 0] = 1e4, -1e4
+    omegas.append(_omega(g, a))
+    certified = [m for m in omegas if finsler._certified_well_conditioned(m, n)]
+    assert 200 < len(certified) < len(omegas) - 200  # both outcomes are exercised
+    assert _wrongly_certified(finsler._certified_well_conditioned, n, omegas) == []
+    # the bound without the g^-1 A g^-1 block of omega^-1 certifies large-A omegas
+    no_a_term = mutant(finsler._certified_well_conditioned,
+                       "2 * n * s2 + s2 * s2 * a2", "2 * n * s2")
+    assert omegas[-1] in _wrongly_certified(no_a_term, n, omegas)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_non_finite_indefinite_or_out_of_range_omega_is_never_certified(n):
+    eye, skew = np.eye(n), np.zeros((n, n))
+    skew[0, 1], skew[1, 0] = 0.5, -0.5
+    assert finsler._certified_well_conditioned(_omega(eye, skew), n)
+    cases = [_omega(-eye, skew), _omega(0.0 * eye, skew), _omega(eye * [1.0] * (n - 1) + [-1.0],
+                                                                     skew),
+             _omega(np.ones((n, n)), skew),  # singular: its second pivot is 0
+             _omega(1e200 * eye, skew), _omega(eye, 1e200 * skew),
+             _omega(5e-324 * eye, skew), _omega(1e-310 * eye, 1e-310 * skew)]
+    for bad in (math.nan, math.inf, -math.inf):
+        for i, j in ((0, 1), (0, 0), (1, 0), (n - 1, n - 1)):
+            a, g = skew.copy(), eye.copy()
+            a[i, j], a[j, i] = bad, -bad
+            cases.append(_omega(eye, a))
+            g[i, j] = g[j, i] = bad
+            cases.append(_omega(g, skew))
+    for m in cases:
+        assert finsler._certified_well_conditioned(m, n) is False
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_point_of_the_fixture_and_funk_grids_is_certified(n):
+    # the path that point queries take: no float miss there needs the SVD
+    grid = sample_slit_points(n, 32, seed=42)
+    energies = [finsler_fixture(fid, grid, n=n).E for fid in fixture_ids()] + [funk(grid, n).E]
+    for E in energies:
+        for p in grid:
+            m = omega_and_dE(E, n, p.coords())[0]
+            assert finsler._certified_well_conditioned(m, n)
+
+
+def test_a_jet_valued_omega_at_a_float_point_is_read_by_real_parts():
+    # an energy holding a jet of its own puts jets into omega at a float point
+    drift = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
+
+    def ev(z):
+        f = jets.sqrt(z[2] * z[2] + z[3] * z[3]) + drift * z[2]
+        return 0.5 * f * f
+
+    z = [0.1, -0.2, 0.7, -0.4]
+    m = omega_and_dE(ScalarField(ev, N), N, z)[0]
+    assert any(type(x) is jets.Jet for row in m for x in row)
+    real = [[float(jets.realpart(x)) for x in row] for row in m]
+    assert finsler._certified_well_conditioned(m, N) and finsler._certified_well_conditioned(real, N)
+    # one jet in an otherwise certified omega: its real part decides
+    for value, certified in ((0.25, True), (math.nan, False)):
+        m = _omega(np.eye(N), np.zeros((N, N)))
+        m[N][0] = jets.Jet(drift.tag, value, 1.0)
+        m[0][N] = -m[N][0]
+        assert finsler._certified_well_conditioned(m, N) is certified
 
 
 def test_sharp_pivot_guard_compares_every_pivot():

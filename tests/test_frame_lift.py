@@ -10,6 +10,7 @@ tag is above every tag of the point it lifts), and a jet that an energy holds
 and that is newer than a shared lift must not be confused with the lift.
 """
 
+import random
 import weakref
 from collections import Counter
 
@@ -110,6 +111,54 @@ def test_a_frame_lift_is_one_per_point_object():
     assert other[0] > t2 and other[1] is not lifted
     assert len(jets._frame_lifts) == 1 and not memo._keys
     assert jets.frame_lift(z, 4)[1] is not lifted
+
+
+def _bits(point):
+    """``point_key``'s result with each float as its repr, which tells -0.0 from 0.0."""
+    key, base, tags = point
+    return [[(type(x), repr(x)) for x in part] for part in (key, base)], tags
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_a_frame_lift_of_a_float_point_is_keyed_as_its_walk_keys_it(k):
+    rng = random.Random(k)
+    for _ in range(50):
+        z = [rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0)]) for _ in range(k)]
+        lifted = jets.frame_lift(z, k)[1]
+        walked = memo._walk(lifted, ())
+        assert _bits(memo._frame_lift_key(lifted)) == _bits(walked)
+        _clear_caches()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(memo, "_walk", lambda *args: pytest.fail("walked"))
+            assert _bits(memo.point_key(lifted)) == _bits(walked)
+        assert memo._last_base[0] == walked[1]
+
+
+def test_only_a_frame_lift_of_a_float_point_is_keyed_without_a_walk():
+    z = point(0.1, -0.2, 0.7, -0.0).coords()
+    tag, lifted = jets.frame_lift(z, 4)
+    frame = jets.vec_frame(4)
+    relifted = list(lifted)
+    relifted[1] = jets.Jet(jets.fresh_tag(), lifted[1], frame[1])
+    jet_c = list(lifted)
+    jet_c[2] = jets.Jet(tag, jets.Jet(tag - 1, 0.7, 1.0), frame[2])
+    other_vec = list(lifted)
+    other_vec[3] = jets.Jet(tag, -0.0, jets.Vec(list(frame[3].s)))
+    swapped = list(lifted)
+    swapped[0], swapped[1] = (jets.Jet(tag, c.val, e) for c, e in zip(lifted, frame[1::-1]))
+    other_tag = list(lifted)
+    other_tag[0] = jets.Jet(tag + 1, 0.1, frame[0])
+    unlifted = list(lifted)
+    unlifted[2] = 0.7
+    points = [
+        relifted, jets.frame_lift(lifted, 4)[1], jet_c, other_vec, swapped, other_tag, unlifted,
+        jets.frame_lift(PointBatch(sample_slit_points(2, 3, seed=1)).coords(), 4)[1],  # a batch
+        jets.lift(z, jets.vec_frame(6), tag),  # 4 coordinates, Vecs of 6 slots
+    ]
+    for w in points:
+        assert memo._frame_lift_key(w) is None
+        _clear_caches()
+        assert _bits(memo.point_key(w)) == _bits(memo._walk(w, ()))
 
 
 def test_the_lift_of_a_lifted_point_has_a_larger_tag_than_every_tag_it_carries():
@@ -214,10 +263,11 @@ def test_a_bracket_with_a_fresh_field_dies_with_it_without_the_cycle_collector()
 
 
 def _counting_work(monkeypatch):
-    """Renames of memo hits (``memo.retag_array`` calls from ``PointMemo.get``)
-    and key walks (``memo._walk``)."""
+    """Renames of memo hits (``memo.retag_array`` calls from ``PointMemo.get``),
+    key walks (``memo._walk``) and SVD condition checks
+    (``finsler._condition_numbers``, by the shape of the stacked matrices)."""
     work = Counter()
-    retag_array, walk = memo.retag_array, memo._walk
+    retag_array, walk, svd = memo.retag_array, memo._walk, finsler._condition_numbers
     depth = [0]
 
     def counting_retag(x, tag_map):
@@ -232,8 +282,13 @@ def _counting_work(monkeypatch):
         work["walk"] += 1
         return walk(*args)
 
+    def counting_svd(stacked):
+        work[stacked.shape] += 1
+        return svd(stacked)
+
     monkeypatch.setattr(memo, "retag_array", counting_retag)
     monkeypatch.setattr(memo, "_walk", counting_walk)
+    monkeypatch.setattr(finsler, "_condition_numbers", counting_svd)
     return work
 
 
@@ -246,8 +301,10 @@ def test_a_default_check_renames_and_walks_a_pinned_number_of_points(monkeypatch
     # when CHK-05 made the grid's first frame lift, whose emptying of the point
     # caches dropped the grid's key between two of its lookups; CHK-02's d omega
     # now makes it, after one memo keyed the grid: omega's two_form memo, whose
-    # first lookup (i_J omega) comes before (74 walks without that memo)
-    assert (work["retag_array"], work["walk"]) == (69, 75)
+    # first lookup (i_J omega) comes before (74 walks without that memo).  A
+    # batch frame lift is walked, and a batch miss of omega's memo takes its
+    # conditioning from the SVD: one per fixture, over the 32-point grid
+    assert work == {"retag_array": 69, "walk": 75, (32, 4, 4): 3}
 
 
 def test_a_third_order_query_renames_and_walks_a_pinned_number_of_points(monkeypatch):
@@ -261,8 +318,9 @@ def test_a_third_order_query_renames_and_walks_a_pinned_number_of_points(monkeyp
         residuals = [dh_omega_residual(F, h0, [p]), dh_omega_residual(F, hL, [p]),
                      vector_form2_residual(weak_torsion(F, h0), [p])]
         assert max(residuals) < 1e-7
-    # 12 renames and 21 walks when every frame lift had a fresh tag
-    assert (work["retag_array"], work["walk"]) == (0, 2)
+    # 12 renames and 21 walks when every frame lift had a fresh tag, 2 walks
+    # while a frame lift of a float point was walked too
+    assert (work["retag_array"], work["walk"]) == (0, 1)
 
 
 # -- a float or batch miss computed at the point's frame lift -----------------
@@ -305,10 +363,14 @@ def test_point_queries_make_one_energy_pass_each_once_the_memo_expects_lifted_re
     # lifted pass alone, whose primal answers S0 and the sharp
     objects, points = _queries(count=300)
     work = _counting_passes(monkeypatch)
+    other_work = _counting_work(monkeypatch)
     for i, z in enumerate(points):
         _, s0, h0, X = objects[i % 3]
         s0(z), h0.matrix(z), X(z)
     assert work == {"omega_and_dE": 306, "lifted": 294}
+    # every frame lift is of a float point, keyed without a walk, and every
+    # float miss certifies cond(omega) without an SVD
+    assert other_work == {}
 
 
 @pytest.mark.parametrize("stream, passes", [
