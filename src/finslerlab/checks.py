@@ -410,6 +410,17 @@ def list_checks(only=None):
     return [c for c in specs if c.id in wanted]
 
 
+def run_cell(spec, F, ctx) -> tuple:
+    """One (check, structure) cell: ``(residual, note)``, the runner's
+    ``float(max_residual)`` and note, or ``(inf, "Type: message")`` when it
+    raises a ``FinslerLabError``, which a cell records and never raises."""
+    try:
+        outcome = spec.runner(F, ctx)
+        return float(outcome.max_residual), outcome.note
+    except FinslerLabError as e:
+        return float("inf"), f"{type(e).__name__}: {e}"
+
+
 def run_checks(config) -> tuple:
     """Run the configured (check, fixture) cells; returns (results, exit_code).
 
@@ -451,12 +462,8 @@ def run_checks(config) -> tuple:
             results.append(CheckResult(spec.id, fid, config.samples, float("inf"),
                                        tol, False, build_errors[fid]))
             continue
-        ctx = CheckContext(grid=grid, seed=config.seed, tol=tol)
-        try:
-            outcome = spec.runner(structures[fid], ctx)
-            residual, note = float(outcome.max_residual), outcome.note
-        except FinslerLabError as e:
-            residual, note = float("inf"), f"{type(e).__name__}: {e}"
+        residual, note = run_cell(spec, structures[fid],
+                                  CheckContext(grid=grid, seed=config.seed, tol=tol))
         results.append(CheckResult(spec.id, fid, config.samples, residual,
                                    tol, bool(residual < tol), note))
     results.sort(key=lambda r: (r.id, r.fixture))

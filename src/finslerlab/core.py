@@ -22,8 +22,6 @@ from .errors import BadConfig, OrderOutOfRange, ZeroSection
 DEFAULT_BASE_RANGE = (-1.0, 1.0)
 DEFAULT_FIBER_RANGE = (-2.0, 2.0)
 DEFAULT_MIN_FIBER_NORM = 0.1
-DEFAULT_SEED = 42
-DEFAULT_SAMPLES = 32
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ import pytest
 
 from finslerlab import finsler, jets
 from finslerlab.calculus import field_apply, liouville_field, sup_abs
-from finslerlab.checks import CHECKS, CheckContext, Outcome
 from finslerlab.core import PointBatch, ScalarField, point, sample_slit_points
 from finslerlab.errors import (
-    BadConfig, FinslerLabError, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
+    BadConfig, HomogeneityFailure, NondegeneracyFailure, PositivityFailure,
 )
 from finslerlab.finsler import (
     DET_FLOOR, VALIDATION_TOL, FinslerStructure, _sharp_block_solve, berwald_connection,
@@ -27,6 +26,8 @@ from finslerlab.finsler import (
     omega_and_dE,
 )
 from finslerlab.memo import point_key
+
+import energies
 
 
 def at(x, i):
@@ -130,6 +131,34 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert offenders == []
 
 
+def _energy_selectors(source):
+    """The lines of ``source`` that compare a value with the id of an energy of
+    ``tests/energies.py`` that is not a fixture (configuration tests compare
+    with fixture ids), alone or in a literal tuple, list or set, or that import
+    from ``test_funk`` what ``energies`` holds now."""
+    ids = set(energies.IDS) - set(fixture_ids())
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        operands += [e for op in operands if isinstance(op, (ast.Tuple, ast.List, ast.Set))
+                     for e in op.elts]
+        if any(isinstance(op, ast.Constant) and op.value in ids for op in operands) \
+                or isinstance(node, ast.ImportFrom) and node.module == "test_funk" \
+                and {"funk", "funk_energy", "funk_cells"} & {a.name for a in node.names}:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_energy_corpus_selects_an_energy():
+    # a selector elsewhere would make adding an energy to the corpus an edit there too
+    assert _energy_selectors('F = funk(g, n) if fid == "funk" else finsler_fixture(fid, g)') == [1]
+    offenders = [f"{path.name}:{line}" for path in sorted(Path(__file__).parent.glob("*.py"))
+                 if path.name != "energies.py"
+                 for line in _energy_selectors(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+    assert energies.IDS[:len(fixture_ids())] == fixture_ids()  # every fixture, first
+
+
 def test_library_reads_point_coordinates_only_in_core():
     # a residual helper or check runner evaluates its grid as one point
     # (core.grid_coords); a .coords() call elsewhere would be a per-point loop
@@ -157,28 +186,16 @@ def test_jet_and_vec_take_precedence_over_numpy_operators():
 # -- every runner, per point and batched ------------------------------------------
 
 
-def _run_cells(F, seed, grid):
-    out = []
-    for spec in sorted(CHECKS, key=lambda c: c.id):
-        ctx = CheckContext(grid=grid, seed=seed, tol=spec.tolerance)
-        try:
-            outcome = spec.runner(F, ctx)
-        except FinslerLabError as e:
-            outcome = Outcome(float("inf"), f"{type(e).__name__}: {e}")
-        out.append((spec.id, float(outcome.max_residual), outcome.note))
-    return out
-
-
 @pytest.mark.parametrize("fid", fixture_ids())
 def test_every_runner_agrees_per_point_and_batched(fid):
     # the reference runs every runner at each one-point grid [p], on floats
     for samples in (4, 1):  # one point: an array's own truthiness reads its value
         grid = sample_slit_points(2, samples, 7)
         F = finsler_fixture(fid, grid)
-        per_point = [_run_cells(F, 7, [p]) for p in grid]
+        per_point = [energies.cells(F, [p], 7) for p in grid]
         for points in (list(grid), grid):
-            batched = _run_cells(F, 7, points)
-            for k, (check, residual, note) in enumerate(batched):
+            batched = energies.cells(F, points, 7)
+            for k, (check, residual, note, _) in enumerate(batched):
                 reference = sup_abs(cells[k][1] for cells in per_point)
                 assert residual.hex() == reference.hex(), check
                 assert {cells[k][2] for cells in per_point} == {note}, check
@@ -271,10 +288,8 @@ def test_nan_in_one_batch_slot_fails_its_cell():
     F = finsler_fixture("euclidean", grid)
     pts = list(grid)
     pts[2] = point(*pts[2].base, pts[2].fiber[0], math.nan)
-    spec = next(c for c in CHECKS if c.id == "CHK-02")
-    outcome = spec.runner(F, CheckContext(grid=(PointBatch(pts),), seed=7, tol=spec.tolerance))
-    assert math.isnan(outcome.max_residual)
-    assert not outcome.max_residual < spec.tolerance
+    [(_, residual, _, passed)] = energies.cells(F, (PointBatch(pts),), 7, ["CHK-02"])
+    assert math.isnan(residual) and not passed
 
 
 # -- energy axioms on a batch ---------------------------------------------------------

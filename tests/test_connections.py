@@ -18,7 +18,7 @@ from finslerlab.errors import (
     NotSemispray, NotVertical,
 )
 from finslerlab.finsler import (
-    berwald_connection, canonical_spray, finsler_fixture,
+    berwald_connection, canonical_spray, finsler_fixture, fixture_ids,
     conservative_connection_residual, conservative_form_residual, gradient,
 )
 from finslerlab.connections import (
@@ -33,8 +33,8 @@ from finslerlab.connections import (
 
 from finslerlab.registry import base_function, build_field
 
+import energies
 from helpers import dh_omega_form, maxabs, point_memo, sharp_of_dLE_reference
-from test_funk import funk
 
 N, N2 = 2, 4
 P0 = point(0.0, 0.0, 1.0, 2.0)
@@ -175,7 +175,7 @@ def _value_and_slots(xs, tag, k):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3", "funk"])
+@pytest.mark.parametrize("fid", energies.IDS)
 def test_sharp_of_dLE_matches_the_sharp_of_d_L_E(fid, n):
     # the contraction of L's matrix with the memo's dE against a fresh pass of E
     # along L's columns: they round differently, so the bound is relative, to
@@ -183,7 +183,7 @@ def test_sharp_of_dLE_matches_the_sharp_of_d_L_E(fid, n):
     # in exact arithmetic, such as D_{x2} of (d_fvJ E)# on Funk, reads rounding
     # noise of about 1e-18 on both paths)
     grid = sample_slit_points(n, 4, seed=1)
-    F = funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
+    F = energies.structure(fid, grid, n)
     n2 = 2 * n
     z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
     scalar, vector = jets.fresh_tag(), jets.fresh_tag()
@@ -562,7 +562,6 @@ def test_vincze_closure_for_conservative_torsion_free_forms():
 
 def test_vertical_lift_test_examples():
     f = BaseFunction(lambda x: x[0] * x[1], N)
-    from finslerlab.calculus import vertical_lift_function
     assert vertical_lift_test(EUC, vertical_lift_function(f)) < 1e-12
     assert abs(vertical_lift_test(EUC, EUC.E, points=[P0]) - 2.0) < 1e-12
     # L_W potential annihilates E, certifying Wagner conservativity
@@ -575,7 +574,6 @@ def test_vertical_lift_test_examples():
 def test_vincze_identity_oracle():
     # d_[J,V] E = d_J(V E) - i_V omega for any vertical V (independent check
     # of the bracket, sharp, and omega plumbing working together)
-    import numpy as np
     rng = np.random.default_rng(31)
     coef = rng.uniform(-1, 1, (2, N2))
     V = VectorField(lambda z: [0.0, 0.0] + [
@@ -654,14 +652,14 @@ def _dh_omega_per_direction(F, form, z):
     return sup_abs(devs), d_m, d_om
 
 
-@pytest.mark.parametrize("fid, n", [("euclidean", 2), ("riemannian-exp", 2),
-                                    ("randers-0.3", 2), ("randers-0.3", 3),
-                                    ("funk", 2), ("funk", 3)])
+@pytest.mark.parametrize("fid, n", [(fid, n) for fid, energy in energies.ENERGIES.items()
+                                    for n in (2, 3) if n == 2 or not energy.riemannian])
 def test_dh_omega_vector_lift_matches_per_direction_lifts(fid, n):
-    # Funk is the one input whose omega and h have every block nonzero and
+    # every energy at n = 2, and those whose g depends on y at n = 3.  Funk is
+    # the one input whose omega and h have every block nonzero and
     # x-dependent, so an index slip in the stacked contractions shows there
     grid = sample_slit_points(n, 4, seed=1)
-    F = funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
+    F = energies.structure(fid, grid, n)
     hL = l_ehresmann_connection(
         F, fn_bracket(vertical_endomorphism(n), build_field(F, "E-dy1")))
     p = point(*([0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]))
@@ -798,7 +796,7 @@ def _bracket_pairs(F):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+@pytest.mark.parametrize("fid", fixture_ids())
 def test_bracket_1_1_matches_pairwise_formula(fid, n):
     # entry for entry as the pairwise scalar passes give it, up to zero signs,
     # at float points (every ordered pair) and at a point lifted along the
@@ -871,7 +869,7 @@ def _bracket_fields(F):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+@pytest.mark.parametrize("fid", fixture_ids())
 def test_bracket_1_0_matches_column_formula(fid, n):
     # for K = J and K = Id, entry for entry as the column formula's scalar
     # passes give it, up to zero signs, at float points (every column) and at

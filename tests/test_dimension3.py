@@ -8,18 +8,18 @@ from finslerlab.calculus import (
 from finslerlab.core import ScalarField, point, sample_slit_points
 from finslerlab.errors import NondegeneracyFailure
 from finslerlab.finsler import (
-    FinslerStructure, berwald_connection, canonical_spray, finsler_fixture,
+    FinslerStructure, berwald_connection, canonical_spray, finsler_fixture, fixture_ids,
     projector_residual, sharp, validate_finsler,
 )
 from finslerlab.connections import (
     l_ehresmann_connection, form_matrix_residual, vector_form1_residual,
     tension, wagner_connection,
 )
-from finslerlab.checks import CHECKS, CheckContext, random_one_forms
+from finslerlab.checks import random_one_forms
 from finslerlab.registry import base_function, build_field
 
+import energies
 from helpers import maxabs
-from test_funk import funk
 from test_headroom import HEADROOM
 
 N, N2 = 3, 6
@@ -28,7 +28,7 @@ P0 = point(0.0, 0.0, 0.0, 1.0, 2.0, 0.5)
 
 
 def test_fixtures_validate_in_3d():
-    for fid in ("euclidean", "riemannian-exp", "randers-0.3"):
+    for fid in fixture_ids():
         F = finsler_fixture(fid, GRID, n=N)
         assert F.n == N
 
@@ -95,20 +95,14 @@ def test_registry_fields_in_3d():
     assert maxabs([a - b for a, b in zip(c(z), [0, 0, 0, 0.5, 1.0, 0.25])]) < 1e-12
 
 
-@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3", "funk"])
+@pytest.mark.parametrize("fid", energies.IDS)
 def test_every_runner_passes_at_n3(fid):
     # each of the 16 runners on an 8-point batch of seed 42 at n = 3, as
     # run_checks runs a fixture's cells: all of them on one structure.
     # Every cell reads below HEADROOM (the worst about 4e-15), and only the
     # expected-error checks leave a note
     grid = sample_slit_points(N, 8, seed=42)
-    F = funk(grid, N) if fid == "funk" else finsler_fixture(fid, grid, n=N)
-    notes = {}
-    for spec in CHECKS:
-        outcome = spec.runner(F, CheckContext(grid=grid, seed=42, tol=spec.tolerance))
-        assert float(outcome.max_residual) <= HEADROOM, (spec.id, outcome)
-        if outcome.note is not None:
-            notes[spec.id] = outcome.note
-    assert notes.keys() == {"CHK-10", "CHK-13"}
-    assert notes["CHK-10"].startswith("HypothesisFailure (expected) for E-dy1: residual ")
-    assert notes["CHK-13"] == "DegenerateDegree (expected) for r=-1"
+    cells = energies.cells(energies.structure(fid, grid, N), grid, 42)
+    assert len(cells) == 16
+    assert [cell for cell in cells if not cell[1] <= HEADROOM] == []
+    assert energies.expected_notes(cells), cells

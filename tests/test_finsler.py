@@ -27,8 +27,8 @@ from finslerlab.finsler import (
     omega_and_dE, projector_residual, sharp, validate_finsler,
 )
 
+import energies
 from helpers import maxabs, point_memo
-from test_funk import funk
 from test_mutants import mutant
 
 N, N2 = 2, 4
@@ -312,7 +312,7 @@ _DIRECTION = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(-2.0, 2.0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["euclidean", "riemannian-exp", "randers-0.3"]),
+@given(st.sampled_from(fixture_ids()),
        st.sampled_from([2, 3]), _BASE, _FIBER,
        st.lists(_DIRECTION, min_size=1, max_size=3), st.integers(0, 2))
 def test_omega_matrix_vector_lift_matches_scalar_lifts(fid, n, xs, ys, dirs, pos):
@@ -328,7 +328,7 @@ def test_omega_matrix_vector_lift_matches_scalar_lifts(fid, n, xs, ys, dirs, pos
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+@pytest.mark.parametrize("fid", fixture_ids())
 def test_berwald_and_sharp_vector_lifts_match_scalar_lifts(fid, n):
     grid = sample_slit_points(n, 2, seed=3)
     z = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
@@ -388,7 +388,6 @@ def test_sharp_round_trip():
 
 def test_sharp_condition_failure():
     # bypass validation to reach the conditioning guard
-    from finslerlab.finsler import FinslerStructure
     tiny = ScalarField(lambda z: 0.5 * (z[2] * z[2] + 1e-14 * z[3] * z[3]), N)
     F = FinslerStructure(tiny, N, GRID, validate=False)
     dx1 = coordinate_one_form(N, 0)
@@ -539,23 +538,18 @@ def test_a_non_finite_indefinite_or_out_of_range_omega_is_never_certified(n):
 def test_every_point_of_the_fixture_and_funk_grids_is_certified(n):
     # the path that point queries take: no float miss there needs the SVD
     grid = sample_slit_points(n, 32, seed=42)
-    energies = [finsler_fixture(fid, grid, n=n).E for fid in fixture_ids()] + [funk(grid, n).E]
-    for E in energies:
+    for E in (energies.structure(eid, grid, n).E for eid in energies.IDS):
         for p in grid:
             m = omega_and_dE(E, n, p.coords())[0]
             assert finsler._certified_well_conditioned(m, n)
 
 
 def test_a_jet_valued_omega_at_a_float_point_is_read_by_real_parts():
-    # an energy holding a jet of its own puts jets into omega at a float point
+    # an energy holding a jet of its own, the Randers drift, puts jets into
+    # omega at a float point
     drift = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
-
-    def ev(z):
-        f = jets.sqrt(z[2] * z[2] + z[3] * z[3]) + drift * z[2]
-        return 0.5 * f * f
-
     z = [0.1, -0.2, 0.7, -0.4]
-    m = omega_and_dE(ScalarField(ev, N), N, z)[0]
+    m = omega_and_dE(finsler._energy_randers(2, drift), N, z)[0]
     assert any(type(x) is jets.Jet for row in m for x in row)
     real = [[float(jets.realpart(x)) for x in row] for row in m]
     assert finsler._certified_well_conditioned(m, N) and finsler._certified_well_conditioned(real, N)
@@ -570,7 +564,7 @@ def test_a_jet_valued_omega_at_a_float_point_is_read_by_real_parts():
 def test_sharp_pivot_guard_compares_every_pivot():
     # g = [[s, 1e-14], [1e-14, 1]] with s = x1: at x1 = 1e-14 the small pivot comes first and
     # the large one after it, so cond(g) is about 1e14 while no pivot is small against an earlier one
-    from finslerlab.finsler import FinslerStructure, _sharp_block_solve
+    from finslerlab.finsler import _sharp_block_solve
     E = ScalarField(
         lambda z: 0.5 * (z[0] * z[2] * z[2] + 2e-14 * z[2] * z[3] + z[3] * z[3]), N)
     F = FinslerStructure(E, N, GRID, validate=False)
@@ -615,7 +609,7 @@ def _sharp_full_elimination(m, beta):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+@pytest.mark.parametrize("fid", fixture_ids())
 def test_sharp_block_solve_matches_full_elimination(fid, n):
     # a conformal change makes omega's skew block A nonzero, so the A^T X^h term counts
     n2 = 2 * n
@@ -740,7 +734,6 @@ def test_a_batch_solve_raises_what_the_first_failing_point_raises_alone(ev, pts,
 
 
 def test_sharp_with_a_degenerate_metric_fails_at_a_jet_point():
-    from finslerlab.finsler import FinslerStructure
     F = FinslerStructure(ScalarField(lambda z: 0.5 * z[2] * z[2], N), N, GRID, validate=False)
     z = jets.lift(P0.coords(), frame_vector(N2, 0), jets.fresh_tag())
     with pytest.raises(NondegeneracyFailure):
@@ -816,7 +809,6 @@ def test_sharp_memo_hit_is_exact(n, depth):
 def test_sharp_memo_with_an_energy_that_holds_jets():
     # a Randers drift carried as a jet, to differentiate in it: its tag is on
     # no point, so a hit must solve afresh rather than rename it
-    from finslerlab.finsler import FinslerStructure
     drift = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
     E = ScalarField(
         lambda z: 0.5 * (jets.sqrt(z[2] * z[2] + z[3] * z[3]) + drift * z[2]) ** 2, N)
@@ -866,7 +858,7 @@ def test_memos_hold_the_last_base_points_entries_only():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", ["euclidean", "riemannian-exp", "randers-0.3"])
+@pytest.mark.parametrize("fid", fixture_ids())
 def test_spray_reads_dE_from_omegas_pass_bit_for_bit(fid, n):
     grid = sample_slit_points(n, 3, seed=3)
     z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
@@ -957,23 +949,21 @@ def _identical_entries(a, b):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", [*fixture_ids(), "funk"])
+@pytest.mark.parametrize("fid", energies.IDS)
 def test_a_lifted_omega_entry_answers_the_point_it_lifts(fid, n):
     # the stored primal is, tag for tag and bit for bit (zero signs and batch
     # bytes included), what omega_and_dE computes at the point z lifts
     grid = sample_slit_points(n, 4, seed=3)
     z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
 
-    def structure():
-        return funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
-
     for base in (z0, PointBatch(grid).coords()):    # a float and a 4-point batch base
         for depth in (2, 3):                          # the lifted point is lifted once, twice
             for vec in (None, 0, depth - 1):
                 z, tags = _jet_point(base, depth, vec)
-                assert _identical_entries(*_stores_at_the_lifted_point(structure(), z, tags))
+                assert _identical_entries(*_stores_at_the_lifted_point(
+                    energies.structure(fid, grid, n), z, tags))
         # a float or batch point keeps its own miss, with its cond(omega) check
-        F = structure()
+        F = energies.structure(fid, grid, n)
         F.shared_omega_at(_jet_point(base, 1, 0)[0])
         assert memo.point_key(base)[0] not in point_memo(F.shared_omega_at).entries
 
@@ -981,13 +971,8 @@ def test_a_lifted_omega_entry_answers_the_point_it_lifts(fid, n):
 def test_an_entry_holding_a_tag_above_the_points_is_not_stored():
     # an energy that holds a jet of its own: a tag below the point's is stored
     # with the primal; one above it would stay inside the primal, so nothing is
-    from finslerlab.finsler import FinslerStructure
-
     def structure(drift):
-        def ev(z):
-            f = jets.sqrt(z[2] * z[2] + z[3] * z[3]) + drift * z[2]
-            return 0.5 * f * f
-        return FinslerStructure(ScalarField(ev, N, "E_drift"), N, GRID, validate=False)
+        return FinslerStructure(finsler._energy_randers(2, drift), N, GRID, validate=False)
 
     below = jets.Jet(jets.fresh_tag(), 0.3, 1.0)
     z, tags = _jet_point(P0.coords(), 2, vec=0)
@@ -1261,7 +1246,6 @@ def test_ee2_insertion_identity_with_berwald():
 
 def test_form_skewness_sweep():
     # derived 2- and 3-forms flip sign under argument transposition
-    import numpy as np
     rng = np.random.default_rng(23)
     for F in (EUC, RAN):
         om = fundamental_form(F).two_form

@@ -32,9 +32,9 @@ from finslerlab.finsler import (
 )
 from finslerlab.registry import build_field
 
+import energies
 from helpers import collector_off, point_memo
 from test_finsler import _identical, _identical_entries, _tags_of
-from test_funk import funk
 
 
 def _fresh_frame_lift(z, k):
@@ -177,11 +177,8 @@ def test_the_lift_of_a_lifted_point_has_a_larger_tag_than_every_tag_it_carries()
 
 
 def _drift_structure(drift):
-    # a Randers drift carried as a jet, to differentiate in it
-    def ev(z):
-        f = jets.sqrt(z[2] * z[2] + z[3] * z[3]) + drift * z[2]
-        return 0.5 * f * f
-    return FinslerStructure(ScalarField(ev, 2, "E_drift"), 2, sample_slit_points(2, 2, seed=3),
+    # the Randers energy with its drift carried as a jet, to differentiate in it
+    return FinslerStructure(finsler._energy_randers(2, drift), 2, sample_slit_points(2, 2, seed=3),
                             validate=False)
 
 
@@ -420,18 +417,15 @@ def _expecting_lifted_reads(F):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("fid", [*fixture_ids(), "funk"])
+@pytest.mark.parametrize("fid", energies.IDS)
 def test_a_lifted_miss_gives_the_plain_entry_and_stores_the_lifted_one(fid, n, monkeypatch):
     # bit for bit, zero signs and batch bytes included, at a float and a batch
     # point; the entry at the frame lift is what a miss there computes
     grid = sample_slit_points(n, 4, seed=3)
     z0 = [0.1, -0.2, 0.3][:n] + [0.7, -0.4, 0.5][:n]
 
-    def structure():
-        return funk(grid, n) if fid == "funk" else finsler_fixture(fid, grid, n=n)
-
     for z in (z0, PointBatch(grid).coords()):
-        F = _expecting_lifted_reads(structure())
+        F = _expecting_lifted_reads(energies.structure(fid, grid, n))
         plain = finsler.omega_and_dE(F.E, n, z)
         work = _counting_passes(monkeypatch)
         assert _identical_entries(F.shared_omega_at(z), plain)

@@ -4,7 +4,7 @@ Each mutant is the library's own source with one expression replaced,
 compiled and monkeypatched in; it must push at least one cell of each check
 it targets over tolerance in ``finslerlab check --seed 7 --samples 4``, or,
 for a mutant that every fixture is blind to, the same cells on the Funk
-metric (``test_funk.funk_cells``).  A check that passes for a wrong formula
+metric (``energies.cells``).  A check that passes for a wrong formula
 would pass for a right one just as well, so this is what gives its
 residuals meaning.  Only the targeted checks run, to keep the file fast.  A mutant of a function that other modules
 import by name names every module whose alias it must replace.
@@ -18,8 +18,9 @@ import pytest
 
 from finslerlab import calculus, checks, connections, finsler, jets, registry
 from finslerlab.cli import main
+from finslerlab.core import sample_slit_points
 from finslerlab.finsler import fixture_ids
-from test_funk import funk_cells
+import energies
 from test_headroom import above_headroom, cells
 
 
@@ -119,7 +120,7 @@ def test_mutant_fails_every_targeted_check(name, owner, attr, old, new, checks,
     assert failing == set(checks), f"{name}: {sorted(set(checks) - failing)} still pass"
 
 
-# Mutants that every fixture is blind to, run on the Funk metric (tests/test_funk.py)
+# Mutants that every fixture is blind to, run on the Funk metric (tests/energies.py)
 # through the same runners.  Every fixture is independent of x^2, so A_01 = E_{x^1 y^2}
 # - E_{x^2 y^1} has one nonzero term there and its sign flip passes all 48 cells.
 FUNK_MUTANTS = [
@@ -134,9 +135,10 @@ FUNK_MUTANTS = [
 def test_mutant_fails_every_targeted_check_on_funk(name, owner, attr, old, new, checks,
                                                    monkeypatch):
     patch(monkeypatch, owner, attr, old, new)
-    cells = funk_cells(7, 4, checks)
-    assert [c for c, *_ in cells] == checks
-    still_pass = [c for c, _, _, passed in cells if passed]
+    grid = sample_slit_points(2, 4, 7)
+    funk_cells = energies.cells(energies.structure("funk", grid), grid, 7, checks)
+    assert [c for c, *_ in funk_cells] == checks
+    still_pass = [c for c, _, _, passed in funk_cells if passed]
     assert not still_pass, f"{name}: {still_pass} still pass"
 
 

@@ -37,7 +37,7 @@ from finslerlab.finsler import (
     FinslerStructure, berwald_connection, canonical_spray, fixture_energy, fixture_ids, sharp,
 )
 from finslerlab.registry import build_field
-from test_funk import funk_energy
+import energies
 from test_mutants import patch
 
 # Every comparison read at most 7.1e-15 when this was set (16 points at n = 2
@@ -103,10 +103,6 @@ def _solve(m, b):
     return x
 
 
-def energy(name, n):
-    return funk_energy(n) if name == "funk" else fixture_energy(name, n)
-
-
 def pullback(f):
     return ScalarField(lambda z: f.fn(tphi(z)), f.n, f"{f.name} o Tphi")
 
@@ -114,7 +110,7 @@ def pullback(f):
 def pairs(name, n):
     """``{construction: (kind, at E, at E o Tphi)}``, each an evaluator at a point."""
     grid = sample_slit_points(n, 4, seed=7)
-    F = FinslerStructure(energy(name, n), n, grid, name=name)
+    F = energies.structure(name, grid, n)
     G = FinslerStructure(pullback(F.E), n, grid, name=f"{name} o Tphi")
     J = vertical_endomorphism(n)
     V = build_field(F, "E-dy1")
@@ -171,7 +167,7 @@ def errors(name, n, count):
 
 
 @pytest.mark.parametrize("n, count", [(2, 16), (3, 4)])
-@pytest.mark.parametrize("name", fixture_ids() + ["funk"])
+@pytest.mark.parametrize("name", energies.IDS)
 def test_constructions_commute_with_a_base_diffeomorphism(name, n, count):
     assert {c: e for c, e in errors(name, n, count).items() if not e <= BOUND} == {}
 

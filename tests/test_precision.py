@@ -18,19 +18,16 @@ Batch points are not covered at mpf precision: a batch is a float array, and
 its sqrt is ``np.sqrt``.
 """
 
-import math
-
 import mpmath
 import pytest
 
 from finslerlab import finsler, jets
-from finslerlab.checks import CheckContext, list_checks
 from finslerlab.core import ScalarField, TangentPoint
-from finslerlab.errors import FinslerLabError, NondegeneracyFailure
+from finslerlab.errors import NondegeneracyFailure
 from finslerlab.finsler import (
     FinslerStructure, energy_axioms_residual, finsler_fixture, fixture_energy, fixture_ids,
 )
-from test_funk import funk
+import energies
 from test_mutants import patch
 
 BOUND = 1e-30
@@ -49,26 +46,12 @@ def grid(monkeypatch):
 
 def residuals(F, grid, checks=None):
     """Each runner's residual on F at the grid, a raise read as inf."""
-    out = {}
-    for spec in list_checks(checks):
-        try:
-            ctx = CheckContext(grid=grid, seed=42, tol=spec.tolerance)
-            out[spec.id] = float(spec.runner(F, ctx).max_residual)
-        except FinslerLabError:
-            out[spec.id] = math.inf
-    return out
+    return {check: residual for check, residual, _, _ in energies.cells(F, grid, 42, checks)}
 
 
-def structure(name, grid):
-    # Funk's radius is an mpf: with R = 3.0, <x, y> / (R * R) forms its
-    # second-order jet part from the float 1.0 / 9.0, and CHK-02 reads about
-    # 3e-20 at any precision (test_a_float_radius_keeps_double_rounding)
-    return funk(grid, 2, mpmath.mpf(3)) if name == "funk" else finsler_fixture(name, grid)
-
-
-@pytest.mark.parametrize("name", fixture_ids() + ["funk"])
+@pytest.mark.parametrize("name", energies.IDS)
 def test_every_cell_vanishes_at_40_digits(name, grid):
-    cells = residuals(structure(name, grid), grid)
+    cells = residuals(energies.structure(name, grid, exact=True), grid)
     assert len(cells) == 16
     assert {c: r for c, r in cells.items() if not r <= BOUND} == {}
 
@@ -93,7 +76,7 @@ def test_the_energy_axioms_run_at_the_precision_of_the_point(name, grid):
 
 
 def test_a_float_radius_keeps_double_rounding(grid):
-    assert residuals(funk(grid, 2, 3.0), grid, ["CHK-02"])["CHK-02"] > BOUND
+    assert residuals(energies.structure("funk", grid), grid, ["CHK-02"])["CHK-02"] > BOUND
 
 
 # the cells that the g-scaling mutants move, on every fixture: at 1e-14
